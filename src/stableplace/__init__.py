@@ -42,6 +42,7 @@ from .regrasp import (
     ManipulationGraph,
     Plan,
     build_manipulation_graph,
+    feasibility_matrix,
     grasp_feasible_in_placement,
     plan_regrasp,
     sample_antipodal_grasps,

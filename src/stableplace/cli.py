@@ -12,7 +12,6 @@ import functools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -35,12 +34,11 @@ from .metrics import (
     format_table,
 )
 from .placements import (
-    DatasetResult,
     Placement,
     PlacementRecord,
     SettleDiverged,
     enumerate_stable,
-    generate_one_drop,
+    generate_dataset,
     settle,
 )
 from .regrasp import (
@@ -50,7 +48,13 @@ from .regrasp import (
     plan_regrasp,
     sample_antipodal_grasps,
 )
-from .rotations import FitFailed, fit_geodesic_polynomial, random_rotation
+from .rotations import (
+    FitFailed,
+    InvalidRotation,
+    check_rotation,
+    fit_geodesic_polynomial,
+    random_rotation,
+)
 
 DEG = np.pi / 180.0
 CM = 0.01
@@ -222,10 +226,16 @@ def cmd_settle(mesh_path, seed, rotation, output):
     """Settle the mesh from an initial orientation and report the pose."""
     mesh = _load_mesh_or_exit(mesh_path)
     if rotation is not None:
-        values = [float(x) for x in rotation.split(",")]
+        try:
+            values = [float(x) for x in rotation.split(",")]
+        except ValueError as exc:
+            raise click.BadParameter(str(exc), param_hint="--rotation") from exc
         if len(values) != 9:
-            raise click.UsageError("--rotation needs exactly 9 values")
-        initial = np.array(values).reshape(3, 3)
+            raise click.BadParameter("needs exactly 9 values", param_hint="--rotation")
+        try:
+            initial = check_rotation(np.array(values).reshape(3, 3))
+        except InvalidRotation as exc:
+            raise click.BadParameter(str(exc), param_hint="--rotation") from exc
     else:
         initial = random_rotation(np.random.default_rng(seed))
     try:
@@ -233,31 +243,6 @@ def cmd_settle(mesh_path, seed, rotation, output):
     except SettleDiverged as exc:
         _fail(EXIT_DEGENERATE, f"settle diverged: {exc}")
     _write_text(output, _dump_json(placement.to_json_dict()))
-
-
-def _dataset_records(
-    meshes: list[tuple[str, TriMesh]], drops: int, seed: int, workers: int
-) -> DatasetResult:
-    """Dataset generation with a worker pool; record order and content
-    are independent of the worker count."""
-    jobs = [
-        (object_id, mesh, seed, obj_idx, drop_idx)
-        for obj_idx, (object_id, mesh) in enumerate(meshes)
-        for drop_idx in range(drops)
-    ]
-    if workers <= 1:
-        results = [generate_one_drop(*job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(generate_one_drop, *zip(*jobs), chunksize=16))
-    diverged = {object_id: 0 for object_id, _ in meshes}
-    records = []
-    for job, rec in zip(jobs, results):
-        if rec is None:
-            diverged[job[0]] += 1
-        else:
-            records.append(rec)
-    return DatasetResult(records=records, diverged=diverged)
 
 
 @main.command("dataset")
@@ -276,7 +261,7 @@ def cmd_dataset(mesh_paths, drops, seed, workers, output):
         raise click.UsageError("--drops must be >= 1")
     meshes = [(Path(p).stem, _load_mesh_or_exit(p)) for p in mesh_paths]
     workers = workers or os.cpu_count() or 1
-    result = _dataset_records(meshes, drops, seed, workers)
+    result = generate_dataset(meshes, drops, seed, workers=workers)
     with open(output, "w") as fh:
         for rec in result.records:
             fh.write(_dump_json(rec.to_json_dict()))
@@ -454,7 +439,9 @@ def cmd_pipeline(config_path, workers, dump_poses):
     meshes = [(Path(p).stem, _load_mesh_or_exit(p)) for p in cfg.mesh_paths]
 
     def stage_dataset():
-        result = _dataset_records(meshes, cfg.drops_per_object, cfg.seed, workers)
+        result = generate_dataset(
+            meshes, cfg.drops_per_object, cfg.seed, workers=workers
+        )
         path = out_dir / "dataset.jsonl"
         with open(path, "w") as fh:
             for rec in result.records:

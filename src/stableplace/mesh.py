@@ -8,6 +8,7 @@ is preserved through every transform.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,13 @@ class ZeroPlaneVector(ValueError):
 
 @dataclass
 class TriMesh:
+    """Triangle mesh with its uniform-density volume and COM.
+
+    Treated as immutable after construction: its convex hull and the
+    inradii of its resting contact sets are cached on first use, so
+    changing ``vertices`` or ``faces`` in place leaves them stale.
+    """
+
     vertices: np.ndarray  # (N, 3)
     faces: np.ndarray  # (F, 3) int
     com: np.ndarray = field(init=False)
@@ -77,12 +85,22 @@ class TriMesh:
             self.com = (areas[:, None] * tri_centroids).sum(axis=0) / areas.sum()
 
     def _is_watertight(self) -> bool:
-        edges = {}
-        for tri in self.faces:
-            for i in range(3):
-                e = (min(tri[i], tri[(i + 1) % 3]), max(tri[i], tri[(i + 1) % 3]))
-                edges[e] = edges.get(e, 0) + 1
-        return all(n == 2 for n in edges.values())
+        """Every undirected edge is shared by exactly two faces."""
+        edges = np.sort(self.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        _, counts = np.unique(edges, axis=0, return_counts=True)
+        return bool(np.all(counts == 2))
+
+    @cached_property
+    def hull(self) -> "TriMesh":
+        """Convex hull of the vertices, built on first use."""
+        return convex_hull(self.vertices)
+
+    @cached_property
+    def contact_inradii(self) -> dict[tuple[int, ...], float]:
+        """Memo from a resting contact set (sorted indices into
+        ``hull.vertices``) to its support-polygon inradius, filled lazily
+        by ``placements.settle``."""
+        return {}
 
     def face_normals(self) -> np.ndarray:
         v, f = self.vertices, self.faces
@@ -111,7 +129,12 @@ def load_mesh(path: str | Path) -> TriMesh:
             if not parts or parts[0].startswith("#"):
                 continue
             if parts[0] == "v":
-                vertices.append([float(x) for x in parts[1:4]])
+                xyz = [float(x) for x in parts[1:4]]
+                if len(xyz) < 3:
+                    raise MeshParseError(f"line {line_no}: vertex with < 3 coordinates")
+                if not all(np.isfinite(xyz)):
+                    raise MeshParseError(f"line {line_no}: non-finite vertex coordinate")
+                vertices.append(xyz)
             elif parts[0] == "f":
                 idx = [int(p.split("/")[0]) for p in parts[1:]]
                 idx = [i - 1 if i > 0 else len(vertices) + i for i in idx]

@@ -8,6 +8,7 @@ procedure; dynamic effects (bouncing, rolling) are out of scope.
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,6 @@ from scipy.spatial import ConvexHull, QhullError
 from .mesh import (
     TriMesh,
     ZeroPlaneVector,
-    convex_hull,
     merge_coplanar_facets,
     plane_from_contacts,
     rotation_between,
@@ -234,8 +234,7 @@ def enumerate_stable(
     whose COM projection lies at least margin_eps inside the facet's
     support polygon.  score = margin / facet inradius, clamped to [0, 1].
     """
-    hull = convex_hull(mesh.vertices)
-    facets = merge_coplanar_facets(hull, angle_tol)
+    facets = merge_coplanar_facets(mesh.hull, angle_tol)
     out: list[Placement] = []
     for facet in facets:
         rot = rotation_between(facet.normal, np.array([0.0, 0.0, -1.0]))
@@ -297,6 +296,22 @@ def _spread(xy: np.ndarray) -> float:
     return float(np.linalg.norm(xy - c, axis=1).max())
 
 
+def _contact_inradius(mesh: TriMesh, key: tuple[int, ...]) -> float:
+    """Inradius of the support polygon of the hull vertices ``key``,
+    memoized per mesh.  Computed in the body frame from the vertices'
+    best-fit plane, so the value never depends on the pose that first
+    asked for it; 0 for a degenerate polygon."""
+    inr = mesh.contact_inradii.get(key)
+    if inr is None:
+        pts = mesh.hull.vertices[list(key)]
+        pts = pts - pts.mean(axis=0)
+        _, _, vt = np.linalg.svd(pts)
+        poly = _support_polygon(pts @ vt[:2].T)
+        inr = polygon_inradius(poly) if poly is not None else 0.0
+        mesh.contact_inradii[key] = inr
+    return inr
+
+
 def settle(
     mesh: TriMesh,
     initial: np.ndarray,
@@ -310,12 +325,12 @@ def settle(
 
     Each pivot rotates about the support edge nearest the COM projection
     by the smallest angle that brings a new hull vertex into contact; the
-    COM height is non-increasing across pivots.  Returns the stable
-    Placement; with return_trace=True also returns the list of COM
-    heights after each drop.
+    COM height is non-increasing across pivots.  The score of the stable
+    Placement looks up the inradius of its contact set in the mesh's
+    memo.  Returns the stable Placement; with return_trace=True also
+    returns the list of COM heights after each drop.
     """
-    hull = convex_hull(mesh.vertices)
-    hv = hull.vertices
+    hv = mesh.hull.vertices
     com_body = mesh.com
     rot = np.asarray(initial, dtype=float).copy()
     heights: list[float] = []
@@ -335,12 +350,10 @@ def settle(
                 translation=np.array([-com_r[0], -com_r[1], -zmin_mesh]),
                 stability_margin=float(margin),
             )
-            poly = _support_polygon(contacts_xy)
-            if poly is not None:
-                inr = polygon_inradius(poly)
-                placement.score = (
-                    float(np.clip(margin / inr, 0.0, 1.0)) if inr > 0 else 0.0
-                )
+            key = tuple(np.flatnonzero(world[:, 2] <= contact_tol).tolist())
+            inr = _contact_inradius(mesh, key)
+            if inr > 0:
+                placement.score = float(np.clip(margin / inr, 0.0, 1.0))
             return (placement, heights) if return_trace else placement
 
         a, u = _pivot_axis(contacts_xy, com[:2])
@@ -429,26 +442,59 @@ def generate_dataset(
     drops_per_object: int,
     seed: int,
     max_tips: int = 200,
+    workers: int = 1,
 ) -> DatasetResult:
     """Settle ``drops_per_object`` seeded random orientations per object.
 
     Each drop derives its RNG stream from (seed, object index, drop
-    index), so results are independent of scheduling; diverged settles
-    are skipped and counted.
+    index), so record order and content are independent of ``workers``;
+    diverged settles are skipped and counted.  With workers > 1 each
+    worker process receives the meshes once, so their cached hulls and
+    inradius memos persist across its jobs.
     """
     if drops_per_object < 1:
         raise ValueError("drops_per_object must be >= 1")
+    jobs = [
+        (obj_idx, drop_idx)
+        for obj_idx in range(len(meshes))
+        for drop_idx in range(drops_per_object)
+    ]
+    if workers <= 1:
+        results = [_run_drop(meshes, seed, max_tips, job) for job in jobs]
+    else:
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_init_worker,
+            initargs=(meshes, seed, max_tips),
+        ) as pool:
+            results = list(pool.map(_pool_drop, jobs, chunksize=16))
     records: list[PlacementRecord] = []
-    diverged: dict[str, int] = {}
-    for obj_idx, (object_id, mesh) in enumerate(meshes):
-        diverged[object_id] = 0
-        for drop_idx in range(drops_per_object):
-            rec = generate_one_drop(object_id, mesh, seed, obj_idx, drop_idx, max_tips)
-            if rec is None:
-                diverged[object_id] += 1
-            else:
-                records.append(rec)
+    diverged = {object_id: 0 for object_id, _ in meshes}
+    for (obj_idx, _), rec in zip(jobs, results):
+        if rec is None:
+            diverged[meshes[obj_idx][0]] += 1
+        else:
+            records.append(rec)
     return DatasetResult(records=records, diverged=diverged)
+
+
+def _run_drop(meshes, seed: int, max_tips: int, job: tuple[int, int]):
+    obj_idx, drop_idx = job
+    object_id, mesh = meshes[obj_idx]
+    return generate_one_drop(object_id, mesh, seed, obj_idx, drop_idx, max_tips)
+
+
+# (meshes, seed, max_tips) of the generate_dataset call a worker serves.
+_WORKER: tuple = ()
+
+
+def _init_worker(meshes, seed: int, max_tips: int) -> None:
+    global _WORKER
+    _WORKER = (meshes, seed, max_tips)
+
+
+def _pool_drop(job: tuple[int, int]) -> PlacementRecord | None:
+    return _run_drop(*_WORKER, job)
 
 
 def generate_one_drop(
@@ -459,8 +505,7 @@ def generate_one_drop(
     drop_idx: int,
     max_tips: int = 200,
 ) -> PlacementRecord | None:
-    """One dataset drop; None when the settle diverged.  Top-level so it
-    can run in a worker pool."""
+    """One dataset drop; None when the settle diverged."""
     rng = np.random.default_rng([seed, obj_idx, drop_idx])
     initial = random_rotation(rng)
     try:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -185,66 +186,90 @@ def sample_antipodal_grasps(
     return grasps
 
 
-def grasp_feasible_in_placement(
-    grasp: GraspConfig, placement: Placement, g: GripperSpec
-) -> bool:
-    """Transform the grasp to the world frame of the placement and test
-    both finger boxes against the clearance half-space z < clearance.
+def _rotate(r: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """r[p] @ v[n] for every pair as (P, N, 3), in elementwise operations
+    only, so each entry is bitwise the same for any P and N."""
+    r = r[:, None]
+    v = v[:, None]
+    return r[..., 0] * v[..., 0] + r[..., 1] * v[..., 1] + r[..., 2] * v[..., 2]
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Length along the last axis, elementwise like ``_rotate``."""
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    return np.sqrt(x * x + y * y + z * z)
+
+
+# Finger-box corners: (axis sign, binormal sign, back along the approach).
+_CORNERS = np.array(list(product((-1.0, 1.0), (-1.0, 1.0), (0.0, 1.0)))).T
+
+
+def feasibility_matrix(
+    placements: list[Placement], grasps: list[GraspConfig], g: GripperSpec
+) -> np.ndarray:
+    """Boolean (placements x grasps) matrix: entry (i, k) is True when
+    grasp k, moved to the world frame of placement i, keeps all 8 corners
+    of both finger boxes above the clearance plane z = plane_clearance.
 
     Finger boxes extend finger_length backward along the approach and
     half a finger_thickness sideways along the grasp axis and binormal;
-    side grasps are allowed (no approach-direction constraint).
+    side grasps are allowed (no approach-direction constraint).  Grasps
+    wider than max_width are infeasible everywhere.
     """
-    if grasp.width > g.max_width + 1e-12:
-        return False
-    r, t = placement.rotation, placement.translation
-    ca = r @ grasp.contact_a + t
-    cb = r @ grasp.contact_b + t
-    approach = r @ grasp.approach
+    r = np.array([p.rotation for p in placements], dtype=float).reshape(-1, 3, 3)
+    t = np.array([p.translation for p in placements], dtype=float).reshape(-1, 1, 3)
+    a = np.array([gr.contact_a for gr in grasps], dtype=float).reshape(-1, 3)
+    b = np.array([gr.contact_b for gr in grasps], dtype=float).reshape(-1, 3)
+    n = np.array([gr.approach for gr in grasps], dtype=float).reshape(-1, 3)
+    approach = _rotate(r, n)
+    ca = _rotate(r, a) + t
+    cb = _rotate(r, b) + t
     axis = cb - ca
-    axis /= np.linalg.norm(axis)
-    binorm = np.cross(approach, axis)
+    axis /= _norm(axis)[..., None]
+    binorm_z = approach[..., 0] * axis[..., 1] - approach[..., 1] * axis[..., 0]
     half = 0.5 * g.finger_thickness
+    s1, s2, back = _CORNERS
+    clear = np.ones(axis.shape[:2], dtype=bool)
     for c in (ca, cb):
-        zmin = np.inf
-        for s1 in (-1.0, 1.0):
-            for s2 in (-1.0, 1.0):
-                for back in (0.0, g.finger_length):
-                    corner = c + s1 * half * axis + s2 * half * binorm - back * approach
-                    zmin = min(zmin, float(corner[2]))
-        if zmin < g.plane_clearance:
-            return False
-    return True
+        corner_z = (
+            c[..., 2, None]
+            + (s1 * half) * axis[..., 2, None]
+            + (s2 * half) * binorm_z[..., None]
+            - (back * g.finger_length) * approach[..., 2, None]
+        )
+        clear &= corner_z.min(axis=-1) >= g.plane_clearance
+    width = _norm(b - a)
+    return clear & (width <= g.max_width + 1e-12)
+
+
+def grasp_feasible_in_placement(
+    grasp: GraspConfig, placement: Placement, g: GripperSpec
+) -> bool:
+    """One entry of ``feasibility_matrix``."""
+    return bool(feasibility_matrix([placement], [grasp], g)[0, 0])
 
 
 def shared_grasps(
     pa: Placement, pb: Placement, grasps: list[GraspConfig], g: GripperSpec
 ) -> list[GraspConfig]:
     """Grasps feasible in both placements, in input order."""
-    return [
-        gr
-        for gr in grasps
-        if grasp_feasible_in_placement(gr, pa, g)
-        and grasp_feasible_in_placement(gr, pb, g)
-    ]
+    both = feasibility_matrix([pa, pb], grasps, g).all(axis=0)
+    return [gr for gr, ok in zip(grasps, both) if ok]
 
 
 def build_manipulation_graph(
     placements: list[Placement], grasps: list[GraspConfig], g: GripperSpec
 ) -> ManipulationGraph:
-    """Complete pairwise shared-grasp evaluation; edges carry the indices
-    of their shared grasps."""
+    """Complete pairwise shared-grasp evaluation; edges carry the
+    ascending indices of their shared grasps."""
     if not placements:
         raise ValueError("need at least one placement")
-    feasible = [
-        [grasp_feasible_in_placement(gr, p, g) for gr in grasps] for p in placements
-    ]
+    f = feasibility_matrix(placements, grasps, g)
+    fi = f.astype(np.int64)
+    shared_counts = np.triu(fi @ fi.T, k=1)
     edges: dict[tuple[int, int], list[int]] = {}
-    for i in range(len(placements)):
-        for j in range(i + 1, len(placements)):
-            shared = [k for k in range(len(grasps)) if feasible[i][k] and feasible[j][k]]
-            if shared:
-                edges[(i, j)] = shared
+    for i, j in np.argwhere(shared_counts > 0).tolist():
+        edges[(i, j)] = np.flatnonzero(f[i] & f[j]).tolist()
     return ManipulationGraph(nodes=placements, grasps=grasps, edges=edges)
 
 

@@ -48,6 +48,15 @@ class TestEnumerate:
         result = runner.invoke(main, ["enumerate", str(bad)])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_vertex_exit_2(self, runner, tmp_path, value):
+        bad = tmp_path / "nonfinite.obj"
+        bad.write_text(f"v {value} 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\n"
+                       "f 1 2 3\nf 1 2 4\nf 1 3 4\nf 2 3 4\n")
+        result = runner.invoke(main, ["enumerate", str(bad)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # no traceback
+
     def test_flat_mesh_exit_3(self, runner, tmp_path):
         flat = tmp_path / "flat.obj"
         flat.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
@@ -73,10 +82,18 @@ class TestSettle:
         assert np.allclose(np.array(pose["rotation"]).reshape(3, 3), np.eye(3))
 
     def test_bad_rotation_exit_2(self, runner, mesh_dir):
-        result = runner.invoke(
-            main, ["settle", str(mesh_dir / "cube.obj"), "--rotation", "1,0,0"]
-        )
-        assert result.exit_code == 2
+        for rotation in [
+            "1,0,0",                # too few values
+            "a,b,c,d,e,f,g,h,i",    # not numbers
+            "2,0,0,0,2,0,0,0,2",    # scaled, not orthonormal
+            "1,0,0,0,1,0,0,0,-1",   # reflection, determinant -1
+            "nan,0,0,0,1,0,0,0,1",  # not finite
+        ]:
+            result = runner.invoke(
+                main, ["settle", str(mesh_dir / "cube.obj"), "--rotation", rotation]
+            )
+            assert result.exit_code == 2, rotation
+            assert isinstance(result.exception, SystemExit), rotation  # no traceback
 
 
 class TestDatasetAndCluster:

@@ -6,6 +6,7 @@ from stableplace.mesh import (
     CollinearContacts,
     DegenerateHull,
     MeshParseError,
+    TriMesh,
     ZeroPlaneVector,
     apply_refinement_transform,
     convex_hull,
@@ -61,12 +62,46 @@ class TestLoadMesh:
         with pytest.raises(MeshParseError):
             load_mesh(path)
 
+    @pytest.mark.parametrize("vertex", ["v nan 0 0", "v inf 0 0", "v 0 -inf 0", "v 0 0"])
+    def test_bad_vertex_rejected(self, tmp_path, vertex):
+        path = tmp_path / "bad_vertex.obj"
+        path.write_text(f"{vertex}\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 2 3\nf 1 2 4\n")
+        with pytest.raises(MeshParseError, match="line 1"):
+            load_mesh(path)
+
     def test_open_mesh_uses_surface_centroid(self, tmp_path):
         path = tmp_path / "tri.obj"
         path.write_text("v 0 0 0\nv 3 0 0\nv 0 3 0\nf 1 2 3\n")
         m = load_mesh(path)
         assert m.centroid_fallback
         assert np.allclose(m.com, [1.0, 1.0, 0.0])
+
+
+class TestWatertight:
+    def test_closed_meshes(self, cube, tetra):
+        for m in (cube, tetra, *fixtures.standard_fixtures().values()):
+            assert m._is_watertight()
+
+    def test_open_mesh(self):
+        m = TriMesh(np.eye(3), np.array([[0, 1, 2]]))
+        assert not m._is_watertight()
+
+    def test_edge_shared_by_three_faces(self, tetra):
+        # a repeated (reversed) face leaves every edge used at least twice,
+        # but each edge of that face is shared by three faces
+        faces = np.vstack([tetra.faces, tetra.faces[:1, ::-1]])
+        m = TriMesh(tetra.vertices, faces)
+        assert not m._is_watertight()
+        assert m.centroid_fallback
+
+
+class TestCachedHull:
+    def test_hull_built_once_and_matches(self):
+        m = fixtures.l_prism()
+        assert m.hull is m.hull
+        direct = convex_hull(m.vertices)
+        assert np.array_equal(m.hull.vertices, direct.vertices)
+        assert np.array_equal(m.hull.faces, direct.faces)
 
 
 class TestConvexHull:

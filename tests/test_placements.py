@@ -2,13 +2,16 @@ import json
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from stableplace import fixtures
-from stableplace.mesh import plane_from_contacts
+from stableplace.mesh import TriMesh, convex_hull, plane_from_contacts
 from stableplace.placements import (
+    CONTACT_TOL,
     Placement,
     enumerate_stable,
     generate_dataset,
+    polygon_inradius,
     settle,
     stability_check,
 )
@@ -145,6 +148,28 @@ class TestSettle:
             reached.add(k)
         assert reached == set(range(len(enum)))
 
+    @pytest.mark.parametrize("name", [*fixtures.standard_fixtures(), "ellipsoid_s2"])
+    def test_score_matches_world_contact_polygon(self, name):
+        """The memoized body-frame inradius gives the score a fresh LP on
+        the world contact polygon of each settled pose would give."""
+        if name == "ellipsoid_s2":
+            sphere = fixtures.icosphere(0.05, 2)
+            mesh = TriMesh(sphere.vertices * np.array([1.0, 0.8, 0.6]), sphere.faces)
+        else:
+            mesh = fixtures.standard_fixtures()[name]
+        hull_vertices = convex_hull(mesh.vertices).vertices
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            p = settle(mesh, random_rotation(rng))
+            world = hull_vertices @ p.rotation.T
+            world[:, 2] -= world[:, 2].min()
+            xy = world[world[:, 2] <= CONTACT_TOL, :2]
+            inr = polygon_inradius(xy[ConvexHull(xy).vertices])
+            expected = float(np.clip(p.stability_margin / inr, 0.0, 1.0))
+            assert abs(p.score - expected) <= 1e-12
+        # one memo entry per distinct contact set, so most drops were lookups
+        assert 0 < len(mesh.contact_inradii) < 60
+
 
 class TestGenerateDataset:
     def test_cube_reaches_all_classes(self, cube):
@@ -181,9 +206,12 @@ class TestGenerateDataset:
         meshes = [("cube", cube), ("tetra", tetra)]
         a = generate_dataset(meshes, 20, seed=9)
         b = generate_dataset(meshes, 20, seed=9)
+        c = generate_dataset(meshes, 20, seed=9, workers=2)
         sa = [json.dumps(r.to_json_dict(), sort_keys=True) for r in a.records]
         sb = [json.dumps(r.to_json_dict(), sort_keys=True) for r in b.records]
-        assert sa == sb
+        sc = [json.dumps(r.to_json_dict(), sort_keys=True) for r in c.records]
+        assert sa == sb == sc
+        assert a.diverged == c.diverged
 
     def test_record_round_trip(self, cube):
         from stableplace.placements import PlacementRecord

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from stableplace import fixtures
-from stableplace.placements import Placement
+from stableplace.placements import Placement, enumerate_stable
 from stableplace.regrasp import (
     GraspConfig,
     GripperSpec,
     NoPlanExists,
     build_manipulation_graph,
+    feasibility_matrix,
     grasp_feasible_in_placement,
     plan_regrasp,
     sample_antipodal_grasps,
@@ -177,3 +178,58 @@ class TestGraphAndPlanning:
         d = plan_regrasp(graph, 0, 1).to_json_dict()
         assert [s["from_type"] for s in d["steps"]] == [0, 2]
         assert all("grasp" in s and "width" in s["grasp"] for s in d["steps"])
+
+
+def reference_feasible(grasp, placement, g):
+    """Corner-by-corner clearance test, one grasp and placement at a time."""
+    if grasp.width > g.max_width + 1e-12:
+        return False
+    r, t = placement.rotation, placement.translation
+    ca = r @ grasp.contact_a + t
+    cb = r @ grasp.contact_b + t
+    approach = r @ grasp.approach
+    axis = (cb - ca) / np.linalg.norm(cb - ca)
+    binorm = np.cross(approach, axis)
+    half = 0.5 * g.finger_thickness
+    for c in (ca, cb):
+        for s1 in (-1.0, 1.0):
+            for s2 in (-1.0, 1.0):
+                for back in (0.0, g.finger_length):
+                    corner = c + s1 * half * axis + s2 * half * binorm - back * approach
+                    if corner[2] < g.plane_clearance:
+                        return False
+    return True
+
+
+def reference_edges(placements, grasps, g):
+    feasible = [[reference_feasible(gr, p, g) for gr in grasps] for p in placements]
+    edges = {}
+    for i in range(len(placements)):
+        for j in range(i + 1, len(placements)):
+            shared = [k for k in range(len(grasps)) if feasible[i][k] and feasible[j][k]]
+            if shared:
+                edges[(i, j)] = shared
+    return edges
+
+
+class TestFeasibilityMatrix:
+    @pytest.mark.parametrize("name", ["cube", "tall_box", "l_prism", "t_prism"])
+    def test_graph_matches_nested_loop_reference(self, name):
+        mesh = fixtures.standard_fixtures()[name]
+        placements = enumerate_stable(mesh)
+        for seed in (1, 2, 3):
+            grasps = sample_antipodal_grasps(mesh, 30, WIDE, seed=seed)
+            graph = build_manipulation_graph(placements, grasps, WIDE)
+            assert graph.edges == reference_edges(placements, grasps, WIDE)
+            assert list(graph.edges) == sorted(graph.edges)
+            f = feasibility_matrix(placements, grasps, WIDE)
+            assert f.any() and not f.all()
+        # the scalar check is the 1x1 case of the matrix, bit for bit
+        for i, p in enumerate(placements):
+            for k, gr in enumerate(grasps):
+                assert grasp_feasible_in_placement(gr, p, WIDE) == f[i, k]
+
+    def test_empty_grasp_list(self):
+        placements = [cube_placement(np.eye(3)), cube_placement(rot_x(np.pi))]
+        assert feasibility_matrix(placements, [], WIDE).shape == (2, 0)
+        assert build_manipulation_graph(placements, [], WIDE).edges == {}
