@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rotations import (
+    check_rotation,
     rotation_from_sixd,
     z_align,
     z_quotient_distance,
@@ -39,7 +40,10 @@ class TypeModel:
     @classmethod
     def from_json_dict(cls, d: dict) -> "TypeModel":
         return cls(
-            modes=[np.array(m, dtype=float).reshape(3, 3) for m in d["modes"]],
+            modes=[
+                check_rotation(np.array(m, dtype=float).reshape(3, 3))
+                for m in d["modes"]
+            ],
             bandwidth=float(d["bandwidth"]),
             assign_threshold=float(d["assign_threshold"]),
         )

@@ -55,7 +55,9 @@ class TriMesh:
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float)
         self.faces = np.asarray(self.faces, dtype=int)
-        if self.faces.size and self.faces.max() >= len(self.vertices):
+        if self.faces.size and (
+            self.faces.min() < 0 or self.faces.max() >= len(self.vertices)
+        ):
             raise MeshParseError("face index out of range")
         self._compute_mass_properties()
 
@@ -87,7 +89,8 @@ class TriMesh:
     def _is_watertight(self) -> bool:
         """Every undirected edge is shared by exactly two faces."""
         edges = np.sort(self.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-        _, counts = np.unique(edges, axis=0, return_counts=True)
+        key = edges[:, 0].astype(np.int64) * len(self.vertices) + edges[:, 1]
+        _, counts = np.unique(key, return_counts=True)
         return bool(np.all(counts == 2))
 
     @cached_property
@@ -170,10 +173,9 @@ def convex_hull(points: np.ndarray) -> TriMesh:
         hull = ConvexHull(points)
     except QhullError as exc:
         raise DegenerateHull(str(exc)) from exc
-    used = np.sort(np.unique(hull.simplices))
-    remap = {int(old): new for new, old in enumerate(used)}
+    used = np.unique(hull.simplices)
     verts = points[used]
-    faces = np.array([[remap[int(i)] for i in tri] for tri in hull.simplices])
+    faces = np.searchsorted(used, hull.simplices)
     centroid = verts.mean(axis=0)
     # orient every triangle outward
     a, b, c = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
@@ -195,57 +197,105 @@ class Facet:
 
 def merge_coplanar_facets(hull: TriMesh, angle_tol: float = 1e-4) -> list[Facet]:
     """Merge adjacent hull triangles whose normals deviate by less than
-    ``angle_tol`` into convex polygonal facets."""
+    ``angle_tol`` into convex polygonal facets.
+
+    Faces are visited in index order; each unvisited face seeds a facet
+    that grows over adjacent faces within ``angle_tol`` of the seed's
+    normal (not of the face they are reached from), so a slowly curving
+    surface splits into several facets rather than one."""
     normals = hull.face_normals()
     areas = hull.face_areas()
-    # adjacency over shared edges
-    edge_to_faces: dict[tuple[int, int], list[int]] = {}
-    for fi, tri in enumerate(hull.faces):
-        for i in range(3):
-            e = (min(tri[i], tri[(i + 1) % 3]), max(tri[i], tri[(i + 1) % 3]))
-            edge_to_faces.setdefault(e, []).append(fi)
-    adj: dict[int, list[int]] = {i: [] for i in range(len(hull.faces))}
-    for fs in edge_to_faces.values():
-        for i in fs:
-            for j in fs:
-                if i != j:
-                    adj[i].append(j)
+    return [
+        _facet(hull, normals, areas, group)
+        for group in _coplanar_groups(hull, normals, angle_tol)
+    ]
+
+
+def _coplanar_groups(
+    hull: TriMesh, normals: np.ndarray, angle_tol: float
+) -> list[list[int]]:
+    """Face-index groups of ``merge_coplanar_facets``, in seed order, each
+    listing its faces in visiting order.
+
+    A non-seed member lies within ``angle_tol`` of its seed, and so does
+    the face it was reached from, so the two adjacent faces lie within
+    2 * angle_tol of each other.  The search therefore follows only
+    adjacent pairs within 2 * angle_tol; a face with no such pair is a
+    singleton without being searched from."""
+    n_faces = len(hull.faces)
+    # directed adjacency src -> dst over shared edges, ordered as the
+    # per-face neighbour lists of a scan over faces and their edges: by
+    # the first (face, edge) row that holds the edge, then by dst's row
+    edges = np.sort(hull.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    rows = np.lexsort((edges[:, 1], edges[:, 0]))  # stable: ties by row
+    sorted_edges = edges[rows]
+    starts = np.r_[True, np.any(sorted_edges[1:] != sorted_edges[:-1], axis=1)]
+    run = np.cumsum(starts) - 1
+    first_row = rows[starts][run]
+    src, dst, rank, pos = [], [], [], []
+    for d in range(1, int(np.bincount(run).max())):
+        p = np.flatnonzero(run[:-d] == run[d:])
+        q = p + d
+        src += [rows[p], rows[q]]
+        dst += [rows[q], rows[p]]
+        rank += [first_row[p], first_row[p]]
+        pos += [q, p]
+    if not src:
+        return [[f] for f in range(n_faces)]
+    src, dst = np.concatenate(src) // 3, np.concatenate(dst) // 3
+    order = np.lexsort((np.concatenate(pos), np.concatenate(rank), src))
+    src, dst = src[order], dst[order]
+    # the small slack absorbs rounding in the normals' dot products
+    near = np.einsum("ij,ij->i", normals[src], normals[dst]) > (
+        np.cos(min(2.0 * abs(angle_tol), np.pi)) - 1e-12
+    )
+    src, dst = src[near], dst[near]
+    adj: dict[int, list[int]] = {}
+    for s, d in zip(src.tolist(), dst.tolist()):
+        adj.setdefault(s, []).append(d)
 
     cos_tol = np.cos(angle_tol)
-    seen = np.zeros(len(hull.faces), dtype=bool)
-    facets: list[Facet] = []
-    for seed in range(len(hull.faces)):
-        if seen[seed]:
+    seen: set[int] = set()
+    groups: list[list[int]] = []
+    for seed in range(n_faces):
+        if seed in seen:
             continue
         group = [seed]
-        seen[seed] = True
-        queue = [seed]
-        while queue:
-            cur = queue.pop()
-            for nb in adj[cur]:
-                if not seen[nb] and np.dot(normals[seed], normals[nb]) > cos_tol:
-                    seen[nb] = True
-                    group.append(nb)
-                    queue.append(nb)
-        w = areas[group]
-        n = (w[:, None] * normals[group]).sum(axis=0)
-        n /= np.linalg.norm(n)
-        vidx = np.unique(hull.faces[group])
-        pts = hull.vertices[vidx]
-        # order around the polygon: 2D hull in the facet plane
-        e1 = _any_perpendicular(n)
-        e2 = np.cross(n, e1)
-        uv = np.column_stack([pts @ e1, pts @ e2])
-        order = _convex_order_2d(uv)
-        facets.append(
-            Facet(
-                vertex_indices=vidx[order],
-                polygon=pts[order],
-                normal=n,
-                area=float(w.sum()),
-            )
-        )
-    return facets
+        if seed in adj:
+            seen.add(seed)
+            queue = [seed]
+            while queue:
+                cur = queue.pop()
+                for nb in adj[cur]:
+                    if nb not in seen and np.dot(normals[seed], normals[nb]) > cos_tol:
+                        seen.add(nb)
+                        group.append(nb)
+                        queue.append(nb)
+        groups.append(group)
+    return groups
+
+
+def _facet(
+    hull: TriMesh, normals: np.ndarray, areas: np.ndarray, group: list[int]
+) -> Facet:
+    """Polygonal facet of a face group: area-weighted normal and the
+    group's vertices ordered around the polygon."""
+    w = areas[group]
+    n = (w[:, None] * normals[group]).sum(axis=0)
+    n /= np.linalg.norm(n)
+    vidx = np.unique(hull.faces[group])
+    pts = hull.vertices[vidx]
+    # order around the polygon: 2D hull in the facet plane
+    e1 = _any_perpendicular(n)
+    e2 = np.cross(n, e1)
+    uv = np.column_stack([pts @ e1, pts @ e2])
+    order = _convex_order_2d(uv)
+    return Facet(
+        vertex_indices=vidx[order],
+        polygon=pts[order],
+        normal=n,
+        area=float(w.sum()),
+    )
 
 
 def _any_perpendicular(n: np.ndarray) -> np.ndarray:

@@ -18,11 +18,12 @@ from scipy.spatial import ConvexHull, QhullError
 from .mesh import (
     TriMesh,
     ZeroPlaneVector,
-    merge_coplanar_facets,
+    _coplanar_groups,
+    _facet,
     plane_from_contacts,
     rotation_between,
 )
-from .rotations import random_rotation, rotation_from_axis_angle
+from .rotations import check_rotation, random_rotation, rotation_from_axis_angle
 
 CONTACT_TOL = 1e-6
 DEFAULT_MARGIN_EPS = 1e-4
@@ -55,7 +56,9 @@ class Placement:
     @classmethod
     def from_json_dict(cls, d: dict) -> "Placement":
         return cls(
-            rotation=np.array(d["rotation"], dtype=float).reshape(3, 3),
+            rotation=check_rotation(
+                np.array(d["rotation"], dtype=float).reshape(3, 3)
+            ),
             translation=np.array(d["translation"], dtype=float),
             stability_margin=float(d.get("stability_margin", 0.0)),
             score=float(d.get("score", 0.0)),
@@ -93,7 +96,9 @@ class PlacementRecord:
             placement=Placement.from_json_dict(d),
             contact_points=np.array(d["contact_points"], dtype=float),
             unstable_rotation=(
-                np.array(d["unstable_rotation"], dtype=float).reshape(3, 3)
+                check_rotation(
+                    np.array(d["unstable_rotation"], dtype=float).reshape(3, 3)
+                )
                 if "unstable_rotation" in d
                 else None
             ),
@@ -225,6 +230,27 @@ def stability_check(
     return bool(margin >= margin_eps), float(margin)
 
 
+def _com_margin_bounds(
+    hull: TriMesh, normals: np.ndarray, com: np.ndarray
+) -> np.ndarray:
+    """Per hull triangle, an upper bound on the COM margin it would give
+    as a one-triangle facet: the in-plane signed distance from the COM to
+    each edge line, positive inward, minimized over the three edges.
+
+    Inside the triangle this is the margin itself.  Outside, the distance
+    to the triangle is at least the distance to any edge line it lies
+    beyond, so the bound is at least the (negative) margin.  Degenerate
+    triangles give NaN."""
+    tri = hull.vertices[hull.faces]  # (F, 3, 3)
+    edge = np.roll(tri, -1, axis=1) - tri
+    inward = np.cross(normals[:, None, :], edge)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dist = np.einsum("fkj,fkj->fk", inward, com - tri) / np.linalg.norm(
+            inward, axis=2
+        )
+    return dist.min(axis=1)
+
+
 def enumerate_stable(
     mesh: TriMesh,
     margin_eps: float = DEFAULT_MARGIN_EPS,
@@ -233,10 +259,25 @@ def enumerate_stable(
     """Candidate placements from merged convex-hull facets, keeping those
     whose COM projection lies at least margin_eps inside the facet's
     support polygon.  score = margin / facet inradius, clamped to [0, 1].
+
+    A vectorized pre-filter first drops every one-triangle facet whose
+    margin bound (``_com_margin_bounds``) is below margin_eps - 1e-9.  The
+    bound is never below the margin, and the 1e-9 absorbs the rounding
+    between the two computations, so every dropped facet would fail the
+    exact check.  Merged facets and the surviving triangles go through
+    the exact per-facet check in facet order, so the output equals that
+    of checking every facet of ``merge_coplanar_facets``.
     """
-    facets = merge_coplanar_facets(mesh.hull, angle_tol)
+    hull = mesh.hull
+    normals = hull.face_normals()
+    areas = hull.face_areas()
+    bound = _com_margin_bounds(hull, normals, mesh.com)
+    dropped = (bound < margin_eps - 1e-9).tolist()
     out: list[Placement] = []
-    for facet in facets:
+    for group in _coplanar_groups(hull, normals, angle_tol):
+        if len(group) == 1 and dropped[group[0]]:
+            continue
+        facet = _facet(hull, normals, areas, group)
         rot = rotation_between(facet.normal, np.array([0.0, 0.0, -1.0]))
         poly_xy = (facet.polygon @ rot.T)[:, :2]
         try:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -66,18 +67,26 @@ class GraspConfig:
 
 @dataclass
 class ManipulationGraph:
-    """Placements as nodes, shared-grasp sets as undirected edges."""
+    """Placements as nodes, shared-grasp sets as undirected edges.
+
+    Treated as immutable after construction: its adjacency is built on
+    first use, so changing ``edges`` in place leaves it stale.
+    """
 
     nodes: list[Placement]
     grasps: list[GraspConfig]
     edges: dict[tuple[int, int], list[int]]  # (i, j) with i < j -> grasp indices
 
-    def neighbors(self, i: int):
-        for (a, b), g in self.edges.items():
-            if a == i:
-                yield b, g
-            elif b == i:
-                yield a, g
+    @cached_property
+    def adjacency(self) -> dict[int, list[tuple[int, list[int]]]]:
+        """Node -> its (neighbour, shared grasp indices) pairs, ascending."""
+        adj: dict[int, list[tuple[int, list[int]]]] = {}
+        for (a, b), grasp_indices in self.edges.items():
+            adj.setdefault(a, []).append((b, grasp_indices))
+            adj.setdefault(b, []).append((a, grasp_indices))
+        for neighbours in adj.values():
+            neighbours.sort()
+        return adj
 
 
 @dataclass
@@ -286,7 +295,7 @@ def plan_regrasp(graph: ManipulationGraph, start: int, goal: int) -> Plan:
     queue = deque([start])
     while queue:
         cur = queue.popleft()
-        for nxt, grasp_indices in sorted(graph.neighbors(cur)):
+        for nxt, grasp_indices in graph.adjacency.get(cur, []):
             if nxt in seen:
                 continue
             seen.add(nxt)

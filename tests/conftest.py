@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stableplace import fixtures
+from stableplace.mesh import TriMesh, convex_hull
 from stableplace.rotations import fit_geodesic_polynomial, random_rotation
 
 
@@ -23,3 +24,37 @@ def tetra():
 def random_rotations(seed, n):
     rng = np.random.default_rng(seed)
     return [random_rotation(rng) for _ in range(n)]
+
+
+def ellipsoid(subdivisions):
+    """Icosphere of radius 0.05 squashed to (1, 0.8, 0.6)."""
+    sphere = fixtures.icosphere(0.05, subdivisions)
+    return TriMesh(sphere.vertices * np.array([1.0, 0.8, 0.6]), sphere.faces)
+
+
+def sheared_wedge():
+    """Unit cube with its top face sheared 3 along x."""
+    v = fixtures.unit_cube().vertices.copy()
+    v[v[:, 2] > 0] += np.array([3.0, 0.0, 0.0])
+    return TriMesh(v, fixtures.unit_cube().faces.copy())
+
+
+def ngon_prism(k=32):
+    """Hull of a unit-height prism over a regular k-gon."""
+    ang = 2 * np.pi * np.arange(k) / k
+    ring = np.column_stack([np.cos(ang), np.sin(ang)])
+    pts = np.vstack(
+        [np.column_stack([ring, np.zeros(k)]), np.column_stack([ring, np.ones(k)])]
+    )
+    return convex_hull(pts)
+
+
+def drifting_arc(step, strips=12, radius=100.0):
+    """Hull of a block whose top is a cylinder arc of ``strips`` flat
+    strips, adjacent strips turning by ``step`` radians."""
+    th = (np.arange(strips + 1) - strips / 2) * step
+    x = radius * np.sin(th)
+    z = -2.0 * radius * np.sin(th / 2) ** 2  # radius * (cos th - 1), accurately
+    pts = [(xi, y, zi) for y in (0.0, 0.05) for xi, zi in zip(x, z)]
+    pts += [(xe, y, -0.02) for xe in (x[0], x[-1]) for y in (0.0, 0.05)]
+    return convex_hull(np.array(pts))

@@ -133,6 +133,23 @@ class TestDatasetAndCluster:
         assert r.exit_code == 0
         assert len(json.loads(r.output)["modes"]) == 4
 
+    @pytest.mark.parametrize("field", ["rotation", "unstable_rotation"])
+    @pytest.mark.parametrize("bad", [[2, 0, 0, 0, 2, 0, 0, 0, 2], [float("nan")] * 9])
+    def test_bad_rotation_row_exit_2(self, runner, mesh_dir, tmp_path, field, bad):
+        ds = tmp_path / "cube.jsonl"
+        r = runner.invoke(
+            main,
+            ["dataset", str(mesh_dir / "cube.obj"), "--drops", "5", "--seed", "1",
+             "--workers", "1", "-o", str(ds)],
+        )
+        assert r.exit_code == 0
+        rows = [json.loads(line) for line in ds.read_text().splitlines()]
+        rows[3][field] = bad
+        ds.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        r = runner.invoke(main, ["cluster", str(ds)])
+        assert r.exit_code == 2
+        assert isinstance(r.exception, SystemExit)  # no traceback
+
 
 class TestEvaluate:
     def test_fixed_point_report(self, runner, mesh_dir, tmp_path):
@@ -158,6 +175,27 @@ class TestEvaluate:
         d = json.loads(report.read_text())
         assert d["average_accuracy"] == 1.0
         assert d["objects"][0]["diversity_quotient"] == 1.0
+
+    @pytest.mark.parametrize("target", ["prediction", "model mode"])
+    @pytest.mark.parametrize("bad", [[2, 0, 0, 0, 2, 0, 0, 0, 2], [float("nan")] * 9])
+    def test_bad_rotation_exit_2(self, runner, mesh_dir, tmp_path, target, bad):
+        identity = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
+        pred = {"rotation": identity, "translation": [0.0, 0.0, 0.5]}
+        model = {"bandwidth": 0.26, "assign_threshold": 0.26, "modes": [identity]}
+        if target == "prediction":
+            pred["rotation"] = bad
+        else:
+            model["modes"].append(bad)
+        preds_path, model_path = tmp_path / "p.json", tmp_path / "m.json"
+        preds_path.write_text(json.dumps([pred]))
+        model_path.write_text(json.dumps(model))
+        r = runner.invoke(
+            main,
+            ["evaluate", str(mesh_dir / "cube.obj"), "--predictions", str(preds_path),
+             "--model", str(model_path)],
+        )
+        assert r.exit_code == 2
+        assert isinstance(r.exception, SystemExit)  # no traceback
 
 
 class TestPlan:

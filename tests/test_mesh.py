@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
+from conftest import drifting_arc, ellipsoid, ngon_prism, sheared_wedge
 from stableplace import fixtures
 from stableplace.mesh import (
     CollinearContacts,
@@ -159,13 +162,7 @@ class TestMergeCoplanarFacets:
     def test_prism_cap_merging(self):
         # 32-gon prism: cap triangles merge, side normals differ by
         # 2*pi/32 ~ 0.196 > 0.1 so the 32 side rectangles stay separate
-        k = 32
-        ang = 2 * np.pi * np.arange(k) / k
-        ring = np.column_stack([np.cos(ang), np.sin(ang)])
-        pts = np.vstack(
-            [np.column_stack([ring, np.zeros(k)]), np.column_stack([ring, np.ones(k)])]
-        )
-        hull = convex_hull(pts)
+        hull = ngon_prism(32)
         facets = merge_coplanar_facets(hull, 0.1)
         assert len(facets) == 2 + 32
 
@@ -176,6 +173,111 @@ class TestMergeCoplanarFacets:
             assert sum(f.area for f in facets) == pytest.approx(
                 hull.face_areas().sum(), abs=1e-9
             )
+
+    @pytest.mark.parametrize(
+        "name",
+        [*fixtures.standard_fixtures(), "wedge", "prism32", "arc", "ellipsoid_s2",
+         "blob"],
+    )
+    def test_matches_reference_bytes(self, name):
+        hull = _reference_meshes()[name].hull
+        for angle_tol in (0.0, 1e-6, 1e-4, 0.1, 1.0, 1.6):
+            assert _facet_bytes(merge_coplanar_facets(hull, angle_tol)) == _facet_bytes(
+                _reference_merge_coplanar_facets(hull, angle_tol)
+            ), angle_tol
+
+    def test_drifting_surface_groups_by_seed(self):
+        # adjacent arc strips turn by 0.6 * angle_tol: every strip is
+        # within angle_tol of its neighbours, so pairwise connected
+        # components would make the whole arc one facet; grouping by the
+        # seed's normal splits it into several
+        angle_tol = 1e-4
+        hull = drifting_arc(0.6 * angle_tol)
+        facets = merge_coplanar_facets(hull, angle_tol)
+        assert _facet_bytes(facets) == _facet_bytes(
+            _reference_merge_coplanar_facets(hull, angle_tol)
+        )
+        normals = hull.face_normals()
+        edges = np.sort(hull.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        _, edge_id = np.unique(edges, axis=0, return_inverse=True)
+        face_of = np.argsort(edge_id.ravel(), kind="stable") // 3
+        a, b = face_of[0::2], face_of[1::2]
+        near = np.einsum("ij,ij->i", normals[a], normals[b]) > np.cos(angle_tol)
+        n_faces = len(hull.faces)
+        graph = coo_matrix(
+            (np.ones(near.sum()), (a[near], b[near])), shape=(n_faces, n_faces)
+        )
+        n_components, _ = connected_components(graph, directed=False)
+        assert n_components == 6  # arc, two sides, bottom, two ends
+        assert len(facets) > n_components
+
+
+def _reference_meshes():
+    meshes = dict(fixtures.standard_fixtures())
+    meshes.update(
+        wedge=sheared_wedge(),
+        prism32=ngon_prism(32),
+        arc=drifting_arc(0.6e-4),
+        ellipsoid_s2=ellipsoid(2),
+        # at angle_tol 1.0 a facet of this hull takes in a face only through
+        # a neighbour between angle_tol and 2 * angle_tol away from it
+        blob=convex_hull(np.random.default_rng(54).normal(size=(60, 3))),
+    )
+    return meshes
+
+
+def _facet_bytes(facets) -> list[bytes]:
+    return [
+        f.vertex_indices.tobytes() + f.polygon.tobytes() + f.normal.tobytes()
+        + np.float64(f.area).tobytes()
+        for f in facets
+    ]
+
+
+def _reference_merge_coplanar_facets(hull, angle_tol):
+    """Facet merging as a plain loop: dict adjacency over shared edges and
+    a search from every unvisited face over every face."""
+    from stableplace.mesh import Facet, _any_perpendicular, _convex_order_2d
+
+    normals = hull.face_normals()
+    areas = hull.face_areas()
+    edge_to_faces = {}
+    for fi, tri in enumerate(hull.faces):
+        for i in range(3):
+            e = (min(tri[i], tri[(i + 1) % 3]), max(tri[i], tri[(i + 1) % 3]))
+            edge_to_faces.setdefault(e, []).append(fi)
+    adj = {i: [] for i in range(len(hull.faces))}
+    for fs in edge_to_faces.values():
+        for i in fs:
+            for j in fs:
+                if i != j:
+                    adj[i].append(j)
+    cos_tol = np.cos(angle_tol)
+    seen = np.zeros(len(hull.faces), dtype=bool)
+    facets = []
+    for seed in range(len(hull.faces)):
+        if seen[seed]:
+            continue
+        group = [seed]
+        seen[seed] = True
+        queue = [seed]
+        while queue:
+            cur = queue.pop()
+            for nb in adj[cur]:
+                if not seen[nb] and np.dot(normals[seed], normals[nb]) > cos_tol:
+                    seen[nb] = True
+                    group.append(nb)
+                    queue.append(nb)
+        w = areas[group]
+        n = (w[:, None] * normals[group]).sum(axis=0)
+        n /= np.linalg.norm(n)
+        vidx = np.unique(hull.faces[group])
+        pts = hull.vertices[vidx]
+        e1 = _any_perpendicular(n)
+        e2 = np.cross(n, e1)
+        order = _convex_order_2d(np.column_stack([pts @ e1, pts @ e2]))
+        facets.append(Facet(vidx[order], pts[order], n, float(w.sum())))
+    return facets
 
 
 class TestSamplePointCloud:

@@ -2,10 +2,17 @@ import json
 
 import numpy as np
 import pytest
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, QhullError
 
+from conftest import drifting_arc, ellipsoid, ngon_prism, sheared_wedge
 from stableplace import fixtures
-from stableplace.mesh import TriMesh, convex_hull, plane_from_contacts
+from stableplace.mesh import (
+    TriMesh,
+    convex_hull,
+    merge_coplanar_facets,
+    plane_from_contacts,
+    rotation_between,
+)
 from stableplace.placements import (
     CONTACT_TOL,
     Placement,
@@ -13,6 +20,7 @@ from stableplace.placements import (
     generate_dataset,
     polygon_inradius,
     settle,
+    signed_polygon_margin,
     stability_check,
 )
 from stableplace.rotations import (
@@ -37,13 +45,7 @@ class TestEnumerateStable:
     def test_facet_rejection_on_lopsided_wedge(self):
         # box with its top face sheared far sideways: the slanted facet's
         # support polygon no longer contains the COM projection
-        v = fixtures.unit_cube().vertices.copy()
-        v[v[:, 2] > 0] += np.array([3.0, 0.0, 0.0])
-        from stableplace.mesh import TriMesh
-
-        wedge = TriMesh(v, fixtures.unit_cube().faces.copy())
-        from stableplace.mesh import convex_hull, merge_coplanar_facets
-
+        wedge = sheared_wedge()
         n_facets = len(merge_coplanar_facets(convex_hull(wedge.vertices)))
         ps = enumerate_stable(wedge)
         assert len(ps) < n_facets
@@ -52,8 +54,6 @@ class TestEnumerateStable:
         # independent check: re-derive stability per hull facet by direct
         # COM projection, compare counts (all 7 facets of this L keep the
         # COM projection inside their support polygon)
-        from stableplace.mesh import convex_hull, merge_coplanar_facets, rotation_between
-
         lp = fixtures.l_prism()
         hull = convex_hull(lp.vertices)
         facets = merge_coplanar_facets(hull)
@@ -86,6 +86,59 @@ class TestEnumerateStable:
 
     def test_large_margin_eps_filters_everything(self, cube):
         assert enumerate_stable(cube, margin_eps=0.6) == []
+
+    @pytest.mark.parametrize(
+        "name",
+        [*fixtures.standard_fixtures(), "wedge", "prism32", "arc", "ellipsoid_s2",
+         "ellipsoid_s3"],
+    )
+    def test_matches_reference_over_every_facet(self, name):
+        """The pre-filtered enumeration gives the bytes of checking every
+        merged facet."""
+        mesh = {
+            "wedge": sheared_wedge,
+            "prism32": lambda: ngon_prism(32),
+            "arc": lambda: drifting_arc(0.6e-4),
+            "ellipsoid_s2": lambda: ellipsoid(2),
+            "ellipsoid_s3": lambda: ellipsoid(3),
+        }.get(name, lambda: fixtures.standard_fixtures()[name])()
+        facets = merge_coplanar_facets(mesh.hull)
+        reference = _reference_enumerate_stable(mesh, facets, 0.0)
+        margins = [p.stability_margin for p in reference]
+        # a margin_eps equal to a facet's own margin keeps that facet
+        for margin_eps in (0.0, 1e-6, 1e-4, 0.6, min(margins), max(margins)):
+            expected = [p for p in reference if p.stability_margin >= margin_eps]
+            got = enumerate_stable(mesh, margin_eps=margin_eps)
+            assert json.dumps([p.to_json_dict() for p in got]) == json.dumps(
+                [p.to_json_dict() for p in expected]
+            ), margin_eps
+
+
+def _reference_enumerate_stable(mesh, facets, margin_eps):
+    """The exact stability check on every facet, in facet order."""
+    out = []
+    for facet in facets:
+        rot = rotation_between(facet.normal, np.array([0.0, 0.0, -1.0]))
+        poly_xy = (facet.polygon @ rot.T)[:, :2]
+        try:
+            poly_xy = poly_xy[ConvexHull(poly_xy).vertices]
+        except QhullError:
+            continue
+        com = rot @ mesh.com
+        margin = signed_polygon_margin(com[:2], poly_xy)
+        if margin < margin_eps:
+            continue
+        zmin = (mesh.vertices @ rot.T)[:, 2].min()
+        inr = polygon_inradius(poly_xy)
+        out.append(
+            Placement(
+                rotation=rot,
+                translation=np.array([-com[0], -com[1], -zmin]),
+                stability_margin=float(margin),
+                score=float(np.clip(margin / inr, 0.0, 1.0)) if inr > 0 else 0.0,
+            )
+        )
+    return out
 
 
 class TestStabilityCheck:
