@@ -23,7 +23,6 @@ from .mesh import (
     DegenerateHull,
     DegenerateMesh,
     MeshParseError,
-    TriMesh,
     load_mesh,
 )
 from .metrics import (
@@ -154,15 +153,6 @@ def _write_text(path: str | Path | None, text: str) -> None:
         Path(path).write_text(text)
 
 
-def _load_mesh_or_exit(path: str) -> TriMesh:
-    try:
-        return load_mesh(path)
-    except MeshParseError as exc:
-        _fail(EXIT_PARSE, f"cannot read mesh {path}: {exc}")
-    except (DegenerateMesh, DegenerateHull) as exc:
-        _fail(EXIT_DEGENERATE, f"degenerate mesh {path}: {exc}")
-
-
 def _fail(code: int, message: str):
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
@@ -179,6 +169,8 @@ def geometry_errors(fn):
             _fail(EXIT_PARSE, str(exc))
         except (DegenerateMesh, DegenerateHull) as exc:
             _fail(EXIT_DEGENERATE, str(exc))
+        except SettleDiverged as exc:
+            _fail(EXIT_DEGENERATE, f"settle diverged: {exc}")
         except DegenerateDiversity as exc:
             _fail(EXIT_DIVERSITY, str(exc))
         except FitFailed as exc:
@@ -205,7 +197,7 @@ def main():
 @geometry_errors
 def cmd_enumerate(mesh_path, margin_eps, score_threshold, output):
     """Enumerate stable placements of an OBJ mesh."""
-    mesh = _load_mesh_or_exit(mesh_path)
+    mesh = load_mesh(mesh_path)
     placements = [
         p for p in enumerate_stable(mesh, margin_eps=margin_eps)
         if p.score >= score_threshold
@@ -224,7 +216,7 @@ def cmd_enumerate(mesh_path, margin_eps, score_threshold, output):
 @geometry_errors
 def cmd_settle(mesh_path, seed, rotation, output):
     """Settle the mesh from an initial orientation and report the pose."""
-    mesh = _load_mesh_or_exit(mesh_path)
+    mesh = load_mesh(mesh_path)
     if rotation is not None:
         try:
             values = [float(x) for x in rotation.split(",")]
@@ -238,10 +230,7 @@ def cmd_settle(mesh_path, seed, rotation, output):
             raise click.BadParameter(str(exc), param_hint="--rotation") from exc
     else:
         initial = random_rotation(np.random.default_rng(seed))
-    try:
-        placement = settle(mesh, initial)
-    except SettleDiverged as exc:
-        _fail(EXIT_DEGENERATE, f"settle diverged: {exc}")
+    placement = settle(mesh, initial)
     _write_text(output, _dump_json(placement.to_json_dict()))
 
 
@@ -259,7 +248,7 @@ def cmd_dataset(mesh_paths, drops, seed, workers, output):
     """Generate a settled-placement dataset (one JSON record per line)."""
     if drops < 1:
         raise click.UsageError("--drops must be >= 1")
-    meshes = [(Path(p).stem, _load_mesh_or_exit(p)) for p in mesh_paths]
+    meshes = [(Path(p).stem, load_mesh(p)) for p in mesh_paths]
     workers = workers or os.cpu_count() or 1
     result = generate_dataset(meshes, drops, seed, workers=workers)
     with open(output, "w") as fh:
@@ -326,7 +315,7 @@ def cmd_evaluate(mesh_path, predictions_path, model_path, max_delta_d,
                  max_delta_h, output):
     """Score predicted placements: accuracy after settling and placement-
     type diversity against a clustered ground-truth model."""
-    mesh = _load_mesh_or_exit(mesh_path)
+    mesh = load_mesh(mesh_path)
     try:
         preds = [
             Placement.from_json_dict(d)
@@ -370,7 +359,7 @@ def _plan_json(mesh, placements, start, goal, grasp_samples, seed, spec):
 def cmd_plan(mesh_path, start, goal, grasp_samples, seed, max_width,
              plane_clearance, output):
     """Plan a regrasp sequence between two enumerated placements."""
-    mesh = _load_mesh_or_exit(mesh_path)
+    mesh = load_mesh(mesh_path)
     placements = enumerate_stable(mesh)
     n = len(placements)
     if not (0 <= start < n and 0 <= goal < n):
@@ -436,7 +425,7 @@ def cmd_pipeline(config_path, workers, dump_poses):
                 f"stage {name}: {exc}",
             )
 
-    meshes = [(Path(p).stem, _load_mesh_or_exit(p)) for p in cfg.mesh_paths]
+    meshes = [(Path(p).stem, load_mesh(p)) for p in cfg.mesh_paths]
 
     def stage_dataset():
         result = generate_dataset(

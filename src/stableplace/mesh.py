@@ -120,14 +120,27 @@ class TriMesh:
 
 def load_mesh(path: str | Path) -> TriMesh:
     """Parse an ASCII OBJ (``v``/``f`` records); polygonal faces are
-    fan-triangulated.  Volume and COM assume uniform density."""
+    fan-triangulated.  Volume and COM assume uniform density.
+
+    A file that cannot be read or parsed raises MeshParseError, and a
+    mesh with no surface raises DegenerateMesh; both messages name the
+    path."""
     path = Path(path)
-    if not path.exists():
-        raise MeshParseError(f"no such file: {path}")
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MeshParseError(f"cannot read mesh {path}: {exc}") from exc
+    try:
+        return _parse_obj(text)
+    except (MeshParseError, DegenerateMesh) as exc:
+        raise type(exc)(f"mesh {path}: {exc}") from exc
+
+
+def _parse_obj(text: str) -> TriMesh:
     vertices: list[list[float]] = []
     faces: list[list[int]] = []
     try:
-        for line_no, raw in enumerate(path.read_text().splitlines(), 1):
+        for line_no, raw in enumerate(text.splitlines(), 1):
             parts = raw.split()
             if not parts or parts[0].startswith("#"):
                 continue
@@ -148,9 +161,9 @@ def load_mesh(path: str | Path) -> TriMesh:
     except (ValueError, IndexError) as exc:
         if isinstance(exc, MeshParseError):
             raise
-        raise MeshParseError(f"{path}: {exc}") from exc
+        raise MeshParseError(str(exc)) from exc
     if not vertices or not faces:
-        raise MeshParseError(f"{path}: no geometry found")
+        raise MeshParseError("no geometry found")
     return TriMesh(np.array(vertices), np.array(faces))
 
 
@@ -202,7 +215,8 @@ def merge_coplanar_facets(hull: TriMesh, angle_tol: float = 1e-4) -> list[Facet]
     Faces are visited in index order; each unvisited face seeds a facet
     that grows over adjacent faces within ``angle_tol`` of the seed's
     normal (not of the face they are reached from), so a slowly curving
-    surface splits into several facets rather than one."""
+    surface splits into several facets rather than one.  Raises
+    ValueError unless 0 <= ``angle_tol`` < pi/2."""
     normals = hull.face_normals()
     areas = hull.face_areas()
     return [
@@ -221,7 +235,13 @@ def _coplanar_groups(
     the face it was reached from, so the two adjacent faces lie within
     2 * angle_tol of each other.  The search therefore follows only
     adjacent pairs within 2 * angle_tol; a face with no such pair is a
-    singleton without being searched from."""
+    singleton without being searched from.
+
+    ``angle_tol`` must lie in [0, pi/2): every member is then within a
+    right angle of its seed, so a group's area-weighted normal never
+    cancels to zero."""
+    if not 0.0 <= angle_tol < np.pi / 2:
+        raise ValueError(f"angle_tol must be in [0, pi/2), got {angle_tol}")
     n_faces = len(hull.faces)
     # directed adjacency src -> dst over shared edges, ordered as the
     # per-face neighbour lists of a scan over faces and their edges: by
@@ -247,7 +267,7 @@ def _coplanar_groups(
     src, dst = src[order], dst[order]
     # the small slack absorbs rounding in the normals' dot products
     near = np.einsum("ij,ij->i", normals[src], normals[dst]) > (
-        np.cos(min(2.0 * abs(angle_tol), np.pi)) - 1e-12
+        np.cos(2.0 * angle_tol) - 1e-12
     )
     src, dst = src[near], dst[near]
     adj: dict[int, list[int]] = {}

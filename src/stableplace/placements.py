@@ -266,7 +266,8 @@ def enumerate_stable(
     between the two computations, so every dropped facet would fail the
     exact check.  Merged facets and the surviving triangles go through
     the exact per-facet check in facet order, so the output equals that
-    of checking every facet of ``merge_coplanar_facets``.
+    of checking every facet of ``merge_coplanar_facets``.  Raises
+    ValueError unless 0 <= ``angle_tol`` < pi/2.
     """
     hull = mesh.hull
     normals = hull.face_normals()

@@ -97,35 +97,76 @@ class PolyCoeffs:
     """Coefficients a0..a9 of the degree-9 factor; the surrogate is
     (t - 3) * sum_i a_i t^i with t the trace of rg @ rt.T, which is zero
     by construction at t = 3.
+
+    Every evaluator returns a float for a scalar ``t`` and an array for an
+    array ``t``.
     """
 
     a: np.ndarray  # shape (10,)
     max_fit_error: float = float("nan")
 
-    def factor(self, t: float | np.ndarray) -> np.ndarray:
+    def __post_init__(self):
+        a = np.array(self.a, dtype=float)
+        if a.shape != (10,) or not np.all(np.isfinite(a)):
+            raise ValueError(f"need 10 finite coefficients, got {a.shape} array")
+        a.setflags(write=False)
+        object.__setattr__(self, "a", a)
+        # Horner order, highest degree first, as Python floats
+        object.__setattr__(self, "_factor", tuple(float(c) for c in a[::-1]))
+        object.__setattr__(
+            self, "_factor_derivative", tuple(i * float(a[i]) for i in range(9, 0, -1))
+        )
+
+    def factor(self, t: float | np.ndarray) -> float | np.ndarray:
         """sum_i a_i t^i (Horner)."""
-        t = np.asarray(t, dtype=float)
-        acc = np.zeros_like(t)
-        for c in self.a[::-1]:
-            acc = acc * t + c
-        return acc
+        return _horner(self._factor, _trace_arg(t))
 
-    def factor_derivative(self, t: float | np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        acc = np.zeros_like(t)
-        for i in range(9, 0, -1):
-            acc = acc * t + i * self.a[i]
-        return acc
+    def factor_derivative(self, t: float | np.ndarray) -> float | np.ndarray:
+        return _horner(self._factor_derivative, _trace_arg(t))
 
-    def value(self, t: float | np.ndarray) -> np.ndarray:
-        return (np.asarray(t, dtype=float) - 3.0) * self.factor(t)
+    def value(self, t: float | np.ndarray) -> float | np.ndarray:
+        t = _trace_arg(t)
+        return (t - 3.0) * _horner(self._factor, t)
 
-    def derivative(self, t: float | np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return self.factor(t) + (t - 3.0) * self.factor_derivative(t)
+    def derivative(self, t: float | np.ndarray) -> float | np.ndarray:
+        return self.value_and_derivative(t)[1]
+
+    def value_and_derivative(
+        self, t: float | np.ndarray
+    ) -> tuple[float | np.ndarray, float | np.ndarray]:
+        """(value(t), derivative(t)), evaluating the factor once."""
+        t = _trace_arg(t)
+        f = _horner(self._factor, t)
+        s = t - 3.0
+        return s * f, f + s * _horner(self._factor_derivative, t)
 
     def to_list(self) -> list[float]:
         return [float(c) for c in self.a]
+
+
+def _trace_arg(t: float | np.ndarray) -> float | np.ndarray:
+    """A float stays a float, so scalar evaluation runs no numpy call."""
+    if isinstance(t, float):
+        return t
+    t = np.asarray(t, dtype=float)
+    return float(t) if t.ndim == 0 else t
+
+
+def _horner(coeffs: tuple[float, ...], t: float | np.ndarray) -> float | np.ndarray:
+    """Polynomial with ``coeffs`` highest degree first.  Starting from zero
+    makes the first step 0 * t + c, so an infinite t gives NaN.  Each step
+    rounds the product and the sum separately, for a float and an array
+    alike, so both give the same bits."""
+    if isinstance(t, np.ndarray):
+        acc = np.zeros_like(t)
+        for c in coeffs:
+            acc *= t
+            acc += c
+        return acc
+    acc = 0.0
+    for c in coeffs:
+        acc = acc * t + c
+    return acc
 
 
 def fit_geodesic_polynomial(samples: int = 10001) -> PolyCoeffs:
@@ -160,9 +201,8 @@ def poly_geodesic_distance(
     rg = np.asarray(rg, dtype=float)
     rt = np.asarray(rt, dtype=float)
     t = float(np.sum(rg * rt))
-    value = float(c.value(t))
-    grad = float(c.derivative(t)) * rt
-    return value, grad
+    value, slope = c.value_and_derivative(t)
+    return value, slope * rt
 
 
 # --- 6D continuous representation -----------------------------------------

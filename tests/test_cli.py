@@ -41,12 +41,21 @@ class TestEnumerate:
     def test_missing_file_exit_2(self, runner, tmp_path):
         result = runner.invoke(main, ["enumerate", str(tmp_path / "nope.obj")])
         assert result.exit_code == 2
+        assert str(tmp_path / "nope.obj") in result.stderr
+
+    def test_directory_exit_2(self, runner, tmp_path):
+        # reading a directory used to end in an IsADirectoryError traceback
+        result = runner.invoke(main, ["enumerate", str(tmp_path)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert str(tmp_path) in result.stderr
 
     def test_garbage_file_exit_2(self, runner, tmp_path):
         bad = tmp_path / "bad.obj"
         bad.write_text("v 1 2 zzz\nf 1 2 3\n")
         result = runner.invoke(main, ["enumerate", str(bad)])
         assert result.exit_code == 2
+        assert str(bad) in result.stderr
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_vertex_exit_2(self, runner, tmp_path, value):

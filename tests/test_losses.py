@@ -121,6 +121,19 @@ class TestRefineLoss:
         with pytest.raises(EmptyField):
             DisplacementField(points=np.zeros((0, 3)), displacements=np.zeros((0, 3)))
 
+    @pytest.mark.parametrize("v_gt", [[0.5], [0.0, 0.5], [[0.0, 0.0, 0.5]], 0.5])
+    def test_v_gt_must_be_one_vector(self, v_gt):
+        # a (1,) target used to broadcast: [0.5] on this field gave 0.375
+        f = DisplacementField(points=np.zeros((4, 3)), displacements=np.zeros((4, 3)))
+        with pytest.raises(ValueError, match="v_gt"):
+            refine_loss(f, np.asarray(v_gt))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["alpha", "beta", "smooth_l1_transition"])
+    def test_non_finite_weights_rejected(self, name, bad):
+        with pytest.raises(ValueError, match="finite"):
+            RefineLossWeights(**{name: bad})
+
     def test_gradient_against_finite_differences(self):
         rng = np.random.default_rng(26)
         h = 1e-6
@@ -172,3 +185,192 @@ class TestPredictedPlaneVector:
             oracle += f.points[i] + f.displacements[i]
         oracle /= 40
         assert np.abs(predicted_plane_vector(f) - oracle).max() < 1e-12
+
+
+# --- byte identity with the loop kernels --------------------------------
+#
+# The kernels above were rewritten without changing a single output bit.
+# The functions below are the earlier loop implementations, kept as the
+# reference: every value and gradient must match them byte for byte.
+
+
+def _reference_polyval(coeffs, t):
+    acc = np.zeros_like(t)
+    for ci in coeffs[::-1]:
+        acc = acc * t + ci
+    return acc
+
+
+def _reference_polyval_deriv(coeffs, t):
+    acc = np.zeros_like(t)
+    for i in range(len(coeffs) - 1, 0, -1):
+        acc = acc * t + i * coeffs[i]
+    return acc
+
+
+def _reference_chamfer(sg, st, c):
+    a = np.stack([np.asarray(r, dtype=float) for r in sg])
+    b = np.stack([np.asarray(r, dtype=float) for r in st])
+    t = np.einsum("nij,mij->nm", a, b)
+    d = (t - 3.0) * _reference_polyval(c.a, t)
+    dprime = _reference_polyval(c.a, t) + (t - 3.0) * _reference_polyval_deriv(c.a, t)
+    value = 0.0
+    grads = np.zeros_like(a)
+    j_star = np.argmin(d, axis=1)
+    for i, j in enumerate(j_star):
+        value += d[i, j]
+        grads[i] += dprime[i, j] * b[j]
+    i_star = np.argmin(d, axis=0)
+    for j, i in enumerate(i_star):
+        value += d[i, j]
+        grads[i] += dprime[i, j] * b[j]
+    return float(value), grads
+
+
+def _reference_poly_geodesic_distance(c, rg, rt):
+    rg = np.asarray(rg, dtype=float)
+    rt = np.asarray(rt, dtype=float)
+    t = np.asarray(float(np.sum(rg * rt)))  # a 0-d array, as it was
+    f = _reference_polyval(c.a, t)
+    value = (t - 3.0) * f
+    slope = f + (t - 3.0) * _reference_polyval_deriv(c.a, t)
+    return float(value), float(slope) * rt
+
+
+def _reference_refine(f, v_gt, w=RefineLossWeights()):
+    v_gt = np.asarray(v_gt, dtype=float)
+    p, v = f.points, f.displacements
+    m = p.shape[0]
+    resid = (v_gt[None, :] - p) - v
+    beta = w.smooth_l1_transition
+    ad = np.abs(resid)
+    quad = ad < beta
+    sl1 = np.where(quad, 0.5 * resid * resid / beta, ad - 0.5 * beta)
+    sl1_grad = np.where(quad, resid / beta, np.sign(resid))
+    field_term = float(sl1.sum()) / m
+    q = p + v
+    q0 = q - q[0]
+    dev = q0 - q0.mean(axis=0)[None, :]
+    var_term = float((dev * dev).sum()) / m
+    value = w.alpha * field_term + w.beta * var_term
+    grads = -w.alpha / m * sl1_grad + w.beta / m * 2.0 * dev
+    return value, grads
+
+
+def _bytes(result):
+    value, grads = result
+    assert type(value) is float
+    return np.float64(value).tobytes(), np.asarray(grads).tobytes()
+
+
+def _repeated_sets(seed):
+    # duplicate rotations tie in the argmin, and most ground-truth
+    # rotations share one nearest generated rotation (repeated i_star)
+    r = random_rotations(seed, 4)
+    sg = [r[0], r[1], r[0], r[2], r[0], r[1]]
+    st = [r[0], r[0], r[0], r[3], r[1], r[0], r[3]]
+    return sg, st
+
+
+class TestKernelsMatchReferenceBytes:
+    @pytest.mark.parametrize("n,m", [(128, 128), (8, 8), (1, 1), (3, 17), (17, 3)])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_chamfer_random_sets(self, poly, n, m, seed):
+        sg = random_rotations(100 + seed, n)
+        st_ = random_rotations(200 + seed, m)
+        assert _bytes(chamfer_geodesic_loss(sg, st_, poly)) == _bytes(
+            _reference_chamfer(sg, st_, poly)
+        )
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_chamfer_repeated_rotations(self, poly, seed):
+        sg, st_ = _repeated_sets(seed)
+        for a, b in [(sg, st_), (st_, sg), (sg, sg), (sg * 20, st_ * 30)]:
+            assert _bytes(chamfer_geodesic_loss(a, b, poly)) == _bytes(
+                _reference_chamfer(a, b, poly)
+            )
+
+    def test_chamfer_at_trace_three_and_minus_one(self, poly):
+        # tr(I I^T) = 3 and tr(I Rz(pi)^T) = -1, both exactly
+        eye, flip = np.eye(3), rot_z(np.pi)
+        for sg, st_ in [([eye], [eye]), ([eye], [flip]), ([eye, flip], [flip, eye, eye])]:
+            assert _bytes(chamfer_geodesic_loss(sg, st_, poly)) == _bytes(
+                _reference_chamfer(sg, st_, poly)
+            )
+
+    def test_poly_geodesic_distance(self, poly):
+        pairs = list(zip(random_rotations(41, 50), random_rotations(42, 50)))
+        pairs += [(np.eye(3), np.eye(3)), (np.eye(3), rot_z(np.pi))]
+        for rg, rt in pairs:
+            assert _bytes(poly_geodesic_distance(poly, rg, rt)) == _bytes(
+                _reference_poly_geodesic_distance(poly, rg, rt)
+            )
+
+    @pytest.mark.parametrize("t", [3.0, -1.0, 0.0, 1.2345, 1e300, np.inf, np.nan])
+    def test_polycoeffs_scalar(self, poly, t):
+        t0 = np.asarray(t)
+        with np.errstate(all="ignore"):
+            f = _reference_polyval(poly.a, t0)
+            fd = _reference_polyval_deriv(poly.a, t0)
+            expected = [f, fd, (t0 - 3.0) * f, f + (t0 - 3.0) * fd]
+            got = [poly.factor(t), poly.factor_derivative(t), poly.value(t),
+                   poly.derivative(t)]
+        assert [np.float64(x).tobytes() for x in got] == [
+            np.float64(x).tobytes() for x in expected
+        ]
+        assert [np.float64(x).tobytes() for x in poly.value_and_derivative(t)] == [
+            np.float64(x).tobytes() for x in expected[2:]
+        ]
+
+    def test_polycoeffs_array(self, poly):
+        t = np.r_[np.linspace(-1.0, 3.0, 103), 3.0, -1.0].reshape(7, 15)
+        f = _reference_polyval(poly.a, t)
+        fd = _reference_polyval_deriv(poly.a, t)
+        expected = [f, fd, (t - 3.0) * f, f + (t - 3.0) * fd]
+        got = [poly.factor(t), poly.factor_derivative(t), poly.value(t),
+               poly.derivative(t)]
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in expected]
+        assert all(x.shape == t.shape for x in got)
+
+    @pytest.mark.parametrize("m", [2048, 1, 7])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_refine_random_fields(self, m, seed):
+        rng = np.random.default_rng(300 + seed)
+        # row scales over six decades make the column sums round often
+        scale = 10 ** rng.uniform(-3, 3, size=(m, 1))
+        f = DisplacementField(
+            points=0.05 * rng.normal(size=(m, 3)) * scale,
+            displacements=0.05 * rng.normal(size=(m, 3)),
+        )
+        v_gt = 0.1 * rng.normal(size=3)
+        for w in [RefineLossWeights(), RefineLossWeights(0.3, 1.7, 0.02)]:
+            assert _bytes(refine_loss(f, v_gt, w)) == _bytes(_reference_refine(f, v_gt, w))
+
+    def test_refine_residual_at_transition(self):
+        # resid = (0 - 0) - v is exactly +-beta, -0.0 or 0.0
+        beta = 0.25
+        v = np.array([[-beta, beta, -0.0], [0.0, -2 * beta, beta / 2]])
+        f = DisplacementField(points=np.zeros((2, 3)), displacements=v)
+        for w in [RefineLossWeights(1.0, 0.5, beta), RefineLossWeights(1.0, 0.0, beta)]:
+            got = refine_loss(f, np.zeros(3), w)
+            assert _bytes(got) == _bytes(_reference_refine(f, np.zeros(3), w))
+        # at |resid| = beta the smooth-L1 slope is already +-1
+        assert np.array_equal(got[1], [[-0.5, 0.5, 0.0], [0.0, -0.5, 0.25]])
+
+    def test_refine_identical_targets(self):
+        rng = np.random.default_rng(310)
+        p = rng.integers(-8, 8, size=(9, 3)) / 4.0
+        f = DisplacementField(points=p, displacements=np.array([1.0, -2.0, 3.0]) - p)
+        w = RefineLossWeights(alpha=0.0, beta=1.0)
+        got = refine_loss(f, np.zeros(3), w)
+        assert got[0] == 0.0  # the variance term is exactly zero
+        assert _bytes(got) == _bytes(_reference_refine(f, np.zeros(3), w))
+
+    def test_refine_nan_displacement(self):
+        rng = np.random.default_rng(311)
+        v = rng.normal(size=(5, 3))
+        v[2, 1] = np.nan
+        f = DisplacementField(points=rng.normal(size=(5, 3)), displacements=v)
+        got = refine_loss(f, np.zeros(3))
+        assert np.isnan(got[0])
+        assert _bytes(got) == _bytes(_reference_refine(f, np.zeros(3)))

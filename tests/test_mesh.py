@@ -159,6 +159,13 @@ class TestMergeCoplanarFacets:
         hull = convex_hull(tetra.vertices)
         assert len(merge_coplanar_facets(hull, 1e-6)) == 4
 
+    @pytest.mark.parametrize("angle_tol", [-1.0, np.pi / 2, 1.6, 3.0, np.nan])
+    def test_angle_tol_outside_quarter_turn_rejected(self, tetra, angle_tol):
+        # at 2.0 and 3.0 a group's area-weighted normals used to cancel,
+        # and a negative value acted as its absolute value
+        with pytest.raises(ValueError, match="angle_tol"):
+            merge_coplanar_facets(convex_hull(tetra.vertices), angle_tol)
+
     def test_prism_cap_merging(self):
         # 32-gon prism: cap triangles merge, side normals differ by
         # 2*pi/32 ~ 0.196 > 0.1 so the 32 side rectangles stay separate
@@ -181,7 +188,7 @@ class TestMergeCoplanarFacets:
     )
     def test_matches_reference_bytes(self, name):
         hull = _reference_meshes()[name].hull
-        for angle_tol in (0.0, 1e-6, 1e-4, 0.1, 1.0, 1.6):
+        for angle_tol in (0.0, 1e-6, 1e-4, 0.1, 1.0, 1.5):
             assert _facet_bytes(merge_coplanar_facets(hull, angle_tol)) == _facet_bytes(
                 _reference_merge_coplanar_facets(hull, angle_tol)
             ), angle_tol

@@ -32,6 +32,11 @@ from stableplace.rotations import (
 
 
 class TestEnumerateStable:
+    @pytest.mark.parametrize("angle_tol", [-1.0, np.pi / 2, 3.0])
+    def test_angle_tol_outside_quarter_turn_rejected(self, tetra, angle_tol):
+        with pytest.raises(ValueError, match="angle_tol"):
+            enumerate_stable(tetra, angle_tol=angle_tol)
+
     def test_cube_six_faces_margin_half(self, cube):
         ps = enumerate_stable(cube, margin_eps=1e-6)
         assert len(ps) == 6

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from stableplace.rotations import (
     DegenerateSixD,
     InvalidAxis,
+    PolyCoeffs,
     check_rotation,
     fit_geodesic_polynomial,
     geodesic_distance,
@@ -108,6 +109,33 @@ class TestPolynomialSurrogate:
     def test_min_samples_enforced(self):
         with pytest.raises(ValueError):
             fit_geodesic_polynomial(samples=50)
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [np.ones(11), np.ones(5), np.ones(9), np.ones((2, 5)),
+         np.r_[np.ones(9), np.nan], np.r_[np.inf, np.ones(9)]],
+    )
+    def test_coefficients_must_be_ten_finite(self, coeffs):
+        # with 11 coefficients derivative(0.5) used to be -0.4906 against
+        # a finite difference of -0.5394, and 5 raised IndexError
+        with pytest.raises(ValueError, match="10 finite"):
+            PolyCoeffs(a=coeffs)
+
+    def test_coefficients_frozen(self, poly):
+        c = PolyCoeffs(a=list(poly.a))
+        assert c.to_list() == poly.to_list()
+        with pytest.raises(ValueError):
+            c.a[0] = 1.0
+
+    def test_scalar_in_float_out(self, poly):
+        for t in (3.0, -1.0, 2, np.float64(0.5), np.asarray(1.5)):
+            value, slope = poly.value_and_derivative(t)
+            assert isinstance(value, float) and isinstance(slope, float)
+            assert value == poly.value(t) and slope == poly.derivative(t)
+        t = np.linspace(-1.0, 3.0, 9)
+        value, slope = poly.value_and_derivative(t)
+        assert np.array_equal(value, poly.value(t))
+        assert np.array_equal(slope, poly.derivative(t))
 
     def test_gradient_against_finite_differences(self, poly):
         rng = np.random.default_rng(8)
