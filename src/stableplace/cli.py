@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -122,6 +123,11 @@ class RunConfig:
                 raise ValueError(f"unknown gripper keys: {sorted(gunknown)}")
             d["gripper"] = GripperConfig(**g)
         cfg = cls(**d)
+        for obj in (cfg, cfg.gripper):
+            for f in fields(obj):
+                value = getattr(obj, f.name)
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ValueError(f"{f.name} must be finite, got {value}")
         if cfg.drops_per_object < 1:
             raise ValueError("drops_per_object must be >= 1")
         if cfg.bandwidth_deg <= 0 or cfg.match_threshold_deg <= 0:
@@ -294,7 +300,10 @@ def cmd_cluster(dataset_path, object_id, bandwidth_deg, output):
     rotations = [
         r.placement.rotation for r in records if r.object_id == object_id
     ]
-    model, _ = mean_shift_orientations(rotations, bandwidth=bandwidth_deg * DEG)
+    try:
+        model, _ = mean_shift_orientations(rotations, bandwidth=bandwidth_deg * DEG)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="--bandwidth-deg") from exc
     _write_text(output, _dump_json(model.to_json_dict()))
 
 
@@ -326,7 +335,10 @@ def cmd_evaluate(mesh_path, predictions_path, model_path, max_delta_d,
         _fail(EXIT_PARSE, f"cannot read inputs: {exc}")
     if not preds:
         _fail(EXIT_PARSE, f"no predictions in {predictions_path}")
-    t = AccuracyThresholds(max_delta_d=max_delta_d, max_delta_h=max_delta_h * CM)
+    try:
+        t = AccuracyThresholds(max_delta_d=max_delta_d, max_delta_h=max_delta_h * CM)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="--max-delta-d/--max-delta-h") from exc
     row = evaluate_run(preds, mesh, model, t, object_id=Path(mesh_path).stem)
     report = EvalReport(rows=[row])
     click.echo(format_table(report))
@@ -475,6 +487,7 @@ def cmd_pipeline(config_path, workers, dump_poses):
                 evaluate_run(
                     preds, mesh, models[object_id], cfg.thresholds(),
                     object_id=object_id,
+                    match_threshold=cfg.match_threshold_deg * DEG,
                 )
             )
         report = EvalReport(rows=rows)

@@ -1,30 +1,31 @@
 """MeanShift clustering of orientations modulo z-rotation.
 
-Distances are z-quotient geodesic distances; window means are chordal
-averages of z-aligned rotations in the 6D continuous representation,
-re-orthonormalized.  The mode count emerges from the data.
+A placement type is a stable placement up to a turn about the plane
+normal, so it is a point on the sphere of body up-axes r.T @ z-hat.
+MeanShift runs on those unit vectors with angular distances, and each
+mode is stored as the canonical rotation taking its up-axis to z-hat,
+the rotation ``enumerate_stable`` emits.  The mode count emerges from the
+data.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .rotations import (
-    check_rotation,
-    rotation_from_sixd,
-    z_align,
-    z_quotient_distance,
-    z_quotient_distances,
-)
+from .mesh import rotation_between
+from .rotations import check_rotation, z_quotient_distances
 
 DEG = np.pi / 180.0
+Z_HAT = np.array([0.0, 0.0, 1.0])
 
 
 @dataclass
 class TypeModel:
-    """Orientation-type model: cluster modes with an assignment radius."""
+    """Orientation-type model: cluster modes with an assignment radius.
+
+    Modes are kept as given; two modes may share an up-axis."""
 
     modes: list[np.ndarray]
     bandwidth: float  # radians
@@ -49,12 +50,9 @@ class TypeModel:
         )
 
 
-def _window_mean(mean: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
-    """Chordal 6D average of neighbors, each z-aligned to the current
-    mean, re-orthonormalized by Gram-Schmidt."""
-    aligned = np.stack([z_align(r, mean) for r in neighbors])
-    sixd = aligned[:, :, :2].mean(axis=0)  # average first two columns
-    return rotation_from_sixd(sixd.T)
+def _angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) angles between unit vectors."""
+    return np.arccos(np.clip(a @ b.T, -1.0, 1.0))
 
 
 def mean_shift_orientations(
@@ -64,35 +62,40 @@ def mean_shift_orientations(
     max_iter: int = 200,
     shift_tol: float = 1e-6,
 ) -> tuple[TypeModel, list[int]]:
-    """Flat-kernel MeanShift over the z-rotation quotient of SO(3).
+    """Flat-kernel MeanShift over the body up-axes of ``rotations``.
 
-    Every input seeds a shift iterated to convergence; converged means
-    within one bandwidth of an existing mode merge into it, numbering
-    modes by first occurrence.  Returns the model and per-input labels.
+    Every input seeds a mean; each round moves all still-moving means at
+    once to the normalized sum of the up-axes within ``bandwidth`` of
+    them.  A mean stops once it shifts by less than ``shift_tol``, or
+    when its window is empty.  Converged means within one bandwidth of an
+    existing mode merge into it, numbering modes by first occurrence.
+    Returns the model and per-input labels.
     """
     if len(rotations) == 0:
         raise ValueError("need at least one rotation")
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
-    rs = np.stack([np.asarray(r, dtype=float) for r in rotations])
+    if not (np.isfinite(bandwidth) and bandwidth > 0):
+        raise ValueError(f"bandwidth must be finite and positive, got {bandwidth}")
+    ups = np.stack([np.asarray(r, dtype=float)[2] for r in rotations])
 
-    converged: list[np.ndarray] = []
-    for seed in rs:
-        mean = seed
-        for _ in range(max_iter):
-            d = z_quotient_distances(mean, rs)
-            neighbors = rs[d <= bandwidth]
-            new_mean = _window_mean(mean, neighbors)
-            shift = z_quotient_distance(new_mean, mean)
-            mean = new_mean
-            if shift < shift_tol:
-                break
-        converged.append(mean)
+    means = ups.copy()
+    moving = np.arange(len(ups))
+    for _ in range(max_iter):
+        if not moving.size:
+            break
+        sums = (_angles(means[moving], ups) <= bandwidth) @ ups
+        norms = np.linalg.norm(sums, axis=1)
+        live = norms > 0  # an empty window stops its mean
+        moving, new = moving[live], sums[live] / norms[live, None]
+        shift = np.arccos(np.clip(np.einsum("ij,ij->i", new, means[moving]), -1.0, 1.0))
+        means[moving] = new
+        moving = moving[shift >= shift_tol]
 
-    modes: list[np.ndarray] = []
-    for mean in converged:
-        if not any(z_quotient_distance(mean, m) <= bandwidth for m in modes):
-            modes.append(mean)
+    close = (_angles(means, means) <= bandwidth).tolist()
+    kept: list[int] = []
+    for i, row in enumerate(close):
+        if not any(row[k] for k in kept):
+            kept.append(i)
+    modes = [rotation_between(means[k], Z_HAT) for k in kept]
 
     model = TypeModel(
         modes=modes,
@@ -100,8 +103,8 @@ def mean_shift_orientations(
         assign_threshold=bandwidth if assign_threshold is None else assign_threshold,
     )
     mode_stack = np.stack(modes)
-    labels = [int(np.argmin(z_quotient_distances(r, mode_stack))) for r in rs]
-    return model, labels
+    labels = np.argmin(_angles(ups, mode_stack[:, 2, :]), axis=1)
+    return model, labels.tolist()
 
 
 def assign_type(r: np.ndarray, model: TypeModel) -> int | None:

@@ -51,6 +51,7 @@ class TriMesh:
     com: np.ndarray = field(init=False)
     volume: float = field(init=False)
     centroid_fallback: bool = field(init=False, default=False)
+    source: str | None = field(init=False, default=None)  # set by load_mesh
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float)
@@ -95,8 +96,14 @@ class TriMesh:
 
     @cached_property
     def hull(self) -> "TriMesh":
-        """Convex hull of the vertices, built on first use."""
-        return convex_hull(self.vertices)
+        """Convex hull of the vertices, built on first use.  A degenerate
+        hull's error names ``source`` when it is set."""
+        try:
+            return convex_hull(self.vertices)
+        except DegenerateHull as exc:
+            if self.source is None:
+                raise
+            raise DegenerateHull(f"mesh {self.source}: {exc}") from exc
 
     @cached_property
     def contact_inradii(self) -> dict[tuple[int, ...], float]:
@@ -124,16 +131,18 @@ def load_mesh(path: str | Path) -> TriMesh:
 
     A file that cannot be read or parsed raises MeshParseError, and a
     mesh with no surface raises DegenerateMesh; both messages name the
-    path."""
+    path, as does the DegenerateHull its ``hull`` raises."""
     path = Path(path)
     try:
         text = path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise MeshParseError(f"cannot read mesh {path}: {exc}") from exc
     try:
-        return _parse_obj(text)
+        mesh = _parse_obj(text)
     except (MeshParseError, DegenerateMesh) as exc:
         raise type(exc)(f"mesh {path}: {exc}") from exc
+    mesh.source = str(path)
+    return mesh
 
 
 def _parse_obj(text: str) -> TriMesh:
@@ -185,7 +194,8 @@ def convex_hull(points: np.ndarray) -> TriMesh:
     try:
         hull = ConvexHull(points)
     except QhullError as exc:
-        raise DegenerateHull(str(exc)) from exc
+        # qhull's first line says what is wrong; the rest dumps its options
+        raise DegenerateHull(str(exc).strip().splitlines()[0]) from exc
     used = np.unique(hull.simplices)
     verts = points[used]
     faces = np.searchsorted(used, hull.simplices)

@@ -1,6 +1,10 @@
 """Evaluation machinery: per-placement accuracy against settle outcomes,
 per-object diversity over ground-truth placement types, and report
 tables (objects as columns, average last).
+
+A settled pose matches a placement type when its body up-axis is within
+the match threshold of the type's mode (the z-quotient distance), so a
+turn about the plane normal never changes which type a pose reaches.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ class AccuracyThresholds:
     max_delta_h: float = 0.02  # meters
 
     def __post_init__(self):
-        if self.max_delta_d <= 0 or self.max_delta_h <= 0:
-            raise ValueError("thresholds must be positive")
+        if not (0 < self.max_delta_d < np.inf and 0 < self.max_delta_h < np.inf):
+            raise ValueError("thresholds must be finite and positive")
 
 
 def placement_accuracy(
@@ -46,33 +50,25 @@ def diversity_score(
     gt_model: TypeModel,
     initial_type: int,
     match_threshold: float = 15.0 * DEG,
-    use_quotient: bool = False,
 ) -> float:
     """m / (n - 1): matched non-initial ground-truth types over all
     non-initial types.
 
     A type is matched when some predicted rotation is within
-    ``match_threshold`` raw geodesic distance of its mode
-    (z-quotient distance instead with use_quotient=True).
+    ``match_threshold`` z-quotient distance of its mode.
     """
     n = len(gt_model.modes)
     if n < 2:
         raise DegenerateDiversity(f"need >= 2 ground-truth types, got {n}")
     if not predicted:
         return 0.0
-    matched = 0
-    for k, mode in enumerate(gt_model.modes):
-        if k == initial_type:
-            continue
-        if use_quotient:
-            hit = any(
-                float(z_quotient_distances(r, mode[None, :, :])[0]) <= match_threshold
-                for r in predicted
-            )
-        else:
-            hit = any(geodesic_distance(r, mode) <= match_threshold for r in predicted)
-        if hit:
-            matched += 1
+    predicted = np.stack(predicted)
+    matched = sum(
+        1
+        for k, mode in enumerate(gt_model.modes)
+        if k != initial_type
+        and (z_quotient_distances(mode, predicted) <= match_threshold).any()
+    )
     return matched / (n - 1)
 
 
@@ -81,7 +77,6 @@ class ObjectEval:
     object_id: str
     accuracy: float
     diversity: float
-    diversity_quotient: float  # quotient-matching extension column
     n_predictions: int
     n_stable: int
 
@@ -90,7 +85,6 @@ class ObjectEval:
             "object_id": self.object_id,
             "accuracy": float(self.accuracy),
             "diversity": float(self.diversity),
-            "diversity_quotient": float(self.diversity_quotient),
             "n_predictions": self.n_predictions,
             "n_stable": self.n_stable,
         }
@@ -123,12 +117,15 @@ def evaluate_run(
     t: AccuracyThresholds = AccuracyThresholds(),
     object_id: str = "object",
     initial_type: int | None = None,
+    match_threshold: float = 15.0 * DEG,
 ) -> ObjectEval:
     """Settle every prediction and score accuracy / diversity.
 
     Diverged settles count as inaccurate.  ``initial_type`` defaults to
     the ground-truth type nearest the first prediction; its matches are
-    excluded from diversity per the m / (n - 1) rule.
+    excluded from diversity per the m / (n - 1) rule.  A type counts as
+    reached when an accurate settled pose is within ``match_threshold``
+    of its mode.
     """
     if not predictions:
         raise ValueError("predictions must be non-empty")
@@ -147,15 +144,13 @@ def evaluate_run(
     if initial_type is None:
         d = z_quotient_distances(predictions[0].rotation, np.stack(gt_model.modes))
         initial_type = int(np.argmin(d))
-    diversity = diversity_score(stable_rotations, gt_model, initial_type)
-    diversity_q = diversity_score(
-        stable_rotations, gt_model, initial_type, use_quotient=True
+    diversity = diversity_score(
+        stable_rotations, gt_model, initial_type, match_threshold
     )
     return ObjectEval(
         object_id=object_id,
         accuracy=accuracy,
         diversity=diversity,
-        diversity_quotient=diversity_q,
         n_predictions=len(predictions),
         n_stable=len(stable_rotations),
     )
@@ -167,16 +162,9 @@ def format_table(report: EvalReport) -> str:
     ids = [r.object_id for r in report.rows] + ["average"]
     acc = [r.accuracy for r in report.rows] + [report.average_accuracy]
     div = [r.diversity for r in report.rows] + [report.average_diversity]
-    divq = [r.diversity_quotient for r in report.rows] + [
-        float(np.mean([r.diversity_quotient for r in report.rows]))
-    ]
     width = max(12, max(len(i) for i in ids) + 2)
     header = "metric".ljust(20) + "".join(i.rjust(width) for i in ids)
     lines = [header, "-" * len(header)]
-    for name, vals in [
-        ("accuracy", acc),
-        ("diversity", div),
-        ("diversity (z-quot)", divq),
-    ]:
+    for name, vals in [("accuracy", acc), ("diversity", div)]:
         lines.append(name.ljust(20) + "".join(f"{v:.3f}".rjust(width) for v in vals))
     return "\n".join(lines)

@@ -2,6 +2,10 @@
 differentiable polynomial surrogate, the 6D continuous representation,
 and the z-rotation quotient metric.
 
+Rotations that differ only by a turn about the world z-axis share a body
+up-axis r.T @ z-hat (the third row of r), so the quotient metric is the
+angle between up-axes.
+
 Rotations are plain (3, 3) numpy arrays throughout; JSON serialization is
 9 numbers, row-major.
 """
@@ -234,69 +238,32 @@ def rotation_from_sixd(s: np.ndarray) -> np.ndarray:
 # --- z-rotation quotient metric -------------------------------------------
 
 
-def _quotient_trace_max(m: np.ndarray) -> tuple[float, float, float]:
-    """Return (p, q, m22) with tr(Rz(theta) @ m) = p cos + q sin + m22."""
-    p = m[0, 0] + m[1, 1]
-    q = m[0, 1] - m[1, 0]
-    return float(p), float(q), float(m[2, 2])
-
-
-def z_quotient_distance(r1: np.ndarray, r2: np.ndarray) -> float:
-    """min over theta of geodesic_distance(Rz(theta) @ r1, r2).
-
-    Dense 720-sample sweep of theta over [0, 2pi) followed by
-    golden-section refinement of the trace maximum to 1e-8.
-    """
-    m = np.asarray(r1, dtype=float) @ np.asarray(r2, dtype=float).T
-    p, q, m22 = _quotient_trace_max(m)
-
-    def trace_at(theta: float | np.ndarray) -> np.ndarray:
-        return p * np.cos(theta) + q * np.sin(theta) + m22
-
-    thetas = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
-    k = int(np.argmax(trace_at(thetas)))
-    step = 2.0 * np.pi / 720
-    lo, hi = thetas[k] - step, thetas[k] + step
-    # golden-section maximization of the trace
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - phi * (hi - lo)
-    x2 = lo + phi * (hi - lo)
-    f1, f2 = trace_at(x1), trace_at(x2)
-    while hi - lo > 1e-8:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + phi * (hi - lo)
-            f2 = trace_at(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - phi * (hi - lo)
-            f1 = trace_at(x1)
-    best = float(max(trace_at(0.5 * (lo + hi)), trace_at(thetas[k])))
-    return float(np.arccos(np.clip((best - 1.0) / 2.0, -1.0, 1.0)))
-
-
 def z_quotient_distances(r: np.ndarray, rs: np.ndarray) -> np.ndarray:
-    """Vectorized quotient distance from ``r`` to a stack ``rs`` (k, 3, 3).
+    """Distance from ``r`` to each of a stack ``rs`` (k, 3, 3) on the
+    quotient of SO(3) by rotations about the world z-axis.
 
-    Uses the closed-form maximum of p cos + q sin + m22, which the
-    sweep + golden-section routine converges to; agreement is covered by
-    tests.  Intended for clustering / classification inner loops.
+    min over theta of geodesic_distance(Rz(theta) @ r, s) is the angle
+    between the body up-axes r.T @ z-hat and s.T @ z-hat, the third rows.
     """
     r = np.asarray(r, dtype=float)
     rs = np.asarray(rs, dtype=float)
-    m = np.einsum("ij,klj->kil", r, rs)  # r @ rs[k].T
-    p = m[:, 0, 0] + m[:, 1, 1]
-    q = m[:, 0, 1] - m[:, 1, 0]
-    best = np.hypot(p, q) + m[:, 2, 2]
-    return np.arccos(np.clip((best - 1.0) / 2.0, -1.0, 1.0))
+    return np.arccos(np.clip(rs[:, 2, :] @ r[2], -1.0, 1.0))
+
+
+def z_quotient_distance(r1: np.ndarray, r2: np.ndarray) -> float:
+    """Scalar form of ``z_quotient_distances``."""
+    return float(z_quotient_distances(r1, np.asarray(r2, dtype=float)[None])[0])
 
 
 def z_align(r: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Rz(theta*) @ r with theta* minimizing the geodesic distance to
-    ``target``; the canonical fiber representative nearest the target."""
+    ``target``; the canonical fiber representative nearest the target.
+
+    With m = r @ target.T, tr(Rz(theta) @ m) = p cos + q sin + m22, which
+    is largest at theta* = atan2(q, p).
+    """
     m = np.asarray(r, dtype=float) @ np.asarray(target, dtype=float).T
-    p, q, _ = _quotient_trace_max(m)
-    theta = float(np.arctan2(q, p))
+    theta = float(np.arctan2(m[0, 1] - m[1, 0], m[0, 0] + m[1, 1]))
     return rot_z(theta) @ r
 
 

@@ -71,6 +71,18 @@ class TestEnumerate:
         flat.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
         result = runner.invoke(main, ["enumerate", str(flat)])
         assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert f"mesh {flat}: need at least 4 points" in result.stderr
+
+    def test_coplanar_mesh_names_path_exit_3(self, runner, tmp_path):
+        flat = tmp_path / "square.obj"
+        flat.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3\nf 1 3 4\n")
+        result = runner.invoke(main, ["enumerate", str(flat)])
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        # the path and qhull's first line only, not its option dump
+        assert result.stderr.startswith(f"error: mesh {flat}: QH")
+        assert len(result.stderr.splitlines()) == 1
 
 
 class TestSettle:
@@ -128,6 +140,14 @@ class TestDatasetAndCluster:
         assert r.exit_code == 0
         model = json.loads(r.output)
         assert len(model["modes"]) == 6
+        for bandwidth in ["0", "-5", "nan", "inf"]:
+            r = runner.invoke(main, ["cluster", str(ds), "--bandwidth-deg", bandwidth])
+            assert r.exit_code == 2, bandwidth
+            assert isinstance(r.exception, SystemExit), bandwidth  # no traceback
+        # a window that holds not even its own seed used to crash
+        r = runner.invoke(main, ["cluster", str(ds), "--bandwidth-deg", "1e-300"])
+        assert r.exit_code == 0
+        assert len(json.loads(r.output)["modes"]) >= 6
 
     def test_mixed_dataset_needs_object_id(self, runner, mesh_dir, tmp_path):
         ds = tmp_path / "mixed.jsonl"
@@ -183,7 +203,16 @@ class TestEvaluate:
         assert "accuracy" in r.output and "average" in r.output
         d = json.loads(report.read_text())
         assert d["average_accuracy"] == 1.0
-        assert d["objects"][0]["diversity_quotient"] == 1.0
+        assert d["objects"][0]["diversity"] == 1.0
+        for flag, value in [("--max-delta-d", "nan"), ("--max-delta-d", "inf"),
+                            ("--max-delta-d", "0"), ("--max-delta-h", "nan")]:
+            r = runner.invoke(
+                main,
+                ["evaluate", cube, "--predictions", str(preds), "--model", str(model),
+                 flag, value],
+            )
+            assert r.exit_code == 2, (flag, value)
+            assert isinstance(r.exception, SystemExit), (flag, value)
 
     @pytest.mark.parametrize("target", ["prediction", "model mode"])
     @pytest.mark.parametrize("bad", [[2, 0, 0, 0, 2, 0, 0, 0, 2], [float("nan")] * 9])
@@ -288,11 +317,39 @@ class TestPipeline:
         assert r.exit_code == 0
         report = json.loads((tmp_path / "run_c" / "report.json").read_text())
         assert report["average_accuracy"] == 1.0
-        assert report["objects"][0]["diversity_quotient"] == 1.0
+        assert report["objects"][0]["diversity"] == 1.0
 
     def test_unknown_key_rejected(self, runner, mesh_dir, tmp_path):
         cfg = self.write_config(tmp_path, mesh_dir, "run_d", typo_key=1)
         assert runner.invoke(main, ["pipeline", str(cfg)]).exit_code == 2
+
+    @pytest.mark.parametrize("bad", [
+        {"bandwidth_deg": float("nan")},
+        {"max_delta_d_deg": float("nan")},
+        {"match_threshold_deg": float("inf")},
+        {"margin_eps": float("nan")},
+        {"gripper": {"max_width_cm": float("nan")}},
+    ])
+    def test_non_finite_number_rejected(self, runner, mesh_dir, tmp_path, bad):
+        cfg = self.write_config(tmp_path, mesh_dir, "run_d", **bad)
+        r = runner.invoke(main, ["pipeline", str(cfg)])
+        assert r.exit_code == 2
+        assert isinstance(r.exception, SystemExit)  # no traceback
+
+    def test_match_threshold_reaches_report(self, runner, mesh_dir, tmp_path):
+        diversity = []
+        for name, threshold in [("run_g", 15.0), ("run_h", 1e-9)]:
+            cfg = self.write_config(
+                tmp_path, mesh_dir, name, mesh_paths=[str(mesh_dir / "tetrahedron.obj")],
+                plan_object=None, plan_start=None, plan_goal=None,
+                match_threshold_deg=threshold,
+            )
+            assert runner.invoke(main, ["pipeline", str(cfg)]).exit_code == 0
+            report = json.loads((tmp_path / name / "report.json").read_text())
+            diversity.append(report["objects"][0]["diversity"])
+        # settled poses sit about 1e-8 rad from the cluster modes
+        assert diversity[0] == 1.0
+        assert diversity[1] < 1.0
 
     def test_single_type_diversity_exit_4(self, runner, mesh_dir, tmp_path):
         # one drop gives a one-mode type model; diversity is undefined

@@ -49,10 +49,16 @@ class TestPlacementAccuracy:
             AccuracyThresholds(max_delta_d=0.0)
         with pytest.raises(ValueError):
             AccuracyThresholds(max_delta_h=-1.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                AccuracyThresholds(max_delta_d=bad)
+            with pytest.raises(ValueError):
+                AccuracyThresholds(max_delta_h=bad)
 
 
 def five_mode_model():
-    modes = [np.eye(3), rot_x(np.pi / 2), rot_x(np.pi), rot_y(np.pi / 2), rot_y(np.pi)]
+    # five distinct up-axes: +z, +y, -z, -x, +x
+    modes = [np.eye(3), rot_x(np.pi / 2), rot_x(np.pi), rot_y(np.pi / 2), rot_y(-np.pi / 2)]
     return TypeModel(modes=modes, bandwidth=15.0 * DEG, assign_threshold=15.0 * DEG)
 
 
@@ -86,10 +92,7 @@ class TestDiversityScore:
     def test_quotient_matching_ignores_z_phase(self):
         model = five_mode_model()
         pred = [rot_z(1.3) @ rot_x(np.pi / 2)]
-        assert diversity_score(pred, model, initial_type=0) == 0.0
-        assert diversity_score(
-            pred, model, initial_type=0, use_quotient=True
-        ) == pytest.approx(0.25)
+        assert diversity_score(pred, model, initial_type=0) == pytest.approx(0.25)
 
     def test_single_type_model_rejected(self):
         model = TypeModel(modes=[np.eye(3)], bandwidth=15 * DEG, assign_threshold=15 * DEG)
@@ -103,7 +106,7 @@ class TestEvaluateRun:
         model, _ = mean_shift_orientations([p.rotation for p in preds])
         row = evaluate_run(preds, cube, model, object_id="cube")
         assert row.accuracy == 1.0
-        assert row.diversity_quotient == 1.0
+        assert row.diversity == 1.0
         assert row.n_stable == 6
 
     def test_lifted_predictions_fail_height(self, cube):
@@ -126,6 +129,18 @@ class TestEvaluateRun:
         ]
         row = evaluate_run(tilted, cube, model)
         assert row.accuracy == 1.0
+
+    def test_match_threshold(self, cube):
+        preds = enumerate_stable(cube)
+        # each mode's up-axis is 5 degrees off a placement's
+        model = TypeModel(
+            modes=[rot_x(5.0 * DEG) @ p.rotation for p in preds],
+            bandwidth=15.0 * DEG,
+            assign_threshold=15.0 * DEG,
+        )
+        assert evaluate_run(preds, cube, model).diversity == 1.0
+        row = evaluate_run(preds, cube, model, match_threshold=4.0 * DEG)
+        assert row.diversity == 0.0
 
     def test_empty_predictions_rejected(self, cube):
         model = five_mode_model()

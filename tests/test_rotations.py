@@ -18,6 +18,7 @@ from stableplace.rotations import (
     rotation_from_axis_angle,
     rotation_from_sixd,
     sixd_from_rotation,
+    z_align,
     z_quotient_distance,
     z_quotient_distances,
 )
@@ -197,10 +198,23 @@ class TestZQuotient:
         assert z_quotient_distance(rot_x(np.pi), np.eye(3)) == pytest.approx(np.pi)
 
     def test_against_dense_sweep_oracle(self):
-        thetas = np.linspace(0, 2 * np.pi, 10000, endpoint=False)
-        r1, r2 = rot_x(np.pi / 2), rot_y(np.pi / 2)
-        oracle = min(geodesic_distance(rot_z(t) @ r1, r2) for t in thetas)
-        assert z_quotient_distance(r1, r2) == pytest.approx(oracle, abs=1e-6)
+        def sweep(r1, r2, thetas):
+            c, s = np.cos(thetas), np.sin(thetas)
+            rz = np.zeros((len(thetas), 3, 3))
+            rz[:, 0, 0], rz[:, 0, 1], rz[:, 1, 0], rz[:, 1, 1] = c, -s, s, c
+            rz[:, 2, 2] = 1.0
+            t = np.einsum("kij,jl,il->k", rz, r1, r2)  # tr(Rz @ r1 @ r2.T)
+            d = np.arccos(np.clip((t - 1.0) / 2.0, -1.0, 1.0))
+            return thetas[np.argmin(d)], d.min()
+
+        pairs = [(rot_x(np.pi / 2), rot_y(np.pi / 2))]
+        pairs += list(zip(random_rotations(18, 50), random_rotations(19, 50)))
+        step = 2 * np.pi / 10000
+        for r1, r2 in pairs:
+            theta, _ = sweep(r1, r2, np.arange(10000) * step)
+            theta, oracle = sweep(r1, r2, theta + np.linspace(-step, step, 2001))
+            assert z_quotient_distance(r1, r2) == pytest.approx(oracle, abs=1e-6)
+            assert geodesic_distance(z_align(r1, r2), r2) == pytest.approx(oracle, abs=1e-6)
 
     def test_never_exceeds_geodesic(self):
         for r1, r2 in zip(random_rotations(11, 300), random_rotations(12, 300)):
