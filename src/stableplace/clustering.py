@@ -51,8 +51,10 @@ class TypeModel:
 
 
 def _angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(len(a), len(b)) angles between unit vectors."""
-    return np.arccos(np.clip(a @ b.T, -1.0, 1.0))
+    """Angles between unit vectors a[..., :] and b[..., :], broadcast.
+    The arctan2 form is exactly 0 between equal vectors, where arccos of
+    their dot product can round to 1.5e-8."""
+    return np.arctan2(np.linalg.norm(np.cross(a, b), axis=-1), np.sum(a * b, axis=-1))
 
 
 def mean_shift_orientations(
@@ -82,15 +84,15 @@ def mean_shift_orientations(
     for _ in range(max_iter):
         if not moving.size:
             break
-        sums = (_angles(means[moving], ups) <= bandwidth) @ ups
+        sums = (_angles(means[moving, None], ups) <= bandwidth) @ ups
         norms = np.linalg.norm(sums, axis=1)
         live = norms > 0  # an empty window stops its mean
         moving, new = moving[live], sums[live] / norms[live, None]
-        shift = np.arccos(np.clip(np.einsum("ij,ij->i", new, means[moving]), -1.0, 1.0))
+        shift = _angles(new, means[moving])
         means[moving] = new
         moving = moving[shift >= shift_tol]
 
-    close = (_angles(means, means) <= bandwidth).tolist()
+    close = (_angles(means[:, None], means) <= bandwidth).tolist()
     kept: list[int] = []
     for i, row in enumerate(close):
         if not any(row[k] for k in kept):
@@ -103,7 +105,7 @@ def mean_shift_orientations(
         assign_threshold=bandwidth if assign_threshold is None else assign_threshold,
     )
     mode_stack = np.stack(modes)
-    labels = np.argmin(_angles(ups, mode_stack[:, 2, :]), axis=1)
+    labels = np.argmin(_angles(ups[:, None], mode_stack[:, 2, :]), axis=1)
     return model, labels.tolist()
 
 

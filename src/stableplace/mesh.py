@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -66,26 +67,36 @@ class TriMesh:
         v = self.vertices
         f = self.faces
         a, b, c = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
-        cross = np.cross(b - a, c - a)
-        areas = 0.5 * np.linalg.norm(cross, axis=1)
-        if areas.sum() < 1e-12:
-            raise DegenerateMesh("mesh has zero surface area")
-        # signed tetrahedra against the origin (divergence theorem)
-        dets = np.einsum("ij,ij->i", a, np.cross(b, c))
-        vol = dets.sum() / 6.0
-        if self._is_watertight() and abs(vol) > 1e-12:
-            centroids = (a + b + c) / 4.0  # tetra centroid, apex at origin
-            com = (dets[:, None] * centroids).sum(axis=0) / (6.0 * vol)
-            if vol < 0:  # inward winding
-                vol = -vol
-            self.volume = float(vol)
-            self.com = com
-        else:
-            # open mesh: area-weighted surface centroid
-            self.centroid_fallback = True
-            self.volume = float(abs(vol))
-            tri_centroids = (a + b + c) / 3.0
-            self.com = (areas[:, None] * tri_centroids).sum(axis=0) / areas.sum()
+        # huge coordinates overflow to inf or nan: checked at the end
+        # instead of warned about on the way
+        with np.errstate(over="ignore", invalid="ignore"):
+            cross = np.cross(b - a, c - a)
+            areas = 0.5 * np.linalg.norm(cross, axis=1)
+            area = areas.sum()
+            if area < 1e-12:
+                raise DegenerateMesh("mesh has zero surface area")
+            # signed tetrahedra against the origin (divergence theorem)
+            dets = np.einsum("ij,ij->i", a, np.cross(b, c))
+            vol = dets.sum() / 6.0
+            if self._is_watertight() and abs(vol) > 1e-12:
+                centroids = (a + b + c) / 4.0  # tetra centroid, apex at origin
+                com = (dets[:, None] * centroids).sum(axis=0) / (6.0 * vol)
+                if vol < 0:  # inward winding
+                    vol = -vol
+                self.volume = float(vol)
+                self.com = com
+            else:
+                # open mesh: area-weighted surface centroid
+                self.centroid_fallback = True
+                self.volume = float(abs(vol))
+                tri_centroids = (a + b + c) / 3.0
+                self.com = (areas[:, None] * tri_centroids).sum(axis=0) / area
+        if not (
+            np.isfinite(area) and np.isfinite(self.volume) and np.isfinite(self.com).all()
+        ):
+            raise DegenerateMesh(
+                "area, volume or centre of mass overflows: coordinates too large"
+            )
 
     def _is_watertight(self) -> bool:
         """Every undirected edge is shared by exactly two faces."""
@@ -146,34 +157,89 @@ def load_mesh(path: str | Path) -> TriMesh:
 
 
 def _parse_obj(text: str) -> TriMesh:
-    vertices: list[list[float]] = []
-    faces: list[list[int]] = []
-    try:
-        for line_no, raw in enumerate(text.splitlines(), 1):
-            parts = raw.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            if parts[0] == "v":
-                xyz = [float(x) for x in parts[1:4]]
-                if len(xyz) < 3:
-                    raise MeshParseError(f"line {line_no}: vertex with < 3 coordinates")
-                if not all(np.isfinite(xyz)):
-                    raise MeshParseError(f"line {line_no}: non-finite vertex coordinate")
-                vertices.append(xyz)
-            elif parts[0] == "f":
-                idx = [int(p.split("/")[0]) for p in parts[1:]]
-                idx = [i - 1 if i > 0 else len(vertices) + i for i in idx]
-                if len(idx) < 3:
-                    raise MeshParseError(f"line {line_no}: face with < 3 vertices")
-                for k in range(1, len(idx) - 1):
-                    faces.append([idx[0], idx[k], idx[k + 1]])
-    except (ValueError, IndexError) as exc:
-        if isinstance(exc, MeshParseError):
-            raise
-        raise MeshParseError(str(exc)) from exc
-    if not vertices or not faces:
+    """Mesh of OBJ text.  Only lines whose first token is ``v`` or ``f``
+    count.  A vertex is the first three numbers of its line; a face index
+    is its token's text before any ``/``, 1-based, and an index i <= 0
+    counts from the vertices read so far (their number plus i).  A face
+    of k indices becomes the fan of k - 2 triangles from its first.
+
+    Each line is split once, every coordinate and index converts in one
+    pass, and the faces are gathered with array indexing.  An invalid
+    file raises the error of its first bad line, as a line-by-line read
+    would; an index outside int64 is out of range."""
+    parts = list(map(str.split, text.splitlines()))
+    heads = [p[0] if p else "" for p in parts]
+    vline = np.array([i for i, h in enumerate(heads) if h == "v"], dtype=int)
+    fline = np.array([i for i, h in enumerate(heads) if h == "f"], dtype=int)
+    vparts = [parts[i] for i in vline]
+    fparts = [parts[i] for i in fline]
+    n_coords = np.array([len(p) - 1 for p in vparts], dtype=int)
+    n_index = np.array([len(p) - 1 for p in fparts], dtype=int)
+
+    coords, bad_coord = _convert(
+        float, list(chain.from_iterable(p[1:4] for p in vparts))
+    )
+    tokens = list(chain.from_iterable(p[1:] for p in fparts))
+    if "/" in "".join(tokens):
+        tokens = [tok.split("/")[0] for tok in tokens]
+    index, bad_index = _convert(int, tokens)
+
+    # (line, rank within the line, message) of each kind's first error
+    errors = []
+    coord_end = np.cumsum(np.minimum(n_coords, 3))
+    if bad_coord is not None:
+        k, exc = bad_coord
+        errors.append((vline[np.searchsorted(coord_end, k, "right")], 0, str(exc)))
+    if bad_index is not None:
+        k, exc = bad_index
+        line = fline[np.searchsorted(np.cumsum(n_index), k, "right")]
+        errors.append((line, 0, str(exc)))
+    for lines, short, what in (
+        (vline, n_coords < 3, "vertex with < 3 coordinates"),
+        (fline, n_index < 3, "face with < 3 vertices"),
+    ):
+        if short.any():
+            line = lines[np.argmax(short)]
+            errors.append((line, 1, f"line {line + 1}: {what}"))
+    # rows of the vertices whose coordinates all converted
+    full = (n_coords >= 3) & (coord_end <= len(coords))
+    vertices = np.array(coords, dtype=float)[coord_end[full, None] - np.arange(3, 0, -1)]
+    finite = np.isfinite(vertices).all(axis=1)
+    if not finite.all():
+        line = vline[full][np.argmin(finite)]
+        errors.append((line, 2, f"line {line + 1}: non-finite vertex coordinate"))
+    if errors:
+        raise MeshParseError(min(errors)[2])
+    if not len(vline) or not len(fline):
         raise MeshParseError("no geometry found")
-    return TriMesh(np.array(vertices), np.array(faces))
+
+    try:
+        index = np.fromiter(index, dtype=np.int64, count=len(index))
+    except OverflowError:
+        raise MeshParseError("face index out of range") from None
+    read = np.repeat(np.searchsorted(vline, fline), n_index)
+    index = np.where(index > 0, index - 1, read + index)
+    # fan triangles (first, j, j + 1) of each face
+    n_tri = n_index - 2
+    first = np.repeat(np.cumsum(n_index) - n_index, n_tri)
+    j = first + np.arange(n_tri.sum()) - np.repeat(np.cumsum(n_tri) - n_tri, n_tri) + 1
+    faces = np.column_stack([index[first], index[j], index[j + 1]])
+    return TriMesh(vertices, faces)
+
+
+def _convert(conv, tokens: list[str]) -> tuple[list, tuple[int, ValueError] | None]:
+    """``conv`` of each token, up to the first it rejects, and that token's
+    position and error (None when all convert)."""
+    try:
+        return list(map(conv, tokens)), None
+    except ValueError:
+        values = []
+        for tok in tokens:
+            try:
+                values.append(conv(tok))
+            except ValueError as exc:
+                return values, (len(values), exc)
+        raise
 
 
 def save_obj(mesh: TriMesh, path: str | Path) -> None:

@@ -12,7 +12,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
 from .mesh import (
@@ -121,67 +120,126 @@ def _support_polygon(xy: np.ndarray) -> np.ndarray | None:
     return xy[h.vertices]
 
 
-def _point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+def _edge_lines(
+    poly: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Start points a, end points b, unit outward normals and lengths of
+    the edges poly[i] -> poly[i + 1] of a CCW polygon, keeping only edges
+    at least 1e-15 long."""
+    a = np.asarray(poly, dtype=float)
+    b = np.roll(a, -1, axis=0)
+    d = b - a
+    n = np.column_stack([d[:, 1], -d[:, 0]])
+    ln = np.sqrt(np.vecdot(n, n))
+    keep = ~(ln < 1e-15)
+    return a[keep], b[keep], n[keep] / ln[keep, None], ln[keep]
+
+
+def _point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distances from point p to the segments a[i] -> b[i]."""
     ab = b - a
-    denom = float(ab @ ab)
-    t = 0.0 if denom == 0 else float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
-    return float(np.linalg.norm(p - (a + t * ab)))
+    denom = np.vecdot(ab, ab)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(denom == 0, 0.0, np.clip(np.vecdot(p - a, ab) / denom, 0.0, 1.0))
+    r = p - (a + t[:, None] * ab)
+    return np.sqrt(np.vecdot(r, r))
 
 
 def signed_polygon_margin(p: np.ndarray, poly: np.ndarray) -> float:
     """Distance from p to the boundary of a CCW convex polygon; positive
     inside, negative outside."""
-    k = len(poly)
-    inside = True
-    min_edge = np.inf
-    min_bound = np.inf
-    for i in range(k):
-        a, b = poly[i], poly[(i + 1) % k]
-        d = b - a
-        n = np.array([d[1], -d[0]])
-        ln = np.linalg.norm(n)
-        if ln < 1e-15:
-            continue
-        n /= ln
-        s = float(n @ (p - a))  # positive on the outward side
-        if s > 0:
-            inside = False
-        min_edge = min(min_edge, -s)
-        min_bound = min(min_bound, _point_segment_distance(p, a, b))
-    return min_edge if inside else -min_bound
+    a, b, n, _ = _edge_lines(poly)
+    s = np.vecdot(n, p - a)  # positive on the outward side
+    if np.any(s > 0):
+        return -float(_point_segment_distance(p, a, b).min())
+    return float((-s).min(initial=np.inf))
 
 
 def nearest_polygon_edge(p: np.ndarray, poly: np.ndarray) -> int:
     """Index of the polygon edge nearest to p (lowest index on ties)."""
-    k = len(poly)
-    dists = [_point_segment_distance(p, poly[i], poly[(i + 1) % k]) for i in range(k)]
-    return int(np.argmin(dists))
+    return int(np.argmin(_point_segment_distance(p, poly, np.roll(poly, -1, axis=0))))
 
 
 def polygon_inradius(poly: np.ndarray) -> float:
-    """Chebyshev radius of a CCW convex polygon."""
-    rows, rhs = [], []
-    k = len(poly)
-    for i in range(k):
-        a, b = poly[i], poly[(i + 1) % k]
+    """Chebyshev radius of a CCW convex polygon: the radius of its largest
+    inscribed circle, 0 when no three edges bound a region.
+
+    A triangle's is 2 * area / perimeter.  Otherwise consecutive edges
+    that turn by at most 1e-12 rad are treated as one line, and
+    ``_chebyshev_radius`` solves for the radius exactly."""
+    a, b, n, ln = _edge_lines(poly)
+    if len(poly) == 3 and len(n) == 3:
         d = b - a
-        n = np.array([d[1], -d[0]])
-        ln = np.linalg.norm(n)
-        if ln < 1e-15:
-            continue
-        n /= ln
-        rows.append([n[0], n[1], 1.0])
-        rhs.append(float(n @ a))
-    if len(rows) < 3:
-        return 0.0
-    res = linprog(
-        c=[0.0, 0.0, -1.0],
-        A_ub=np.array(rows),
-        b_ub=np.array(rhs),
-        bounds=[(None, None), (None, None), (0, None)],
-        method="highs",
+        area2 = float(d[0, 0] * d[1, 1] - d[0, 1] * d[1, 0])
+        return max(area2 / float(ln.sum()), 0.0)
+    prev = np.roll(n, 1, axis=0)
+    straight = (np.vecdot(prev, n) > 0) & (
+        np.abs(prev[:, 0] * n[:, 1] - prev[:, 1] * n[:, 0]) <= 1e-12
     )
-    return float(res.x[2]) if res.success else 0.0
+    n, a = n[~straight], a[~straight]
+    if len(n) < 3:
+        return 0.0
+    return _chebyshev_radius(n, np.vecdot(n, a - a.mean(axis=0)))
+
+
+def _chebyshev_radius(n: np.ndarray, b: np.ndarray) -> float:
+    """Largest t such that some x has n @ x + t <= b, for unit normals n
+    in CCW order, each turned by less than pi from the one before.
+
+    Dual simplex over three-edge bases.  A basis is three edge lines whose
+    normals positively span the plane, with weights lam = c / s >= 0
+    (c the cross products of the other two normals, s their sum).  The
+    circle tangent to all three has radius t = lam @ b[basis], an upper
+    bound on the answer by LP duality.  Its centre, checked against every
+    other edge, proves t optimal once no edge is violated by more than
+    rounding.  Otherwise the most violated edge (lowest index on ties)
+    enters, and the ratio test picks the line it replaces, which lowers
+    t.  The new basis's sum(c) is the ratio test's positive pivot, so
+    s > 0 holds throughout once it holds at the start.  Returns 0 when
+    the half-planes have no common point, as for a clockwise polygon."""
+    k = len(n)
+    nx, ny, bl = n[:, 0].tolist(), n[:, 1].tolist(), b.tolist()
+
+    def cross(i: int, j: int) -> float:
+        return nx[i] * ny[j] - ny[i] * nx[j]
+
+    def weights(i: int, j: int, l: int) -> tuple[float, float, float]:
+        return cross(j, l), cross(l, i), cross(i, j)
+
+    # edge 0, the last edge turned by at most pi from it and the edge after
+    # that: the turns between the three are each at most pi
+    j0 = int(np.flatnonzero(nx[0] * n[:, 1] - ny[0] * n[:, 0] >= 0)[-1])
+    basis = [0, j0, (j0 + 1) % k]
+    c = weights(*basis)
+    if not sum(c) > 0:  # the edges turn clockwise: no common point
+        return 0.0
+    tol = 1e-14 * float(np.abs(b).max())  # rounding in the violations
+    # pivots only lower t; the cap ends a rounding cycle between bases
+    for _ in range(3 * k):
+        i, j, l = basis
+        t = (bl[i] * c[0] + bl[j] * c[1] + bl[l] * c[2]) / sum(c)
+        # the centre, from the two basis lines meeting at the widest angle
+        p, q = max((i, j), (j, l), (l, i), key=lambda e: abs(cross(*e)))
+        det = cross(p, q)
+        x = ((bl[p] - t) * ny[q] - (bl[q] - t) * ny[p]) / det
+        y = ((bl[q] - t) * nx[p] - (bl[p] - t) * nx[q]) / det
+        v = n @ np.array([x, y]) + (t - b)
+        v[basis] = -np.inf
+        m = int(np.argmax(v))
+        if v[m] <= tol:
+            break
+        # the entering column (n_m, 1) in basis coordinates, times sum(c)
+        dm = (
+            c[0] + cross(l, m) + cross(m, j),
+            c[1] + cross(i, m) + cross(m, l),
+            c[2] + cross(j, m) + cross(m, i),
+        )
+        ratios = [(c[r] / dm[r], r) for r in range(3) if dm[r] > 0]
+        if not ratios:  # t falls without bound: the half-planes are disjoint
+            return 0.0
+        basis[min(ratios)[1]] = m
+        c = weights(*basis)
+    return max(t, 0.0)
 
 
 # --- stability -----------------------------------------------------------------
@@ -202,13 +260,9 @@ def _contact_margin(
         return signed_polygon_margin(com_xy, poly), xy
     if len(xy) == 1:
         return -float(np.linalg.norm(com_xy - xy[0])), xy
-    # segment support
-    d = min(
-        _point_segment_distance(com_xy, xy[i], xy[j])
-        for i in range(len(xy))
-        for j in range(i + 1, len(xy))
-    )
-    return -float(d), xy
+    # segment support: the nearest of the segments between contact pairs
+    i, j = np.triu_indices(len(xy), 1)
+    return -float(_point_segment_distance(com_xy, xy[i], xy[j]).min()), xy
 
 
 def stability_check(

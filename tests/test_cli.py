@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +77,21 @@ class TestEnumerate:
         assert result.exit_code == 3
         assert isinstance(result.exception, SystemExit)  # no traceback
         assert f"mesh {flat}: need at least 4 points" in result.stderr
+
+    def test_huge_coordinates_exit_3_one_line(self, tmp_path):
+        # the mass properties overflowed with two numpy warnings on stderr;
+        # a separate process shows the warnings pytest would capture
+        huge = tmp_path / "huge.obj"
+        huge.write_text(
+            "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1e308\nv 1 1 1\n"
+            "f 1 2 3\nf 1 2 4\nf 1 3 4\nf 2 3 4\nf 2 3 5\n"
+        )
+        result = _run_python("-m", "stableplace.cli", "enumerate", str(huge))
+        assert result.returncode == 3
+        assert result.stderr.splitlines() == [
+            f"error: mesh {huge}: area, volume or centre of mass overflows: "
+            "coordinates too large"
+        ]
 
     def test_coplanar_mesh_names_path_exit_3(self, runner, tmp_path):
         flat = tmp_path / "square.obj"
@@ -373,3 +392,24 @@ class TestPipeline:
         poses = json.loads((tmp_path / "run_f" / "poses.json").read_text())
         assert len(poses) == 5
         assert all(len(p["rotation"]) == 9 for p in poses)
+
+
+def _run_python(*args):
+    """``python *args`` in a new process that imports the package from src."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # the support-polygon radius needs no LP solver, so no process pays
+    # for importing one
+    out = _run_python(
+        "-c", "import sys, stableplace.cli; print('scipy.optimize' in sys.modules)"
+    )
+    assert out.returncode == 0
+    assert out.stdout.strip() == "False"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -8,9 +10,11 @@ from stableplace import fixtures
 from stableplace.mesh import (
     CollinearContacts,
     DegenerateHull,
+    DegenerateMesh,
     MeshParseError,
     TriMesh,
     ZeroPlaneVector,
+    _parse_obj,
     apply_refinement_transform,
     convex_hull,
     load_mesh,
@@ -78,6 +82,162 @@ class TestLoadMesh:
         m = load_mesh(path)
         assert m.centroid_fallback
         assert np.allclose(m.com, [1.0, 1.0, 0.0])
+
+    def test_huge_coordinates_degenerate_without_warnings(self, tmp_path, recwarn):
+        path = tmp_path / "huge.obj"
+        path.write_text(
+            "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1e308\nv 1 1 1\n"
+            "f 1 2 3\nf 1 2 4\nf 1 3 4\nf 2 3 4\nf 2 3 5\n"
+        )
+        with pytest.raises(DegenerateMesh, match=f"mesh {path}: .*overflows"):
+            load_mesh(path)
+        assert not recwarn.list
+
+
+def _reference_parse_obj(text):
+    """The line-by-line parser that ``_parse_obj`` replaced."""
+    vertices = []
+    faces = []
+    try:
+        for line_no, raw in enumerate(text.splitlines(), 1):
+            parts = raw.split()
+            if not parts or parts[0].startswith("#"):
+                continue
+            if parts[0] == "v":
+                xyz = [float(x) for x in parts[1:4]]
+                if len(xyz) < 3:
+                    raise MeshParseError(f"line {line_no}: vertex with < 3 coordinates")
+                if not all(np.isfinite(xyz)):
+                    raise MeshParseError(f"line {line_no}: non-finite vertex coordinate")
+                vertices.append(xyz)
+            elif parts[0] == "f":
+                idx = [int(p.split("/")[0]) for p in parts[1:]]
+                idx = [i - 1 if i > 0 else len(vertices) + i for i in idx]
+                if len(idx) < 3:
+                    raise MeshParseError(f"line {line_no}: face with < 3 vertices")
+                for k in range(1, len(idx) - 1):
+                    faces.append([idx[0], idx[k], idx[k + 1]])
+    except (ValueError, IndexError) as exc:
+        if isinstance(exc, MeshParseError):
+            raise
+        raise MeshParseError(str(exc)) from exc
+    if not vertices or not faces:
+        raise MeshParseError("no geometry found")
+    return TriMesh(np.array(vertices), np.array(faces))
+
+
+# str.split whitespace includes no-break space and \x1f, which do not
+# end a line
+_SPACE = st.sampled_from([" ", "  ", "\t", " \t ", "\xa0", "\x1f"])
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, width=64).map(repr),
+    st.floats(min_value=-3.0, max_value=3.0).map(lambda x: f"{x:.3f}"),
+    st.integers(-5, 5).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "+NaN", "1e400", "-1e308", "1_0", "٣",
+                     "abc", "1.2.3", "0x10", "", "1e", "-"]),
+)
+_INDEX = st.one_of(
+    st.integers(-6, 9).map(str),
+    st.tuples(st.integers(-6, 9), st.sampled_from(["/1", "/2/3", "//4", "/", "/x"])).map(
+        lambda t: f"{t[0]}{t[1]}"
+    ),
+    st.sampled_from(["0", "x", "/3", "1.5", "+2", "٣", "9223372036854775808",
+                     "-9223372036854775809", "99999999999999999999999"]),
+)
+
+
+def _record(head, token):
+    return st.lists(st.tuples(_SPACE, token), max_size=6).map(
+        lambda toks: head + "".join(space + tok for space, tok in toks)
+    )
+
+
+_LINE = st.one_of(
+    _record("v", _NUMBER),
+    _record("v", _NUMBER),
+    _record("f", _INDEX),
+    _record("f", _INDEX),
+    st.sampled_from(["", "   ", "# comment", "#v 1 2 3", "vt 0.5 0.5", "vn 0 0 1",
+                     "o thing", "v1 2 3", " v 0 0 0", "f", "v"]),
+)
+_COORD = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.floats(-10.0, 10.0).map(repr),
+    st.floats(-1.0, 1.0).map(lambda x: f"{x:.4e}"),
+)
+_FILLER = st.sampled_from(["", "  ", "# c", "vn 0 0 1", "o part"])
+
+
+@st.composite
+def _valid_obj_lines(draw):
+    """Lines of a parseable OBJ: 4-12 vertices, some with a fourth
+    number, then polygons indexing them from either end, some as a/b/c;
+    blank and comment lines anywhere."""
+    n = draw(st.integers(4, 12))
+    lines = [
+        "v " + " ".join(draw(st.lists(_COORD, min_size=3, max_size=4)))
+        for _ in range(n)
+    ]
+    for _ in range(draw(st.integers(1, 10))):
+        index = st.one_of(st.integers(1, n), st.integers(-n, -1))
+        face = draw(st.lists(index, min_size=3, max_size=6))
+        tail = draw(st.sampled_from(["", "/1", "/1/2", "//3"]))
+        lines.append("f " + " ".join(f"{i}{tail}" for i in face))
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_FILLER))
+    return lines
+
+
+def _outcome(parse, text):
+    try:
+        mesh = parse(text)
+    except Exception as exc:  # the outcome is compared, not raised
+        return type(exc), str(exc)
+    return mesh.vertices, mesh.faces
+
+
+class TestParseObjFuzz:
+    """``_parse_obj`` against the line-by-line parser on the same text:
+    bitwise-equal vertices and faces, or the same error."""
+
+    @staticmethod
+    def check(lines, ends):
+        text = "".join(line + end for line, end in zip(lines, ends + ["\n"] * len(lines)))
+        got, want = _outcome(_parse_obj, text), _outcome(_reference_parse_obj, text)
+        if want[0] is OverflowError:
+            # an index beyond int64 was an OverflowError traceback; it is a
+            # face index out of range now
+            assert got == (MeshParseError, "face index out of range")
+        elif isinstance(want[0], type):
+            assert got == want
+        else:
+            assert got[0].dtype == want[0].dtype and got[1].dtype == want[1].dtype
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @settings(max_examples=250, deadline=None)
+    @given(
+        st.lists(_LINE, max_size=30),
+        st.lists(st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\u2028"]), max_size=30),
+    )
+    def test_any_text(self, lines, ends):
+        self.check(lines, ends)
+
+    @settings(max_examples=120, deadline=None)
+    @given(_valid_obj_lines(), st.lists(st.sampled_from(["\n", "\r\n"]), max_size=40))
+    def test_valid_text(self, lines, ends):
+        self.check(lines, ends)
+
+    def test_negative_index_counts_vertices_read_so_far(self):
+        # 0 is the next vertex to be read, here one read after the face
+        text = "v 0 0 0\nv 1 0 0\nv 0 1 0\nf -3 -2 -1\nv 0 0 1\nf -4 -3 -1 0\nv 1 1 1\n"
+        assert _parse_obj(text).faces.tolist() == [[0, 1, 2], [0, 1, 3], [0, 3, 4]]
+
+    def test_first_bad_line_wins(self):
+        text = "v 0 0\nv 0 0 x\nf 1 2\n"
+        with pytest.raises(MeshParseError, match="^line 1: vertex with < 3"):
+            _parse_obj(text)
+        with pytest.raises(MeshParseError, match="^could not convert string to float: 'x'"):
+            _parse_obj(text.replace("v 0 0\n", ""))
 
 
 class TestWatertight:

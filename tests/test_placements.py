@@ -1,7 +1,9 @@
 import json
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
 from conftest import drifting_arc, ellipsoid, ngon_prism, sheared_wedge
@@ -16,8 +18,11 @@ from stableplace.mesh import (
 from stableplace.placements import (
     CONTACT_TOL,
     Placement,
+    _contact_margin,
+    _point_segment_distance,
     enumerate_stable,
     generate_dataset,
+    nearest_polygon_edge,
     polygon_inradius,
     settle,
     signed_polygon_margin,
@@ -208,8 +213,9 @@ class TestSettle:
 
     @pytest.mark.parametrize("name", [*fixtures.standard_fixtures(), "ellipsoid_s2"])
     def test_score_matches_world_contact_polygon(self, name):
-        """The memoized body-frame inradius gives the score a fresh LP on
-        the world contact polygon of each settled pose would give."""
+        """The memoized body-frame inradius gives the score a fresh
+        inradius of the world contact polygon of each settled pose would
+        give."""
         if name == "ellipsoid_s2":
             sphere = fixtures.icosphere(0.05, 2)
             mesh = TriMesh(sphere.vertices * np.array([1.0, 0.8, 0.6]), sphere.faces)
@@ -279,3 +285,260 @@ class TestGenerateDataset:
             d = rec.to_json_dict()
             back = PlacementRecord.from_json_dict(json.loads(json.dumps(d)))
             assert back.to_json_dict() == d
+
+
+# --- support-polygon geometry against the LP and loop references -------------
+
+
+def _lp_inradius(poly):
+    """Chebyshev radius as one HiGHS LP over the edge lines: the reference
+    the exact ``polygon_inradius`` replaced.  Only tests import
+    scipy.optimize."""
+    rows, rhs = [], []
+    k = len(poly)
+    for i in range(k):
+        a, b = poly[i], poly[(i + 1) % k]
+        d = b - a
+        n = np.array([d[1], -d[0]])
+        ln = np.linalg.norm(n)
+        if ln < 1e-15:
+            continue
+        n /= ln
+        rows.append([n[0], n[1], 1.0])
+        rhs.append(float(n @ a))
+    if len(rows) < 3:
+        return 0.0
+    res = linprog(
+        c=[0.0, 0.0, -1.0],
+        A_ub=np.array(rows),
+        b_ub=np.array(rhs),
+        bounds=[(None, None), (None, None), (0, None)],
+        method="highs",
+    )
+    return float(res.x[2]) if res.success else 0.0
+
+
+def _reference_inradius(poly):
+    """The LP on the polygon moved to its vertex mean and scaled by a power
+    of two (exactly) so that its radius is near 1.  HiGHS's feasibility
+    tolerances are absolute (1e-7), so unscaled it is off by up to 1e-3
+    relative on millimetre polygons and by 7.6e-13 on a triangle of radius
+    8.7e-5; rescaled it agrees with the exact optimum of the same lines."""
+    poly = np.asarray(poly, dtype=float)
+    poly = poly - poly.mean(axis=0)
+    r = _lp_inradius(poly)
+    if r <= 0:
+        return r
+    s = 2.0 ** -np.round(np.log2(r))
+    return _lp_inradius(poly * s) / s
+
+
+def _random_convex(rng, k, scale):
+    """CCW convex polygon with at least 3 of k random points on an ellipse,
+    rotated and moved off the origin."""
+    while True:
+        ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, k))
+        axes = rng.uniform(0.5, 1.0) * np.array([1.0, rng.uniform(0.05, 1.0)])
+        pts = np.column_stack([np.cos(ang), np.sin(ang)]) * axes
+        pts = pts[ConvexHull(pts).vertices]
+        if len(pts) >= 3:
+            return (_rotate2(pts, rng.uniform(0.0, 2.0 * np.pi)) + rng.normal(size=2)) * scale
+
+
+def _rotate2(pts, theta):
+    c, s = np.cos(theta), np.sin(theta)
+    return pts @ np.array([[c, s], [-s, c]])
+
+
+def _regular(k, radius=1.0, phase=0.3):
+    ang = phase + 2.0 * np.pi * np.arange(k) / k
+    return radius * np.column_stack([np.cos(ang), np.sin(ang)]) + np.array([5.0, -2.0])
+
+
+def _assert_matches_lp(poly, rel=1e-12):
+    got, ref = polygon_inradius(poly), _reference_inradius(poly)
+    assert ref > 0
+    assert abs(got - ref) <= rel * ref, (len(poly), got, ref)
+
+
+def _loop_signed_polygon_margin(p, poly):
+    k = len(poly)
+    inside = True
+    min_edge = np.inf
+    min_bound = np.inf
+    for i in range(k):
+        a, b = poly[i], poly[(i + 1) % k]
+        d = b - a
+        n = np.array([d[1], -d[0]])
+        ln = np.linalg.norm(n)
+        if ln < 1e-15:
+            continue
+        n /= ln
+        s = float(n @ (p - a))
+        if s > 0:
+            inside = False
+        min_edge = min(min_edge, -s)
+        min_bound = min(min_bound, _loop_point_segment_distance(p, a, b))
+    return min_edge if inside else -min_bound
+
+
+def _loop_point_segment_distance(p, a, b):
+    ab = b - a
+    denom = float(ab @ ab)
+    t = 0.0 if denom == 0 else float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
+    return float(np.linalg.norm(p - (a + t * ab)))
+
+
+def _loop_nearest_polygon_edge(p, poly):
+    k = len(poly)
+    dists = [
+        _loop_point_segment_distance(p, poly[i], poly[(i + 1) % k]) for i in range(k)
+    ]
+    return int(np.argmin(dists))
+
+
+def _loop_segment_support_margin(com_xy, xy):
+    return -float(
+        min(
+            _loop_point_segment_distance(com_xy, xy[i], xy[j])
+            for i in range(len(xy))
+            for j in range(i + 1, len(xy))
+        )
+    )
+
+
+class TestPolygonInradius:
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e2])
+    def test_random_convex_polygons(self, scale):
+        rng = np.random.default_rng(int(scale * 1e3))
+        for _ in range(150):
+            _assert_matches_lp(_random_convex(rng, int(rng.integers(3, 65)), scale))
+
+    def test_rectangles(self):
+        # parallel edges: the centre is not unique, the radius is
+        for w in (3.0, 1.0, 0.5, 1e-2):
+            for theta in (0.0, 0.1, np.pi / 4, 2.0):
+                rect = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, w], [0.0, w]])
+                rect = _rotate2(rect, theta) + 1.0
+                _assert_matches_lp(rect)
+                assert polygon_inradius(rect) == pytest.approx(min(w, 1.0) / 2, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8, 12, 31, 32, 33, 64])
+    def test_regular_polygons(self, k):
+        # every edge touches the incircle: every triple ties
+        poly = _regular(k, radius=2.0)
+        _assert_matches_lp(poly)
+        assert polygon_inradius(poly) == pytest.approx(2.0 * np.cos(np.pi / k), rel=1e-12)
+
+    def test_slivers(self):
+        # width 1e-2 of the length.  Both methods lose about eps * length /
+        # radius to rounding, so thinner needles get their own test
+        rng = np.random.default_rng(5)
+        for k in (3, 4, 5, 8, 16, 32, 64):
+            needle = _regular(k) * np.array([1.0, 1e-2])
+            _assert_matches_lp(_rotate2(needle, rng.uniform(0.0, 2.0 * np.pi)))
+        for k in (8, 16, 40, 64) * 10:
+            poly = _random_convex(rng, k, 1.0) * np.array([1.0, 1e-2])
+            _assert_matches_lp(_rotate2(poly, rng.uniform(0.0, 2.0 * np.pi)))
+
+    def test_needle_triangles(self):
+        # radius down to 1e-6 of the length: 2 * area / perimeter against
+        # the same formula in 50 digits.  Over 2000 such triangles this is
+        # off by at most 5.3e-11 relative, and the LP by 8.8e-11
+        rng = np.random.default_rng(7)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for _ in range(200):
+                apex = [rng.uniform(), 10 ** rng.uniform(-6, -2)]
+                tri = np.array([[0.0, 0.0], [1.0, 0.0], apex])
+                tri = _rotate2(tri, rng.uniform(0.0, 2.0 * np.pi)) + rng.normal(size=2)
+                pts = [(Decimal(float(x)), Decimal(float(y))) for x, y in tri]
+                d = [(q[0] - p[0], q[1] - p[1]) for p, q in zip(pts, pts[1:] + pts[:1])]
+                area2 = d[0][0] * d[1][1] - d[0][1] * d[1][0]
+                exact = float(area2 / sum((x * x + y * y).sqrt() for x, y in d))
+                assert polygon_inradius(tri) == pytest.approx(exact, rel=1e-10, abs=0.0)
+
+    def test_repeated_and_collinear_vertices(self):
+        rng = np.random.default_rng(6)
+        for _ in range(100):
+            poly = _random_convex(rng, int(rng.integers(3, 40)), 1.0)
+            _assert_matches_lp(np.repeat(poly, rng.integers(1, 4, len(poly)), axis=0))
+            # midpoints on some edges, and a third point on others; the
+            # polygon may start at any of them
+            nxt = np.roll(poly, -1, axis=0)
+            out = []
+            for p, q, c in zip(poly, nxt, rng.integers(0, 3, len(poly))):
+                out += [p] + [p + (q - p) * f for f in ((), (0.5,), (0.25, 0.75))[c]]
+            _assert_matches_lp(np.roll(np.array(out), -int(rng.integers(len(out))), axis=0))
+
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            [],
+            [[1.0, 2.0]],
+            [[0.0, 0.0], [1.0, 1.0]],
+            [[1.0, 1.0]] * 5,
+            [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
+            [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.0, 0.0]],
+            [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]],
+            [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]],  # clockwise
+            [[0.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.0]],  # clockwise
+        ],
+    )
+    def test_degenerate_is_zero(self, poly):
+        poly = np.array(poly, dtype=float).reshape(-1, 2)
+        assert polygon_inradius(poly) == 0.0
+        if len(poly):
+            assert _lp_inradius(poly) == 0.0
+
+
+class TestEdgeArrays:
+    """The array edge functions give the bits of the per-edge loops."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(8)
+        for trial in range(300):
+            poly = _random_convex(rng, int(rng.integers(3, 40)), [1e-3, 1.0, 1e2][trial % 3])
+            if trial % 4 == 0:
+                poly = np.repeat(poly, 2, axis=0)  # zero-length edges
+            lo, hi = poly.min(axis=0), poly.max(axis=0)
+            span = hi - lo
+            points = [rng.uniform(lo - span, hi + span) for _ in range(4)]
+            points += [poly.mean(axis=0), poly[0], (poly[0] + poly[1]) / 2]
+            for p in points:
+                yield p, poly
+
+    def test_signed_polygon_margin(self):
+        for p, poly in self.cases():
+            got = signed_polygon_margin(p, poly)
+            assert type(got) is float
+            assert got == _loop_signed_polygon_margin(p, poly)
+
+    def test_nearest_polygon_edge(self):
+        for p, poly in self.cases():
+            assert nearest_polygon_edge(p, poly) == _loop_nearest_polygon_edge(p, poly)
+
+    def test_nearest_edge_lowest_index_on_ties(self):
+        square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        assert nearest_polygon_edge(np.array([0.5, 0.5]), square) == 0
+        assert nearest_polygon_edge(np.array([2.0, 2.0]), square) == 1
+
+    def test_point_segment_distances(self):
+        for p, poly in self.cases():
+            b = np.roll(poly, -1, axis=0)
+            got = _point_segment_distance(p, poly, b)
+            want = [_loop_point_segment_distance(p, x, y) for x, y in zip(poly, b)]
+            assert got.tolist() == want
+
+    def test_segment_support_margin(self):
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            # collinear contacts: point, segment and repeated-point supports
+            t = np.sort(rng.uniform(-1.0, 1.0, int(rng.integers(2, 7))))
+            xy = rng.normal(size=2) + np.outer(t, rng.normal(size=2))
+            world = np.column_stack([xy, np.zeros(len(xy))])
+            com = rng.normal(size=2)
+            margin, contacts = _contact_margin(world, com, CONTACT_TOL)
+            assert np.array_equal(contacts, xy)
+            assert margin == _loop_segment_support_margin(com, xy)
