@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
-"""Settle each built-in fixture from many random orientations and report
-how often each enumerated placement class is reached, the tip-count
-distribution, and the wall-clock cost per settle.
+"""Settle each built-in fixture and the s = 3 squashed icosphere from many
+random orientations and report how often each enumerated placement class
+is reached, the tip-count distribution, how many drops had their COM
+rise, what share of tips came from the mesh's pivot table, and the
+wall-clock cost per settle.
 """
 
 import argparse
@@ -9,9 +11,28 @@ import time
 
 import numpy as np
 
-from stableplace.fixtures import standard_fixtures
+from stableplace import placements
+from stableplace.fixtures import icosphere, standard_fixtures
+from stableplace.mesh import TriMesh
 from stableplace.placements import enumerate_stable, settle
 from stableplace.rotations import random_rotation, z_quotient_distances
+
+
+def squashed_icosphere(subdivisions: int) -> TriMesh:
+    """Icosphere of radius 0.05 squashed to (1, 0.8, 0.6)."""
+    sphere = icosphere(0.05, subdivisions)
+    return TriMesh(sphere.vertices * np.array([1.0, 0.8, 0.6]), sphere.faces)
+
+
+def count_calls(fn):
+    """fn, counting its calls in the wrapper's ``calls`` attribute."""
+
+    def wrapper(*args, **kwargs):
+        wrapper.calls += 1
+        return fn(*args, **kwargs)
+
+    wrapper.calls = 0
+    return wrapper
 
 
 def main():
@@ -20,11 +41,16 @@ def main():
     ap.add_argument("--seed", type=int, default=42)
     args = ap.parse_args()
 
-    for name, mesh in standard_fixtures().items():
+    # every tip that does not come from the pivot table asks _pivot_axis
+    full_path = placements._pivot_axis = count_calls(placements._pivot_axis)
+    objects = dict(standard_fixtures(), ellipsoid_s3=squashed_icosphere(3))
+    for name, mesh in objects.items():
         enum = enumerate_stable(mesh)
         modes = np.stack([p.rotation for p in enum])
         counts = np.zeros(len(enum), dtype=int)
         tips = []
+        rises = 0
+        full_path.calls = 0
         rng = np.random.default_rng(args.seed)
         start = time.perf_counter()
         for _ in range(args.drops):
@@ -32,11 +58,15 @@ def main():
             k = int(np.argmin(z_quotient_distances(p.rotation, modes)))
             counts[k] += 1
             tips.append(len(trace) - 1)
+            rises += max(np.diff(trace), default=0.0) > 1e-9
         elapsed = time.perf_counter() - start
         tips = np.array(tips)
+        table_share = 1.0 - full_path.calls / tips.sum() if tips.sum() else 0.0
         print(f"\n{name}: {len(enum)} classes, {args.drops} drops, "
               f"{1e3 * elapsed / args.drops:.2f} ms/settle")
-        print(f"  tips: median {int(np.median(tips))}, max {tips.max()}")
+        print(f"  tips: median {int(np.median(tips))}, max {tips.max()}, "
+              f"{table_share:.1%} from the pivot table")
+        print(f"  drops whose COM rose: {rises}")
         for k, p in enumerate(enum):
             share = counts[k] / args.drops
             print(f"  class {k}: margin {p.stability_margin:.3f}  "

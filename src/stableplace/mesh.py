@@ -42,9 +42,9 @@ class ZeroPlaneVector(ValueError):
 class TriMesh:
     """Triangle mesh with its uniform-density volume and COM.
 
-    Treated as immutable after construction: its convex hull and the
-    inradii of its resting contact sets are cached on first use, so
-    changing ``vertices`` or ``faces`` in place leaves them stale.
+    Treated as immutable after construction: its convex hull, its pivot
+    table and the inradii of its resting contact sets are cached on first
+    use, so changing ``vertices`` or ``faces`` in place leaves them stale.
     """
 
     vertices: np.ndarray  # (N, 3)
@@ -122,6 +122,12 @@ class TriMesh:
         ``hull.vertices``) to its support-polygon inradius, filled lazily
         by ``placements.settle``."""
         return {}
+
+    @cached_property
+    def pivot_table(self) -> "PivotTable":
+        """Pivot edge of each hull triangle resting alone on the plane,
+        built on first use by ``placements.settle``."""
+        return PivotTable.build(self.hull, self.com)
 
     def face_normals(self) -> np.ndarray:
         v, f = self.vertices, self.faces
@@ -412,6 +418,113 @@ def _convex_order_2d(uv: np.ndarray) -> np.ndarray:
         d = uv - uv.mean(axis=0)
         axis = d[np.argmax(np.linalg.norm(d, axis=1))]
         return np.argsort(d @ axis)
+
+
+# --- one-triangle supports ----------------------------------------------------
+
+
+def _edge_line_distances(
+    hull: TriMesh, normals: np.ndarray, com: np.ndarray
+) -> np.ndarray:
+    """(F, 3) in-plane signed distances from ``com`` to the line of each
+    hull triangle's edge k (vertex k to k + 1), positive inward.
+    Degenerate triangles give NaN."""
+    tri = hull.vertices[hull.faces]  # (F, 3, 3)
+    edge = np.roll(tri, -1, axis=1) - tri
+    inward = np.cross(normals[:, None, :], edge)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.einsum("fkj,fkj->fk", inward, com - tri) / np.linalg.norm(
+            inward, axis=2
+        )
+
+
+def _com_margin_bounds(
+    hull: TriMesh, normals: np.ndarray, com: np.ndarray
+) -> np.ndarray:
+    """Per hull triangle, an upper bound on the COM margin it would give
+    as a one-triangle facet: the in-plane signed distance from the COM to
+    each edge line, positive inward, minimized over the three edges.
+
+    Inside the triangle this is the margin itself.  Outside, the distance
+    to the triangle is at least the distance to any edge line it lies
+    beyond, so the bound is at least the (negative) margin.  Degenerate
+    triangles give NaN."""
+    return _edge_line_distances(hull, normals, com).min(axis=1)
+
+
+def _nearest_edge(dist: np.ndarray, beyond: np.ndarray) -> np.ndarray:
+    """Index, along the last axis, of the edge nearest a point, from the
+    point's distances to the edge segments and its signed distances beyond
+    the edge lines (positive outside).
+
+    Edges within 1e-12 (relative) of the nearest distance tie, and the
+    tie goes to the edge whose line the point lies furthest beyond, then
+    to the lowest index.  When the nearest point is a vertex, both of its
+    edges are equally near; pivoting about one whose line the COM lies
+    inside would press the support into the plane and raise the COM, so
+    the rule takes the other."""
+    near = dist <= dist.min(axis=-1, keepdims=True) * (1.0 + 1e-12)
+    return np.argmax(np.where(near, beyond, -np.inf), axis=-1)
+
+
+@dataclass(frozen=True)
+class PivotTable:
+    """Where each hull triangle tips when it alone rests on the plane.
+
+    Row r belongs to the triangle whose ascending hull-vertex triple
+    (i, j, k) has key ``keys[r]`` = (i * n + j) * n + k, n being
+    ``n_vertices``; rows are sorted by key.  ``bound[r]`` is the
+    triangle's ``_com_margin_bounds`` value and ``edge[r]`` its pivot
+    edge: the (start, end) hull-vertex indices of the edge nearest the
+    COM's projection onto the triangle's plane (``_nearest_edge``), in the
+    counter-clockwise order of the triangle resting on the plane, seen
+    from above.  Everything is in the body frame."""
+
+    n_vertices: int
+    keys: np.ndarray  # (T,) int64, ascending
+    bound: np.ndarray  # (T,)
+    edge: np.ndarray  # (T, 2)
+
+    @classmethod
+    def build(cls, hull: TriMesh, com: np.ndarray) -> "PivotTable":
+        """Table of every triangle of ``hull``, vectorized over them.  A
+        hull of more than 2**21 vertices, whose keys would overflow int64,
+        gets an empty table."""
+        n = len(hull.vertices)
+        if n > 2**21:
+            return cls(n, np.empty(0, np.int64), np.empty(0), np.empty((0, 2), int))
+        faces = hull.faces
+        normals = hull.face_normals()
+        inward = _edge_line_distances(hull, normals, com)
+        # distances from the COM's projection onto each plane to the edges
+        tri = hull.vertices[faces]
+        ab = np.roll(tri, -1, axis=1) - tri
+        p = com - np.einsum("fj,fj->f", com - tri[:, 0], normals)[:, None] * normals
+        ap = p[:, None, :] - tri
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.clip(
+                np.einsum("fkj,fkj->fk", ap, ab) / np.einsum("fkj,fkj->fk", ab, ab),
+                0.0,
+                1.0,
+            )
+        r = ap - t[..., None] * ab
+        k = _nearest_edge(np.sqrt(np.einsum("fkj,fkj->fk", r, r)), -inward)
+        # outward edge k runs from vertex k to k + 1; resting, seen from
+        # above, the triangle turns the other way
+        rows = np.arange(len(faces))
+        edge = np.column_stack([faces[rows, (k + 1) % 3], faces[rows, k]])
+        triple = np.sort(faces, axis=1).astype(np.int64)
+        keys = (triple[:, 0] * n + triple[:, 1]) * n + triple[:, 2]
+        order = np.argsort(keys)
+        return cls(n, keys[order], inward.min(axis=1)[order], edge[order])
+
+    def row(self, contact: np.ndarray) -> int | None:
+        """Row of the triangle with the ascending hull-vertex triple
+        ``contact``, or None when no hull triangle has those vertices."""
+        i, j, k = contact.tolist()
+        key = (i * self.n_vertices + j) * self.n_vertices + k
+        r = int(np.searchsorted(self.keys, key))
+        return r if r < len(self.keys) and self.keys[r] == key else None
 
 
 def sample_point_cloud(mesh: TriMesh, m: int, seed: int) -> np.ndarray:

@@ -17,8 +17,10 @@ from scipy.spatial import ConvexHull, QhullError
 from .mesh import (
     TriMesh,
     ZeroPlaneVector,
+    _com_margin_bounds,
     _coplanar_groups,
     _facet,
+    _nearest_edge,
     plane_from_contacts,
     rotation_between,
 )
@@ -156,8 +158,15 @@ def signed_polygon_margin(p: np.ndarray, poly: np.ndarray) -> float:
 
 
 def nearest_polygon_edge(p: np.ndarray, poly: np.ndarray) -> int:
-    """Index of the polygon edge nearest to p (lowest index on ties)."""
-    return int(np.argmin(_point_segment_distance(p, poly, np.roll(poly, -1, axis=0))))
+    """Index of the edge poly[i] -> poly[i + 1] of a CCW polygon nearest
+    to p.  Near-ties (1e-12 relative) go to the edge whose line p lies
+    furthest beyond, then to the lowest index (``mesh._nearest_edge``)."""
+    b = np.roll(poly, -1, axis=0)
+    d = b - poly
+    # signed distances beyond the edge lines; a zero-length edge has 0
+    cross = d[:, 1] * (p[0] - poly[:, 0]) - d[:, 0] * (p[1] - poly[:, 1])
+    beyond = cross / np.maximum(np.sqrt(np.vecdot(d, d)), np.finfo(float).tiny)
+    return int(_nearest_edge(_point_segment_distance(p, poly, b), beyond))
 
 
 def polygon_inradius(poly: np.ndarray) -> float:
@@ -284,27 +293,6 @@ def stability_check(
     return bool(margin >= margin_eps), float(margin)
 
 
-def _com_margin_bounds(
-    hull: TriMesh, normals: np.ndarray, com: np.ndarray
-) -> np.ndarray:
-    """Per hull triangle, an upper bound on the COM margin it would give
-    as a one-triangle facet: the in-plane signed distance from the COM to
-    each edge line, positive inward, minimized over the three edges.
-
-    Inside the triangle this is the margin itself.  Outside, the distance
-    to the triangle is at least the distance to any edge line it lies
-    beyond, so the bound is at least the (negative) margin.  Degenerate
-    triangles give NaN."""
-    tri = hull.vertices[hull.faces]  # (F, 3, 3)
-    edge = np.roll(tri, -1, axis=1) - tri
-    inward = np.cross(normals[:, None, :], edge)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dist = np.einsum("fkj,fkj->fk", inward, com - tri) / np.linalg.norm(
-            inward, axis=2
-        )
-    return dist.min(axis=1)
-
-
 def enumerate_stable(
     mesh: TriMesh,
     margin_eps: float = DEFAULT_MARGIN_EPS,
@@ -367,23 +355,25 @@ def _pivot_axis(
     poly = _support_polygon(contacts_xy)
     if poly is not None:
         e = nearest_polygon_edge(com_xy, poly)
-        a2 = poly[e]
-        d = poly[(e + 1) % len(poly)] - a2
-        u2 = d / np.linalg.norm(d)
-    elif len(contacts_xy) >= 2 and _spread(contacts_xy) > 1e-9:
+        return _line_axis(poly[e], poly[(e + 1) % len(poly)])
+    if len(contacts_xy) >= 2 and _spread(contacts_xy) > 1e-9:
         # segment support: pivot about the contact line
         a2 = contacts_xy.mean(axis=0)
         far = contacts_xy[np.argmax(np.linalg.norm(contacts_xy - a2, axis=1))]
-        d = far - a2
-        u2 = d / np.linalg.norm(d)
-    else:
-        # point support: pivot about the horizontal perpendicular to the
-        # lean direction
-        a2 = contacts_xy[0]
-        lean = com_xy - a2
-        ln = np.linalg.norm(lean)
-        d = lean / ln if ln > 1e-12 else np.array([1.0, 0.0])
-        u2 = np.array([-d[1], d[0]])
+        return _line_axis(a2, far)
+    # point support: pivot about the horizontal perpendicular to the lean
+    # direction
+    a2 = contacts_xy[0]
+    lean = com_xy - a2
+    ln = np.linalg.norm(lean)
+    d = lean / ln if ln > 1e-12 else np.array([1.0, 0.0])
+    return np.array([a2[0], a2[1], 0.0]), np.array([-d[1], d[0], 0.0])
+
+
+def _line_axis(a2: np.ndarray, b2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pivot line through the plane points a2 and b2, directed a2 -> b2."""
+    d = b2 - a2
+    u2 = d / np.linalg.norm(d)
     return np.array([a2[0], a2[1], 0.0]), np.array([u2[0], u2[1], 0.0])
 
 
@@ -420,8 +410,20 @@ def settle(
     support edges until the COM projection enters the support polygon.
 
     Each pivot rotates about the support edge nearest the COM projection
-    by the smallest angle that brings a new hull vertex into contact; the
-    COM height is non-increasing across pivots.  The score of the stable
+    by the smallest angle that brings a new hull vertex into contact.
+    When the COM projection is nearest a support vertex, both edges at it
+    are equally near, and the pivot is the one whose line the projection
+    lies furthest beyond (``nearest_polygon_edge``), so the COM height is
+    non-increasing across pivots.
+
+    A support of exactly one hull triangle that the mesh's pivot table
+    (``TriMesh.pivot_table``, built here on first use) marks unstable,
+    by a COM margin bound below margin_eps - 1e-9, pivots about the
+    table's edge without rebuilding the support polygon.  That is the
+    edge the polygon gives, bit for bit, unless two edges tie on both
+    distances, as when the triangle is symmetric about the COM; then
+    either lowers the COM, and the table takes its lower-indexed one
+    where the polygon's pick is left to rounding.  The score of the stable
     Placement looks up the inradius of its contact set in the mesh's
     memo.  Returns the stable Placement; with return_trace=True also
     returns the list of COM heights after each drop.
@@ -437,22 +439,25 @@ def settle(
         world = world - np.array([0.0, 0.0, zmin])
         com = rot @ com_body - np.array([0.0, 0.0, zmin])
         heights.append(float(com[2]))
-        margin, contacts_xy = _contact_margin(world, com[:2], contact_tol)
-        if margin >= margin_eps:
-            com_r = rot @ com_body
-            zmin_mesh = (mesh.vertices @ rot.T)[:, 2].min()
-            placement = Placement(
-                rotation=rot,
-                translation=np.array([-com_r[0], -com_r[1], -zmin_mesh]),
-                stability_margin=float(margin),
-            )
-            key = tuple(np.flatnonzero(world[:, 2] <= contact_tol).tolist())
-            inr = _contact_inradius(mesh, key)
-            if inr > 0:
-                placement.score = float(np.clip(margin / inr, 0.0, 1.0))
-            return (placement, heights) if return_trace else placement
-
-        a, u = _pivot_axis(contacts_xy, com[:2])
+        contact = np.flatnonzero(world[:, 2] <= contact_tol)
+        edge = _table_edge(mesh, contact, margin_eps)
+        if edge is not None:
+            a, u = _line_axis(world[edge[0], :2], world[edge[1], :2])
+        else:
+            margin, contacts_xy = _contact_margin(world, com[:2], contact_tol)
+            if margin >= margin_eps:
+                com_r = rot @ com_body
+                zmin_mesh = (mesh.vertices @ rot.T)[:, 2].min()
+                placement = Placement(
+                    rotation=rot,
+                    translation=np.array([-com_r[0], -com_r[1], -zmin_mesh]),
+                    stability_margin=float(margin),
+                )
+                inr = _contact_inradius(mesh, tuple(contact.tolist()))
+                if inr > 0:
+                    placement.score = float(np.clip(margin / inr, 0.0, 1.0))
+                return (placement, heights) if return_trace else placement
+            a, u = _pivot_axis(contacts_xy, com[:2])
         r_com = com - a
         torque = u[0] * r_com[1] - u[1] * r_com[0]
         s = -1.0 if torque > 0 else 1.0
@@ -470,6 +475,22 @@ def settle(
         rot = rotation_from_axis_angle(u, s * phi_star) @ rot
 
     raise SettleDiverged(f"exceeded max_tips={max_tips}")
+
+
+def _table_edge(
+    mesh: TriMesh, contact: np.ndarray, margin_eps: float
+) -> np.ndarray | None:
+    """Pivot edge (start, end hull-vertex indices) from the mesh's pivot
+    table when the contact set is one hull triangle whose margin bound is
+    below margin_eps - 1e-9, as in ``enumerate_stable``'s pre-filter, so
+    that it is certainly unstable; otherwise None."""
+    if len(contact) != 3:
+        return None
+    table = mesh.pivot_table
+    r = table.row(contact)
+    if r is None or not table.bound[r] < margin_eps - 1e-9:
+        return None
+    return table.edge[r]
 
 
 # --- dataset generation -------------------------------------------------------------

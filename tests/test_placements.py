@@ -9,7 +9,10 @@ from scipy.spatial import ConvexHull, QhullError
 from conftest import drifting_arc, ellipsoid, ngon_prism, sheared_wedge
 from stableplace import fixtures
 from stableplace.mesh import (
+    PivotTable,
     TriMesh,
+    _com_margin_bounds,
+    _coplanar_groups,
     convex_hull,
     merge_coplanar_facets,
     plane_from_contacts,
@@ -17,8 +20,11 @@ from stableplace.mesh import (
 )
 from stableplace.placements import (
     CONTACT_TOL,
+    DEFAULT_MARGIN_EPS,
     Placement,
     _contact_margin,
+    _line_axis,
+    _pivot_axis,
     _point_segment_distance,
     enumerate_stable,
     generate_dataset,
@@ -29,6 +35,7 @@ from stableplace.placements import (
     stability_check,
 )
 from stableplace.rotations import (
+    body_up_axis,
     random_rotation,
     rot_x,
     z_quotient_distance,
@@ -235,6 +242,154 @@ class TestSettle:
         assert 0 < len(mesh.contact_inradii) < 60
 
 
+def _tilt_tolerance(mesh):
+    """Largest up-axis tilt that settle's contact tolerance allows: a
+    contact may hover CONTACT_TOL above the plane, which tilts a resting
+    hull triangle by at most CONTACT_TOL over its shortest altitude."""
+    hull = mesh.hull
+    tri = hull.vertices[hull.faces]
+    edges = np.linalg.norm(tri - np.roll(tri, 1, axis=1), axis=2)
+    return CONTACT_TOL / float((2.0 * hull.face_areas() / edges.max(axis=1)).min())
+
+
+class TestDenseMeshSettle:
+    @pytest.mark.parametrize("subdivisions", [2, 3])
+    def test_seeded_drops(self, subdivisions):
+        mesh = ellipsoid(subdivisions)
+        ups = np.array([body_up_axis(p.rotation) for p in enumerate_stable(mesh)])
+        tol = _tilt_tolerance(mesh)
+        rng = np.random.default_rng(42)
+        for _ in range(60):
+            p, trace = settle(mesh, random_rotation(rng), return_trace=True)
+            assert max(np.diff(trace), default=0.0) <= 1e-9  # COM never rises
+            assert stability_check(mesh, p)[0]
+            assert np.linalg.norm(ups - body_up_axis(p.rotation), axis=1).min() <= tol
+
+
+_TABLE_MESHES = [*fixtures.standard_fixtures(), "ellipsoid_s2", "ellipsoid_s3"]
+
+
+def _table_mesh(name):
+    if name.startswith("ellipsoid_s"):
+        return ellipsoid(int(name[-1]))
+    return fixtures.standard_fixtures()[name]
+
+
+def _loop_pivot_rows(mesh):
+    """Per hull triangle, from a loop over its edges in the body frame:
+    its ascending vertex triple, its pivot edge (start, end) by the tie
+    rule of ``nearest_polygon_edge``, and whether two edges lie within
+    1e-9 (relative) of the nearest distance from the COM's projection
+    onto its plane: a tie, as when the projection is nearest a vertex."""
+    hull = mesh.hull
+    com = mesh.com
+    rows = []
+    for face, n in zip(hull.faces, hull.face_normals()):
+        pts = hull.vertices[face]
+        p = com - float((com - pts[0]) @ n) * n
+        dists, beyond = [], []
+        for k in range(3):
+            a, b = pts[k], pts[(k + 1) % 3]
+            dists.append(_loop_point_segment_distance(p, a, b))
+            out = np.cross(b - a, n)
+            beyond.append(float(out @ (com - a)) / float(np.linalg.norm(out)))
+        near = min(dists) * (1.0 + 1e-12)
+        k = -max((beyond[i], -i) for i in range(3) if dists[i] <= near)[1]
+        d = sorted(dists)
+        rows.append((tuple(sorted(face.tolist())), (face[(k + 1) % 3], face[k]),
+                     d[1] <= d[0] * (1.0 + 1e-9)))
+    return rows
+
+
+class TestPivotTable:
+    @pytest.mark.parametrize("name", _TABLE_MESHES)
+    def test_rows_match_loop_reference(self, name):
+        mesh = _table_mesh(name)
+        hull = mesh.hull
+        table = mesh.pivot_table
+        bound = _com_margin_bounds(hull, hull.face_normals(), mesh.com)
+        assert len(table.keys) == len(hull.faces)
+        assert np.all(np.diff(table.keys) > 0)
+        for f, (triple, edge, tie) in enumerate(_loop_pivot_rows(mesh)):
+            r = table.row(np.array(triple))
+            assert table.bound[r] == bound[f]
+            if not tie:
+                assert tuple(table.edge[r]) == edge
+
+    @pytest.mark.parametrize("name", _TABLE_MESHES)
+    def test_table_edge_is_full_path_edge(self, name):
+        """Each unstable triangle posed on the plane: the support polygon
+        and ``_pivot_axis`` give the table edge's pivot line, bit for bit."""
+        mesh = _table_mesh(name)
+        hull = mesh.hull
+        table = mesh.pivot_table
+        compared = 0
+        for face, n, (triple, _, tie) in zip(
+            hull.faces, hull.face_normals(), _loop_pivot_rows(mesh)
+        ):
+            r = table.row(np.array(triple))
+            if tie or not table.bound[r] < DEFAULT_MARGIN_EPS - 1e-9:
+                continue
+            rot = rotation_between(n, np.array([0.0, 0.0, -1.0]))
+            world = hull.vertices @ rot.T
+            world[:, 2] -= world[:, 2].min()
+            if tuple(np.flatnonzero(world[:, 2] <= CONTACT_TOL)) != triple:
+                continue  # more than the triangle touches: the table is not asked
+            com = rot @ mesh.com
+            margin, xy = _contact_margin(world, com[:2], CONTACT_TOL)
+            assert margin < DEFAULT_MARGIN_EPS
+            a, u = _pivot_axis(xy, com[:2])
+            start, end = table.edge[r]
+            a_t, u_t = _line_axis(world[start, :2], world[end, :2])
+            assert a.tobytes() == a_t.tobytes() and u.tobytes() == u_t.tobytes()
+            compared += 1
+        if name.startswith("ellipsoid"):
+            assert compared > len(hull.faces) // 4
+
+    @pytest.mark.parametrize("name", _TABLE_MESHES)
+    def test_sinks_are_enumerated_placements(self, name):
+        """A triangle the table leaves to the full path for being stable
+        (bound >= margin_eps) is an enumerated placement, and a
+        one-triangle facet is enumerated exactly when it is such a sink."""
+        mesh = _table_mesh(name)
+        hull = mesh.hull
+        normals = hull.face_normals()
+        bound = _com_margin_bounds(hull, normals, mesh.com)
+        ups = np.array([body_up_axis(p.rotation) for p in enumerate_stable(mesh)])
+
+        def enumerated(f):
+            return np.linalg.norm(ups + normals[f], axis=1).min() <= 1e-9
+
+        sinks = np.flatnonzero(bound >= DEFAULT_MARGIN_EPS)
+        assert all(enumerated(f) for f in sinks)
+        for group in _coplanar_groups(hull, normals, 1e-4):
+            if len(group) == 1:
+                assert enumerated(group[0]) == (bound[group[0]] >= DEFAULT_MARGIN_EPS)
+        if name.startswith("ellipsoid"):
+            assert len(sinks) == len(ups) > 0
+
+    def test_enumerate_never_builds_it_and_settle_does(self):
+        mesh = ellipsoid(2)
+        enumerate_stable(mesh)
+        assert "pivot_table" not in vars(mesh)
+        settle(mesh, random_rotation(np.random.default_rng(3)))
+        assert "pivot_table" in vars(mesh)
+
+    def test_row_of_a_non_triangle_is_none(self):
+        table = fixtures.unit_cube().pivot_table
+        # opposite corners of the cube share no hull triangle
+        assert table.row(np.array([0, 1, 7])) is None
+        assert table.row(np.array([5, 6, 7])) is None
+
+    def test_oversized_hull_gets_an_empty_table(self):
+        class Hull:  # stands in for a hull whose keys overflow int64
+            vertices = np.broadcast_to(0.0, (2**21 + 1, 3))
+
+        table = PivotTable.build(Hull(), np.zeros(3))
+        assert len(table.keys) == 0
+        assert table.row(np.array([0, 1, 2])) is None
+
+
 class TestGenerateDataset:
     def test_cube_reaches_all_classes(self, cube):
         res = generate_dataset([("cube", cube)], 200, seed=1)
@@ -390,11 +545,19 @@ def _loop_point_segment_distance(p, a, b):
 
 
 def _loop_nearest_polygon_edge(p, poly):
+    """The nearest edge; among edges within 1e-12 (relative) of the
+    nearest, the one whose line p lies furthest beyond, then the lowest
+    index."""
     k = len(poly)
-    dists = [
-        _loop_point_segment_distance(p, poly[i], poly[(i + 1) % k]) for i in range(k)
-    ]
-    return int(np.argmin(dists))
+    dists, beyond = [], []
+    for i in range(k):
+        a, b = poly[i], poly[(i + 1) % k]
+        dists.append(_loop_point_segment_distance(p, a, b))
+        d = b - a
+        ln = max(float(np.sqrt(d @ d)), np.finfo(float).tiny)
+        beyond.append(float(d[1] * (p[0] - a[0]) - d[0] * (p[1] - a[1])) / ln)
+    near = min(dists) * (1.0 + 1e-12)
+    return -max((beyond[i], -i) for i in range(k) if dists[i] <= near)[1]
 
 
 def _loop_segment_support_margin(com_xy, xy):
@@ -523,6 +686,15 @@ class TestEdgeArrays:
         square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
         assert nearest_polygon_edge(np.array([0.5, 0.5]), square) == 0
         assert nearest_polygon_edge(np.array([2.0, 2.0]), square) == 1
+
+    def test_vertex_tie_goes_to_the_edge_the_point_is_beyond(self):
+        # p is nearest the acute vertex (1, 0): it lies beyond the line of
+        # edge 1 but inside that of edge 0, whose distance is the same
+        tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.2]])
+        p = np.array([1.196, 0.88])
+        dist = _point_segment_distance(p, tri, np.roll(tri, -1, axis=0))
+        assert dist[0] == dist[1] < dist[2]
+        assert nearest_polygon_edge(p, tri) == 1
 
     def test_point_segment_distances(self):
         for p, poly in self.cases():
