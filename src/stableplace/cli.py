@@ -3,7 +3,9 @@ plan, plus the polynomial-fitting utility and a one-shot pipeline driver.
 
 Config-file units are degrees and centimeters; conversion to radians and
 meters happens here, at the boundary.  All outputs are deterministic for
-a fixed seed, independent of the worker count.
+a fixed seed, independent of the worker count.  ``geometry_errors`` is the
+one mapping from exceptions to exit codes, and every command runs inside
+it.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -34,9 +37,11 @@ from .metrics import (
     format_table,
 )
 from .placements import (
+    DEFAULT_MARGIN_EPS,
     Placement,
     PlacementRecord,
     SettleDiverged,
+    check_margin_eps,
     enumerate_stable,
     generate_dataset,
     settle,
@@ -50,7 +55,6 @@ from .regrasp import (
 )
 from .rotations import (
     FitFailed,
-    InvalidRotation,
     check_rotation,
     fit_geodesic_polynomial,
     random_rotation,
@@ -59,10 +63,74 @@ from .rotations import (
 DEG = np.pi / 180.0
 CM = 0.01
 
+EXIT_NO_PLAN = 1
 EXIT_PARSE = 2
 EXIT_DEGENERATE = 3
 EXIT_DIVERSITY = 4
 EXIT_FIT = 5
+
+
+class InputError(ValueError):
+    """A config, data file or option value the commands cannot use."""
+
+
+@contextmanager
+def _input(source: str, errors=(ValueError,)):
+    """Re-raise ``errors`` from the block as an InputError naming ``source``."""
+    try:
+        yield
+    except errors as exc:
+        raise InputError(f"{source}: {exc}") from exc
+
+
+def _read_json(path: str, parse, lines: bool = False):
+    """``parse`` of the JSON value in ``path``, or the list of ``parse`` of
+    each non-blank line with ``lines``.  A file that cannot be read, or
+    whose JSON ``parse`` rejects, raises InputError."""
+    with _input(f"cannot read {path}", (OSError, ValueError, KeyError, TypeError,
+                                        OverflowError)):
+        text = Path(path).read_text()
+        if lines:
+            return [parse(json.loads(line)) for line in text.split("\n") if line.strip()]
+        return parse(json.loads(text))
+
+
+def _json_fields(cls, d, where: str) -> dict:
+    """The values of JSON object ``d`` for the fields of dataclass ``cls``,
+    each checked against the field's declared type: an int takes an int
+    but not a bool, a float an int or a finite float, a str a string,
+    ``... | None`` also null, ``tuple[str, ...]`` a list of strings, and
+    ``GripperConfig`` an object of its own fields.  Raises InputError."""
+    if not isinstance(d, dict):
+        raise InputError(f"{where} must be a JSON object, got {d!r}")
+    declared = {f.name: f.type for f in fields(cls)}
+    unknown = set(d) - set(declared)
+    if unknown:
+        raise InputError(f"unknown {where} keys: {sorted(unknown)}")
+    out = {}
+    for name, value in d.items():
+        kind = declared[name]
+        if value is None and kind.endswith(" | None"):
+            out[name] = None
+            continue
+        kind = kind.removesuffix(" | None")
+        is_int = isinstance(value, int) and not isinstance(value, bool)
+        if kind == "GripperConfig":
+            out[name] = GripperConfig(**_json_fields(GripperConfig, value, "gripper"))
+        elif kind == "float" and (is_int or isinstance(value, float)):
+            with _input(name, (OverflowError,)):
+                out[name] = float(value)
+            if not math.isfinite(out[name]):
+                raise InputError(f"{name} must be finite, got {value}")
+        elif kind == "tuple[str, ...]" and isinstance(value, list) and all(
+            isinstance(s, str) for s in value
+        ):
+            out[name] = tuple(value)
+        elif (kind == "int" and is_int) or (kind == "str" and isinstance(value, str)):
+            out[name] = value
+        else:
+            raise InputError(f"{name} must be {declared[name]}, got {value!r}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -106,40 +174,37 @@ class RunConfig:
     output_dir: str = "out"
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "RunConfig":
-        d = dict(d)
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if "mesh_paths" not in d or not d["mesh_paths"]:
-            raise ValueError("config requires a non-empty mesh_paths list")
-        d["mesh_paths"] = tuple(d["mesh_paths"])
-        if "gripper" in d:
-            g = dict(d["gripper"])
-            gknown = {f.name for f in fields(GripperConfig)}
-            gunknown = set(g) - gknown
-            if gunknown:
-                raise ValueError(f"unknown gripper keys: {sorted(gunknown)}")
-            d["gripper"] = GripperConfig(**g)
-        cfg = cls(**d)
-        for obj in (cfg, cfg.gripper):
-            for f in fields(obj):
-                value = getattr(obj, f.name)
-                if isinstance(value, float) and not math.isfinite(value):
-                    raise ValueError(f"{f.name} must be finite, got {value}")
-        if cfg.drops_per_object < 1:
-            raise ValueError("drops_per_object must be >= 1")
-        if cfg.bandwidth_deg <= 0 or cfg.match_threshold_deg <= 0:
-            raise ValueError("bandwidth_deg and match_threshold_deg must be positive")
-        if cfg.max_delta_d_deg <= 0 or cfg.max_delta_h_cm <= 0:
-            raise ValueError("accuracy thresholds must be positive")
-        if not 0.0 <= cfg.score_threshold <= 1.0:
-            raise ValueError("score_threshold must lie in [0, 1]")
-        if cfg.grasp_samples < 1:
-            raise ValueError("grasp_samples must be >= 1")
-        if (cfg.plan_start is None) != (cfg.plan_goal is None):
-            raise ValueError("plan_start and plan_goal must be given together")
+    def from_json_dict(cls, d) -> "RunConfig":
+        """Config of the parsed JSON ``d``.  Every value must have its
+        field's declared type and lie in range, and ``plan_object`` must
+        name a mesh file stem; anything else raises InputError."""
+        values = _json_fields(cls, d, "config")
+        if not values.get("mesh_paths"):
+            raise InputError("config requires a non-empty mesh_paths list")
+        cfg = cls(**values)
+        stems = [Path(p).stem for p in cfg.mesh_paths]
+        plan = (cfg.plan_start, cfg.plan_goal)
+        for ok, message in [
+            (cfg.seed >= 0, "seed must be >= 0"),
+            (cfg.drops_per_object >= 1, "drops_per_object must be >= 1"),
+            (cfg.bandwidth_deg > 0 and cfg.match_threshold_deg > 0,
+             "bandwidth_deg and match_threshold_deg must be positive"),
+            (cfg.max_delta_d_deg > 0 and cfg.max_delta_h_cm > 0,
+             "accuracy thresholds must be positive"),
+            (0.0 <= cfg.score_threshold <= 1.0, "score_threshold must lie in [0, 1]"),
+            (cfg.grasp_samples >= 1, "grasp_samples must be >= 1"),
+            (len(set(stems)) == len(stems), f"mesh file stems repeat: {stems}"),
+            (cfg.plan_object in (None, *stems),
+             f"plan_object {cfg.plan_object!r} is not a mesh stem {stems}"),
+            ((plan[0] is None) == (plan[1] is None),
+             "plan_start and plan_goal must be given together"),
+            (all(i is None or i >= 0 for i in plan), "plan_start and plan_goal must be >= 0"),
+        ]:
+            if not ok:
+                raise InputError(message)
+        with _input("config"):
+            check_margin_eps(cfg.margin_eps)
+            cfg.gripper.to_spec()
         return cfg
 
     def thresholds(self) -> AccuracyThresholds:
@@ -153,9 +218,11 @@ def _dump_json(obj) -> str:
 
 
 def _write_text(path: str | Path | None, text: str) -> None:
+    """Write ``text`` to ``path``, or to stdout when it is None."""
     if path is None:
         click.echo(text, nl=False)
-    else:
+        return
+    with _input(f"cannot write {path}", (OSError,)):
         Path(path).write_text(text)
 
 
@@ -165,13 +232,15 @@ def _fail(code: int, message: str):
 
 
 def geometry_errors(fn):
-    """Map geometry failures to the documented exit codes."""
+    """Map every failure the commands report to its documented exit code:
+    1 no regrasp plan, 2 parse or input error, 3 degenerate mesh or hull
+    or diverged settle, 4 degenerate diversity, 5 polynomial fit."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except MeshParseError as exc:
+        except (MeshParseError, InputError) as exc:
             _fail(EXIT_PARSE, str(exc))
         except (DegenerateMesh, DegenerateHull) as exc:
             _fail(EXIT_DEGENERATE, str(exc))
@@ -181,102 +250,120 @@ def geometry_errors(fn):
             _fail(EXIT_DIVERSITY, str(exc))
         except FitFailed as exc:
             _fail(EXIT_FIT, str(exc))
+        except NoPlanExists as exc:
+            _fail(EXIT_NO_PLAN, str(exc))
 
     return wrapper
 
 
-@click.group()
+class _Commands(click.Group):
+    """A group whose ``command`` decorator wraps each command in
+    ``geometry_errors``."""
+
+    def command(self, *args, **kwargs):
+        decorator = super().command(*args, **kwargs)
+        return lambda fn: decorator(geometry_errors(fn))
+
+
+@click.group(cls=_Commands)
 @click.version_option(package_name="stableplace")
 def main():
     """Stable-placement enumeration, clustering, evaluation, and regrasp
     planning for rigid meshes on a support plane."""
 
 
+def _stable_placements(mesh, margin_eps=DEFAULT_MARGIN_EPS, score_threshold=0.0):
+    """Enumerated placements of ``mesh`` whose score is >= score_threshold."""
+    return [
+        p for p in enumerate_stable(mesh, margin_eps=margin_eps)
+        if p.score >= score_threshold
+    ]
+
+
+def _dataset_text(records: list[PlacementRecord]) -> str:
+    return "".join(_dump_json(rec.to_json_dict()) for rec in records)
+
+
+def _cluster(records: list[PlacementRecord], object_id: str, bandwidth_deg: float):
+    """Placement-type model of the records of ``object_id``."""
+    rotations = [r.placement.rotation for r in records if r.object_id == object_id]
+    if not rotations:
+        raise SettleDiverged(f"no drop of {object_id} settled")
+    model, _ = mean_shift_orientations(rotations, bandwidth=bandwidth_deg * DEG)
+    return model
+
+
+def _predictions(d) -> list[Placement]:
+    if not (isinstance(d, list) and d):
+        raise ValueError("expected a non-empty JSON list of placements")
+    return [Placement.from_json_dict(p) for p in d]
+
+
+def _plan_json(mesh, placements, start, goal, grasp_samples, seed, spec) -> dict:
+    """Regrasp plan from placements[start] to placements[goal]."""
+    n = len(placements)
+    if not (0 <= start < n and 0 <= goal < n):
+        raise InputError(f"start/goal must be in [0, {n - 1}], got {start}/{goal}")
+    grasps = sample_antipodal_grasps(mesh, grasp_samples, spec, seed=seed)
+    graph = build_manipulation_graph(placements, grasps, spec)
+    return plan_regrasp(graph, start, goal).to_json_dict()
+
+
 @main.command("enumerate")
 @click.argument("mesh_path", type=str)
-@click.option("--margin-eps", type=float, default=1e-4, show_default=True,
+@click.option("--margin-eps", type=float, default=DEFAULT_MARGIN_EPS, show_default=True,
               help="Minimum stability margin in meters.")
 @click.option("--score-threshold", type=float, default=0.0, show_default=True,
               help="Keep placements with stability score >= this value.")
 @click.option("-o", "--output", type=click.Path(dir_okay=False), default=None,
               help="Output JSON path (stdout when omitted).")
-@geometry_errors
 def cmd_enumerate(mesh_path, margin_eps, score_threshold, output):
     """Enumerate stable placements of an OBJ mesh."""
-    mesh = load_mesh(mesh_path)
-    placements = [
-        p for p in enumerate_stable(mesh, margin_eps=margin_eps)
-        if p.score >= score_threshold
-    ]
+    with _input("--margin-eps"):
+        check_margin_eps(margin_eps)
+    placements = _stable_placements(load_mesh(mesh_path), margin_eps, score_threshold)
     _write_text(output, _dump_json([p.to_json_dict() for p in placements]))
 
 
 @main.command("settle")
 @click.argument("mesh_path", type=str)
-@click.option("--seed", type=int, default=0, show_default=True,
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True,
               help="Seed for the random initial orientation.")
 @click.option("--rotation", type=str, default=None,
               help="Initial rotation as 9 comma-separated row-major values "
                    "(overrides --seed).")
 @click.option("-o", "--output", type=click.Path(dir_okay=False), default=None)
-@geometry_errors
 def cmd_settle(mesh_path, seed, rotation, output):
     """Settle the mesh from an initial orientation and report the pose."""
     mesh = load_mesh(mesh_path)
-    if rotation is not None:
-        try:
-            values = [float(x) for x in rotation.split(",")]
-        except ValueError as exc:
-            raise click.BadParameter(str(exc), param_hint="--rotation") from exc
-        if len(values) != 9:
-            raise click.BadParameter("needs exactly 9 values", param_hint="--rotation")
-        try:
-            initial = check_rotation(np.array(values).reshape(3, 3))
-        except InvalidRotation as exc:
-            raise click.BadParameter(str(exc), param_hint="--rotation") from exc
-    else:
+    if rotation is None:
         initial = random_rotation(np.random.default_rng(seed))
-    placement = settle(mesh, initial)
-    _write_text(output, _dump_json(placement.to_json_dict()))
+    else:
+        with _input("--rotation"):
+            values = [float(x) for x in rotation.split(",")]
+            if len(values) != 9:
+                raise ValueError("needs exactly 9 values")
+            initial = check_rotation(np.reshape(values, (3, 3)))
+    _write_text(output, _dump_json(settle(mesh, initial).to_json_dict()))
 
 
 @main.command("dataset")
 @click.argument("mesh_paths", type=str, nargs=-1, required=True)
-@click.option("--drops", type=int, default=100, show_default=True,
+@click.option("--drops", type=click.IntRange(min=1), default=100, show_default=True,
               help="Settled drops per object.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--workers", type=int, default=None,
               help="Worker processes (default: available parallelism).")
 @click.option("-o", "--output", type=click.Path(dir_okay=False), required=True,
               help="Output JSON Lines path.")
-@geometry_errors
 def cmd_dataset(mesh_paths, drops, seed, workers, output):
     """Generate a settled-placement dataset (one JSON record per line)."""
-    if drops < 1:
-        raise click.UsageError("--drops must be >= 1")
     meshes = [(Path(p).stem, load_mesh(p)) for p in mesh_paths]
-    workers = workers or os.cpu_count() or 1
-    result = generate_dataset(meshes, drops, seed, workers=workers)
-    with open(output, "w") as fh:
-        for rec in result.records:
-            fh.write(_dump_json(rec.to_json_dict()))
+    result = generate_dataset(meshes, drops, seed, workers=workers or os.cpu_count() or 1)
+    _write_text(output, _dataset_text(result.records))
     for object_id, count in result.diverged.items():
         if count:
             click.echo(f"{object_id}: {count} diverged drops skipped", err=True)
-
-
-def _read_dataset(path: str) -> list[PlacementRecord]:
-    records = []
-    try:
-        with open(path) as fh:
-            for line in fh:
-                if line.strip():
-                    records.append(PlacementRecord.from_json_dict(json.loads(line)))
-    except (OSError, ValueError, KeyError) as exc:
-        _fail(EXIT_PARSE, f"cannot read dataset {path}: {exc}")
-    if not records:
-        _fail(EXIT_PARSE, f"dataset {path} is empty")
-    return records
 
 
 @main.command("cluster")
@@ -287,23 +374,18 @@ def _read_dataset(path: str) -> list[PlacementRecord]:
 @click.option("-o", "--output", type=click.Path(dir_okay=False), default=None)
 def cmd_cluster(dataset_path, object_id, bandwidth_deg, output):
     """Cluster dataset orientations into placement types (MeanShift)."""
-    records = _read_dataset(dataset_path)
+    records = _read_json(dataset_path, PlacementRecord.from_json_dict, lines=True)
     ids = sorted({r.object_id for r in records})
+    if not ids:
+        raise InputError(f"dataset {dataset_path} is empty")
     if object_id is None:
         if len(ids) > 1:
-            raise click.UsageError(
-                f"dataset holds multiple objects {ids}; pass --object-id"
-            )
+            raise InputError(f"dataset holds multiple objects {ids}; pass --object-id")
         object_id = ids[0]
     elif object_id not in ids:
-        _fail(EXIT_PARSE, f"object {object_id!r} not in dataset (has {ids})")
-    rotations = [
-        r.placement.rotation for r in records if r.object_id == object_id
-    ]
-    try:
-        model, _ = mean_shift_orientations(rotations, bandwidth=bandwidth_deg * DEG)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc), param_hint="--bandwidth-deg") from exc
+        raise InputError(f"object {object_id!r} not in dataset (has {ids})")
+    with _input("--bandwidth-deg"):
+        model = _cluster(records, object_id, bandwidth_deg)
     _write_text(output, _dump_json(model.to_json_dict()))
 
 
@@ -319,81 +401,50 @@ def cmd_cluster(dataset_path, object_id, bandwidth_deg, output):
               help="Height threshold in centimeters.")
 @click.option("-o", "--output", type=click.Path(dir_okay=False), default=None,
               help="Report JSON path; the table always goes to stdout.")
-@geometry_errors
 def cmd_evaluate(mesh_path, predictions_path, model_path, max_delta_d,
                  max_delta_h, output):
     """Score predicted placements: accuracy after settling and placement-
     type diversity against a clustered ground-truth model."""
     mesh = load_mesh(mesh_path)
-    try:
-        preds = [
-            Placement.from_json_dict(d)
-            for d in json.loads(Path(predictions_path).read_text())
-        ]
-        model = TypeModel.from_json_dict(json.loads(Path(model_path).read_text()))
-    except (OSError, ValueError, KeyError) as exc:
-        _fail(EXIT_PARSE, f"cannot read inputs: {exc}")
-    if not preds:
-        _fail(EXIT_PARSE, f"no predictions in {predictions_path}")
-    try:
+    preds = _read_json(predictions_path, _predictions)
+    model = _read_json(model_path, TypeModel.from_json_dict)
+    with _input("--max-delta-d/--max-delta-h"):
         t = AccuracyThresholds(max_delta_d=max_delta_d, max_delta_h=max_delta_h * CM)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc), param_hint="--max-delta-d/--max-delta-h") from exc
     row = evaluate_run(preds, mesh, model, t, object_id=Path(mesh_path).stem)
     report = EvalReport(rows=[row])
     click.echo(format_table(report))
     if output:
-        Path(output).write_text(_dump_json(report.to_json_dict()))
-
-
-def _plan_json(mesh, placements, start, goal, grasp_samples, seed, spec):
-    grasps = sample_antipodal_grasps(mesh, grasp_samples, spec, seed=seed)
-    graph = build_manipulation_graph(placements, grasps, spec)
-    try:
-        plan = plan_regrasp(graph, start, goal)
-    except NoPlanExists as exc:
-        _fail(1, str(exc))
-    return plan.to_json_dict()
+        _write_text(output, _dump_json(report.to_json_dict()))
 
 
 @main.command("plan")
 @click.argument("mesh_path", type=str)
 @click.option("--start", type=int, required=True, help="Start placement index.")
 @click.option("--goal", type=int, required=True, help="Goal placement index.")
-@click.option("--grasp-samples", type=int, default=100, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--grasp-samples", type=click.IntRange(min=1), default=100, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--max-width", type=float, default=8.0, show_default=True,
               help="Gripper max width in centimeters.")
 @click.option("--plane-clearance", type=float, default=0.5, show_default=True,
               help="Finger clearance above the plane in centimeters.")
 @click.option("-o", "--output", type=click.Path(dir_okay=False), default=None)
-@geometry_errors
 def cmd_plan(mesh_path, start, goal, grasp_samples, seed, max_width,
              plane_clearance, output):
     """Plan a regrasp sequence between two enumerated placements."""
+    with _input("--max-width/--plane-clearance"):
+        spec = GripperSpec(max_width=max_width * CM, plane_clearance=plane_clearance * CM)
     mesh = load_mesh(mesh_path)
-    placements = enumerate_stable(mesh)
-    n = len(placements)
-    if not (0 <= start < n and 0 <= goal < n):
-        raise click.UsageError(f"start/goal must be in [0, {n - 1}]")
-    spec = GripperSpec(
-        max_width=max_width * CM,
-        plane_clearance=plane_clearance * CM,
-    )
-    d = _plan_json(mesh, placements, start, goal, grasp_samples, seed, spec)
+    d = _plan_json(mesh, _stable_placements(mesh), start, goal, grasp_samples, seed, spec)
     _write_text(output, _dump_json(d))
 
 
 @main.command("fitpoly")
-@click.option("--samples", type=int, default=10001, show_default=True,
+@click.option("--samples", type=click.IntRange(min=100), default=10001, show_default=True,
               help="Trace samples on [-1, 3] for the least-squares fit.")
 @click.option("-o", "--output", type=click.Path(dir_okay=False), default=None)
-@geometry_errors
 def cmd_fitpoly(samples, output):
     """Fit the degree-10 polynomial surrogate of geodesic distance and
     report its coefficients and maximum fit error."""
-    if samples < 100:
-        raise click.UsageError("--samples must be >= 100")
     coeffs = fit_geodesic_polynomial(samples=samples)
     d = {"coefficients": coeffs.to_list(), "max_fit_error": coeffs.max_fit_error}
     _write_text(output, _dump_json(d))
@@ -406,138 +457,77 @@ def cmd_fitpoly(samples, output):
 @click.option("--dump-poses", is_flag=True, default=False,
               help="Also write poses.json with the settled dataset poses "
                    "for external viewers.")
-@geometry_errors
 def cmd_pipeline(config_path, workers, dump_poses):
     """Run dataset generation, clustering, evaluation of the enumerated
     placements, and optional regrasp planning from one JSON config.
 
     Outputs (dataset.jsonl, model_<object>.json, report.json, report.txt,
-    plan.json) land in the config's output_dir and are byte-identical
-    across reruns and worker counts for a fixed seed.
+    plan.json, and poses.json with --dump-poses) land in the config's
+    output_dir and are byte-identical across reruns and worker counts for
+    a fixed seed.  The config, the meshes, their placements above
+    score_threshold and the plan indices are checked first, and every
+    stage runs before the first file is written; a write that fails
+    removes the files written before it.  So a nonzero exit leaves no
+    partial output.
     """
-    try:
-        cfg = RunConfig.from_json_dict(json.loads(Path(config_path).read_text()))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        _fail(EXIT_PARSE, f"bad config {config_path}: {exc}")
+    cfg = _read_json(config_path, RunConfig.from_json_dict)
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    workers = workers or os.cpu_count() or 1
-    written: list[Path] = []
-
-    def run_stage(name, fn):
-        try:
-            return fn()
-        except SystemExit:
-            raise
-        except Exception as exc:
-            for path in written:
-                path.unlink(missing_ok=True)
-            _fail(
-                EXIT_DIVERSITY if isinstance(exc, DegenerateDiversity) else 1,
-                f"stage {name}: {exc}",
-            )
-
+    with _input(f"output_dir {cfg.output_dir}", (OSError, ValueError)):
+        out_dir.mkdir(parents=True, exist_ok=True)
     meshes = [(Path(p).stem, load_mesh(p)) for p in cfg.mesh_paths]
-
-    def stage_dataset():
-        result = generate_dataset(
-            meshes, cfg.drops_per_object, cfg.seed, workers=workers
-        )
-        path = out_dir / "dataset.jsonl"
-        with open(path, "w") as fh:
-            for rec in result.records:
-                fh.write(_dump_json(rec.to_json_dict()))
-        written.append(path)
-        return result
-
-    result = run_stage("dataset", stage_dataset)
-
-    def stage_cluster():
-        models = {}
-        for object_id, _ in meshes:
-            rotations = [
-                r.placement.rotation
-                for r in result.records
-                if r.object_id == object_id
-            ]
-            model, _ = mean_shift_orientations(
-                rotations, bandwidth=cfg.bandwidth_deg * DEG
+    candidates = {}
+    for object_id, mesh in meshes:
+        candidates[object_id] = _stable_placements(mesh, cfg.margin_eps, cfg.score_threshold)
+        if not candidates[object_id]:
+            raise InputError(
+                f"{object_id}: no placement with margin >= {cfg.margin_eps} "
+                f"and score >= {cfg.score_threshold}"
             )
-            path = out_dir / f"model_{object_id}.json"
-            path.write_text(_dump_json(model.to_json_dict()))
-            written.append(path)
-            models[object_id] = model
-        return models
 
-    models = run_stage("cluster", stage_cluster)
-
-    def stage_evaluate():
-        rows = []
-        for object_id, mesh in meshes:
-            preds = [
-                p
-                for p in enumerate_stable(mesh, margin_eps=cfg.margin_eps)
-                if p.score >= cfg.score_threshold
-            ]
-            if not preds:
-                raise ValueError(
-                    f"{object_id}: no placements above score {cfg.score_threshold}"
-                )
-            rows.append(
-                evaluate_run(
-                    preds, mesh, models[object_id], cfg.thresholds(),
-                    object_id=object_id,
-                    match_threshold=cfg.match_threshold_deg * DEG,
-                )
-            )
-        report = EvalReport(rows=rows)
-        json_path = out_dir / "report.json"
-        json_path.write_text(_dump_json(report.to_json_dict()))
-        written.append(json_path)
-        table = format_table(report) + "\n"
-        txt_path = out_dir / "report.txt"
-        txt_path.write_text(table)
-        written.append(txt_path)
-        click.echo(table, nl=False)
-        return report
-
-    run_stage("evaluate", stage_evaluate)
-
+    outputs = {}
     if cfg.plan_start is not None:
-        def stage_plan():
-            plan_object = cfg.plan_object or meshes[0][0]
-            by_id = dict(meshes)
-            if plan_object not in by_id:
-                raise ValueError(f"plan_object {plan_object!r} not among meshes")
-            mesh = by_id[plan_object]
-            placements = [
-                p
-                for p in enumerate_stable(mesh, margin_eps=cfg.margin_eps)
-                if p.score >= cfg.score_threshold
-            ]
-            n = len(placements)
-            if not (0 <= cfg.plan_start < n and 0 <= cfg.plan_goal < n):
-                raise ValueError(f"plan_start/plan_goal must be in [0, {n - 1}]")
-            d = _plan_json(
-                mesh, placements, cfg.plan_start, cfg.plan_goal,
-                cfg.grasp_samples, cfg.seed, cfg.gripper.to_spec(),
-            )
-            path = out_dir / "plan.json"
-            path.write_text(_dump_json(d))
-            written.append(path)
-
-        run_stage("plan", stage_plan)
-
+        plan_object = cfg.plan_object or meshes[0][0]
+        plan = _plan_json(
+            dict(meshes)[plan_object], candidates[plan_object], cfg.plan_start,
+            cfg.plan_goal, cfg.grasp_samples, cfg.seed, cfg.gripper.to_spec(),
+        )
+        outputs["plan.json"] = _dump_json(plan)
+    result = generate_dataset(
+        meshes, cfg.drops_per_object, cfg.seed, workers=workers or os.cpu_count() or 1
+    )
+    outputs["dataset.jsonl"] = _dataset_text(result.records)
+    rows = []
+    for object_id, mesh in meshes:
+        model = _cluster(result.records, object_id, cfg.bandwidth_deg)
+        outputs[f"model_{object_id}.json"] = _dump_json(model.to_json_dict())
+        rows.append(evaluate_run(
+            candidates[object_id], mesh, model, cfg.thresholds(), object_id=object_id,
+            match_threshold=cfg.match_threshold_deg * DEG,
+        ))
+    report = EvalReport(rows=rows)
+    outputs["report.json"] = _dump_json(report.to_json_dict())
+    outputs["report.txt"] = table = format_table(report) + "\n"
     if dump_poses:
-        poses = [
+        outputs["poses.json"] = _dump_json([
             {
                 "object_id": rec.object_id,
                 "rotation": [float(x) for x in rec.placement.rotation.ravel()],
                 "translation": [float(x) for x in rec.placement.translation],
             }
             for rec in result.records
-        ]
-        (out_dir / "poses.json").write_text(_dump_json(poses))
+        ])
+
+    written: list[Path] = []
+    try:
+        for name, text in outputs.items():
+            written.append(out_dir / name)
+            _write_text(written[-1], text)
+    except BaseException:
+        for path in written:
+            with suppress(OSError):  # the path that failed may not be a file
+                path.unlink()
+        raise
+    click.echo(table, nl=False)
 
 
 if __name__ == "__main__":

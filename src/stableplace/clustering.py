@@ -40,6 +40,8 @@ class TypeModel:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TypeModel":
+        if not d["modes"]:
+            raise ValueError("a type model needs at least one mode")
         return cls(
             modes=[
                 check_rotation(np.array(m, dtype=float).reshape(3, 3))

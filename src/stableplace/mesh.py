@@ -152,7 +152,7 @@ def load_mesh(path: str | Path) -> TriMesh:
     path = Path(path)
     try:
         text = path.read_text()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: undecodable text, NUL in path
         raise MeshParseError(f"cannot read mesh {path}: {exc}") from exc
     try:
         mesh = _parse_obj(text)

@@ -34,6 +34,12 @@ class SettleDiverged(RuntimeError):
     """Tumbling did not reach a stable pose within max_tips."""
 
 
+def check_margin_eps(margin_eps: float) -> None:
+    """Raise ValueError unless ``margin_eps`` is finite and >= 0."""
+    if not (np.isfinite(margin_eps) and margin_eps >= 0):
+        raise ValueError(f"margin_eps must be finite and >= 0, got {margin_eps}")
+
+
 @dataclass
 class Placement:
     """Resting pose: world rotation plus translation with z the resting
@@ -56,11 +62,14 @@ class Placement:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Placement":
+        translation = np.array(d["translation"], dtype=float)
+        if translation.shape != (3,) or not np.isfinite(translation).all():
+            raise ValueError(f"translation must be 3 finite numbers, got {d['translation']}")
         return cls(
             rotation=check_rotation(
                 np.array(d["rotation"], dtype=float).reshape(3, 3)
             ),
-            translation=np.array(d["translation"], dtype=float),
+            translation=translation,
             stability_margin=float(d.get("stability_margin", 0.0)),
             score=float(d.get("score", 0.0)),
             type_id=d.get("type_id"),
@@ -92,6 +101,8 @@ class PlacementRecord:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PlacementRecord":
+        if not isinstance(d["object_id"], str):
+            raise ValueError(f"object_id must be a string, got {d['object_id']!r}")
         return cls(
             object_id=d["object_id"],
             placement=Placement.from_json_dict(d),
@@ -309,8 +320,10 @@ def enumerate_stable(
     exact check.  Merged facets and the surviving triangles go through
     the exact per-facet check in facet order, so the output equals that
     of checking every facet of ``merge_coplanar_facets``.  Raises
-    ValueError unless 0 <= ``angle_tol`` < pi/2.
+    ValueError unless 0 <= ``angle_tol`` < pi/2 and ``margin_eps`` is
+    finite and >= 0.
     """
+    check_margin_eps(margin_eps)
     hull = mesh.hull
     normals = hull.face_normals()
     areas = hull.face_areas()

@@ -32,9 +32,9 @@ class GripperSpec:
 
     def __post_init__(self):
         for name in ("max_width", "finger_length", "finger_thickness", "plane_clearance"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if self.friction_angle < 0:
+        if not self.friction_angle >= 0:
             raise ValueError("friction_angle must be non-negative")
 
 

@@ -40,7 +40,9 @@ def check_rotation(m: np.ndarray, tol: float = ORTHO_TOL) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         raise InvalidRotation(f"expected (3, 3) matrix, got {m.shape}")
-    if not np.all(np.abs(m.T @ m - np.eye(3)) <= tol):
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries fail quietly
+        orthonormal = np.all(np.abs(m.T @ m - np.eye(3)) <= tol)
+    if not orthonormal:
         raise InvalidRotation("matrix is not orthonormal")
     if abs(np.linalg.det(m) - 1.0) > tol:
         raise InvalidRotation("determinant is not +1")

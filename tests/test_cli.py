@@ -1,17 +1,35 @@
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stableplace import fixtures
-from stableplace.cli import main
+from stableplace import cli, fixtures
+from stableplace.cli import GripperConfig, InputError, RunConfig, main
 from stableplace.mesh import save_obj
-from stableplace.rotations import PolyCoeffs
+from stableplace.placements import DatasetResult
+from stableplace.rotations import PolyCoeffs, random_rotation
+
+IDENTITY = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
+
+# Any JSON value, nested a little.
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+)
+ROTATION = st.integers(0, 2**32 - 1).map(
+    lambda seed: random_rotation(np.random.default_rng(seed)).ravel().tolist()
+)
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +52,23 @@ class TestEnumerate:
         records = json.loads(result.output)
         assert len(records) == 6
         assert all(abs(r["stability_margin"] - 0.5) < 1e-9 for r in records)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_margin_eps_exit_2(self, runner, mesh_dir, value):
+        # a NaN margin_eps kept unstable facets
+        result = runner.invoke(
+            main, ["enumerate", str(mesh_dir / "cube.obj"), "--margin-eps", value]
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert "--margin-eps" in result.stderr
+
+    def test_unwritable_output_exit_2(self, runner, mesh_dir, tmp_path):
+        output = tmp_path / "missing" / "out.json"
+        result = runner.invoke(main, ["enumerate", str(mesh_dir / "cube.obj"), "-o", str(output)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert f"cannot write {output}" in result.stderr
 
     def test_large_margin_eps_empty(self, runner, mesh_dir):
         result = runner.invoke(
@@ -135,6 +170,26 @@ class TestSettle:
             assert result.exit_code == 2, rotation
             assert isinstance(result.exception, SystemExit), rotation  # no traceback
 
+    def test_negative_seed_exit_2(self, runner, mesh_dir):
+        result = runner.invoke(main, ["settle", str(mesh_dir / "cube.obj"), "--seed", "-1"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # no traceback
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(
+        st.text(max_size=40),
+        st.lists(st.floats() | st.integers(), max_size=11).map(
+            lambda xs: ",".join(map(str, xs))
+        ),
+        ROTATION.map(lambda r: ",".join(map(repr, r))),
+    ))
+    def test_rotation_fuzz_exit_0_or_2(self, mesh_dir, rotation):
+        result = CliRunner().invoke(
+            main, ["settle", str(mesh_dir / "cube.obj"), f"--rotation={rotation}"]
+        )
+        assert result.exit_code in (0, 2), (rotation, result.output)
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
 
 class TestDatasetAndCluster:
     def test_dataset_line_count_and_worker_independence(self, runner, mesh_dir, tmp_path):
@@ -198,6 +253,25 @@ class TestDatasetAndCluster:
         assert r.exit_code == 2
         assert isinstance(r.exception, SystemExit)  # no traceback
 
+    @pytest.mark.parametrize("line", ["[1]", '"row"', "object_id"])
+    def test_malformed_line_exit_2(self, runner, mesh_dir, tmp_path, line):
+        # a row that is not a JSON object ended in a TypeError traceback
+        ds = tmp_path / "cube.jsonl"
+        r = runner.invoke(
+            main,
+            ["dataset", str(mesh_dir / "cube.obj"), "--drops", "3", "--seed", "1",
+             "--workers", "1", "-o", str(ds)],
+        )
+        assert r.exit_code == 0
+        if line == "object_id":  # a well-formed row whose object_id is a list
+            row = json.loads(ds.read_text().splitlines()[0])
+            line = json.dumps(dict(row, object_id=[1]))
+        ds.write_text(ds.read_text() + line + "\n")
+        r = runner.invoke(main, ["cluster", str(ds)])
+        assert r.exit_code == 2
+        assert isinstance(r.exception, SystemExit)  # no traceback
+        assert str(ds) in r.stderr
+
 
 class TestEvaluate:
     def test_fixed_point_report(self, runner, mesh_dir, tmp_path):
@@ -254,6 +328,59 @@ class TestEvaluate:
         assert r.exit_code == 2
         assert isinstance(r.exception, SystemExit)  # no traceback
 
+    @pytest.mark.parametrize("predictions, model", [
+        ({"a": 1}, None),
+        ([[1, 2]], None),
+        ([{"rotation": IDENTITY, "translation": [0.0, 0.5]}], None),
+        (None, {"bandwidth": 0.26, "assign_threshold": 0.26, "modes": 3}),
+        (None, {"bandwidth": 0.26, "assign_threshold": 0.26, "modes": []}),
+    ])
+    def test_malformed_inputs_exit_2(self, runner, mesh_dir, tmp_path, predictions, model):
+        # each ended in a TypeError, IndexError or ValueError traceback
+        predictions = predictions or [{"rotation": IDENTITY, "translation": [0, 0, 0.5]}]
+        model = model or {"bandwidth": 0.26, "assign_threshold": 0.26,
+                          "modes": [IDENTITY, [1, 0, 0, 0, 0, -1, 0, 1, 0]]}
+        r = _evaluate(mesh_dir, tmp_path, json.dumps(predictions), json.dumps(model))
+        assert r.exit_code == 2
+        assert isinstance(r.exception, SystemExit)  # no traceback
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            JSON,
+            st.lists(JSON | st.fixed_dictionaries(
+                {"rotation": JSON | ROTATION, "translation": JSON | st.lists(
+                    st.floats(), min_size=3, max_size=3)},
+                optional={"score": JSON, "stability_margin": JSON, "type_id": JSON},
+            ), max_size=3),
+        ).map(json.dumps) | st.text(max_size=10),
+        st.one_of(
+            JSON,
+            st.fixed_dictionaries({
+                "modes": JSON | st.lists(JSON | ROTATION, max_size=4),
+                "bandwidth": JSON, "assign_threshold": JSON,
+            }),
+        ).map(json.dumps),
+    )
+    def test_input_fuzz_documented_exit(self, mesh_dir, tmp_path_factory, predictions,
+                                        model):
+        # 4 is the documented exit for a model with fewer than two types
+        r = _evaluate(mesh_dir, tmp_path_factory.getbasetemp(), predictions, model)
+        assert r.exit_code in (0, 2, 4), (predictions, model, r.output)
+        assert r.exception is None or isinstance(r.exception, SystemExit)
+
+
+def _evaluate(mesh_dir, directory, predictions: str, model: str):
+    """``stableplace evaluate`` on the cube with the given file texts."""
+    preds_path, model_path = directory / "p.json", directory / "m.json"
+    preds_path.write_text(predictions)
+    model_path.write_text(model)
+    return CliRunner().invoke(
+        main,
+        ["evaluate", str(mesh_dir / "cube.obj"), "--predictions", str(preds_path),
+         "--model", str(model_path)],
+    )
+
 
 class TestPlan:
     def test_cube_plan(self, runner, mesh_dir):
@@ -282,6 +409,20 @@ class TestPlan:
              "--max-width", "8"],
         )
         assert r.exit_code == 1
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-width", "nan"), ("--max-width", "-1"), ("--plane-clearance", "nan"),
+        ("--grasp-samples", "0"), ("--seed", "-1"),
+    ])
+    def test_bad_option_exit_2(self, runner, mesh_dir, flag, value):
+        # NaN widths planned and found no path; the others raised tracebacks
+        r = runner.invoke(
+            main,
+            ["plan", str(mesh_dir / "cube.obj"), "--start", "0", "--goal", "1",
+             flag, value],
+        )
+        assert r.exit_code == 2
+        assert isinstance(r.exception, SystemExit)  # no traceback
 
 
 class TestFitPoly:
@@ -382,6 +523,112 @@ class TestPipeline:
         out = tmp_path / "run_e"
         assert not any(out.iterdir())
 
+    @staticmethod
+    def assert_clean_failure(r, code, out):
+        assert r.exit_code == code, r.output
+        assert isinstance(r.exception, SystemExit)  # no traceback
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_flat_mesh_exit_3(self, runner, mesh_dir, tmp_path):
+        flat = tmp_path / "flat.obj"
+        flat.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
+        cfg = self.write_config(
+            tmp_path, mesh_dir, "run", mesh_paths=[str(mesh_dir / "cube.obj"), str(flat)],
+        )
+        r = runner.invoke(main, ["pipeline", str(cfg)])
+        self.assert_clean_failure(r, 3, tmp_path / "run")
+        assert f"mesh {flat}: need at least 4 points" in r.stderr
+
+    @pytest.mark.parametrize("plan, message", [
+        ({"plan_goal": 9}, "start/goal must be in [0, 5]"),
+        ({"plan_start": -1}, "plan_start and plan_goal must be >= 0"),
+        ({"plan_object": "nope"}, "plan_object 'nope'"),
+    ])
+    def test_bad_plan_exit_2_before_any_stage(self, runner, mesh_dir, tmp_path, plan,
+                                              message):
+        # the cube has 6 placements; these used to exit 1 after three stages
+        cfg = self.write_config(tmp_path, mesh_dir, "run", **plan)
+        r = runner.invoke(main, ["pipeline", str(cfg)])
+        self.assert_clean_failure(r, 2, tmp_path / "run")
+        assert message in r.stderr
+
+    def test_no_placements_above_score_exit_2(self, runner, mesh_dir, tmp_path):
+        # the cube's margins are 0.5
+        cfg = self.write_config(tmp_path, mesh_dir, "run", margin_eps=0.6)
+        r = runner.invoke(main, ["pipeline", str(cfg)])
+        self.assert_clean_failure(r, 2, tmp_path / "run")
+        assert "cube: no placement" in r.stderr
+
+    def test_no_plan_exit_1_leaves_no_files(self, runner, mesh_dir, tmp_path):
+        # dataset.jsonl, the model and the reports used to stay behind
+        cfg = self.write_config(tmp_path, mesh_dir, "run", grasp_samples=1)
+        r = runner.invoke(main, ["pipeline", str(cfg)])
+        self.assert_clean_failure(r, 1, tmp_path / "run")
+
+    def test_failed_write_exit_2_removes_written_files(self, runner, mesh_dir, tmp_path):
+        out = tmp_path / "run"
+        (out / "report.json").mkdir(parents=True)  # report.json cannot be written
+        cfg = self.write_config(tmp_path, mesh_dir, "run")
+        r = runner.invoke(main, ["pipeline", str(cfg)])
+        assert r.exit_code == 2
+        assert isinstance(r.exception, SystemExit)  # no traceback
+        assert f"cannot write {out / 'report.json'}" in r.stderr
+        assert [p.name for p in out.iterdir()] == ["report.json"]
+
+    def test_every_drop_diverged_exit_3(self, runner, mesh_dir, tmp_path, monkeypatch):
+        # clustering an object with no settled drop raised a ValueError
+        monkeypatch.setattr(
+            cli, "generate_dataset",
+            lambda meshes, drops, seed, workers: DatasetResult([], {"cube": drops}),
+        )
+        cfg = self.write_config(tmp_path, mesh_dir, "run", plan_start=None, plan_goal=None)
+        r = runner.invoke(main, ["pipeline", str(cfg)])
+        self.assert_clean_failure(r, 3, tmp_path / "run")
+        assert "settle diverged: no drop of cube settled" in r.stderr
+
+    @pytest.mark.parametrize("bad, key", [
+        ({"drops_per_object": 2.5}, "drops_per_object"),
+        ({"drops_per_object": True}, "drops_per_object"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": -1}, "seed"),
+        ({"output_dir": 5}, "output_dir"),
+        ({"gripper": {"max_width_cm": "wide"}}, "max_width_cm"),
+        ({"gripper": {"max_width_cm": -1.0}}, "max_width"),
+        ({"gripper": [1]}, "gripper"),
+        ({"mesh_paths": "m/cube.obj"}, "mesh_paths"),
+        ({"plan_start": "0"}, "plan_start"),
+        ({"plan_goal": 0.5}, "plan_goal"),
+        ({"margin_eps": -1.0}, "margin_eps"),
+        ({"mesh_paths": ["a/cube.obj", "b/cube.obj"]}, "stems"),
+    ])
+    def test_config_type_exit_2(self, runner, mesh_dir, tmp_path, bad, key):
+        cfg = self.write_config(tmp_path, mesh_dir, "run", **bad)
+        r = runner.invoke(main, ["pipeline", str(cfg)])
+        self.assert_clean_failure(r, 2, tmp_path / "run")
+        assert key in r.stderr
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.fixed_dictionaries({}, optional={
+        "mesh_paths": JSON | st.lists(st.sampled_from(["m/cube.obj", "tetra.obj", ""]),
+                                      max_size=3),
+        **{f.name: JSON | st.integers(-2, 10**30) | st.floats()
+           for f in fields(RunConfig) if f.type in ("int", "float", "int | None")},
+        "plan_object": JSON | st.sampled_from(["cube", "tetra", "nope"]),
+        "output_dir": JSON,
+        "gripper": JSON | st.fixed_dictionaries({}, optional={
+            f.name: JSON | st.floats() for f in fields(GripperConfig)
+        }),
+        "typo": JSON,
+    }))
+    def test_config_fuzz_input_error_or_declared_types(self, d):
+        try:
+            cfg = RunConfig.from_json_dict(json.loads(json.dumps(d)))
+        except InputError:
+            return
+        for obj in (cfg, cfg.gripper):
+            for f in fields(obj):
+                assert _has_declared_type(getattr(obj, f.name), f.type), (f.name, d)
+
     def test_dump_poses(self, runner, mesh_dir, tmp_path):
         cfg = self.write_config(
             tmp_path, mesh_dir, "run_f", plan_start=None, plan_goal=None,
@@ -392,6 +639,17 @@ class TestPipeline:
         poses = json.loads((tmp_path / "run_f" / "poses.json").read_text())
         assert len(poses) == 5
         assert all(len(p["rotation"]) == 9 for p in poses)
+
+
+def _has_declared_type(value, declared: str) -> bool:
+    if value is None:
+        return declared.endswith(" | None")
+    kind = declared.removesuffix(" | None")
+    if kind == "tuple[str, ...]":
+        return type(value) is tuple and all(type(s) is str for s in value)
+    if kind == "float":
+        return type(value) is float and math.isfinite(value)
+    return type(value).__name__ == kind
 
 
 def _run_python(*args):

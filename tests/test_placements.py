@@ -49,6 +49,12 @@ class TestEnumerateStable:
         with pytest.raises(ValueError, match="angle_tol"):
             enumerate_stable(tetra, angle_tol=angle_tol)
 
+    @pytest.mark.parametrize("margin_eps", [np.nan, np.inf, -1e-3])
+    def test_margin_eps_not_finite_or_negative_rejected(self, margin_eps):
+        # a NaN margin_eps kept the wedge's two unstable facets (margin -1)
+        with pytest.raises(ValueError, match="margin_eps"):
+            enumerate_stable(sheared_wedge(), margin_eps=margin_eps)
+
     def test_cube_six_faces_margin_half(self, cube):
         ps = enumerate_stable(cube, margin_eps=1e-6)
         assert len(ps) == 6

@@ -38,6 +38,12 @@ class TestGripperSpec:
         with pytest.raises(ValueError):
             GripperSpec(friction_angle=-0.1)
 
+    @pytest.mark.parametrize("name", ["max_width", "finger_length", "finger_thickness",
+                                      "friction_angle", "plane_clearance"])
+    def test_nan_rejected(self, name):
+        with pytest.raises(ValueError):
+            GripperSpec(**{name: float("nan")})
+
 
 class TestSampleAntipodalGrasps:
     def test_cube_grasps_span_opposite_faces(self, cube):

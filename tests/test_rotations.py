@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from stableplace.rotations import (
     DegenerateSixD,
     InvalidAxis,
+    InvalidRotation,
     PolyCoeffs,
     check_rotation,
     fit_geodesic_polynomial,
@@ -42,6 +45,15 @@ class TestAxisAngle:
     def test_non_unit_axis_rejected(self):
         with pytest.raises(InvalidAxis):
             rotation_from_axis_angle(np.array([1.0, 1.0, 0.0]), 0.3)
+
+    @pytest.mark.parametrize("value", [1e300, np.inf])
+    def test_huge_or_non_finite_rejected_without_warning(self, value):
+        m = np.eye(3)
+        m[0, 0] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning fails the test
+            with pytest.raises(InvalidRotation):
+                check_rotation(m)
 
     def test_results_are_valid_rotations(self):
         rng = np.random.default_rng(0)
