@@ -95,6 +95,15 @@ def _read_json(path: str, parse, lines: bool = False):
         return parse(json.loads(text))
 
 
+def _mesh_stems(paths) -> list[str]:
+    """The file stems of ``paths``, which label the meshes' records and
+    name their model files; raises InputError when two repeat."""
+    stems = [Path(p).stem for p in paths]
+    if len(set(stems)) != len(stems):
+        raise InputError(f"mesh file stems repeat: {stems}")
+    return stems
+
+
 def _json_fields(cls, d, where: str) -> dict:
     """The values of JSON object ``d`` for the fields of dataclass ``cls``,
     each checked against the field's declared type: an int takes an int
@@ -182,7 +191,7 @@ class RunConfig:
         if not values.get("mesh_paths"):
             raise InputError("config requires a non-empty mesh_paths list")
         cfg = cls(**values)
-        stems = [Path(p).stem for p in cfg.mesh_paths]
+        stems = _mesh_stems(cfg.mesh_paths)
         plan = (cfg.plan_start, cfg.plan_goal)
         for ok, message in [
             (cfg.seed >= 0, "seed must be >= 0"),
@@ -193,7 +202,6 @@ class RunConfig:
              "accuracy thresholds must be positive"),
             (0.0 <= cfg.score_threshold <= 1.0, "score_threshold must lie in [0, 1]"),
             (cfg.grasp_samples >= 1, "grasp_samples must be >= 1"),
-            (len(set(stems)) == len(stems), f"mesh file stems repeat: {stems}"),
             (cfg.plan_object in (None, *stems),
              f"plan_object {cfg.plan_object!r} is not a mesh stem {stems}"),
             ((plan[0] is None) == (plan[1] is None),
@@ -357,8 +365,9 @@ def cmd_settle(mesh_path, seed, rotation, output):
 @click.option("-o", "--output", type=click.Path(dir_okay=False), required=True,
               help="Output JSON Lines path.")
 def cmd_dataset(mesh_paths, drops, seed, workers, output):
-    """Generate a settled-placement dataset (one JSON record per line)."""
-    meshes = [(Path(p).stem, load_mesh(p)) for p in mesh_paths]
+    """Generate a settled-placement dataset (one JSON record per line).
+    Each mesh's file stem labels its records, so the stems must differ."""
+    meshes = [(stem, load_mesh(p)) for stem, p in zip(_mesh_stems(mesh_paths), mesh_paths)]
     result = generate_dataset(meshes, drops, seed, workers=workers or os.cpu_count() or 1)
     _write_text(output, _dataset_text(result.records))
     for object_id, count in result.diverged.items():

@@ -125,8 +125,9 @@ class TriMesh:
 
     @cached_property
     def pivot_table(self) -> "PivotTable":
-        """Pivot edge of each hull triangle resting alone on the plane,
-        built on first use by ``placements.settle``."""
+        """The hull's rolling graph: where each hull triangle resting
+        alone on the plane tips to, built on first use by
+        ``placements.settle``."""
         return PivotTable.build(self.hull, self.com)
 
     def face_normals(self) -> np.ndarray:
@@ -469,54 +470,85 @@ def _nearest_edge(dist: np.ndarray, beyond: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PivotTable:
-    """Where each hull triangle tips when it alone rests on the plane.
+    """Where each hull triangle tips when it alone rests on the plane: the
+    hull's rolling graph.
 
     Row r belongs to the triangle whose ascending hull-vertex triple
     (i, j, k) has key ``keys[r]`` = (i * n + j) * n + k, n being
-    ``n_vertices``; rows are sorted by key.  ``bound[r]`` is the
-    triangle's ``_com_margin_bounds`` value and ``edge[r]`` its pivot
-    edge: the (start, end) hull-vertex indices of the edge nearest the
-    COM's projection onto the triangle's plane (``_nearest_edge``), in the
-    counter-clockwise order of the triangle resting on the plane, seen
-    from above.  Everything is in the body frame."""
+    ``n_vertices``; rows are sorted by key.  Everything is in the body
+    frame.
+
+    - ``bound[r]``: the triangle's ``_com_margin_bounds`` value; below 0
+      the COM lies strictly beyond the pivot edge.
+    - ``edge[r]``: the pivot edge, the (start, end) hull-vertex indices
+      of the edge nearest the COM's projection onto the triangle's plane
+      (``_nearest_edge``), in the counter-clockwise order of the
+      triangle resting on the plane, seen from above.
+    - ``next[r]``: the row of the hull triangle across the pivot edge.
+      Rolling over an edge of a convex hull resting on one triangle
+      first brings down the triangle across it (Kriegman, "Let them fall
+      where they may", IJRR 1997).
+    - ``turn[r]``: the roll as a body-frame rotation R(e, phi), e the
+      unit pivot-edge direction start -> end and phi the exterior
+      dihedral angle arctan2(|n_f x n_g|, n_f . n_g) between the two
+      outward normals.  A pose ``rot`` resting on row r lands on row
+      ``next[r]`` as ``rot @ turn[r]``, since R(rot e, phi) @ rot =
+      rot @ R(e, phi).
+    - ``height[r]``: the COM's distance to the triangle's plane, its
+      height when resting on the triangle.
+    - ``clear[r]``: the smallest height of any other hull vertex above
+      the triangle's plane.  Heights above the plane are a linear
+      function, whose sub-level sets are connected on a convex
+      polytope's edge graph, so the lowest other vertex is a hull-edge
+      neighbour of one of the triangle's vertices, and only those rings
+      are searched.  NaN when the triangle across the pivot edge has no
+      plane (zero area), so no roll starts there.
+
+    A row is ``walkable`` when its COM lies beyond the pivot edge and no
+    other vertex is within the contact tolerance of its plane: resting on
+    it, the mesh touches the plane at that triangle alone and rolls on to
+    ``next[r]``."""
 
     n_vertices: int
     keys: np.ndarray  # (T,) int64, ascending
     bound: np.ndarray  # (T,)
     edge: np.ndarray  # (T, 2)
+    next: np.ndarray  # (T,) int
+    turn: np.ndarray  # (T, 3, 3)
+    height: np.ndarray  # (T,)
+    clear: np.ndarray  # (T,)
 
     @classmethod
     def build(cls, hull: TriMesh, com: np.ndarray) -> "PivotTable":
-        """Table of every triangle of ``hull``, vectorized over them.  A
-        hull of more than 2**21 vertices, whose keys would overflow int64,
-        gets an empty table."""
+        """Table of every triangle of ``hull``, a closed triangulated
+        surface as ``convex_hull`` gives, vectorized over its triangles.
+        A hull of more than 2**21 vertices, whose keys would overflow
+        int64, gets an empty table."""
         n = len(hull.vertices)
         if n > 2**21:
-            return cls(n, np.empty(0, np.int64), np.empty(0), np.empty((0, 2), int))
-        faces = hull.faces
+            return cls(n, np.empty(0, np.int64), np.empty(0), np.empty((0, 2), int),
+                       np.empty(0, int), np.empty((0, 3, 3)), np.empty(0), np.empty(0))
+        verts, faces = hull.vertices, hull.faces
         normals = hull.face_normals()
         inward = _edge_line_distances(hull, normals, com)
-        # distances from the COM's projection onto each plane to the edges
-        tri = hull.vertices[faces]
-        ab = np.roll(tri, -1, axis=1) - tri
-        p = com - np.einsum("fj,fj->f", com - tri[:, 0], normals)[:, None] * normals
-        ap = p[:, None, :] - tri
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.clip(
-                np.einsum("fkj,fkj->fk", ap, ab) / np.einsum("fkj,fkj->fk", ab, ab),
-                0.0,
-                1.0,
-            )
-        r = ap - t[..., None] * ab
-        k = _nearest_edge(np.sqrt(np.einsum("fkj,fkj->fk", r, r)), -inward)
+        k = _pivot_edge_index(hull, normals, inward, com)
         # outward edge k runs from vertex k to k + 1; resting, seen from
         # above, the triangle turns the other way
         rows = np.arange(len(faces))
         edge = np.column_stack([faces[rows, (k + 1) % 3], faces[rows, k]])
+        across = _edge_partners(faces, n)[rows, k]
+        turn = _roll_rotations(verts[edge[:, 1]] - verts[edge[:, 0]],
+                               normals, normals[across])
+        height = np.einsum("fj,fj->f", normals, verts[faces[:, 0]] - com)
+        clear = _ring_clearance(verts, faces, normals)
+        clear[~normals.any(axis=1)[across]] = np.nan
         triple = np.sort(faces, axis=1).astype(np.int64)
         keys = (triple[:, 0] * n + triple[:, 1]) * n + triple[:, 2]
         order = np.argsort(keys)
-        return cls(n, keys[order], inward.min(axis=1)[order], edge[order])
+        row_of = np.empty_like(order)
+        row_of[order] = rows
+        return cls(n, keys[order], inward.min(axis=1)[order], edge[order],
+                   row_of[across[order]], turn[order], height[order], clear[order])
 
     def row(self, contact: np.ndarray) -> int | None:
         """Row of the triangle with the ascending hull-vertex triple
@@ -525,6 +557,95 @@ class PivotTable:
         key = (i * self.n_vertices + j) * self.n_vertices + k
         r = int(np.searchsorted(self.keys, key))
         return r if r < len(self.keys) and self.keys[r] == key else None
+
+    def walkable(self, r: int, contact_tol: float) -> bool:
+        """Whether resting on row r alone rolls on to ``next[r]``."""
+        return bool(self.bound[r] < 0.0 and self.clear[r] > contact_tol)
+
+
+def _pivot_edge_index(
+    hull: TriMesh, normals: np.ndarray, inward: np.ndarray, com: np.ndarray
+) -> np.ndarray:
+    """Per hull triangle, the index k of its edge (vertex k to k + 1)
+    nearest the COM's projection onto its plane, by ``_nearest_edge``;
+    ``inward`` holds ``_edge_line_distances``.  A function of its own so
+    that its (F, 3, 3) temporaries are freed before the rest of
+    ``PivotTable.build`` runs."""
+    tri = hull.vertices[hull.faces]
+    ab = np.roll(tri, -1, axis=1) - tri
+    p = com - np.einsum("fj,fj->f", com - tri[:, 0], normals)[:, None] * normals
+    ap = p[:, None, :] - tri
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.clip(
+            np.einsum("fkj,fkj->fk", ap, ab) / np.einsum("fkj,fkj->fk", ab, ab),
+            0.0,
+            1.0,
+        )
+    r = ap - t[..., None] * ab
+    return _nearest_edge(np.sqrt(np.einsum("fkj,fkj->fk", r, r)), -inward)
+
+
+def _edge_partners(faces: np.ndarray, n: int) -> np.ndarray:
+    """(F, 3) index of the face sharing edge k (vertex k to k + 1) of each
+    face of a closed triangulated surface over ``n`` vertices, where each
+    edge belongs to exactly two faces."""
+    ends = np.sort(np.stack([faces, np.roll(faces, -1, axis=1)], axis=2), axis=2)
+    key = (ends[..., 0].astype(np.int64) * n + ends[..., 1]).ravel()
+    order = np.argsort(key, kind="stable")
+    partner = np.empty_like(order)
+    partner[order[0::2]] = order[1::2]
+    partner[order[1::2]] = order[0::2]
+    return (partner // 3).reshape(faces.shape)
+
+
+def _roll_rotations(
+    edges: np.ndarray, n_from: np.ndarray, n_to: np.ndarray
+) -> np.ndarray:
+    """(F, 3, 3) Rodrigues rotations about the unit directions of
+    ``edges`` by the angles arctan2(|n_from x n_to|, n_from . n_to)."""
+    e = edges / np.linalg.norm(edges, axis=1)[:, None]
+    cross = np.cross(n_from, n_to)
+    phi = np.arctan2(np.sqrt(np.einsum("fj,fj->f", cross, cross)),
+                     np.einsum("fj,fj->f", n_from, n_to))
+    zero = np.zeros(len(e))
+    x, y, z = e.T
+    kmat = np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=1).reshape(-1, 3, 3)
+    out = kmat @ kmat
+    out *= (1.0 - np.cos(phi))[:, None, None]
+    kmat *= np.sin(phi)[:, None, None]
+    out += kmat
+    out += np.eye(3)
+    return out
+
+
+def _ring_clearance(
+    verts: np.ndarray, faces: np.ndarray, normals: np.ndarray
+) -> np.ndarray:
+    """Per face, the smallest height above its plane (along the inward
+    normal) of the hull-edge neighbours of its vertices, the face's own
+    vertices excluded."""
+    n = len(verts)
+    a, b = faces.ravel(), np.roll(faces, -1, axis=1).ravel()
+    key = np.concatenate([a * n + b, b * n + a])
+    key.sort()
+    key = key[np.r_[True, key[1:] != key[:-1]]]
+    first = np.searchsorted(key // n, np.arange(n + 1))
+    plane = np.einsum("fj,fj->f", normals, verts[faces[:, 0]])
+    clear = np.full(len(faces), np.inf)
+    # one corner of every face at a time, which bounds the memory held
+    for corner in faces.T:
+        degree = first[corner + 1] - first[corner]
+        at = np.repeat(first[corner] - np.cumsum(degree) + degree, degree)
+        ring = (key % n)[at + np.arange(len(at))]
+        # one coordinate at a time: 1-D gathers are several times faster
+        h = np.repeat(plane, degree)
+        own = np.zeros(len(ring), dtype=bool)
+        for j in range(3):
+            h -= np.repeat(normals[:, j], degree) * verts[:, j].take(ring)
+            own |= np.repeat(faces[:, j], degree) == ring
+        h[own] = np.inf
+        np.minimum(clear, np.minimum.reduceat(h, np.cumsum(degree) - degree), out=clear)
+    return clear
 
 
 def sample_point_cloud(mesh: TriMesh, m: int, seed: int) -> np.ndarray:

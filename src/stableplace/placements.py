@@ -15,6 +15,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .mesh import (
+    PivotTable,
     TriMesh,
     ZeroPlaneVector,
     _com_margin_bounds,
@@ -429,48 +430,58 @@ def settle(
     lies furthest beyond (``nearest_polygon_edge``), so the COM height is
     non-increasing across pivots.
 
-    A support of exactly one hull triangle that the mesh's pivot table
-    (``TriMesh.pivot_table``, built here on first use) marks unstable,
-    by a COM margin bound below margin_eps - 1e-9, pivots about the
-    table's edge without rebuilding the support polygon.  That is the
-    edge the polygon gives, bit for bit, unless two edges tie on both
-    distances, as when the triangle is symmetric about the COM; then
-    either lowers the COM, and the table takes its lower-indexed one
-    where the polygon's pick is left to rounding.  The score of the stable
-    Placement looks up the inradius of its contact set in the mesh's
-    memo.  Returns the stable Placement; with return_trace=True also
-    returns the list of COM heights after each drop.
+    When the contacts are exactly the vertices of one hull triangle that
+    the mesh's rolling graph (``TriMesh.pivot_table``, built here on first
+    use) marks walkable, the COM lies strictly beyond the triangle's
+    pivot edge, and the roll lands on the triangle across it.  Settle
+    then walks the graph in the body frame: ``rot = rot @ turn[r]`` and
+    ``r = next[r]`` per tip, with the trace height ``height[r]``, for as
+    long as the landed row is walkable too (COM beyond its pivot edge
+    and every other vertex more than ``contact_tol`` above its plane, so
+    it alone would touch).  Walked tips count toward ``max_tips``.  When
+    the walk stops, the contacts are derived again from the posed hull.
+    Point, segment and polygon supports, and one triangle whose COM lies
+    inside it but within ``margin_eps`` of an edge, take the world-frame
+    pivot above.
+
+    The score of the stable Placement looks up the inradius of its
+    contact set in the mesh's memo.  Returns the stable Placement; with
+    return_trace=True also returns the list of COM heights after each
+    drop and tip.
     """
     hv = mesh.hull.vertices
     com_body = mesh.com
     rot = np.asarray(initial, dtype=float).copy()
     heights: list[float] = []
 
-    for tip in range(max_tips + 1):
+    while True:
         world = hv @ rot.T
         zmin = world[:, 2].min()
         world = world - np.array([0.0, 0.0, zmin])
         com = rot @ com_body - np.array([0.0, 0.0, zmin])
         heights.append(float(com[2]))
         contact = np.flatnonzero(world[:, 2] <= contact_tol)
-        edge = _table_edge(mesh, contact, margin_eps)
-        if edge is not None:
-            a, u = _line_axis(world[edge[0], :2], world[edge[1], :2])
-        else:
-            margin, contacts_xy = _contact_margin(world, com[:2], contact_tol)
-            if margin >= margin_eps:
-                com_r = rot @ com_body
-                zmin_mesh = (mesh.vertices @ rot.T)[:, 2].min()
-                placement = Placement(
-                    rotation=rot,
-                    translation=np.array([-com_r[0], -com_r[1], -zmin_mesh]),
-                    stability_margin=float(margin),
-                )
-                inr = _contact_inradius(mesh, tuple(contact.tolist()))
-                if inr > 0:
-                    placement.score = float(np.clip(margin / inr, 0.0, 1.0))
-                return (placement, heights) if return_trace else placement
-            a, u = _pivot_axis(contacts_xy, com[:2])
+        if len(contact) == 3:
+            table = mesh.pivot_table
+            r = table.row(contact)
+            if r is not None and table.walkable(r, contact_tol):
+                rot = _walk(table, r, rot, heights, max_tips, contact_tol)
+                continue
+        margin, contacts_xy = _contact_margin(world, com[:2], contact_tol)
+        if margin >= margin_eps:
+            com_r = rot @ com_body
+            zmin_mesh = (mesh.vertices @ rot.T)[:, 2].min()
+            placement = Placement(
+                rotation=rot,
+                translation=np.array([-com_r[0], -com_r[1], -zmin_mesh]),
+                stability_margin=float(margin),
+            )
+            inr = _contact_inradius(mesh, tuple(contact.tolist()))
+            if inr > 0:
+                placement.score = float(np.clip(margin / inr, 0.0, 1.0))
+            return (placement, heights) if return_trace else placement
+        _check_tips(heights, max_tips)
+        a, u = _pivot_axis(contacts_xy, com[:2])
         r_com = com - a
         torque = u[0] * r_com[1] - u[1] * r_com[0]
         s = -1.0 if torque > 0 else 1.0
@@ -487,23 +498,32 @@ def settle(
         phi_star = float(phi[valid].min())
         rot = rotation_from_axis_angle(u, s * phi_star) @ rot
 
-    raise SettleDiverged(f"exceeded max_tips={max_tips}")
+
+def _walk(
+    table: PivotTable,
+    r: int,
+    rot: np.ndarray,
+    heights: list[float],
+    max_tips: int,
+    contact_tol: float,
+) -> np.ndarray:
+    """Pose after rolling from the walkable row r, resting under ``rot``,
+    along the rolling graph until it lands on a row that is not walkable.
+    Appends the height of every landing but the last, which the caller
+    derives from the posed hull."""
+    while True:
+        _check_tips(heights, max_tips)
+        rot = rot @ table.turn[r]
+        r = table.next[r]
+        if not table.walkable(r, contact_tol):
+            return rot
+        heights.append(float(table.height[r]))
 
 
-def _table_edge(
-    mesh: TriMesh, contact: np.ndarray, margin_eps: float
-) -> np.ndarray | None:
-    """Pivot edge (start, end hull-vertex indices) from the mesh's pivot
-    table when the contact set is one hull triangle whose margin bound is
-    below margin_eps - 1e-9, as in ``enumerate_stable``'s pre-filter, so
-    that it is certainly unstable; otherwise None."""
-    if len(contact) != 3:
-        return None
-    table = mesh.pivot_table
-    r = table.row(contact)
-    if r is None or not table.bound[r] < margin_eps - 1e-9:
-        return None
-    return table.edge[r]
+def _check_tips(heights: list[float], max_tips: int) -> None:
+    """Raise SettleDiverged when the trace already holds max_tips tips."""
+    if len(heights) > max_tips:
+        raise SettleDiverged(f"exceeded max_tips={max_tips}")
 
 
 # --- dataset generation -------------------------------------------------------------

@@ -236,6 +236,23 @@ class TestDatasetAndCluster:
         assert r.exit_code == 0
         assert len(json.loads(r.output)["modes"]) == 4
 
+    def test_repeated_mesh_stems_exit_2(self, runner, mesh_dir, tmp_path, monkeypatch):
+        # two meshes whose files share a stem used to share one object_id
+        for d, name in [("a", "cube"), ("b", "tall_box")]:
+            (tmp_path / d).mkdir()
+            (tmp_path / d / "cube.obj").write_bytes((mesh_dir / f"{name}.obj").read_bytes())
+        monkeypatch.setattr(cli, "generate_dataset", None)  # no drop may run
+        ds = tmp_path / "ds.jsonl"
+        r = runner.invoke(
+            main,
+            ["dataset", str(tmp_path / "a" / "cube.obj"), str(tmp_path / "b" / "cube.obj"),
+             "--drops", "3", "--workers", "1", "-o", str(ds)],
+        )
+        assert r.exit_code == 2
+        assert isinstance(r.exception, SystemExit)  # no traceback
+        assert "mesh file stems repeat" in r.stderr
+        assert not ds.exists()
+
     @pytest.mark.parametrize("field", ["rotation", "unstable_rotation"])
     @pytest.mark.parametrize("bad", [[2, 0, 0, 0, 2, 0, 0, 0, 2], [float("nan")] * 9])
     def test_bad_rotation_row_exit_2(self, runner, mesh_dir, tmp_path, field, bad):

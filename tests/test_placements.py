@@ -1,3 +1,4 @@
+import contextlib
 import json
 from decimal import Decimal, localcontext
 
@@ -7,7 +8,7 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
 from conftest import drifting_arc, ellipsoid, ngon_prism, sheared_wedge
-from stableplace import fixtures
+from stableplace import fixtures, placements
 from stableplace.mesh import (
     PivotTable,
     TriMesh,
@@ -22,10 +23,12 @@ from stableplace.placements import (
     CONTACT_TOL,
     DEFAULT_MARGIN_EPS,
     Placement,
+    SettleDiverged,
     _contact_margin,
     _line_axis,
     _pivot_axis,
     _point_segment_distance,
+    _walk,
     enumerate_stable,
     generate_dataset,
     nearest_polygon_edge,
@@ -38,6 +41,7 @@ from stableplace.rotations import (
     body_up_axis,
     random_rotation,
     rot_x,
+    rotation_from_axis_angle,
     z_quotient_distance,
     z_quotient_distances,
 )
@@ -258,6 +262,39 @@ def _tilt_tolerance(mesh):
     return CONTACT_TOL / float((2.0 * hull.face_areas() / edges.max(axis=1)).min())
 
 
+def _reference_settle(mesh, initial, margin_eps=DEFAULT_MARGIN_EPS):
+    """Settle's per-tip world-frame loop from before the rolling-graph
+    walk: every tip transforms the whole hull and searches it for the
+    pivot angle, taking a one-triangle support's pivot edge from the
+    table.  Returns the rotation and the trace of COM heights."""
+    hv, table = mesh.hull.vertices, mesh.pivot_table
+    rot = np.asarray(initial, dtype=float).copy()
+    heights = []
+    for _ in range(201):
+        world = hv @ rot.T
+        zmin = world[:, 2].min()
+        world[:, 2] -= zmin
+        com = rot @ mesh.com - np.array([0.0, 0.0, zmin])
+        heights.append(float(com[2]))
+        contact = np.flatnonzero(world[:, 2] <= CONTACT_TOL)
+        r = table.row(contact) if len(contact) == 3 else None
+        if r is not None and table.bound[r] < margin_eps - 1e-9:
+            a, u = _line_axis(world[table.edge[r][0], :2], world[table.edge[r][1], :2])
+        else:
+            margin, xy = _contact_margin(world, com[:2], CONTACT_TOL)
+            if margin >= margin_eps:
+                return rot, heights
+            a, u = _pivot_axis(xy, com[:2])
+        r_com = com - a
+        s = -1.0 if u[0] * r_com[1] - u[1] * r_com[0] > 0 else 1.0
+        rel = world - a
+        a_z = rel[:, 2]
+        phi = np.arctan2(np.maximum(a_z, 0.0), -s * (u[0] * rel[:, 1] - u[1] * rel[:, 0]))
+        valid = (a_z > CONTACT_TOL) & (phi > 1e-9)
+        rot = rotation_from_axis_angle(u, s * float(phi[valid].min())) @ rot
+    raise SettleDiverged("reference loop exceeded 200 tips")
+
+
 class TestDenseMeshSettle:
     @pytest.mark.parametrize("subdivisions", [2, 3])
     def test_seeded_drops(self, subdivisions):
@@ -270,6 +307,69 @@ class TestDenseMeshSettle:
             assert max(np.diff(trace), default=0.0) <= 1e-9  # COM never rises
             assert stability_check(mesh, p)[0]
             assert np.linalg.norm(ups - body_up_axis(p.rotation), axis=1).min() <= tol
+
+    @pytest.mark.parametrize("subdivisions", [2, 3])
+    def test_walk_matches_reference_loop(self, subdivisions):
+        """The walked settle reaches the placement type of the per-tip
+        world-frame loop, with as many tips (within 2%), most of them
+        walked: the world-frame pivots are about two per drop, from the
+        first contact point to a segment and on to a triangle."""
+        mesh = ellipsoid(subdivisions)
+        tol = _tilt_tolerance(mesh)
+        rng = np.random.default_rng(42)
+        tips = ref_tips = world_tips = 0
+        for _ in range(60):
+            initial = random_rotation(rng)
+            with _counting(placements, "_pivot_axis") as calls:
+                p, trace = settle(mesh, initial, return_trace=True)
+            ref, ref_trace = _reference_settle(mesh, initial)
+            assert max(np.diff(trace), default=0.0) <= 1e-9  # COM never rises
+            assert stability_check(mesh, p)[0]
+            assert np.linalg.norm(body_up_axis(ref) - body_up_axis(p.rotation)) <= tol
+            tips += len(trace) - 1
+            ref_tips += len(ref_trace) - 1
+            world_tips += calls[0]
+        assert abs(tips - ref_tips) <= 0.02 * ref_tips
+        assert world_tips < tips / 2
+
+    def test_max_tips_counts_walked_tips(self):
+        """A drop whose trace has N tips diverges at max_tips < N and
+        settles to the same placement at N."""
+        mesh = ellipsoid(3)
+        rng = np.random.default_rng(5)
+        checked = 0
+        for _ in range(8):
+            initial = random_rotation(rng)
+            with _counting(placements, "_walk") as walks:
+                p, trace = settle(mesh, initial, return_trace=True)
+            n = len(trace) - 1
+            if walks[0] == 0:
+                continue
+            for max_tips in range(n):
+                with pytest.raises(SettleDiverged):
+                    settle(mesh, initial, max_tips=max_tips)
+            again = settle(mesh, initial, max_tips=n)
+            assert again.rotation.tobytes() == p.rotation.tobytes()
+            checked += 1
+        assert checked >= 5
+
+
+@contextlib.contextmanager
+def _counting(module, name):
+    """Count the calls of ``module.name`` made inside the block, in the
+    yielded one-element list."""
+    fn = getattr(module, name)
+    calls = [0]
+
+    def wrapper(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+
+    setattr(module, name, wrapper)
+    try:
+        yield calls
+    finally:
+        setattr(module, name, fn)
 
 
 _TABLE_MESHES = [*fixtures.standard_fixtures(), "ellipsoid_s2", "ellipsoid_s3"]
@@ -374,6 +474,63 @@ class TestPivotTable:
         if name.startswith("ellipsoid"):
             assert len(sinks) == len(ups) > 0
 
+    @pytest.mark.parametrize("name", _TABLE_MESHES)
+    def test_rolling_columns_match_loop_reference(self, name):
+        """``next`` is the triangle across the pivot edge, ``turn`` lands
+        it flat, ``height`` is the COM's distance to the plane and
+        ``clear`` the lowest other vertex over the whole hull."""
+        mesh = _table_mesh(name)
+        hull = mesh.hull
+        table = mesh.pivot_table
+        down = np.array([0.0, 0.0, -1.0])
+        rows = [table.row(np.sort(face)) for face in hull.faces]
+        assert sorted(rows) == list(range(len(rows)))
+        faces_at = {}  # undirected edge -> the faces holding it
+        for f, face in enumerate(hull.faces.tolist()):
+            for k in range(3):
+                faces_at.setdefault(frozenset((face[k], face[k - 1])), []).append(f)
+        for f, (face, n) in enumerate(zip(hull.faces, hull.face_normals())):
+            r = rows[f]
+            across = [g for g in faces_at[frozenset(table.edge[r].tolist())] if g != f]
+            assert len(across) == 1
+            g = across[0]
+            assert table.next[r] == rows[g]
+            rest = rotation_between(n, down)
+            landed = rest @ table.turn[r] @ hull.face_normals()[g]
+            assert np.abs(landed - down).max() <= 1e-12
+            pts = hull.vertices[face]
+            assert table.height[r] == pytest.approx(float(n @ (pts[0] - mesh.com)),
+                                                    rel=1e-12, abs=1e-15)
+            others = np.delete(hull.vertices, face, axis=0)
+            assert table.clear[r] == pytest.approx(float(((pts[0] - others) @ n).min()),
+                                                   rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("name", ["cube", "l_prism", "t_prism"])
+    def test_walk_stops_on_coplanar_pairs(self, name):
+        """On meshes whose flat faces are coplanar triangle pairs, no
+        triangle is clear of another vertex, so a walk started from any
+        triangle whose COM lies beyond its pivot edge lands on the next
+        and stops there, and settle never starts one."""
+        mesh = _table_mesh(name)
+        hull = mesh.hull
+        table = mesh.pivot_table
+        assert np.all(table.clear <= CONTACT_TOL)
+        normals = {table.row(np.sort(face)): n
+                   for face, n in zip(hull.faces, hull.face_normals())}
+        beyond = np.flatnonzero(table.bound < 0)
+        for r in beyond:
+            heights = []
+            rot = rotation_between(normals[r], np.array([0.0, 0.0, -1.0]))
+            landed = _walk(table, r, rot, heights, 200, CONTACT_TOL)
+            assert heights == []  # one tip, then the world path takes over
+            assert landed @ normals[table.next[r]] == pytest.approx([0, 0, -1], abs=1e-12)
+        assert len(beyond) > 0 or name == "cube"
+        rng = np.random.default_rng(8)
+        with _counting(placements, "_walk") as walks:
+            for _ in range(100):
+                settle(mesh, random_rotation(rng))
+        assert walks[0] == 0
+
     def test_enumerate_never_builds_it_and_settle_does(self):
         mesh = ellipsoid(2)
         enumerate_stable(mesh)
@@ -392,7 +549,7 @@ class TestPivotTable:
             vertices = np.broadcast_to(0.0, (2**21 + 1, 3))
 
         table = PivotTable.build(Hull(), np.zeros(3))
-        assert len(table.keys) == 0
+        assert len(table.keys) == len(table.next) == len(table.turn) == 0
         assert table.row(np.array([0, 1, 2])) is None
 
 
