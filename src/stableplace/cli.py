@@ -38,6 +38,7 @@ from .metrics import (
 )
 from .placements import (
     DEFAULT_MARGIN_EPS,
+    DatasetResult,
     Placement,
     PlacementRecord,
     SettleDiverged,
@@ -292,6 +293,13 @@ def _dataset_text(records: list[PlacementRecord]) -> str:
     return "".join(_dump_json(rec.to_json_dict()) for rec in records)
 
 
+def _report_diverged(result: DatasetResult) -> None:
+    """Name on stderr each object with drops skipped for diverging."""
+    for object_id, count in result.diverged.items():
+        if count:
+            click.echo(f"{object_id}: {count} diverged drops skipped", err=True)
+
+
 def _cluster(records: list[PlacementRecord], object_id: str, bandwidth_deg: float):
     """Placement-type model of the records of ``object_id``."""
     rotations = [r.placement.rotation for r in records if r.object_id == object_id]
@@ -360,8 +368,9 @@ def cmd_settle(mesh_path, seed, rotation, output):
 @click.option("--drops", type=click.IntRange(min=1), default=100, show_default=True,
               help="Settled drops per object.")
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--workers", type=int, default=None,
-              help="Worker processes (default: available parallelism).")
+@click.option("--workers", type=click.IntRange(min=1), default=None,
+              help="Worker processes, at most one per 16 drops "
+                   "(default: available parallelism).")
 @click.option("-o", "--output", type=click.Path(dir_okay=False), required=True,
               help="Output JSON Lines path.")
 def cmd_dataset(mesh_paths, drops, seed, workers, output):
@@ -370,9 +379,7 @@ def cmd_dataset(mesh_paths, drops, seed, workers, output):
     meshes = [(stem, load_mesh(p)) for stem, p in zip(_mesh_stems(mesh_paths), mesh_paths)]
     result = generate_dataset(meshes, drops, seed, workers=workers or os.cpu_count() or 1)
     _write_text(output, _dataset_text(result.records))
-    for object_id, count in result.diverged.items():
-        if count:
-            click.echo(f"{object_id}: {count} diverged drops skipped", err=True)
+    _report_diverged(result)
 
 
 @main.command("cluster")
@@ -461,8 +468,9 @@ def cmd_fitpoly(samples, output):
 
 @main.command("pipeline")
 @click.argument("config_path", type=str)
-@click.option("--workers", type=int, default=None,
-              help="Worker processes (default: available parallelism).")
+@click.option("--workers", type=click.IntRange(min=1), default=None,
+              help="Worker processes, at most one per 16 drops "
+                   "(default: available parallelism).")
 @click.option("--dump-poses", is_flag=True, default=False,
               help="Also write poses.json with the settled dataset poses "
                    "for external viewers.")
@@ -504,6 +512,7 @@ def cmd_pipeline(config_path, workers, dump_poses):
     result = generate_dataset(
         meshes, cfg.drops_per_object, cfg.seed, workers=workers or os.cpu_count() or 1
     )
+    _report_diverged(result)
     outputs["dataset.jsonl"] = _dataset_text(result.records)
     rows = []
     for object_id, mesh in meshes:

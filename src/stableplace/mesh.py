@@ -42,9 +42,10 @@ class ZeroPlaneVector(ValueError):
 class TriMesh:
     """Triangle mesh with its uniform-density volume and COM.
 
-    Treated as immutable after construction: its convex hull, its pivot
-    table and the inradii of its resting contact sets are cached on first
-    use, so changing ``vertices`` or ``faces`` in place leaves them stale.
+    Treated as immutable after construction: its edge index (built with
+    it), its convex hull, its pivot table and the support polygons of its
+    resting contact sets are cached on first use, so changing
+    ``vertices`` or ``faces`` in place leaves them stale.
     """
 
     vertices: np.ndarray  # (N, 3)
@@ -100,10 +101,13 @@ class TriMesh:
 
     def _is_watertight(self) -> bool:
         """Every undirected edge is shared by exactly two faces."""
-        edges = np.sort(self.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-        key = edges[:, 0].astype(np.int64) * len(self.vertices) + edges[:, 1]
-        _, counts = np.unique(key, return_counts=True)
-        return bool(np.all(counts == 2))
+        return self.edges.closed
+
+    @cached_property
+    def edges(self) -> "EdgeIndex":
+        """The faces' edge keys and partners, built on first use (by the
+        watertightness test during construction)."""
+        return EdgeIndex.build(self.faces, len(self.vertices))
 
     @cached_property
     def hull(self) -> "TriMesh":
@@ -117,10 +121,12 @@ class TriMesh:
             raise DegenerateHull(f"mesh {self.source}: {exc}") from exc
 
     @cached_property
-    def contact_inradii(self) -> dict[tuple[int, ...], float]:
+    def supports(self) -> dict[tuple[int, ...], tuple[np.ndarray | None, float]]:
         """Memo from a resting contact set (sorted indices into
-        ``hull.vertices``) to its support-polygon inradius, filled lazily
-        by ``placements.settle``."""
+        ``hull.vertices``) to its support polygon, as hull-vertex indices
+        in counter-clockwise order seen from above starting at the lowest
+        index (None for a point or segment support), and that polygon's
+        inradius; filled lazily by ``placements``."""
         return {}
 
     @cached_property
@@ -141,6 +147,42 @@ class TriMesh:
         v, f = self.vertices, self.faces
         n = np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
         return 0.5 * np.linalg.norm(n, axis=1)
+
+
+@dataclass(frozen=True)
+class EdgeIndex:
+    """The edges of a triangle mesh, one row per face.  Edge k of face f
+    runs from vertex ``faces[f, k]`` to ``faces[f, (k + 1) % 3]``; its
+    flat row is 3 * f + k.
+
+    - ``key[f, k]``: the undirected int64 key i * n + j of the edge, i < j
+      its vertex indices and n the vertex count, so keys order edges as
+      their sorted vertex pairs.
+    - ``partner[f, k]``: the flat row of the other edge with the same key,
+      so ``partner // 3`` is the face across edge k.  None unless the
+      surface is closed: every undirected edge shared by exactly two
+      faces."""
+
+    key: np.ndarray  # (F, 3) int64
+    partner: np.ndarray | None  # (F, 3) int
+
+    @property
+    def closed(self) -> bool:
+        return self.partner is not None
+
+    @classmethod
+    def build(cls, faces: np.ndarray, n: int) -> "EdgeIndex":
+        ends = np.roll(faces, -1, axis=1)
+        key = np.minimum(faces, ends).astype(np.int64) * n + np.maximum(faces, ends)
+        order = np.argsort(key, axis=None)
+        s = key.ravel()[order]
+        # sorted, the keys of a closed surface come in equal, distinct pairs
+        if len(s) % 2 or np.any(s[0::2] != s[1::2]) or np.any(s[1:-1:2] == s[2::2]):
+            return cls(key, None)
+        partner = np.empty_like(order)
+        partner[order[0::2]] = order[1::2]
+        partner[order[1::2]] = order[0::2]
+        return cls(key, partner.reshape(key.shape))
 
 
 def load_mesh(path: str | Path) -> TriMesh:
@@ -298,8 +340,10 @@ def merge_coplanar_facets(hull: TriMesh, angle_tol: float = 1e-4) -> list[Facet]
     Faces are visited in index order; each unvisited face seeds a facet
     that grows over adjacent faces within ``angle_tol`` of the seed's
     normal (not of the face they are reached from), so a slowly curving
-    surface splits into several facets rather than one.  Raises
-    ValueError unless 0 <= ``angle_tol`` < pi/2."""
+    surface splits into several facets rather than one.  Faces are
+    adjacent across the edges of ``hull.edges``.  Raises ValueError
+    unless 0 <= ``angle_tol`` < pi/2 and the surface is closed, every edge
+    shared by exactly two faces, as the surface of ``convex_hull`` is."""
     normals = hull.face_normals()
     areas = hull.face_areas()
     return [
@@ -325,29 +369,19 @@ def _coplanar_groups(
     cancels to zero."""
     if not 0.0 <= angle_tol < np.pi / 2:
         raise ValueError(f"angle_tol must be in [0, pi/2), got {angle_tol}")
+    edges = hull.edges
+    if not edges.closed:
+        raise ValueError("facets need a closed surface: some edge is not shared "
+                         "by exactly two faces")
     n_faces = len(hull.faces)
-    # directed adjacency src -> dst over shared edges, ordered as the
-    # per-face neighbour lists of a scan over faces and their edges: by
-    # the first (face, edge) row that holds the edge, then by dst's row
-    edges = np.sort(hull.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    rows = np.lexsort((edges[:, 1], edges[:, 0]))  # stable: ties by row
-    sorted_edges = edges[rows]
-    starts = np.r_[True, np.any(sorted_edges[1:] != sorted_edges[:-1], axis=1)]
-    run = np.cumsum(starts) - 1
-    first_row = rows[starts][run]
-    src, dst, rank, pos = [], [], [], []
-    for d in range(1, int(np.bincount(run).max())):
-        p = np.flatnonzero(run[:-d] == run[d:])
-        q = p + d
-        src += [rows[p], rows[q]]
-        dst += [rows[q], rows[p]]
-        rank += [first_row[p], first_row[p]]
-        pos += [q, p]
-    if not src:
-        return [[f] for f in range(n_faces)]
-    src, dst = np.concatenate(src) // 3, np.concatenate(dst) // 3
-    order = np.lexsort((np.concatenate(pos), np.concatenate(rank), src))
-    src, dst = src[order], dst[order]
+    # each face's neighbours across its edges, ordered as the neighbour
+    # lists of a scan over faces and their edges: by the first row that
+    # holds the edge
+    partner = edges.partner
+    first = np.minimum(partner, np.arange(partner.size).reshape(partner.shape))
+    order = np.argsort(first, axis=1, kind="stable")
+    src = np.repeat(np.arange(n_faces), 3)
+    dst = np.take_along_axis(partner, order, axis=1).ravel() // 3
     # the small slack absorbs rounding in the normals' dot products
     near = np.einsum("ij,ij->i", normals[src], normals[dst]) > (
         np.cos(2.0 * angle_tol) - 1e-12
@@ -453,19 +487,25 @@ def _com_margin_bounds(
     return _edge_line_distances(hull, normals, com).min(axis=1)
 
 
-def _nearest_edge(dist: np.ndarray, beyond: np.ndarray) -> np.ndarray:
+def _nearest_edge(dist: np.ndarray, beyond: np.ndarray, pair: np.ndarray) -> np.ndarray:
     """Index, along the last axis, of the edge nearest a point, from the
-    point's distances to the edge segments and its signed distances beyond
-    the edge lines (positive outside).
+    point's distances to the edge segments, its signed distances beyond
+    the edge lines (positive outside) and the edges' keys of sorted
+    hull-vertex index pairs.
 
-    Edges within 1e-12 (relative) of the nearest distance tie, and the
-    tie goes to the edge whose line the point lies furthest beyond, then
-    to the lowest index.  When the nearest point is a vertex, both of its
-    edges are equally near; pivoting about one whose line the COM lies
-    inside would press the support into the plane and raise the COM, so
-    the rule takes the other."""
+    Edges within 1e-12 (relative) of the nearest distance tie; of those,
+    the edges within 1e-12 (relative) of the largest distance beyond the
+    line tie; of those, the edge with the lowest pair wins.  When the
+    nearest point is a vertex, both of its edges are equally near;
+    pivoting about one whose line the COM lies inside would press the
+    support into the plane and raise the COM, so the rule takes the
+    other.  Ties by index pair, not by position, make the choice the
+    same in every frame the edges are measured in."""
     near = dist <= dist.min(axis=-1, keepdims=True) * (1.0 + 1e-12)
-    return np.argmax(np.where(near, beyond, -np.inf), axis=-1)
+    beyond = np.where(near, beyond, -np.inf)
+    best = beyond.max(axis=-1, keepdims=True)
+    far = beyond >= best - 1e-12 * np.abs(best)
+    return np.argmin(np.where(far, pair, np.iinfo(np.int64).max), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -521,8 +561,9 @@ class PivotTable:
     @classmethod
     def build(cls, hull: TriMesh, com: np.ndarray) -> "PivotTable":
         """Table of every triangle of ``hull``, a closed triangulated
-        surface as ``convex_hull`` gives, vectorized over its triangles.
-        A hull of more than 2**21 vertices, whose keys would overflow
+        surface as ``convex_hull`` gives, vectorized over its triangles;
+        the triangles across edges and the vertex rings come from
+        ``hull.edges``.  A hull of more than 2**21 vertices, whose keys would overflow
         int64, gets an empty table."""
         n = len(hull.vertices)
         if n > 2**21:
@@ -536,11 +577,11 @@ class PivotTable:
         # above, the triangle turns the other way
         rows = np.arange(len(faces))
         edge = np.column_stack([faces[rows, (k + 1) % 3], faces[rows, k]])
-        across = _edge_partners(faces, n)[rows, k]
+        across = hull.edges.partner[rows, k] // 3
         turn = _roll_rotations(verts[edge[:, 1]] - verts[edge[:, 0]],
                                normals, normals[across])
         height = np.einsum("fj,fj->f", normals, verts[faces[:, 0]] - com)
-        clear = _ring_clearance(verts, faces, normals)
+        clear = _ring_clearance(hull, normals)
         clear[~normals.any(axis=1)[across]] = np.nan
         triple = np.sort(faces, axis=1).astype(np.int64)
         keys = (triple[:, 0] * n + triple[:, 1]) * n + triple[:, 2]
@@ -567,7 +608,8 @@ def _pivot_edge_index(
     hull: TriMesh, normals: np.ndarray, inward: np.ndarray, com: np.ndarray
 ) -> np.ndarray:
     """Per hull triangle, the index k of its edge (vertex k to k + 1)
-    nearest the COM's projection onto its plane, by ``_nearest_edge``;
+    nearest the COM's projection onto its plane, by ``_nearest_edge``
+    with the keys of ``hull.edges``;
     ``inward`` holds ``_edge_line_distances``.  A function of its own so
     that its (F, 3, 3) temporaries are freed before the rest of
     ``PivotTable.build`` runs."""
@@ -582,20 +624,8 @@ def _pivot_edge_index(
             1.0,
         )
     r = ap - t[..., None] * ab
-    return _nearest_edge(np.sqrt(np.einsum("fkj,fkj->fk", r, r)), -inward)
-
-
-def _edge_partners(faces: np.ndarray, n: int) -> np.ndarray:
-    """(F, 3) index of the face sharing edge k (vertex k to k + 1) of each
-    face of a closed triangulated surface over ``n`` vertices, where each
-    edge belongs to exactly two faces."""
-    ends = np.sort(np.stack([faces, np.roll(faces, -1, axis=1)], axis=2), axis=2)
-    key = (ends[..., 0].astype(np.int64) * n + ends[..., 1]).ravel()
-    order = np.argsort(key, kind="stable")
-    partner = np.empty_like(order)
-    partner[order[0::2]] = order[1::2]
-    partner[order[1::2]] = order[0::2]
-    return (partner // 3).reshape(faces.shape)
+    dist = np.sqrt(np.einsum("fkj,fkj->fk", r, r))
+    return _nearest_edge(dist, -inward, hull.edges.key)
 
 
 def _roll_rotations(
@@ -618,17 +648,18 @@ def _roll_rotations(
     return out
 
 
-def _ring_clearance(
-    verts: np.ndarray, faces: np.ndarray, normals: np.ndarray
-) -> np.ndarray:
-    """Per face, the smallest height above its plane (along the inward
-    normal) of the hull-edge neighbours of its vertices, the face's own
-    vertices excluded."""
+def _ring_clearance(hull: TriMesh, normals: np.ndarray) -> np.ndarray:
+    """Per face of a closed surface, the smallest height above its plane
+    (along the inward normal) of the edge neighbours of its vertices, the
+    face's own vertices excluded."""
+    verts, faces = hull.vertices, hull.faces
     n = len(verts)
-    a, b = faces.ravel(), np.roll(faces, -1, axis=1).ravel()
-    key = np.concatenate([a * n + b, b * n + a])
+    # each undirected edge once, from the row before its partner, then
+    # both its directions, sorted: the vertex rings in CSR form
+    edges = hull.edges
+    once = edges.key.ravel()[np.arange(edges.key.size) < edges.partner.ravel()]
+    key = np.concatenate([once, (once % n) * n + once // n])
     key.sort()
-    key = key[np.r_[True, key[1:] != key[:-1]]]
     first = np.searchsorted(key // n, np.arange(n + 1))
     plane = np.einsum("fj,fj->f", normals, verts[faces[:, 0]])
     clear = np.full(len(faces), np.inf)

@@ -122,18 +122,6 @@ class PlacementRecord:
 # --- 2D support-polygon helpers ----------------------------------------------
 
 
-def _support_polygon(xy: np.ndarray) -> np.ndarray | None:
-    """CCW convex hull of contact xy points, or None when degenerate
-    (point / segment support)."""
-    if len(xy) < 3:
-        return None
-    try:
-        h = ConvexHull(xy)
-    except QhullError:
-        return None
-    return xy[h.vertices]
-
-
 def _edge_lines(
     poly: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -169,16 +157,21 @@ def signed_polygon_margin(p: np.ndarray, poly: np.ndarray) -> float:
     return float((-s).min(initial=np.inf))
 
 
-def nearest_polygon_edge(p: np.ndarray, poly: np.ndarray) -> int:
+def nearest_polygon_edge(p: np.ndarray, poly: np.ndarray, idx: np.ndarray) -> int:
     """Index of the edge poly[i] -> poly[i + 1] of a CCW polygon nearest
-    to p.  Near-ties (1e-12 relative) go to the edge whose line p lies
-    furthest beyond, then to the lowest index (``mesh._nearest_edge``)."""
+    to p, whose vertices have the distinct hull-vertex indices ``idx``.
+    Near-ties (1e-12 relative) go to the edge whose line p lies furthest
+    beyond, and ties in that to the edge with the lowest sorted pair of
+    vertex indices (``mesh._nearest_edge``)."""
     b = np.roll(poly, -1, axis=0)
     d = b - poly
     # signed distances beyond the edge lines; a zero-length edge has 0
     cross = d[:, 1] * (p[0] - poly[:, 0]) - d[:, 0] * (p[1] - poly[:, 1])
     beyond = cross / np.maximum(np.sqrt(np.vecdot(d, d)), np.finfo(float).tiny)
-    return int(_nearest_edge(_point_segment_distance(p, poly, b), beyond))
+    idx = np.asarray(idx, dtype=np.int64)
+    nxt = np.roll(idx, -1)
+    pair = np.minimum(idx, nxt) * (int(idx.max()) + 1) + np.maximum(idx, nxt)
+    return int(_nearest_edge(_point_segment_distance(p, poly, b), beyond, pair))
 
 
 def polygon_inradius(poly: np.ndarray) -> float:
@@ -266,24 +259,60 @@ def _chebyshev_radius(n: np.ndarray, b: np.ndarray) -> float:
 # --- stability -----------------------------------------------------------------
 
 
+def _contact_support(
+    mesh: TriMesh, contact: np.ndarray
+) -> tuple[np.ndarray | None, float]:
+    """Support polygon and inradius of the resting contact set
+    ``contact`` (sorted indices into ``mesh.hull.vertices``), memoized in
+    ``mesh.supports``.
+
+    Both come from one 2-D hull of the contacts projected onto their
+    best-fit plane in the body frame, so neither depends on the pose that
+    first asked.  The polygon lists hull-vertex indices counter-clockwise
+    as seen from the COM's side of the plane, which is from above when
+    the set rests on z = 0, starting at the lowest index.  A point or
+    segment support has polygon None and inradius 0."""
+    if len(contact) < 3:
+        return None, 0.0
+    key = tuple(contact.tolist())
+    found = mesh.supports.get(key)
+    if found is None:
+        pts = mesh.hull.vertices[contact]
+        mean = pts.mean(axis=0)
+        _, _, vt = np.linalg.svd(pts - mean)
+        uv = (pts - mean) @ vt[:2].T  # the best-fit plane's coordinates
+        try:
+            order = ConvexHull(uv).vertices
+        except QhullError:
+            found = None, 0.0
+        else:
+            inr = polygon_inradius(uv[order])
+            # qhull's order is counter-clockwise about vt[0] x vt[1]
+            if np.cross(vt[0], vt[1]) @ (mesh.com - mean) < 0:
+                order = order[::-1]
+            poly = contact[order]
+            found = np.roll(poly, -int(np.argmin(poly))), inr
+        mesh.supports[key] = found
+    return found
+
+
 def _contact_margin(
-    world_pts: np.ndarray, com_xy: np.ndarray, contact_tol: float
-) -> tuple[float, np.ndarray]:
-    """COM-projection margin against the support of points resting on
-    z = 0, plus the contact xy set.  Degenerate supports give margin <= 0.
-    """
-    contacts = world_pts[world_pts[:, 2] <= contact_tol]
-    if len(contacts) == 0:
-        return -np.inf, np.empty((0, 2))
-    xy = contacts[:, :2]
-    poly = _support_polygon(xy)
+    xy: np.ndarray, com_xy: np.ndarray, contact: np.ndarray, poly: np.ndarray | None
+) -> float:
+    """COM-projection margin against the support of the resting contacts
+    ``contact``, indices into the plane points ``xy``, whose support
+    polygon is ``poly`` (``_contact_support``).  Degenerate supports give
+    margin <= 0."""
     if poly is not None:
-        return signed_polygon_margin(com_xy, poly), xy
-    if len(xy) == 1:
-        return -float(np.linalg.norm(com_xy - xy[0])), xy
+        return signed_polygon_margin(com_xy, xy[poly])
+    pts = xy[contact]
+    if len(pts) == 0:
+        return -np.inf
+    if len(pts) == 1:
+        return -float(np.linalg.norm(com_xy - pts[0]))
     # segment support: the nearest of the segments between contact pairs
-    i, j = np.triu_indices(len(xy), 1)
-    return -float(_point_segment_distance(com_xy, xy[i], xy[j]).min()), xy
+    i, j = np.triu_indices(len(pts), 1)
+    return -float(_point_segment_distance(com_xy, pts[i], pts[j]).min())
 
 
 def stability_check(
@@ -294,14 +323,17 @@ def stability_check(
 ) -> tuple[bool, float]:
     """Support-polygon stability of a posed mesh.
 
-    Stable iff the COM projection sits at least margin_eps inside the 2D
-    hull of the plane contacts and no vertex penetrates the plane.
+    Stable iff the COM projection sits at least margin_eps inside the
+    support polygon of the hull vertices within contact_tol of the plane
+    (``_contact_support``) and no vertex penetrates the plane.
     """
-    world = mesh.vertices @ pose.rotation.T + pose.translation
+    world = mesh.hull.vertices @ pose.rotation.T + pose.translation
     if world[:, 2].min() < -contact_tol:
         return False, -np.inf
     com = pose.rotation @ mesh.com + pose.translation
-    margin, _ = _contact_margin(world, com[:2], contact_tol)
+    contact = np.flatnonzero(world[:, 2] <= contact_tol)
+    poly, _ = _contact_support(mesh, contact)
+    margin = _contact_margin(world[:, :2], com[:2], contact, poly)
     return bool(margin >= margin_eps), float(margin)
 
 
@@ -362,14 +394,16 @@ def enumerate_stable(
 
 
 def _pivot_axis(
-    contacts_xy: np.ndarray, com_xy: np.ndarray
+    xy: np.ndarray, com_xy: np.ndarray, contact: np.ndarray, poly: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pivot line (point a, unit horizontal direction u) for an unstable
-    contact configuration."""
-    poly = _support_polygon(contacts_xy)
+    contact configuration: the contacts ``contact``, indices into the
+    plane points ``xy``, with support polygon ``poly``
+    (``_contact_support``)."""
     if poly is not None:
-        e = nearest_polygon_edge(com_xy, poly)
-        return _line_axis(poly[e], poly[(e + 1) % len(poly)])
+        e = nearest_polygon_edge(com_xy, xy[poly], poly)
+        return _line_axis(xy[poly[e]], xy[poly[(e + 1) % len(poly)]])
+    contacts_xy = xy[contact]
     if len(contacts_xy) >= 2 and _spread(contacts_xy) > 1e-9:
         # segment support: pivot about the contact line
         a2 = contacts_xy.mean(axis=0)
@@ -396,22 +430,6 @@ def _spread(xy: np.ndarray) -> float:
     return float(np.linalg.norm(xy - c, axis=1).max())
 
 
-def _contact_inradius(mesh: TriMesh, key: tuple[int, ...]) -> float:
-    """Inradius of the support polygon of the hull vertices ``key``,
-    memoized per mesh.  Computed in the body frame from the vertices'
-    best-fit plane, so the value never depends on the pose that first
-    asked for it; 0 for a degenerate polygon."""
-    inr = mesh.contact_inradii.get(key)
-    if inr is None:
-        pts = mesh.hull.vertices[list(key)]
-        pts = pts - pts.mean(axis=0)
-        _, _, vt = np.linalg.svd(pts)
-        poly = _support_polygon(pts @ vt[:2].T)
-        inr = polygon_inradius(poly) if poly is not None else 0.0
-        mesh.contact_inradii[key] = inr
-    return inr
-
-
 def settle(
     mesh: TriMesh,
     initial: np.ndarray,
@@ -428,7 +446,11 @@ def settle(
     When the COM projection is nearest a support vertex, both edges at it
     are equally near, and the pivot is the one whose line the projection
     lies furthest beyond (``nearest_polygon_edge``), so the COM height is
-    non-increasing across pivots.
+    non-increasing across pivots.  Any tie left goes to the edge with the
+    lowest sorted pair of hull-vertex indices, in the rolling graph and
+    the world-frame path alike, so the settled placement type does not
+    depend on the frame: turning ``initial`` about z changes nothing but
+    rounding.
 
     When the contacts are exactly the vertices of one hull triangle that
     the mesh's rolling graph (``TriMesh.pivot_table``, built here on first
@@ -442,10 +464,13 @@ def settle(
     the walk stops, the contacts are derived again from the posed hull.
     Point, segment and polygon supports, and one triangle whose COM lies
     inside it but within ``margin_eps`` of an edge, take the world-frame
-    pivot above.
+    pivot above.  It reads the support polygon of the contact set, as
+    hull-vertex indices, and its inradius from the mesh's memo
+    (``_contact_support``, one 2-D hull per contact set), and indexes the
+    posed hull with it.
 
-    The score of the stable Placement looks up the inradius of its
-    contact set in the mesh's memo.  Returns the stable Placement; with
+    The score of the stable Placement is its margin over the memo's
+    inradius, clamped to [0, 1].  Returns the stable Placement; with
     return_trace=True also returns the list of COM heights after each
     drop and tip.
     """
@@ -467,7 +492,8 @@ def settle(
             if r is not None and table.walkable(r, contact_tol):
                 rot = _walk(table, r, rot, heights, max_tips, contact_tol)
                 continue
-        margin, contacts_xy = _contact_margin(world, com[:2], contact_tol)
+        poly, inr = _contact_support(mesh, contact)
+        margin = _contact_margin(world[:, :2], com[:2], contact, poly)
         if margin >= margin_eps:
             com_r = rot @ com_body
             zmin_mesh = (mesh.vertices @ rot.T)[:, 2].min()
@@ -476,12 +502,11 @@ def settle(
                 translation=np.array([-com_r[0], -com_r[1], -zmin_mesh]),
                 stability_margin=float(margin),
             )
-            inr = _contact_inradius(mesh, tuple(contact.tolist()))
             if inr > 0:
                 placement.score = float(np.clip(margin / inr, 0.0, 1.0))
             return (placement, heights) if return_trace else placement
         _check_tips(heights, max_tips)
-        a, u = _pivot_axis(contacts_xy, com[:2])
+        a, u = _pivot_axis(world[:, :2], com[:2], contact, poly)
         r_com = com - a
         torque = u[0] * r_com[1] - u[1] * r_com[0]
         s = -1.0 if torque > 0 else 1.0
@@ -529,25 +554,24 @@ def _check_tips(heights: list[float], max_tips: int) -> None:
 # --- dataset generation -------------------------------------------------------------
 
 
+# Drops per task sent to a worker process.
+_CHUNK = 16
+
+
 @dataclass
 class DatasetResult:
     records: list[PlacementRecord]
     diverged: dict[str, int]
 
 
-def _pick_contact_triple(contacts_world: np.ndarray) -> np.ndarray:
-    """Three well-spread, non-collinear contact points (z ~ 0)."""
-    xy = contacts_world[:, :2]
-    poly = _support_polygon(xy)
+def _pick_contact_triple(world: np.ndarray, poly: np.ndarray | None) -> np.ndarray:
+    """Three well-spread, non-collinear contact points (z ~ 0): vertices
+    0, k // 3 and 2k // 3 of the k-gon support polygon ``poly``, indices
+    into the posed hull vertices ``world``."""
     if poly is None:
         raise SettleDiverged("stable placement with degenerate contact set")
-    # map polygon vertices back to the original contact rows
-    idx = []
-    for p in poly:
-        idx.append(int(np.argmin(np.linalg.norm(xy - p, axis=1))))
-    k = len(idx)
-    chosen = [idx[0], idx[k // 3], idx[(2 * k) // 3]]
-    return contacts_world[chosen]
+    k = len(poly)
+    return world[poly[[0, k // 3, (2 * k) // 3]]]
 
 
 def settle_record(
@@ -559,9 +583,9 @@ def settle_record(
 ) -> PlacementRecord:
     """Settle one drop and build a full dataset record."""
     placement = settle(mesh, initial, max_tips=max_tips)
-    world = mesh.vertices @ placement.rotation.T + placement.translation
-    contacts = world[world[:, 2] <= CONTACT_TOL]
-    triple = _pick_contact_triple(contacts)
+    world = mesh.hull.vertices @ placement.rotation.T + placement.translation
+    poly, _ = _contact_support(mesh, np.flatnonzero(world[:, 2] <= CONTACT_TOL))
+    triple = _pick_contact_triple(world, poly)
     pivot = placement.rotation @ mesh.com + placement.translation
 
     unstable_rotation = None
@@ -598,9 +622,11 @@ def generate_dataset(
 
     Each drop derives its RNG stream from (seed, object index, drop
     index), so record order and content are independent of ``workers``;
-    diverged settles are skipped and counted.  With workers > 1 each
-    worker process receives the meshes once, so their cached hulls and
-    inradius memos persist across its jobs.
+    diverged settles are skipped and counted.  Jobs go to worker processes
+    in chunks of ``_CHUNK``, and the pool starts no more workers than
+    there are chunks; with one worker the drops run in this process.
+    Each worker process receives the meshes once, so their cached hulls,
+    pivot tables and support memos persist across its jobs.
     """
     if drops_per_object < 1:
         raise ValueError("drops_per_object must be >= 1")
@@ -609,6 +635,7 @@ def generate_dataset(
         for obj_idx in range(len(meshes))
         for drop_idx in range(drops_per_object)
     ]
+    workers = min(workers, -(-len(jobs) // _CHUNK))
     if workers <= 1:
         results = [_run_drop(meshes, seed, max_tips, job) for job in jobs]
     else:
@@ -617,7 +644,7 @@ def generate_dataset(
             initializer=_init_worker,
             initargs=(meshes, seed, max_tips),
         ) as pool:
-            results = list(pool.map(_pool_drop, jobs, chunksize=16))
+            results = list(pool.map(_pool_drop, jobs, chunksize=_CHUNK))
     records: list[PlacementRecord] = []
     diverged = {object_id: 0 for object_id, _ in meshes}
     for (obj_idx, _), rec in zip(jobs, results):

@@ -592,6 +592,40 @@ class TestPipeline:
         assert f"cannot write {out / 'report.json'}" in r.stderr
         assert [p.name for p in out.iterdir()] == ["report.json"]
 
+    @pytest.mark.parametrize("command", ["dataset", "pipeline"])
+    def test_diverged_drops_reported(self, runner, mesh_dir, tmp_path, monkeypatch,
+                                     command):
+        generate = cli.generate_dataset
+
+        def two_diverged(meshes, drops, seed, workers):
+            result = generate(meshes, drops, seed, workers=workers)
+            return DatasetResult(result.records[2:], {"cube": 2})
+
+        monkeypatch.setattr(cli, "generate_dataset", two_diverged)
+        if command == "dataset":
+            args = ["dataset", str(mesh_dir / "cube.obj"), "--drops", "20",
+                    "-o", str(tmp_path / "ds.jsonl")]
+        else:
+            args = ["pipeline", str(self.write_config(tmp_path, mesh_dir, "run"))]
+        r = runner.invoke(main, [*args, "--workers", "1"])
+        assert r.exit_code == 0, r.output
+        assert "cube: 2 diverged drops skipped" in r.stderr
+
+    @pytest.mark.parametrize("command", ["dataset", "pipeline"])
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_exit_2(self, runner, mesh_dir, tmp_path, monkeypatch,
+                                      command, workers):
+        # 0 used to mean every core and a negative count a serial run
+        monkeypatch.setattr(cli, "generate_dataset", None)  # no drop may run
+        if command == "dataset":
+            args = ["dataset", str(mesh_dir / "cube.obj"), "-o", str(tmp_path / "ds.jsonl")]
+        else:
+            args = ["pipeline", str(self.write_config(tmp_path, mesh_dir, "run"))]
+        r = runner.invoke(main, [*args, "--workers", workers])
+        self.assert_clean_failure(r, 2, tmp_path / "run")
+        assert "--workers" in r.stderr
+        assert not (tmp_path / "ds.jsonl").exists()
+
     def test_every_drop_diverged_exit_3(self, runner, mesh_dir, tmp_path, monkeypatch):
         # clustering an object with no settled drop raised a ValueError
         monkeypatch.setattr(

@@ -326,6 +326,12 @@ class TestMergeCoplanarFacets:
         with pytest.raises(ValueError, match="angle_tol"):
             merge_coplanar_facets(convex_hull(tetra.vertices), angle_tol)
 
+    def test_open_surface_rejected(self, tetra):
+        # without a partner across every edge, faces have no adjacency
+        open_tetra = TriMesh(tetra.vertices, tetra.faces[1:])
+        with pytest.raises(ValueError, match="closed surface"):
+            merge_coplanar_facets(open_tetra, 1e-6)
+
     def test_prism_cap_merging(self):
         # 32-gon prism: cap triangles merge, side normals differ by
         # 2*pi/32 ~ 0.196 > 0.1 so the 32 side rectangles stay separate

@@ -10,6 +10,7 @@ from scipy.spatial import ConvexHull, QhullError
 from conftest import drifting_arc, ellipsoid, ngon_prism, sheared_wedge
 from stableplace import fixtures, placements
 from stableplace.mesh import (
+    EdgeIndex,
     PivotTable,
     TriMesh,
     _com_margin_bounds,
@@ -25,6 +26,7 @@ from stableplace.placements import (
     Placement,
     SettleDiverged,
     _contact_margin,
+    _contact_support,
     _line_axis,
     _pivot_axis,
     _point_segment_distance,
@@ -41,6 +43,7 @@ from stableplace.rotations import (
     body_up_axis,
     random_rotation,
     rot_x,
+    rot_z,
     rotation_from_axis_angle,
     z_quotient_distance,
     z_quotient_distances,
@@ -249,7 +252,45 @@ class TestSettle:
             expected = float(np.clip(p.stability_margin / inr, 0.0, 1.0))
             assert abs(p.score - expected) <= 1e-12
         # one memo entry per distinct contact set, so most drops were lookups
-        assert 0 < len(mesh.contact_inradii) < 60
+        assert 0 < len(mesh.supports) < 60
+
+    def test_memo_polygons_are_world_contact_hulls(self, monkeypatch):
+        """Every support polygon the seeded fixture dataset and the dense
+        drops meet, posed as they met it, has the directed edges of a 2-D
+        qhull of the world contacts, starts at its lowest index, and is
+        None exactly where that qhull fails."""
+        met = []
+        margin = placements._contact_margin
+
+        def recording(xy, com_xy, contact, poly):
+            met.append((xy[contact], contact, poly))
+            return margin(xy, com_xy, contact, poly)
+
+        monkeypatch.setattr(placements, "_contact_margin", recording)
+        meshes = fixtures.standard_fixtures()
+        generate_dataset(list(meshes.items()), 100, seed=7)
+        dense = [ellipsoid(2), ellipsoid(3)]
+        for mesh in dense:
+            rng = np.random.default_rng(42)
+            for _ in range(60):
+                settle(mesh, random_rotation(rng))
+        polygons = set()
+        for xy, contact, poly in met:
+            if len(contact) < 3:
+                assert poly is None
+                continue
+            try:
+                ring = contact[ConvexHull(xy).vertices]
+            except QhullError:
+                assert poly is None
+                continue
+            assert poly[0] == poly.min()
+            edges = set(zip(poly.tolist(), np.roll(poly, -1).tolist()))
+            assert edges == set(zip(ring.tolist(), np.roll(ring, -1).tolist()))
+            polygons.add(tuple(contact.tolist()))
+        # the drops met every polygon the memos hold
+        assert polygons == {key for mesh in [*meshes.values(), *dense]
+                            for key, (poly, _) in mesh.supports.items() if poly is not None}
 
 
 def _tilt_tolerance(mesh):
@@ -281,10 +322,10 @@ def _reference_settle(mesh, initial, margin_eps=DEFAULT_MARGIN_EPS):
         if r is not None and table.bound[r] < margin_eps - 1e-9:
             a, u = _line_axis(world[table.edge[r][0], :2], world[table.edge[r][1], :2])
         else:
-            margin, xy = _contact_margin(world, com[:2], CONTACT_TOL)
-            if margin >= margin_eps:
+            poly, _ = _contact_support(mesh, contact)
+            if _contact_margin(world[:, :2], com[:2], contact, poly) >= margin_eps:
                 return rot, heights
-            a, u = _pivot_axis(xy, com[:2])
+            a, u = _pivot_axis(world[:, :2], com[:2], contact, poly)
         r_com = com - a
         s = -1.0 if u[0] * r_com[1] - u[1] * r_com[0] > 0 else 1.0
         rel = world - a
@@ -331,6 +372,25 @@ class TestDenseMeshSettle:
             world_tips += calls[0]
         assert abs(tips - ref_tips) <= 0.02 * ref_tips
         assert world_tips < tips / 2
+
+    @pytest.mark.parametrize("subdivisions", [2, 3, 4])
+    def test_type_independent_of_yaw_and_walk(self, subdivisions, monkeypatch):
+        """A drop turned about z by any of 8 yaws, settled with and without
+        the rolling-graph walk, reaches one placement type: the tie rule
+        depends on hull-vertex indices, not on the frame."""
+        mesh = ellipsoid(subdivisions)
+        ups = np.array([body_up_axis(p.rotation) for p in enumerate_stable(mesh)])
+        rng = np.random.default_rng(42)
+        initials = [random_rotation(rng) for _ in range(60)]
+        types = np.empty((60, 2, 8), dtype=int)
+        for walk in (True, False):
+            if not walk:
+                monkeypatch.setattr(PivotTable, "walkable", lambda self, r, tol: False)
+            for i, initial in enumerate(initials):
+                for k in range(8):
+                    up = body_up_axis(settle(mesh, rot_z(np.pi * k / 4) @ initial).rotation)
+                    types[i, int(walk), k] = np.argmin(np.linalg.norm(ups - up, axis=1))
+        assert np.all(types == types[:, :1, :1])
 
     def test_max_tips_counts_walked_tips(self):
         """A drop whose trace has N tips diverges at max_tips < N and
@@ -383,10 +443,8 @@ def _table_mesh(name):
 
 def _loop_pivot_rows(mesh):
     """Per hull triangle, from a loop over its edges in the body frame:
-    its ascending vertex triple, its pivot edge (start, end) by the tie
-    rule of ``nearest_polygon_edge``, and whether two edges lie within
-    1e-9 (relative) of the nearest distance from the COM's projection
-    onto its plane: a tie, as when the projection is nearest a vertex."""
+    its ascending vertex triple and its pivot edge (start, end) by the tie
+    rule of ``nearest_polygon_edge``."""
     hull = mesh.hull
     com = mesh.com
     rows = []
@@ -399,12 +457,21 @@ def _loop_pivot_rows(mesh):
             dists.append(_loop_point_segment_distance(p, a, b))
             out = np.cross(b - a, n)
             beyond.append(float(out @ (com - a)) / float(np.linalg.norm(out)))
-        near = min(dists) * (1.0 + 1e-12)
-        k = -max((beyond[i], -i) for i in range(3) if dists[i] <= near)[1]
-        d = sorted(dists)
-        rows.append((tuple(sorted(face.tolist())), (face[(k + 1) % 3], face[k]),
-                     d[1] <= d[0] * (1.0 + 1e-9)))
+        k = _loop_tie_rule(dists, beyond, face.tolist())
+        rows.append((tuple(sorted(face.tolist())), (face[(k + 1) % 3], face[k])))
     return rows
+
+
+def _loop_tie_rule(dists, beyond, idx):
+    """Index of the nearest edge i (vertex idx[i] to idx[i + 1]): of the
+    edges within 1e-12 (relative) of the nearest distance, those within
+    1e-12 (relative) of the largest distance beyond the line, and of
+    those the edge with the lowest sorted vertex-index pair."""
+    k = len(dists)
+    near = [i for i in range(k) if dists[i] <= min(dists) * (1.0 + 1e-12)]
+    best = max(beyond[i] for i in near)
+    far = [i for i in near if beyond[i] >= best - 1e-12 * abs(best)]
+    return min(far, key=lambda i: sorted((idx[i], idx[(i + 1) % k])))
 
 
 class TestPivotTable:
@@ -416,11 +483,10 @@ class TestPivotTable:
         bound = _com_margin_bounds(hull, hull.face_normals(), mesh.com)
         assert len(table.keys) == len(hull.faces)
         assert np.all(np.diff(table.keys) > 0)
-        for f, (triple, edge, tie) in enumerate(_loop_pivot_rows(mesh)):
+        for f, (triple, edge) in enumerate(_loop_pivot_rows(mesh)):
             r = table.row(np.array(triple))
             assert table.bound[r] == bound[f]
-            if not tie:
-                assert tuple(table.edge[r]) == edge
+            assert tuple(table.edge[r]) == edge
 
     @pytest.mark.parametrize("name", _TABLE_MESHES)
     def test_table_edge_is_full_path_edge(self, name):
@@ -430,21 +496,22 @@ class TestPivotTable:
         hull = mesh.hull
         table = mesh.pivot_table
         compared = 0
-        for face, n, (triple, _, tie) in zip(
+        for face, n, (triple, _) in zip(
             hull.faces, hull.face_normals(), _loop_pivot_rows(mesh)
         ):
             r = table.row(np.array(triple))
-            if tie or not table.bound[r] < DEFAULT_MARGIN_EPS - 1e-9:
+            if not table.bound[r] < DEFAULT_MARGIN_EPS - 1e-9:
                 continue
             rot = rotation_between(n, np.array([0.0, 0.0, -1.0]))
             world = hull.vertices @ rot.T
             world[:, 2] -= world[:, 2].min()
-            if tuple(np.flatnonzero(world[:, 2] <= CONTACT_TOL)) != triple:
+            contact = np.flatnonzero(world[:, 2] <= CONTACT_TOL)
+            if tuple(contact) != triple:
                 continue  # more than the triangle touches: the table is not asked
             com = rot @ mesh.com
-            margin, xy = _contact_margin(world, com[:2], CONTACT_TOL)
-            assert margin < DEFAULT_MARGIN_EPS
-            a, u = _pivot_axis(xy, com[:2])
+            poly, _ = _contact_support(mesh, contact)
+            assert _contact_margin(world[:, :2], com[:2], contact, poly) < DEFAULT_MARGIN_EPS
+            a, u = _pivot_axis(world[:, :2], com[:2], contact, poly)
             start, end = table.edge[r]
             a_t, u_t = _line_axis(world[start, :2], world[end, :2])
             assert a.tobytes() == a_t.tobytes() and u.tobytes() == u_t.tobytes()
@@ -538,6 +605,20 @@ class TestPivotTable:
         settle(mesh, random_rotation(np.random.default_rng(3)))
         assert "pivot_table" in vars(mesh)
 
+    def test_edge_index_built_once_per_mesh(self, monkeypatch):
+        """Construction builds each TriMesh's edge index, and enumerate
+        and the first settle (its pivot table) reuse the hull's."""
+        sphere = fixtures.icosphere(0.05, 2)
+        built = []
+        build = EdgeIndex.build
+        monkeypatch.setattr(EdgeIndex, "build", classmethod(
+            lambda cls, faces, n: built.append(n) or build(faces, n)))
+        mesh = TriMesh(sphere.vertices * np.array([1.0, 0.8, 0.6]), sphere.faces)
+        enumerate_stable(mesh)
+        settle(mesh, random_rotation(np.random.default_rng(3)))
+        assert "pivot_table" in vars(mesh)
+        assert built == [len(mesh.vertices), len(mesh.hull.vertices)]
+
     def test_row_of_a_non_triangle_is_none(self):
         table = fixtures.unit_cube().pivot_table
         # opposite corners of the cube share no hull triangle
@@ -594,6 +675,35 @@ class TestGenerateDataset:
         sc = [json.dumps(r.to_json_dict(), sort_keys=True) for r in c.records]
         assert sa == sb == sc
         assert a.diverged == c.diverged
+
+    def test_pool_starts_at_most_one_worker_per_chunk(self, cube, tetra, monkeypatch):
+        started = []
+
+        class Pool:  # records its size and runs the jobs in this process
+            def __init__(self, max_workers, initializer, initargs):
+                started.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(placements, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(placements, "_WORKER", ())
+        meshes = [("cube", cube), ("tetra", tetra)]
+        for drops, workers, pool in [(20, 64, [3]), (20, 2, [2]), (8, 64, []), (8, 1, [])]:
+            started.clear()
+            got = generate_dataset(meshes, drops, seed=9, workers=workers)
+            assert started == pool, (drops, workers)
+            want = generate_dataset(meshes, drops, seed=9)
+            assert [r.to_json_dict() for r in got.records] == [
+                r.to_json_dict() for r in want.records
+            ]
 
     def test_record_round_trip(self, cube):
         from stableplace.placements import PlacementRecord
@@ -707,10 +817,9 @@ def _loop_point_segment_distance(p, a, b):
     return float(np.linalg.norm(p - (a + t * ab)))
 
 
-def _loop_nearest_polygon_edge(p, poly):
-    """The nearest edge; among edges within 1e-12 (relative) of the
-    nearest, the one whose line p lies furthest beyond, then the lowest
-    index."""
+def _loop_nearest_polygon_edge(p, poly, idx):
+    """The nearest edge of the polygon with vertex indices ``idx``, by
+    ``_loop_tie_rule``."""
     k = len(poly)
     dists, beyond = [], []
     for i in range(k):
@@ -719,8 +828,7 @@ def _loop_nearest_polygon_edge(p, poly):
         d = b - a
         ln = max(float(np.sqrt(d @ d)), np.finfo(float).tiny)
         beyond.append(float(d[1] * (p[0] - a[0]) - d[0] * (p[1] - a[1])) / ln)
-    near = min(dists) * (1.0 + 1e-12)
-    return -max((beyond[i], -i) for i in range(k) if dists[i] <= near)[1]
+    return _loop_tie_rule(dists, beyond, list(idx))
 
 
 def _loop_segment_support_margin(com_xy, xy):
@@ -842,13 +950,19 @@ class TestEdgeArrays:
             assert got == _loop_signed_polygon_margin(p, poly)
 
     def test_nearest_polygon_edge(self):
+        rng = np.random.default_rng(10)
         for p, poly in self.cases():
-            assert nearest_polygon_edge(p, poly) == _loop_nearest_polygon_edge(p, poly)
+            idx = rng.permutation(2 * len(poly))[: len(poly)]
+            got = nearest_polygon_edge(p, poly, idx)
+            assert got == _loop_nearest_polygon_edge(p, poly, idx)
 
     def test_nearest_edge_lowest_index_on_ties(self):
         square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-        assert nearest_polygon_edge(np.array([0.5, 0.5]), square) == 0
-        assert nearest_polygon_edge(np.array([2.0, 2.0]), square) == 1
+        assert nearest_polygon_edge(np.array([0.5, 0.5]), square, np.arange(4)) == 0
+        assert nearest_polygon_edge(np.array([2.0, 2.0]), square, np.arange(4)) == 1
+        # the tie goes by index pair, not by position: (0, 1) is edge 1 here
+        assert nearest_polygon_edge(np.array([0.5, 0.5]), square, [3, 0, 1, 2]) == 1
+        assert nearest_polygon_edge(np.array([2.0, 2.0]), square, [9, 7, 2, 5]) == 2
 
     def test_vertex_tie_goes_to_the_edge_the_point_is_beyond(self):
         # p is nearest the acute vertex (1, 0): it lies beyond the line of
@@ -857,7 +971,7 @@ class TestEdgeArrays:
         p = np.array([1.196, 0.88])
         dist = _point_segment_distance(p, tri, np.roll(tri, -1, axis=0))
         assert dist[0] == dist[1] < dist[2]
-        assert nearest_polygon_edge(p, tri) == 1
+        assert nearest_polygon_edge(p, tri, np.arange(3)) == 1
 
     def test_point_segment_distances(self):
         for p, poly in self.cases():
@@ -872,8 +986,6 @@ class TestEdgeArrays:
             # collinear contacts: point, segment and repeated-point supports
             t = np.sort(rng.uniform(-1.0, 1.0, int(rng.integers(2, 7))))
             xy = rng.normal(size=2) + np.outer(t, rng.normal(size=2))
-            world = np.column_stack([xy, np.zeros(len(xy))])
             com = rng.normal(size=2)
-            margin, contacts = _contact_margin(world, com, CONTACT_TOL)
-            assert np.array_equal(contacts, xy)
+            margin = _contact_margin(xy, com, np.arange(len(xy)), None)
             assert margin == _loop_segment_support_margin(com, xy)
