@@ -4,8 +4,12 @@ pipeline config, and run the full dataset -> cluster -> evaluate -> plan
 pipeline into an output directory.
 
 Usage: python scripts/run_fixture_pipeline.py [workdir]
+
+Each output file is listed with its size and sha256, so comparing the
+output bytes of two checkouts is a diff of two runs' stdout.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -45,7 +49,8 @@ def main():
     )
     print(f"\noutputs in {workdir / 'out'}:")
     for p in sorted((workdir / "out").iterdir()):
-        print(f"  {p.name}  ({p.stat().st_size} bytes)")
+        digest = hashlib.sha256(p.read_bytes()).hexdigest()
+        print(f"  {p.name}  ({p.stat().st_size} bytes)  sha256 {digest}")
 
 
 if __name__ == "__main__":

@@ -137,16 +137,20 @@ class TriMesh:
         return PivotTable.build(self.hull, self.com)
 
     def face_normals(self) -> np.ndarray:
+        return self.face_normals_and_areas()[0]
+
+    def face_areas(self) -> np.ndarray:
+        return self.face_normals_and_areas()[1]
+
+    def face_normals_and_areas(self) -> tuple[np.ndarray, np.ndarray]:
+        """Unit normals (zero for a zero-area face) and areas of the
+        faces, from one cross product per face."""
         v, f = self.vertices, self.faces
         n = np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
         lens = np.linalg.norm(n, axis=1)
+        areas = 0.5 * lens
         lens[lens == 0] = 1.0
-        return n / lens[:, None]
-
-    def face_areas(self) -> np.ndarray:
-        v, f = self.vertices, self.faces
-        n = np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
-        return 0.5 * np.linalg.norm(n, axis=1)
+        return n / lens[:, None], areas
 
 
 @dataclass(frozen=True)
@@ -344,25 +348,26 @@ def merge_coplanar_facets(hull: TriMesh, angle_tol: float = 1e-4) -> list[Facet]
     adjacent across the edges of ``hull.edges``.  Raises ValueError
     unless 0 <= ``angle_tol`` < pi/2 and the surface is closed, every edge
     shared by exactly two faces, as the surface of ``convex_hull`` is."""
-    normals = hull.face_normals()
-    areas = hull.face_areas()
-    return [
-        _facet(hull, normals, areas, group)
-        for group in _coplanar_groups(hull, normals, angle_tol)
-    ]
+    normals, areas = hull.face_normals_and_areas()
+    groups, lone = _coplanar_groups(hull, normals, angle_tol)
+    groups += [[f] for f in np.flatnonzero(lone).tolist()]
+    groups.sort(key=lambda group: group[0])
+    return [_facet(hull, normals, areas, group) for group in groups]
 
 
 def _coplanar_groups(
     hull: TriMesh, normals: np.ndarray, angle_tol: float
-) -> list[list[int]]:
-    """Face-index groups of ``merge_coplanar_facets``, in seed order, each
-    listing its faces in visiting order.
+) -> tuple[list[list[int]], np.ndarray]:
+    """The face-index groups of ``merge_coplanar_facets`` that hold more
+    than one face, in seed order, each listing its faces in visiting
+    order, and the mask of the faces in none of them: each of those is a
+    one-triangle facet of its own, seeded by itself.
 
     A non-seed member lies within ``angle_tol`` of its seed, and so does
     the face it was reached from, so the two adjacent faces lie within
-    2 * angle_tol of each other.  The search therefore follows only
-    adjacent pairs within 2 * angle_tol; a face with no such pair is a
-    singleton without being searched from.
+    2 * angle_tol of each other.  The search therefore starts only from
+    faces with an adjacent face within 2 * angle_tol, in ascending order,
+    and follows only such pairs; no Python code visits any other face.
 
     ``angle_tol`` must lie in [0, pi/2): every member is then within a
     right angle of its seed, so a group's area-weighted normal never
@@ -394,22 +399,24 @@ def _coplanar_groups(
     cos_tol = np.cos(angle_tol)
     seen: set[int] = set()
     groups: list[list[int]] = []
-    for seed in range(n_faces):
+    for seed in sorted(adj):
         if seed in seen:
             continue
+        seen.add(seed)
         group = [seed]
-        if seed in adj:
-            seen.add(seed)
-            queue = [seed]
-            while queue:
-                cur = queue.pop()
-                for nb in adj[cur]:
-                    if nb not in seen and np.dot(normals[seed], normals[nb]) > cos_tol:
-                        seen.add(nb)
-                        group.append(nb)
-                        queue.append(nb)
-        groups.append(group)
-    return groups
+        queue = [seed]
+        while queue:
+            cur = queue.pop()
+            for nb in adj[cur]:
+                if nb not in seen and np.dot(normals[seed], normals[nb]) > cos_tol:
+                    seen.add(nb)
+                    group.append(nb)
+                    queue.append(nb)
+        if len(group) > 1:
+            groups.append(group)
+    lone = np.ones(n_faces, dtype=bool)
+    lone[list(chain.from_iterable(groups))] = False
+    return groups, lone
 
 
 def _facet(
@@ -436,9 +443,10 @@ def _facet(
 
 
 def _any_perpendicular(n: np.ndarray) -> np.ndarray:
-    ref = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    """A unit vector perpendicular to each unit vector n (..., 3)."""
+    ref = np.where((np.abs(n[..., 0]) < 0.9)[..., None], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
     e = np.cross(n, ref)
-    return e / np.linalg.norm(e)
+    return e / np.sqrt(np.vecdot(e, e))[..., None]
 
 
 def _convex_order_2d(uv: np.ndarray) -> np.ndarray:

@@ -18,7 +18,9 @@ from .mesh import (
     PivotTable,
     TriMesh,
     ZeroPlaneVector,
+    _any_perpendicular,
     _com_margin_bounds,
+    _convex_order_2d,
     _coplanar_groups,
     _facet,
     _nearest_edge,
@@ -138,12 +140,12 @@ def _edge_lines(
 
 
 def _point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distances from point p to the segments a[i] -> b[i]."""
+    """Distances from point p to the segments a[..., i] -> b[..., i]."""
     ab = b - a
     denom = np.vecdot(ab, ab)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(denom == 0, 0.0, np.clip(np.vecdot(p - a, ab) / denom, 0.0, 1.0))
-    r = p - (a + t[:, None] * ab)
+    r = p - (a + t[..., None] * ab)
     return np.sqrt(np.vecdot(r, r))
 
 
@@ -347,47 +349,169 @@ def enumerate_stable(
     support polygon.  score = margin / facet inradius, clamped to [0, 1].
 
     A vectorized pre-filter first drops every one-triangle facet whose
-    margin bound (``_com_margin_bounds``) is below margin_eps - 1e-9.  The
-    bound is never below the margin, and the 1e-9 absorbs the rounding
-    between the two computations, so every dropped facet would fail the
-    exact check.  Merged facets and the surviving triangles go through
-    the exact per-facet check in facet order, so the output equals that
-    of checking every facet of ``merge_coplanar_facets``.  Raises
-    ValueError unless 0 <= ``angle_tol`` < pi/2 and ``margin_eps`` is
-    finite and >= 0.
+    margin bound (``_com_margin_bounds``) is below margin_eps by more
+    than 1e-9 times the hull's largest coordinate.  The bound is never
+    below the margin, and that slack absorbs the rounding between the two
+    computations, which grows with the coordinates, so every dropped
+    facet would fail the exact check.  The surviving one-triangle facets
+    take one array pass (``_lone_placements``); only the merged facets of
+    ``_coplanar_groups`` build a ``Facet`` and take the polygon path.
+    The placements are merged in facet order, and the output equals that
+    of checking every facet of ``merge_coplanar_facets``, bit for bit.
+    Raises ValueError unless 0 <= ``angle_tol`` < pi/2 and ``margin_eps``
+    is finite and >= 0.
     """
     check_margin_eps(margin_eps)
     hull = mesh.hull
-    normals = hull.face_normals()
-    areas = hull.face_areas()
-    bound = _com_margin_bounds(hull, normals, mesh.com)
-    dropped = (bound < margin_eps - 1e-9).tolist()
-    out: list[Placement] = []
-    for group in _coplanar_groups(hull, normals, angle_tol):
-        if len(group) == 1 and dropped[group[0]]:
-            continue
+    normals, areas = hull.face_normals_and_areas()
+    groups, lone = _coplanar_groups(hull, normals, angle_tol)
+    slack = 1e-9 * float(np.abs(hull.vertices).max())
+    lone &= ~(_com_margin_bounds(hull, normals, mesh.com) < margin_eps - slack)
+    found = _lone_placements(mesh, np.flatnonzero(lone), normals, areas, margin_eps)
+    for group in groups:
         facet = _facet(hull, normals, areas, group)
-        rot = rotation_between(facet.normal, np.array([0.0, 0.0, -1.0]))
-        poly_xy = (facet.polygon @ rot.T)[:, :2]
-        try:
-            poly_xy = poly_xy[ConvexHull(poly_xy).vertices]
-        except QhullError:
-            continue
-        com = rot @ mesh.com
-        margin = signed_polygon_margin(com[:2], poly_xy)
-        if margin < margin_eps:
-            continue
-        zmin = (mesh.vertices @ rot.T)[:, 2].min()
-        inr = polygon_inradius(poly_xy)
-        out.append(
-            Placement(
-                rotation=rot,
-                translation=np.array([-com[0], -com[1], -zmin]),
-                stability_margin=float(margin),
-                score=float(np.clip(margin / inr, 0.0, 1.0)) if inr > 0 else 0.0,
-            )
+        placement = _facet_placement(mesh, facet.normal, facet.polygon, margin_eps)
+        if placement is not None:
+            found.append((group[0], placement))
+    found.sort(key=lambda seeded: seeded[0])
+    return [placement for _, placement in found]
+
+
+def _facet_placement(
+    mesh: TriMesh, normal: np.ndarray, polygon: np.ndarray, margin_eps: float
+) -> Placement | None:
+    """The placement resting on the facet with outward unit normal
+    ``normal`` and vertices ``polygon`` (k, 3), ordered around it, or
+    None when its margin is below margin_eps or its support polygon has
+    no 2-D hull."""
+    rot = rotation_between(normal, np.array([0.0, 0.0, -1.0]))
+    poly_xy = (polygon @ rot.T)[:, :2]
+    try:
+        poly_xy = poly_xy[ConvexHull(poly_xy).vertices]
+    except QhullError:
+        return None
+    com = rot @ mesh.com
+    margin = signed_polygon_margin(com[:2], poly_xy)
+    if margin < margin_eps:
+        return None
+    zmin = (mesh.vertices @ rot.T)[:, 2].min()
+    inr = polygon_inradius(poly_xy)
+    return Placement(
+        rotation=rot,
+        translation=np.array([-com[0], -com[1], -zmin]),
+        stability_margin=float(margin),
+        score=float(np.clip(margin / inr, 0.0, 1.0)) if inr > 0 else 0.0,
+    )
+
+
+def _lone_placements(
+    mesh: TriMesh,
+    faces: np.ndarray,
+    normals: np.ndarray,
+    areas: np.ndarray,
+    margin_eps: float,
+) -> list[tuple[int, Placement]]:
+    """(face, placement) pairs for the one-triangle facets of
+    ``mesh.hull`` among ``faces`` whose margin is at least margin_eps,
+    with the bits that ``_facet`` and ``_facet_placement`` would give.
+
+    One array pass over the triangles repeats that arithmetic: the
+    normal, the in-plane frame, the two 2-D vertex orders
+    (``_triangle_order`` in place of qhull), the rotation, the margin and
+    the inradius 2 * area / perimeter.  The vertex order fixes which
+    edges the inradius sums first.  Only the lowest vertex, for the
+    translation, is found per kept triangle.  A triangle too flat for
+    the order rule, or with an edge shorter than ``_edge_lines`` keeps,
+    takes the polygon path instead."""
+    hull = mesh.hull
+    wn = areas[faces, None] * normals[faces]
+    n = wn / np.sqrt(np.vecdot(wn, wn))[:, None]
+    pts = hull.vertices[np.sort(hull.faces[faces], axis=1)]
+    e1 = _any_perpendicular(n)
+    uv = np.concatenate([pts @ e1[:, :, None], pts @ np.cross(n, e1)[:, :, None]], axis=2)
+    order, flat = _triangle_order(uv)
+    rot = _down_rotations(n)
+    poly = np.take_along_axis(pts, order[:, :, None], axis=1)
+    xy = (poly @ rot.transpose(0, 2, 1))[:, :, :2]
+    order, flat_xy = _triangle_order(xy)
+    # the edges a -> b of signed_polygon_margin and polygon_inradius
+    a = np.take_along_axis(xy, order[:, :, None], axis=1)
+    b = np.roll(a, -1, axis=1)
+    d = b - a
+    edge_n = np.stack([d[:, :, 1], -d[:, :, 0]], axis=2)
+    ln = np.sqrt(np.vecdot(edge_n, edge_n))
+    by_polygon = flat | flat_xy | (ln < 1e-15).any(axis=1)
+    com = rot @ mesh.com
+    p = com[:, None, :2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.vecdot(edge_n / ln[:, :, None], p - a)  # positive on the outward side
+        margin = np.where(
+            (s > 0).any(axis=1),
+            -_point_segment_distance(p, a, b).min(axis=1),
+            (-s).min(axis=1),
         )
-    return out
+        inr = (d[:, 0, 0] * d[:, 1, 1] - d[:, 0, 1] * d[:, 1, 0]) / ln.sum(axis=1)
+        score = np.where(inr > 0, np.clip(margin / inr, 0.0, 1.0), 0.0)
+    found = []
+    for i in np.flatnonzero(~by_polygon & ~(margin < margin_eps)).tolist():
+        zmin = (mesh.vertices @ rot[i].T)[:, 2].min()
+        found.append((int(faces[i]), Placement(
+            rotation=rot[i],
+            translation=np.array([-com[i, 0], -com[i, 1], -zmin]),
+            stability_margin=float(margin[i]),
+            score=float(score[i]),
+        )))
+    for i in np.flatnonzero(by_polygon).tolist():
+        polygon = pts[i][_convex_order_2d(uv[i])]
+        placement = _facet_placement(mesh, n[i], polygon, margin_eps)
+        if placement is not None:
+            found.append((int(faces[i]), placement))
+    return found
+
+
+def _triangle_order(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per 2-D triangle p (S, 3, 2), the counter-clockwise vertex order
+    that ``ConvexHull(p[i]).vertices`` gives, and whether the triangle is
+    too flat to trust it.
+
+    qhull lists the first points of least and of greatest x in
+    counter-clockwise order, then the third point.  It fails on a
+    triangle whose doubled area is below about 4e-15 times its width
+    times (width + largest coordinate); the flag is raised below 1e-12
+    times that, and for NaN."""
+    x = p[:, :, 0]
+    lo, hi = np.argmin(x, axis=1), np.argmax(x, axis=1)
+    mid = (3 - lo - hi) % 3
+    rows = np.arange(len(p))
+    d = p[rows, hi] - p[rows, lo]
+    e = p[rows, mid] - p[rows, lo]
+    det = d[:, 0] * e[:, 1] - d[:, 1] * e[:, 0]
+    order = np.where(
+        (det > 0)[:, None], np.stack([lo, hi, mid], axis=1), np.stack([hi, lo, mid], axis=1)
+    )
+    width = np.ptp(p, axis=1).max(axis=1)
+    flat = ~(np.abs(det) > 1e-12 * width * (width + np.abs(p).max(axis=(1, 2))))
+    return order, flat
+
+
+def _down_rotations(n: np.ndarray) -> np.ndarray:
+    """(S, 3, 3) rotations ``rotation_between(n[i], -z)`` of the unit
+    vectors n (S, 3), with the same bits."""
+    down = np.array([0.0, 0.0, -1.0])
+    c = np.vecdot(n, down)
+    flip = c <= -1.0 + 1e-15
+    with np.errstate(divide="ignore", invalid="ignore"):
+        axis = np.cross(n, down)
+        axis /= np.sqrt(np.vecdot(axis, axis))[:, None]
+    axis[flip] = _any_perpendicular(n[flip])
+    angle = np.where(flip, np.pi, np.arccos(np.clip(c, -1.0, 1.0)))
+    x, y, z = axis.T
+    zero = np.zeros(len(n))
+    k = np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=1).reshape(-1, 3, 3)
+    rot = (np.eye(3) + np.sin(angle)[:, None, None] * k
+           + (1.0 - np.cos(angle))[:, None, None] * (k @ k))
+    rot[c >= 1.0 - 1e-15] = np.eye(3)
+    return rot
 
 
 # --- quasi-static settling -------------------------------------------------------

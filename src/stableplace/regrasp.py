@@ -161,9 +161,8 @@ def sample_antipodal_grasps(
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
-    areas = mesh.face_areas()
+    normals, areas = mesh.face_normals_and_areas()
     probs = areas / areas.sum()
-    normals = mesh.face_normals()
     cos_fa = np.cos(g.friction_angle)
     grasps: list[GraspConfig] = []
     for _ in range(n):

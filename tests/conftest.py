@@ -32,6 +32,18 @@ def ellipsoid(subdivisions):
     return TriMesh(sphere.vertices * np.array([1.0, 0.8, 0.6]), sphere.faces)
 
 
+def flattened_ellipsoid():
+    """``ellipsoid(2)`` with its six lowest vertices lifted to the highest
+    of them plus 1e-3 (x^2 + y^2): a base within angle_tol of flat but not
+    flat, so qhull keeps its triangles apart and the seed of their merged
+    facet falls among the one-triangle facets in face order."""
+    mesh = ellipsoid(2)
+    v = mesh.vertices.copy()
+    low = np.argsort(v[:, 2])[:6]
+    v[low, 2] = v[low, 2].max() + 1e-3 * (v[low, 0] ** 2 + v[low, 1] ** 2)
+    return TriMesh(v, mesh.faces)
+
+
 def sheared_wedge():
     """Unit cube with its top face sheared 3 along x."""
     v = fixtures.unit_cube().vertices.copy()

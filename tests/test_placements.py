@@ -7,9 +7,12 @@ import pytest
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
-from conftest import drifting_arc, ellipsoid, ngon_prism, sheared_wedge
+from conftest import drifting_arc, ellipsoid, flattened_ellipsoid, ngon_prism, sheared_wedge
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from stableplace import fixtures, placements
 from stableplace.mesh import (
+    DegenerateHull,
     EdgeIndex,
     PivotTable,
     TriMesh,
@@ -120,7 +123,8 @@ class TestEnumerateStable:
     @pytest.mark.parametrize(
         "name",
         [*fixtures.standard_fixtures(), "wedge", "prism32", "arc", "ellipsoid_s2",
-         "ellipsoid_s3"],
+         "ellipsoid_s3", "ellipsoid_s4", "tetrahedron_x1e8", "ellipsoid_s3_x1e8",
+         "flattened_ellipsoid"],
     )
     def test_matches_reference_over_every_facet(self, name):
         """The pre-filtered enumeration gives the bytes of checking every
@@ -131,6 +135,10 @@ class TestEnumerateStable:
             "arc": lambda: drifting_arc(0.6e-4),
             "ellipsoid_s2": lambda: ellipsoid(2),
             "ellipsoid_s3": lambda: ellipsoid(3),
+            "ellipsoid_s4": lambda: ellipsoid(4),
+            "tetrahedron_x1e8": lambda: _scaled(fixtures.regular_tetrahedron(), 1e8),
+            "ellipsoid_s3_x1e8": lambda: _scaled(ellipsoid(3), 1e8),
+            "flattened_ellipsoid": flattened_ellipsoid,
         }.get(name, lambda: fixtures.standard_fixtures()[name])()
         facets = merge_coplanar_facets(mesh.hull)
         reference = _reference_enumerate_stable(mesh, facets, 0.0)
@@ -142,6 +150,125 @@ class TestEnumerateStable:
             assert json.dumps([p.to_json_dict() for p in got]) == json.dumps(
                 [p.to_json_dict() for p in expected]
             ), margin_eps
+
+    def test_flattened_ellipsoid_interleaves_merged_and_lone_facets(self):
+        """``flattened_ellipsoid`` needs the merge by seed: a merged
+        facet's placement comes between one-triangle ones."""
+        mesh = flattened_ellipsoid()
+        normals = mesh.hull.face_normals()
+        seeds = [group[0] for group in _coplanar_groups(mesh.hull, normals, 1e-4)[0]]
+        ups = [body_up_axis(p.rotation) for p in enumerate_stable(mesh)]
+        merged = [any(np.linalg.norm(up + normals[seed]) < 1e-4 for seed in seeds)
+                  for up in ups]
+        assert merged.index(True) > 0 and merged[-1] is False
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_points=st.integers(5, 40),
+        snapped=st.floats(0.0, 0.8),
+        scale=st.sampled_from([1e-3, 1.0, 1e3, 1e8]),
+    )
+    def test_random_hulls_match_reference(self, seed, n_points, snapped, scale):
+        """Random point-cloud hulls, some points snapped onto shared
+        planes so that merged facets and one-triangle facets mix."""
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=(n_points, 3))
+        for axis in range(3):
+            snap = rng.random(n_points) < snapped / 3
+            pts[snap, axis] = np.round(pts[snap, axis])
+        try:
+            mesh = convex_hull(pts * scale)
+        except DegenerateHull:
+            return
+        reference = _reference_enumerate_stable(mesh, merge_coplanar_facets(mesh.hull), 0.0)
+        margins = [p.stability_margin for p in reference] or [0.0]
+        for margin_eps in (0.0, 1e-4 * scale, min(margins), max(margins)):
+            _assert_matches_reference(mesh, reference, margin_eps)
+
+    @pytest.mark.parametrize(
+        "name",
+        [*fixtures.standard_fixtures(), "wedge", "prism32", "ellipsoid_s2",
+         "ellipsoid_s4", "flattened_ellipsoid"],
+    )
+    def test_facet_built_only_for_merged_groups(self, name):
+        mesh = {
+            "wedge": sheared_wedge,
+            "prism32": lambda: ngon_prism(32),
+            "ellipsoid_s2": lambda: ellipsoid(2),
+            "ellipsoid_s4": lambda: ellipsoid(4),
+            "flattened_ellipsoid": flattened_ellipsoid,
+        }.get(name, lambda: fixtures.standard_fixtures()[name])()
+        groups, _ = _coplanar_groups(mesh.hull, mesh.hull.face_normals(), 1e-4)
+        with _counting(placements, "_facet") as calls:
+            enumerate_stable(mesh)
+        assert calls[0] == len(groups)
+        if name.startswith("ellipsoid"):
+            assert calls[0] == 0
+
+    @pytest.mark.parametrize(
+        "mesh",
+        [fixtures.regular_tetrahedron(), ellipsoid(3), flattened_ellipsoid()],
+        ids=["tetrahedron", "ellipsoid_s3", "flattened_ellipsoid"],
+    )
+    def test_polygon_path_for_every_triangle_gives_the_same_bytes(self, mesh, monkeypatch):
+        """Flagging every triangle as too flat for the array pass sends
+        it down the polygon path, which gives the same bytes."""
+        reference = _reference_enumerate_stable(mesh, merge_coplanar_facets(mesh.hull), 0.0)
+        order_rule = placements._triangle_order
+
+        def all_flat(p):
+            order, flat = order_rule(p)
+            return order, np.ones_like(flat)
+
+        monkeypatch.setattr(placements, "_triangle_order", all_flat)
+        groups, _ = _coplanar_groups(mesh.hull, mesh.hull.face_normals(), 1e-4)
+        with _counting(placements, "_facet_placement") as calls:
+            _assert_matches_reference(mesh, reference, 0.0)
+        assert calls[0] > len(groups)  # triangles took the polygon path
+
+    def test_triangle_order_is_qhulls(self):
+        """The order rule gives ``ConvexHull(p).vertices`` for every
+        triangle it does not flag, ties in x included, and flags every
+        triangle qhull rejects."""
+        rng = np.random.default_rng(8)
+        tri = rng.normal(size=(3000, 3, 2)) * 10.0 ** rng.integers(-4, 9, (3000, 1, 1))
+        tri[::3] = np.round(tri[::3], 1)  # ties in x and y
+        tri[1::5, 1, 0] = tri[1::5, 0, 0]
+        # nearly collinear: the third point within 1e-18..1e-10 of the line
+        thin = tri[2::7]
+        thin[:, 2] = (0.3 * thin[:, 0] + 0.7 * thin[:, 1]
+                      + thin[:, 2] * 10.0 ** rng.uniform(-18, -10, (len(thin), 1)))
+        order, flat = placements._triangle_order(tri)
+        for p, o, f in zip(tri, order, flat):
+            try:
+                vertices = ConvexHull(p).vertices
+            except QhullError:
+                assert f
+                continue
+            assert f or vertices.tolist() == o.tolist()
+
+    def test_down_rotations_match_rotation_between(self):
+        rng = np.random.default_rng(3)
+        n = rng.normal(size=(200, 3))
+        n[:4] = [[0, 0, 1], [0, 0, -1], [1e-9, 0, 1], [0, -1e-9, -1]]
+        n /= np.linalg.norm(n, axis=1)[:, None]
+        down = np.array([0.0, 0.0, -1.0])
+        got = placements._down_rotations(n)
+        for g, v in zip(got, n):
+            assert g.tobytes() == rotation_between(v, down).tobytes()
+
+
+def _scaled(mesh, factor):
+    return TriMesh(mesh.vertices * factor, mesh.faces)
+
+
+def _assert_matches_reference(mesh, reference, margin_eps):
+    expected = [p for p in reference if p.stability_margin >= margin_eps]
+    got = enumerate_stable(mesh, margin_eps=margin_eps)
+    assert json.dumps([p.to_json_dict() for p in got]) == json.dumps(
+        [p.to_json_dict() for p in expected]
+    ), margin_eps
 
 
 def _reference_enumerate_stable(mesh, facets, margin_eps):
@@ -535,9 +662,9 @@ class TestPivotTable:
 
         sinks = np.flatnonzero(bound >= DEFAULT_MARGIN_EPS)
         assert all(enumerated(f) for f in sinks)
-        for group in _coplanar_groups(hull, normals, 1e-4):
-            if len(group) == 1:
-                assert enumerated(group[0]) == (bound[group[0]] >= DEFAULT_MARGIN_EPS)
+        _, lone = _coplanar_groups(hull, normals, 1e-4)
+        for f in np.flatnonzero(lone):
+            assert enumerated(f) == (bound[f] >= DEFAULT_MARGIN_EPS)
         if name.startswith("ellipsoid"):
             assert len(sinks) == len(ups) > 0
 
