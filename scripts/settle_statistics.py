@@ -3,11 +3,15 @@
 random orientations and report how often each enumerated placement class
 is reached, the tip-count distribution, how many tips walked the mesh's
 rolling graph in the body frame against how many took the world-frame
-pivot, how many drops had their COM rise, and the wall-clock cost per
-settle.
+pivot, how many drops had their COM rise, the wall-clock cost per
+settle, and a sha256 of the settled rotations' bytes in drop order.
+
+The digests make a check of settle bits between two checkouts a diff of
+the ``sha256`` lines of two runs' stdout.
 """
 
 import argparse
+import hashlib
 import time
 
 import numpy as np
@@ -51,6 +55,7 @@ def main():
         counts = np.zeros(len(enum), dtype=int)
         tips = []
         rises = 0
+        digest = hashlib.sha256()
         world_path.calls = 0
         rng = np.random.default_rng(args.seed)
         start = time.perf_counter()
@@ -58,6 +63,7 @@ def main():
             p, trace = settle(mesh, random_rotation(rng), return_trace=True)
             k = int(np.argmin(z_quotient_distances(p.rotation, modes)))
             counts[k] += 1
+            digest.update(p.rotation.tobytes())
             tips.append(len(trace) - 1)
             rises += max(np.diff(trace), default=0.0) > 1e-9
         elapsed = time.perf_counter() - start
@@ -68,6 +74,7 @@ def main():
         print(f"  tips: median {int(np.median(tips))}, max {tips.max()}; "
               f"{walked} walked, {world_path.calls} world-frame")
         print(f"  drops whose COM rose: {rises}")
+        print(f"  settled rotations sha256 {digest.hexdigest()}")
         for k, p in enumerate(enum):
             share = counts[k] / args.drops
             print(f"  class {k}: margin {p.stability_margin:.3f}  "

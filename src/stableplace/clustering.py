@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import rotation_between
-from .rotations import check_rotation, z_quotient_distances
+from .rotations import angle_between, check_rotation, rotation_between, z_quotient_distances
 
 DEG = np.pi / 180.0
 Z_HAT = np.array([0.0, 0.0, 1.0])
@@ -52,13 +51,6 @@ class TypeModel:
         )
 
 
-def _angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Angles between unit vectors a[..., :] and b[..., :], broadcast.
-    The arctan2 form is exactly 0 between equal vectors, where arccos of
-    their dot product can round to 1.5e-8."""
-    return np.arctan2(np.linalg.norm(np.cross(a, b), axis=-1), np.sum(a * b, axis=-1))
-
-
 def mean_shift_orientations(
     rotations: list[np.ndarray],
     bandwidth: float = 15.0 * DEG,
@@ -86,28 +78,27 @@ def mean_shift_orientations(
     for _ in range(max_iter):
         if not moving.size:
             break
-        sums = (_angles(means[moving, None], ups) <= bandwidth) @ ups
+        sums = (angle_between(means[moving, None], ups) <= bandwidth) @ ups
         norms = np.linalg.norm(sums, axis=1)
         live = norms > 0  # an empty window stops its mean
         moving, new = moving[live], sums[live] / norms[live, None]
-        shift = _angles(new, means[moving])
+        shift = angle_between(new, means[moving])
         means[moving] = new
         moving = moving[shift >= shift_tol]
 
-    close = (_angles(means[:, None], means) <= bandwidth).tolist()
+    close = (angle_between(means[:, None], means) <= bandwidth).tolist()
     kept: list[int] = []
     for i, row in enumerate(close):
         if not any(row[k] for k in kept):
             kept.append(i)
-    modes = [rotation_between(means[k], Z_HAT) for k in kept]
+    modes = rotation_between(means[kept], Z_HAT)
 
     model = TypeModel(
-        modes=modes,
+        modes=list(modes),
         bandwidth=bandwidth,
         assign_threshold=bandwidth if assign_threshold is None else assign_threshold,
     )
-    mode_stack = np.stack(modes)
-    labels = np.argmin(_angles(ups[:, None], mode_stack[:, 2, :]), axis=1)
+    labels = np.argmin(angle_between(ups[:, None], modes[:, 2, :]), axis=1)
     return model, labels.tolist()
 
 

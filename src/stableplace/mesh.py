@@ -15,7 +15,13 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .rotations import rotation_from_axis_angle
+from .rotations import (
+    _any_perpendicular,
+    angle_between,
+    rot_x,
+    rotation_between,
+    rotation_from_axis_angle,
+)
 
 
 class MeshParseError(ValueError):
@@ -43,9 +49,11 @@ class TriMesh:
     """Triangle mesh with its uniform-density volume and COM.
 
     Treated as immutable after construction: its edge index (built with
-    it), its convex hull, its pivot table and the support polygons of its
-    resting contact sets are cached on first use, so changing
-    ``vertices`` or ``faces`` in place leaves them stale.
+    it), its face normals and areas, its convex hull, the COM's distances
+    to the hull's edge lines, its pivot table and the support polygons of
+    its resting contact sets are cached on first use, so changing
+    ``vertices`` or ``faces`` in place leaves them stale.  The cached
+    arrays are read-only.
     """
 
     vertices: np.ndarray  # (N, 3)
@@ -134,23 +142,36 @@ class TriMesh:
         """The hull's rolling graph: where each hull triangle resting
         alone on the plane tips to, built on first use by
         ``placements.settle``."""
-        return PivotTable.build(self.hull, self.com)
+        return PivotTable.build(self)
 
-    def face_normals(self) -> np.ndarray:
-        return self.face_normals_and_areas()[0]
+    @cached_property
+    def edge_distances(self) -> np.ndarray:
+        """``_edge_line_distances`` of the hull and the COM, built on first
+        use by ``placements.enumerate_stable`` or the pivot table."""
+        hull = self.hull
+        return _read_only(_edge_line_distances(hull, hull.face_normals(), self.com))
 
-    def face_areas(self) -> np.ndarray:
-        return self.face_normals_and_areas()[1]
-
+    @cached_property
     def face_normals_and_areas(self) -> tuple[np.ndarray, np.ndarray]:
         """Unit normals (zero for a zero-area face) and areas of the
-        faces, from one cross product per face."""
+        faces, from one cross product per face, built on first use."""
         v, f = self.vertices, self.faces
         n = np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
         lens = np.linalg.norm(n, axis=1)
         areas = 0.5 * lens
         lens[lens == 0] = 1.0
-        return n / lens[:, None], areas
+        return _read_only(n / lens[:, None]), _read_only(areas)
+
+    def face_normals(self) -> np.ndarray:
+        return self.face_normals_and_areas[0]
+
+    def face_areas(self) -> np.ndarray:
+        return self.face_normals_and_areas[1]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -348,11 +369,10 @@ def merge_coplanar_facets(hull: TriMesh, angle_tol: float = 1e-4) -> list[Facet]
     adjacent across the edges of ``hull.edges``.  Raises ValueError
     unless 0 <= ``angle_tol`` < pi/2 and the surface is closed, every edge
     shared by exactly two faces, as the surface of ``convex_hull`` is."""
-    normals, areas = hull.face_normals_and_areas()
-    groups, lone = _coplanar_groups(hull, normals, angle_tol)
+    groups, lone = _coplanar_groups(hull, hull.face_normals(), angle_tol)
     groups += [[f] for f in np.flatnonzero(lone).tolist()]
     groups.sort(key=lambda group: group[0])
-    return [_facet(hull, normals, areas, group) for group in groups]
+    return [_facet(hull, group) for group in groups]
 
 
 def _coplanar_groups(
@@ -419,11 +439,10 @@ def _coplanar_groups(
     return groups, lone
 
 
-def _facet(
-    hull: TriMesh, normals: np.ndarray, areas: np.ndarray, group: list[int]
-) -> Facet:
+def _facet(hull: TriMesh, group: list[int]) -> Facet:
     """Polygonal facet of a face group: area-weighted normal and the
     group's vertices ordered around the polygon."""
+    normals, areas = hull.face_normals_and_areas
     w = areas[group]
     n = (w[:, None] * normals[group]).sum(axis=0)
     n /= np.linalg.norm(n)
@@ -440,13 +459,6 @@ def _facet(
         normal=n,
         area=float(w.sum()),
     )
-
-
-def _any_perpendicular(n: np.ndarray) -> np.ndarray:
-    """A unit vector perpendicular to each unit vector n (..., 3)."""
-    ref = np.where((np.abs(n[..., 0]) < 0.9)[..., None], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
-    e = np.cross(n, ref)
-    return e / np.sqrt(np.vecdot(e, e))[..., None]
 
 
 def _convex_order_2d(uv: np.ndarray) -> np.ndarray:
@@ -481,20 +493,6 @@ def _edge_line_distances(
         )
 
 
-def _com_margin_bounds(
-    hull: TriMesh, normals: np.ndarray, com: np.ndarray
-) -> np.ndarray:
-    """Per hull triangle, an upper bound on the COM margin it would give
-    as a one-triangle facet: the in-plane signed distance from the COM to
-    each edge line, positive inward, minimized over the three edges.
-
-    Inside the triangle this is the margin itself.  Outside, the distance
-    to the triangle is at least the distance to any edge line it lies
-    beyond, so the bound is at least the (negative) margin.  Degenerate
-    triangles give NaN."""
-    return _edge_line_distances(hull, normals, com).min(axis=1)
-
-
 def _nearest_edge(dist: np.ndarray, beyond: np.ndarray, pair: np.ndarray) -> np.ndarray:
     """Index, along the last axis, of the edge nearest a point, from the
     point's distances to the edge segments, its signed distances beyond
@@ -526,8 +524,11 @@ class PivotTable:
     ``n_vertices``; rows are sorted by key.  Everything is in the body
     frame.
 
-    - ``bound[r]``: the triangle's ``_com_margin_bounds`` value; below 0
-      the COM lies strictly beyond the pivot edge.
+    - ``bound[r]``: the least of the triangle's ``edge_distances``, an
+      upper bound on its COM margin as a one-triangle facet: the margin
+      inside the triangle, and outside at least the (negative) margin,
+      as the distance to an edge line is at most that to the triangle.
+      Below 0 the COM lies strictly beyond the pivot edge.
     - ``edge[r]``: the pivot edge, the (start, end) hull-vertex indices
       of the edge nearest the COM's projection onto the triangle's plane
       (``_nearest_edge``), in the counter-clockwise order of the
@@ -538,8 +539,8 @@ class PivotTable:
       where they may", IJRR 1997).
     - ``turn[r]``: the roll as a body-frame rotation R(e, phi), e the
       unit pivot-edge direction start -> end and phi the exterior
-      dihedral angle arctan2(|n_f x n_g|, n_f . n_g) between the two
-      outward normals.  A pose ``rot`` resting on row r lands on row
+      dihedral angle between the two outward normals
+      (``angle_between``).  A pose ``rot`` resting on row r lands on row
       ``next[r]`` as ``rot @ turn[r]``, since R(rot e, phi) @ rot =
       rot @ R(e, phi).
     - ``height[r]``: the COM's distance to the triangle's plane, its
@@ -567,27 +568,30 @@ class PivotTable:
     clear: np.ndarray  # (T,)
 
     @classmethod
-    def build(cls, hull: TriMesh, com: np.ndarray) -> "PivotTable":
-        """Table of every triangle of ``hull``, a closed triangulated
-        surface as ``convex_hull`` gives, vectorized over its triangles;
-        the triangles across edges and the vertex rings come from
-        ``hull.edges``.  A hull of more than 2**21 vertices, whose keys would overflow
-        int64, gets an empty table."""
+    def build(cls, mesh: TriMesh) -> "PivotTable":
+        """Table of every triangle of ``mesh.hull``, a closed triangulated
+        surface as ``convex_hull`` gives, vectorized over its triangles
+        from the hull's normals and the mesh's ``edge_distances``; the
+        triangles across edges and the vertex rings come from
+        ``hull.edges``.  A hull of more than 2**21 vertices, whose keys
+        would overflow int64, gets an empty table."""
+        hull, com = mesh.hull, mesh.com
         n = len(hull.vertices)
         if n > 2**21:
             return cls(n, np.empty(0, np.int64), np.empty(0), np.empty((0, 2), int),
                        np.empty(0, int), np.empty((0, 3, 3)), np.empty(0), np.empty(0))
         verts, faces = hull.vertices, hull.faces
         normals = hull.face_normals()
-        inward = _edge_line_distances(hull, normals, com)
+        inward = mesh.edge_distances
         k = _pivot_edge_index(hull, normals, inward, com)
         # outward edge k runs from vertex k to k + 1; resting, seen from
         # above, the triangle turns the other way
         rows = np.arange(len(faces))
         edge = np.column_stack([faces[rows, (k + 1) % 3], faces[rows, k]])
         across = hull.edges.partner[rows, k] // 3
-        turn = _roll_rotations(verts[edge[:, 1]] - verts[edge[:, 0]],
-                               normals, normals[across])
+        e = verts[edge[:, 1]] - verts[edge[:, 0]]
+        turn = rotation_from_axis_angle(e / np.linalg.norm(e, axis=1)[:, None],
+                                        angle_between(normals, normals[across]))
         height = np.einsum("fj,fj->f", normals, verts[faces[:, 0]] - com)
         clear = _ring_clearance(hull, normals)
         clear[~normals.any(axis=1)[across]] = np.nan
@@ -634,26 +638,6 @@ def _pivot_edge_index(
     r = ap - t[..., None] * ab
     dist = np.sqrt(np.einsum("fkj,fkj->fk", r, r))
     return _nearest_edge(dist, -inward, hull.edges.key)
-
-
-def _roll_rotations(
-    edges: np.ndarray, n_from: np.ndarray, n_to: np.ndarray
-) -> np.ndarray:
-    """(F, 3, 3) Rodrigues rotations about the unit directions of
-    ``edges`` by the angles arctan2(|n_from x n_to|, n_from . n_to)."""
-    e = edges / np.linalg.norm(edges, axis=1)[:, None]
-    cross = np.cross(n_from, n_to)
-    phi = np.arctan2(np.sqrt(np.einsum("fj,fj->f", cross, cross)),
-                     np.einsum("fj,fj->f", n_from, n_to))
-    zero = np.zeros(len(e))
-    x, y, z = e.T
-    kmat = np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=1).reshape(-1, 3, 3)
-    out = kmat @ kmat
-    out *= (1.0 - np.cos(phi))[:, None, None]
-    kmat *= np.sin(phi)[:, None, None]
-    out += kmat
-    out += np.eye(3)
-    return out
 
 
 def _ring_clearance(hull: TriMesh, normals: np.ndarray) -> np.ndarray:
@@ -728,36 +712,19 @@ def plane_align_rotation(v_r: np.ndarray) -> np.ndarray:
     """Minimal-angle rotation taking v_r / |v_r| onto +z.
 
     The antiparallel case (v_r along -z) rotates pi about the x axis.
+    Raises ValueError for a non-finite v_r and ZeroPlaneVector for a zero
+    one.
     """
     v_r = np.asarray(v_r, dtype=float)
+    if not np.isfinite(v_r).all():
+        raise ValueError(f"cannot align a non-finite plane vector {v_r.tolist()}")
     norm = np.linalg.norm(v_r)
     if norm <= 1e-12:
         raise ZeroPlaneVector("cannot align a zero plane vector")
     u = v_r / norm
-    z = np.array([0.0, 0.0, 1.0])
-    c = float(np.dot(u, z))
-    if c >= 1.0 - 1e-15:
-        return np.eye(3)
-    if c <= -1.0 + 1e-15:
-        return rotation_from_axis_angle(np.array([1.0, 0.0, 0.0]), np.pi)
-    axis = np.cross(u, z)
-    axis /= np.linalg.norm(axis)
-    return rotation_from_axis_angle(axis, float(np.arccos(np.clip(c, -1.0, 1.0))))
-
-
-def rotation_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minimal rotation taking unit vector a onto unit vector b."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = float(np.dot(a, b))
-    if c >= 1.0 - 1e-15:
-        return np.eye(3)
-    if c <= -1.0 + 1e-15:
-        axis = _any_perpendicular(a)
-        return rotation_from_axis_angle(axis, np.pi)
-    axis = np.cross(a, b)
-    axis /= np.linalg.norm(axis)
-    return rotation_from_axis_angle(axis, float(np.arccos(np.clip(c, -1.0, 1.0))))
+    if u[2] <= -1.0 + 1e-15:
+        return rot_x(np.pi)
+    return rotation_between(u, np.array([0.0, 0.0, 1.0]))
 
 
 def apply_refinement_transform(p_r: np.ndarray, v_r: np.ndarray) -> np.ndarray:

@@ -18,19 +18,23 @@ from .mesh import (
     PivotTable,
     TriMesh,
     ZeroPlaneVector,
-    _any_perpendicular,
-    _com_margin_bounds,
     _convex_order_2d,
     _coplanar_groups,
     _facet,
     _nearest_edge,
     plane_from_contacts,
-    rotation_between,
 )
-from .rotations import check_rotation, random_rotation, rotation_from_axis_angle
+from .rotations import (
+    _any_perpendicular,
+    check_rotation,
+    random_rotation,
+    rotation_between,
+    rotation_from_axis_angle,
+)
 
 CONTACT_TOL = 1e-6
 DEFAULT_MARGIN_EPS = 1e-4
+DOWN = np.array([0.0, 0.0, -1.0])
 
 
 class SettleDiverged(RuntimeError):
@@ -349,8 +353,9 @@ def enumerate_stable(
     support polygon.  score = margin / facet inradius, clamped to [0, 1].
 
     A vectorized pre-filter first drops every one-triangle facet whose
-    margin bound (``_com_margin_bounds``) is below margin_eps by more
-    than 1e-9 times the hull's largest coordinate.  The bound is never
+    margin bound (``PivotTable.bound``, the least of the triangle's
+    ``TriMesh.edge_distances``) is below margin_eps by more than 1e-9
+    times the hull's largest coordinate.  The bound is never
     below the margin, and that slack absorbs the rounding between the two
     computations, which grows with the coordinates, so every dropped
     facet would fail the exact check.  The surviving one-triangle facets
@@ -363,13 +368,12 @@ def enumerate_stable(
     """
     check_margin_eps(margin_eps)
     hull = mesh.hull
-    normals, areas = hull.face_normals_and_areas()
-    groups, lone = _coplanar_groups(hull, normals, angle_tol)
+    groups, lone = _coplanar_groups(hull, hull.face_normals(), angle_tol)
     slack = 1e-9 * float(np.abs(hull.vertices).max())
-    lone &= ~(_com_margin_bounds(hull, normals, mesh.com) < margin_eps - slack)
-    found = _lone_placements(mesh, np.flatnonzero(lone), normals, areas, margin_eps)
+    lone &= ~(mesh.edge_distances.min(axis=1) < margin_eps - slack)
+    found = _lone_placements(mesh, np.flatnonzero(lone), margin_eps)
     for group in groups:
-        facet = _facet(hull, normals, areas, group)
+        facet = _facet(hull, group)
         placement = _facet_placement(mesh, facet.normal, facet.polygon, margin_eps)
         if placement is not None:
             found.append((group[0], placement))
@@ -384,7 +388,7 @@ def _facet_placement(
     ``normal`` and vertices ``polygon`` (k, 3), ordered around it, or
     None when its margin is below margin_eps or its support polygon has
     no 2-D hull."""
-    rot = rotation_between(normal, np.array([0.0, 0.0, -1.0]))
+    rot = rotation_between(normal, DOWN)
     poly_xy = (polygon @ rot.T)[:, :2]
     try:
         poly_xy = poly_xy[ConvexHull(poly_xy).vertices]
@@ -405,11 +409,7 @@ def _facet_placement(
 
 
 def _lone_placements(
-    mesh: TriMesh,
-    faces: np.ndarray,
-    normals: np.ndarray,
-    areas: np.ndarray,
-    margin_eps: float,
+    mesh: TriMesh, faces: np.ndarray, margin_eps: float
 ) -> list[tuple[int, Placement]]:
     """(face, placement) pairs for the one-triangle facets of
     ``mesh.hull`` among ``faces`` whose margin is at least margin_eps,
@@ -424,13 +424,14 @@ def _lone_placements(
     the order rule, or with an edge shorter than ``_edge_lines`` keeps,
     takes the polygon path instead."""
     hull = mesh.hull
+    normals, areas = hull.face_normals_and_areas
     wn = areas[faces, None] * normals[faces]
     n = wn / np.sqrt(np.vecdot(wn, wn))[:, None]
     pts = hull.vertices[np.sort(hull.faces[faces], axis=1)]
     e1 = _any_perpendicular(n)
     uv = np.concatenate([pts @ e1[:, :, None], pts @ np.cross(n, e1)[:, :, None]], axis=2)
     order, flat = _triangle_order(uv)
-    rot = _down_rotations(n)
+    rot = rotation_between(n, DOWN)
     poly = np.take_along_axis(pts, order[:, :, None], axis=1)
     xy = (poly @ rot.transpose(0, 2, 1))[:, :, :2]
     order, flat_xy = _triangle_order(xy)
@@ -492,26 +493,6 @@ def _triangle_order(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     width = np.ptp(p, axis=1).max(axis=1)
     flat = ~(np.abs(det) > 1e-12 * width * (width + np.abs(p).max(axis=(1, 2))))
     return order, flat
-
-
-def _down_rotations(n: np.ndarray) -> np.ndarray:
-    """(S, 3, 3) rotations ``rotation_between(n[i], -z)`` of the unit
-    vectors n (S, 3), with the same bits."""
-    down = np.array([0.0, 0.0, -1.0])
-    c = np.vecdot(n, down)
-    flip = c <= -1.0 + 1e-15
-    with np.errstate(divide="ignore", invalid="ignore"):
-        axis = np.cross(n, down)
-        axis /= np.sqrt(np.vecdot(axis, axis))[:, None]
-    axis[flip] = _any_perpendicular(n[flip])
-    angle = np.where(flip, np.pi, np.arccos(np.clip(c, -1.0, 1.0)))
-    x, y, z = axis.T
-    zero = np.zeros(len(n))
-    k = np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=1).reshape(-1, 3, 3)
-    rot = (np.eye(3) + np.sin(angle)[:, None, None] * k
-           + (1.0 - np.cos(angle))[:, None, None] * (k @ k))
-    rot[c >= 1.0 - 1e-15] = np.eye(3)
-    return rot
 
 
 # --- quasi-static settling -------------------------------------------------------

@@ -161,7 +161,7 @@ def sample_antipodal_grasps(
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
-    normals, areas = mesh.face_normals_and_areas()
+    normals, areas = mesh.face_normals_and_areas
     probs = areas / areas.sum()
     cos_fa = np.cos(g.friction_angle)
     grasps: list[GraspConfig] = []

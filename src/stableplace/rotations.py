@@ -2,6 +2,10 @@
 differentiable polynomial surrogate, the 6D continuous representation,
 and the z-rotation quotient metric.
 
+This module is the one place rotations are built: the one Rodrigues
+formula (``rotation_from_axis_angle``) and the one minimal rotation onto a
+direction (``rotation_between``), each for one input or a stack.
+
 Rotations that differ only by a turn about the world z-axis share a body
 up-axis r.T @ z-hat (the third row of r), so the quotient metric is the
 angle between up-axes.
@@ -49,14 +53,61 @@ def check_rotation(m: np.ndarray, tol: float = ORTHO_TOL) -> np.ndarray:
     return m
 
 
-def rotation_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
-    """Rodrigues rotation about a unit axis."""
+# K = [[0, -z, y], [z, 0, -x], [-y, x, 0]] from the axis (x, y, z); a -0 on
+# its diagonal vanishes in I + ..., so the bits are those of the literal K.
+_SKEW_INDEX = np.array([[0, 2, 1], [2, 0, 0], [1, 0, 0]])
+_SKEW_SIGN = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
+
+
+def rotation_from_axis_angle(axis: np.ndarray, angle: float | np.ndarray) -> np.ndarray:
+    """Rodrigues rotations I + sin(angle) K + (1 - cos(angle)) K^2 about
+    unit axes (..., 3) by angles (...), as (..., 3, 3); K is the skew
+    matrix of the axis.  One axis (3,) gives one (3, 3) rotation, with the
+    same bits as any row of a stack.
+
+    Raises InvalidAxis for an axis whose norm is not 1; a NaN axis has no
+    measurable norm, so its row passes through as NaN."""
     axis = np.asarray(axis, dtype=float)
-    if abs(np.linalg.norm(axis) - 1.0) > ORTHO_TOL:
-        raise InvalidAxis(f"axis norm {np.linalg.norm(axis)} != 1")
-    x, y, z = axis
-    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    norm = np.sqrt(np.vecdot(axis, axis))
+    off = np.abs(norm - 1.0) > ORTHO_TOL
+    if off.any():
+        raise InvalidAxis(f"axis norm {np.extract(off, norm)[0]} != 1")
+    k = axis.take(_SKEW_INDEX, axis=-1) * _SKEW_SIGN
+    angle = np.asarray(angle, dtype=float)
+    angle = angle[..., None, None] if angle.ndim else float(angle)
     return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+
+
+def rotation_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Minimal rotations taking the unit vectors a (..., 3) onto the unit
+    vector b (3,), as (..., 3, 3).
+
+    The turn is about a x b by the angle arccos(a . b).  Within 1e-15 of
+    equal, a turns by 0 (the identity), and within 1e-15 of opposite by
+    pi about ``_any_perpendicular(a)``."""
+    a = np.asarray(a, dtype=float)
+    c = np.vecdot(a, b)
+    same, flip = c >= 1.0 - 1e-15, c <= -1.0 + 1e-15
+    with np.errstate(divide="ignore", invalid="ignore"):
+        axis = np.cross(a, b)
+        axis /= np.sqrt(np.vecdot(axis, axis))[..., None]
+    axis[same | flip] = _any_perpendicular(a[same | flip])
+    angle = np.where(flip, np.pi, np.where(same, 0.0, np.arccos(np.clip(c, -1.0, 1.0))))
+    return rotation_from_axis_angle(axis, angle)
+
+
+def _any_perpendicular(n: np.ndarray) -> np.ndarray:
+    """A unit vector perpendicular to each unit vector n (..., 3)."""
+    ref = np.where((np.abs(n[..., 0]) < 0.9)[..., None], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    e = np.cross(n, ref)
+    return e / np.sqrt(np.vecdot(e, e))[..., None]
+
+
+def angle_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Angles between unit vectors a[..., :] and b[..., :], broadcast.
+    The arctan2 form is exactly 0 between equal vectors, where arccos of
+    their dot product can round to 1.5e-8."""
+    return np.arctan2(np.linalg.norm(np.cross(a, b), axis=-1), np.sum(a * b, axis=-1))
 
 
 def rot_x(angle: float) -> np.ndarray:

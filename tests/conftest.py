@@ -26,6 +26,31 @@ def random_rotations(seed, n):
     return [random_rotation(rng) for _ in range(n)]
 
 
+def _reference_rotation_from_axis_angle(axis, angle):
+    """Rodrigues rotation about one unit axis, with the literal skew
+    matrix: the scalar form the stacked constructor must match."""
+    x, y, z = np.asarray(axis, dtype=float)
+    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+
+
+def _reference_rotation_between(a, b):
+    """Minimal rotation taking one unit vector a onto b, case by case: the
+    scalar form the stacked constructor must match."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    c = float(np.dot(a, b))
+    if c >= 1.0 - 1e-15:
+        return np.eye(3)
+    if c <= -1.0 + 1e-15:
+        axis = np.cross(a, [1.0, 0.0, 0.0] if abs(a[0]) < 0.9 else [0.0, 1.0, 0.0])
+        return _reference_rotation_from_axis_angle(axis / np.sqrt(np.vecdot(axis, axis)),
+                                                   np.pi)
+    axis = np.cross(a, b)
+    axis /= np.linalg.norm(axis)
+    return _reference_rotation_from_axis_angle(axis, float(np.arccos(np.clip(c, -1.0, 1.0))))
+
+
 def ellipsoid(subdivisions):
     """Icosphere of radius 0.05 squashed to (1, 0.8, 0.6)."""
     sphere = fixtures.icosphere(0.05, subdivisions)

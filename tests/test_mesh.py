@@ -5,7 +5,13 @@ from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from conftest import drifting_arc, ellipsoid, ngon_prism, sheared_wedge
+from conftest import (
+    _reference_rotation_between,
+    drifting_arc,
+    ellipsoid,
+    ngon_prism,
+    sheared_wedge,
+)
 from stableplace import fixtures
 from stableplace.mesh import (
     CollinearContacts,
@@ -410,7 +416,8 @@ def _facet_bytes(facets) -> list[bytes]:
 def _reference_merge_coplanar_facets(hull, angle_tol):
     """Facet merging as a plain loop: dict adjacency over shared edges and
     a search from every unvisited face over every face."""
-    from stableplace.mesh import Facet, _any_perpendicular, _convex_order_2d
+    from stableplace.mesh import Facet, _convex_order_2d
+    from stableplace.rotations import _any_perpendicular
 
     normals = hull.face_normals()
     areas = hull.face_areas()
@@ -536,9 +543,20 @@ class TestPlaneAlignRotation:
                 continue
             r = plane_align_rotation(v)
             assert np.allclose(r @ (v / np.linalg.norm(v)), [0, 0, 1], atol=1e-12)
+            u = v / np.linalg.norm(v)
+            assert r.tobytes() == _reference_rotation_between(u, [0.0, 0.0, 1.0]).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vector_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite plane vector"):
+            plane_align_rotation([bad, 0.0, 1.0])
 
 
 class TestApplyRefinementTransform:
+    def test_non_finite_plane_vector_rejected(self):
+        with pytest.raises(ValueError, match=r"non-finite plane vector \[inf, 0.0, 1.0\]"):
+            apply_refinement_transform(np.zeros((2, 3)), np.array([np.inf, 0.0, 1.0]))
+
     def test_pure_translation_case(self):
         out = apply_refinement_transform(
             np.array([[0.0, 0, 2.0], [1.0, 1.0, 3.0]]), np.array([0.0, 0, 2.0])

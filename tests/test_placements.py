@@ -1,27 +1,36 @@
 import contextlib
 import json
 from decimal import Decimal, localcontext
+from functools import cached_property
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
-from conftest import drifting_arc, ellipsoid, flattened_ellipsoid, ngon_prism, sheared_wedge
+from conftest import (
+    _reference_rotation_between,
+    _reference_rotation_from_axis_angle,
+    drifting_arc,
+    ellipsoid,
+    flattened_ellipsoid,
+    ngon_prism,
+    sheared_wedge,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from stableplace import fixtures, placements
+from stableplace import mesh as mesh_module
 from stableplace.mesh import (
     DegenerateHull,
     EdgeIndex,
     PivotTable,
     TriMesh,
-    _com_margin_bounds,
     _coplanar_groups,
+    _edge_line_distances,
     convex_hull,
     merge_coplanar_facets,
     plane_from_contacts,
-    rotation_between,
 )
 from stableplace.placements import (
     CONTACT_TOL,
@@ -47,7 +56,7 @@ from stableplace.rotations import (
     random_rotation,
     rot_x,
     rot_z,
-    rotation_from_axis_angle,
+    rotation_between,
     z_quotient_distance,
     z_quotient_distances,
 )
@@ -248,16 +257,6 @@ class TestEnumerateStable:
                 continue
             assert f or vertices.tolist() == o.tolist()
 
-    def test_down_rotations_match_rotation_between(self):
-        rng = np.random.default_rng(3)
-        n = rng.normal(size=(200, 3))
-        n[:4] = [[0, 0, 1], [0, 0, -1], [1e-9, 0, 1], [0, -1e-9, -1]]
-        n /= np.linalg.norm(n, axis=1)[:, None]
-        down = np.array([0.0, 0.0, -1.0])
-        got = placements._down_rotations(n)
-        for g, v in zip(got, n):
-            assert g.tobytes() == rotation_between(v, down).tobytes()
-
 
 def _scaled(mesh, factor):
     return TriMesh(mesh.vertices * factor, mesh.faces)
@@ -275,7 +274,7 @@ def _reference_enumerate_stable(mesh, facets, margin_eps):
     """The exact stability check on every facet, in facet order."""
     out = []
     for facet in facets:
-        rot = rotation_between(facet.normal, np.array([0.0, 0.0, -1.0]))
+        rot = _reference_rotation_between(facet.normal, np.array([0.0, 0.0, -1.0]))
         poly_xy = (facet.polygon @ rot.T)[:, :2]
         try:
             poly_xy = poly_xy[ConvexHull(poly_xy).vertices]
@@ -459,7 +458,7 @@ def _reference_settle(mesh, initial, margin_eps=DEFAULT_MARGIN_EPS):
         a_z = rel[:, 2]
         phi = np.arctan2(np.maximum(a_z, 0.0), -s * (u[0] * rel[:, 1] - u[1] * rel[:, 0]))
         valid = (a_z > CONTACT_TOL) & (phi > 1e-9)
-        rot = rotation_from_axis_angle(u, s * float(phi[valid].min())) @ rot
+        rot = _reference_rotation_from_axis_angle(u, s * float(phi[valid].min())) @ rot
     raise SettleDiverged("reference loop exceeded 200 tips")
 
 
@@ -607,7 +606,7 @@ class TestPivotTable:
         mesh = _table_mesh(name)
         hull = mesh.hull
         table = mesh.pivot_table
-        bound = _com_margin_bounds(hull, hull.face_normals(), mesh.com)
+        bound = _edge_line_distances(hull, hull.face_normals(), mesh.com).min(axis=1)
         assert len(table.keys) == len(hull.faces)
         assert np.all(np.diff(table.keys) > 0)
         for f, (triple, edge) in enumerate(_loop_pivot_rows(mesh)):
@@ -629,7 +628,7 @@ class TestPivotTable:
             r = table.row(np.array(triple))
             if not table.bound[r] < DEFAULT_MARGIN_EPS - 1e-9:
                 continue
-            rot = rotation_between(n, np.array([0.0, 0.0, -1.0]))
+            rot = _reference_rotation_between(n, np.array([0.0, 0.0, -1.0]))
             world = hull.vertices @ rot.T
             world[:, 2] -= world[:, 2].min()
             contact = np.flatnonzero(world[:, 2] <= CONTACT_TOL)
@@ -654,7 +653,7 @@ class TestPivotTable:
         mesh = _table_mesh(name)
         hull = mesh.hull
         normals = hull.face_normals()
-        bound = _com_margin_bounds(hull, normals, mesh.com)
+        bound = _edge_line_distances(hull, normals, mesh.com).min(axis=1)
         ups = np.array([body_up_axis(p.rotation) for p in enumerate_stable(mesh)])
 
         def enumerated(f):
@@ -746,6 +745,41 @@ class TestPivotTable:
         assert "pivot_table" in vars(mesh)
         assert built == [len(mesh.vertices), len(mesh.hull.vertices)]
 
+    def test_hull_geometry_built_once_per_mesh(self, monkeypatch):
+        """Enumerate and the first settle (its pivot table) share one
+        build of the hull's face normals and one of the COM's edge-line
+        distances."""
+        normal_builds, distance_builds = [], []
+        prop = vars(TriMesh)["face_normals_and_areas"]
+
+        def counted(self):
+            normal_builds.append(self)
+            return prop.func(self)
+
+        counted_prop = cached_property(counted)
+        counted_prop.__set_name__(TriMesh, "face_normals_and_areas")
+        monkeypatch.setattr(TriMesh, "face_normals_and_areas", counted_prop)
+        distances = mesh_module._edge_line_distances
+
+        def counted_distances(*args):
+            distance_builds.append(args)
+            return distances(*args)
+
+        for module in (mesh_module, placements):
+            monkeypatch.setattr(module, "_edge_line_distances", counted_distances,
+                                raising=False)
+        mesh = ellipsoid(2)
+        enumerate_stable(mesh)
+        settle(mesh, random_rotation(np.random.default_rng(3)))
+        assert "pivot_table" in vars(mesh)
+        assert normal_builds == [mesh.hull] and len(distance_builds) == 1
+
+    def test_cached_hull_geometry_is_read_only(self):
+        mesh = ellipsoid(2)
+        for cached in (*mesh.hull.face_normals_and_areas, mesh.edge_distances):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0] = 0.0
+
     def test_row_of_a_non_triangle_is_none(self):
         table = fixtures.unit_cube().pivot_table
         # opposite corners of the cube share no hull triangle
@@ -753,10 +787,13 @@ class TestPivotTable:
         assert table.row(np.array([5, 6, 7])) is None
 
     def test_oversized_hull_gets_an_empty_table(self):
-        class Hull:  # stands in for a hull whose keys overflow int64
-            vertices = np.broadcast_to(0.0, (2**21 + 1, 3))
+        class Mesh:  # stands in for a mesh whose hull's keys overflow int64
+            class hull:
+                vertices = np.broadcast_to(0.0, (2**21 + 1, 3))
 
-        table = PivotTable.build(Hull(), np.zeros(3))
+            com = np.zeros(3)
+
+        table = PivotTable.build(Mesh())
         assert len(table.keys) == len(table.next) == len(table.turn) == 0
         assert table.row(np.array([0, 1, 2])) is None
 

@@ -18,6 +18,7 @@ from stableplace.rotations import (
     rot_x,
     rot_y,
     rot_z,
+    rotation_between,
     rotation_from_axis_angle,
     rotation_from_sixd,
     sixd_from_rotation,
@@ -26,7 +27,11 @@ from stableplace.rotations import (
     z_quotient_distances,
 )
 
-from conftest import random_rotations
+from conftest import (
+    _reference_rotation_between,
+    _reference_rotation_from_axis_angle,
+    random_rotations,
+)
 
 X = np.array([1.0, 0.0, 0.0])
 Z = np.array([0.0, 0.0, 1.0])
@@ -61,6 +66,73 @@ class TestAxisAngle:
             axis = rng.normal(size=3)
             axis /= np.linalg.norm(axis)
             check_rotation(rotation_from_axis_angle(axis, rng.uniform(-np.pi, np.pi)))
+
+
+def _unit_rows(rng, n):
+    """``n`` random unit vectors, then +-z, vectors 1e-9 and 1e-7 off +-z
+    (within and beyond the 1e-15 dot-product tolerance) and the
+    coordinate axes."""
+    v = rng.normal(size=(n, 3))
+    v = np.vstack([v, [[0, 0, 1], [0, 0, -1], [1e-9, 0, 1], [0, -1e-9, -1],
+                       [-1e-9, 1e-9, 1], [1e-9, 1e-9, -1], [1e-7, 0, 1], [0, 1e-7, -1],
+                       [1, 0, 0], [0, -1, 0]]])
+    return v / np.linalg.norm(v, axis=1)[:, None]
+
+
+class TestStackedConstructors:
+    """The stacked constructors give, row by row, the bytes of the scalar
+    forms in conftest, and one input gives the bytes of its row."""
+
+    def test_rotation_between_matches_reference(self):
+        rng = np.random.default_rng(3)
+        a = _unit_rows(rng, 200)
+        for b in (Z, -Z, a[0], a[1]):
+            got = rotation_between(a, b)
+            assert got.shape == (len(a), 3, 3)
+            for g, v in zip(got, a):
+                expected = _reference_rotation_between(v, b).tobytes()
+                assert g.tobytes() == rotation_between(v, b).tobytes() == expected
+
+    def test_rotation_between_equal_and_opposite(self):
+        b = _unit_rows(np.random.default_rng(4), 50)
+        for v in b:
+            got = rotation_between(np.stack([v, -v]), v)
+            assert got[0].tobytes() == np.eye(3).tobytes()
+            assert got[1].tobytes() == _reference_rotation_between(-v, v).tobytes()
+            assert np.abs(got[1] @ -v - v).max() <= 1e-15
+
+    def test_rotation_from_axis_angle_matches_reference(self):
+        rng = np.random.default_rng(5)
+        axes = _unit_rows(rng, 200)
+        for angles in (
+            rng.uniform(-np.pi, np.pi, len(axes)),
+            np.zeros(len(axes)),
+            np.full(len(axes), np.pi),
+        ):
+            got = rotation_from_axis_angle(axes, angles)
+            for g, axis, angle in zip(got, axes, angles):
+                expected = _reference_rotation_from_axis_angle(axis, angle).tobytes()
+                assert g.tobytes() == rotation_from_axis_angle(axis, angle).tobytes()
+                assert g.tobytes() == expected
+
+    @pytest.mark.parametrize("rows", [(), (5,), (0,), (2, 4)])
+    def test_shapes(self, rows):
+        axes = np.broadcast_to(Z, (*rows, 3))
+        assert rotation_from_axis_angle(axes, np.zeros(rows)).shape == (*rows, 3, 3)
+        assert rotation_between(axes, X).shape == (*rows, 3, 3)
+
+    def test_nan_rows_pass_through(self):
+        axes = np.array([[np.nan, np.nan, np.nan], X])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rotation_from_axis_angle(axes, np.array([0.3, 0.3]))
+            between = rotation_between(axes, Z)
+        assert np.isnan(got[0]).all() and got[1].tobytes() == rot_x(0.3).tobytes()
+        assert np.isnan(between[0]).all() and np.isfinite(between[1]).all()
+
+    def test_non_unit_row_rejected(self):
+        with pytest.raises(InvalidAxis):
+            rotation_from_axis_angle(np.array([Z, [1.0, 1.0, 0.0]]), 0.3)
 
 
 class TestGeodesicDistance:
