@@ -49,11 +49,11 @@ class TriMesh:
     """Triangle mesh with its uniform-density volume and COM.
 
     Treated as immutable after construction: its edge index (built with
-    it), its face normals and areas, its convex hull, the COM's distances
-    to the hull's edge lines, its pivot table and the support polygons of
-    its resting contact sets are cached on first use, so changing
-    ``vertices`` or ``faces`` in place leaves them stale.  The cached
-    arrays are read-only.
+    it), its triangle edge vectors, face normals, areas and area CDF, its
+    convex hull, the COM's distances to the hull's edge lines, its pivot
+    table and the support polygons of its resting contact sets are cached
+    on first use, so changing ``vertices`` or ``faces`` in place leaves
+    them stale.  The cached arrays are read-only.
     """
 
     vertices: np.ndarray  # (N, 3)
@@ -152,11 +152,30 @@ class TriMesh:
         return _read_only(_edge_line_distances(hull, hull.face_normals(), self.com))
 
     @cached_property
+    def triangle_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per face its first vertex a and edge vectors e1 = b - a and
+        e2 = c - a, built on first use."""
+        v, f = self.vertices, self.faces
+        a = v[f[:, 0]]
+        return _read_only(a), _read_only(v[f[:, 1]] - a), _read_only(v[f[:, 2]] - a)
+
+    @cached_property
+    def area_cdf(self) -> np.ndarray:
+        """Cumulative face-area shares, normalised as
+        ``Generator.choice(p=areas / areas.sum())`` normalises them, so a
+        right-sided ``searchsorted`` of one uniform draw picks the same face
+        that ``choice`` picks from it."""
+        areas = self.face_normals_and_areas[1]
+        cdf = (areas / areas.sum()).cumsum()
+        cdf /= cdf[-1]
+        return _read_only(cdf)
+
+    @cached_property
     def face_normals_and_areas(self) -> tuple[np.ndarray, np.ndarray]:
         """Unit normals (zero for a zero-area face) and areas of the
         faces, from one cross product per face, built on first use."""
-        v, f = self.vertices, self.faces
-        n = np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
+        _, e1, e2 = self.triangle_edges
+        n = np.cross(e1, e2)
         lens = np.linalg.norm(n, axis=1)
         areas = 0.5 * lens
         lens[lens == 0] = 1.0
@@ -676,18 +695,14 @@ def sample_point_cloud(mesh: TriMesh, m: int, seed: int) -> np.ndarray:
     if m < 1:
         raise ValueError("m must be >= 1")
     rng = np.random.default_rng(seed)
-    areas = mesh.face_areas()
-    probs = areas / areas.sum()
-    fi = rng.choice(len(mesh.faces), size=m, p=probs)
+    fi = mesh.area_cdf.searchsorted(rng.random(m), side="right")
     u = rng.random(m)
     v = rng.random(m)
     flip = u + v > 1.0
     u[flip] = 1.0 - u[flip]
     v[flip] = 1.0 - v[flip]
-    tri = mesh.vertices[mesh.faces[fi]]
-    return tri[:, 0] + u[:, None] * (tri[:, 1] - tri[:, 0]) + v[:, None] * (
-        tri[:, 2] - tri[:, 0]
-    )
+    a, e1, e2 = mesh.triangle_edges
+    return a[fi] + u[:, None] * e1[fi] + v[:, None] * e2[fi]
 
 
 # --- auxiliary-plane geometry ----------------------------------------------
@@ -718,7 +733,13 @@ def plane_align_rotation(v_r: np.ndarray) -> np.ndarray:
     v_r = np.asarray(v_r, dtype=float)
     if not np.isfinite(v_r).all():
         raise ValueError(f"cannot align a non-finite plane vector {v_r.tolist()}")
-    norm = np.linalg.norm(v_r)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(v_r)
+    if np.isinf(norm):
+        # the squares overflow: scale by the largest coordinate first, and
+        # only then, so every other vector keeps its bits
+        v_r = v_r / np.abs(v_r).max()
+        norm = np.linalg.norm(v_r)
     if norm <= 1e-12:
         raise ZeroPlaneVector("cannot align a zero plane vector")
     u = v_r / norm

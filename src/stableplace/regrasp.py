@@ -113,37 +113,67 @@ class Plan:
         }
 
 
-def _ray_mesh_exit(
-    mesh: TriMesh, origin: np.ndarray, direction: np.ndarray
-) -> tuple[np.ndarray, int] | None:
-    """Farthest Moller-Trumbore hit of the ray, skipping grazing hits near
-    the origin.  Returns (point, face index) or None."""
-    v = mesh.vertices
-    f = mesh.faces
-    a = v[f[:, 0]]
-    e1 = v[f[:, 1]] - a
-    e2 = v[f[:, 2]] - a
-    pvec = np.cross(direction, e2)
-    det = np.einsum("ij,ij->i", e1, pvec)
-    ok = np.abs(det) > 1e-12
-    inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
-    tvec = origin - a
-    u = np.einsum("ij,ij->i", tvec, pvec) * inv
-    qvec = np.cross(tvec, e1)
-    w = qvec @ direction * inv
-    t = np.einsum("ij,ij->i", e2, qvec) * inv
-    hit = ok & (u >= -1e-9) & (w >= -1e-9) & (u + w <= 1 + 1e-9) & (t > 1e-9)
-    if not np.any(hit):
-        return None
-    idx = np.flatnonzero(hit)
-    far = idx[np.argmax(t[idx])]
-    return origin + t[far] * direction, int(far)
+# Ray-face pairs per block of the batched ray cast: bounds each of its
+# (rays, faces, 3) temporaries at about 100 kB (one ray's worth on a mesh of
+# more faces) whatever the sample count.
+_RAY_FACE_BLOCK = 4096
 
 
-def _perpendicular_basis(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    ref = np.array([0.0, 0.0, 1.0]) if abs(axis[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
+def _ray_mesh_exits(
+    mesh: TriMesh, origins: np.ndarray, directions: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Farthest Moller-Trumbore hit of each ray (R, 3), skipping grazing
+    hits near its origin: (R,) distances along the ray and face indices,
+    face -1 where the ray hits nothing.
+
+    Rays go in blocks of about ``_RAY_FACE_BLOCK`` ray-face pairs, at
+    least one ray each.  Every ray-face pair takes the arithmetic of a
+    one-ray cast (a stacked ``matmul`` reduces as the one-ray
+    ``qvec @ direction`` does), so a ray's result does not depend on the
+    block it falls in, bit for bit.
+    """
+    a, e1, e2 = mesh.triangle_edges
+    dist = np.zeros(len(origins))
+    face = np.full(len(origins), -1)
+    step = max(1, _RAY_FACE_BLOCK // len(a))
+    for s in range(0, len(origins), step):
+        o = origins[s : s + step, None]
+        d = directions[s : s + step]
+        pvec = np.cross(d[:, None], e2)
+        det = np.einsum("nij,nij->ni", e1[None], pvec)
+        ok = np.abs(det) > 1e-12
+        inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
+        tvec = o - a
+        u = np.einsum("nij,nij->ni", tvec, pvec) * inv
+        qvec = np.cross(tvec, e1)
+        w = np.matmul(qvec, d[:, :, None])[..., 0] * inv
+        t = np.einsum("nij,nij->ni", e2[None], qvec) * inv
+        hit = ok & (u >= -1e-9) & (w >= -1e-9) & (u + w <= 1 + 1e-9) & (t > 1e-9)
+        t = np.where(hit, t, -np.inf)
+        far = t.argmax(axis=1)
+        rows = np.flatnonzero(hit.any(axis=1))
+        dist[s + rows] = t[rows, far[rows]]
+        face[s + rows] = far[rows]
+    return dist, face
+
+
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of (M, 3) stacks, each bitwise ``np.dot`` of
+    its two rows."""
+    return np.matmul(x[:, None], y[:, :, None])[:, 0, 0]
+
+
+def _lengths(x: np.ndarray) -> np.ndarray:
+    """Row lengths, each bitwise ``np.linalg.norm`` of its row."""
+    return np.sqrt(_dots(x, x))
+
+
+def _perpendicular_bases(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two unit vectors spanning the plane perpendicular to each unit row
+    of ``axis``, right-handed with it."""
+    ref = np.where((np.abs(axis[:, 2]) < 0.9)[:, None], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
     e1 = np.cross(axis, ref)
-    e1 /= np.linalg.norm(e1)
+    e1 /= _lengths(e1)[:, None]
     return e1, np.cross(axis, e1)
 
 
@@ -157,41 +187,54 @@ def sample_antipodal_grasps(
     """Sample up to n antipodal contact pairs by surface point + inward
     ray casting, each expanded into evenly spaced approach directions in
     the plane perpendicular to the grasp axis.  Deterministic per seed.
+
+    All n samples go through in one array pass.  Sample i reads the
+    uniform doubles 3i, 3i + 1 and 3i + 2 of the seeded generator: the
+    face, by area, as ``Generator.choice`` picks it, then the barycentric
+    pair.  So a seed gives the same grasps as a loop drawing one sample
+    at a time.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    normals, areas = mesh.face_normals_and_areas
-    probs = areas / areas.sum()
-    cos_fa = np.cos(g.friction_angle)
-    grasps: list[GraspConfig] = []
-    for _ in range(n):
-        fi = int(rng.choice(len(mesh.faces), p=probs))
-        u, w = rng.random(), rng.random()
-        if u + w > 1.0:
-            u, w = 1.0 - u, 1.0 - w
-        tri = mesh.vertices[mesh.faces[fi]]
-        p1 = tri[0] + u * (tri[1] - tri[0]) + w * (tri[2] - tri[0])
-        n1 = normals[fi]
-        hit = _ray_mesh_exit(mesh, p1, -n1)
-        if hit is None:
-            continue
-        p2, fj = hit
-        if np.linalg.norm(p2 - p1) > g.max_width:
-            continue
-        n2 = normals[fj]
-        # closing direction at the second finger is -n1; antipodality
-        # keeps the contact normal inside the friction cone
-        if float(np.dot(n2, -n1)) < cos_fa - 1e-9:
-            continue
-        d = p2 - p1
-        axis = d / np.linalg.norm(d)
-        e1, e2 = _perpendicular_basis(axis)
-        for k in range(approach_count):
-            ang = 2.0 * np.pi * k / approach_count
-            approach = np.cos(ang) * e1 + np.sin(ang) * e2
-            grasps.append(GraspConfig(contact_a=p1, contact_b=p2, approach=approach))
-    return grasps
+    if approach_count < 1:
+        raise ValueError("approach_count must be >= 1")
+    draws = np.random.default_rng(seed).random((n, 3))
+    fi = mesh.area_cdf.searchsorted(draws[:, 0], side="right")
+    u, w = draws[:, 1], draws[:, 2]
+    flip = u + w > 1.0
+    u = np.where(flip, 1.0 - u, u)[:, None]
+    w = np.where(flip, 1.0 - w, w)[:, None]
+    a, e1, e2 = mesh.triangle_edges
+    p1 = a[fi] + u * e1[fi] + w * e2[fi]
+    normals = mesh.face_normals_and_areas[0]
+    inward = -normals[fi]
+    dist, fj = _ray_mesh_exits(mesh, p1, inward)
+    hit = fj >= 0
+    p1, inward, fj = p1[hit], inward[hit], fj[hit]
+    p2 = p1 + dist[hit][:, None] * inward
+    d = p2 - p1
+    width = _lengths(d)
+    # closing direction at the second finger is the inward normal at the
+    # first; antipodality keeps the contact normal inside the friction
+    # cone.  Both tests reject only on a true comparison, so a NaN passes
+    # them, as in the one-sample-at-a-time form
+    keep = ~(width > g.max_width) & ~(
+        _dots(normals[fj], inward) < np.cos(g.friction_angle) - 1e-9
+    )
+    p1, p2 = p1[keep], p2[keep]
+    axis = d[keep] / width[keep][:, None]
+    b1, b2 = _perpendicular_bases(axis)
+    # one scalar cos and sin per angle: over an array, numpy may take a
+    # vector kernel whose last bits differ
+    ang = [2.0 * np.pi * k / approach_count for k in range(approach_count)]
+    cos = np.array([np.cos(x) for x in ang])[:, None]
+    sin = np.array([np.sin(x) for x in ang])[:, None]
+    approaches = cos * b1[:, None] + sin * b2[:, None]
+    return [
+        GraspConfig(contact_a=ca, contact_b=cb, approach=ap)
+        for ca, cb, aps in zip(p1, p2, approaches)
+        for ap in aps
+    ]
 
 
 def _rotate(r: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -480,6 +480,23 @@ class TestSamplePointCloud:
         c = sample_point_cloud(cube, 100, seed=12)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("name", ["cube", "tetrahedron", "l_prism", "t_prism"])
+    def test_matches_choice_reference_bit_for_bit(self, name):
+        # the face draw through Generator.choice and the corners read per
+        # sample, as the sampler was first written
+        mesh = fixtures.standard_fixtures()[name]
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            areas = mesh.face_areas()
+            fi = rng.choice(len(mesh.faces), size=333, p=areas / areas.sum())
+            u, v = rng.random(333), rng.random(333)
+            flip = u + v > 1.0
+            u[flip], v[flip] = 1.0 - u[flip], 1.0 - v[flip]
+            tri = mesh.vertices[mesh.faces[fi]]
+            want = (tri[:, 0] + u[:, None] * (tri[:, 1] - tri[:, 0])
+                    + v[:, None] * (tri[:, 2] - tri[:, 0]))
+            assert sample_point_cloud(mesh, 333, seed).tobytes() == want.tobytes()
+
 
 class TestPlaneFromContacts:
     def test_horizontal_plane(self):
@@ -545,6 +562,16 @@ class TestPlaneAlignRotation:
             assert np.allclose(r @ (v / np.linalg.norm(v)), [0, 0, 1], atol=1e-12)
             u = v / np.linalg.norm(v)
             assert r.tobytes() == _reference_rotation_between(u, [0.0, 0.0, 1.0]).tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("v", [[1e200, 1e200, 0.0], [0.0, -1e300, 1e300],
+                                   [1.7e308, -1.7e308, 1.7e308], [0.0, 0.0, -1e300]])
+    def test_finite_vector_whose_norm_overflows(self, v):
+        r = plane_align_rotation(v)
+        assert np.isfinite(r).all()
+        u = np.array(v) / np.abs(v).max()
+        assert np.allclose(r @ (u / np.linalg.norm(u)), [0.0, 0.0, 1.0], atol=1e-12)
+        assert np.allclose(r @ r.T, np.eye(3), atol=1e-12)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_vector_rejected(self, bad):

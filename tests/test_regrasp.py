@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from conftest import ellipsoid
 
-from stableplace import fixtures
+from stableplace import fixtures, regrasp
 from stableplace.placements import Placement, enumerate_stable
 from stableplace.regrasp import (
     GraspConfig,
@@ -18,6 +21,11 @@ from stableplace.rotations import rot_x
 
 WIDE = GripperSpec(max_width=1.2, finger_length=0.04, finger_thickness=0.01,
                    friction_angle=0.2, plane_clearance=0.005)
+GRIPPERS = {
+    "wide": WIDE,
+    "default": GripperSpec(),
+    "zero_friction": GripperSpec(max_width=1.2, friction_angle=0.0),
+}
 
 
 def cube_placement(rotation):
@@ -79,6 +87,144 @@ class TestSampleAntipodalGrasps:
     def test_invalid_n_rejected(self, cube):
         with pytest.raises(ValueError):
             sample_antipodal_grasps(cube, 0, WIDE, seed=1)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_invalid_approach_count_rejected(self, cube, count):
+        with pytest.raises(ValueError, match="approach_count"):
+            sample_antipodal_grasps(cube, 10, WIDE, seed=1, approach_count=count)
+
+
+def reference_ray_exit(mesh, origin, direction):
+    """Farthest Moller-Trumbore hit of one ray over every face, skipping
+    grazing hits near the origin: (point, face index) or None."""
+    v = mesh.vertices
+    f = mesh.faces
+    a = v[f[:, 0]]
+    e1 = v[f[:, 1]] - a
+    e2 = v[f[:, 2]] - a
+    pvec = np.cross(direction, e2)
+    det = np.einsum("ij,ij->i", e1, pvec)
+    ok = np.abs(det) > 1e-12
+    inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
+    tvec = origin - a
+    u = np.einsum("ij,ij->i", tvec, pvec) * inv
+    qvec = np.cross(tvec, e1)
+    w = qvec @ direction * inv
+    t = np.einsum("ij,ij->i", e2, qvec) * inv
+    hit = ok & (u >= -1e-9) & (w >= -1e-9) & (u + w <= 1 + 1e-9) & (t > 1e-9)
+    if not np.any(hit):
+        return None
+    idx = np.flatnonzero(hit)
+    far = idx[np.argmax(t[idx])]
+    return origin + t[far] * direction, int(far)
+
+
+def reference_sample(mesh, n, g, seed, approach_count=8):
+    """One sample at a time: a face by area, a point on it, a ray cast
+    along its inward normal, the width and friction-cone tests, then the
+    approach directions about the grasp axis."""
+    rng = np.random.default_rng(seed)
+    normals, areas = mesh.face_normals_and_areas
+    probs = areas / areas.sum()
+    cos_fa = np.cos(g.friction_angle)
+    grasps = []
+    for _ in range(n):
+        fi = int(rng.choice(len(mesh.faces), p=probs))
+        u, w = rng.random(), rng.random()
+        if u + w > 1.0:
+            u, w = 1.0 - u, 1.0 - w
+        tri = mesh.vertices[mesh.faces[fi]]
+        p1 = tri[0] + u * (tri[1] - tri[0]) + w * (tri[2] - tri[0])
+        n1 = normals[fi]
+        hit = reference_ray_exit(mesh, p1, -n1)
+        if hit is None:
+            continue
+        p2, fj = hit
+        if np.linalg.norm(p2 - p1) > g.max_width:
+            continue
+        n2 = normals[fj]
+        if float(np.dot(n2, -n1)) < cos_fa - 1e-9:
+            continue
+        d = p2 - p1
+        axis = d / np.linalg.norm(d)
+        ref = np.array([0.0, 0.0, 1.0]) if abs(axis[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
+        e1 = np.cross(axis, ref)
+        e1 /= np.linalg.norm(e1)
+        e2 = np.cross(axis, e1)
+        for k in range(approach_count):
+            ang = 2.0 * np.pi * k / approach_count
+            approach = np.cos(ang) * e1 + np.sin(ang) * e2
+            grasps.append(GraspConfig(contact_a=p1, contact_b=p2, approach=approach))
+    return grasps
+
+
+def grasp_bytes(grasps):
+    return [(g.contact_a.tobytes(), g.contact_b.tobytes(), g.approach.tobytes())
+            for g in grasps]
+
+
+SAMPLER_MESHES = {
+    **{name: (lambda name=name: fixtures.standard_fixtures()[name])
+       for name in ("cube", "tetrahedron", "tall_box", "l_prism", "t_prism")},
+    **{f"ellipsoid_s{s}": (lambda s=s: ellipsoid(s)) for s in (2, 3, 4)},
+}
+
+
+class TestBatchedSampler:
+    """The one-pass sampler against the one-sample-at-a-time reference,
+    bit for bit."""
+
+    @pytest.mark.parametrize("gripper", sorted(GRIPPERS))
+    @pytest.mark.parametrize("name", sorted(SAMPLER_MESHES))
+    def test_matches_reference_bit_for_bit(self, name, gripper):
+        mesh = SAMPLER_MESHES[name]()
+        g = GRIPPERS[gripper]
+        # n = 100 and 333 split the ellipsoids' rays across blocks mid-batch
+        for seed in (0, 1, 2):
+            for n in (1, 25, 100, 333):
+                got = sample_antipodal_grasps(mesh, n, g, seed)
+                assert grasp_bytes(got) == grasp_bytes(reference_sample(mesh, n, g, seed))
+
+    def test_tetrahedron_is_too_wide_for_the_default_gripper(self, tetra):
+        for seed in (0, 1, 2):
+            assert sample_antipodal_grasps(tetra, 100, GripperSpec(), seed) == []
+            assert reference_sample(tetra, 100, GripperSpec(), seed) == []
+
+    @pytest.mark.parametrize("approach_count", [1, 3])
+    def test_block_budget_does_not_change_bits(self, monkeypatch, approach_count):
+        # one ray per block, a block one ray wider than the mesh, and
+        # blocks of 7 rays, on the 320-face ellipsoid and the cube
+        for mesh in (ellipsoid(2), fixtures.unit_cube()):
+            want = grasp_bytes(reference_sample(mesh, 60, WIDE, 4, approach_count))
+            assert want
+            for budget in (1, len(mesh.faces) + 1, 7 * len(mesh.faces)):
+                monkeypatch.setattr(regrasp, "_RAY_FACE_BLOCK", budget)
+                got = sample_antipodal_grasps(mesh, 60, WIDE, 4, approach_count)
+                assert grasp_bytes(got) == want
+
+    def test_memory_is_bounded_by_the_block(self):
+        # unblocked, 2000 rays over 5120 faces would take 245 MB per
+        # (rays, faces, 3) temporary
+        mesh = ellipsoid(4)
+        tracemalloc.start()
+        try:
+            grasps = sample_antipodal_grasps(mesh, 2000, GripperSpec(), seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grasps
+        assert peak < 4e6
+
+    def test_mesh_tables_are_cached_and_read_only(self):
+        mesh = ellipsoid(2)
+        sample_antipodal_grasps(mesh, 10, WIDE, seed=1)
+        edges, cdf = mesh.triangle_edges, mesh.area_cdf
+        sample_antipodal_grasps(mesh, 10, WIDE, seed=2)
+        assert mesh.triangle_edges is edges and mesh.area_cdf is cdf
+        assert cdf[-1] == 1.0
+        for cached in (*edges, cdf):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0] = 0.0
 
 
 def side_grasp(z_body, approach=(0.0, 1.0, 0.0)):
