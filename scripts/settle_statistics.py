@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Settle each built-in fixture and the s = 3 squashed icosphere from many
-random orientations and report how often each enumerated placement class
-is reached, the tip-count distribution, how many tips walked the mesh's
-rolling graph in the body frame against how many took the world-frame
-pivot, how many drops had their COM rise, the wall-clock cost per
-settle, and a sha256 of the settled rotations' bytes in drop order.
+random orientations, each object's drops as one batch, and report how
+often each enumerated placement class is reached, the tip-count
+distribution, how many tips walked the mesh's rolling graph in the body
+frame against how many took the world-frame pivot, how many drops had
+their COM rise, the wall-clock cost per settle, and a sha256 of the
+settled rotations' bytes in drop order.
 
 The digests make a check of settle bits between two checkouts a diff of
 the ``sha256`` lines of two runs' stdout.
@@ -19,7 +20,7 @@ import numpy as np
 from stableplace import placements
 from stableplace.fixtures import icosphere, standard_fixtures
 from stableplace.mesh import TriMesh
-from stableplace.placements import enumerate_stable, settle
+from stableplace.placements import SettleDiverged, enumerate_stable, settle_batch
 from stableplace.rotations import random_rotation, z_quotient_distances
 
 
@@ -29,14 +30,16 @@ def squashed_icosphere(subdivisions: int) -> TriMesh:
     return TriMesh(sphere.vertices * np.array([1.0, 0.8, 0.6]), sphere.faces)
 
 
-def count_calls(fn):
-    """fn, counting its calls in the wrapper's ``calls`` attribute."""
+def count_rows(fn):
+    """fn, adding the leading rows of its first output (one per pivoting
+    drop, stacked or alone) to the wrapper's ``rows`` attribute."""
 
     def wrapper(*args, **kwargs):
-        wrapper.calls += 1
-        return fn(*args, **kwargs)
+        out = fn(*args, **kwargs)
+        wrapper.rows += len(np.reshape(out[0], (-1, 3)))
+        return out
 
-    wrapper.calls = 0
+    wrapper.rows = 0
     return wrapper
 
 
@@ -46,33 +49,34 @@ def main():
     ap.add_argument("--seed", type=int, default=42)
     args = ap.parse_args()
 
-    # every tip that does not walk the rolling graph asks _pivot_axis
-    world_path = placements._pivot_axis = count_calls(placements._pivot_axis)
+    # every tip that does not walk the rolling graph takes one pivot line
+    # from _pivot_axis, which returns one row per pivoting drop
+    world_path = placements._pivot_axis = count_rows(placements._pivot_axis)
     objects = dict(standard_fixtures(), ellipsoid_s3=squashed_icosphere(3))
     for name, mesh in objects.items():
         enum = enumerate_stable(mesh)
         modes = np.stack([p.rotation for p in enum])
         counts = np.zeros(len(enum), dtype=int)
-        tips = []
-        rises = 0
-        digest = hashlib.sha256()
-        world_path.calls = 0
+        world_path.rows = 0
         rng = np.random.default_rng(args.seed)
+        initials = np.stack([random_rotation(rng) for _ in range(args.drops)])
         start = time.perf_counter()
-        for _ in range(args.drops):
-            p, trace = settle(mesh, random_rotation(rng), return_trace=True)
+        settled, traces = settle_batch(mesh, initials, return_trace=True)
+        elapsed = time.perf_counter() - start
+        digest = hashlib.sha256()
+        for p in settled:
+            if isinstance(p, SettleDiverged):
+                raise p
             k = int(np.argmin(z_quotient_distances(p.rotation, modes)))
             counts[k] += 1
             digest.update(p.rotation.tobytes())
-            tips.append(len(trace) - 1)
-            rises += max(np.diff(trace), default=0.0) > 1e-9
-        elapsed = time.perf_counter() - start
-        tips = np.array(tips)
-        walked = tips.sum() - world_path.calls
+        tips = np.array([len(trace) - 1 for trace in traces])
+        rises = sum(max(np.diff(trace), default=0.0) > 1e-9 for trace in traces)
+        walked = tips.sum() - world_path.rows
         print(f"\n{name}: {len(enum)} classes, {args.drops} drops, "
               f"{1e3 * elapsed / args.drops:.2f} ms/settle")
         print(f"  tips: median {int(np.median(tips))}, max {tips.max()}; "
-              f"{walked} walked, {world_path.calls} world-frame")
+              f"{walked} walked, {world_path.rows} world-frame")
         print(f"  drops whose COM rose: {rises}")
         print(f"  settled rotations sha256 {digest.hexdigest()}")
         for k, p in enumerate(enum):

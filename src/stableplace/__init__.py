@@ -34,6 +34,7 @@ from .placements import (
     enumerate_stable,
     generate_dataset,
     settle,
+    settle_batch,
     stability_check,
 )
 from .regrasp import (

@@ -294,17 +294,21 @@ def _dataset_text(records: list[PlacementRecord]) -> str:
 
 
 def _report_diverged(result: DatasetResult) -> None:
-    """Name on stderr each object with drops skipped for diverging."""
+    """Name on stderr each object with drops skipped for diverging, and
+    raise SettleDiverged when every drop of an object diverged."""
     for object_id, count in result.diverged.items():
         if count:
             click.echo(f"{object_id}: {count} diverged drops skipped", err=True)
+    settled = {r.object_id for r in result.records}
+    for object_id in result.diverged:
+        if object_id not in settled:
+            raise SettleDiverged(f"no drop of {object_id} settled")
 
 
 def _cluster(records: list[PlacementRecord], object_id: str, bandwidth_deg: float):
-    """Placement-type model of the records of ``object_id``."""
+    """Placement-type model of the records of ``object_id``, which holds
+    at least one record."""
     rotations = [r.placement.rotation for r in records if r.object_id == object_id]
-    if not rotations:
-        raise SettleDiverged(f"no drop of {object_id} settled")
     model, _ = mean_shift_orientations(rotations, bandwidth=bandwidth_deg * DEG)
     return model
 
@@ -378,8 +382,8 @@ def cmd_dataset(mesh_paths, drops, seed, workers, output):
     Each mesh's file stem labels its records, so the stems must differ."""
     meshes = [(stem, load_mesh(p)) for stem, p in zip(_mesh_stems(mesh_paths), mesh_paths)]
     result = generate_dataset(meshes, drops, seed, workers=workers or os.cpu_count() or 1)
-    _write_text(output, _dataset_text(result.records))
     _report_diverged(result)
+    _write_text(output, _dataset_text(result.records))
 
 
 @main.command("cluster")

@@ -129,12 +129,12 @@ class TriMesh:
             raise DegenerateHull(f"mesh {self.source}: {exc}") from exc
 
     @cached_property
-    def supports(self) -> dict[tuple[int, ...], tuple[np.ndarray | None, float]]:
-        """Memo from a resting contact set (sorted indices into
-        ``hull.vertices``) to its support polygon, as hull-vertex indices
-        in counter-clockwise order seen from above starting at the lowest
-        index (None for a point or segment support), and that polygon's
-        inradius; filled lazily by ``placements``."""
+    def supports(self) -> dict:
+        """Memo from a resting contact set of three or more hull vertices
+        (sorted indices into ``hull.vertices``) to its
+        ``placements.Support``: the support polygon as hull-vertex
+        indices, its inradius and the edges that settle's margin and
+        pivot read; filled lazily by ``placements``."""
         return {}
 
     @cached_property
@@ -711,16 +711,28 @@ def sample_point_cloud(mesh: TriMesh, m: int, seed: int) -> np.ndarray:
 def plane_from_contacts(p1: np.ndarray, p2: np.ndarray, p3: np.ndarray) -> np.ndarray:
     """Vector v such that the plane through the three points is
     v . x = |v|^2; v is the plane's closest point to the origin."""
-    p1, p2, p3 = (np.asarray(p, dtype=float) for p in (p1, p2, p3))
-    n = np.cross(p2 - p1, p3 - p1)
-    area2 = np.linalg.norm(n)
-    if area2 / 2.0 <= 1e-10:
+    v, spans, off_origin = plane_vectors(*(np.asarray(p, dtype=float) for p in (p1, p2, p3)))
+    if not spans:
         raise CollinearContacts("contact points do not span a plane")
-    n /= area2
-    d = float(np.dot(n, p1))
-    if abs(d) < 1e-12:
+    if not off_origin:
         raise ZeroPlaneVector("plane through the origin has no vector form")
-    return d * n
+    return v
+
+
+def plane_vectors(
+    p1: np.ndarray, p2: np.ndarray, p3: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``plane_from_contacts`` of the point triples (p1, p2, p3), each
+    (..., 3), without raising: the vectors v (..., 3), whether the points
+    span a plane (half the normal's length above 1e-10), and whether the
+    plane is off the origin (distance at least 1e-12).  v is only
+    meaningful where both hold."""
+    n = np.cross(p2 - p1, p3 - p1)
+    area2 = np.sqrt(np.vecdot(n, n))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n = n / area2[..., None]
+    d = np.vecdot(n, p1)
+    return d[..., None] * n, ~(area2 / 2.0 <= 1e-10), ~(np.abs(d) < 1e-12)
 
 
 def plane_align_rotation(v_r: np.ndarray) -> np.ndarray:

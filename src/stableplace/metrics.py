@@ -15,7 +15,7 @@ import numpy as np
 
 from .clustering import TypeModel
 from .mesh import TriMesh
-from .placements import Placement, SettleDiverged, settle
+from .placements import Placement, SettleDiverged, settle_batch
 from .rotations import geodesic_distance, z_quotient_distances
 
 DEG = np.pi / 180.0
@@ -119,7 +119,8 @@ def evaluate_run(
     initial_type: int | None = None,
     match_threshold: float = 15.0 * DEG,
 ) -> ObjectEval:
-    """Settle every prediction and score accuracy / diversity.
+    """Settle every prediction, all in one ``settle_batch``, and score
+    accuracy / diversity.
 
     Diverged settles count as inaccurate.  ``initial_type`` defaults to
     the ground-truth type nearest the first prediction; its matches are
@@ -131,10 +132,9 @@ def evaluate_run(
         raise ValueError("predictions must be non-empty")
     stable_rotations: list[np.ndarray] = []
     hits = 0
-    for p in predictions:
-        try:
-            after = settle(mesh, p.rotation)
-        except SettleDiverged:
+    settled = settle_batch(mesh, np.stack([p.rotation for p in predictions]))
+    for p, after in zip(predictions, settled):
+        if isinstance(after, SettleDiverged):
             continue
         if placement_accuracy(p, after, t):
             hits += 1

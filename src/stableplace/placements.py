@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -23,10 +24,12 @@ from .mesh import (
     _facet,
     _nearest_edge,
     plane_from_contacts,
+    plane_vectors,
 )
 from .rotations import (
     _any_perpendicular,
     check_rotation,
+    quaternion_rotations,
     random_rotation,
     rotation_between,
     rotation_from_axis_angle,
@@ -156,11 +159,28 @@ def _point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.n
 def signed_polygon_margin(p: np.ndarray, poly: np.ndarray) -> float:
     """Distance from p to the boundary of a CCW convex polygon; positive
     inside, negative outside."""
-    a, b, n, _ = _edge_lines(poly)
-    s = np.vecdot(n, p - a)  # positive on the outward side
-    if np.any(s > 0):
-        return -float(_point_segment_distance(p, a, b).min())
-    return float((-s).min(initial=np.inf))
+    poly = np.asarray(poly, dtype=float)
+    return float(_polygon_margins(np.asarray(p, dtype=float), poly, np.roll(poly, -1, axis=0)))
+
+
+def _polygon_margins(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``signed_polygon_margin`` of the points p (..., 2) against the CCW
+    convex polygons whose edges run a[..., i] -> b[..., i], each (..., k, 2).
+    Edges shorter than 1e-15 are skipped, as ``_edge_lines`` skips them."""
+    d = b - a
+    n = np.empty_like(d)
+    n[..., 0], n[..., 1] = d[..., 1], -d[..., 0]
+    ln = np.sqrt(np.vecdot(n, n))
+    keep = ~(ln < 1e-15)
+    p = p[..., None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.vecdot(n / ln[..., None], p - a)  # positive on the outward side
+    inside = np.where(keep, -s, np.inf).min(axis=-1)
+    outside = (keep & (s > 0)).any(axis=-1)
+    if not outside.any():
+        return inside
+    dist = np.where(keep, _point_segment_distance(p, a, b), np.inf).min(axis=-1)
+    return np.where(outside, -dist, inside)
 
 
 def nearest_polygon_edge(p: np.ndarray, poly: np.ndarray, idx: np.ndarray) -> int:
@@ -169,15 +189,26 @@ def nearest_polygon_edge(p: np.ndarray, poly: np.ndarray, idx: np.ndarray) -> in
     Near-ties (1e-12 relative) go to the edge whose line p lies furthest
     beyond, and ties in that to the edge with the lowest sorted pair of
     vertex indices (``mesh._nearest_edge``)."""
-    b = np.roll(poly, -1, axis=0)
-    d = b - poly
-    # signed distances beyond the edge lines; a zero-length edge has 0
-    cross = d[:, 1] * (p[0] - poly[:, 0]) - d[:, 0] * (p[1] - poly[:, 1])
-    beyond = cross / np.maximum(np.sqrt(np.vecdot(d, d)), np.finfo(float).tiny)
     idx = np.asarray(idx, dtype=np.int64)
-    nxt = np.roll(idx, -1)
-    pair = np.minimum(idx, nxt) * (int(idx.max()) + 1) + np.maximum(idx, nxt)
-    return int(_nearest_edge(_point_segment_distance(p, poly, b), beyond, pair))
+    pair = _pair_keys(idx, np.roll(idx, -1))
+    return int(_nearest_edges(p, poly, np.roll(poly, -1, axis=0), pair))
+
+
+def _nearest_edges(p: np.ndarray, a: np.ndarray, b: np.ndarray, pair: np.ndarray) -> np.ndarray:
+    """``nearest_polygon_edge`` of the points p (..., 2) for the polygons
+    with edges a[..., i] -> b[..., i], each (..., k, 2), whose tie keys
+    are ``pair`` (``_pair_keys``)."""
+    d = b - a
+    # signed distances beyond the edge lines; a zero-length edge has 0
+    cross = d[..., 1] * (p[..., None, 0] - a[..., 0]) - d[..., 0] * (p[..., None, 1] - a[..., 1])
+    beyond = cross / np.maximum(np.sqrt(np.vecdot(d, d)), np.finfo(float).tiny)
+    return _nearest_edge(_point_segment_distance(p[..., None, :], a, b), beyond, pair)
+
+
+def _pair_keys(start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """Keys of the sorted hull-vertex index pairs of the edges start -> end,
+    ordered as the pairs are."""
+    return np.minimum(start, end) * (int(start.max()) + 1) + np.maximum(start, end)
 
 
 def polygon_inradius(poly: np.ndarray) -> float:
@@ -265,60 +296,90 @@ def _chebyshev_radius(n: np.ndarray, b: np.ndarray) -> float:
 # --- stability -----------------------------------------------------------------
 
 
-def _contact_support(
-    mesh: TriMesh, contact: np.ndarray
-) -> tuple[np.ndarray | None, float]:
-    """Support polygon and inradius of the resting contact set
-    ``contact`` (sorted indices into ``mesh.hull.vertices``), memoized in
-    ``mesh.supports``.
+@dataclass(frozen=True)
+class Support:
+    """The support of a resting contact set, by hull-vertex index.
 
-    Both come from one 2-D hull of the contacts projected onto their
-    best-fit plane in the body frame, so neither depends on the pose that
-    first asked.  The polygon lists hull-vertex indices counter-clockwise
-    as seen from the COM's side of the plane, which is from above when
-    the set rests on z = 0, starting at the lowest index.  A point or
-    segment support has polygon None and inradius 0."""
+    ``contact`` holds the sorted hull-vertex indices of the set.
+    ``polygon`` is its support polygon, counter-clockwise as seen from
+    the COM's side of the plane (from above when the set rests on
+    z = 0) and starting at the lowest index, or None for a point or
+    segment support; ``inradius`` is that polygon's, 0 without one.  The
+    margin and the pivot read the edges ``start`` -> ``end``: the
+    polygon's edges, or without a polygon every pair of contacts
+    (i < j).  ``pair`` holds the polygon edges' tie keys
+    (``_pair_keys``)."""
+
+    contact: np.ndarray
+    polygon: np.ndarray | None
+    inradius: float
+    start: np.ndarray
+    end: np.ndarray
+    pair: np.ndarray | None = None
+
+    @classmethod
+    def without_polygon(cls, contact: np.ndarray) -> "Support":
+        """The point or segment support of ``contact``: every pair of
+        contacts is an edge."""
+        if len(contact) < 3:
+            return cls(contact, None, 0.0, contact[:-1], contact[1:])
+        i, j = np.triu_indices(len(contact), 1)
+        return cls(contact, None, 0.0, contact[i], contact[j])
+
+
+def _contact_support(mesh: TriMesh, contact: np.ndarray) -> Support:
+    """The ``Support`` of the resting contact set ``contact`` (sorted
+    indices into ``mesh.hull.vertices``); sets of three or more are
+    memoized in ``mesh.supports``.
+
+    Polygon and inradius come from one 2-D hull of the contacts projected
+    onto their best-fit plane in the body frame, so neither depends on
+    the pose that first asked."""
     if len(contact) < 3:
-        return None, 0.0
+        return Support.without_polygon(contact)
     key = tuple(contact.tolist())
     found = mesh.supports.get(key)
     if found is None:
-        pts = mesh.hull.vertices[contact]
-        mean = pts.mean(axis=0)
-        _, _, vt = np.linalg.svd(pts - mean)
-        uv = (pts - mean) @ vt[:2].T  # the best-fit plane's coordinates
-        try:
-            order = ConvexHull(uv).vertices
-        except QhullError:
-            found = None, 0.0
-        else:
-            inr = polygon_inradius(uv[order])
-            # qhull's order is counter-clockwise about vt[0] x vt[1]
-            if np.cross(vt[0], vt[1]) @ (mesh.com - mean) < 0:
-                order = order[::-1]
-            poly = contact[order]
-            found = np.roll(poly, -int(np.argmin(poly))), inr
-        mesh.supports[key] = found
+        found = mesh.supports[key] = _new_support(mesh, contact)
     return found
 
 
-def _contact_margin(
-    xy: np.ndarray, com_xy: np.ndarray, contact: np.ndarray, poly: np.ndarray | None
-) -> float:
-    """COM-projection margin against the support of the resting contacts
-    ``contact``, indices into the plane points ``xy``, whose support
-    polygon is ``poly`` (``_contact_support``).  Degenerate supports give
-    margin <= 0."""
-    if poly is not None:
-        return signed_polygon_margin(com_xy, xy[poly])
-    pts = xy[contact]
-    if len(pts) == 0:
-        return -np.inf
-    if len(pts) == 1:
-        return -float(np.linalg.norm(com_xy - pts[0]))
-    # segment support: the nearest of the segments between contact pairs
-    i, j = np.triu_indices(len(pts), 1)
-    return -float(_point_segment_distance(com_xy, pts[i], pts[j]).min())
+def _new_support(mesh: TriMesh, contact: np.ndarray) -> Support:
+    """The ``Support`` of a contact set of three or more, for the memo."""
+    pts = mesh.hull.vertices[contact]
+    mean = pts.mean(axis=0)
+    _, _, vt = np.linalg.svd(pts - mean)
+    uv = (pts - mean) @ vt[:2].T  # the best-fit plane's coordinates
+    try:
+        order = ConvexHull(uv).vertices
+    except QhullError:
+        return Support.without_polygon(contact)
+    inr = polygon_inradius(uv[order])
+    # qhull's order is counter-clockwise about vt[0] x vt[1]
+    if np.cross(vt[0], vt[1]) @ (mesh.com - mean) < 0:
+        order = order[::-1]
+    poly = contact[order]
+    poly = np.roll(poly, -int(np.argmin(poly)))
+    end = np.roll(poly, -1)
+    return Support(contact, poly, inr, poly, end, _pair_keys(poly, end))
+
+
+def _contact_margin(xy: np.ndarray, com_xy: np.ndarray, support: Support) -> np.ndarray:
+    """COM-projection margins against ``support``, for the plane points
+    xy (..., V, 2), indexed by hull vertex, and the COM projections
+    com_xy (..., 2): the signed distance to the support polygon's
+    boundary, or minus the distance to the nearest contact segment or to
+    a lone contact.  Degenerate supports give margin <= 0."""
+    a, b = xy[..., support.start, :], xy[..., support.end, :]
+    if support.polygon is not None:
+        return _polygon_margins(com_xy, a, b)
+    if len(support.start):
+        # segment support: the nearest of the segments between contact pairs
+        return -_point_segment_distance(com_xy[..., None, :], a, b).min(axis=-1)
+    if len(support.contact):
+        lean = com_xy - xy[..., support.contact[0], :]
+        return -np.sqrt(np.vecdot(lean, lean))
+    return np.full(com_xy.shape[:-1], -np.inf)
 
 
 def stability_check(
@@ -337,10 +398,9 @@ def stability_check(
     if world[:, 2].min() < -contact_tol:
         return False, -np.inf
     com = pose.rotation @ mesh.com + pose.translation
-    contact = np.flatnonzero(world[:, 2] <= contact_tol)
-    poly, _ = _contact_support(mesh, contact)
-    margin = _contact_margin(world[:, :2], com[:2], contact, poly)
-    return bool(margin >= margin_eps), float(margin)
+    support = _contact_support(mesh, np.flatnonzero(world[:, 2] <= contact_tol))
+    margin = float(_contact_margin(world[:, :2], com[:2], support))
+    return bool(margin >= margin_eps), margin
 
 
 def enumerate_stable(
@@ -443,14 +503,8 @@ def _lone_placements(
     ln = np.sqrt(np.vecdot(edge_n, edge_n))
     by_polygon = flat | flat_xy | (ln < 1e-15).any(axis=1)
     com = rot @ mesh.com
-    p = com[:, None, :2]
+    margin = _polygon_margins(com[:, :2], a, b)
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.vecdot(edge_n / ln[:, :, None], p - a)  # positive on the outward side
-        margin = np.where(
-            (s > 0).any(axis=1),
-            -_point_segment_distance(p, a, b).min(axis=1),
-            (-s).min(axis=1),
-        )
         inr = (d[:, 0, 0] * d[:, 1, 1] - d[:, 0, 1] * d[:, 1, 0]) / ln.sum(axis=1)
         score = np.where(inr > 0, np.clip(margin / inr, 0.0, 1.0), 0.0)
     found = []
@@ -499,40 +553,61 @@ def _triangle_order(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pivot_axis(
-    xy: np.ndarray, com_xy: np.ndarray, contact: np.ndarray, poly: np.ndarray | None
+    xy: np.ndarray, com_xy: np.ndarray, support: Support
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pivot line (point a, unit horizontal direction u) for an unstable
-    contact configuration: the contacts ``contact``, indices into the
-    plane points ``xy``, with support polygon ``poly``
-    (``_contact_support``)."""
-    if poly is not None:
-        e = nearest_polygon_edge(com_xy, xy[poly], poly)
-        return _line_axis(xy[poly[e]], xy[poly[(e + 1) % len(poly)]])
-    contacts_xy = xy[contact]
-    if len(contacts_xy) >= 2 and _spread(contacts_xy) > 1e-9:
-        # segment support: pivot about the contact line
-        a2 = contacts_xy.mean(axis=0)
-        far = contacts_xy[np.argmax(np.linalg.norm(contacts_xy - a2, axis=1))]
-        return _line_axis(a2, far)
+    """Pivot lines (points a, unit horizontal directions u), each (..., 3),
+    for unstable resting poses on ``support`` with the plane points xy
+    (..., V, 2), indexed by hull vertex, and COM projections com_xy
+    (..., 2)."""
+    if support.polygon is not None:
+        a2, b2 = xy[..., support.start, :], xy[..., support.end, :]
+        e = _nearest_edges(com_xy, a2, b2, support.pair)
+        return _line_axis(_take_rows(a2, e), _take_rows(b2, e))
+    pts = xy[..., support.contact, :]
+    if len(support.contact) >= 2:
+        # segment support: pivot about the contact line, from the
+        # contacts' mean to the contact furthest from it
+        mid = pts.mean(axis=-2)
+        spread = np.linalg.norm(pts - mid[..., None, :], axis=-1)
+        far = _take_rows(pts, spread.argmax(axis=-1))
+        segment = spread.max(axis=-1) > 1e-9
+        if segment.all():
+            return _line_axis(mid, far)
     # point support: pivot about the horizontal perpendicular to the lean
     # direction
-    a2 = contacts_xy[0]
+    a2 = pts[..., 0, :]
     lean = com_xy - a2
-    ln = np.linalg.norm(lean)
-    d = lean / ln if ln > 1e-12 else np.array([1.0, 0.0])
-    return np.array([a2[0], a2[1], 0.0]), np.array([-d[1], d[0], 0.0])
+    ln = np.sqrt(np.vecdot(lean, lean))[..., None]
+    # (1, 0) for a COM above the contact
+    d = np.divide(lean, ln, out=np.broadcast_to([1.0, 0.0], lean.shape).copy(),
+                  where=ln > 1e-12)
+    a = np.zeros(lean.shape[:-1] + (3,))
+    u = np.zeros_like(a)
+    a[..., :2] = a2
+    u[..., 0], u[..., 1] = -d[..., 1], d[..., 0]
+    if len(support.contact) >= 2 and segment.any():
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a_seg, u_seg = _line_axis(mid, far)
+        segment = segment[..., None]
+        return np.where(segment, a_seg, a), np.where(segment, u_seg, u)
+    return a, u
+
+
+def _take_rows(q: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Row e of the rows q (k, 2), or row e[i] of each q[i] for a stack q
+    (n, k, 2) and e (n,)."""
+    return q[e] if np.ndim(e) == 0 else q[np.arange(len(e)), e]
 
 
 def _line_axis(a2: np.ndarray, b2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pivot line through the plane points a2 and b2, directed a2 -> b2."""
+    """Pivot lines through the plane points a2 and b2 (..., 2), directed
+    a2 -> b2."""
     d = b2 - a2
-    u2 = d / np.linalg.norm(d)
-    return np.array([a2[0], a2[1], 0.0]), np.array([u2[0], u2[1], 0.0])
-
-
-def _spread(xy: np.ndarray) -> float:
-    c = xy.mean(axis=0)
-    return float(np.linalg.norm(xy - c, axis=1).max())
+    a = np.zeros(d.shape[:-1] + (3,))
+    u = np.zeros_like(a)
+    a[..., :2] = a2
+    u[..., :2] = d / np.sqrt(np.vecdot(d, d))[..., None]
+    return a, u
 
 
 def settle(
@@ -569,64 +644,245 @@ def settle(
     the walk stops, the contacts are derived again from the posed hull.
     Point, segment and polygon supports, and one triangle whose COM lies
     inside it but within ``margin_eps`` of an edge, take the world-frame
-    pivot above.  It reads the support polygon of the contact set, as
-    hull-vertex indices, and its inradius from the mesh's memo
-    (``_contact_support``, one 2-D hull per contact set), and indexes the
-    posed hull with it.
+    pivot above.  It reads the support of the contact set, as hull-vertex
+    indices, and its inradius from the mesh's memo (``_contact_support``,
+    one 2-D hull per contact set), and indexes the posed hull with it.
 
     The score of the stable Placement is its margin over the memo's
     inradius, clamped to [0, 1].  Returns the stable Placement; with
     return_trace=True also returns the list of COM heights after each
-    drop and tip.
+    drop and tip.  Raises SettleDiverged past ``max_tips`` tips or when
+    no vertex can come down.
+    Many drops of one mesh settle faster together (``settle_batch``).
     """
-    hv = mesh.hull.vertices
-    com_body = mesh.com
-    rot = np.asarray(initial, dtype=float).copy()
     heights: list[float] = []
+    placement = _settle_one(
+        mesh, np.array(initial, dtype=float), heights, max_tips, margin_eps, contact_tol
+    )
+    return (placement, heights) if return_trace else placement
 
+
+# Drops times mesh vertices per lockstep block: bounds the (drops,
+# vertices, 3) arrays that settle_batch and settle_records hold at once.
+_SETTLE_BLOCK = 2**16
+
+
+def settle_batch(
+    mesh: TriMesh,
+    initials: np.ndarray,
+    max_tips: int = 200,
+    margin_eps: float = DEFAULT_MARGIN_EPS,
+    contact_tol: float = CONTACT_TOL,
+    return_trace: bool = False,
+):
+    """``settle`` of every drop from the initial rotations ``initials``
+    (N, 3, 3): one outcome per drop, in order, either its stable
+    Placement or the SettleDiverged it met, which leaves the other drops
+    alone.  With return_trace=True also returns each drop's list of COM
+    heights.  Every outcome has the bits ``settle`` gives the drop alone.
+
+    The drops run in lockstep, in blocks of at most ``_SETTLE_BLOCK``
+    drops times mesh vertices, so memory stays bounded for large meshes
+    or drop counts.  Per iteration a block's active drops share one
+    stacked hull transform, lowering and contact mask.  Drops resting on
+    the same contact set form a group, which looks its ``Support`` up
+    once and gets its margins and pivot lines in one array pass; a group
+    on a walkable triangle walks the rolling graph one drop at a time.
+    Then one stacked pass finds every pivoting drop's angle and turns it.
+    A block of one drop takes ``settle``'s loop, which does the same
+    arithmetic without the lockstep's bookkeeping."""
+    initials = np.asarray(initials, dtype=float).reshape(-1, 3, 3)
+    outcomes, traces = [], []
+    for block in _blocks(mesh, len(initials)):
+        got, heights = _settle_block(mesh, initials[block], max_tips, margin_eps, contact_tol)
+        outcomes += got
+        traces += heights
+    return (outcomes, traces) if return_trace else outcomes
+
+
+def _blocks(mesh: TriMesh, n: int) -> list[slice]:
+    """Slices of n drops in blocks of at most ``_SETTLE_BLOCK`` drops
+    times mesh vertices (at least one drop)."""
+    step = max(1, _SETTLE_BLOCK // max(len(mesh.vertices), len(mesh.hull.vertices)))
+    return [slice(i, i + step) for i in range(0, n, step)]
+
+
+def _settle_one(
+    mesh: TriMesh,
+    rot: np.ndarray,
+    heights: list[float],
+    max_tips: int,
+    margin_eps: float,
+    contact_tol: float,
+) -> Placement:
+    """``settle`` from the rotation ``rot``, appending the trace to
+    ``heights``; raises SettleDiverged."""
+    hv, com_body = mesh.hull.vertices, mesh.com
     while True:
         world = hv @ rot.T
         zmin = world[:, 2].min()
-        world = world - np.array([0.0, 0.0, zmin])
-        com = rot @ com_body - np.array([0.0, 0.0, zmin])
+        world[:, 2] -= zmin
+        com = rot @ com_body
+        com[2] -= zmin
         heights.append(float(com[2]))
         contact = np.flatnonzero(world[:, 2] <= contact_tol)
-        if len(contact) == 3:
-            table = mesh.pivot_table
-            r = table.row(contact)
-            if r is not None and table.walkable(r, contact_tol):
-                rot = _walk(table, r, rot, heights, max_tips, contact_tol)
-                continue
-        poly, inr = _contact_support(mesh, contact)
-        margin = _contact_margin(world[:, :2], com[:2], contact, poly)
+        r = _walkable_row(mesh, contact, contact_tol)
+        if r is not None:
+            rot = _walk(mesh.pivot_table, r, rot, heights, max_tips, contact_tol)
+            continue
+        support = _contact_support(mesh, contact)
+        margin = float(_contact_margin(world[:, :2], com[:2], support))
         if margin >= margin_eps:
-            com_r = rot @ com_body
-            zmin_mesh = (mesh.vertices @ rot.T)[:, 2].min()
-            placement = Placement(
-                rotation=rot,
-                translation=np.array([-com_r[0], -com_r[1], -zmin_mesh]),
-                stability_margin=float(margin),
-            )
-            if inr > 0:
-                placement.score = float(np.clip(margin / inr, 0.0, 1.0))
-            return (placement, heights) if return_trace else placement
+            return _resting(mesh, rot[None], [margin], [support.inradius])[0]
         _check_tips(heights, max_tips)
-        a, u = _pivot_axis(world[:, :2], com[:2], contact, poly)
-        r_com = com - a
-        torque = u[0] * r_com[1] - u[1] * r_com[0]
-        s = -1.0 if torque > 0 else 1.0
-        # smallest rotation bringing a new vertex down to the plane:
-        # vertex z under the pivot is A cos(phi) + B sin(phi)
-        rel = world - a
-        a_z = rel[:, 2]
-        b_z = s * (u[0] * rel[:, 1] - u[1] * rel[:, 0])
-        phi = np.arctan2(np.maximum(a_z, 0.0), -b_z)
-        # only vertices strictly above the plane can become the new contact
-        valid = (a_z > contact_tol) & (phi > 1e-9)
-        if not np.any(valid):
+        a, u = _pivot_axis(world[:, :2], com[:2], support)
+        turn, stuck = _pivot_turns(world, com, a, u, contact_tol)
+        if stuck:
             raise SettleDiverged("no pivot target vertex")
-        phi_star = float(phi[valid].min())
-        rot = rotation_from_axis_angle(u, s * phi_star) @ rot
+        rot = turn @ rot
+
+
+def _settle_block(
+    mesh: TriMesh,
+    initials: np.ndarray,
+    max_tips: int,
+    margin_eps: float,
+    contact_tol: float,
+) -> tuple[list, list[list[float]]]:
+    """Outcomes and traces of the drops from ``initials`` (n, 3, 3), for
+    ``settle_batch``."""
+    traces: list[list[float]] = [[] for _ in initials]
+    if len(initials) == 1:
+        try:
+            outcome = _settle_one(mesh, initials[0].copy(), traces[0], max_tips, margin_eps,
+                                  contact_tol)
+        except SettleDiverged as exc:
+            outcome = exc
+        return [outcome], traces
+    hv, com_body = mesh.hull.vertices, mesh.com
+    rots = initials.copy()
+    outcomes: list = [None] * len(rots)
+    active = np.arange(len(rots))
+    while len(active):
+        rot = rots[active]
+        world = hv @ rot.transpose(0, 2, 1)
+        zmin = world[:, :, 2].min(axis=1)
+        world[:, :, 2] -= zmin[:, None]
+        com = rot @ com_body
+        com[:, 2] -= zmin
+        for i, h in zip(active.tolist(), com[:, 2].tolist()):
+            traces[i].append(h)
+        touch = world[:, :, 2] <= contact_tol
+        going = np.ones(len(active), dtype=bool)
+        stable: list[tuple[int, float, float]] = []  # (row, margin, inradius)
+        pivots = []  # (rows, world, com, a, u) per group
+        for rows in _equal_rows(touch):
+            contact = np.flatnonzero(touch[rows[0]])
+            r = _walkable_row(mesh, contact, contact_tol)
+            if r is not None:
+                for j in rows.tolist():
+                    i = active[j]
+                    try:
+                        rots[i] = _walk(mesh.pivot_table, r, rots[i], traces[i], max_tips,
+                                        contact_tol)
+                    except SettleDiverged as exc:
+                        outcomes[i], going[j] = exc, False
+                continue
+            support = _contact_support(mesh, contact)
+            # a group holding every active drop takes the arrays without a copy
+            posed, at = (world, com) if len(rows) == len(active) else (world[rows], com[rows])
+            margin = _contact_margin(posed[..., :2], at[..., :2], support)
+            rests = margin >= margin_eps
+            stable += [(j, m, support.inradius)
+                       for j, m in zip(rows[rests].tolist(), margin[rests].tolist())]
+            tips = ~rests
+            for k in np.flatnonzero(tips).tolist():
+                i = active[rows[k]]
+                try:
+                    _check_tips(traces[i], max_tips)
+                except SettleDiverged as exc:
+                    outcomes[i], tips[k] = exc, False
+            going[rows[~tips]] = False
+            if not tips.all():
+                rows, posed, at = rows[tips], posed[tips], at[tips]
+            if len(rows):
+                pivots.append((rows, posed, at,
+                               *_pivot_axis(posed[..., :2], at[..., :2], support)))
+        if stable:
+            rows, margins, inradii = zip(*stable)
+            for j, placement in zip(rows, _resting(mesh, rot[list(rows)], margins, inradii)):
+                outcomes[active[j]] = placement
+        if pivots:
+            rows, posed, at, a, u = (
+                pivots[0] if len(pivots) == 1 else (np.concatenate(p) for p in zip(*pivots))
+            )
+            turn, stuck = _pivot_turns(posed, at, a, u, contact_tol)
+            turned = rows[~stuck]
+            rots[active[turned]] = turn[~stuck] @ rot[turned]
+            for j in rows[stuck].tolist():
+                outcomes[active[j]] = SettleDiverged("no pivot target vertex")
+            going[rows[stuck]] = False
+        active = active[going]
+    return outcomes, traces
+
+
+def _walkable_row(mesh: TriMesh, contact: np.ndarray, contact_tol: float) -> int | None:
+    """The rolling-graph row to walk from when the contacts ``contact``
+    are one walkable hull triangle, else None."""
+    if len(contact) != 3:
+        return None
+    table = mesh.pivot_table
+    r = table.row(contact)
+    return r if r is not None and table.walkable(r, contact_tol) else None
+
+
+def _equal_rows(mask: np.ndarray) -> list[np.ndarray]:
+    """Indices of the rows of the boolean (n, V) ``mask``, grouped by
+    equal rows."""
+    _, inverse, counts = np.unique(
+        np.packbits(mask, axis=1), axis=0, return_inverse=True, return_counts=True
+    )
+    return np.split(np.argsort(inverse.ravel(), kind="stable"), np.cumsum(counts)[:-1])
+
+
+def _pivot_turns(
+    world: np.ndarray, com: np.ndarray, a: np.ndarray, u: np.ndarray, contact_tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """For poses ``world`` (..., V, 3) with COMs ``com`` (..., 3) pivoting
+    about the lines (a, u), each (..., 3): the turns (..., 3, 3) by the
+    smallest angle that brings a hull vertex down to the plane, and
+    whether no vertex strictly above the plane can come down."""
+    r_com = com - a
+    s = np.where(u[..., 0] * r_com[..., 1] - u[..., 1] * r_com[..., 0] > 0, -1.0, 1.0)
+    # smallest rotation bringing a new vertex down to the plane:
+    # vertex z under the pivot is A cos(phi) + B sin(phi)
+    rel = world - a[..., None, :]
+    a_z = rel[..., 2]
+    b_z = s[..., None] * (u[..., 0, None] * rel[..., 1] - u[..., 1, None] * rel[..., 0])
+    phi = np.arctan2(np.maximum(a_z, 0.0), -b_z)
+    # only vertices strictly above the plane can become the new contact
+    valid = (a_z > contact_tol) & (phi > 1e-9)
+    stuck = ~valid.any(axis=-1)
+    phi_star = np.where(stuck, 0.0, np.where(valid, phi, np.inf).min(axis=-1))
+    return rotation_from_axis_angle(u, s * phi_star), stuck
+
+
+def _resting(
+    mesh: TriMesh, rot: np.ndarray, margins: tuple[float, ...], inradii: tuple[float, ...]
+) -> list[Placement]:
+    """Stable placements under the rotations ``rot`` (n, 3, 3), with their
+    margins, scored against their supports' inradii."""
+    com = rot @ mesh.com
+    zmin = (mesh.vertices @ rot.transpose(0, 2, 1))[:, :, 2].min(axis=1)
+    translation = np.negative(com)
+    translation[:, 2] = -zmin
+    placements = []
+    for r, t, margin, inr in zip(rot, translation, margins, inradii):
+        placement = Placement(rotation=r, translation=t, stability_margin=margin)
+        if inr > 0:
+            placement.score = float(np.clip(margin / inr, 0.0, 1.0))
+        placements.append(placement)
+    return placements
 
 
 def _walk(
@@ -661,6 +917,8 @@ def _check_tips(heights: list[float], max_tips: int) -> None:
 
 # Drops per task sent to a worker process.
 _CHUNK = 16
+# Random rotations tried per record for an unstable pose.
+_UNSTABLE_TRIES = 100
 
 
 @dataclass
@@ -669,33 +927,88 @@ class DatasetResult:
     diverged: dict[str, int]
 
 
-def _pick_contact_triple(world: np.ndarray, poly: np.ndarray | None) -> np.ndarray:
-    """Three well-spread, non-collinear contact points (z ~ 0): vertices
-    0, k // 3 and 2k // 3 of the k-gon support polygon ``poly``, indices
-    into the posed hull vertices ``world``."""
-    if poly is None:
-        raise SettleDiverged("stable placement with degenerate contact set")
-    k = len(poly)
-    return world[poly[[0, k // 3, (2 * k) // 3]]]
-
-
-def settle_record(
+def settle_records(
     object_id: str,
     mesh: TriMesh,
-    initial: np.ndarray,
-    rng: np.random.Generator,
+    initials: np.ndarray,
+    rngs: list[np.random.Generator],
     max_tips: int = 200,
-) -> PlacementRecord:
-    """Settle one drop and build a full dataset record."""
-    placement = settle(mesh, initial, max_tips=max_tips)
-    world = mesh.hull.vertices @ placement.rotation.T + placement.translation
-    poly, _ = _contact_support(mesh, np.flatnonzero(world[:, 2] <= CONTACT_TOL))
-    triple = _pick_contact_triple(world, poly)
-    pivot = placement.rotation @ mesh.com + placement.translation
+) -> list[PlacementRecord | None]:
+    """Settle the drops from ``initials`` (N, 3, 3) and build a dataset
+    record for each; None for a drop whose settle diverged or came to rest
+    with no support polygon.  Drop i draws its unstable pose from its own
+    Generator ``rngs[i]``.
 
-    unstable_rotation = None
-    v_gt = None
-    for _ in range(100):
+    A record holds the placement, three contact points (vertices 0, k // 3
+    and 2k // 3 of the k-gon support polygon) and a paired unstable pose:
+    the first random rotation about the world COM that leaves the rotated
+    contacts' plane (``plane_from_contacts``) at least 1e-6 from the
+    origin, of at most ``_UNSTABLE_TRIES``.  Each block of
+    ``settle_batch`` drops takes one stacked pass for the resting pose,
+    contact triple, pivot and first try; only drops whose first try fails
+    draw again, one at a time."""
+    records: list[PlacementRecord | None] = []
+    initials = np.asarray(initials, dtype=float).reshape(-1, 3, 3)
+    for block in _blocks(mesh, len(initials)):
+        outcomes, _ = _settle_block(
+            mesh, initials[block], max_tips, DEFAULT_MARGIN_EPS, CONTACT_TOL
+        )
+        records += _block_records(object_id, mesh, outcomes, rngs[block])
+    return records
+
+
+def _block_records(
+    object_id: str, mesh: TriMesh, outcomes: list, rngs: list[np.random.Generator]
+) -> list[PlacementRecord | None]:
+    """``settle_records`` of one block, from its ``settle_batch`` outcomes."""
+    records: list[PlacementRecord | None] = [None] * len(outcomes)
+    settled = [i for i, p in enumerate(outcomes) if isinstance(p, Placement)]
+    if not settled:
+        return records
+    rot = np.stack([outcomes[i].rotation for i in settled])
+    shift = np.stack([outcomes[i].translation for i in settled])
+    world = mesh.hull.vertices @ rot.transpose(0, 2, 1) + shift[:, None, :]
+    touch = world[:, :, 2] <= CONTACT_TOL
+    kept, triples = [], []
+    for j in range(len(settled)):
+        poly = _contact_support(mesh, np.flatnonzero(touch[j])).polygon
+        if poly is not None:  # else the drop counts as diverged
+            k = len(poly)
+            kept.append(j)
+            triples.append(world[j, poly[[0, k // 3, (2 * k) // 3]]])
+    if not kept:
+        return records
+    triple = np.stack(triples)
+    pivot = (rot[kept] @ mesh.com + shift[kept])[:, None, :]
+    turn = quaternion_rotations(np.stack([rngs[settled[j]].normal(size=4) for j in kept]))
+    rotated = pivot + (triple - pivot) @ turn.transpose(0, 2, 1)
+    v, spans, off_origin = plane_vectors(rotated[:, 0], rotated[:, 1], rotated[:, 2])
+    if not spans.all():
+        plane_from_contacts(*rotated[np.argmin(spans)])  # raises CollinearContacts
+    first = off_origin & ~(np.sqrt(np.vecdot(v, v)) < 1e-6)
+    unstable = turn @ rot[kept]
+    for n, j in enumerate(kept):
+        i = settled[j]
+        if first[n]:
+            pose, v_gt = unstable[n], v[n]
+        else:
+            pose, v_gt = _unstable_pose(rngs[i], pivot[n, 0], triple[n], outcomes[i].rotation)
+        records[i] = PlacementRecord(
+            object_id=object_id,
+            placement=outcomes[i],
+            contact_points=triple[n],
+            unstable_rotation=pose,
+            v_gt=v_gt,
+        )
+    return records
+
+
+def _unstable_pose(
+    rng: np.random.Generator, pivot: np.ndarray, triple: np.ndarray, rotation: np.ndarray
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The unstable rotation and plane vector of the tries after a failed
+    first one, or (None, None) when every try fails."""
+    for _ in range(_UNSTABLE_TRIES - 1):
         r_rand = random_rotation(rng)
         rotated = pivot + (triple - pivot) @ r_rand.T
         try:
@@ -704,16 +1017,8 @@ def settle_record(
             continue
         if np.linalg.norm(v) < 1e-6:
             continue
-        unstable_rotation = r_rand @ placement.rotation
-        v_gt = v
-        break
-    return PlacementRecord(
-        object_id=object_id,
-        placement=placement,
-        contact_points=triple,
-        unstable_rotation=unstable_rotation,
-        v_gt=v_gt,
-    )
+        return r_rand @ rotation, v
+    return None, None
 
 
 def generate_dataset(
@@ -727,11 +1032,14 @@ def generate_dataset(
 
     Each drop derives its RNG stream from (seed, object index, drop
     index), so record order and content are independent of ``workers``;
-    diverged settles are skipped and counted.  Jobs go to worker processes
-    in chunks of ``_CHUNK``, and the pool starts no more workers than
-    there are chunks; with one worker the drops run in this process.
-    Each worker process receives the meshes once, so their cached hulls,
-    pivot tables and support memos persist across its jobs.
+    diverged settles are skipped and counted.  With one worker each
+    object's drops are settled as one ``settle_records`` batch in this
+    process.  Otherwise the jobs go to worker processes in chunks of
+    ``_CHUNK``, each split into one batch per object it spans, and the
+    pool starts no more workers than there are chunks.  Either way a
+    batch runs in blocks that bound its memory (``_SETTLE_BLOCK``).  Each
+    worker process receives the meshes once, so their cached hulls,
+    pivot tables and support memos persist across its chunks.
     """
     if drops_per_object < 1:
         raise ValueError("drops_per_object must be >= 1")
@@ -740,16 +1048,18 @@ def generate_dataset(
         for obj_idx in range(len(meshes))
         for drop_idx in range(drops_per_object)
     ]
-    workers = min(workers, -(-len(jobs) // _CHUNK))
+    chunks = [jobs[i:i + _CHUNK] for i in range(0, len(jobs), _CHUNK)]
+    workers = min(workers, len(chunks))
     if workers <= 1:
-        results = [_run_drop(meshes, seed, max_tips, job) for job in jobs]
+        results = _run_drops(meshes, seed, max_tips, jobs)
     else:
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,
             initargs=(meshes, seed, max_tips),
         ) as pool:
-            results = list(pool.map(_pool_drop, jobs, chunksize=_CHUNK))
+            results = [rec for part in pool.map(_pool_drops, chunks, chunksize=1)
+                       for rec in part]
     records: list[PlacementRecord] = []
     diverged = {object_id: 0 for object_id, _ in meshes}
     for (obj_idx, _), rec in zip(jobs, results):
@@ -760,10 +1070,15 @@ def generate_dataset(
     return DatasetResult(records=records, diverged=diverged)
 
 
-def _run_drop(meshes, seed: int, max_tips: int, job: tuple[int, int]):
-    obj_idx, drop_idx = job
-    object_id, mesh = meshes[obj_idx]
-    return generate_one_drop(object_id, mesh, seed, obj_idx, drop_idx, max_tips)
+def _run_drops(meshes, seed: int, max_tips: int, jobs: list[tuple[int, int]]):
+    """Records of the (object index, drop index) jobs, one batch per run
+    of jobs on the same object."""
+    results = []
+    for obj_idx, run in groupby(jobs, key=lambda job: job[0]):
+        object_id, mesh = meshes[obj_idx]
+        drops = [drop_idx for _, drop_idx in run]
+        results += _drop_records(object_id, mesh, seed, obj_idx, drops, max_tips)
+    return results
 
 
 # (meshes, seed, max_tips) of the generate_dataset call a worker serves.
@@ -775,8 +1090,17 @@ def _init_worker(meshes, seed: int, max_tips: int) -> None:
     _WORKER = (meshes, seed, max_tips)
 
 
-def _pool_drop(job: tuple[int, int]) -> PlacementRecord | None:
-    return _run_drop(*_WORKER, job)
+def _pool_drops(jobs: list[tuple[int, int]]) -> list[PlacementRecord | None]:
+    return _run_drops(*_WORKER, jobs)
+
+
+def _drop_records(
+    object_id: str, mesh: TriMesh, seed: int, obj_idx: int, drops: list[int], max_tips: int
+) -> list[PlacementRecord | None]:
+    """Records of the seeded drops ``drops`` of one object."""
+    rngs = [np.random.default_rng([seed, obj_idx, drop_idx]) for drop_idx in drops]
+    initials = quaternion_rotations(np.stack([rng.normal(size=4) for rng in rngs]))
+    return settle_records(object_id, mesh, initials, rngs, max_tips=max_tips)
 
 
 def generate_one_drop(
@@ -788,9 +1112,4 @@ def generate_one_drop(
     max_tips: int = 200,
 ) -> PlacementRecord | None:
     """One dataset drop; None when the settle diverged."""
-    rng = np.random.default_rng([seed, obj_idx, drop_idx])
-    initial = random_rotation(rng)
-    try:
-        return settle_record(object_id, mesh, initial, rng, max_tips=max_tips)
-    except SettleDiverged:
-        return None
+    return _drop_records(object_id, mesh, seed, obj_idx, [drop_idx], max_tips)[0]

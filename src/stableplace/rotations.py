@@ -134,16 +134,24 @@ def geodesic_distance(rg: np.ndarray, rt: np.ndarray) -> float:
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
     """Uniform random rotation via a normalized Gaussian quaternion."""
-    q = rng.normal(size=4)
-    q /= np.linalg.norm(q)
-    w, x, y, z = q
-    return np.array(
+    return quaternion_rotations(rng.normal(size=4))
+
+
+def quaternion_rotations(q: np.ndarray) -> np.ndarray:
+    """Rotations (3, 3) or (N, 3, 3) of the quaternions q (4,) or (N, 4),
+    ordered (w, x, y, z) and normalized here; one quaternion gives the
+    bits of any row of a stack."""
+    q = np.asarray(q, dtype=float)
+    # one quaternion unpacks to numpy scalars, whose arithmetic is cheap
+    w, x, y, z = (q / np.sqrt(np.vecdot(q, q))[..., None]).T
+    m = np.array(
         [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+            1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+            2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+            2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
         ]
     )
+    return m.T.reshape(q.shape[:-1] + (3, 3))
 
 
 # --- polynomial surrogate -------------------------------------------------

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from stableplace import cli, fixtures
 from stableplace.cli import GripperConfig, InputError, RunConfig, main
-from stableplace.mesh import save_obj
+from stableplace.mesh import TriMesh, save_obj
 from stableplace.placements import DatasetResult
 from stableplace.rotations import PolyCoeffs, random_rotation
 
@@ -201,6 +201,21 @@ class TestDatasetAndCluster:
         assert r1.exit_code == 0 and r2.exit_code == 0
         assert out1.read_bytes() == out2.read_bytes()
         assert len(out1.read_text().splitlines()) == 20
+
+    def test_every_drop_diverged_exit_3(self, runner, tmp_path):
+        # a cube of side 1e-4 diverges on every drop; this exited 0 and
+        # wrote an empty dataset
+        cube = fixtures.unit_cube()
+        path = tmp_path / "tiny_cube.obj"
+        save_obj(TriMesh(cube.vertices * 1e-4, cube.faces), path)
+        out = tmp_path / "ds.jsonl"
+        r = runner.invoke(main, ["dataset", str(path), "--drops", "5", "--workers", "1",
+                                 "-o", str(out)])
+        assert r.exit_code == 3
+        assert isinstance(r.exception, SystemExit)  # no traceback
+        assert "tiny_cube: 5 diverged drops skipped" in r.stderr
+        assert "settle diverged: no drop of tiny_cube settled" in r.stderr
+        assert not out.exists()
 
     def test_cluster_cube_six_modes(self, runner, mesh_dir, tmp_path):
         ds = tmp_path / "cube.jsonl"

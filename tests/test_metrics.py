@@ -12,7 +12,13 @@ from stableplace.metrics import (
     format_table,
     placement_accuracy,
 )
-from stableplace.placements import Placement, enumerate_stable
+from stableplace import metrics
+from stableplace.placements import (
+    Placement,
+    SettleDiverged,
+    enumerate_stable,
+    settle_batch,
+)
 from stableplace.rotations import rot_x, rot_y, rot_z
 
 
@@ -141,6 +147,25 @@ class TestEvaluateRun:
         assert evaluate_run(preds, cube, model).diversity == 1.0
         row = evaluate_run(preds, cube, model, match_threshold=4.0 * DEG)
         assert row.diversity == 0.0
+
+    def test_one_batch_and_diverged_settle_counts_inaccurate(self, cube, monkeypatch):
+        """All predictions settle in one batch; a diverged one is counted
+        inaccurate and reaches no type."""
+        preds = enumerate_stable(cube)
+        model, _ = mean_shift_orientations([p.rotation for p in preds])
+        batches = []
+
+        def first_diverges(mesh, rotations):
+            batches.append(len(rotations))
+            return [SettleDiverged("no pivot target vertex"),
+                    *settle_batch(mesh, rotations[1:])]
+
+        monkeypatch.setattr(metrics, "settle_batch", first_diverges)
+        row = evaluate_run(preds, cube, model, initial_type=1)
+        assert batches == [6]
+        assert row.accuracy == 5 / 6
+        assert row.n_stable == 5
+        assert row.diversity == 4 / 5  # type 0 is reached by no settled pose
 
     def test_empty_predictions_rejected(self, cube):
         model = five_mode_model()

@@ -9,8 +9,11 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
 from conftest import (
+    _reference_drop_settle,
+    _reference_one_drop,
     _reference_rotation_between,
     _reference_rotation_from_axis_angle,
+    _reference_settle_record,
     drifting_arc,
     ellipsoid,
     flattened_ellipsoid,
@@ -37,6 +40,7 @@ from stableplace.placements import (
     DEFAULT_MARGIN_EPS,
     Placement,
     SettleDiverged,
+    Support,
     _contact_margin,
     _contact_support,
     _line_axis,
@@ -45,9 +49,12 @@ from stableplace.placements import (
     _walk,
     enumerate_stable,
     generate_dataset,
+    generate_one_drop,
     nearest_polygon_edge,
     polygon_inradius,
     settle,
+    settle_batch,
+    settle_records,
     signed_polygon_margin,
     stability_check,
 )
@@ -388,9 +395,10 @@ class TestSettle:
         met = []
         margin = placements._contact_margin
 
-        def recording(xy, com_xy, contact, poly):
-            met.append((xy[contact], contact, poly))
-            return margin(xy, com_xy, contact, poly)
+        def recording(xy, com_xy, support):
+            for posed in xy.reshape(-1, *xy.shape[-2:]):  # one drop or a group
+                met.append((posed[support.contact], support.contact, support.polygon))
+            return margin(xy, com_xy, support)
 
         monkeypatch.setattr(placements, "_contact_margin", recording)
         meshes = fixtures.standard_fixtures()
@@ -416,7 +424,8 @@ class TestSettle:
             polygons.add(tuple(contact.tolist()))
         # the drops met every polygon the memos hold
         assert polygons == {key for mesh in [*meshes.values(), *dense]
-                            for key, (poly, _) in mesh.supports.items() if poly is not None}
+                            for key, support in mesh.supports.items()
+                            if support.polygon is not None}
 
 
 def _tilt_tolerance(mesh):
@@ -448,10 +457,10 @@ def _reference_settle(mesh, initial, margin_eps=DEFAULT_MARGIN_EPS):
         if r is not None and table.bound[r] < margin_eps - 1e-9:
             a, u = _line_axis(world[table.edge[r][0], :2], world[table.edge[r][1], :2])
         else:
-            poly, _ = _contact_support(mesh, contact)
-            if _contact_margin(world[:, :2], com[:2], contact, poly) >= margin_eps:
+            support = _contact_support(mesh, contact)
+            if _contact_margin(world[:, :2], com[:2], support) >= margin_eps:
                 return rot, heights
-            a, u = _pivot_axis(world[:, :2], com[:2], contact, poly)
+            a, u = _pivot_axis(world[:, :2], com[:2], support)
         r_com = com - a
         s = -1.0 if u[0] * r_com[1] - u[1] * r_com[0] > 0 else 1.0
         rel = world - a
@@ -635,9 +644,9 @@ class TestPivotTable:
             if tuple(contact) != triple:
                 continue  # more than the triangle touches: the table is not asked
             com = rot @ mesh.com
-            poly, _ = _contact_support(mesh, contact)
-            assert _contact_margin(world[:, :2], com[:2], contact, poly) < DEFAULT_MARGIN_EPS
-            a, u = _pivot_axis(world[:, :2], com[:2], contact, poly)
+            support = _contact_support(mesh, contact)
+            assert _contact_margin(world[:, :2], com[:2], support) < DEFAULT_MARGIN_EPS
+            a, u = _pivot_axis(world[:, :2], com[:2], support)
             start, end = table.edge[r]
             a_t, u_t = _line_axis(world[start, :2], world[end, :2])
             assert a.tobytes() == a_t.tobytes() and u.tobytes() == u_t.tobytes()
@@ -877,6 +886,205 @@ class TestGenerateDataset:
             d = rec.to_json_dict()
             back = PlacementRecord.from_json_dict(json.loads(json.dumps(d)))
             assert back.to_json_dict() == d
+
+
+_LOCKSTEP_MESHES = [*fixtures.standard_fixtures(), "ellipsoid_s2", "ellipsoid_s3",
+                    "ellipsoid_s4"]
+
+
+def _reference_outcome(mesh, initial, max_tips=200):
+    """The frozen per-drop settle's (placement, trace), or the
+    SettleDiverged it raised."""
+    try:
+        return _reference_drop_settle(mesh, initial, max_tips=max_tips)
+    except SettleDiverged as exc:
+        return exc
+
+
+def _assert_same_outcome(got, trace, want):
+    if isinstance(want, SettleDiverged):
+        assert isinstance(got, SettleDiverged) and str(got) == str(want)
+        return
+    placement, heights = want
+    assert isinstance(got, Placement)
+    assert got.rotation.tobytes() == placement.rotation.tobytes()
+    assert got.translation.tobytes() == placement.translation.tobytes()
+    assert got.stability_margin == placement.stability_margin
+    assert got.score == placement.score
+    assert trace == heights
+
+
+def _record_bytes(rec):
+    return None if rec is None else json.dumps(rec.to_json_dict())
+
+
+def _seeded_drops(n, seed):
+    """Per-drop Generators seeded (seed, 0, drop) and each one's first
+    random rotation, as the dataset draws them."""
+    rngs = [np.random.default_rng([seed, 0, d]) for d in range(n)]
+    return np.stack([random_rotation(rng) for rng in rngs]), rngs
+
+
+class _FirstTryInPlane:
+    """A Generator whose first normal draw is the identity quaternion, so
+    the first unstable-pose try keeps the contact plane through the
+    origin and fails; later draws come from a seeded Generator."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.first = True
+
+    def normal(self, size):
+        if self.first:
+            self.first = False
+            return np.array([1.0, 0.0, 0.0, 0.0])
+        return self.rng.normal(size=size)
+
+
+class TestLockstep:
+    """settle_batch and settle_records against the frozen per-drop
+    settle and record: the same bits at every batch size."""
+
+    @pytest.mark.parametrize("name", _LOCKSTEP_MESHES)
+    def test_batches_match_per_drop_reference(self, name):
+        mesh = _table_mesh(name)
+        n = 60 if name.startswith("ellipsoid") else 100
+        rng = np.random.default_rng(42)
+        initials = np.stack([random_rotation(rng) for _ in range(n)])
+        want = [_reference_outcome(mesh, r) for r in initials]
+        for size in (1, 7, 16, n):
+            got, traces = [], []
+            for k in range(0, n, size):
+                outcomes, heights = settle_batch(mesh, initials[k:k + size], return_trace=True)
+                got += outcomes
+                traces += heights
+            assert len(got) == len(traces) == n
+            for g, t, w in zip(got, traces, want):
+                _assert_same_outcome(g, t, w)
+
+    @pytest.mark.parametrize("name", _LOCKSTEP_MESHES)
+    def test_records_match_per_drop_reference(self, name):
+        mesh = _table_mesh(name)
+        n = 60 if name.startswith("ellipsoid") else 100
+        want = []
+        for initial, rng in zip(*_seeded_drops(n, 3)):
+            try:
+                want.append(_record_bytes(_reference_settle_record(name, mesh, initial, rng)))
+            except SettleDiverged:
+                want.append(None)
+        for size in (1, 7, 16, n):
+            initials, rngs = _seeded_drops(n, 3)
+            got = []
+            for k in range(0, n, size):
+                got += settle_records(name, mesh, initials[k:k + size], rngs[k:k + size])
+            assert [_record_bytes(rec) for rec in got] == want
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_fixture_dataset_matches_per_drop_reference(self, seed):
+        meshes = list(fixtures.standard_fixtures().items())
+        want = [_reference_one_drop(object_id, mesh, seed, i, d)
+                for i, (object_id, mesh) in enumerate(meshes) for d in range(100)]
+        got = generate_dataset(meshes, 100, seed)
+        assert [_record_bytes(rec) for rec in got.records] == [
+            _record_bytes(rec) for rec in want if rec is not None
+        ]
+        assert sum(got.diverged.values()) == want.count(None)
+        for d in (0, 57):
+            one = generate_one_drop("cube", meshes[0][1], seed, 0, d)
+            assert _record_bytes(one) == _record_bytes(want[d])
+
+    @pytest.mark.parametrize("name, max_tips", [("cube", 1), ("t_prism", 1),
+                                                 ("ellipsoid_s3", 16)])
+    def test_diverged_drop_leaves_the_others_alone(self, name, max_tips):
+        """Drops that need more than max_tips tips diverge on their own,
+        at a world-frame tip (every fixture drop from a random pose takes
+        two) or on a walk, and every other drop, such as one starting at
+        rest, keeps its bits."""
+        mesh = _table_mesh(name)
+        rng = np.random.default_rng(6)
+        initials = np.stack([random_rotation(rng) for _ in range(30)]
+                            + [p.rotation for p in enumerate_stable(mesh)])
+        want = [_reference_outcome(mesh, r, max_tips=max_tips) for r in initials]
+        diverged = sum(isinstance(w, SettleDiverged) for w in want)
+        assert 0 < diverged < len(want)
+        got, traces = settle_batch(mesh, initials, max_tips=max_tips, return_trace=True)
+        for g, t, w in zip(got, traces, want):
+            _assert_same_outcome(g, t, w)
+
+    @pytest.mark.parametrize("name", ["cube", "t_prism", "ellipsoid_s3"])
+    def test_unstable_pose_retry_matches_reference(self, name):
+        """Drops whose first unstable-pose try fails draw again from
+        their own Generators, beside drops whose first try holds."""
+        mesh = _table_mesh(name)
+        n = 24
+        initials, _ = _seeded_drops(n, 5)
+
+        def rngs():
+            return [_FirstTryInPlane(d) if d % 3 else np.random.default_rng(d)
+                    for d in range(n)]
+
+        want = [_reference_settle_record(name, mesh, initial, rng)
+                for initial, rng in zip(initials, rngs())]
+        for size in (1, 7, n):
+            fresh = rngs()
+            got = []
+            for k in range(0, n, size):
+                got += settle_records(name, mesh, initials[k:k + size], fresh[k:k + size])
+            assert [_record_bytes(rec) for rec in got] == [_record_bytes(w) for w in want]
+        for rec in got[1::3] + got[2::3]:
+            # the identity try, had it held, would leave the rotation as it was
+            assert not np.array_equal(rec.unstable_rotation, rec.placement.rotation)
+
+    def test_stacked_support_geometry_matches_one_drop_at_a_time(self):
+        """Margins and pivot lines of a stack of poses equal those of each
+        pose alone, for polygon, segment, point and mixed stacks; a
+        segment whose contacts meet in the plane pivots as a point."""
+        rng = np.random.default_rng(4)
+        square = np.array([0, 1, 2, 3])
+        supports = [
+            Support(square, square, 0.5, square, np.roll(square, -1),
+                    placements._pair_keys(square, np.roll(square, -1))),
+            Support.without_polygon(np.array([1, 3])),
+            Support.without_polygon(np.array([0, 2, 3])),
+            Support.without_polygon(np.array([2])),
+        ]
+        xy = rng.normal(size=(9, 5, 2))
+        xy[:, :4] = [[0, 0], [1, 0], [1, 1], [0, 1]] + 0.1 * xy[:, :4]
+        xy[::3, 3] = xy[::3, 1]  # contacts 1 and 3 meet: no segment
+        com = rng.normal(size=(9, 2))
+        for support in supports:
+            margin = _contact_margin(xy, com, support)
+            a, u = _pivot_axis(xy, com, support)
+            for i in range(len(xy)):
+                assert margin[i] == _contact_margin(xy[i], com[i], support)
+                a_i, u_i = _pivot_axis(xy[i], com[i], support)
+                assert a[i].tobytes() == a_i.tobytes() and u[i].tobytes() == u_i.tobytes()
+        a, u = _pivot_axis(xy, com, supports[1])
+        assert np.all(a[::3, :2] == xy[::3, 1]) and np.all(u[1::3, :2] != 0)
+
+    def test_blocks_bound_memory(self, monkeypatch):
+        """A large batch on a dense mesh runs in blocks: its peak traced
+        memory stays under a bound that one unbounded block exceeds, and
+        the outcomes do not depend on the block size."""
+        import tracemalloc
+
+        mesh = ellipsoid(4)
+        rng = np.random.default_rng(1)
+        initials = np.stack([random_rotation(rng) for _ in range(200)])
+        settle_batch(mesh, initials[:2])  # hull, pivot table and supports
+
+        def peak():
+            tracemalloc.start()
+            try:
+                return settle_batch(mesh, initials), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        blocked, blocked_peak = peak()
+        monkeypatch.setattr(placements, "_SETTLE_BLOCK", 2**40)
+        whole, whole_peak = peak()
+        assert blocked_peak < 16e6 < whole_peak
+        assert [p.rotation.tobytes() for p in blocked] == [p.rotation.tobytes() for p in whole]
 
 
 # --- support-polygon geometry against the LP and loop references -------------
@@ -1151,5 +1359,5 @@ class TestEdgeArrays:
             t = np.sort(rng.uniform(-1.0, 1.0, int(rng.integers(2, 7))))
             xy = rng.normal(size=2) + np.outer(t, rng.normal(size=2))
             com = rng.normal(size=2)
-            margin = _contact_margin(xy, com, np.arange(len(xy)), None)
+            margin = _contact_margin(xy, com, Support.without_polygon(np.arange(len(xy))))
             assert margin == _loop_segment_support_margin(com, xy)
