@@ -7,12 +7,18 @@ frame against how many took the world-frame pivot, how many drops had
 their COM rise, the wall-clock cost per settle, and a sha256 of the
 settled rotations' bytes in drop order.
 
+Each object's first 100 drops are also settled one at a time with
+``settle``, whose cost per settle is printed beside the batch's.  The
+script exits 1 unless those lone rotations hash to the same sha256 as
+the batch's over the same drops.
+
 The digests make a check of settle bits between two checkouts a diff of
 the ``sha256`` lines of two runs' stdout.
 """
 
 import argparse
 import hashlib
+import sys
 import time
 
 import numpy as np
@@ -20,7 +26,7 @@ import numpy as np
 from stableplace import placements
 from stableplace.fixtures import icosphere, standard_fixtures
 from stableplace.mesh import TriMesh
-from stableplace.placements import SettleDiverged, enumerate_stable, settle_batch
+from stableplace.placements import SettleDiverged, enumerate_stable, settle, settle_batch
 from stableplace.rotations import random_rotation, z_quotient_distances
 
 
@@ -43,6 +49,18 @@ def count_rows(fn):
     return wrapper
 
 
+# drops per object settled one at a time as well
+LONE_DROPS = 100
+
+
+def rotations_sha256(placements_: list) -> str:
+    """sha256 of the rotations' bytes, in order."""
+    digest = hashlib.sha256()
+    for p in placements_:
+        digest.update(p.rotation.tobytes())
+    return digest.hexdigest()
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--drops", type=int, default=500)
@@ -53,6 +71,7 @@ def main():
     # from _pivot_axis, which returns one row per pivoting drop
     world_path = placements._pivot_axis = count_rows(placements._pivot_axis)
     objects = dict(standard_fixtures(), ellipsoid_s3=squashed_icosphere(3))
+    mismatched = []
     for name, mesh in objects.items():
         enum = enumerate_stable(mesh)
         modes = np.stack([p.rotation for p in enum])
@@ -63,26 +82,34 @@ def main():
         start = time.perf_counter()
         settled, traces = settle_batch(mesh, initials, return_trace=True)
         elapsed = time.perf_counter() - start
-        digest = hashlib.sha256()
+        world_rows = world_path.rows
         for p in settled:
             if isinstance(p, SettleDiverged):
                 raise p
             k = int(np.argmin(z_quotient_distances(p.rotation, modes)))
             counts[k] += 1
-            digest.update(p.rotation.tobytes())
+        lone = initials[:LONE_DROPS]
+        start = time.perf_counter()
+        alone = [settle(mesh, initial) for initial in lone]
+        lone_elapsed = time.perf_counter() - start
+        if rotations_sha256(alone) != rotations_sha256(settled[:len(lone)]):
+            mismatched.append(name)
         tips = np.array([len(trace) - 1 for trace in traces])
         rises = sum(max(np.diff(trace), default=0.0) > 1e-9 for trace in traces)
-        walked = tips.sum() - world_path.rows
+        walked = tips.sum() - world_rows
         print(f"\n{name}: {len(enum)} classes, {args.drops} drops, "
-              f"{1e3 * elapsed / args.drops:.2f} ms/settle")
+              f"{1e3 * elapsed / args.drops:.2f} ms/settle; first {len(lone)} alone "
+              f"{1e3 * lone_elapsed / len(lone):.2f} ms/settle")
         print(f"  tips: median {int(np.median(tips))}, max {tips.max()}; "
-              f"{walked} walked, {world_path.rows} world-frame")
+              f"{walked} walked, {world_rows} world-frame")
         print(f"  drops whose COM rose: {rises}")
-        print(f"  settled rotations sha256 {digest.hexdigest()}")
+        print(f"  settled rotations sha256 {rotations_sha256(settled)}")
         for k, p in enumerate(enum):
             share = counts[k] / args.drops
             print(f"  class {k}: margin {p.stability_margin:.3f}  "
                   f"score {p.score:.3f}  reached {share:5.1%} {'#' * int(50 * share)}")
+    if mismatched:
+        sys.exit(f"lone settles differ from the batch on: {', '.join(mismatched)}")
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ from scipy.spatial import ConvexHull, QhullError
 from .mesh import (
     PivotTable,
     TriMesh,
-    ZeroPlaneVector,
     _convex_order_2d,
     _coplanar_groups,
     _facet,
@@ -30,13 +29,14 @@ from .rotations import (
     _any_perpendicular,
     check_rotation,
     quaternion_rotations,
-    random_rotation,
     rotation_between,
     rotation_from_axis_angle,
 )
 
 CONTACT_TOL = 1e-6
 DEFAULT_MARGIN_EPS = 1e-4
+# Tips a settle takes before it diverges, by default and in the dataset.
+MAX_TIPS = 200
 DOWN = np.array([0.0, 0.0, -1.0])
 
 
@@ -183,21 +183,13 @@ def _polygon_margins(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(outside, -dist, inside)
 
 
-def nearest_polygon_edge(p: np.ndarray, poly: np.ndarray, idx: np.ndarray) -> int:
-    """Index of the edge poly[i] -> poly[i + 1] of a CCW polygon nearest
-    to p, whose vertices have the distinct hull-vertex indices ``idx``.
-    Near-ties (1e-12 relative) go to the edge whose line p lies furthest
-    beyond, and ties in that to the edge with the lowest sorted pair of
-    vertex indices (``mesh._nearest_edge``)."""
-    idx = np.asarray(idx, dtype=np.int64)
-    pair = _pair_keys(idx, np.roll(idx, -1))
-    return int(_nearest_edges(p, poly, np.roll(poly, -1, axis=0), pair))
-
-
 def _nearest_edges(p: np.ndarray, a: np.ndarray, b: np.ndarray, pair: np.ndarray) -> np.ndarray:
-    """``nearest_polygon_edge`` of the points p (..., 2) for the polygons
-    with edges a[..., i] -> b[..., i], each (..., k, 2), whose tie keys
-    are ``pair`` (``_pair_keys``)."""
+    """Index of the edge a[..., i] -> b[..., i] nearest to each point p
+    (..., 2), for the CCW polygons with edges a -> b, each (..., k, 2),
+    whose tie keys are ``pair`` (``_pair_keys``).  Near-ties (1e-12
+    relative) go to the edge whose line p lies furthest beyond, and ties
+    in that to the edge with the lowest sorted pair of vertex indices
+    (``mesh._nearest_edge``)."""
     d = b - a
     # signed distances beyond the edge lines; a zero-length edge has 0
     cross = d[..., 1] * (p[..., None, 0] - a[..., 0]) - d[..., 0] * (p[..., None, 1] - a[..., 1])
@@ -386,19 +378,19 @@ def stability_check(
     mesh: TriMesh,
     pose: Placement,
     margin_eps: float = DEFAULT_MARGIN_EPS,
-    contact_tol: float = CONTACT_TOL,
 ) -> tuple[bool, float]:
     """Support-polygon stability of a posed mesh.
 
     Stable iff the COM projection sits at least margin_eps inside the
-    support polygon of the hull vertices within contact_tol of the plane
-    (``_contact_support``) and no vertex penetrates the plane.
+    support polygon of the hull vertices within ``CONTACT_TOL`` of the
+    plane (``_contact_support``) and no vertex penetrates the plane by
+    more than ``CONTACT_TOL``.
     """
     world = mesh.hull.vertices @ pose.rotation.T + pose.translation
-    if world[:, 2].min() < -contact_tol:
+    if world[:, 2].min() < -CONTACT_TOL:
         return False, -np.inf
     com = pose.rotation @ mesh.com + pose.translation
-    support = _contact_support(mesh, np.flatnonzero(world[:, 2] <= contact_tol))
+    support = _contact_support(mesh, np.flatnonzero(world[:, 2] <= CONTACT_TOL))
     margin = float(_contact_margin(world[:, :2], com[:2], support))
     return bool(margin >= margin_eps), margin
 
@@ -613,24 +605,24 @@ def _line_axis(a2: np.ndarray, b2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def settle(
     mesh: TriMesh,
     initial: np.ndarray,
-    max_tips: int = 200,
+    max_tips: int = MAX_TIPS,
     margin_eps: float = DEFAULT_MARGIN_EPS,
-    contact_tol: float = CONTACT_TOL,
     return_trace: bool = False,
 ):
     """Lower the mesh onto the plane under ``initial`` and pivot about
     support edges until the COM projection enters the support polygon.
 
-    Each pivot rotates about the support edge nearest the COM projection
-    by the smallest angle that brings a new hull vertex into contact.
-    When the COM projection is nearest a support vertex, both edges at it
-    are equally near, and the pivot is the one whose line the projection
-    lies furthest beyond (``nearest_polygon_edge``), so the COM height is
-    non-increasing across pivots.  Any tie left goes to the edge with the
-    lowest sorted pair of hull-vertex indices, in the rolling graph and
-    the world-frame path alike, so the settled placement type does not
-    depend on the frame: turning ``initial`` about z changes nothing but
-    rounding.
+    The contacts are the hull vertices within ``CONTACT_TOL`` of the
+    plane.  Each pivot rotates about the support edge nearest the COM
+    projection by the smallest angle that brings a new hull vertex into
+    contact.  When the COM projection is nearest a support vertex, both
+    edges at it are equally near, and the pivot is the one whose line the
+    projection lies furthest beyond (``_nearest_edges``), so the COM
+    height is non-increasing across pivots.  Any tie left goes to the
+    edge with the lowest sorted pair of hull-vertex indices, in the
+    rolling graph and the world-frame path alike, so the settled
+    placement type does not depend on the frame: turning ``initial``
+    about z changes nothing but rounding.
 
     When the contacts are exactly the vertices of one hull triangle that
     the mesh's rolling graph (``TriMesh.pivot_table``, built here on first
@@ -639,7 +631,7 @@ def settle(
     then walks the graph in the body frame: ``rot = rot @ turn[r]`` and
     ``r = next[r]`` per tip, with the trace height ``height[r]``, for as
     long as the landed row is walkable too (COM beyond its pivot edge
-    and every other vertex more than ``contact_tol`` above its plane, so
+    and every other vertex more than ``CONTACT_TOL`` above its plane, so
     it alone would touch).  Walked tips count toward ``max_tips``.  When
     the walk stops, the contacts are derived again from the posed hull.
     Point, segment and polygon supports, and one triangle whose COM lies
@@ -652,13 +644,17 @@ def settle(
     inradius, clamped to [0, 1].  Returns the stable Placement; with
     return_trace=True also returns the list of COM heights after each
     drop and tip.  Raises SettleDiverged past ``max_tips`` tips or when
-    no vertex can come down.
+    no vertex can come down.  Past ``max_tips`` on a mesh where no hull
+    facet's margin reaches margin_eps, the message says so and names the
+    largest facet margin (``_explain_tips``).
     Many drops of one mesh settle faster together (``settle_batch``).
     """
     heights: list[float] = []
-    placement = _settle_one(
-        mesh, np.array(initial, dtype=float), heights, max_tips, margin_eps, contact_tol
-    )
+    try:
+        placement = _settle_one(mesh, np.array(initial, dtype=float), heights, max_tips,
+                                margin_eps)
+    except SettleDiverged as exc:
+        raise _explain_tips(mesh, [exc], max_tips, margin_eps)[0] from None
     return (placement, heights) if return_trace else placement
 
 
@@ -670,21 +666,22 @@ _SETTLE_BLOCK = 2**16
 def settle_batch(
     mesh: TriMesh,
     initials: np.ndarray,
-    max_tips: int = 200,
+    max_tips: int = MAX_TIPS,
     margin_eps: float = DEFAULT_MARGIN_EPS,
-    contact_tol: float = CONTACT_TOL,
     return_trace: bool = False,
 ):
     """``settle`` of every drop from the initial rotations ``initials``
     (N, 3, 3): one outcome per drop, in order, either its stable
     Placement or the SettleDiverged it met, which leaves the other drops
     alone.  With return_trace=True also returns each drop's list of COM
-    heights.  Every outcome has the bits ``settle`` gives the drop alone.
+    heights.  Every outcome has the bits ``settle`` gives the drop alone,
+    and a drop past ``max_tips`` gets the message ``settle`` would raise.
 
     The drops run in lockstep, in blocks of at most ``_SETTLE_BLOCK``
     drops times mesh vertices, so memory stays bounded for large meshes
     or drop counts.  Per iteration a block's active drops share one
-    stacked hull transform, lowering and contact mask.  Drops resting on
+    stacked hull transform, lowering and contact mask, whose rows become
+    each drop's sorted contact set (``_contact_sets``).  Drops resting on
     the same contact set form a group, which looks its ``Support`` up
     once and gets its margins and pivot lines in one array pass; a group
     on a walkable triangle walks the rolling graph one drop at a time.
@@ -694,10 +691,31 @@ def settle_batch(
     initials = np.asarray(initials, dtype=float).reshape(-1, 3, 3)
     outcomes, traces = [], []
     for block in _blocks(mesh, len(initials)):
-        got, heights = _settle_block(mesh, initials[block], max_tips, margin_eps, contact_tol)
+        got, heights = _settle_block(mesh, initials[block], max_tips, margin_eps)
         outcomes += got
         traces += heights
+    outcomes = _explain_tips(mesh, outcomes, max_tips, margin_eps)
     return (outcomes, traces) if return_trace else outcomes
+
+
+def _explain_tips(mesh: TriMesh, outcomes: list, max_tips: int, margin_eps: float) -> list:
+    """``outcomes``, in which every drop past ``max_tips`` gets a
+    SettleDiverged that names margin_eps and the largest hull facet
+    margin when no facet's margin reaches margin_eps.  The facets are
+    enumerated only when some drop went past ``max_tips``."""
+    past = f"exceeded max_tips={max_tips}"
+    over = [isinstance(o, SettleDiverged) and str(o) == past for o in outcomes]
+    if not any(over):
+        return outcomes
+    margins = [p.stability_margin for p in enumerate_stable(mesh, 0.0)]
+    if margins and max(margins) >= margin_eps:
+        return outcomes
+    largest = f"is {max(margins):.3g}" if margins else "is below 0"
+    exc = SettleDiverged(
+        f"{past}: no hull facet reaches margin_eps={margin_eps:g}; "
+        f"the largest facet margin {largest}"
+    )
+    return [exc if o else outcome for o, outcome in zip(over, outcomes)]
 
 
 def _blocks(mesh: TriMesh, n: int) -> list[slice]:
@@ -707,13 +725,17 @@ def _blocks(mesh: TriMesh, n: int) -> list[slice]:
     return [slice(i, i + step) for i in range(0, n, step)]
 
 
+def _contact_sets(touch: np.ndarray) -> list[tuple[int, ...]]:
+    """Each row's sorted contact indices, as a tuple, for the (n, V)
+    contact mask ``touch``: one ``np.nonzero``, split per row."""
+    _, cols = np.nonzero(touch)
+    flat = cols.tolist()
+    ends = np.cumsum(np.count_nonzero(touch, axis=1)).tolist()
+    return [tuple(flat[start:end]) for start, end in zip([0] + ends[:-1], ends)]
+
+
 def _settle_one(
-    mesh: TriMesh,
-    rot: np.ndarray,
-    heights: list[float],
-    max_tips: int,
-    margin_eps: float,
-    contact_tol: float,
+    mesh: TriMesh, rot: np.ndarray, heights: list[float], max_tips: int, margin_eps: float
 ) -> Placement:
     """``settle`` from the rotation ``rot``, appending the trace to
     ``heights``; raises SettleDiverged."""
@@ -725,10 +747,10 @@ def _settle_one(
         com = rot @ com_body
         com[2] -= zmin
         heights.append(float(com[2]))
-        contact = np.flatnonzero(world[:, 2] <= contact_tol)
-        r = _walkable_row(mesh, contact, contact_tol)
+        contact = np.flatnonzero(world[:, 2] <= CONTACT_TOL)
+        r = _walkable_row(mesh, contact)
         if r is not None:
-            rot = _walk(mesh.pivot_table, r, rot, heights, max_tips, contact_tol)
+            rot = _walk(mesh.pivot_table, r, rot, heights, max_tips)
             continue
         support = _contact_support(mesh, contact)
         margin = float(_contact_margin(world[:, :2], com[:2], support))
@@ -736,26 +758,21 @@ def _settle_one(
             return _resting(mesh, rot[None], [margin], [support.inradius])[0]
         _check_tips(heights, max_tips)
         a, u = _pivot_axis(world[:, :2], com[:2], support)
-        turn, stuck = _pivot_turns(world, com, a, u, contact_tol)
+        turn, stuck = _pivot_turns(world, com, a, u)
         if stuck:
             raise SettleDiverged("no pivot target vertex")
         rot = turn @ rot
 
 
 def _settle_block(
-    mesh: TriMesh,
-    initials: np.ndarray,
-    max_tips: int,
-    margin_eps: float,
-    contact_tol: float,
+    mesh: TriMesh, initials: np.ndarray, max_tips: int, margin_eps: float
 ) -> tuple[list, list[list[float]]]:
     """Outcomes and traces of the drops from ``initials`` (n, 3, 3), for
     ``settle_batch``."""
     traces: list[list[float]] = [[] for _ in initials]
     if len(initials) == 1:
         try:
-            outcome = _settle_one(mesh, initials[0].copy(), traces[0], max_tips, margin_eps,
-                                  contact_tol)
+            outcome = _settle_one(mesh, initials[0].copy(), traces[0], max_tips, margin_eps)
         except SettleDiverged as exc:
             outcome = exc
         return [outcome], traces
@@ -772,19 +789,20 @@ def _settle_block(
         com[:, 2] -= zmin
         for i, h in zip(active.tolist(), com[:, 2].tolist()):
             traces[i].append(h)
-        touch = world[:, :, 2] <= contact_tol
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for j, contact in enumerate(_contact_sets(world[:, :, 2] <= CONTACT_TOL)):
+            groups.setdefault(contact, []).append(j)
         going = np.ones(len(active), dtype=bool)
         stable: list[tuple[int, float, float]] = []  # (row, margin, inradius)
         pivots = []  # (rows, world, com, a, u) per group
-        for rows in _equal_rows(touch):
-            contact = np.flatnonzero(touch[rows[0]])
-            r = _walkable_row(mesh, contact, contact_tol)
+        for contact, rows in groups.items():
+            contact, rows = np.array(contact), np.array(rows)
+            r = _walkable_row(mesh, contact)
             if r is not None:
                 for j in rows.tolist():
                     i = active[j]
                     try:
-                        rots[i] = _walk(mesh.pivot_table, r, rots[i], traces[i], max_tips,
-                                        contact_tol)
+                        rots[i] = _walk(mesh.pivot_table, r, rots[i], traces[i], max_tips)
                     except SettleDiverged as exc:
                         outcomes[i], going[j] = exc, False
                 continue
@@ -816,7 +834,7 @@ def _settle_block(
             rows, posed, at, a, u = (
                 pivots[0] if len(pivots) == 1 else (np.concatenate(p) for p in zip(*pivots))
             )
-            turn, stuck = _pivot_turns(posed, at, a, u, contact_tol)
+            turn, stuck = _pivot_turns(posed, at, a, u)
             turned = rows[~stuck]
             rots[active[turned]] = turn[~stuck] @ rot[turned]
             for j in rows[stuck].tolist():
@@ -826,27 +844,18 @@ def _settle_block(
     return outcomes, traces
 
 
-def _walkable_row(mesh: TriMesh, contact: np.ndarray, contact_tol: float) -> int | None:
+def _walkable_row(mesh: TriMesh, contact: np.ndarray) -> int | None:
     """The rolling-graph row to walk from when the contacts ``contact``
     are one walkable hull triangle, else None."""
     if len(contact) != 3:
         return None
     table = mesh.pivot_table
     r = table.row(contact)
-    return r if r is not None and table.walkable(r, contact_tol) else None
-
-
-def _equal_rows(mask: np.ndarray) -> list[np.ndarray]:
-    """Indices of the rows of the boolean (n, V) ``mask``, grouped by
-    equal rows."""
-    _, inverse, counts = np.unique(
-        np.packbits(mask, axis=1), axis=0, return_inverse=True, return_counts=True
-    )
-    return np.split(np.argsort(inverse.ravel(), kind="stable"), np.cumsum(counts)[:-1])
+    return r if r is not None and table.walkable(r, CONTACT_TOL) else None
 
 
 def _pivot_turns(
-    world: np.ndarray, com: np.ndarray, a: np.ndarray, u: np.ndarray, contact_tol: float
+    world: np.ndarray, com: np.ndarray, a: np.ndarray, u: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """For poses ``world`` (..., V, 3) with COMs ``com`` (..., 3) pivoting
     about the lines (a, u), each (..., 3): the turns (..., 3, 3) by the
@@ -861,7 +870,7 @@ def _pivot_turns(
     b_z = s[..., None] * (u[..., 0, None] * rel[..., 1] - u[..., 1, None] * rel[..., 0])
     phi = np.arctan2(np.maximum(a_z, 0.0), -b_z)
     # only vertices strictly above the plane can become the new contact
-    valid = (a_z > contact_tol) & (phi > 1e-9)
+    valid = (a_z > CONTACT_TOL) & (phi > 1e-9)
     stuck = ~valid.any(axis=-1)
     phi_star = np.where(stuck, 0.0, np.where(valid, phi, np.inf).min(axis=-1))
     return rotation_from_axis_angle(u, s * phi_star), stuck
@@ -886,12 +895,7 @@ def _resting(
 
 
 def _walk(
-    table: PivotTable,
-    r: int,
-    rot: np.ndarray,
-    heights: list[float],
-    max_tips: int,
-    contact_tol: float,
+    table: PivotTable, r: int, rot: np.ndarray, heights: list[float], max_tips: int
 ) -> np.ndarray:
     """Pose after rolling from the walkable row r, resting under ``rot``,
     along the rolling graph until it lands on a row that is not walkable.
@@ -901,7 +905,7 @@ def _walk(
         _check_tips(heights, max_tips)
         rot = rot @ table.turn[r]
         r = table.next[r]
-        if not table.walkable(r, contact_tol):
+        if not table.walkable(r, CONTACT_TOL):
             return rot
         heights.append(float(table.height[r]))
 
@@ -932,12 +936,11 @@ def settle_records(
     mesh: TriMesh,
     initials: np.ndarray,
     rngs: list[np.random.Generator],
-    max_tips: int = 200,
 ) -> list[PlacementRecord | None]:
-    """Settle the drops from ``initials`` (N, 3, 3) and build a dataset
-    record for each; None for a drop whose settle diverged or came to rest
-    with no support polygon.  Drop i draws its unstable pose from its own
-    Generator ``rngs[i]``.
+    """Settle the drops from ``initials`` (N, 3, 3), each capped at
+    ``MAX_TIPS`` tips, and build a dataset record for each; None for a
+    drop whose settle diverged or came to rest with no support polygon.
+    Drop i draws its unstable pose from its own Generator ``rngs[i]``.
 
     A record holds the placement, three contact points (vertices 0, k // 3
     and 2k // 3 of the k-gon support polygon) and a paired unstable pose:
@@ -945,14 +948,12 @@ def settle_records(
     contacts' plane (``plane_from_contacts``) at least 1e-6 from the
     origin, of at most ``_UNSTABLE_TRIES``.  Each block of
     ``settle_batch`` drops takes one stacked pass for the resting pose,
-    contact triple, pivot and first try; only drops whose first try fails
-    draw again, one at a time."""
+    contact triple and pivot, and one stacked pass per try over the drops
+    whose tries have all failed so far."""
     records: list[PlacementRecord | None] = []
     initials = np.asarray(initials, dtype=float).reshape(-1, 3, 3)
     for block in _blocks(mesh, len(initials)):
-        outcomes, _ = _settle_block(
-            mesh, initials[block], max_tips, DEFAULT_MARGIN_EPS, CONTACT_TOL
-        )
+        outcomes, _ = _settle_block(mesh, initials[block], MAX_TIPS, DEFAULT_MARGIN_EPS)
         records += _block_records(object_id, mesh, outcomes, rngs[block])
     return records
 
@@ -968,67 +969,56 @@ def _block_records(
     rot = np.stack([outcomes[i].rotation for i in settled])
     shift = np.stack([outcomes[i].translation for i in settled])
     world = mesh.hull.vertices @ rot.transpose(0, 2, 1) + shift[:, None, :]
-    touch = world[:, :, 2] <= CONTACT_TOL
     kept, triples = [], []
-    for j in range(len(settled)):
-        poly = _contact_support(mesh, np.flatnonzero(touch[j])).polygon
+    for j, contact in enumerate(_contact_sets(world[:, :, 2] <= CONTACT_TOL)):
+        poly = _contact_support(mesh, np.array(contact)).polygon
         if poly is not None:  # else the drop counts as diverged
             k = len(poly)
             kept.append(j)
             triples.append(world[j, poly[[0, k // 3, (2 * k) // 3]]])
     if not kept:
         return records
+    drops = [settled[j] for j in kept]
     triple = np.stack(triples)
-    pivot = (rot[kept] @ mesh.com + shift[kept])[:, None, :]
-    turn = quaternion_rotations(np.stack([rngs[settled[j]].normal(size=4) for j in kept]))
-    rotated = pivot + (triple - pivot) @ turn.transpose(0, 2, 1)
-    v, spans, off_origin = plane_vectors(rotated[:, 0], rotated[:, 1], rotated[:, 2])
-    if not spans.all():
-        plane_from_contacts(*rotated[np.argmin(spans)])  # raises CollinearContacts
-    first = off_origin & ~(np.sqrt(np.vecdot(v, v)) < 1e-6)
-    unstable = turn @ rot[kept]
-    for n, j in enumerate(kept):
-        i = settled[j]
-        if first[n]:
-            pose, v_gt = unstable[n], v[n]
-        else:
-            pose, v_gt = _unstable_pose(rngs[i], pivot[n, 0], triple[n], outcomes[i].rotation)
+    rest = rot[kept]
+    pivot = (rest @ mesh.com + shift[kept])[:, None, :]
+    poses: list = [None] * len(kept)
+    planes: list = [None] * len(kept)
+    pending = np.arange(len(kept))
+    for _ in range(_UNSTABLE_TRIES):
+        if not len(pending):
+            break
+        turn = quaternion_rotations(np.stack([rngs[drops[n]].normal(size=4)
+                                              for n in pending.tolist()]))
+        at = pivot[pending]
+        rotated = at + (triple[pending] - at) @ turn.transpose(0, 2, 1)
+        v, spans, off_origin = plane_vectors(rotated[:, 0], rotated[:, 1], rotated[:, 2])
+        if not spans.all():
+            plane_from_contacts(*rotated[np.argmin(spans)])  # raises CollinearContacts
+        held = off_origin & ~(np.sqrt(np.vecdot(v, v)) < 1e-6)
+        for n, pose, v_gt in zip(pending[held].tolist(), turn[held] @ rest[pending[held]],
+                                 v[held]):
+            poses[n], planes[n] = pose, v_gt
+        pending = pending[~held]
+    for n, i in enumerate(drops):
         records[i] = PlacementRecord(
             object_id=object_id,
             placement=outcomes[i],
             contact_points=triple[n],
-            unstable_rotation=pose,
-            v_gt=v_gt,
+            unstable_rotation=poses[n],
+            v_gt=planes[n],
         )
     return records
-
-
-def _unstable_pose(
-    rng: np.random.Generator, pivot: np.ndarray, triple: np.ndarray, rotation: np.ndarray
-) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """The unstable rotation and plane vector of the tries after a failed
-    first one, or (None, None) when every try fails."""
-    for _ in range(_UNSTABLE_TRIES - 1):
-        r_rand = random_rotation(rng)
-        rotated = pivot + (triple - pivot) @ r_rand.T
-        try:
-            v = plane_from_contacts(rotated[0], rotated[1], rotated[2])
-        except ZeroPlaneVector:
-            continue
-        if np.linalg.norm(v) < 1e-6:
-            continue
-        return r_rand @ rotation, v
-    return None, None
 
 
 def generate_dataset(
     meshes: list[tuple[str, TriMesh]],
     drops_per_object: int,
     seed: int,
-    max_tips: int = 200,
     workers: int = 1,
 ) -> DatasetResult:
-    """Settle ``drops_per_object`` seeded random orientations per object.
+    """Settle ``drops_per_object`` seeded random orientations per object,
+    each capped at ``MAX_TIPS`` tips.
 
     Each drop derives its RNG stream from (seed, object index, drop
     index), so record order and content are independent of ``workers``;
@@ -1051,12 +1041,12 @@ def generate_dataset(
     chunks = [jobs[i:i + _CHUNK] for i in range(0, len(jobs), _CHUNK)]
     workers = min(workers, len(chunks))
     if workers <= 1:
-        results = _run_drops(meshes, seed, max_tips, jobs)
+        results = _run_drops(meshes, seed, jobs)
     else:
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,
-            initargs=(meshes, seed, max_tips),
+            initargs=(meshes, seed),
         ) as pool:
             results = [rec for part in pool.map(_pool_drops, chunks, chunksize=1)
                        for rec in part]
@@ -1070,24 +1060,24 @@ def generate_dataset(
     return DatasetResult(records=records, diverged=diverged)
 
 
-def _run_drops(meshes, seed: int, max_tips: int, jobs: list[tuple[int, int]]):
+def _run_drops(meshes, seed: int, jobs: list[tuple[int, int]]):
     """Records of the (object index, drop index) jobs, one batch per run
     of jobs on the same object."""
     results = []
     for obj_idx, run in groupby(jobs, key=lambda job: job[0]):
         object_id, mesh = meshes[obj_idx]
         drops = [drop_idx for _, drop_idx in run]
-        results += _drop_records(object_id, mesh, seed, obj_idx, drops, max_tips)
+        results += _drop_records(object_id, mesh, seed, obj_idx, drops)
     return results
 
 
-# (meshes, seed, max_tips) of the generate_dataset call a worker serves.
+# (meshes, seed) of the generate_dataset call a worker serves.
 _WORKER: tuple = ()
 
 
-def _init_worker(meshes, seed: int, max_tips: int) -> None:
+def _init_worker(meshes, seed: int) -> None:
     global _WORKER
-    _WORKER = (meshes, seed, max_tips)
+    _WORKER = (meshes, seed)
 
 
 def _pool_drops(jobs: list[tuple[int, int]]) -> list[PlacementRecord | None]:
@@ -1095,21 +1085,16 @@ def _pool_drops(jobs: list[tuple[int, int]]) -> list[PlacementRecord | None]:
 
 
 def _drop_records(
-    object_id: str, mesh: TriMesh, seed: int, obj_idx: int, drops: list[int], max_tips: int
+    object_id: str, mesh: TriMesh, seed: int, obj_idx: int, drops: list[int]
 ) -> list[PlacementRecord | None]:
     """Records of the seeded drops ``drops`` of one object."""
     rngs = [np.random.default_rng([seed, obj_idx, drop_idx]) for drop_idx in drops]
     initials = quaternion_rotations(np.stack([rng.normal(size=4) for rng in rngs]))
-    return settle_records(object_id, mesh, initials, rngs, max_tips=max_tips)
+    return settle_records(object_id, mesh, initials, rngs)
 
 
 def generate_one_drop(
-    object_id: str,
-    mesh: TriMesh,
-    seed: int,
-    obj_idx: int,
-    drop_idx: int,
-    max_tips: int = 200,
+    object_id: str, mesh: TriMesh, seed: int, obj_idx: int, drop_idx: int
 ) -> PlacementRecord | None:
     """One dataset drop; None when the settle diverged."""
-    return _drop_records(object_id, mesh, seed, obj_idx, [drop_idx], max_tips)[0]
+    return _drop_records(object_id, mesh, seed, obj_idx, [drop_idx])[0]

@@ -175,6 +175,18 @@ class TestSettle:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)  # no traceback
 
+    def test_margin_eps_out_of_reach_exit_3(self, runner, tmp_path):
+        # a cube of side 1e-4 has facet margins of 5e-5, below the default
+        # margin_eps, so every drop tips until max_tips
+        cube = fixtures.unit_cube()
+        path = tmp_path / "tiny_cube.obj"
+        save_obj(TriMesh(cube.vertices * 1e-4, cube.faces), path)
+        result = runner.invoke(main, ["settle", str(path), "--seed", "3"])
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert ("settle diverged: exceeded max_tips=200: no hull facet reaches "
+                "margin_eps=0.0001; the largest facet margin is 5e-05") in result.stderr
+
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(
         st.text(max_size=40),

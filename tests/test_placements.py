@@ -50,7 +50,6 @@ from stableplace.placements import (
     enumerate_stable,
     generate_dataset,
     generate_one_drop,
-    nearest_polygon_edge,
     polygon_inradius,
     settle,
     settle_batch,
@@ -548,6 +547,31 @@ class TestDenseMeshSettle:
             checked += 1
         assert checked >= 5
 
+    def test_divergence_names_margin_eps_no_facet_reaches(self):
+        """On the unit cube scaled by 1e-4, whose largest facet margin is
+        5e-5, every drop tips until max_tips; settle and settle_batch then
+        say that no facet reaches margin_eps, with one enumeration per
+        call.  A mesh with a reachable facet keeps the plain message, and
+        a drop that settles enumerates nothing."""
+        cube = fixtures.unit_cube()
+        tiny = TriMesh(cube.vertices * 1e-4, cube.faces)
+        rng = np.random.default_rng(2)
+        initials = np.stack([random_rotation(rng) for _ in range(3)])
+        want = ("exceeded max_tips=200: no hull facet reaches margin_eps=0.0001; "
+                "the largest facet margin is 5e-05")
+        with _counting(placements, "enumerate_stable") as calls:
+            with pytest.raises(SettleDiverged) as err:
+                settle(tiny, initials[0])
+            assert str(err.value) == want
+            assert [str(o) for o in settle_batch(tiny, initials)] == [want] * 3
+            assert calls[0] == 2
+            with pytest.raises(SettleDiverged, match=r"^exceeded max_tips=1$"):
+                settle(cube, initials[0], max_tips=1)
+            assert calls[0] == 3
+            settle_batch(cube, initials)
+            settle(tiny, initials[0], margin_eps=1e-5)
+            assert calls[0] == 3
+
 
 @contextlib.contextmanager
 def _counting(module, name):
@@ -579,7 +603,7 @@ def _table_mesh(name):
 def _loop_pivot_rows(mesh):
     """Per hull triangle, from a loop over its edges in the body frame:
     its ascending vertex triple and its pivot edge (start, end) by the tie
-    rule of ``nearest_polygon_edge``."""
+    rule of ``_nearest_edges``."""
     hull = mesh.hull
     com = mesh.com
     rows = []
@@ -723,7 +747,7 @@ class TestPivotTable:
         for r in beyond:
             heights = []
             rot = rotation_between(normals[r], np.array([0.0, 0.0, -1.0]))
-            landed = _walk(table, r, rot, heights, 200, CONTACT_TOL)
+            landed = _walk(table, r, rot, heights, 200)
             assert heights == []  # one tip, then the world path takes over
             assert landed @ normals[table.next[r]] == pytest.approx([0, 0, -1], abs=1e-12)
         assert len(beyond) > 0 or name == "cube"
@@ -1035,6 +1059,27 @@ class TestLockstep:
             # the identity try, had it held, would leave the rotation as it was
             assert not np.array_equal(rec.unstable_rotation, rec.placement.rotation)
 
+    def test_unstable_pose_retry_beside_diverged_drops(self, monkeypatch):
+        """Every other drop of a block diverges at MAX_TIPS = 1 (each
+        random cube drop takes two tips) and the others start at rest;
+        each resting drop's retry still draws from its own Generator."""
+        mesh = _table_mesh("cube")
+        monkeypatch.setattr(placements, "MAX_TIPS", 1)
+        rng = np.random.default_rng(6)
+        initials = np.stack([r for p in enumerate_stable(mesh)
+                             for r in (random_rotation(rng), p.rotation)])
+        want = []
+        for d, initial in enumerate(initials):
+            try:
+                want.append(_record_bytes(_reference_settle_record(
+                    "cube", mesh, initial, _FirstTryInPlane(d), max_tips=1)))
+            except SettleDiverged:
+                want.append(None)
+        assert want[0::2] == [None] * 6 and None not in want[1::2]
+        got = settle_records("cube", mesh, initials,
+                             [_FirstTryInPlane(d) for d in range(len(initials))])
+        assert [_record_bytes(rec) for rec in got] == want
+
     def test_stacked_support_geometry_matches_one_drop_at_a_time(self):
         """Margins and pivot lines of a stack of poses equal those of each
         pose alone, for polygon, segment, point and mixed stacks; a
@@ -1189,6 +1234,15 @@ def _loop_point_segment_distance(p, a, b):
     return float(np.linalg.norm(p - (a + t * ab)))
 
 
+def _nearest_polygon_edge(p, poly, idx):
+    """The edge poly[i] -> poly[i + 1] nearest to p, by ``_nearest_edges``
+    with the tie keys of the vertex indices ``idx``, as ``_pivot_axis``
+    calls it."""
+    idx = np.asarray(idx, dtype=np.int64)
+    pair = placements._pair_keys(idx, np.roll(idx, -1))
+    return int(placements._nearest_edges(p, poly, np.roll(poly, -1, axis=0), pair))
+
+
 def _loop_nearest_polygon_edge(p, poly, idx):
     """The nearest edge of the polygon with vertex indices ``idx``, by
     ``_loop_tie_rule``."""
@@ -1325,16 +1379,16 @@ class TestEdgeArrays:
         rng = np.random.default_rng(10)
         for p, poly in self.cases():
             idx = rng.permutation(2 * len(poly))[: len(poly)]
-            got = nearest_polygon_edge(p, poly, idx)
+            got = _nearest_polygon_edge(p, poly, idx)
             assert got == _loop_nearest_polygon_edge(p, poly, idx)
 
     def test_nearest_edge_lowest_index_on_ties(self):
         square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-        assert nearest_polygon_edge(np.array([0.5, 0.5]), square, np.arange(4)) == 0
-        assert nearest_polygon_edge(np.array([2.0, 2.0]), square, np.arange(4)) == 1
+        assert _nearest_polygon_edge(np.array([0.5, 0.5]), square, np.arange(4)) == 0
+        assert _nearest_polygon_edge(np.array([2.0, 2.0]), square, np.arange(4)) == 1
         # the tie goes by index pair, not by position: (0, 1) is edge 1 here
-        assert nearest_polygon_edge(np.array([0.5, 0.5]), square, [3, 0, 1, 2]) == 1
-        assert nearest_polygon_edge(np.array([2.0, 2.0]), square, [9, 7, 2, 5]) == 2
+        assert _nearest_polygon_edge(np.array([0.5, 0.5]), square, [3, 0, 1, 2]) == 1
+        assert _nearest_polygon_edge(np.array([2.0, 2.0]), square, [9, 7, 2, 5]) == 2
 
     def test_vertex_tie_goes_to_the_edge_the_point_is_beyond(self):
         # p is nearest the acute vertex (1, 0): it lies beyond the line of
@@ -1343,7 +1397,7 @@ class TestEdgeArrays:
         p = np.array([1.196, 0.88])
         dist = _point_segment_distance(p, tri, np.roll(tri, -1, axis=0))
         assert dist[0] == dist[1] < dist[2]
-        assert nearest_polygon_edge(p, tri, np.arange(3)) == 1
+        assert _nearest_polygon_edge(p, tri, np.arange(3)) == 1
 
     def test_point_segment_distances(self):
         for p, poly in self.cases():
