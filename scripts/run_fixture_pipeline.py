@@ -19,8 +19,9 @@ from stableplace.fixtures import standard_fixtures
 from stableplace.mesh import save_obj
 
 
-def main():
-    workdir = Path(sys.argv[1] if len(sys.argv) > 1 else "pipeline_demo")
+def write_config(workdir: Path) -> Path:
+    """Export the fixtures as OBJ files into ``workdir`` and write the
+    pipeline config that reads them; returns the config's path."""
     workdir.mkdir(parents=True, exist_ok=True)
     mesh_paths = []
     for name, mesh in standard_fixtures().items():
@@ -42,7 +43,12 @@ def main():
     }
     config_path = workdir / "config.json"
     config_path.write_text(json.dumps(config, indent=2))
+    return config_path
 
+
+def main():
+    workdir = Path(sys.argv[1] if len(sys.argv) > 1 else "pipeline_demo")
+    config_path = write_config(workdir)
     subprocess.run(
         [sys.executable, "-m", "stableplace.cli", "pipeline", str(config_path)],
         check=True,

@@ -514,7 +514,8 @@ def cmd_pipeline(config_path, workers, dump_poses):
         )
         outputs["plan.json"] = _dump_json(plan)
     result = generate_dataset(
-        meshes, cfg.drops_per_object, cfg.seed, workers=workers or os.cpu_count() or 1
+        meshes, cfg.drops_per_object, cfg.seed, workers=workers or os.cpu_count() or 1,
+        margin_eps=cfg.margin_eps,
     )
     _report_diverged(result)
     outputs["dataset.jsonl"] = _dataset_text(result.records)
@@ -524,7 +525,7 @@ def cmd_pipeline(config_path, workers, dump_poses):
         outputs[f"model_{object_id}.json"] = _dump_json(model.to_json_dict())
         rows.append(evaluate_run(
             candidates[object_id], mesh, model, cfg.thresholds(), object_id=object_id,
-            match_threshold=cfg.match_threshold_deg * DEG,
+            match_threshold=cfg.match_threshold_deg * DEG, margin_eps=cfg.margin_eps,
         ))
     report = EvalReport(rows=rows)
     outputs["report.json"] = _dump_json(report.to_json_dict())

@@ -134,7 +134,9 @@ class TriMesh:
         (sorted indices into ``hull.vertices``) to its
         ``placements.Support``: the support polygon as hull-vertex
         indices, its inradius and the edges that settle's margin and
-        pivot read; filled lazily by ``placements``."""
+        pivot read.  Filled lazily by ``placements``: all the new sets of
+        a lockstep iteration are built in one pass
+        (``_memoize_supports``), the one set of a lone settle alone."""
         return {}
 
     @cached_property

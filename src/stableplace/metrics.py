@@ -15,7 +15,7 @@ import numpy as np
 
 from .clustering import TypeModel
 from .mesh import TriMesh
-from .placements import Placement, SettleDiverged, settle_batch
+from .placements import DEFAULT_MARGIN_EPS, Placement, SettleDiverged, settle_batch
 from .rotations import geodesic_distance, z_quotient_distances
 
 DEG = np.pi / 180.0
@@ -118,9 +118,11 @@ def evaluate_run(
     object_id: str = "object",
     initial_type: int | None = None,
     match_threshold: float = 15.0 * DEG,
+    margin_eps: float = DEFAULT_MARGIN_EPS,
 ) -> ObjectEval:
-    """Settle every prediction, all in one ``settle_batch``, and score
-    accuracy / diversity.
+    """Settle every prediction, all in one ``settle_batch`` that rests a
+    drop once its margin reaches margin_eps, and score accuracy /
+    diversity.
 
     Diverged settles count as inaccurate.  ``initial_type`` defaults to
     the ground-truth type nearest the first prediction; its matches are
@@ -132,7 +134,8 @@ def evaluate_run(
         raise ValueError("predictions must be non-empty")
     stable_rotations: list[np.ndarray] = []
     hits = 0
-    settled = settle_batch(mesh, np.stack([p.rotation for p in predictions]))
+    settled = settle_batch(mesh, np.stack([p.rotation for p in predictions]),
+                           margin_eps=margin_eps)
     for p, after in zip(predictions, settled):
         if isinstance(after, SettleDiverged):
             continue

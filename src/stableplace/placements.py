@@ -20,7 +20,6 @@ from .mesh import (
     TriMesh,
     _convex_order_2d,
     _coplanar_groups,
-    _facet,
     _nearest_edge,
     plane_from_contacts,
     plane_vectors,
@@ -131,19 +130,21 @@ class PlacementRecord:
 # --- 2D support-polygon helpers ----------------------------------------------
 
 
-def _edge_lines(
-    poly: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Start points a, end points b, unit outward normals and lengths of
-    the edges poly[i] -> poly[i + 1] of a CCW polygon, keeping only edges
-    at least 1e-15 long."""
-    a = np.asarray(poly, dtype=float)
-    b = np.roll(a, -1, axis=0)
-    d = b - a
-    n = np.column_stack([d[:, 1], -d[:, 0]])
-    ln = np.sqrt(np.vecdot(n, n))
-    keep = ~(ln < 1e-15)
-    return a[keep], b[keep], n[keep] / ln[keep, None], ln[keep]
+def _ring_edges(
+    polygons: list[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Start and end points a, b (G, K, 2) of the edges of the polygons
+    (k_g, 2), K the largest k_g, and the vertex counts k_g.  Row g holds
+    polygon g's edges, edge i from vertex i to vertex i + 1 and the last
+    back to vertex 0, then zero-length edges at vertex 0, which
+    ``_polygon_margins`` and ``_polygon_inradii`` skip."""
+    count = np.array([len(poly) for poly in polygons])
+    xy = np.zeros((len(polygons), count.max(), 2))
+    for row, poly in zip(xy, polygons):
+        row[:len(poly)] = poly
+    i = np.arange(xy.shape[1])
+    rows, k = np.arange(len(xy))[:, None], count[:, None]
+    return xy[rows, np.where(i < k, i, 0)], xy[rows, np.where(i + 1 < k, i + 1, 0)], count
 
 
 def _point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -207,22 +208,67 @@ def polygon_inradius(poly: np.ndarray) -> float:
     """Chebyshev radius of a CCW convex polygon: the radius of its largest
     inscribed circle, 0 when no three edges bound a region.
 
-    A triangle's is 2 * area / perimeter.  Otherwise consecutive edges
-    that turn by at most 1e-12 rad are treated as one line, and
-    ``_chebyshev_radius`` solves for the radius exactly."""
-    a, b, n, ln = _edge_lines(poly)
-    if len(poly) == 3 and len(n) == 3:
-        d = b - a
-        area2 = float(d[0, 0] * d[1, 1] - d[0, 1] * d[1, 0])
-        return max(area2 / float(ln.sum()), 0.0)
-    prev = np.roll(n, 1, axis=0)
-    straight = (np.vecdot(prev, n) > 0) & (
-        np.abs(prev[:, 0] * n[:, 1] - prev[:, 1] * n[:, 0]) <= 1e-12
-    )
-    n, a = n[~straight], a[~straight]
-    if len(n) < 3:
+    Edges shorter than 1e-15 are skipped.  A triangle with all three
+    edges has 2 * area / perimeter.  Otherwise consecutive edges that
+    turn by at most 1e-12 rad are treated as one line, and
+    ``_chebyshev_radius`` solves for the radius exactly.  Many polygons
+    take one pass (``_polygon_inradii``)."""
+    poly = np.asarray(poly, dtype=float)
+    if len(poly) < 3:
         return 0.0
-    return _chebyshev_radius(n, np.vecdot(n, a - a.mean(axis=0)))
+    return float(_polygon_inradii(*_ring_edges([poly]))[0])
+
+
+def _polygon_inradii(a: np.ndarray, b: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """``polygon_inradius`` of the polygons of count[g] >= 3 vertices whose
+    edges run a[g, i] -> b[g, i] (G, K, 2), as ``_ring_edges`` lays them
+    out, in one array pass up to each polygon's ``_chebyshev_radius``.
+
+    The kept edges, and then those that do not continue the line before
+    them, are moved to the front of their rows in order, so that "the
+    edge before" and the vertex mean are those of the compacted polygon;
+    the mean sums rows padded with -0.0, which adds exactly."""
+    d = b - a
+    n = np.empty_like(d)
+    n[..., 0], n[..., 1] = d[..., 1], -d[..., 0]
+    ln = np.sqrt(np.vecdot(n, n))
+    keep = ~(ln < 1e-15)
+    inr = np.zeros(len(a))
+    tri = (count == 3) & keep[:, :3].all(axis=1)
+    if tri.any():
+        d3 = d[tri]
+        r = (d3[:, 0, 0] * d3[:, 1, 1] - d3[:, 0, 1] * d3[:, 1, 0]) / ln[tri, :3].sum(axis=1)
+        inr[tri] = np.where(r < 0, 0.0, r)
+    rest = np.flatnonzero(~tri)
+    if not len(rest):
+        return inr
+    i = np.arange(a.shape[1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n = n[rest] / ln[rest, :, None]
+    n, a, live = _front(keep[rest], n, a[rest])
+    m = live.sum(axis=1)[:, None]
+    prev = np.take_along_axis(n, np.where(i == 0, m - 1, i - 1)[..., None], axis=1)
+    straight = (np.vecdot(prev, n) > 0) & (
+        np.abs(prev[..., 0] * n[..., 1] - prev[..., 1] * n[..., 0]) <= 1e-12
+    )
+    n, a, live = _front(live & ~straight, n, a)
+    m = live.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean = np.where(live[..., None], a, -0.0).sum(axis=1) / m[:, None]
+    offset = np.vecdot(n, a - mean[:, None])
+    for g, k, n_g, b_g in zip(rest.tolist(), m.tolist(), n, offset):
+        if k >= 3:
+            inr[g] = _chebyshev_radius(n_g[:k], b_g[:k])
+    return inr
+
+
+def _front(mask: np.ndarray, *rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each of ``rows`` (G, K, 2) with the entries that ``mask`` (G, K)
+    marks moved to the front of their row, in order, and the mask moved
+    along."""
+    pos = np.argsort(~mask, axis=1, kind="stable")
+    return (*(np.take_along_axis(r, pos[..., None], axis=1) for r in rows),
+            np.take_along_axis(mask, pos, axis=1))
 
 
 def _chebyshev_radius(n: np.ndarray, b: np.ndarray) -> float:
@@ -322,38 +368,83 @@ class Support:
 def _contact_support(mesh: TriMesh, contact: np.ndarray) -> Support:
     """The ``Support`` of the resting contact set ``contact`` (sorted
     indices into ``mesh.hull.vertices``); sets of three or more are
-    memoized in ``mesh.supports``.
-
-    Polygon and inradius come from one 2-D hull of the contacts projected
-    onto their best-fit plane in the body frame, so neither depends on
-    the pose that first asked."""
+    memoized in ``mesh.supports``, built alone on a miss or together
+    beforehand (``_memoize_supports``)."""
     if len(contact) < 3:
         return Support.without_polygon(contact)
     key = tuple(contact.tolist())
     found = mesh.supports.get(key)
     if found is None:
-        found = mesh.supports[key] = _new_support(mesh, contact)
+        found = mesh.supports[key] = _new_supports(mesh, [contact])[0]
     return found
 
 
-def _new_support(mesh: TriMesh, contact: np.ndarray) -> Support:
-    """The ``Support`` of a contact set of three or more, for the memo."""
-    pts = mesh.hull.vertices[contact]
-    mean = pts.mean(axis=0)
-    _, _, vt = np.linalg.svd(pts - mean)
-    uv = (pts - mean) @ vt[:2].T  # the best-fit plane's coordinates
-    try:
-        order = ConvexHull(uv).vertices
-    except QhullError:
-        return Support.without_polygon(contact)
-    inr = polygon_inradius(uv[order])
-    # qhull's order is counter-clockwise about vt[0] x vt[1]
-    if np.cross(vt[0], vt[1]) @ (mesh.com - mean) < 0:
-        order = order[::-1]
-    poly = contact[order]
-    poly = np.roll(poly, -int(np.argmin(poly)))
-    end = np.roll(poly, -1)
-    return Support(contact, poly, inr, poly, end, _pair_keys(poly, end))
+def _memoize_supports(mesh: TriMesh, contacts: list[tuple[int, ...]]) -> None:
+    """Add to ``mesh.supports`` the contact sets (sorted hull-vertex index
+    tuples) of three or more in ``contacts`` that it lacks, built in one
+    ``_new_supports`` pass."""
+    new = [c for c in dict.fromkeys(contacts) if len(c) >= 3 and c not in mesh.supports]
+    if new:
+        mesh.supports.update(zip(new, _new_supports(mesh, [np.array(c) for c in new])))
+
+
+def _new_supports(mesh: TriMesh, contacts: list[np.ndarray]) -> list[Support]:
+    """The ``Support``s of contact sets of three or more, for the memo.
+
+    Polygon and inradius come from a 2-D hull of the contacts projected
+    onto their best-fit plane in the body frame (the SVD of the centred
+    contacts), so neither depends on the pose that first asked.  Each set
+    gets the bits of building it alone: the SVDs and projections are
+    stacked by set size (``_by_size``).  A triangle takes qhull's vertex order from
+    ``_triangle_order``; qhull runs only for a triangle too flat for that
+    and for larger sets.  The inradii take one ``_polygon_inradii`` pass."""
+    hv = mesh.hull.vertices
+    size = np.array([len(contact) for contact in contacts])
+    rings: list = [None] * len(contacts)  # (counter-clockwise order, uv polygon)
+    flip = np.zeros(len(contacts), dtype=bool)
+    for k, sel in _by_size(size):
+        pts = hv[np.stack([contacts[i] for i in sel.tolist()])]
+        mean = pts.mean(axis=1)
+        _, _, vt = np.linalg.svd(pts - mean[:, None])
+        uv = (pts - mean[:, None]) @ vt[:, :2].transpose(0, 2, 1)  # best-fit plane coordinates
+        # qhull's order is counter-clockwise about vt[0] x vt[1], which
+        # takes np.cross's arithmetic
+        v0, v1 = vt[:, 0], vt[:, 1]
+        up = v0[:, [1, 2, 0]] * v1[:, [2, 0, 1]] - v0[:, [2, 0, 1]] * v1[:, [1, 2, 0]]
+        flip[sel] = np.vecdot(up, mesh.com - mean) < 0
+        order, flat = _triangle_order(uv) if k == 3 else (None, np.ones(len(sel), dtype=bool))
+        for j, i in enumerate(sel.tolist()):
+            try:
+                ring = ConvexHull(uv[j]).vertices if flat[j] else order[j]
+            except QhullError:
+                continue  # no polygon: a point or segment support
+            rings[i] = ring, uv[j][ring]
+    polygons = [i for i, ring in enumerate(rings) if ring is not None]
+    inradii = {}
+    if polygons:
+        edges = _ring_edges([rings[i][1] for i in polygons])
+        inradii = dict(zip(polygons, _polygon_inradii(*edges).tolist()))
+    supports = []
+    for i, contact in enumerate(contacts):
+        if rings[i] is None:
+            supports.append(Support.without_polygon(contact))
+            continue
+        order = rings[i][0]
+        ring = contact[order[::-1] if flip[i] else order]
+        # start at the lowest index
+        turn = np.arange(len(ring)) + int(np.argmin(ring))
+        poly, end = ring[turn % len(ring)], ring[(turn + 1) % len(ring)]
+        supports.append(Support(contact, poly, inradii[i], poly, end, _pair_keys(poly, end)))
+    return supports
+
+
+def _by_size(size: np.ndarray):
+    """(k, indices of the entries of ``size`` equal to k), for each value k
+    in ascending order: the stacks whose matrix products keep the bits of
+    one product per entry, as BLAS and LAPACK may round a row differently
+    in another shape."""
+    for k in np.unique(size).tolist():
+        yield k, np.flatnonzero(size == k)
 
 
 def _contact_margin(xy: np.ndarray, com_xy: np.ndarray, support: Support) -> np.ndarray:
@@ -411,70 +502,105 @@ def enumerate_stable(
     below the margin, and that slack absorbs the rounding between the two
     computations, which grows with the coordinates, so every dropped
     facet would fail the exact check.  The surviving one-triangle facets
-    take one array pass (``_lone_placements``); only the merged facets of
-    ``_coplanar_groups`` build a ``Facet`` and take the polygon path.
-    The placements are merged in facet order, and the output equals that
-    of checking every facet of ``merge_coplanar_facets``, bit for bit.
-    Raises ValueError unless 0 <= ``angle_tol`` < pi/2 and ``margin_eps``
-    is finite and >= 0.
+    take one array pass (``_lone_placements``).  The merged facets of
+    ``_coplanar_groups``, and the triangles too flat for that pass, take
+    one polygon pass (``_facet_placements``).  The placements are merged
+    in facet order, and the output equals that of checking every facet
+    of ``merge_coplanar_facets``, bit for bit.  Raises ValueError unless
+    0 <= ``angle_tol`` < pi/2 and ``margin_eps`` is finite and >= 0.
     """
     check_margin_eps(margin_eps)
     hull = mesh.hull
     groups, lone = _coplanar_groups(hull, hull.face_normals(), angle_tol)
     slack = 1e-9 * float(np.abs(hull.vertices).max())
     lone &= ~(mesh.edge_distances.min(axis=1) < margin_eps - slack)
-    found = _lone_placements(mesh, np.flatnonzero(lone), margin_eps)
-    for group in groups:
-        facet = _facet(hull, group)
-        placement = _facet_placement(mesh, facet.normal, facet.polygon, margin_eps)
-        if placement is not None:
-            found.append((group[0], placement))
+    found, flat = _lone_placements(mesh, np.flatnonzero(lone), margin_eps)
+    found += _facet_placements(mesh, groups + [[f] for f in flat], margin_eps)
     found.sort(key=lambda seeded: seeded[0])
     return [placement for _, placement in found]
 
 
-def _facet_placement(
-    mesh: TriMesh, normal: np.ndarray, polygon: np.ndarray, margin_eps: float
-) -> Placement | None:
-    """The placement resting on the facet with outward unit normal
-    ``normal`` and vertices ``polygon`` (k, 3), ordered around it, or
-    None when its margin is below margin_eps or its support polygon has
-    no 2-D hull."""
-    rot = rotation_between(normal, DOWN)
-    poly_xy = (polygon @ rot.T)[:, :2]
-    try:
-        poly_xy = poly_xy[ConvexHull(poly_xy).vertices]
-    except QhullError:
-        return None
-    com = rot @ mesh.com
-    margin = signed_polygon_margin(com[:2], poly_xy)
-    if margin < margin_eps:
-        return None
-    zmin = (mesh.vertices @ rot.T)[:, 2].min()
-    inr = polygon_inradius(poly_xy)
-    return Placement(
-        rotation=rot,
-        translation=np.array([-com[0], -com[1], -zmin]),
-        stability_margin=float(margin),
-        score=float(np.clip(margin / inr, 0.0, 1.0)) if inr > 0 else 0.0,
+def _facet_placements(
+    mesh: TriMesh, groups: list[list[int]], margin_eps: float
+) -> list[tuple[int, Placement]]:
+    """(seed face, placement) pairs for the facets of ``mesh.hull`` made of
+    the face groups ``groups``, each seeded by its first face, whose
+    margin is at least margin_eps.
+
+    Each facet gets the bits of building it alone with ``mesh._facet``
+    and checking it exactly: the area-weighted normal, the facet's
+    vertices ordered by a 2-D hull in the in-plane frame, the rotation
+    taking the normal down, and the margin and inradius of the 2-D hull
+    of the posed vertices; a facet without that hull is dropped.  One
+    array pass does this arithmetic for every facet.  The normals' sums
+    are padded with -0.0, which adds exactly, the edges with zero-length
+    ones (``_ring_edges``), and the vertex projections are stacked by
+    vertex count (``_by_size``).  Only the two 2-D qhull orders and ``_chebyshev_radius`` run
+    per facet."""
+    if not groups:
+        return []
+    hull = mesh.hull
+    normals, areas = hull.face_normals_and_areas
+    size = np.array([len(group) for group in groups])
+    faces = np.concatenate(groups)
+    owner = np.repeat(np.arange(len(groups)), size)
+    wn = np.full((len(groups), size.max(), 3), -0.0)
+    wn[owner, np.arange(len(faces)) - np.repeat(np.cumsum(size) - size, size)] = (
+        areas[faces, None] * normals[faces]
     )
+    n = wn.sum(axis=1)
+    n /= np.sqrt(np.vecdot(n, n))[:, None]
+    e1 = _any_perpendicular(n)
+    e2 = np.cross(n, e1)
+    # each group's sorted vertex indices, np.unique of its faces
+    n_vertices = len(hull.vertices)
+    owner, vertex = np.divmod(np.unique(np.repeat(owner, 3) * n_vertices
+                                        + hull.faces[faces].ravel()), n_vertices)
+    count = np.bincount(owner, minlength=len(groups))
+    first = np.cumsum(count) - count
+    rings: list = [None] * len(groups)  # vertex indices ordered around each facet
+    for k, sel in _by_size(count):
+        vidx = vertex[first[sel, None] + np.arange(k)]
+        pts = hull.vertices[vidx]
+        uv = np.concatenate([pts @ e1[sel, :, None], pts @ e2[sel, :, None]], axis=2)
+        for g, v, p in zip(sel.tolist(), vidx, uv):
+            rings[g] = v[_convex_order_2d(p)]
+    rot = rotation_between(n, DOWN)
+    polygons: list = [None] * len(groups)  # posed 2-D hull per facet
+    for _, sel in _by_size(np.array([len(ring) for ring in rings])):
+        posed = hull.vertices[np.stack([rings[g] for g in sel.tolist()])]
+        xy = (posed @ rot[sel].transpose(0, 2, 1))[:, :, :2]
+        for g, p in zip(sel.tolist(), xy):
+            try:
+                polygons[g] = p[ConvexHull(p).vertices]
+            except QhullError:
+                pass  # no support polygon
+    kept = np.array([g for g, poly in enumerate(polygons) if poly is not None], dtype=int)
+    if not len(kept):
+        return []
+    a, b, count = _ring_edges([polygons[g] for g in kept.tolist()])
+    margin = _polygon_margins((rot[kept] @ mesh.com)[:, :2], a, b)
+    rests = np.flatnonzero(~(margin < margin_eps))
+    inradii = _polygon_inradii(a[rests], b[rests], count[rests])
+    placements = _resting(mesh, rot[kept[rests]], margin[rests].tolist(), inradii.tolist())
+    return [(groups[g][0], p) for g, p in zip(kept[rests].tolist(), placements)]
 
 
 def _lone_placements(
     mesh: TriMesh, faces: np.ndarray, margin_eps: float
-) -> list[tuple[int, Placement]]:
+) -> tuple[list[tuple[int, Placement]], list[int]]:
     """(face, placement) pairs for the one-triangle facets of
     ``mesh.hull`` among ``faces`` whose margin is at least margin_eps,
-    with the bits that ``_facet`` and ``_facet_placement`` would give.
+    with the bits that ``_facet_placements`` would give, and the faces
+    too flat for this pass, which take that one instead.
 
     One array pass over the triangles repeats that arithmetic: the
     normal, the in-plane frame, the two 2-D vertex orders
     (``_triangle_order`` in place of qhull), the rotation, the margin and
     the inradius 2 * area / perimeter.  The vertex order fixes which
-    edges the inradius sums first.  Only the lowest vertex, for the
-    translation, is found per kept triangle.  A triangle too flat for
-    the order rule, or with an edge shorter than ``_edge_lines`` keeps,
-    takes the polygon path instead."""
+    edges the inradius sums first.  A triangle is too flat when the order
+    rule flags it or when an edge is shorter than the 1e-15 that
+    ``polygon_inradius`` keeps."""
     hull = mesh.hull
     normals, areas = hull.face_normals_and_areas
     wn = areas[faces, None] * normals[faces]
@@ -489,31 +615,17 @@ def _lone_placements(
     order, flat_xy = _triangle_order(xy)
     # the edges a -> b of signed_polygon_margin and polygon_inradius
     a = np.take_along_axis(xy, order[:, :, None], axis=1)
-    b = np.roll(a, -1, axis=1)
+    b = a[:, [1, 2, 0]]
     d = b - a
     edge_n = np.stack([d[:, :, 1], -d[:, :, 0]], axis=2)
     ln = np.sqrt(np.vecdot(edge_n, edge_n))
     by_polygon = flat | flat_xy | (ln < 1e-15).any(axis=1)
-    com = rot @ mesh.com
-    margin = _polygon_margins(com[:, :2], a, b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inr = (d[:, 0, 0] * d[:, 1, 1] - d[:, 0, 1] * d[:, 1, 0]) / ln.sum(axis=1)
-        score = np.where(inr > 0, np.clip(margin / inr, 0.0, 1.0), 0.0)
-    found = []
-    for i in np.flatnonzero(~by_polygon & ~(margin < margin_eps)).tolist():
-        zmin = (mesh.vertices @ rot[i].T)[:, 2].min()
-        found.append((int(faces[i]), Placement(
-            rotation=rot[i],
-            translation=np.array([-com[i, 0], -com[i, 1], -zmin]),
-            stability_margin=float(margin[i]),
-            score=float(score[i]),
-        )))
-    for i in np.flatnonzero(by_polygon).tolist():
-        polygon = pts[i][_convex_order_2d(uv[i])]
-        placement = _facet_placement(mesh, n[i], polygon, margin_eps)
-        if placement is not None:
-            found.append((int(faces[i]), placement))
-    return found
+    margin = _polygon_margins((rot @ mesh.com)[:, :2], a, b)
+    rests = np.flatnonzero(~by_polygon & ~(margin < margin_eps))
+    d = d[rests]
+    inr = (d[:, 0, 0] * d[:, 1, 1] - d[:, 0, 1] * d[:, 1, 0]) / ln[rests].sum(axis=1)
+    placements = _resting(mesh, rot[rests], margin[rests].tolist(), inr.tolist())
+    return list(zip(faces[rests].tolist(), placements)), faces[by_polygon].tolist()
 
 
 def _triangle_order(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -533,10 +645,9 @@ def _triangle_order(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     d = p[rows, hi] - p[rows, lo]
     e = p[rows, mid] - p[rows, lo]
     det = d[:, 0] * e[:, 1] - d[:, 1] * e[:, 0]
-    order = np.where(
-        (det > 0)[:, None], np.stack([lo, hi, mid], axis=1), np.stack([hi, lo, mid], axis=1)
-    )
-    width = np.ptp(p, axis=1).max(axis=1)
+    first = np.where(det > 0, lo, hi)
+    order = np.stack([first, lo + hi - first, mid], axis=1)
+    width = (p.max(axis=1) - p.min(axis=1)).max(axis=1)
     flat = ~(np.abs(det) > 1e-12 * width * (width + np.abs(p).max(axis=(1, 2))))
     return order, flat
 
@@ -638,7 +749,7 @@ def settle(
     inside it but within ``margin_eps`` of an edge, take the world-frame
     pivot above.  It reads the support of the contact set, as hull-vertex
     indices, and its inradius from the mesh's memo (``_contact_support``,
-    one 2-D hull per contact set), and indexes the posed hull with it.
+    built once per contact set), and indexes the posed hull with it.
 
     The score of the stable Placement is its margin over the memo's
     inradius, clamped to [0, 1].  Returns the stable Placement; with
@@ -683,9 +794,10 @@ def settle_batch(
     stacked hull transform, lowering and contact mask, whose rows become
     each drop's sorted contact set (``_contact_sets``).  Drops resting on
     the same contact set form a group, which looks its ``Support`` up
-    once and gets its margins and pivot lines in one array pass; a group
-    on a walkable triangle walks the rolling graph one drop at a time.
-    Then one stacked pass finds every pivoting drop's angle and turns it.
+    once and gets its margins and pivot lines in one array pass; the
+    supports not yet in the memo are built together first
+    (``_memoize_supports``).  A group on a walkable triangle walks the
+    rolling graph one drop at a time.  Then one stacked pass finds every pivoting drop's angle and turns it.
     A block of one drop takes ``settle``'s loop, which does the same
     arithmetic without the lockstep's bookkeeping."""
     initials = np.asarray(initials, dtype=float).reshape(-1, 3, 3)
@@ -792,12 +904,14 @@ def _settle_block(
         groups: dict[tuple[int, ...], list[int]] = {}
         for j, contact in enumerate(_contact_sets(world[:, :, 2] <= CONTACT_TOL)):
             groups.setdefault(contact, []).append(j)
+        walks = {contact: _walkable_row(mesh, np.array(contact)) for contact in groups}
+        _memoize_supports(mesh, [contact for contact, r in walks.items() if r is None])
         going = np.ones(len(active), dtype=bool)
         stable: list[tuple[int, float, float]] = []  # (row, margin, inradius)
         pivots = []  # (rows, world, com, a, u) per group
         for contact, rows in groups.items():
+            r = walks[contact]
             contact, rows = np.array(contact), np.array(rows)
-            r = _walkable_row(mesh, contact)
             if r is not None:
                 for j in rows.tolist():
                     i = active[j]
@@ -880,11 +994,14 @@ def _resting(
     mesh: TriMesh, rot: np.ndarray, margins: tuple[float, ...], inradii: tuple[float, ...]
 ) -> list[Placement]:
     """Stable placements under the rotations ``rot`` (n, 3, 3), with their
-    margins, scored against their supports' inradii."""
+    margins, scored against their supports' inradii.  The lowest mesh
+    vertices are found in blocks of at most ``_SETTLE_BLOCK`` rotations
+    times vertices."""
     com = rot @ mesh.com
-    zmin = (mesh.vertices @ rot.transpose(0, 2, 1))[:, :, 2].min(axis=1)
     translation = np.negative(com)
-    translation[:, 2] = -zmin
+    for block in _blocks(mesh, len(rot)):
+        posed = mesh.vertices @ rot[block].transpose(0, 2, 1)
+        translation[block, 2] = -posed[:, :, 2].min(axis=1)
     placements = []
     for r, t, margin, inr in zip(rot, translation, margins, inradii):
         placement = Placement(rotation=r, translation=t, stability_margin=margin)
@@ -936,11 +1053,13 @@ def settle_records(
     mesh: TriMesh,
     initials: np.ndarray,
     rngs: list[np.random.Generator],
+    margin_eps: float = DEFAULT_MARGIN_EPS,
 ) -> list[PlacementRecord | None]:
     """Settle the drops from ``initials`` (N, 3, 3), each capped at
-    ``MAX_TIPS`` tips, and build a dataset record for each; None for a
-    drop whose settle diverged or came to rest with no support polygon.
-    Drop i draws its unstable pose from its own Generator ``rngs[i]``.
+    ``MAX_TIPS`` tips and resting once its margin reaches margin_eps, and
+    build a dataset record for each; None for a drop whose settle
+    diverged or came to rest with no support polygon.  Drop i draws its
+    unstable pose from its own Generator ``rngs[i]``.
 
     A record holds the placement, three contact points (vertices 0, k // 3
     and 2k // 3 of the k-gon support polygon) and a paired unstable pose:
@@ -953,7 +1072,7 @@ def settle_records(
     records: list[PlacementRecord | None] = []
     initials = np.asarray(initials, dtype=float).reshape(-1, 3, 3)
     for block in _blocks(mesh, len(initials)):
-        outcomes, _ = _settle_block(mesh, initials[block], MAX_TIPS, DEFAULT_MARGIN_EPS)
+        outcomes, _ = _settle_block(mesh, initials[block], MAX_TIPS, margin_eps)
         records += _block_records(object_id, mesh, outcomes, rngs[block])
     return records
 
@@ -970,7 +1089,9 @@ def _block_records(
     shift = np.stack([outcomes[i].translation for i in settled])
     world = mesh.hull.vertices @ rot.transpose(0, 2, 1) + shift[:, None, :]
     kept, triples = [], []
-    for j, contact in enumerate(_contact_sets(world[:, :, 2] <= CONTACT_TOL)):
+    contacts = _contact_sets(world[:, :, 2] <= CONTACT_TOL)
+    _memoize_supports(mesh, contacts)
+    for j, contact in enumerate(contacts):
         poly = _contact_support(mesh, np.array(contact)).polygon
         if poly is not None:  # else the drop counts as diverged
             k = len(poly)
@@ -1016,9 +1137,11 @@ def generate_dataset(
     drops_per_object: int,
     seed: int,
     workers: int = 1,
+    margin_eps: float = DEFAULT_MARGIN_EPS,
 ) -> DatasetResult:
     """Settle ``drops_per_object`` seeded random orientations per object,
-    each capped at ``MAX_TIPS`` tips.
+    each capped at ``MAX_TIPS`` tips and resting once its margin reaches
+    margin_eps (``settle_records``).
 
     Each drop derives its RNG stream from (seed, object index, drop
     index), so record order and content are independent of ``workers``;
@@ -1041,12 +1164,12 @@ def generate_dataset(
     chunks = [jobs[i:i + _CHUNK] for i in range(0, len(jobs), _CHUNK)]
     workers = min(workers, len(chunks))
     if workers <= 1:
-        results = _run_drops(meshes, seed, jobs)
+        results = _run_drops(meshes, seed, margin_eps, jobs)
     else:
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,
-            initargs=(meshes, seed),
+            initargs=(meshes, seed, margin_eps),
         ) as pool:
             results = [rec for part in pool.map(_pool_drops, chunks, chunksize=1)
                        for rec in part]
@@ -1060,24 +1183,24 @@ def generate_dataset(
     return DatasetResult(records=records, diverged=diverged)
 
 
-def _run_drops(meshes, seed: int, jobs: list[tuple[int, int]]):
+def _run_drops(meshes, seed: int, margin_eps: float, jobs: list[tuple[int, int]]):
     """Records of the (object index, drop index) jobs, one batch per run
     of jobs on the same object."""
     results = []
     for obj_idx, run in groupby(jobs, key=lambda job: job[0]):
         object_id, mesh = meshes[obj_idx]
         drops = [drop_idx for _, drop_idx in run]
-        results += _drop_records(object_id, mesh, seed, obj_idx, drops)
+        results += _drop_records(object_id, mesh, seed, obj_idx, drops, margin_eps)
     return results
 
 
-# (meshes, seed) of the generate_dataset call a worker serves.
+# (meshes, seed, margin_eps) of the generate_dataset call a worker serves.
 _WORKER: tuple = ()
 
 
-def _init_worker(meshes, seed: int) -> None:
+def _init_worker(meshes, seed: int, margin_eps: float) -> None:
     global _WORKER
-    _WORKER = (meshes, seed)
+    _WORKER = (meshes, seed, margin_eps)
 
 
 def _pool_drops(jobs: list[tuple[int, int]]) -> list[PlacementRecord | None]:
@@ -1085,16 +1208,17 @@ def _pool_drops(jobs: list[tuple[int, int]]) -> list[PlacementRecord | None]:
 
 
 def _drop_records(
-    object_id: str, mesh: TriMesh, seed: int, obj_idx: int, drops: list[int]
+    object_id: str, mesh: TriMesh, seed: int, obj_idx: int, drops: list[int],
+    margin_eps: float,
 ) -> list[PlacementRecord | None]:
     """Records of the seeded drops ``drops`` of one object."""
     rngs = [np.random.default_rng([seed, obj_idx, drop_idx]) for drop_idx in drops]
     initials = quaternion_rotations(np.stack([rng.normal(size=4) for rng in rngs]))
-    return settle_records(object_id, mesh, initials, rngs)
+    return settle_records(object_id, mesh, initials, rngs, margin_eps)
 
 
 def generate_one_drop(
     object_id: str, mesh: TriMesh, seed: int, obj_idx: int, drop_idx: int
 ) -> PlacementRecord | None:
     """One dataset drop; None when the settle diverged."""
-    return _drop_records(object_id, mesh, seed, obj_idx, [drop_idx])[0]
+    return _drop_records(object_id, mesh, seed, obj_idx, [drop_idx], DEFAULT_MARGIN_EPS)[0]

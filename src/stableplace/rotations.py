@@ -106,8 +106,18 @@ def _any_perpendicular(n: np.ndarray) -> np.ndarray:
 def angle_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Angles between unit vectors a[..., :] and b[..., :], broadcast.
     The arctan2 form is exactly 0 between equal vectors, where arccos of
-    their dot product can round to 1.5e-8."""
-    return np.arctan2(np.linalg.norm(np.cross(a, b), axis=-1), np.sum(a * b, axis=-1))
+    their dot product can round to 1.5e-8.
+
+    Written per component, in the operation order of ``np.cross``,
+    ``np.linalg.norm(axis=-1)`` and ``np.sum(a * b, axis=-1)``, whose bits
+    it keeps, without their temporaries of shape (..., 3).  The sum starts
+    from +0, as ``np.sum`` does, so three products of -0 add to +0 and
+    the angle between -0 vectors is 0, not pi."""
+    a, b = np.asarray(a), np.asarray(b)
+    ax, ay, az = a[..., 0], a[..., 1], a[..., 2]
+    bx, by, bz = b[..., 0], b[..., 1], b[..., 2]
+    cx, cy, cz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+    return np.arctan2(np.sqrt(cx * cx + cy * cy + cz * cz), 0.0 + ax * bx + ay * by + az * bz)
 
 
 def rot_x(angle: float) -> np.ndarray:

@@ -12,7 +12,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stableplace import cli, fixtures
+from stableplace import cli, fixtures, metrics, placements
 from stableplace.cli import GripperConfig, InputError, RunConfig, main
 from stableplace.mesh import TriMesh, save_obj
 from stableplace.placements import DatasetResult
@@ -555,6 +555,33 @@ class TestPipeline:
         assert diversity[0] == 1.0
         assert diversity[1] < 1.0
 
+    def test_margin_eps_reaches_dataset_and_evaluation(self, runner, mesh_dir, tmp_path):
+        """The config's margin_eps rests the dataset's drops and the
+        evaluated settles, not only the enumeration.  The L prism's facets
+        have margins 1/6, 1/2 and 5/6; at 0.3 no drop may rest on one of
+        1/6."""
+        cfg = self.write_config(
+            tmp_path, mesh_dir, "run_m", mesh_paths=[str(mesh_dir / "l_prism.obj")],
+            drops_per_object=100, margin_eps=0.3,
+            plan_object=None, plan_start=None, plan_goal=None,
+        )
+        evaluated = []
+        settle_batch = placements.settle_batch
+
+        def recording(mesh, initials, max_tips=placements.MAX_TIPS,
+                      margin_eps=placements.DEFAULT_MARGIN_EPS):
+            evaluated.append(margin_eps)
+            return settle_batch(mesh, initials, max_tips, margin_eps)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics, "settle_batch", recording)
+            r = runner.invoke(main, ["pipeline", str(cfg), "--workers", "1"])
+        assert r.exit_code == 0, r.output
+        lines = (tmp_path / "run_m" / "dataset.jsonl").read_text().splitlines()
+        margins = [json.loads(line)["stability_margin"] for line in lines]
+        assert len(margins) == 100 and min(margins) >= 0.3
+        assert evaluated == [0.3]
+
     def test_single_type_diversity_exit_4(self, runner, mesh_dir, tmp_path):
         # one drop gives a one-mode type model; diversity is undefined
         cfg = self.write_config(
@@ -624,8 +651,8 @@ class TestPipeline:
                                      command):
         generate = cli.generate_dataset
 
-        def two_diverged(meshes, drops, seed, workers):
-            result = generate(meshes, drops, seed, workers=workers)
+        def two_diverged(meshes, drops, seed, workers, margin_eps=placements.DEFAULT_MARGIN_EPS):
+            result = generate(meshes, drops, seed, workers=workers, margin_eps=margin_eps)
             return DatasetResult(result.records[2:], {"cube": 2})
 
         monkeypatch.setattr(cli, "generate_dataset", two_diverged)
@@ -657,7 +684,7 @@ class TestPipeline:
         # clustering an object with no settled drop raised a ValueError
         monkeypatch.setattr(
             cli, "generate_dataset",
-            lambda meshes, drops, seed, workers: DatasetResult([], {"cube": drops}),
+            lambda meshes, drops, seed, workers, margin_eps: DatasetResult([], {"cube": drops}),
         )
         cfg = self.write_config(tmp_path, mesh_dir, "run", plan_start=None, plan_goal=None)
         r = runner.invoke(main, ["pipeline", str(cfg)])

@@ -155,10 +155,10 @@ class TestEvaluateRun:
         model, _ = mean_shift_orientations([p.rotation for p in preds])
         batches = []
 
-        def first_diverges(mesh, rotations):
+        def first_diverges(mesh, rotations, margin_eps):
             batches.append(len(rotations))
             return [SettleDiverged("no pivot target vertex"),
-                    *settle_batch(mesh, rotations[1:])]
+                    *settle_batch(mesh, rotations[1:], margin_eps=margin_eps)]
 
         monkeypatch.setattr(metrics, "settle_batch", first_diverges)
         row = evaluate_run(preds, cube, model, initial_type=1)

@@ -2,6 +2,7 @@ import contextlib
 import json
 from decimal import Decimal, localcontext
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from conftest import (
     _reference_rotation_between,
     _reference_rotation_from_axis_angle,
     _reference_settle_record,
+    _reference_support,
     drifting_arc,
     ellipsoid,
     flattened_ellipsoid,
@@ -207,6 +209,8 @@ class TestEnumerateStable:
          "ellipsoid_s4", "flattened_ellipsoid"],
     )
     def test_facet_built_only_for_merged_groups(self, name):
+        """Only merged facets take the polygon pass, with two 2-D qhull
+        orders each: the facet-frame order and the posed xy order."""
         mesh = {
             "wedge": sheared_wedge,
             "prism32": lambda: ngon_prism(32),
@@ -215,9 +219,9 @@ class TestEnumerateStable:
             "flattened_ellipsoid": flattened_ellipsoid,
         }.get(name, lambda: fixtures.standard_fixtures()[name])()
         groups, _ = _coplanar_groups(mesh.hull, mesh.hull.face_normals(), 1e-4)
-        with _counting(placements, "_facet") as calls:
+        with _counting_2d_hulls() as calls:
             enumerate_stable(mesh)
-        assert calls[0] == len(groups)
+        assert calls[0] == 2 * len(groups)
         if name.startswith("ellipsoid"):
             assert calls[0] == 0
 
@@ -238,9 +242,9 @@ class TestEnumerateStable:
 
         monkeypatch.setattr(placements, "_triangle_order", all_flat)
         groups, _ = _coplanar_groups(mesh.hull, mesh.hull.face_normals(), 1e-4)
-        with _counting(placements, "_facet_placement") as calls:
+        with _counting_2d_hulls() as calls:
             _assert_matches_reference(mesh, reference, 0.0)
-        assert calls[0] > len(groups)  # triangles took the polygon path
+        assert calls[0] > 2 * len(groups)  # triangles took the polygon pass
 
     def test_triangle_order_is_qhulls(self):
         """The order rule gives ``ConvexHull(p).vertices`` for every
@@ -589,6 +593,22 @@ def _counting(module, name):
         yield calls
     finally:
         setattr(module, name, fn)
+
+
+@contextlib.contextmanager
+def _counting_2d_hulls():
+    """Count the 2-D qhull calls made inside the block, by ``placements``
+    and by ``mesh._convex_order_2d``, in the yielded one-element list."""
+    calls = [0]
+
+    def counted(points, *args, **kwargs):
+        calls[0] += np.shape(points)[1] == 2
+        return ConvexHull(points, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(placements, "ConvexHull", counted)
+        patch.setattr(mesh_module, "ConvexHull", counted)
+        yield calls
 
 
 _TABLE_MESHES = [*fixtures.standard_fixtures(), "ellipsoid_s2", "ellipsoid_s3"]
@@ -1132,6 +1152,86 @@ class TestLockstep:
         assert [p.rotation.tobytes() for p in blocked] == [p.rotation.tobytes() for p in whole]
 
 
+class TestSupports:
+    """A batch of contact sets gives each set the bits of the frozen
+    one-set reference (``_reference_support``)."""
+
+    @pytest.mark.parametrize("name", list(fixtures.standard_fixtures()))
+    def test_fixture_facets_and_triangles(self, name):
+        mesh = fixtures.standard_fixtures()[name]
+        facets = [np.sort(f.vertex_indices) for f in merge_coplanar_facets(mesh.hull)]
+        _assert_supports_match_reference(mesh, facets + list(np.sort(mesh.hull.faces, axis=1)))
+
+    @pytest.mark.parametrize("subdivisions", [2, 3, 4])
+    def test_every_ellipsoid_triangle(self, subdivisions):
+        mesh = ellipsoid(subdivisions)
+        _assert_supports_match_reference(mesh, list(np.sort(mesh.hull.faces, axis=1)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_points=st.integers(5, 40),
+        snapped=st.floats(0.0, 0.8),
+        scale=st.sampled_from([1e-3, 1.0, 1e3, 1e8]),
+    )
+    def test_random_hulls(self, seed, n_points, snapped, scale):
+        """Hulls with points snapped onto shared planes, so that facets of
+        four and more coplanar vertices mix with triangles and with random
+        sets of three to eight vertices."""
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=(n_points, 3))
+        for axis in range(3):
+            snap = rng.random(n_points) < snapped / 3
+            pts[snap, axis] = np.round(pts[snap, axis])
+        try:
+            mesh = convex_hull(pts * scale)
+        except DegenerateHull:
+            return
+        n = len(mesh.hull.vertices)
+        contacts = [np.sort(f.vertex_indices) for f in merge_coplanar_facets(mesh.hull)]
+        contacts += list(np.sort(mesh.hull.faces, axis=1))
+        contacts += [np.sort(rng.choice(n, int(rng.integers(3, min(n, 8) + 1)), replace=False))
+                     for _ in range(10)]
+        _assert_supports_match_reference(mesh, contacts)
+
+    def test_collinear_sets_and_mixed_sizes(self):
+        """Collinear sets of three and four have no polygon; one batch
+        mixes them with sets of three to eight points."""
+        rng = np.random.default_rng(12)
+        pts = rng.normal(size=(20, 3))
+        pts[:4] = np.outer([0.0, 0.5, 2.0, 3.0], [1.0, -2.0, 0.5]) + pts[0]
+        mesh = SimpleNamespace(hull=SimpleNamespace(vertices=pts), com=pts.mean(axis=0))
+        contacts = [np.arange(3), np.arange(4)]
+        contacts += [np.sort(rng.choice(20, k, replace=False))
+                     for k in range(3, 9) for _ in range(4)]
+        rng.shuffle(contacts)
+        got = _assert_supports_match_reference(mesh, contacts)
+        assert sum(s.polygon is None for s in got) == 2
+
+
+def _assert_supports_match_reference(mesh, contacts):
+    """One ``_new_supports`` batch of ``contacts`` gives each set the
+    polygon, inradius bits and edges of ``_reference_support``."""
+    got = placements._new_supports(mesh, contacts)
+    assert len(got) == len(contacts)
+    for contact, support in zip(contacts, got):
+        poly, inr = _reference_support(mesh, contact)
+        assert support.contact is contact
+        if poly is None:
+            alone = Support.without_polygon(contact)
+            assert support.polygon is None and support.inradius == 0.0
+            assert support.start.tolist() == alone.start.tolist()
+            assert support.end.tolist() == alone.end.tolist()
+            continue
+        end = np.roll(poly, -1)
+        assert support.polygon.tolist() == poly.tolist()
+        assert np.float64(support.inradius).tobytes() == np.float64(inr).tobytes()
+        assert support.start.tolist() == poly.tolist() and support.end.tolist() == end.tolist()
+        pair = np.minimum(poly, end) * (int(poly.max()) + 1) + np.maximum(poly, end)
+        assert support.pair.tolist() == pair.tolist()
+    return got
+
+
 # --- support-polygon geometry against the LP and loop references -------------
 
 
@@ -1198,6 +1298,29 @@ def _rotate2(pts, theta):
 def _regular(k, radius=1.0, phase=0.3):
     ang = phase + 2.0 * np.pi * np.arange(k) / k
     return radius * np.column_stack([np.cos(ang), np.sin(ang)]) + np.array([5.0, -2.0])
+
+
+def _reference_polygon_inradius(poly):
+    """``polygon_inradius`` of one polygon with ``np.roll`` and boolean
+    masks, frozen as it was before the stacked ``_polygon_inradii``: the
+    bits that pass must keep."""
+    a = np.asarray(poly, dtype=float)
+    d = np.roll(a, -1, axis=0) - a
+    n = np.column_stack([d[:, 1], -d[:, 0]])
+    ln = np.sqrt(np.vecdot(n, n))
+    keep = ~(ln < 1e-15)
+    a, d, n, ln = a[keep], d[keep], n[keep] / ln[keep, None], ln[keep]
+    if len(poly) == 3 and len(n) == 3:
+        area2 = float(d[0, 0] * d[1, 1] - d[0, 1] * d[1, 0])
+        return max(area2 / float(ln.sum()), 0.0)
+    prev = np.roll(n, 1, axis=0)
+    straight = (np.vecdot(prev, n) > 0) & (
+        np.abs(prev[:, 0] * n[:, 1] - prev[:, 1] * n[:, 0]) <= 1e-12
+    )
+    n, a = n[~straight], a[~straight]
+    if len(n) < 3:
+        return 0.0
+    return placements._chebyshev_radius(n, np.vecdot(n, a - a.mean(axis=0)))
 
 
 def _assert_matches_lp(poly, rel=1e-12):
@@ -1330,6 +1453,31 @@ class TestPolygonInradius:
             for p, q, c in zip(poly, nxt, rng.integers(0, 3, len(poly))):
                 out += [p] + [p + (q - p) * f for f in ((), (0.5,), (0.25, 0.75))[c]]
             _assert_matches_lp(np.roll(np.array(out), -int(rng.integers(len(out))), axis=0))
+
+    def test_matches_one_polygon_reference(self):
+        """One polygon and a batch of them, padded to a common length, give
+        the bits of the frozen one-polygon form, triangles and repeated,
+        collinear, clockwise and scaled vertices included."""
+        rng = np.random.default_rng(13)
+        polys = []
+        for trial in range(600):
+            poly = _random_convex(rng, int(rng.integers(3, 40)), 10.0 ** rng.integers(-4, 6))
+            kind = trial % 5
+            if kind == 1:
+                poly = np.repeat(poly, rng.integers(1, 4, len(poly)), axis=0)
+            elif kind == 2:  # a third point on some edges
+                poly = np.insert(poly, rng.integers(0, len(poly), 3),
+                                 (poly[:3] + np.roll(poly, -1, axis=0)[:3]) / 2, axis=0)
+            elif kind == 3:
+                poly = poly[::-1]
+            elif kind == 4:
+                poly = rng.normal(size=(3, 2)) * 10.0 ** rng.integers(-4, 6)
+            polys.append(poly)
+        batch = placements._polygon_inradii(*placements._ring_edges(polys))
+        for poly, got in zip(polys, batch):
+            want = np.float64(_reference_polygon_inradius(poly)).tobytes()
+            assert np.float64(polygon_inradius(poly)).tobytes() == want
+            assert got.tobytes() == want
 
     @pytest.mark.parametrize(
         "poly",

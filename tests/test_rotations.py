@@ -10,6 +10,7 @@ from stableplace.rotations import (
     InvalidAxis,
     InvalidRotation,
     PolyCoeffs,
+    angle_between,
     check_rotation,
     fit_geodesic_polynomial,
     geodesic_distance,
@@ -114,6 +115,27 @@ class TestStackedConstructors:
                 expected = _reference_rotation_from_axis_angle(axis, angle).tobytes()
                 assert g.tobytes() == rotation_from_axis_angle(axis, angle).tobytes()
                 assert g.tobytes() == expected
+
+    def test_angle_between_matches_cross_form(self):
+        """The per-component angle has the bits of the np.cross, np.linalg.norm
+        and np.sum form, broadcast over scales 1e-5 to 1e5 and over zero,
+        infinite, NaN and -0 vectors."""
+        rng = np.random.default_rng(14)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+        for _ in range(20):
+            a = rng.normal(size=(50, 1, 3)) * 10.0 ** rng.uniform(-5, 5, (50, 1, 1))
+            b = rng.normal(size=(70, 3)) * 10.0 ** rng.uniform(-5, 5, (70, 1))
+            for v in (a, b):
+                hit = rng.random(v.shape) < 0.02
+                v[hit] = rng.choice(special, hit.sum())
+            a[:3, 0] = [[0.0, -0.0, 0.0], [-0.0, -0.0, -0.0], [0.0, 0.0, 0.0]]
+            b[:2] = [[-0.0, -0.0, -0.0], [1.0, -0.0, 0.0]]
+            with np.errstate(invalid="ignore"):
+                want = np.arctan2(np.linalg.norm(np.cross(a, b), axis=-1),
+                                  np.sum(a * b, axis=-1))
+                got = angle_between(a, b)
+            assert got.shape == want.shape == (50, 70)
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("rows", [(), (5,), (0,), (2, 4)])
     def test_shapes(self, rows):
