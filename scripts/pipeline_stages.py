@@ -3,7 +3,7 @@
 built-in fixtures, with the config of ``run_fixture_pipeline.py`` and one
 worker.
 
-Usage: python scripts/pipeline_stages.py [--repeat N] [--workdir DIR]
+Usage: python scripts/pipeline_stages.py [--repeat N]
 
 Each run loads the meshes afresh, as the command does, so every stage
 starts from cold per-mesh caches.  The stages are the ``stableplace.cli``
@@ -80,12 +80,9 @@ def run_once(config_path: Path) -> dict[str, float]:
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=15, help="timed runs (default 15)")
-    parser.add_argument("--workdir", type=Path, default=None,
-                        help="where the meshes, config and outputs go "
-                             "(default: a temporary directory)")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        config_path = write_config(args.workdir or Path(tmp))
+        config_path = write_config(Path(tmp))
         run_once(config_path)
         runs = [run_once(config_path) for _ in range(args.repeat)]
     print(f"median ms over {args.repeat} runs")

@@ -130,21 +130,11 @@ class PlacementRecord:
 # --- 2D support-polygon helpers ----------------------------------------------
 
 
-def _ring_edges(
-    polygons: list[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Start and end points a, b (G, K, 2) of the edges of the polygons
-    (k_g, 2), K the largest k_g, and the vertex counts k_g.  Row g holds
-    polygon g's edges, edge i from vertex i to vertex i + 1 and the last
-    back to vertex 0, then zero-length edges at vertex 0, which
-    ``_polygon_margins`` and ``_polygon_inradii`` skip."""
-    count = np.array([len(poly) for poly in polygons])
-    xy = np.zeros((len(polygons), count.max(), 2))
-    for row, poly in zip(xy, polygons):
-        row[:len(poly)] = poly
-    i = np.arange(xy.shape[1])
-    rows, k = np.arange(len(xy))[:, None], count[:, None]
-    return xy[rows, np.where(i < k, i, 0)], xy[rows, np.where(i + 1 < k, i + 1, 0)], count
+def _ring_edges(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end points a, b (G, k, 2) of the edges of the polygons
+    xy (G, k, 2): edge i runs from vertex i to vertex i + 1, the last
+    back to vertex 0."""
+    return xy, xy[:, (np.arange(xy.shape[1]) + 1) % xy.shape[1]]
 
 
 def _point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -167,7 +157,7 @@ def signed_polygon_margin(p: np.ndarray, poly: np.ndarray) -> float:
 def _polygon_margins(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``signed_polygon_margin`` of the points p (..., 2) against the CCW
     convex polygons whose edges run a[..., i] -> b[..., i], each (..., k, 2).
-    Edges shorter than 1e-15 are skipped, as ``_edge_lines`` skips them."""
+    Edges shorter than 1e-15 are skipped, as ``polygon_inradius`` skips them."""
     d = b - a
     n = np.empty_like(d)
     n[..., 0], n[..., 1] = d[..., 1], -d[..., 0]
@@ -216,12 +206,12 @@ def polygon_inradius(poly: np.ndarray) -> float:
     poly = np.asarray(poly, dtype=float)
     if len(poly) < 3:
         return 0.0
-    return float(_polygon_inradii(*_ring_edges([poly]))[0])
+    return float(_polygon_inradii(*_ring_edges(poly[None]))[0])
 
 
-def _polygon_inradii(a: np.ndarray, b: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """``polygon_inradius`` of the polygons of count[g] >= 3 vertices whose
-    edges run a[g, i] -> b[g, i] (G, K, 2), as ``_ring_edges`` lays them
+def _polygon_inradii(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``polygon_inradius`` of the polygons of k >= 3 vertices whose
+    edges run a[g, i] -> b[g, i] (G, k, 2), as ``_ring_edges`` lays them
     out, in one array pass up to each polygon's ``_chebyshev_radius``.
 
     The kept edges, and then those that do not continue the line before
@@ -234,7 +224,7 @@ def _polygon_inradii(a: np.ndarray, b: np.ndarray, count: np.ndarray) -> np.ndar
     ln = np.sqrt(np.vecdot(n, n))
     keep = ~(ln < 1e-15)
     inr = np.zeros(len(a))
-    tri = (count == 3) & keep[:, :3].all(axis=1)
+    tri = keep.all(axis=1) & (a.shape[1] == 3)
     if tri.any():
         d3 = d[tri]
         r = (d3[:, 0, 0] * d3[:, 1, 1] - d3[:, 0, 1] * d3[:, 1, 0]) / ln[tri, :3].sum(axis=1)
@@ -397,7 +387,8 @@ def _new_supports(mesh: TriMesh, contacts: list[np.ndarray]) -> list[Support]:
     gets the bits of building it alone: the SVDs and projections are
     stacked by set size (``_by_size``).  A triangle takes qhull's vertex order from
     ``_triangle_order``; qhull runs only for a triangle too flat for that
-    and for larger sets.  The inradii take one ``_polygon_inradii`` pass."""
+    and for larger sets.  The inradii take one ``_polygon_inradii`` pass
+    per polygon size (``_edge_stacks``)."""
     hv = mesh.hull.vertices
     size = np.array([len(contact) for contact in contacts])
     rings: list = [None] * len(contacts)  # (counter-clockwise order, uv polygon)
@@ -419,11 +410,11 @@ def _new_supports(mesh: TriMesh, contacts: list[np.ndarray]) -> list[Support]:
             except QhullError:
                 continue  # no polygon: a point or segment support
             rings[i] = ring, uv[j][ring]
-    polygons = [i for i, ring in enumerate(rings) if ring is not None]
-    inradii = {}
-    if polygons:
-        edges = _ring_edges([rings[i][1] for i in polygons])
-        inradii = dict(zip(polygons, _polygon_inradii(*edges).tolist()))
+    polygons = np.array([i for i, ring in enumerate(rings) if ring is not None], dtype=int)
+    inradii = np.zeros(len(contacts))
+    for sel, a, b in _edge_stacks([rings[i][1] for i in polygons.tolist()]):
+        inradii[polygons[sel]] = _polygon_inradii(a, b)
+    inradii = inradii.tolist()
     supports = []
     for i, contact in enumerate(contacts):
         if rings[i] is None:
@@ -445,6 +436,14 @@ def _by_size(size: np.ndarray):
     in another shape."""
     for k in np.unique(size).tolist():
         yield k, np.flatnonzero(size == k)
+
+
+def _edge_stacks(polygons: list[np.ndarray]):
+    """(indices into ``polygons``, a, b) per vertex count, the edges laid
+    out by ``_ring_edges``: no stack is padded to a larger polygon, so
+    memory grows with the total vertex count."""
+    for _, sel in _by_size(np.array([len(poly) for poly in polygons], dtype=int)):
+        yield (sel, *_ring_edges(np.stack([polygons[i] for i in sel.tolist()])))
 
 
 def _contact_margin(xy: np.ndarray, com_xy: np.ndarray, support: Support) -> np.ndarray:
@@ -532,30 +531,28 @@ def _facet_placements(
     vertices ordered by a 2-D hull in the in-plane frame, the rotation
     taking the normal down, and the margin and inradius of the 2-D hull
     of the posed vertices; a facet without that hull is dropped.  One
-    array pass does this arithmetic for every facet.  The normals' sums
-    are padded with -0.0, which adds exactly, the edges with zero-length
-    ones (``_ring_edges``), and the vertex projections are stacked by
-    vertex count (``_by_size``).  Only the two 2-D qhull orders and ``_chebyshev_radius`` run
-    per facet."""
+    array pass per stack does this arithmetic: the normals' sums are
+    stacked by face count, the vertex projections by vertex count, and
+    the margins and inradii by polygon size (``_by_size``), so no stack
+    is padded.  Only the two 2-D qhull orders and ``_chebyshev_radius``
+    run per facet."""
     if not groups:
         return []
     hull = mesh.hull
     normals, areas = hull.face_normals_and_areas
     size = np.array([len(group) for group in groups])
-    faces = np.concatenate(groups)
-    owner = np.repeat(np.arange(len(groups)), size)
-    wn = np.full((len(groups), size.max(), 3), -0.0)
-    wn[owner, np.arange(len(faces)) - np.repeat(np.cumsum(size) - size, size)] = (
-        areas[faces, None] * normals[faces]
-    )
-    n = wn.sum(axis=1)
+    n = np.empty((len(groups), 3))
+    for _, sel in _by_size(size):
+        faces = np.array([groups[g] for g in sel.tolist()])
+        n[sel] = (areas[faces, None] * normals[faces]).sum(axis=1)
     n /= np.sqrt(np.vecdot(n, n))[:, None]
     e1 = _any_perpendicular(n)
     e2 = np.cross(n, e1)
     # each group's sorted vertex indices, np.unique of its faces
     n_vertices = len(hull.vertices)
-    owner, vertex = np.divmod(np.unique(np.repeat(owner, 3) * n_vertices
-                                        + hull.faces[faces].ravel()), n_vertices)
+    owner = np.repeat(np.arange(len(groups)), 3 * size)
+    corners = hull.faces[np.concatenate(groups)].ravel()
+    owner, vertex = np.divmod(np.unique(owner * n_vertices + corners), n_vertices)
     count = np.bincount(owner, minlength=len(groups))
     first = np.cumsum(count) - count
     rings: list = [None] * len(groups)  # vertex indices ordered around each facet
@@ -576,14 +573,17 @@ def _facet_placements(
             except QhullError:
                 pass  # no support polygon
     kept = np.array([g for g, poly in enumerate(polygons) if poly is not None], dtype=int)
-    if not len(kept):
-        return []
-    a, b, count = _ring_edges([polygons[g] for g in kept.tolist()])
-    margin = _polygon_margins((rot[kept] @ mesh.com)[:, :2], a, b)
+    com_xy = (rot @ mesh.com)[:, :2]
+    margin = np.full(len(groups), -np.inf)  # no polygon: never rests
+    inradii = np.zeros(len(groups))
+    for sel, a, b in _edge_stacks([polygons[g] for g in kept.tolist()]):
+        g = kept[sel]
+        margin[g] = _polygon_margins(com_xy[g], a, b)
+        rest = ~(margin[g] < margin_eps)
+        inradii[g[rest]] = _polygon_inradii(a[rest], b[rest])
     rests = np.flatnonzero(~(margin < margin_eps))
-    inradii = _polygon_inradii(a[rests], b[rests], count[rests])
-    placements = _resting(mesh, rot[kept[rests]], margin[rests].tolist(), inradii.tolist())
-    return [(groups[g][0], p) for g, p in zip(kept[rests].tolist(), placements)]
+    placements = _resting(mesh, rot[rests], margin[rests].tolist(), inradii[rests].tolist())
+    return [(groups[g][0], p) for g, p in zip(rests.tolist(), placements)]
 
 
 def _lone_placements(

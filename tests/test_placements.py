@@ -1,5 +1,6 @@
 import contextlib
 import json
+import tracemalloc
 from decimal import Decimal, localcontext
 from functools import cached_property
 from types import SimpleNamespace
@@ -224,6 +225,30 @@ class TestEnumerateStable:
         assert calls[0] == 2 * len(groups)
         if name.startswith("ellipsoid"):
             assert calls[0] == 0
+
+    def test_large_facets_beside_small_ones_stay_small(self):
+        """A 1024-gon prism has two 1024-vertex caps beside 1024 quads.
+        The facet pass and a support pass over a cap and a quad give the
+        bytes of building each polygon alone, in far less memory than
+        padding every quad to the caps' size (about 200 MB)."""
+        mesh = ngon_prism(1024)
+        reference = _reference_enumerate_stable(mesh, merge_coplanar_facets(mesh.hull), 0.0)
+        groups, _ = _coplanar_groups(mesh.hull, mesh.hull.face_normals(), 1e-4)
+        contacts = [np.unique(mesh.hull.faces[group]) for group in groups]
+        cap = next(c for c in contacts if len(c) == 1024)
+        quad = next(c for c in contacts if len(c) == 4)
+        alone = [placements._new_supports(mesh, [c])[0] for c in (cap, quad)]
+        tracemalloc.start()
+        try:
+            _assert_matches_reference(mesh, reference, 0.0)
+            together = placements._new_supports(mesh, [cap, quad])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+        for got, want in zip(together, alone):
+            assert got.polygon.tolist() == want.polygon.tolist()
+            assert np.float64(got.inradius).tobytes() == np.float64(want.inradius).tobytes()
 
     @pytest.mark.parametrize(
         "mesh",
@@ -1473,7 +1498,9 @@ class TestPolygonInradius:
             elif kind == 4:
                 poly = rng.normal(size=(3, 2)) * 10.0 ** rng.integers(-4, 6)
             polys.append(poly)
-        batch = placements._polygon_inradii(*placements._ring_edges(polys))
+        batch = np.empty(len(polys))
+        for sel, a, b in placements._edge_stacks(polys):
+            batch[sel] = placements._polygon_inradii(a, b)
         for poly, got in zip(polys, batch):
             want = np.float64(_reference_polygon_inradius(poly)).tobytes()
             assert np.float64(polygon_inradius(poly)).tobytes() == want
