@@ -134,9 +134,12 @@ class TriMesh:
         (sorted indices into ``hull.vertices``) to its
         ``placements.Support``: the support polygon as hull-vertex
         indices, its inradius and the edges that settle's margin and
-        pivot read.  Filled lazily by ``placements``: all the new sets of
-        a lockstep iteration are built in one pass
-        (``_memoize_supports``), the one set of a lone settle alone."""
+        pivot read.  ``placements.enumerate_stable`` adds the rest sets of
+        the placements it returns as pending entries, mapped to None and
+        not built.  A settle or lockstep iteration that meets sets that
+        are missing or pending builds them, and every other pending set,
+        in one pass (``placements._memoize_supports``), so after
+        enumeration a mesh's first settle builds them all."""
         return {}
 
     @cached_property

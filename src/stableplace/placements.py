@@ -62,8 +62,8 @@ class Placement:
 
     def to_json_dict(self) -> dict:
         return {
-            "rotation": [float(x) for x in np.asarray(self.rotation).ravel()],
-            "translation": [float(x) for x in np.asarray(self.translation)],
+            "rotation": np.asarray(self.rotation, dtype=float).ravel().tolist(),
+            "translation": np.asarray(self.translation, dtype=float).tolist(),
             "stability_margin": float(self.stability_margin),
             "score": float(self.score),
             "type_id": self.type_id,
@@ -101,11 +101,12 @@ class PlacementRecord:
     def to_json_dict(self) -> dict:
         d = {"object_id": self.object_id}
         d.update(self.placement.to_json_dict())
-        d["contact_points"] = [[float(x) for x in p] for p in self.contact_points]
+        d["contact_points"] = np.asarray(self.contact_points, dtype=float).tolist()
         if self.unstable_rotation is not None:
-            d["unstable_rotation"] = [float(x) for x in self.unstable_rotation.ravel()]
+            rotation = np.asarray(self.unstable_rotation, dtype=float)
+            d["unstable_rotation"] = rotation.ravel().tolist()
         if self.v_gt is not None:
-            d["v_gt"] = [float(x) for x in self.v_gt]
+            d["v_gt"] = np.asarray(self.v_gt, dtype=float).tolist()
         return d
 
     @classmethod
@@ -189,9 +190,10 @@ def _nearest_edges(p: np.ndarray, a: np.ndarray, b: np.ndarray, pair: np.ndarray
 
 
 def _pair_keys(start: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """Keys of the sorted hull-vertex index pairs of the edges start -> end,
-    ordered as the pairs are."""
-    return np.minimum(start, end) * (int(start.max()) + 1) + np.maximum(start, end)
+    """Keys of the sorted hull-vertex index pairs of the edges start -> end
+    (..., k), ordered as the pairs are, per row."""
+    return (np.minimum(start, end) * (start.max(axis=-1, keepdims=True) + 1)
+            + np.maximum(start, end))
 
 
 def polygon_inradius(poly: np.ndarray) -> float:
@@ -358,24 +360,28 @@ class Support:
 def _contact_support(mesh: TriMesh, contact: np.ndarray) -> Support:
     """The ``Support`` of the resting contact set ``contact`` (sorted
     indices into ``mesh.hull.vertices``); sets of three or more are
-    memoized in ``mesh.supports``, built alone on a miss or together
-    beforehand (``_memoize_supports``)."""
+    memoized in ``mesh.supports`` (``_memoize_supports``)."""
     if len(contact) < 3:
         return Support.without_polygon(contact)
     key = tuple(contact.tolist())
     found = mesh.supports.get(key)
     if found is None:
-        found = mesh.supports[key] = _new_supports(mesh, [contact])[0]
+        _memoize_supports(mesh, [key])
+        found = mesh.supports[key]
     return found
 
 
 def _memoize_supports(mesh: TriMesh, contacts: list[tuple[int, ...]]) -> None:
-    """Add to ``mesh.supports`` the contact sets (sorted hull-vertex index
-    tuples) of three or more in ``contacts`` that it lacks, built in one
-    ``_new_supports`` pass."""
-    new = [c for c in dict.fromkeys(contacts) if len(c) >= 3 and c not in mesh.supports]
+    """Build the contact sets (sorted hull-vertex index tuples) of three or
+    more in ``contacts`` that ``mesh.supports`` lacks or holds as pending,
+    together with every other pending set, in one ``_new_supports``
+    pass.  ``enumerate_stable`` leaves the rest sets of its placements
+    pending, so the first miss after it builds them all at once."""
+    memo = mesh.supports
+    new = [c for c in dict.fromkeys(contacts) if len(c) >= 3 and memo.get(c) is None]
     if new:
-        mesh.supports.update(zip(new, _new_supports(mesh, [np.array(c) for c in new])))
+        new = list(dict.fromkeys(new + [c for c, s in memo.items() if s is None]))
+        memo.update(zip(new, _new_supports(mesh, [np.array(c) for c in new])))
 
 
 def _new_supports(mesh: TriMesh, contacts: list[np.ndarray]) -> list[Support]:
@@ -385,16 +391,18 @@ def _new_supports(mesh: TriMesh, contacts: list[np.ndarray]) -> list[Support]:
     onto their best-fit plane in the body frame (the SVD of the centred
     contacts), so neither depends on the pose that first asked.  Each set
     gets the bits of building it alone: the SVDs and projections are
-    stacked by set size (``_by_size``).  A triangle takes qhull's vertex order from
-    ``_triangle_order``; qhull runs only for a triangle too flat for that
-    and for larger sets.  The inradii take one ``_polygon_inradii`` pass
-    per polygon size (``_edge_stacks``)."""
+    stacked by set size (``_by_size``), and the inradii and the rest of
+    each polygon (its ring order, the turn to its lowest index, its end
+    vertices and tie keys) by polygon size.  A triangle takes qhull's
+    vertex order from ``_triangle_order``; qhull runs only for a triangle
+    too flat for that and for larger sets."""
     hv = mesh.hull.vertices
     size = np.array([len(contact) for contact in contacts])
-    rings: list = [None] * len(contacts)  # (counter-clockwise order, uv polygon)
     flip = np.zeros(len(contacts), dtype=bool)
+    rings: dict[int, list] = {}  # polygon size -> [(sets, hull-vertex rings, uv rings)]
     for k, sel in _by_size(size):
-        pts = hv[np.stack([contacts[i] for i in sel.tolist()])]
+        idx = np.stack([contacts[i] for i in sel.tolist()])
+        pts = hv[idx]
         mean = pts.mean(axis=1)
         _, _, vt = np.linalg.svd(pts - mean[:, None])
         uv = (pts - mean[:, None]) @ vt[:, :2].transpose(0, 2, 1)  # best-fit plane coordinates
@@ -403,30 +411,34 @@ def _new_supports(mesh: TriMesh, contacts: list[np.ndarray]) -> list[Support]:
         v0, v1 = vt[:, 0], vt[:, 1]
         up = v0[:, [1, 2, 0]] * v1[:, [2, 0, 1]] - v0[:, [2, 0, 1]] * v1[:, [1, 2, 0]]
         flip[sel] = np.vecdot(up, mesh.com - mean) < 0
-        order, flat = _triangle_order(uv) if k == 3 else (None, np.ones(len(sel), dtype=bool))
-        for j, i in enumerate(sel.tolist()):
+        hulled = range(len(sel))
+        if k == 3:
+            order, flat = _triangle_order(uv)
+            fit = np.flatnonzero(~flat)
+            rings.setdefault(3, []).append((
+                sel[fit], np.take_along_axis(idx[fit], order[fit], axis=1),
+                np.take_along_axis(uv[fit], order[fit, :, None], axis=1),
+            ))
+            hulled = np.flatnonzero(flat).tolist()
+        for j in hulled:
             try:
-                ring = ConvexHull(uv[j]).vertices if flat[j] else order[j]
+                ring = ConvexHull(uv[j]).vertices
             except QhullError:
                 continue  # no polygon: a point or segment support
-            rings[i] = ring, uv[j][ring]
-    polygons = np.array([i for i, ring in enumerate(rings) if ring is not None], dtype=int)
-    inradii = np.zeros(len(contacts))
-    for sel, a, b in _edge_stacks([rings[i][1] for i in polygons.tolist()]):
-        inradii[polygons[sel]] = _polygon_inradii(a, b)
-    inradii = inradii.tolist()
-    supports = []
-    for i, contact in enumerate(contacts):
-        if rings[i] is None:
-            supports.append(Support.without_polygon(contact))
-            continue
-        order = rings[i][0]
-        ring = contact[order[::-1] if flip[i] else order]
+            rings.setdefault(len(ring), []).append((sel[j:j + 1], idx[j, ring][None],
+                                                     uv[j, ring][None]))
+    supports: list = [None] * len(contacts)
+    for m, parts in rings.items():
+        sel, ring, uv = (np.concatenate(part) for part in zip(*parts))
+        inradii = _polygon_inradii(*_ring_edges(uv)).tolist()
+        ring = np.where(flip[sel, None], ring[:, ::-1], ring)
         # start at the lowest index
-        turn = np.arange(len(ring)) + int(np.argmin(ring))
-        poly, end = ring[turn % len(ring)], ring[(turn + 1) % len(ring)]
-        supports.append(Support(contact, poly, inradii[i], poly, end, _pair_keys(poly, end)))
-    return supports
+        poly = np.take_along_axis(ring, (np.arange(m) + ring.argmin(axis=1)[:, None]) % m, axis=1)
+        end = poly[:, (np.arange(m) + 1) % m]
+        for i, p, e, pair, inr in zip(sel.tolist(), poly, end, _pair_keys(poly, end), inradii):
+            supports[i] = Support(contacts[i], p, inr, p, e, pair)
+    return [Support.without_polygon(contact) if support is None else support
+            for contact, support in zip(contacts, supports)]
 
 
 def _by_size(size: np.ndarray):
@@ -505,8 +517,12 @@ def enumerate_stable(
     ``_coplanar_groups``, and the triangles too flat for that pass, take
     one polygon pass (``_facet_placements``).  The placements are merged
     in facet order, and the output equals that of checking every facet
-    of ``merge_coplanar_facets``, bit for bit.  Raises ValueError unless
-    0 <= ``angle_tol`` < pi/2 and ``margin_eps`` is finite and >= 0.
+    of ``merge_coplanar_facets``, bit for bit.  The rest set of each
+    placement, its facet's sorted hull-vertex indices, is left pending in
+    the support memo ``mesh.supports`` without being built, so the first
+    settle that misses the memo builds them all in one pass.  Raises
+    ValueError unless 0 <= ``angle_tol`` < pi/2 and ``margin_eps`` is
+    finite and >= 0.
     """
     check_margin_eps(margin_eps)
     hull = mesh.hull
@@ -516,15 +532,19 @@ def enumerate_stable(
     found, flat = _lone_placements(mesh, np.flatnonzero(lone), margin_eps)
     found += _facet_placements(mesh, groups + [[f] for f in flat], margin_eps)
     found.sort(key=lambda seeded: seeded[0])
-    return [placement for _, placement in found]
+    memo = mesh.supports
+    for _, _, contact in found:
+        memo.setdefault(contact, None)
+    return [placement for _, placement, _ in found]
 
 
 def _facet_placements(
     mesh: TriMesh, groups: list[list[int]], margin_eps: float
-) -> list[tuple[int, Placement]]:
-    """(seed face, placement) pairs for the facets of ``mesh.hull`` made of
-    the face groups ``groups``, each seeded by its first face, whose
-    margin is at least margin_eps.
+) -> list[tuple[int, Placement, tuple[int, ...]]]:
+    """(seed face, placement, rest set) for the facets of ``mesh.hull``
+    made of the face groups ``groups``, each seeded by its first face,
+    whose margin is at least margin_eps; the rest set is the facet's
+    sorted hull-vertex indices.
 
     Each facet gets the bits of building it alone with ``mesh._facet``
     and checking it exactly: the area-weighted normal, the facet's
@@ -583,13 +603,15 @@ def _facet_placements(
         inradii[g[rest]] = _polygon_inradii(a[rest], b[rest])
     rests = np.flatnonzero(~(margin < margin_eps))
     placements = _resting(mesh, rot[rests], margin[rests].tolist(), inradii[rests].tolist())
-    return [(groups[g][0], p) for g, p in zip(rests.tolist(), placements)]
+    vertex, first, last = vertex.tolist(), first.tolist(), (first + count).tolist()
+    return [(groups[g][0], p, tuple(vertex[first[g]:last[g]]))
+            for g, p in zip(rests.tolist(), placements)]
 
 
 def _lone_placements(
     mesh: TriMesh, faces: np.ndarray, margin_eps: float
-) -> tuple[list[tuple[int, Placement]], list[int]]:
-    """(face, placement) pairs for the one-triangle facets of
+) -> tuple[list[tuple[int, Placement, tuple[int, ...]]], list[int]]:
+    """(face, placement, rest set) for the one-triangle facets of
     ``mesh.hull`` among ``faces`` whose margin is at least margin_eps,
     with the bits that ``_facet_placements`` would give, and the faces
     too flat for this pass, which take that one instead.
@@ -605,7 +627,8 @@ def _lone_placements(
     normals, areas = hull.face_normals_and_areas
     wn = areas[faces, None] * normals[faces]
     n = wn / np.sqrt(np.vecdot(wn, wn))[:, None]
-    pts = hull.vertices[np.sort(hull.faces[faces], axis=1)]
+    corners = np.sort(hull.faces[faces], axis=1)
+    pts = hull.vertices[corners]
     e1 = _any_perpendicular(n)
     uv = np.concatenate([pts @ e1[:, :, None], pts @ np.cross(n, e1)[:, :, None]], axis=2)
     order, flat = _triangle_order(uv)
@@ -625,7 +648,8 @@ def _lone_placements(
     d = d[rests]
     inr = (d[:, 0, 0] * d[:, 1, 1] - d[:, 0, 1] * d[:, 1, 0]) / ln[rests].sum(axis=1)
     placements = _resting(mesh, rot[rests], margin[rests].tolist(), inr.tolist())
-    return list(zip(faces[rests].tolist(), placements)), faces[by_polygon].tolist()
+    found = zip(faces[rests].tolist(), placements, map(tuple, corners[rests].tolist()))
+    return list(found), faces[by_polygon].tolist()
 
 
 def _triangle_order(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -748,8 +772,10 @@ def settle(
     Point, segment and polygon supports, and one triangle whose COM lies
     inside it but within ``margin_eps`` of an edge, take the world-frame
     pivot above.  It reads the support of the contact set, as hull-vertex
-    indices, and its inradius from the mesh's memo (``_contact_support``,
-    built once per contact set), and indexes the posed hull with it.
+    indices, and its inradius from the mesh's memo (``_contact_support``),
+    and indexes the posed hull with it.  Each contact set is built once:
+    the first miss builds it together with every rest set that
+    ``enumerate_stable`` left pending (``_memoize_supports``).
 
     The score of the stable Placement is its margin over the memo's
     inradius, clamped to [0, 1].  Returns the stable Placement; with
@@ -994,21 +1020,22 @@ def _resting(
     mesh: TriMesh, rot: np.ndarray, margins: tuple[float, ...], inradii: tuple[float, ...]
 ) -> list[Placement]:
     """Stable placements under the rotations ``rot`` (n, 3, 3), with their
-    margins, scored against their supports' inradii.  The lowest mesh
-    vertices are found in blocks of at most ``_SETTLE_BLOCK`` rotations
-    times vertices."""
+    margins, scored against their supports' inradii: margin / inradius
+    clamped to [0, 1], one clip for them all, and 0 without a positive
+    inradius.  The lowest mesh vertices are found in blocks of at most
+    ``_SETTLE_BLOCK`` rotations times vertices."""
     com = rot @ mesh.com
     translation = np.negative(com)
     for block in _blocks(mesh, len(rot)):
         posed = mesh.vertices @ rot[block].transpose(0, 2, 1)
         translation[block, 2] = -posed[:, :, 2].min(axis=1)
-    placements = []
-    for r, t, margin, inr in zip(rot, translation, margins, inradii):
-        placement = Placement(rotation=r, translation=t, stability_margin=margin)
-        if inr > 0:
-            placement.score = float(np.clip(margin / inr, 0.0, 1.0))
-        placements.append(placement)
-    return placements
+    inradii = np.asarray(inradii, dtype=float)
+    positive = inradii > 0
+    score = np.zeros(len(rot))
+    score[positive] = np.clip(np.asarray(margins, dtype=float)[positive] / inradii[positive],
+                              0.0, 1.0)
+    return [Placement(rotation=r, translation=t, stability_margin=margin, score=sc)
+            for r, t, margin, sc in zip(rot, translation, margins, score.tolist())]
 
 
 def _walk(

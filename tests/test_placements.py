@@ -1233,6 +1233,44 @@ class TestSupports:
         got = _assert_supports_match_reference(mesh, contacts)
         assert sum(s.polygon is None for s in got) == 2
 
+    def test_enumerated_rest_sets_build_in_one_pass(self):
+        """``enumerate_stable`` leaves its placements' rest sets pending in
+        the memo, unbuilt; the first lone settle after it builds them in
+        its one ``_new_supports`` pass, so twelve seeded settles make one
+        call, with the bits of the same drops on an un-enumerated copy,
+        and every Support in the memo has the reference's bits."""
+        mesh, fresh = ellipsoid(3), ellipsoid(3)
+        found = enumerate_stable(mesh)
+        assert len(mesh.supports) == len(found)
+        assert all(support is None for support in mesh.supports.values())
+        rng = np.random.default_rng(42)
+        initials = [random_rotation(rng) for _ in range(12)]
+        with _counting(placements, "_new_supports") as calls:
+            got = [settle(mesh, initial) for initial in initials]
+        assert calls[0] == 1
+        for placement, initial in zip(got, initials):
+            want = settle(fresh, initial)
+            assert placement.rotation.tobytes() == want.rotation.tobytes()
+            assert placement.translation.tobytes() == want.translation.tobytes()
+            assert placement.stability_margin == want.stability_margin
+            assert placement.score == want.score
+        for key, support in mesh.supports.items():
+            poly, inr = _reference_support(mesh, np.array(key))
+            assert support.contact.tolist() == list(key)
+            assert support.polygon.tolist() == poly.tolist()
+            assert np.float64(support.inradius).tobytes() == np.float64(inr).tobytes()
+
+    def test_round_mesh_builds_every_facet_in_one_settle(self):
+        """On a sphere every hull triangle is a stable facet: one settle
+        after enumeration builds all 1,280 and leaves none pending."""
+        mesh = fixtures.icosphere(0.05, 3)
+        assert len(enumerate_stable(mesh)) == 1280
+        with _counting(placements, "_new_supports") as calls:
+            settle(mesh, random_rotation(np.random.default_rng(3)))
+        assert calls[0] == 1
+        assert len(mesh.supports) == 1280
+        assert all(support is not None for support in mesh.supports.values())
+
 
 def _assert_supports_match_reference(mesh, contacts):
     """One ``_new_supports`` batch of ``contacts`` gives each set the
