@@ -4,18 +4,17 @@ icospheres of the ``dense-meshes`` benchmark workload (320, 1280 and 5120
 faces) and the unscaled ``icosphere(0.05, 4)``, on which every hull
 triangle is a stable facet.
 
-Usage: python scripts/cold_settles.py [--seed N]
+Usage: python scripts/cold_settles.py
 
 Each mesh is built afresh, so ``enumerate_stable`` starts from cold
-per-mesh caches (its time includes the convex hull).  Then 12 seeded
-random drops settle one at a time with ``settle``, as the workload's
-timed calls do.  Per mesh the script prints the ``enumerate_stable``
-milliseconds, the first settle's, the median of the next 11 and the
-number of ``_new_supports`` calls the 12 settles made.  It checks
-nothing.
+per-mesh caches (its time includes the convex hull).  Then 12 random
+drops, seeded by ``[0, i]`` on the i-th mesh, settle one at a time
+with ``settle``, as the workload's timed calls do.  Per mesh the
+script prints the ``enumerate_stable`` milliseconds, the first
+settle's, the median of the next 11 and the number of
+``_new_supports`` calls the 12 settles made.  It checks nothing.
 """
 
-import argparse
 import functools
 import statistics
 import time
@@ -51,9 +50,6 @@ def counted(fn, calls: list[int]):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=0, help="drop seed (default 0)")
-    args = parser.parse_args()
     new_supports = placements._new_supports
     calls = [0]
     placements._new_supports = counted(new_supports, calls)
@@ -64,7 +60,7 @@ def main():
             t0 = time.perf_counter()
             placements.enumerate_stable(mesh)
             enumerate_s = time.perf_counter() - t0
-            rng = np.random.default_rng([args.seed, i])
+            rng = np.random.default_rng([0, i])
             calls[0] = 0
             settle_s = []
             for _ in range(DROPS):

@@ -134,12 +134,18 @@ class TriMesh:
         (sorted indices into ``hull.vertices``) to its
         ``placements.Support``: the support polygon as hull-vertex
         indices, its inradius and the edges that settle's margin and
-        pivot read.  ``placements.enumerate_stable`` adds the rest sets of
-        the placements it returns as pending entries, mapped to None and
-        not built.  A settle or lockstep iteration that meets sets that
-        are missing or pending builds them, and every other pending set,
-        in one pass (``placements._memoize_supports``), so after
-        enumeration a mesh's first settle builds them all."""
+        pivot read.  A settle or lockstep iteration that meets sets the
+        memo lacks builds them, and every set in ``pending_supports``,
+        in one pass (``placements._memoize_supports``)."""
+        return {}
+
+    @cached_property
+    def pending_supports(self) -> dict:
+        """Contact sets not yet in ``supports`` whose ``placements.Support``
+        the next memo miss builds, as keys mapped to None (an ordered
+        set): ``placements.enumerate_stable`` adds the rest sets of the
+        placements it returns, so after enumeration a mesh's first settle
+        builds them all."""
         return {}
 
     @cached_property

@@ -373,14 +373,16 @@ def _contact_support(mesh: TriMesh, contact: np.ndarray) -> Support:
 
 def _memoize_supports(mesh: TriMesh, contacts: list[tuple[int, ...]]) -> None:
     """Build the contact sets (sorted hull-vertex index tuples) of three or
-    more in ``contacts`` that ``mesh.supports`` lacks or holds as pending,
-    together with every other pending set, in one ``_new_supports``
-    pass.  ``enumerate_stable`` leaves the rest sets of its placements
-    pending, so the first miss after it builds them all at once."""
-    memo = mesh.supports
-    new = [c for c in dict.fromkeys(contacts) if len(c) >= 3 and memo.get(c) is None]
+    more in ``contacts`` that ``mesh.supports`` lacks, together with every
+    set in ``mesh.pending_supports``, in one ``_new_supports`` pass, and
+    empty the pending sets.  ``enumerate_stable`` leaves the rest sets of
+    its placements pending, so the first miss after it builds them all at
+    once; a miss with nothing pending builds only its own sets."""
+    memo, pending = mesh.supports, mesh.pending_supports
+    new = [c for c in dict.fromkeys(contacts) if len(c) >= 3 and c not in memo]
     if new:
-        new = list(dict.fromkeys(new + [c for c, s in memo.items() if s is None]))
+        new = list(dict.fromkeys([*new, *pending]))
+        pending.clear()
         memo.update(zip(new, _new_supports(mesh, [np.array(c) for c in new])))
 
 
@@ -517,14 +519,33 @@ def enumerate_stable(
     ``_coplanar_groups``, and the triangles too flat for that pass, take
     one polygon pass (``_facet_placements``).  The placements are merged
     in facet order, and the output equals that of checking every facet
-    of ``merge_coplanar_facets``, bit for bit.  The rest set of each
-    placement, its facet's sorted hull-vertex indices, is left pending in
-    the support memo ``mesh.supports`` without being built, so the first
-    settle that misses the memo builds them all in one pass.  Raises
+    of ``merge_coplanar_facets``, bit for bit.
+
+    The rest set of each placement, its facet's sorted hull-vertex
+    indices, is left in ``mesh.pending_supports`` unless the support memo
+    ``mesh.supports`` holds it already; nothing is built here, so the
+    first settle that misses the memo builds them all in one pass.  That
+    settle pays for every pending set, met or not: on a round mesh, where
+    every hull triangle is a stable facet, it builds them all.  The
+    pending sets travel with the mesh, so each pool worker of
+    ``generate_dataset`` builds them on its first miss.  Raises
     ValueError unless 0 <= ``angle_tol`` < pi/2 and ``margin_eps`` is
     finite and >= 0.
     """
     check_margin_eps(margin_eps)
+    found = _rest_placements(mesh, margin_eps, angle_tol)
+    memo = mesh.supports
+    mesh.pending_supports.update(
+        dict.fromkeys(contact for _, _, contact in found if contact not in memo)
+    )
+    return [placement for _, placement, _ in found]
+
+
+def _rest_placements(
+    mesh: TriMesh, margin_eps: float, angle_tol: float = 1e-4
+) -> list[tuple[int, Placement, tuple[int, ...]]]:
+    """(seed face, placement, rest set) of each ``enumerate_stable``
+    placement, in facet order, leaving the support memo alone."""
     hull = mesh.hull
     groups, lone = _coplanar_groups(hull, hull.face_normals(), angle_tol)
     slack = 1e-9 * float(np.abs(hull.vertices).max())
@@ -532,10 +553,7 @@ def enumerate_stable(
     found, flat = _lone_placements(mesh, np.flatnonzero(lone), margin_eps)
     found += _facet_placements(mesh, groups + [[f] for f in flat], margin_eps)
     found.sort(key=lambda seeded: seeded[0])
-    memo = mesh.supports
-    for _, _, contact in found:
-        memo.setdefault(contact, None)
-    return [placement for _, placement, _ in found]
+    return found
 
 
 def _facet_placements(
@@ -840,12 +858,13 @@ def _explain_tips(mesh: TriMesh, outcomes: list, max_tips: int, margin_eps: floa
     """``outcomes``, in which every drop past ``max_tips`` gets a
     SettleDiverged that names margin_eps and the largest hull facet
     margin when no facet's margin reaches margin_eps.  The facets are
-    enumerated only when some drop went past ``max_tips``."""
+    enumerated only when some drop went past ``max_tips``, without
+    leaving their rest sets pending (``_rest_placements``)."""
     past = f"exceeded max_tips={max_tips}"
     over = [isinstance(o, SettleDiverged) and str(o) == past for o in outcomes]
     if not any(over):
         return outcomes
-    margins = [p.stability_margin for p in enumerate_stable(mesh, 0.0)]
+    margins = [p.stability_margin for _, p, _ in _rest_placements(mesh, 0.0)]
     if margins and max(margins) >= margin_eps:
         return outcomes
     largest = f"is {max(margins):.3g}" if margins else "is below 0"

@@ -580,7 +580,7 @@ class TestDenseMeshSettle:
         """On the unit cube scaled by 1e-4, whose largest facet margin is
         5e-5, every drop tips until max_tips; settle and settle_batch then
         say that no facet reaches margin_eps, with one enumeration per
-        call.  A mesh with a reachable facet keeps the plain message, and
+        call that seeds no pending support.  A mesh with a reachable facet keeps the plain message, and
         a drop that settles enumerates nothing."""
         cube = fixtures.unit_cube()
         tiny = TriMesh(cube.vertices * 1e-4, cube.faces)
@@ -588,7 +588,7 @@ class TestDenseMeshSettle:
         initials = np.stack([random_rotation(rng) for _ in range(3)])
         want = ("exceeded max_tips=200: no hull facet reaches margin_eps=0.0001; "
                 "the largest facet margin is 5e-05")
-        with _counting(placements, "enumerate_stable") as calls:
+        with _counting(placements, "_rest_placements") as calls:
             with pytest.raises(SettleDiverged) as err:
                 settle(tiny, initials[0])
             assert str(err.value) == want
@@ -597,6 +597,7 @@ class TestDenseMeshSettle:
             with pytest.raises(SettleDiverged, match=r"^exceeded max_tips=1$"):
                 settle(cube, initials[0], max_tips=1)
             assert calls[0] == 3
+            assert not cube.pending_supports  # the check leaves no rest set pending
             settle_batch(cube, initials)
             settle(tiny, initials[0], margin_eps=1e-5)
             assert calls[0] == 3
@@ -1234,15 +1235,15 @@ class TestSupports:
         assert sum(s.polygon is None for s in got) == 2
 
     def test_enumerated_rest_sets_build_in_one_pass(self):
-        """``enumerate_stable`` leaves its placements' rest sets pending in
-        the memo, unbuilt; the first lone settle after it builds them in
+        """``enumerate_stable`` leaves its placements' rest sets pending
+        beside the memo, unbuilt; the first lone settle after it builds them in
         its one ``_new_supports`` pass, so twelve seeded settles make one
         call, with the bits of the same drops on an un-enumerated copy,
         and every Support in the memo has the reference's bits."""
         mesh, fresh = ellipsoid(3), ellipsoid(3)
         found = enumerate_stable(mesh)
-        assert len(mesh.supports) == len(found)
-        assert all(support is None for support in mesh.supports.values())
+        assert not mesh.supports
+        assert len(mesh.pending_supports) == len(found)
         rng = np.random.default_rng(42)
         initials = [random_rotation(rng) for _ in range(12)]
         with _counting(placements, "_new_supports") as calls:
@@ -1262,14 +1263,17 @@ class TestSupports:
 
     def test_round_mesh_builds_every_facet_in_one_settle(self):
         """On a sphere every hull triangle is a stable facet: one settle
-        after enumeration builds all 1,280 and leaves none pending."""
+        after enumeration builds all 1,280 and leaves none pending, and
+        enumerating again leaves none pending."""
         mesh = fixtures.icosphere(0.05, 3)
         assert len(enumerate_stable(mesh)) == 1280
         with _counting(placements, "_new_supports") as calls:
             settle(mesh, random_rotation(np.random.default_rng(3)))
         assert calls[0] == 1
         assert len(mesh.supports) == 1280
-        assert all(support is not None for support in mesh.supports.values())
+        assert not mesh.pending_supports
+        enumerate_stable(mesh)  # built sets are not pending again
+        assert not mesh.pending_supports
 
 
 def _assert_supports_match_reference(mesh, contacts):
