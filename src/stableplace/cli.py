@@ -454,7 +454,10 @@ def cmd_plan(mesh_path, start, goal, grasp_samples, seed, max_width,
     with _input("--max-width/--plane-clearance"):
         spec = GripperSpec(max_width=max_width * CM, plane_clearance=plane_clearance * CM)
     mesh = load_mesh(mesh_path)
-    d = _plan_json(mesh, _stable_placements(mesh), start, goal, grasp_samples, seed, spec)
+    placements = _stable_placements(mesh)
+    if not placements:
+        raise InputError(f"{mesh_path}: no placement with margin >= {DEFAULT_MARGIN_EPS}")
+    d = _plan_json(mesh, placements, start, goal, grasp_samples, seed, spec)
     _write_text(output, _dump_json(d))
 
 

@@ -171,6 +171,18 @@ class TriMesh:
         return _read_only(a), _read_only(v[f[:, 1]] - a), _read_only(v[f[:, 2]] - a)
 
     @cached_property
+    def face_spheres(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per face a bounding sphere, built on first use: the centroid
+        a + (e1 + e2) / 3 as rounded, and the largest computed distance
+        from it to the face's three vertices, within a few roundings of
+        the exact one."""
+        a, e1, e2 = self.triangle_edges
+        centre = a + (e1 + e2) / 3.0
+        rel = self.vertices[self.faces] - centre[:, None]
+        radius = np.sqrt(np.einsum("fij,fij->fi", rel, rel).max(axis=1))
+        return _read_only(centre), _read_only(radius)
+
+    @cached_property
     def area_cdf(self) -> np.ndarray:
         """Cumulative face-area shares, normalised as
         ``Generator.choice(p=areas / areas.sum())`` normalises them, so a

@@ -7,6 +7,7 @@ arm kinematics are out of scope.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -32,10 +33,10 @@ class GripperSpec:
 
     def __post_init__(self):
         for name in ("max_width", "finger_length", "finger_thickness", "plane_clearance"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if not self.friction_angle >= 0:
-            raise ValueError("friction_angle must be non-negative")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 0 <= self.friction_angle < math.inf:
+            raise ValueError("friction_angle must be non-negative and finite")
 
 
 @dataclass
@@ -113,10 +114,97 @@ class Plan:
         }
 
 
-# Ray-face pairs per block of the batched ray cast: bounds each of its
-# (rays, faces, 3) temporaries at about 100 kB (one ray's worth on a mesh of
-# more faces) whatever the sample count.
+# Ray-face pairs per block of the batched ray cast, whatever the sample
+# count.  The broad phase tests one block at a time, in (rays, faces)
+# temporaries of about 33 kB and one matmul output of about 100 kB.  The
+# narrow phase pads each ray's kept faces to a common width, over the rays
+# of consecutive blocks while their padded pairs fit one block, so its
+# (rays, width, 3) temporaries take about 100 kB too (one ray's worth on a
+# mesh of more faces).
 _RAY_FACE_BLOCK = 4096
+
+# Broad-phase slack, derived in the _broad_phase docstring: the relative
+# growth of each face's sphere, the broad phase's own rounding in units of
+# S^2 |d|^2 or S |d|, and the |det| scale below which the narrow phase's
+# rounding could pass a pair.
+_SPHERE_SLACK = 1e-6
+_ROUNDING_SLACK = 64 * np.finfo(float).eps / 2
+_DET_SLACK = 1e-6
+
+
+def _broad_phase(mesh: TriMesh, origins: np.ndarray, directions: np.ndarray, step: int):
+    """Yield, per block of ``step`` rays, the (rays, faces) mask of the
+    ray-face pairs that ``_narrow_phase`` may accept; it accepts no other
+    pair in floating point.
+
+    With o and d a ray's origin and direction, and c and rho the centre
+    and radius of a face's bounding sphere (``TriMesh.face_spheres``), a
+    pair is kept when the ray is near-grazing for the face's size, or
+    when its line passes within R = (1 + _SPHERE_SLACK) rho of c and c
+    lies no more than R behind o along d.  A NaN anywhere keeps its pair.
+
+    Derivation.  Let u = 2**-53, a be the face's first vertex, e1 and e2
+    its float edges and T = |o - a|.  Each narrow-phase numerator and det
+    is a cross product and a dot of float vectors (T's rounding
+    included), so it is off by at most sqrt(2) gamma_6 < 10u times the
+    product of its three vectors' lengths: 10u |d| |e2| T for u,
+    10u |d| |e1| T for w, 10u |e1| |e2| T for t and 10u |d| |e1| |e2| for
+    det.  The edges are chords of the sphere, so |e1|, |e2| <= 2 rho.
+    Where |det| > _DET_SLACK |d| 2 rho (T + 2 rho), each numerator error
+    over |det| is below 10u / 1e-6 < 1.2e-9 (2.4e-9 rho / |d| for t), and
+    so is det's relative error.  Computed u and w that pass their 1e-9
+    tests then stem from exact ones with u, w >= -3.5e-9 and
+    u + w <= 1 + 6e-9: the exact hit point lies in the face grown by
+    2e-8 of its size about its centroid, so within (1 + 1e-7) rho of c,
+    and t > 1e-9 leaves it at most 3e-9 rho behind o along d.  The
+    1e-6 in R also absorbs rho's rounding and that of e1 and e2, which
+    are off b - a and c - a by at most 2u rho.
+
+    The broad phase reads |det| / 2 rho as |d . n| A / rho, with the
+    face's unit normal n and area A; that is off by less than
+    20u rho |d| + 8u |det| / 2 rho, far below the threshold.  It bounds
+    T, and |c| + |o|, by S = max |o| + max (|c| + rho) >= rho.  Its one
+    matmul per block takes sums of at most five products, so the squared
+    line distance times |d|^2, (|c - o|^2 - R^2) |d|^2 - ((c - o) . d)^2,
+    is off by at most 34u S^2 |d|^2, and c's offset along the line,
+    (c - o) . d + R |d|, by at most 12u S |d|.  Both cuts take
+    _ROUNDING_SLACK = 64u of these scales as slack.  As S grows with the
+    distance of the mesh and the rays from the coordinate origin, a mesh
+    far from it, for its size, keeps more near-grazing pairs.
+    """
+    centre, radius = mesh.face_spheres
+    normals, areas = mesh.face_normals_and_areas
+    f = len(centre)
+    reach = (1.0 + _SPHERE_SLACK) * radius
+    scale = areas / np.maximum(radius, np.finfo(float).tiny)
+    cc = np.einsum("ij,ij->i", centre, centre)
+    oo = np.einsum("ij,ij->i", origins, origins)
+    od = np.einsum("ij,ij->i", origins, directions)
+    dd = np.einsum("ij,ij->i", directions, directions)[:, None]
+    nd = np.sqrt(dd)
+    bound = np.sqrt(oo.max()) + (np.sqrt(cc) + radius).max()  # S
+    line_slack = _ROUNDING_SLACK * bound * bound * dd
+    behind_slack = -_ROUNDING_SLACK * bound * nd
+    det_bound = _DET_SLACK * (bound + 2.0 * radius.max()) * nd
+    # rows (o |d|^2, d, |d|^2, |o|^2 |d|^2, o . d) times this table give
+    # per face, side by side, (|c - o|^2 - R^2) |d|^2, (c - o) . d and
+    # (d . n) A / rho
+    rays = np.column_stack([origins * dd, directions, dd, oo[:, None] * dd, od])
+    table = np.zeros((9, 3 * f))
+    table[0:3, :f] = -2.0 * centre.T
+    table[6, :f] = cc - reach * reach
+    table[7, :f] = 1.0
+    table[3:6, f : 2 * f] = centre.T
+    table[8, f : 2 * f] = -1.0
+    table[3:6, 2 * f :] = (normals * scale[:, None]).T
+    for s in range(0, len(origins), step):
+        b = slice(s, s + step)
+        m = rays[b] @ table
+        qd = m[:, f : 2 * f]
+        far = m[:, :f] - qd * qd > line_slack[b]
+        behind = qd + reach * nd[b] < behind_slack[b]
+        grazing = np.abs(m[:, 2 * f :]) <= det_bound[b]
+        yield grazing | ~(far | behind)
 
 
 def _ray_mesh_exits(
@@ -126,35 +214,86 @@ def _ray_mesh_exits(
     hits near its origin: (R,) distances along the ray and face indices,
     face -1 where the ray hits nothing.
 
-    Rays go in blocks of about ``_RAY_FACE_BLOCK`` ray-face pairs, at
-    least one ray each.  Every ray-face pair takes the arithmetic of a
-    one-ray cast (a stacked ``matmul`` reduces as the one-ray
-    ``qvec @ direction`` does), so a ray's result does not depend on the
-    block it falls in, bit for bit.
+    ``_broad_phase`` drops, in blocks of about ``_RAY_FACE_BLOCK``
+    ray-face pairs (at least one ray each), the pairs the test cannot
+    accept.  Consecutive blocks then share one ``_narrow_phase`` while
+    their rays times the most faces one of them keeps stay within that
+    budget.
+    """
+    n = len(origins)
+    dist = np.zeros(n)
+    face = np.full(n, -1)
+    step = max(1, _RAY_FACE_BLOCK // len(mesh.faces))
+    lo, width, rays, faces = 0, 2, [], []
+    for s, keep in zip(range(0, n, step), _broad_phase(mesh, origins, directions, step)):
+        block_width = keep.sum(axis=1).max()
+        if s > lo and (s + len(keep) - lo) * max(width, block_width) > _RAY_FACE_BLOCK:
+            dist[lo:s], face[lo:s] = _narrow_phase(
+                mesh, origins[lo:s], directions[lo:s], rays, faces
+            )
+            lo, width, rays, faces = s, 2, [], []
+        ray, col = np.nonzero(keep)
+        rays.append(ray + (s - lo))
+        faces.append(col)
+        width = max(width, block_width)
+    dist[lo:], face[lo:] = _narrow_phase(mesh, origins[lo:], directions[lo:], rays, faces)
+    return dist, face
+
+
+def _narrow_phase(
+    mesh: TriMesh,
+    origins: np.ndarray,
+    directions: np.ndarray,
+    rays: list[np.ndarray],
+    faces: list[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_ray_mesh_exits`` over the ray-face pairs (rays[k][i],
+    faces[k][i]), listed by ray and then face, ascending.
+
+    Each ray's faces, padded to a common width, take the arithmetic of a
+    one-ray cast over all faces (a stacked ``matmul`` of two or more rows
+    reduces as the one-ray ``qvec @ direction`` does), and ``argmax``
+    picks the first of equal farthest hits, so a ray's result depends
+    neither on its batch nor on the culling, bit for bit.
     """
     a, e1, e2 = mesh.triangle_edges
-    dist = np.zeros(len(origins))
-    face = np.full(len(origins), -1)
-    step = max(1, _RAY_FACE_BLOCK // len(a))
-    for s in range(0, len(origins), step):
-        o = origins[s : s + step, None]
-        d = directions[s : s + step]
-        pvec = np.cross(d[:, None], e2)
-        det = np.einsum("nij,nij->ni", e1[None], pvec)
-        ok = np.abs(det) > 1e-12
-        inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
-        tvec = o - a
-        u = np.einsum("nij,nij->ni", tvec, pvec) * inv
-        qvec = np.cross(tvec, e1)
-        w = np.matmul(qvec, d[:, :, None])[..., 0] * inv
-        t = np.einsum("nij,nij->ni", e2[None], qvec) * inv
-        hit = ok & (u >= -1e-9) & (w >= -1e-9) & (u + w <= 1 + 1e-9) & (t > 1e-9)
-        t = np.where(hit, t, -np.inf)
-        far = t.argmax(axis=1)
-        rows = np.flatnonzero(hit.any(axis=1))
-        dist[s + rows] = t[rows, far[rows]]
-        face[s + rows] = far[rows]
+    n = len(origins)
+    rays, faces = np.concatenate(rays), np.concatenate(faces)
+    counts = np.bincount(rays, minlength=n)
+    # a one-row matmul takes numpy's dot path, whose last bits differ
+    width = max(2, counts.max())
+    kept = np.zeros((n, width), dtype=np.intp)
+    kept[rays, np.arange(len(rays)) - (np.cumsum(counts) - counts)[rays]] = faces
+    o = origins[:, None]
+    d = directions
+    ka, ke1, ke2 = a[kept], e1[kept], e2[kept]
+    pvec = _cross(d[:, None], ke2)
+    det = np.einsum("nij,nij->ni", ke1, pvec)
+    ok = (np.arange(width) < counts[:, None]) & (np.abs(det) > 1e-12)
+    inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
+    tvec = o - ka
+    u = np.einsum("nij,nij->ni", tvec, pvec) * inv
+    qvec = _cross(tvec, ke1)
+    w = np.matmul(qvec, d[:, :, None])[..., 0] * inv
+    t = np.einsum("nij,nij->ni", ke2, qvec) * inv
+    hit = ok & (u >= -1e-9) & (w >= -1e-9) & (u + w <= 1 + 1e-9) & (t > 1e-9)
+    t = np.where(hit, t, -np.inf)
+    far = t.argmax(axis=1)
+    rows = np.flatnonzero(hit.any(axis=1))
+    dist = np.zeros(n)
+    face = np.full(n, -1)
+    dist[rows] = t[rows, far[rows]]
+    face[rows] = kept[rows, far[rows]]
     return dist, face
+
+
+def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``np.cross`` of two stacks of 3-vectors, bit for bit: each
+    component is one elementwise product minus another, as there, without
+    that function's per-call overhead."""
+    x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
+    y0, y1, y2 = y[..., 0], y[..., 1], y[..., 2]
+    return np.stack([x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0], axis=-1)
 
 
 def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -172,9 +311,9 @@ def _perpendicular_bases(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Two unit vectors spanning the plane perpendicular to each unit row
     of ``axis``, right-handed with it."""
     ref = np.where((np.abs(axis[:, 2]) < 0.9)[:, None], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
-    e1 = np.cross(axis, ref)
+    e1 = _cross(axis, ref)
     e1 /= _lengths(e1)[:, None]
-    return e1, np.cross(axis, e1)
+    return e1, _cross(axis, e1)
 
 
 def sample_antipodal_grasps(

@@ -454,12 +454,26 @@ class TestPlan:
         )
         assert r.exit_code == 1
 
+    def test_no_stable_placement_exit_2(self, runner, tmp_path):
+        # the cube's margins are 5e-6 at this scale, below margin_eps; this
+        # used to exit 2 on the start/goal range [0, -1]
+        cube = fixtures.unit_cube()
+        path = tmp_path / "tiny_cube.obj"
+        save_obj(TriMesh(cube.vertices * 1e-5, cube.faces), path)
+        r = runner.invoke(main, ["plan", str(path), "--start", "0", "--goal", "1"])
+        assert r.exit_code == 2
+        assert isinstance(r.exception, SystemExit)  # no traceback
+        assert f"{path}: no placement with margin >= 0.0001" in r.stderr
+
     @pytest.mark.parametrize("flag, value", [
         ("--max-width", "nan"), ("--max-width", "-1"), ("--plane-clearance", "nan"),
         ("--grasp-samples", "0"), ("--seed", "-1"),
+        ("--max-width", "inf"), ("--plane-clearance", "inf"),
     ])
     def test_bad_option_exit_2(self, runner, mesh_dir, flag, value):
-        # NaN widths planned and found no path; the others raised tracebacks
+        # NaN widths planned and found no path, an infinite width planned
+        # and an infinite clearance found no path; the others raised
+        # tracebacks
         r = runner.invoke(
             main,
             ["plan", str(mesh_dir / "cube.obj"), "--start", "0", "--goal", "1",

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import ellipsoid
+from conftest import drifting_arc, ellipsoid, flattened_ellipsoid, ngon_prism, sheared_wedge
 
 from stableplace import fixtures, regrasp
 from stableplace.placements import Placement, enumerate_stable
@@ -51,6 +51,13 @@ class TestGripperSpec:
     def test_nan_rejected(self, name):
         with pytest.raises(ValueError):
             GripperSpec(**{name: float("nan")})
+
+    @pytest.mark.parametrize("name", ["max_width", "finger_length", "finger_thickness",
+                                      "friction_angle", "plane_clearance"])
+    def test_inf_rejected(self, name):
+        # an infinite width or clearance used to plan, or find no path
+        with pytest.raises(ValueError, match="finite"):
+            GripperSpec(**{name: float("inf")})
 
 
 class TestSampleAntipodalGrasps:
@@ -167,6 +174,12 @@ SAMPLER_MESHES = {
     **{name: (lambda name=name: fixtures.standard_fixtures()[name])
        for name in ("cube", "tetrahedron", "tall_box", "l_prism", "t_prism")},
     **{f"ellipsoid_s{s}": (lambda s=s: ellipsoid(s)) for s in (2, 3, 4)},
+    # long sliver cap triangles, thin nearly coplanar strips, a sheared
+    # box and a base of nearly flat triangles
+    "ngon_prism_64": lambda: ngon_prism(64),
+    "drifting_arc_1e-6": lambda: drifting_arc(1e-6),
+    "sheared_wedge": sheared_wedge,
+    "flattened_ellipsoid": flattened_ellipsoid,
 }
 
 
@@ -202,6 +215,51 @@ class TestBatchedSampler:
                 got = sample_antipodal_grasps(mesh, 60, WIDE, 4, approach_count)
                 assert grasp_bytes(got) == want
 
+    @pytest.mark.parametrize("mesh", [ngon_prism(64), drifting_arc(1e-6)],
+                             ids=["ngon_prism_64", "drifting_arc_1e-6"])
+    def test_grazing_rays_match_reference(self, mesh):
+        # rays along a face's plane, from outside the mesh, tilted off it
+        # by up to 1e-6 rad; some hit faces they nearly graze
+        rng = np.random.default_rng(3)
+        n = 200
+        normals = mesh.face_normals()
+        a, e1, e2 = mesh.triangle_edges
+        f = rng.integers(0, len(mesh.faces), n)
+        along = np.cross(normals[f], rng.normal(size=(n, 3)))
+        along /= np.linalg.norm(along, axis=1)[:, None]
+        d = along + rng.choice([0.0, 1e-15, 1e-12, 1e-9, 1e-6], size=(n, 1)) * normals[f]
+        o = (a[f] + (e1[f] + e2[f]) / 3.0 - 3.0 * np.ptp(mesh.vertices, axis=0).max() * d
+             + rng.choice([0.0, 1e-13, -1e-13], size=(n, 1)) * normals[f])
+        dist, face = regrasp._ray_mesh_exits(mesh, o, d)
+        grazing = 0
+        for i in range(n):
+            want = reference_ray_exit(mesh, o[i], d[i])
+            if want is None:
+                assert face[i] == -1
+                continue
+            assert face[i] == want[1]
+            assert (o[i] + dist[i] * d[i]).tobytes() == want[0].tobytes()
+            grazing += abs(float(normals[face[i]] @ d[i])) < 1e-3
+        assert grazing > 20
+
+    def test_broad_phase_culls_most_pairs_on_a_dense_mesh(self, monkeypatch):
+        # the narrow phase tests fewer than 1 in 20 ray-face pairs
+        mesh = ellipsoid(3)
+        broad = regrasp._broad_phase
+        kept, pairs = [], []
+
+        def counted(*args):
+            for keep in broad(*args):
+                kept.append(int(keep.sum()))
+                pairs.append(keep.size)
+                yield keep
+
+        monkeypatch.setattr(regrasp, "_broad_phase", counted)
+        grasps = sample_antipodal_grasps(mesh, 100, GripperSpec(), seed=0)
+        assert grasps
+        assert sum(pairs) == 100 * len(mesh.faces)
+        assert sum(kept) < sum(pairs) / 20
+
     def test_memory_is_bounded_by_the_block(self):
         # unblocked, 2000 rays over 5120 faces would take 245 MB per
         # (rays, faces, 3) temporary
@@ -218,11 +276,15 @@ class TestBatchedSampler:
     def test_mesh_tables_are_cached_and_read_only(self):
         mesh = ellipsoid(2)
         sample_antipodal_grasps(mesh, 10, WIDE, seed=1)
-        edges, cdf = mesh.triangle_edges, mesh.area_cdf
+        edges, cdf, spheres = mesh.triangle_edges, mesh.area_cdf, mesh.face_spheres
         sample_antipodal_grasps(mesh, 10, WIDE, seed=2)
         assert mesh.triangle_edges is edges and mesh.area_cdf is cdf
+        assert mesh.face_spheres is spheres
         assert cdf[-1] == 1.0
-        for cached in (*edges, cdf):
+        centre, radius = spheres
+        gap = np.linalg.norm(mesh.vertices[mesh.faces] - centre[:, None], axis=2)
+        assert (gap.max(axis=1) <= radius * (1 + 1e-12)).all()
+        for cached in (*edges, cdf, *spheres):
             with pytest.raises(ValueError, match="read-only"):
                 cached[0] = 0.0
 
