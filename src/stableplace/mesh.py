@@ -49,11 +49,12 @@ class TriMesh:
     """Triangle mesh with its uniform-density volume and COM.
 
     Treated as immutable after construction: its edge index (built with
-    it), its triangle edge vectors, face normals, areas and area CDF, its
-    convex hull, the COM's distances to the hull's edge lines, its pivot
-    table and the support polygons of its resting contact sets are cached
-    on first use, so changing ``vertices`` or ``faces`` in place leaves
-    them stale.  The cached arrays are read-only.
+    it), its triangle edge vectors, face normals, areas, bounding spheres
+    and area CDF, its convex hull, the COM's distances to the hull's edge
+    lines, its pivot table and the support polygons of its resting
+    contact sets are cached on first use, so changing ``vertices`` or
+    ``faces`` in place leaves them stale.  The cached arrays are
+    read-only.
     """
 
     vertices: np.ndarray  # (N, 3)

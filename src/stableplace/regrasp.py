@@ -163,8 +163,8 @@ def _broad_phase(mesh: TriMesh, origins: np.ndarray, directions: np.ndarray, ste
     The broad phase reads |det| / 2 rho as |d . n| A / rho, with the
     face's unit normal n and area A; that is off by less than
     20u rho |d| + 8u |det| / 2 rho, far below the threshold.  It bounds
-    T, and |c| + |o|, by S = max |o| + max (|c| + rho) >= rho.  Its one
-    matmul per block takes sums of at most five products, so the squared
+    T, and |c| + |o|, by S = max |o| + max (|c| + rho) >= rho.  Its two
+    matmuls per block take sums of at most five products, so the squared
     line distance times |d|^2, (|c - o|^2 - R^2) |d|^2 - ((c - o) . d)^2,
     is off by at most 34u S^2 |d|^2, and c's offset along the line,
     (c - o) . d + R |d|, by at most 12u S |d|.  Both cuts take
@@ -186,24 +186,23 @@ def _broad_phase(mesh: TriMesh, origins: np.ndarray, directions: np.ndarray, ste
     line_slack = _ROUNDING_SLACK * bound * bound * dd
     behind_slack = -_ROUNDING_SLACK * bound * nd
     det_bound = _DET_SLACK * (bound + 2.0 * radius.max()) * nd
-    # rows (o |d|^2, d, |d|^2, |o|^2 |d|^2, o . d) times this table give
-    # per face, side by side, (|c - o|^2 - R^2) |d|^2, (c - o) . d and
-    # (d . n) A / rho
-    rays = np.column_stack([origins * dd, directions, dd, oo[:, None] * dd, od])
-    table = np.zeros((9, 3 * f))
-    table[0:3, :f] = -2.0 * centre.T
-    table[6, :f] = cc - reach * reach
-    table[7, :f] = 1.0
-    table[3:6, f : 2 * f] = centre.T
-    table[8, f : 2 * f] = -1.0
-    table[3:6, 2 * f :] = (normals * scale[:, None]).T
+    # rows (o |d|^2, |d|^2, |o|^2 |d|^2) times the first table give per face
+    # (|c - o|^2 - R^2) |d|^2; rows (d, o . d) times the second give, side
+    # by side, (c - o) . d and (d . n) A / rho
+    line_rows = np.column_stack([origins * dd, dd, oo[:, None] * dd])
+    line_table = np.vstack([-2.0 * centre.T, cc - reach * reach, np.ones(f)])
+    axis_rows = np.column_stack([directions, od])
+    axis_table = np.zeros((4, 2 * f))
+    axis_table[:3, :f] = centre.T
+    axis_table[:3, f:] = (normals * scale[:, None]).T
+    axis_table[3, :f] = -1.0
     for s in range(0, len(origins), step):
         b = slice(s, s + step)
-        m = rays[b] @ table
-        qd = m[:, f : 2 * f]
-        far = m[:, :f] - qd * qd > line_slack[b]
+        m = axis_rows[b] @ axis_table
+        qd = m[:, :f]
+        far = line_rows[b] @ line_table - qd * qd > line_slack[b]
         behind = qd + reach * nd[b] < behind_slack[b]
-        grazing = np.abs(m[:, 2 * f :]) <= det_bound[b]
+        grazing = np.abs(m[:, f:]) <= det_bound[b]
         yield grazing | ~(far | behind)
 
 
