@@ -48,11 +48,12 @@ def counted(broad, pairs: list[int]):
     return wrapper
 
 
-def grasps_sha256(grasps: list) -> str:
-    """sha256 of the contacts' and approaches' bytes, in order."""
+def grasps_sha256(grasp_sets: list[regrasp.GraspSet]) -> str:
+    """sha256 of the contacts' and approaches' bytes, grasp by grasp and
+    set by set."""
     digest = hashlib.sha256()
-    for g in grasps:
-        digest.update(g.contact_a.tobytes() + g.contact_b.tobytes() + g.approach.tobytes())
+    for gs in grasp_sets:
+        digest.update(np.hstack([gs.contact_a, gs.contact_b, gs.approach]).tobytes())
     return digest.hexdigest()
 
 
@@ -68,8 +69,8 @@ def main():
             pairs = [0, 0]
             regrasp._broad_phase = counted(broad, pairs)
             try:
-                grasps = [g for seed, n in CALLS
-                          for g in regrasp.sample_antipodal_grasps(mesh, n, spec, seed)]
+                grasp_sets = [regrasp.sample_antipodal_grasps(mesh, n, spec, seed)
+                              for seed, n in CALLS]
             finally:
                 regrasp._broad_phase = broad
             times = []
@@ -77,8 +78,9 @@ def main():
                 t0 = time.perf_counter()
                 regrasp.sample_antipodal_grasps(mesh, n, spec, seed)
                 times.append(time.perf_counter() - t0)
-            print(f"{name:<13} {len(mesh.faces):>5} {label:>7} {len(grasps):>6} "
-                  f"{pairs[0] / pairs[1]:>7.4f}  {grasps_sha256(grasps)}")
+            grasps = sum(len(gs) for gs in grasp_sets)
+            print(f"{name:<13} {len(mesh.faces):>5} {label:>7} {grasps:>6} "
+                  f"{pairs[0] / pairs[1]:>7.4f}  {grasps_sha256(grasp_sets)}")
             print(f"{name} {label}: {1e3 * statistics.median(times):.3f} ms per call",
                   file=sys.stderr)
 

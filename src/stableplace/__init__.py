@@ -39,6 +39,7 @@ from .placements import (
 )
 from .regrasp import (
     GraspConfig,
+    GraspSet,
     GripperSpec,
     ManipulationGraph,
     Plan,

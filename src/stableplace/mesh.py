@@ -184,6 +184,12 @@ class TriMesh:
         return _read_only(centre), _read_only(radius)
 
     @cached_property
+    def ray_cast_tables(self) -> "RayCastTables":
+        """The per-mesh half of the grasp sampler's ray-cast broad phase,
+        built on first use."""
+        return RayCastTables.build(self)
+
+    @cached_property
     def area_cdf(self) -> np.ndarray:
         """Cumulative face-area shares, normalised as
         ``Generator.choice(p=areas / areas.sum())`` normalises them, so a
@@ -215,6 +221,62 @@ class TriMesh:
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+# Relative growth of each face's bounding sphere in the ray-cast broad
+# phase; regrasp._broad_phase derives it.
+_SPHERE_SLACK = 1e-6
+
+
+@dataclass(frozen=True)
+class RayCastTables:
+    """The per-mesh tables of ``regrasp._broad_phase``, in a frame
+    centred on ``middle``, the middle of the mesh's bounding box as
+    rounded.  With c and rho the centre and radius of a face's bounding
+    sphere (``TriMesh.face_spheres``) and c' = c - middle as rounded:
+
+    - ``reach``: (F,) R = (1 + _SPHERE_SLACK) rho;
+    - ``line_table``: (5, F) rows -2 c', |c'|^2 - R^2 and 1, which a row
+      (o |d|^2, |d|^2, |o|^2 |d|^2) of a ray in the frame turns into
+      (|c' - o|^2 - R^2) |d|^2;
+    - ``axis_table``: (4, 2F), whose first F columns (c', -1) turn a row
+      (d, o . d) into (c' - o) . d and whose last F columns (n A / rho,
+      0), with the face's unit normal n and area A, into d . n A / rho;
+    - ``extent``: max (|c'| + rho), and ``max_radius``: max rho.
+    """
+
+    middle: np.ndarray
+    reach: np.ndarray
+    line_table: np.ndarray
+    axis_table: np.ndarray
+    extent: float
+    max_radius: float
+
+    @classmethod
+    def build(cls, mesh: "TriMesh") -> "RayCastTables":
+        centre, radius = mesh.face_spheres
+        normals, areas = mesh.face_normals_and_areas
+        f = len(centre)
+        v = mesh.vertices
+        # halves first, so no sum of two coordinates can overflow
+        middle = 0.5 * v.min(axis=0) + 0.5 * v.max(axis=0)
+        shifted = centre - middle
+        cc = np.einsum("ij,ij->i", shifted, shifted)
+        reach = (1.0 + _SPHERE_SLACK) * radius
+        scale = areas / np.maximum(radius, np.finfo(float).tiny)
+        line_table = np.vstack([-2.0 * shifted.T, cc - reach * reach, np.ones(f)])
+        axis_table = np.zeros((4, 2 * f))
+        axis_table[:3, :f] = shifted.T
+        axis_table[:3, f:] = (normals * scale[:, None]).T
+        axis_table[3, :f] = -1.0
+        return cls(
+            middle=_read_only(middle),
+            reach=_read_only(reach),
+            line_table=_read_only(line_table),
+            axis_table=_read_only(axis_table),
+            extent=float((np.sqrt(cc) + radius).max()),
+            max_radius=float(radius.max()),
+        )
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ procedure; dynamic effects (bouncing, rolling) are out of scope.
 
 from __future__ import annotations
 
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import groupby
@@ -1258,9 +1259,35 @@ def _drop_records(
     margin_eps: float,
 ) -> list[PlacementRecord | None]:
     """Records of the seeded drops ``drops`` of one object."""
-    rngs = [np.random.default_rng([seed, obj_idx, drop_idx]) for drop_idx in drops]
+    rngs = _drop_generators(seed, obj_idx, drops)
     initials = quaternion_rotations(np.stack([rng.normal(size=4) for rng in rngs]))
     return settle_records(object_id, mesh, initials, rngs, margin_eps)
+
+
+def _drop_generators(seed: int, obj_idx: int, drops: list[int]) -> list[np.random.Generator]:
+    """``np.random.default_rng([seed, obj_idx, drop])`` for each drop, the
+    same streams: ``SeedSequence`` coerces that list to the little-endian
+    uint32 words of each int in turn, and here the words of seed and
+    obj_idx are found once, not per drop."""
+    prefix = _uint32_words(seed) + _uint32_words(obj_idx)
+    return [
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+            np.array(prefix + _uint32_words(drop_idx), dtype=np.uint32)
+        )))
+        for drop_idx in drops
+    ]
+
+
+def _uint32_words(x: int) -> list[int]:
+    """The little-endian 32-bit words of a non-negative int, one word 0
+    for 0, as ``SeedSequence`` coerces it."""
+    x = operator.index(x)
+    if x < 0:
+        raise ValueError("expected non-negative integer")
+    words = [x & 0xFFFFFFFF]
+    while x := x >> 32:
+        words.append(x & 0xFFFFFFFF)
+    return words
 
 
 def generate_one_drop(

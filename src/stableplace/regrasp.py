@@ -8,8 +8,10 @@ arm kinematics are out of scope.
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
@@ -66,16 +68,65 @@ class GraspConfig:
         }
 
 
+@dataclass(frozen=True, eq=False)
+class GraspSet:
+    """Grasps as a struct of arrays: row k of ``contact_a``, ``contact_b``
+    and ``approach`` (each a read-only (G, 3) copy of its input) is grasp
+    k.  Indexing with an int builds that one grasp's ``GraspConfig``, whose
+    vectors are views of the rows."""
+
+    contact_a: np.ndarray
+    contact_b: np.ndarray
+    approach: np.ndarray
+
+    def __post_init__(self):
+        for name in ("contact_a", "contact_b", "approach"):
+            rows = np.array(getattr(self, name), dtype=float)
+            if rows.size == 0:
+                rows = rows.reshape(0, 3)
+            if rows.ndim != 2 or rows.shape[1] != 3:
+                raise ValueError(f"{name} must have shape (G, 3), got {rows.shape}")
+            rows.setflags(write=False)
+            object.__setattr__(self, name, rows)
+        if not len(self.contact_a) == len(self.contact_b) == len(self.approach):
+            raise ValueError("contact_a, contact_b and approach differ in length")
+
+    def __len__(self) -> int:
+        return len(self.contact_a)
+
+    def __getitem__(self, k: int) -> GraspConfig:
+        k = operator.index(k)
+        return GraspConfig(
+            contact_a=self.contact_a[k], contact_b=self.contact_b[k], approach=self.approach[k]
+        )
+
+    def __iter__(self) -> Iterator[GraspConfig]:
+        return (self[k] for k in range(len(self)))
+
+
+def as_grasp_set(grasps: GraspSet | Sequence[GraspConfig]) -> GraspSet:
+    """``grasps`` itself, or a sequence of ``GraspConfig`` stacked row by
+    row."""
+    if isinstance(grasps, GraspSet):
+        return grasps
+    return GraspSet(
+        contact_a=[gr.contact_a for gr in grasps],
+        contact_b=[gr.contact_b for gr in grasps],
+        approach=[gr.approach for gr in grasps],
+    )
+
+
 @dataclass
 class ManipulationGraph:
     """Placements as nodes, shared-grasp sets as undirected edges.
 
-    Treated as immutable after construction: its adjacency is built on
-    first use, so changing ``edges`` in place leaves it stale.
+    Treated as immutable after construction: its adjacency and
+    breadth-first trees are built on first use, so changing ``edges`` in
+    place leaves them stale.
     """
 
     nodes: list[Placement]
-    grasps: list[GraspConfig]
+    grasps: GraspSet
     edges: dict[tuple[int, int], list[int]]  # (i, j) with i < j -> grasp indices
 
     @cached_property
@@ -88,6 +139,29 @@ class ManipulationGraph:
         for neighbours in adj.values():
             neighbours.sort()
         return adj
+
+    @cached_property
+    def trees(self) -> dict[int, dict[int, tuple[int, int]]]:
+        """Start -> its ``bfs_tree``, filled by that method."""
+        return {}
+
+    def bfs_tree(self, start: int) -> dict[int, tuple[int, int]]:
+        """Breadth-first tree from ``start``: each node it reaches, start
+        excepted, mapped to (parent, lowest shared grasp index of their
+        edge), set when the node is first discovered.  Nodes leave the
+        queue in discovery order and take their neighbours in ascending
+        order.  Built once per start."""
+        tree = self.trees.get(start)
+        if tree is None:
+            tree = self.trees[start] = {}
+            queue = deque([start])
+            while queue:
+                cur = queue.popleft()
+                for nxt, grasp_indices in self.adjacency.get(cur, ()):
+                    if nxt != start and nxt not in tree:
+                        tree[nxt] = (cur, grasp_indices[0])
+                        queue.append(nxt)
+        return tree
 
 
 @dataclass
@@ -123,11 +197,10 @@ class Plan:
 # mesh of more faces).
 _RAY_FACE_BLOCK = 4096
 
-# Broad-phase slack, derived in the _broad_phase docstring: the relative
-# growth of each face's sphere, the broad phase's own rounding in units of
-# S^2 |d|^2 or S |d|, and the |det| scale below which the narrow phase's
-# rounding could pass a pair.
-_SPHERE_SLACK = 1e-6
+# Broad-phase slack, derived in the _broad_phase docstring beside the
+# relative sphere growth mesh._SPHERE_SLACK: the broad phase's own
+# rounding in units of S^2 |d|^2 or S |d|, and the |det| scale below which
+# the narrow phase's rounding could pass a pair.
 _ROUNDING_SLACK = 64 * np.finfo(float).eps / 2
 _DET_SLACK = 1e-6
 
@@ -141,7 +214,8 @@ def _broad_phase(mesh: TriMesh, origins: np.ndarray, directions: np.ndarray, ste
     and radius of a face's bounding sphere (``TriMesh.face_spheres``), a
     pair is kept when the ray is near-grazing for the face's size, or
     when its line passes within R = (1 + _SPHERE_SLACK) rho of c and c
-    lies no more than R behind o along d.  A NaN anywhere keeps its pair.
+    lies no more than R behind o along d (``mesh._SPHERE_SLACK`` is
+    1e-6).  A NaN anywhere keeps its pair.
 
     Derivation.  Let u = 2**-53, a be the face's first vertex, e1 and e2
     its float edges and T = |o - a|.  Each narrow-phase numerator and det
@@ -160,47 +234,52 @@ def _broad_phase(mesh: TriMesh, origins: np.ndarray, directions: np.ndarray, ste
     1e-6 in R also absorbs rho's rounding and that of e1 and e2, which
     are off b - a and c - a by at most 2u rho.
 
+    The broad phase works in a frame centred on m, the middle of the
+    mesh's bounding box (``TriMesh.ray_cast_tables``), and reads
+    o' = fl(o - m) and c' = fl(c - m).  Each shift is off the exact one
+    by at most u of its length, so o' - c' is off o - c by a vector delta
+    with |delta| <= 1.01u S, where S = max |o'| + max (|c'| + rho) >= rho.
+    S bounds T <= |o - m| + |c - m| + |a - c| to within a relative 3u;
+    the 1.2e-9 above, against 10u / 1e-6 = 1.11e-9, leaves room for that.
     The broad phase reads |det| / 2 rho as |d . n| A / rho, with the
     face's unit normal n and area A; that is off by less than
-    20u rho |d| + 8u |det| / 2 rho, far below the threshold.  It bounds
-    T, and |c| + |o|, by S = max |o| + max (|c| + rho) >= rho.  Its two
-    matmuls per block take sums of at most five products, so the squared
-    line distance times |d|^2, (|c - o|^2 - R^2) |d|^2 - ((c - o) . d)^2,
-    is off by at most 34u S^2 |d|^2, and c's offset along the line,
-    (c - o) . d + R |d|, by at most 12u S |d|.  Both cuts take
-    _ROUNDING_SLACK = 64u of these scales as slack.  As S grows with the
-    distance of the mesh and the rays from the coordinate origin, a mesh
-    far from it, for its size, keeps more near-grazing pairs.
+    20u rho |d| + 8u |det| / 2 rho, far below the threshold, which it
+    takes as _DET_SLACK |d| (S + 2 max rho).
+
+    Shifted, c' is at most |delta| farther from the line through o'
+    along d than c is from the line through o, and (c' - o') . d is
+    within |delta| |d| of (c - o) . d.  For a pair the narrow phase may
+    accept, then, the squared line distance less R^2, times |d|^2,
+    (|c' - o'|^2 - R^2) |d|^2 - ((c' - o') . d)^2, is at most
+    (2 (1 + 1e-7) rho |delta| + |delta|^2) |d|^2 < 2.1u S^2 |d|^2 in
+    exact arithmetic, and c''s offset along the line, (c' - o') . d +
+    R |d|, at least -1.01u S |d|.  The two matmuls per block take sums of
+    at most five products of values bounded by S, so they compute the
+    first within 34u S^2 |d|^2 and the second within 12u S |d|.  Both
+    cuts take _ROUNDING_SLACK = 64u of these scales as slack.  S grows
+    with the mesh's size and the rays' distance from it, not with their
+    distance from the coordinate origin.
     """
-    centre, radius = mesh.face_spheres
-    normals, areas = mesh.face_normals_and_areas
-    f = len(centre)
-    reach = (1.0 + _SPHERE_SLACK) * radius
-    scale = areas / np.maximum(radius, np.finfo(float).tiny)
-    cc = np.einsum("ij,ij->i", centre, centre)
+    tables = mesh.ray_cast_tables
+    reach = tables.reach
+    f = len(reach)
+    origins = origins - tables.middle
     oo = np.einsum("ij,ij->i", origins, origins)
     od = np.einsum("ij,ij->i", origins, directions)
     dd = np.einsum("ij,ij->i", directions, directions)[:, None]
     nd = np.sqrt(dd)
-    bound = np.sqrt(oo.max()) + (np.sqrt(cc) + radius).max()  # S
+    bound = np.sqrt(oo.max()) + tables.extent  # S
     line_slack = _ROUNDING_SLACK * bound * bound * dd
     behind_slack = -_ROUNDING_SLACK * bound * nd
-    det_bound = _DET_SLACK * (bound + 2.0 * radius.max()) * nd
-    # rows (o |d|^2, |d|^2, |o|^2 |d|^2) times the first table give per face
-    # (|c - o|^2 - R^2) |d|^2; rows (d, o . d) times the second give, side
-    # by side, (c - o) . d and (d . n) A / rho
+    det_bound = _DET_SLACK * (bound + 2.0 * tables.max_radius) * nd
+    # rows (o |d|^2, |d|^2, |o|^2 |d|^2) and (d, o . d) for the tables
     line_rows = np.column_stack([origins * dd, dd, oo[:, None] * dd])
-    line_table = np.vstack([-2.0 * centre.T, cc - reach * reach, np.ones(f)])
     axis_rows = np.column_stack([directions, od])
-    axis_table = np.zeros((4, 2 * f))
-    axis_table[:3, :f] = centre.T
-    axis_table[:3, f:] = (normals * scale[:, None]).T
-    axis_table[3, :f] = -1.0
     for s in range(0, len(origins), step):
         b = slice(s, s + step)
-        m = axis_rows[b] @ axis_table
+        m = axis_rows[b] @ tables.axis_table
         qd = m[:, :f]
-        far = line_rows[b] @ line_table - qd * qd > line_slack[b]
+        far = line_rows[b] @ tables.line_table - qd * qd > line_slack[b]
         behind = qd + reach * nd[b] < behind_slack[b]
         grazing = np.abs(m[:, f:]) <= det_bound[b]
         yield grazing | ~(far | behind)
@@ -321,10 +400,11 @@ def sample_antipodal_grasps(
     g: GripperSpec,
     seed: int,
     approach_count: int = 8,
-) -> list[GraspConfig]:
+) -> GraspSet:
     """Sample up to n antipodal contact pairs by surface point + inward
     ray casting, each expanded into evenly spaced approach directions in
-    the plane perpendicular to the grasp axis.  Deterministic per seed.
+    the plane perpendicular to the grasp axis: ``approach_count``
+    consecutive grasps per kept pair.  Deterministic per seed.
 
     All n samples go through in one array pass.  Sample i reads the
     uniform doubles 3i, 3i + 1 and 3i + 2 of the seeded generator: the
@@ -368,11 +448,11 @@ def sample_antipodal_grasps(
     cos = np.array([np.cos(x) for x in ang])[:, None]
     sin = np.array([np.sin(x) for x in ang])[:, None]
     approaches = cos * b1[:, None] + sin * b2[:, None]
-    return [
-        GraspConfig(contact_a=ca, contact_b=cb, approach=ap)
-        for ca, cb, aps in zip(p1, p2, approaches)
-        for ap in aps
-    ]
+    return GraspSet(
+        contact_a=np.repeat(p1, approach_count, axis=0),
+        contact_b=np.repeat(p2, approach_count, axis=0),
+        approach=approaches.reshape(-1, 3),
+    )
 
 
 def _rotate(r: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -394,7 +474,7 @@ _CORNERS = np.array(list(product((-1.0, 1.0), (-1.0, 1.0), (0.0, 1.0)))).T
 
 
 def feasibility_matrix(
-    placements: list[Placement], grasps: list[GraspConfig], g: GripperSpec
+    placements: list[Placement], grasps: GraspSet | Sequence[GraspConfig], g: GripperSpec
 ) -> np.ndarray:
     """Boolean (placements x grasps) matrix: entry (i, k) is True when
     grasp k, moved to the world frame of placement i, keeps all 8 corners
@@ -403,18 +483,20 @@ def feasibility_matrix(
     Finger boxes extend finger_length backward along the approach and
     half a finger_thickness sideways along the grasp axis and binormal;
     side grasps are allowed (no approach-direction constraint).  Grasps
-    wider than max_width are infeasible everywhere.
+    wider than max_width are infeasible everywhere, and so are grasps of
+    zero width, whose axis is undefined.
     """
+    gs = as_grasp_set(grasps)
     r = np.array([p.rotation for p in placements], dtype=float).reshape(-1, 3, 3)
     t = np.array([p.translation for p in placements], dtype=float).reshape(-1, 1, 3)
-    a = np.array([gr.contact_a for gr in grasps], dtype=float).reshape(-1, 3)
-    b = np.array([gr.contact_b for gr in grasps], dtype=float).reshape(-1, 3)
-    n = np.array([gr.approach for gr in grasps], dtype=float).reshape(-1, 3)
-    approach = _rotate(r, n)
+    a, b = gs.contact_a, gs.contact_b
+    approach = _rotate(r, gs.approach)
     ca = _rotate(r, a) + t
     cb = _rotate(r, b) + t
     axis = cb - ca
-    axis /= _norm(axis)[..., None]
+    # a zero-width axis turns to NaN, and NaN corners fail the clearance test
+    with np.errstate(invalid="ignore", divide="ignore"):
+        axis /= _norm(axis)[..., None]
     binorm_z = approach[..., 0] * axis[..., 1] - approach[..., 1] * axis[..., 0]
     half = 0.5 * g.finger_thickness
     s1, s2, back = _CORNERS
@@ -439,20 +521,21 @@ def grasp_feasible_in_placement(
 
 
 def shared_grasps(
-    pa: Placement, pb: Placement, grasps: list[GraspConfig], g: GripperSpec
+    pa: Placement, pb: Placement, grasps: GraspSet | Sequence[GraspConfig], g: GripperSpec
 ) -> list[GraspConfig]:
     """Grasps feasible in both placements, in input order."""
     both = feasibility_matrix([pa, pb], grasps, g).all(axis=0)
-    return [gr for gr, ok in zip(grasps, both) if ok]
+    return [grasps[k] for k in np.flatnonzero(both).tolist()]
 
 
 def build_manipulation_graph(
-    placements: list[Placement], grasps: list[GraspConfig], g: GripperSpec
+    placements: list[Placement], grasps: GraspSet | Sequence[GraspConfig], g: GripperSpec
 ) -> ManipulationGraph:
     """Complete pairwise shared-grasp evaluation; edges carry the
     ascending indices of their shared grasps."""
     if not placements:
         raise ValueError("need at least one placement")
+    grasps = as_grasp_set(grasps)
     f = feasibility_matrix(placements, grasps, g)
     fi = f.astype(np.int64)
     shared_counts = np.triu(fi @ fi.T, k=1)
@@ -464,31 +547,26 @@ def build_manipulation_graph(
 
 def plan_regrasp(graph: ManipulationGraph, start: int, goal: int) -> Plan:
     """Breadth-first shortest path; each step carries the lowest-index
-    shared grasp of its edge.  start == goal gives an empty plan."""
+    shared grasp of its edge.  start == goal gives an empty plan.
+
+    The path is read from the graph's cached ``bfs_tree`` of ``start``,
+    so one search serves every goal.  A search that stops on reaching
+    the goal has by then given every node it reached the parent and grasp
+    the full tree gives it, so each plan is, step for step, the one that
+    search would return.
+    """
     n = len(graph.nodes)
     if not (0 <= start < n and 0 <= goal < n):
         raise ValueError("start/goal not in graph")
     if start == goal:
         return Plan(steps=[])
-    prev: dict[int, tuple[int, int]] = {}  # node -> (parent, grasp index)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        for nxt, grasp_indices in graph.adjacency.get(cur, []):
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            prev[nxt] = (cur, grasp_indices[0])
-            if nxt == goal:
-                steps: list[PlanStep] = []
-                node = goal
-                while node != start:
-                    parent, gk = prev[node]
-                    steps.append(
-                        PlanStep(from_node=parent, to_node=node, grasp=graph.grasps[gk])
-                    )
-                    node = parent
-                return Plan(steps=list(reversed(steps)))
-            queue.append(nxt)
-    raise NoPlanExists(f"no path from {start} to {goal}")
+    tree = graph.bfs_tree(start)
+    if goal not in tree:
+        raise NoPlanExists(f"no path from {start} to {goal}")
+    steps: list[PlanStep] = []
+    node = goal
+    while node != start:
+        parent, gk = tree[node]
+        steps.append(PlanStep(from_node=parent, to_node=node, grasp=graph.grasps[gk]))
+        node = parent
+    return Plan(steps=steps[::-1])

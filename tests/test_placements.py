@@ -948,6 +948,24 @@ class TestGenerateDataset:
                 r.to_json_dict() for r in want.records
             ]
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 3,
+                                      120000000000000000000000000000])
+    def test_drop_generators_match_the_list_seeded_streams(self, seed):
+        drops = [0, 1, 9, 2**32 - 1, 2**32, 2**33 + 7]
+        for obj_idx in (0, 2, 2**32 + 1):
+            got = placements._drop_generators(seed, obj_idx, drops)
+            assert len(got) == len(drops)
+            for rng, drop in zip(got, drops):
+                want = np.random.default_rng([seed, obj_idx, drop])
+                assert rng.normal(size=8).tobytes() == want.normal(size=8).tobytes()
+                assert rng.random(5).tobytes() == want.random(5).tobytes()
+
+    def test_negative_seed_rejected(self, cube):
+        with pytest.raises(ValueError, match="non-negative"):
+            placements._drop_generators(-1, 0, [0])
+        with pytest.raises(ValueError, match="non-negative"):
+            generate_dataset([("cube", cube)], 2, seed=-3)
+
     def test_record_round_trip(self, cube):
         from stableplace.placements import PlacementRecord
 

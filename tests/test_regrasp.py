@@ -1,4 +1,6 @@
 import tracemalloc
+import warnings
+from collections import deque
 
 import numpy as np
 import pytest
@@ -6,9 +8,12 @@ from conftest import drifting_arc, ellipsoid, flattened_ellipsoid, ngon_prism, s
 
 from stableplace import fixtures, regrasp
 from stableplace.placements import Placement, enumerate_stable
+from stableplace.mesh import TriMesh
 from stableplace.regrasp import (
     GraspConfig,
+    GraspSet,
     GripperSpec,
+    ManipulationGraph,
     NoPlanExists,
     build_manipulation_graph,
     feasibility_matrix,
@@ -71,7 +76,7 @@ class TestSampleAntipodalGrasps:
 
     def test_max_width_excludes_cube(self, cube):
         narrow = GripperSpec(max_width=0.8)
-        assert sample_antipodal_grasps(cube, 50, narrow, seed=5) == []
+        assert len(sample_antipodal_grasps(cube, 50, narrow, seed=5)) == 0
 
     def test_sphere_zero_friction_near_diametral(self):
         sphere = fixtures.icosphere(radius=0.03, subdivisions=2)
@@ -99,6 +104,51 @@ class TestSampleAntipodalGrasps:
     def test_invalid_approach_count_rejected(self, cube, count):
         with pytest.raises(ValueError, match="approach_count"):
             sample_antipodal_grasps(cube, 10, WIDE, seed=1, approach_count=count)
+
+
+class TestGraspSet:
+    def test_rows_are_the_sampled_grasps(self, cube):
+        grasps = sample_antipodal_grasps(cube, 20, WIDE, seed=7, approach_count=3)
+        assert isinstance(grasps, GraspSet)
+        assert len(grasps) == len(grasps.contact_a) > 0
+        assert len(grasps) % 3 == 0
+        listed = list(grasps)
+        assert len(listed) == len(grasps)
+        for k, gr in enumerate(listed):
+            assert isinstance(gr, GraspConfig)
+            assert gr.contact_a.tobytes() == grasps.contact_a[k].tobytes()
+            assert gr.contact_b.tobytes() == grasps.contact_b[k].tobytes()
+            assert gr.approach.tobytes() == grasps.approach[k].tobytes()
+        # each contact pair repeats over its approaches
+        assert (grasps.contact_a[0::3] == grasps.contact_a[2::3]).all()
+        last = grasps[np.int64(-1)]
+        assert last.approach.tobytes() == grasps.approach[-1].tobytes()
+
+    def test_arrays_are_read_only_copies(self):
+        a = np.zeros((2, 3))
+        gs = GraspSet(contact_a=a, contact_b=np.ones((2, 3)), approach=[[0, 0, 1]] * 2)
+        a[0, 0] = 5.0
+        assert gs.contact_a[0, 0] == 0.0
+        assert gs.approach.dtype == float
+        for rows in (gs.contact_a, gs.contact_b, gs.approach):
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0, 0] = 1.0
+
+    def test_empty_and_malformed(self):
+        empty = GraspSet(contact_a=[], contact_b=[], approach=[])
+        assert len(empty) == 0 and not empty and list(empty) == []
+        assert empty.contact_a.shape == (0, 3)
+        with pytest.raises(ValueError, match="shape"):
+            GraspSet(contact_a=np.zeros((2, 2)), contact_b=np.zeros((2, 2)),
+                     approach=np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="length"):
+            GraspSet(contact_a=np.zeros((2, 3)), contact_b=np.zeros((1, 3)),
+                     approach=np.zeros((2, 3)))
+        with pytest.raises(IndexError):
+            empty[0]
+        with pytest.raises(TypeError):
+            GraspSet(contact_a=np.zeros((2, 3)), contact_b=np.zeros((2, 3)),
+                     approach=np.zeros((2, 3)))[0:1]
 
 
 def reference_ray_exit(mesh, origin, direction):
@@ -200,7 +250,7 @@ class TestBatchedSampler:
 
     def test_tetrahedron_is_too_wide_for_the_default_gripper(self, tetra):
         for seed in (0, 1, 2):
-            assert sample_antipodal_grasps(tetra, 100, GripperSpec(), seed) == []
+            assert len(sample_antipodal_grasps(tetra, 100, GripperSpec(), seed)) == 0
             assert reference_sample(tetra, 100, GripperSpec(), seed) == []
 
     @pytest.mark.parametrize("approach_count", [1, 3])
@@ -260,6 +310,37 @@ class TestBatchedSampler:
         assert sum(pairs) == 100 * len(mesh.faces)
         assert sum(kept) < sum(pairs) / 20
 
+    @pytest.mark.parametrize("name", ["cube", "l_prism", "ellipsoid_s2", "ngon_prism_64"])
+    def test_shifted_meshes_match_reference(self, name):
+        # far from the coordinate origin, the broad phase works about the
+        # mesh's bounding-box middle and must still keep every hit
+        mesh = SAMPLER_MESHES[name]()
+        for offset in ((1e3, -2e3, 5e2), (-3.7e5, 1.1e4, 2.9e6)):
+            shifted = TriMesh(mesh.vertices + np.array(offset), mesh.faces)
+            for seed in (0, 1):
+                got = sample_antipodal_grasps(shifted, 60, WIDE, seed)
+                assert grasp_bytes(got) == grasp_bytes(reference_sample(shifted, 60, WIDE, seed))
+
+    def test_shifted_ellipsoid_culls_as_much(self, monkeypatch):
+        broad = regrasp._broad_phase
+        shares = []
+        for offset in ((0.0, 0.0, 0.0), (1e3, -2e3, 5e2)):
+            mesh = ellipsoid(2)
+            mesh = TriMesh(mesh.vertices + np.array(offset), mesh.faces)
+            kept = [0, 0]
+
+            def counted(*args, kept=kept):
+                for keep in broad(*args):
+                    kept[0] += int(keep.sum())
+                    kept[1] += keep.size
+                    yield keep
+
+            monkeypatch.setattr(regrasp, "_broad_phase", counted)
+            assert sample_antipodal_grasps(mesh, 100, GripperSpec(), seed=0)
+            shares.append(kept[0] / kept[1])
+        assert shares[0] < 0.05
+        assert shares[1] < 2 * shares[0]
+
     def test_memory_is_bounded_by_the_block(self):
         # unblocked, 2000 rays over 5120 faces would take 245 MB per
         # (rays, faces, 3) temporary
@@ -277,14 +358,16 @@ class TestBatchedSampler:
         mesh = ellipsoid(2)
         sample_antipodal_grasps(mesh, 10, WIDE, seed=1)
         edges, cdf, spheres = mesh.triangle_edges, mesh.area_cdf, mesh.face_spheres
+        tables = mesh.ray_cast_tables
         sample_antipodal_grasps(mesh, 10, WIDE, seed=2)
         assert mesh.triangle_edges is edges and mesh.area_cdf is cdf
-        assert mesh.face_spheres is spheres
+        assert mesh.face_spheres is spheres and mesh.ray_cast_tables is tables
         assert cdf[-1] == 1.0
         centre, radius = spheres
         gap = np.linalg.norm(mesh.vertices[mesh.faces] - centre[:, None], axis=2)
         assert (gap.max(axis=1) <= radius * (1 + 1e-12)).all()
-        for cached in (*edges, cdf, *spheres):
+        for cached in (*edges, cdf, *spheres, tables.middle, tables.reach,
+                       tables.line_table, tables.axis_table):
             with pytest.raises(ValueError, match="read-only"):
                 cached[0] = 0.0
 
@@ -443,7 +526,163 @@ class TestFeasibilityMatrix:
             for k, gr in enumerate(grasps):
                 assert grasp_feasible_in_placement(gr, p, WIDE) == f[i, k]
 
+    def test_zero_width_grasp_is_infeasible_without_a_warning(self):
+        placements = [cube_placement(np.eye(3)), cube_placement(rot_x(np.pi / 2))]
+        others = [side_grasp(0.4), side_grasp(-0.4), side_grasp(0.45, (0.0, 0.0, -1.0))]
+        point = np.array([0.1, 0.2, 0.3])
+        zero = GraspConfig(contact_a=point, contact_b=point.copy(),
+                           approach=np.array([0.0, 1.0, 0.0]))
+        want = feasibility_matrix(placements, others, WIDE)
+        assert want.any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = feasibility_matrix(placements, [others[0], zero, *others[1:]], WIDE)
+            assert not grasp_feasible_in_placement(zero, placements[0], WIDE)
+        assert not f[:, 1].any()
+        assert np.array_equal(np.delete(f, 1, axis=1), want)
+
+    @pytest.mark.parametrize("name", ["cube", "l_prism", "t_prism"])
+    def test_grasp_set_and_its_list_build_the_same_graph(self, name):
+        mesh = fixtures.standard_fixtures()[name]
+        placements = enumerate_stable(mesh)
+        grasps = sample_antipodal_grasps(mesh, 40, WIDE, seed=3)
+        listed = list(grasps)
+        f = feasibility_matrix(placements, grasps, WIDE)
+        assert f.tobytes() == feasibility_matrix(placements, listed, WIDE).tobytes()
+        from_set = build_manipulation_graph(placements, grasps, WIDE)
+        from_list = build_manipulation_graph(placements, listed, WIDE)
+        assert from_set.edges and from_set.edges == from_list.edges
+        assert from_set.grasps is grasps
+        assert isinstance(from_list.grasps, GraspSet)
+        assert grasp_bytes(from_list.grasps) == grasp_bytes(grasps)
+        both = shared_grasps(placements[0], placements[1], grasps, WIDE)
+        assert grasp_bytes(both) == grasp_bytes(
+            shared_grasps(placements[0], placements[1], listed, WIDE))
+
     def test_empty_grasp_list(self):
         placements = [cube_placement(np.eye(3)), cube_placement(rot_x(np.pi))]
         assert feasibility_matrix(placements, [], WIDE).shape == (2, 0)
         assert build_manipulation_graph(placements, [], WIDE).edges == {}
+
+
+def reference_plan(graph, start, goal):
+    """One breadth-first search per (start, goal) pair, stopping when it
+    reaches the goal: the plan's (from, to, grasp index) steps, or
+    NoPlanExists."""
+    if start == goal:
+        return []
+    prev = {}
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        cur = queue.popleft()
+        for nxt, grasp_indices in graph.adjacency.get(cur, []):
+            if nxt in seen:
+                continue
+            seen.add(nxt)
+            prev[nxt] = (cur, grasp_indices[0])
+            if nxt == goal:
+                steps = []
+                node = goal
+                while node != start:
+                    parent, gk = prev[node]
+                    steps.append((parent, node, gk))
+                    node = parent
+                return steps[::-1]
+            queue.append(nxt)
+    raise NoPlanExists(f"no path from {start} to {goal}")
+
+
+def assert_plans_match_reference(graph):
+    """Every ordered pair's plan has the reference's steps, grasp bytes
+    included, or both raise NoPlanExists; returns the unreachable pairs."""
+    n = len(graph.nodes)
+    missing = 0
+    for start in range(n):
+        for goal in range(n):
+            try:
+                want = reference_plan(graph, start, goal)
+            except NoPlanExists:
+                with pytest.raises(NoPlanExists):
+                    plan_regrasp(graph, start, goal)
+                missing += 1
+                continue
+            steps = plan_regrasp(graph, start, goal).steps
+            assert [(s.from_node, s.to_node) for s in steps] == [w[:2] for w in want]
+            assert grasp_bytes(s.grasp for s in steps) == grasp_bytes(
+                graph.grasps[w[2]] for w in want)
+    return missing
+
+
+PLAN_OBJECTS = {
+    **{name: (lambda name=name: fixtures.standard_fixtures()[name], WIDE)
+       for name in ("cube", "tall_box", "l_prism", "t_prism")},
+    "tetrahedron": (lambda: fixtures.standard_fixtures()["tetrahedron"], GripperSpec()),
+    "ellipsoid_s3": (lambda: ellipsoid(3), GripperSpec()),
+}
+
+
+class TestPlanFromBreadthFirstTree:
+    """Plans read from one cached tree per start against one search per
+    pair."""
+
+    @pytest.mark.parametrize("name", sorted(PLAN_OBJECTS))
+    def test_every_pair_matches_the_per_pair_search(self, name):
+        make, g = PLAN_OBJECTS[name]
+        mesh = make()
+        placements = enumerate_stable(mesh)
+        for seed in range(4):
+            grasps = sample_antipodal_grasps(mesh, 25, g, seed)
+            graph = build_manipulation_graph(placements, grasps, g)
+            assert_plans_match_reference(graph)
+            assert set(graph.trees) <= set(range(len(placements)))
+
+    def test_disconnected_hand_built_graph(self):
+        placements = [cube_placement(rot_x(k * np.pi / 2)) for k in range(6)]
+        grasps = GraspSet(contact_a=np.arange(15.0).reshape(5, 3),
+                          contact_b=np.arange(15.0).reshape(5, 3) + 1.0,
+                          approach=np.tile([0.0, 0.0, 1.0], (5, 1)))
+        # components {0, 1, 2, 3}, a cycle with a chord, and {4, 5}
+        edges = {(0, 1): [3, 4], (0, 3): [1], (1, 2): [0, 2], (2, 3): [4], (4, 5): [2]}
+        graph = ManipulationGraph(nodes=placements, grasps=grasps, edges=edges)
+        assert assert_plans_match_reference(graph) == 16
+        steps = plan_regrasp(graph, 1, 3).steps
+        assert [(s.from_node, s.to_node) for s in steps] == [(1, 0), (0, 3)]
+        assert steps[1].grasp.contact_a.tobytes() == grasps.contact_a[1].tobytes()
+        with pytest.raises(NoPlanExists, match="no path from 5 to 2"):
+            plan_regrasp(graph, 5, 2)
+
+    def test_random_sparse_graphs(self):
+        # multi-step paths, ties between equally short ones, and several
+        # components; the sampled graphs above are mostly complete
+        placements = [cube_placement(np.eye(3))] * 10
+        grasps = GraspSet(contact_a=np.arange(18.0).reshape(6, 3),
+                          contact_b=np.arange(18.0).reshape(6, 3) + 1.0,
+                          approach=np.tile([0.0, 0.0, 1.0], (6, 1)))
+        longest = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            edges = {}
+            for i in range(10):
+                for j in range(i + 1, 10):
+                    if rng.random() < 0.2:
+                        shared = rng.choice(6, rng.integers(1, 4), replace=False)
+                        edges[(i, j)] = sorted(shared.tolist())
+            graph = ManipulationGraph(nodes=placements, grasps=grasps, edges=edges)
+            assert_plans_match_reference(graph)
+            longest = max([longest, *(len(reference_plan(graph, 0, b)) for b in graph.bfs_tree(0))])
+        assert longest >= 4
+
+    def test_one_tree_per_start(self):
+        placements = [cube_placement(rot_x(k * np.pi / 2)) for k in range(4)]
+        grasps = GraspSet(contact_a=np.zeros((1, 3)), contact_b=np.ones((1, 3)),
+                          approach=[[0.0, 0.0, 1.0]])
+        edges = {(0, 1): [0], (1, 2): [0], (2, 3): [0]}
+        graph = ManipulationGraph(nodes=placements, grasps=grasps, edges=edges)
+        for start in range(4):
+            for goal in range(4):
+                plan_regrasp(graph, start, goal)
+        assert sorted(graph.trees) == [0, 1, 2, 3]
+        tree = graph.bfs_tree(0)
+        assert tree == {1: (0, 0), 2: (1, 0), 3: (2, 0)}
+        assert graph.bfs_tree(0) is tree
