@@ -48,13 +48,16 @@ class ZeroPlaneVector(ValueError):
 class TriMesh:
     """Triangle mesh with its uniform-density volume and COM.
 
+    Volume and COM are summed about the middle of the bounding box, so
+    a copy moved far from the coordinate origin keeps its COM.
+
     Treated as immutable after construction: its edge index (built with
     it), its triangle edge vectors, face normals, areas, bounding spheres
     and area CDF, its convex hull, the COM's distances to the hull's edge
-    lines, its pivot table and the support polygons of its resting
-    contact sets are cached on first use, so changing ``vertices`` or
-    ``faces`` in place leaves them stale.  The cached arrays are
-    read-only.
+    lines and its pivot table are cached on first use, and the support
+    polygons of its resting contact sets in one memo (``supports``), so
+    changing ``vertices`` or ``faces`` in place leaves them stale.  The
+    cached arrays are read-only.
     """
 
     vertices: np.ndarray  # (N, 3)
@@ -76,31 +79,36 @@ class TriMesh:
     def _compute_mass_properties(self):
         v = self.vertices
         f = self.faces
-        a, b, c = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
         # huge coordinates overflow to inf or nan: checked at the end
         # instead of warned about on the way
         with np.errstate(over="ignore", invalid="ignore"):
+            # about the bounding box's middle (halves first, so no sum of
+            # two coordinates can overflow), so that the tetrahedra of a
+            # mesh far from the coordinate origin do not cancel
+            middle = 0.5 * v.min(axis=0) + 0.5 * v.max(axis=0) if len(v) else np.zeros(3)
+            v = v - middle
+            a, b, c = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
             cross = np.cross(b - a, c - a)
             areas = 0.5 * np.linalg.norm(cross, axis=1)
             area = areas.sum()
             if area < 1e-12:
                 raise DegenerateMesh("mesh has zero surface area")
-            # signed tetrahedra against the origin (divergence theorem)
+            # signed tetrahedra against the middle (divergence theorem)
             dets = np.einsum("ij,ij->i", a, np.cross(b, c))
             vol = dets.sum() / 6.0
             if self._is_watertight() and abs(vol) > 1e-12:
-                centroids = (a + b + c) / 4.0  # tetra centroid, apex at origin
+                centroids = (a + b + c) / 4.0  # tetra centroid, apex at the middle
                 com = (dets[:, None] * centroids).sum(axis=0) / (6.0 * vol)
                 if vol < 0:  # inward winding
                     vol = -vol
                 self.volume = float(vol)
-                self.com = com
             else:
                 # open mesh: area-weighted surface centroid
                 self.centroid_fallback = True
                 self.volume = float(abs(vol))
                 tri_centroids = (a + b + c) / 3.0
-                self.com = (areas[:, None] * tri_centroids).sum(axis=0) / area
+                com = (areas[:, None] * tri_centroids).sum(axis=0) / area
+            self.com = com + middle
         if not (
             np.isfinite(area) and np.isfinite(self.volume) and np.isfinite(self.com).all()
         ):
@@ -135,18 +143,10 @@ class TriMesh:
         (sorted indices into ``hull.vertices``) to its
         ``placements.Support``: the support polygon as hull-vertex
         indices, its inradius and the edges that settle's margin and
-        pivot read.  A settle or lockstep iteration that meets sets the
-        memo lacks builds them, and every set in ``pending_supports``,
-        in one pass (``placements._memoize_supports``)."""
-        return {}
-
-    @cached_property
-    def pending_supports(self) -> dict:
-        """Contact sets not yet in ``supports`` whose ``placements.Support``
-        the next memo miss builds, as keys mapped to None (an ordered
-        set): ``placements.enumerate_stable`` adds the rest sets of the
-        placements it returns, so after enumeration a mesh's first settle
-        builds them all."""
+        pivot read.  ``placements.enumerate_stable`` fills it with the rest
+        sets of its placements, and a settle that meets sets it lacks
+        builds them, each time in one pass
+        (``placements._contact_supports``)."""
         return {}
 
     @cached_property
@@ -624,10 +624,9 @@ class PivotTable:
     """Where each hull triangle tips when it alone rests on the plane: the
     hull's rolling graph.
 
-    Row r belongs to the triangle whose ascending hull-vertex triple
-    (i, j, k) has key ``keys[r]`` = (i * n + j) * n + k, n being
-    ``n_vertices``; rows are sorted by key.  Everything is in the body
-    frame.
+    Row r belongs to hull face r, and ``row_of`` maps each face's
+    ascending hull-vertex triple (i, j, k) to its row.  Everything is in
+    the body frame.
 
     - ``bound[r]``: the least of the triangle's ``edge_distances``, an
       upper bound on its COM margin as a one-triangle facet: the margin
@@ -663,8 +662,7 @@ class PivotTable:
     it, the mesh touches the plane at that triangle alone and rolls on to
     ``next[r]``."""
 
-    n_vertices: int
-    keys: np.ndarray  # (T,) int64, ascending
+    row_of: dict[tuple[int, int, int], int]
     bound: np.ndarray  # (T,)
     edge: np.ndarray  # (T, 2)
     next: np.ndarray  # (T,) int
@@ -678,13 +676,8 @@ class PivotTable:
         surface as ``convex_hull`` gives, vectorized over its triangles
         from the hull's normals and the mesh's ``edge_distances``; the
         triangles across edges and the vertex rings come from
-        ``hull.edges``.  A hull of more than 2**21 vertices, whose keys
-        would overflow int64, gets an empty table."""
+        ``hull.edges``."""
         hull, com = mesh.hull, mesh.com
-        n = len(hull.vertices)
-        if n > 2**21:
-            return cls(n, np.empty(0, np.int64), np.empty(0), np.empty((0, 2), int),
-                       np.empty(0, int), np.empty((0, 3, 3)), np.empty(0), np.empty(0))
         verts, faces = hull.vertices, hull.faces
         normals = hull.face_normals()
         inward = mesh.edge_distances
@@ -700,21 +693,8 @@ class PivotTable:
         height = np.einsum("fj,fj->f", normals, verts[faces[:, 0]] - com)
         clear = _ring_clearance(hull, normals)
         clear[~normals.any(axis=1)[across]] = np.nan
-        triple = np.sort(faces, axis=1).astype(np.int64)
-        keys = (triple[:, 0] * n + triple[:, 1]) * n + triple[:, 2]
-        order = np.argsort(keys)
-        row_of = np.empty_like(order)
-        row_of[order] = rows
-        return cls(n, keys[order], inward.min(axis=1)[order], edge[order],
-                   row_of[across[order]], turn[order], height[order], clear[order])
-
-    def row(self, contact: np.ndarray) -> int | None:
-        """Row of the triangle with the ascending hull-vertex triple
-        ``contact``, or None when no hull triangle has those vertices."""
-        i, j, k = contact.tolist()
-        key = (i * self.n_vertices + j) * self.n_vertices + k
-        r = int(np.searchsorted(self.keys, key))
-        return r if r < len(self.keys) and self.keys[r] == key else None
+        row_of = dict(zip(map(tuple, np.sort(faces, axis=1).tolist()), rows.tolist()))
+        return cls(row_of, inward.min(axis=1), edge, across, turn, height, clear)
 
     def walkable(self, r: int, contact_tol: float) -> bool:
         """Whether resting on row r alone rolls on to ``next[r]``."""

@@ -358,33 +358,17 @@ class Support:
         return cls(contact, None, 0.0, contact[i], contact[j])
 
 
-def _contact_support(mesh: TriMesh, contact: np.ndarray) -> Support:
-    """The ``Support`` of the resting contact set ``contact`` (sorted
-    indices into ``mesh.hull.vertices``); sets of three or more are
-    memoized in ``mesh.supports`` (``_memoize_supports``)."""
-    if len(contact) < 3:
-        return Support.without_polygon(contact)
-    key = tuple(contact.tolist())
-    found = mesh.supports.get(key)
-    if found is None:
-        _memoize_supports(mesh, [key])
-        found = mesh.supports[key]
-    return found
-
-
-def _memoize_supports(mesh: TriMesh, contacts: list[tuple[int, ...]]) -> None:
-    """Build the contact sets (sorted hull-vertex index tuples) of three or
-    more in ``contacts`` that ``mesh.supports`` lacks, together with every
-    set in ``mesh.pending_supports``, in one ``_new_supports`` pass, and
-    empty the pending sets.  ``enumerate_stable`` leaves the rest sets of
-    its placements pending, so the first miss after it builds them all at
-    once; a miss with nothing pending builds only its own sets."""
-    memo, pending = mesh.supports, mesh.pending_supports
+def _contact_supports(mesh: TriMesh, contacts: list[tuple[int, ...]]) -> list[Support]:
+    """The ``Support`` of each resting contact set in ``contacts`` (sorted
+    tuples of indices into ``mesh.hull.vertices``).  Sets of three or more
+    are memoized in ``mesh.supports``; those it lacks are built together
+    in one ``_new_supports`` pass."""
+    memo = mesh.supports
     new = [c for c in dict.fromkeys(contacts) if len(c) >= 3 and c not in memo]
     if new:
-        new = list(dict.fromkeys([*new, *pending]))
-        pending.clear()
         memo.update(zip(new, _new_supports(mesh, [np.array(c) for c in new])))
+    return [memo[c] if len(c) >= 3 else Support.without_polygon(np.array(c, dtype=int))
+            for c in contacts]
 
 
 def _new_supports(mesh: TriMesh, contacts: list[np.ndarray]) -> list[Support]:
@@ -488,14 +472,15 @@ def stability_check(
 
     Stable iff the COM projection sits at least margin_eps inside the
     support polygon of the hull vertices within ``CONTACT_TOL`` of the
-    plane (``_contact_support``) and no vertex penetrates the plane by
+    plane (``_contact_supports``) and no vertex penetrates the plane by
     more than ``CONTACT_TOL``.
     """
     world = mesh.hull.vertices @ pose.rotation.T + pose.translation
     if world[:, 2].min() < -CONTACT_TOL:
         return False, -np.inf
     com = pose.rotation @ mesh.com + pose.translation
-    support = _contact_support(mesh, np.flatnonzero(world[:, 2] <= CONTACT_TOL))
+    contact = tuple(np.flatnonzero(world[:, 2] <= CONTACT_TOL).tolist())
+    [support] = _contact_supports(mesh, [contact])
     margin = float(_contact_margin(world[:, :2], com[:2], support))
     return bool(margin >= margin_eps), margin
 
@@ -523,30 +508,14 @@ def enumerate_stable(
     of ``merge_coplanar_facets``, bit for bit.
 
     The rest set of each placement, its facet's sorted hull-vertex
-    indices, is left in ``mesh.pending_supports`` unless the support memo
-    ``mesh.supports`` holds it already; nothing is built here, so the
-    first settle that misses the memo builds them all in one pass.  That
-    settle pays for every pending set, met or not: on a round mesh, where
-    every hull triangle is a stable facet, it builds them all.  The
-    pending sets travel with the mesh, so each pool worker of
-    ``generate_dataset`` builds them on its first miss.  Raises
-    ValueError unless 0 <= ``angle_tol`` < pi/2 and ``margin_eps`` is
-    finite and >= 0.
+    indices, goes into the support memo ``mesh.supports``: the sets it
+    lacks are built in one pass (``_contact_supports``), so the settles
+    that come to rest on a placement find its support built, and the
+    memo travels with the mesh to each pool worker of
+    ``generate_dataset``.  Raises ValueError unless 0 <= ``angle_tol`` <
+    pi/2 and ``margin_eps`` is finite and >= 0.
     """
     check_margin_eps(margin_eps)
-    found = _rest_placements(mesh, margin_eps, angle_tol)
-    memo = mesh.supports
-    mesh.pending_supports.update(
-        dict.fromkeys(contact for _, _, contact in found if contact not in memo)
-    )
-    return [placement for _, placement, _ in found]
-
-
-def _rest_placements(
-    mesh: TriMesh, margin_eps: float, angle_tol: float = 1e-4
-) -> list[tuple[int, Placement, tuple[int, ...]]]:
-    """(seed face, placement, rest set) of each ``enumerate_stable``
-    placement, in facet order, leaving the support memo alone."""
     hull = mesh.hull
     groups, lone = _coplanar_groups(hull, hull.face_normals(), angle_tol)
     slack = 1e-9 * float(np.abs(hull.vertices).max())
@@ -554,7 +523,8 @@ def _rest_placements(
     found, flat = _lone_placements(mesh, np.flatnonzero(lone), margin_eps)
     found += _facet_placements(mesh, groups + [[f] for f in flat], margin_eps)
     found.sort(key=lambda seeded: seeded[0])
-    return found
+    _contact_supports(mesh, [contact for _, _, contact in found])
+    return [placement for _, placement, _ in found]
 
 
 def _facet_placements(
@@ -791,10 +761,9 @@ def settle(
     Point, segment and polygon supports, and one triangle whose COM lies
     inside it but within ``margin_eps`` of an edge, take the world-frame
     pivot above.  It reads the support of the contact set, as hull-vertex
-    indices, and its inradius from the mesh's memo (``_contact_support``),
-    and indexes the posed hull with it.  Each contact set is built once:
-    the first miss builds it together with every rest set that
-    ``enumerate_stable`` left pending (``_memoize_supports``).
+    indices, and its inradius from the mesh's memo (``_contact_supports``),
+    and indexes the posed hull with it.  Each contact set is built once,
+    the rest sets of enumerated placements by ``enumerate_stable``.
 
     The score of the stable Placement is its margin over the memo's
     inradius, clamped to [0, 1].  Returns the stable Placement; with
@@ -841,7 +810,7 @@ def settle_batch(
     the same contact set form a group, which looks its ``Support`` up
     once and gets its margins and pivot lines in one array pass; the
     supports not yet in the memo are built together first
-    (``_memoize_supports``).  A group on a walkable triangle walks the
+    (``_contact_supports``).  A group on a walkable triangle walks the
     rolling graph one drop at a time.  Then one stacked pass finds every pivoting drop's angle and turns it.
     A block of one drop takes ``settle``'s loop, which does the same
     arithmetic without the lockstep's bookkeeping."""
@@ -859,13 +828,12 @@ def _explain_tips(mesh: TriMesh, outcomes: list, max_tips: int, margin_eps: floa
     """``outcomes``, in which every drop past ``max_tips`` gets a
     SettleDiverged that names margin_eps and the largest hull facet
     margin when no facet's margin reaches margin_eps.  The facets are
-    enumerated only when some drop went past ``max_tips``, without
-    leaving their rest sets pending (``_rest_placements``)."""
+    enumerated only when some drop went past ``max_tips``."""
     past = f"exceeded max_tips={max_tips}"
     over = [isinstance(o, SettleDiverged) and str(o) == past for o in outcomes]
     if not any(over):
         return outcomes
-    margins = [p.stability_margin for _, p, _ in _rest_placements(mesh, 0.0)]
+    margins = [p.stability_margin for p in enumerate_stable(mesh, 0.0)]
     if margins and max(margins) >= margin_eps:
         return outcomes
     largest = f"is {max(margins):.3g}" if margins else "is below 0"
@@ -905,12 +873,12 @@ def _settle_one(
         com = rot @ com_body
         com[2] -= zmin
         heights.append(float(com[2]))
-        contact = np.flatnonzero(world[:, 2] <= CONTACT_TOL)
+        contact = tuple(np.flatnonzero(world[:, 2] <= CONTACT_TOL).tolist())
         r = _walkable_row(mesh, contact)
         if r is not None:
             rot = _walk(mesh.pivot_table, r, rot, heights, max_tips)
             continue
-        support = _contact_support(mesh, contact)
+        [support] = _contact_supports(mesh, [contact])
         margin = float(_contact_margin(world[:, :2], com[:2], support))
         if margin >= margin_eps:
             return _resting(mesh, rot[None], [margin], [support.inradius])[0]
@@ -950,14 +918,15 @@ def _settle_block(
         groups: dict[tuple[int, ...], list[int]] = {}
         for j, contact in enumerate(_contact_sets(world[:, :, 2] <= CONTACT_TOL)):
             groups.setdefault(contact, []).append(j)
-        walks = {contact: _walkable_row(mesh, np.array(contact)) for contact in groups}
-        _memoize_supports(mesh, [contact for contact, r in walks.items() if r is None])
+        walks = {contact: _walkable_row(mesh, contact) for contact in groups}
+        off_graph = [contact for contact, r in walks.items() if r is None]
+        supports = dict(zip(off_graph, _contact_supports(mesh, off_graph)))
         going = np.ones(len(active), dtype=bool)
         stable: list[tuple[int, float, float]] = []  # (row, margin, inradius)
         pivots = []  # (rows, world, com, a, u) per group
         for contact, rows in groups.items():
             r = walks[contact]
-            contact, rows = np.array(contact), np.array(rows)
+            rows = np.array(rows)
             if r is not None:
                 for j in rows.tolist():
                     i = active[j]
@@ -966,7 +935,7 @@ def _settle_block(
                     except SettleDiverged as exc:
                         outcomes[i], going[j] = exc, False
                 continue
-            support = _contact_support(mesh, contact)
+            support = supports[contact]
             # a group holding every active drop takes the arrays without a copy
             posed, at = (world, com) if len(rows) == len(active) else (world[rows], com[rows])
             margin = _contact_margin(posed[..., :2], at[..., :2], support)
@@ -1004,13 +973,14 @@ def _settle_block(
     return outcomes, traces
 
 
-def _walkable_row(mesh: TriMesh, contact: np.ndarray) -> int | None:
+def _walkable_row(mesh: TriMesh, contact: tuple[int, ...]) -> int | None:
     """The rolling-graph row to walk from when the contacts ``contact``
-    are one walkable hull triangle, else None."""
+    (sorted hull-vertex indices) are one walkable hull triangle, else
+    None."""
     if len(contact) != 3:
         return None
     table = mesh.pivot_table
-    r = table.row(contact)
+    r = table.row_of.get(contact)
     return r if r is not None and table.walkable(r, CONTACT_TOL) else None
 
 
@@ -1137,9 +1107,8 @@ def _block_records(
     world = mesh.hull.vertices @ rot.transpose(0, 2, 1) + shift[:, None, :]
     kept, triples = [], []
     contacts = _contact_sets(world[:, :, 2] <= CONTACT_TOL)
-    _memoize_supports(mesh, contacts)
-    for j, contact in enumerate(contacts):
-        poly = _contact_support(mesh, np.array(contact)).polygon
+    for j, support in enumerate(_contact_supports(mesh, contacts)):
+        poly = support.polygon
         if poly is not None:  # else the drop counts as diverged
             k = len(poly)
             kept.append(j)

@@ -54,11 +54,6 @@ class GraspConfig:
     def width(self) -> float:
         return float(np.linalg.norm(self.contact_b - self.contact_a))
 
-    @property
-    def axis(self) -> np.ndarray:
-        d = self.contact_b - self.contact_a
-        return d / np.linalg.norm(d)
-
     def to_json_dict(self) -> dict:
         return {
             "contact_a": [float(x) for x in self.contact_a],

@@ -228,7 +228,7 @@ def _reference_drop_settle(mesh, initial, max_tips=200, margin_eps=1e-4, contact
         contact = np.flatnonzero(world[:, 2] <= contact_tol)
         if len(contact) == 3:
             table = mesh.pivot_table
-            r = table.row(contact)
+            r = table.row_of.get(tuple(contact.tolist()))
             if r is not None and table.walkable(r, contact_tol):
                 while True:
                     check_tips()

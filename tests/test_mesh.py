@@ -13,6 +13,8 @@ from conftest import (
     sheared_wedge,
 )
 from stableplace import fixtures
+from stableplace.placements import enumerate_stable
+from stableplace.rotations import body_up_axis
 from stableplace.mesh import (
     CollinearContacts,
     DegenerateHull,
@@ -262,6 +264,36 @@ class TestWatertight:
         m = TriMesh(tetra.vertices, faces)
         assert not m._is_watertight()
         assert m.centroid_fallback
+
+
+def _squashed_icosphere():
+    """``icosphere(0.03, 3)`` with z scaled by 1/3."""
+    sphere = fixtures.icosphere(0.03, 3)
+    return TriMesh(sphere.vertices * np.array([1.0, 1.0, 1.0 / 3.0]), sphere.faces)
+
+
+class TestTranslation:
+    """A mesh moved far from the coordinate origin keeps its COM, its
+    placement count and its placements' up-axes: mass properties are
+    taken about the bounding box's middle, so the tetrahedra of the
+    volume sums do not cancel."""
+
+    @pytest.mark.parametrize("shift", [1e2, 1e3, 1e4, 1e5])
+    @pytest.mark.parametrize("make", [fixtures.tall_box, _squashed_icosphere],
+                             ids=["tall_box", "squashed_icosphere"])
+    def test_far_copy_keeps_com_and_placements(self, make, shift):
+        mesh = make()
+        extent = float(np.abs(mesh.vertices - mesh.com).max())
+        direction = np.array([1.0, np.sqrt(2.0), -np.pi])
+        offset = shift * extent * direction / np.linalg.norm(direction)
+        far = TriMesh(mesh.vertices + offset, mesh.faces)
+        assert np.abs(far.com - offset - mesh.com).max() <= 1e-9 * extent
+        ups = np.array([body_up_axis(p.rotation) for p in enumerate_stable(mesh)])
+        far_ups = np.array([body_up_axis(p.rotation) for p in enumerate_stable(far)])
+        assert len(far_ups) == len(ups) > 0
+        # the same up-axes as a set: each one's nearest in the other set
+        gap = np.linalg.norm(ups[:, None] - far_ups[None], axis=2)
+        assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) <= 1e-9
 
 
 class TestCachedHull:

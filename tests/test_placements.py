@@ -45,7 +45,7 @@ from stableplace.placements import (
     SettleDiverged,
     Support,
     _contact_margin,
-    _contact_support,
+    _contact_supports,
     _line_axis,
     _pivot_axis,
     _point_segment_distance,
@@ -211,7 +211,9 @@ class TestEnumerateStable:
     )
     def test_facet_built_only_for_merged_groups(self, name):
         """Only merged facets take the polygon pass, with two 2-D qhull
-        orders each: the facet-frame order and the posed xy order."""
+        orders each: the facet-frame order and the posed xy order.  A
+        first enumeration builds the rest sets' supports, whose qhull
+        calls are not the polygon pass's, so the second is counted."""
         mesh = {
             "wedge": sheared_wedge,
             "prism32": lambda: ngon_prism(32),
@@ -220,6 +222,7 @@ class TestEnumerateStable:
             "flattened_ellipsoid": flattened_ellipsoid,
         }.get(name, lambda: fixtures.standard_fixtures()[name])()
         groups, _ = _coplanar_groups(mesh.hull, mesh.hull.face_normals(), 1e-4)
+        enumerate_stable(mesh)
         with _counting_2d_hulls() as calls:
             enumerate_stable(mesh)
         assert calls[0] == 2 * len(groups)
@@ -481,11 +484,11 @@ def _reference_settle(mesh, initial, margin_eps=DEFAULT_MARGIN_EPS):
         com = rot @ mesh.com - np.array([0.0, 0.0, zmin])
         heights.append(float(com[2]))
         contact = np.flatnonzero(world[:, 2] <= CONTACT_TOL)
-        r = table.row(contact) if len(contact) == 3 else None
+        r = table.row_of.get(tuple(contact.tolist()))
         if r is not None and table.bound[r] < margin_eps - 1e-9:
             a, u = _line_axis(world[table.edge[r][0], :2], world[table.edge[r][1], :2])
         else:
-            support = _contact_support(mesh, contact)
+            [support] = _contact_supports(mesh, [tuple(contact.tolist())])
             if _contact_margin(world[:, :2], com[:2], support) >= margin_eps:
                 return rot, heights
             a, u = _pivot_axis(world[:, :2], com[:2], support)
@@ -580,7 +583,7 @@ class TestDenseMeshSettle:
         """On the unit cube scaled by 1e-4, whose largest facet margin is
         5e-5, every drop tips until max_tips; settle and settle_batch then
         say that no facet reaches margin_eps, with one enumeration per
-        call that seeds no pending support.  A mesh with a reachable facet keeps the plain message, and
+        call.  A mesh with a reachable facet keeps the plain message, and
         a drop that settles enumerates nothing."""
         cube = fixtures.unit_cube()
         tiny = TriMesh(cube.vertices * 1e-4, cube.faces)
@@ -588,7 +591,7 @@ class TestDenseMeshSettle:
         initials = np.stack([random_rotation(rng) for _ in range(3)])
         want = ("exceeded max_tips=200: no hull facet reaches margin_eps=0.0001; "
                 "the largest facet margin is 5e-05")
-        with _counting(placements, "_rest_placements") as calls:
+        with _counting(placements, "enumerate_stable") as calls:
             with pytest.raises(SettleDiverged) as err:
                 settle(tiny, initials[0])
             assert str(err.value) == want
@@ -597,7 +600,6 @@ class TestDenseMeshSettle:
             with pytest.raises(SettleDiverged, match=r"^exceeded max_tips=1$"):
                 settle(cube, initials[0], max_tips=1)
             assert calls[0] == 3
-            assert not cube.pending_supports  # the check leaves no rest set pending
             settle_batch(cube, initials)
             settle(tiny, initials[0], margin_eps=1e-5)
             assert calls[0] == 3
@@ -686,10 +688,10 @@ class TestPivotTable:
         hull = mesh.hull
         table = mesh.pivot_table
         bound = _edge_line_distances(hull, hull.face_normals(), mesh.com).min(axis=1)
-        assert len(table.keys) == len(hull.faces)
-        assert np.all(np.diff(table.keys) > 0)
+        assert len(table.row_of) == len(hull.faces)
         for f, (triple, edge) in enumerate(_loop_pivot_rows(mesh)):
-            r = table.row(np.array(triple))
+            r = table.row_of[triple]
+            assert r == f
             assert table.bound[r] == bound[f]
             assert tuple(table.edge[r]) == edge
 
@@ -704,7 +706,7 @@ class TestPivotTable:
         for face, n, (triple, _) in zip(
             hull.faces, hull.face_normals(), _loop_pivot_rows(mesh)
         ):
-            r = table.row(np.array(triple))
+            r = table.row_of[triple]
             if not table.bound[r] < DEFAULT_MARGIN_EPS - 1e-9:
                 continue
             rot = _reference_rotation_between(n, np.array([0.0, 0.0, -1.0]))
@@ -714,7 +716,7 @@ class TestPivotTable:
             if tuple(contact) != triple:
                 continue  # more than the triangle touches: the table is not asked
             com = rot @ mesh.com
-            support = _contact_support(mesh, contact)
+            [support] = _contact_supports(mesh, [triple])
             assert _contact_margin(world[:, :2], com[:2], support) < DEFAULT_MARGIN_EPS
             a, u = _pivot_axis(world[:, :2], com[:2], support)
             start, end = table.edge[r]
@@ -755,8 +757,8 @@ class TestPivotTable:
         hull = mesh.hull
         table = mesh.pivot_table
         down = np.array([0.0, 0.0, -1.0])
-        rows = [table.row(np.sort(face)) for face in hull.faces]
-        assert sorted(rows) == list(range(len(rows)))
+        rows = [table.row_of[tuple(face)] for face in np.sort(hull.faces, axis=1).tolist()]
+        assert rows == list(range(len(rows)))  # row r is hull face r
         faces_at = {}  # undirected edge -> the faces holding it
         for f, face in enumerate(hull.faces.tolist()):
             for k in range(3):
@@ -787,8 +789,8 @@ class TestPivotTable:
         hull = mesh.hull
         table = mesh.pivot_table
         assert np.all(table.clear <= CONTACT_TOL)
-        normals = {table.row(np.sort(face)): n
-                   for face, n in zip(hull.faces, hull.face_normals())}
+        normals = {table.row_of[tuple(face)]: n
+                   for face, n in zip(np.sort(hull.faces, axis=1).tolist(), hull.face_normals())}
         beyond = np.flatnonzero(table.bound < 0)
         for r in beyond:
             heights = []
@@ -862,19 +864,8 @@ class TestPivotTable:
     def test_row_of_a_non_triangle_is_none(self):
         table = fixtures.unit_cube().pivot_table
         # opposite corners of the cube share no hull triangle
-        assert table.row(np.array([0, 1, 7])) is None
-        assert table.row(np.array([5, 6, 7])) is None
-
-    def test_oversized_hull_gets_an_empty_table(self):
-        class Mesh:  # stands in for a mesh whose hull's keys overflow int64
-            class hull:
-                vertices = np.broadcast_to(0.0, (2**21 + 1, 3))
-
-            com = np.zeros(3)
-
-        table = PivotTable.build(Mesh())
-        assert len(table.keys) == len(table.next) == len(table.turn) == 0
-        assert table.row(np.array([0, 1, 2])) is None
+        assert (0, 1, 7) not in table.row_of
+        assert (5, 6, 7) not in table.row_of
 
 
 class TestGenerateDataset:
@@ -1253,20 +1244,23 @@ class TestSupports:
         assert sum(s.polygon is None for s in got) == 2
 
     def test_enumerated_rest_sets_build_in_one_pass(self):
-        """``enumerate_stable`` leaves its placements' rest sets pending
-        beside the memo, unbuilt; the first lone settle after it builds them in
-        its one ``_new_supports`` pass, so twelve seeded settles make one
-        call, with the bits of the same drops on an un-enumerated copy,
-        and every Support in the memo has the reference's bits."""
+        """``enumerate_stable`` builds its placements' rest sets into the
+        memo in one ``_new_supports`` pass, each with the reference's
+        bits; twelve seeded settles after it build nothing more, and give
+        the bits of the same drops on an un-enumerated copy."""
         mesh, fresh = ellipsoid(3), ellipsoid(3)
-        found = enumerate_stable(mesh)
-        assert not mesh.supports
-        assert len(mesh.pending_supports) == len(found)
+        with _counting(placements, "_new_supports") as calls:
+            found = enumerate_stable(mesh)
+        assert calls[0] == 1
+        assert len(mesh.supports) == len(found)
+        for placement in found:
+            world = mesh.hull.vertices @ placement.rotation.T + placement.translation
+            assert tuple(np.flatnonzero(world[:, 2] <= CONTACT_TOL)) in mesh.supports
         rng = np.random.default_rng(42)
         initials = [random_rotation(rng) for _ in range(12)]
         with _counting(placements, "_new_supports") as calls:
             got = [settle(mesh, initial) for initial in initials]
-        assert calls[0] == 1
+        assert calls[0] == 0
         for placement, initial in zip(got, initials):
             want = settle(fresh, initial)
             assert placement.rotation.tobytes() == want.rotation.tobytes()
@@ -1279,19 +1273,18 @@ class TestSupports:
             assert support.polygon.tolist() == poly.tolist()
             assert np.float64(support.inradius).tobytes() == np.float64(inr).tobytes()
 
-    def test_round_mesh_builds_every_facet_in_one_settle(self):
-        """On a sphere every hull triangle is a stable facet: one settle
-        after enumeration builds all 1,280 and leaves none pending, and
-        enumerating again leaves none pending."""
+    def test_round_mesh_builds_every_facet_in_enumeration(self):
+        """On a sphere every hull triangle is a stable facet: enumeration
+        builds all 1,280 in one pass, and neither a settle after it nor
+        enumerating again builds any."""
         mesh = fixtures.icosphere(0.05, 3)
-        assert len(enumerate_stable(mesh)) == 1280
         with _counting(placements, "_new_supports") as calls:
+            assert len(enumerate_stable(mesh)) == 1280
+            assert calls[0] == 1
+            assert len(mesh.supports) == 1280
             settle(mesh, random_rotation(np.random.default_rng(3)))
+            assert len(enumerate_stable(mesh)) == 1280
         assert calls[0] == 1
-        assert len(mesh.supports) == 1280
-        assert not mesh.pending_supports
-        enumerate_stable(mesh)  # built sets are not pending again
-        assert not mesh.pending_supports
 
 
 def _assert_supports_match_reference(mesh, contacts):

@@ -71,7 +71,8 @@ class TestSampleAntipodalGrasps:
         assert len(grasps) > 0
         for gr in grasps:
             assert gr.width == pytest.approx(1.0, abs=1e-9)
-            assert abs(float(gr.axis @ gr.approach)) < 1e-9
+            axis = (gr.contact_b - gr.contact_a) / gr.width
+            assert abs(float(axis @ gr.approach)) < 1e-9
             assert np.linalg.norm(gr.approach) == pytest.approx(1.0, abs=1e-12)
 
     def test_max_width_excludes_cube(self, cube):
