@@ -1,32 +1,39 @@
 #!/usr/bin/env python3
-"""Time lone settles on freshly enumerated dense meshes: the three squashed
-icospheres of the ``dense-meshes`` benchmark workload (320, 1280 and 5120
-faces) and the unscaled ``icosphere(0.05, 4)``, on which every hull
-triangle is a stable facet.
+"""Time cold loads, enumerations and lone settles of dense meshes: the
+three squashed icospheres of the ``dense-meshes`` benchmark workload (320,
+1280 and 5120 faces) and the unscaled ``icosphere(0.05, 4)``, on which
+every hull triangle is a stable facet.
 
 Usage: python scripts/cold_settles.py
 
-Each mesh is built afresh, so ``enumerate_stable`` starts from cold
-per-mesh caches (its time includes the convex hull).  Then 12 random
-drops, seeded by ``[0, i]`` on the i-th mesh, settle one at a time
-with ``settle``, as the workload's timed calls do.  Per mesh the
-script prints the ``enumerate_stable`` milliseconds, the first
-settle's, the median of the next 11, and the number of
-``_new_supports`` calls (support-polygon builds) made by the
-enumeration and by the 12 settles.  Enumeration builds the supports of
-the placements' rest sets, so a settle builds only the contact sets it
-meets that no placement rests on.  It checks nothing.
+Each mesh is built afresh and written to a temporary OBJ file, which
+``load_mesh`` reads back, as the workload's timed loads do; per mesh the
+script prints that load's milliseconds, split into reading and parsing
+the text (``parse``) and the ``TriMesh`` construction (mass properties
+and edge index).
+``enumerate_stable`` then starts on the loaded mesh from cold per-mesh
+caches (its time includes the convex hull).  Then 12 random drops,
+seeded by ``[0, i]`` on the i-th mesh, settle one at a time with
+``settle``, as the workload's timed calls do.  Per mesh the script
+prints the ``enumerate_stable`` milliseconds, the first settle's, the
+median of the next 11, and the number of ``_new_supports`` calls
+(support-polygon builds) made by the enumeration and by the 12
+settles.  Enumeration builds the supports of the placements' rest sets,
+so a settle builds only the contact sets it meets that no placement
+rests on.  It checks nothing.
 """
 
 import functools
 import statistics
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
 from stableplace import placements
 from stableplace.fixtures import icosphere
-from stableplace.mesh import TriMesh
+from stableplace.mesh import TriMesh, load_mesh, save_obj
 from stableplace.rotations import random_rotation
 
 DROPS = 12
@@ -52,15 +59,48 @@ def counted(fn, calls: list[int]):
     return wrapper
 
 
+def timed(fn, spent: list[float]):
+    """fn, adding the seconds its calls take to ``spent[0]``."""
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        t0 = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            spent[0] += time.perf_counter() - t0
+
+    return wrapper
+
+
+def cold_load(mesh: TriMesh) -> tuple[TriMesh, float, float]:
+    """``mesh`` written to a temporary OBJ file and loaded back, with the
+    load's read-and-parse and ``TriMesh`` construction seconds."""
+    post_init = TriMesh.__post_init__
+    construct_s = [0.0]
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "mesh.obj"
+        save_obj(mesh, path)
+        TriMesh.__post_init__ = timed(post_init, construct_s)
+        try:
+            t0 = time.perf_counter()
+            loaded = load_mesh(path)
+            load_s = time.perf_counter() - t0
+        finally:
+            TriMesh.__post_init__ = post_init
+    return loaded, load_s - construct_s[0], construct_s[0]
+
+
 def main():
     new_supports = placements._new_supports
     calls = [0]
     placements._new_supports = counted(new_supports, calls)
     try:
-        print(f"{'mesh':<15} {'faces':>5} {'enumerate':>10} {'first':>8} "
-              f"{'next 11':>8} {'builds':>13}  "
-              "(ms, builds = _new_supports calls: enumerate + settles)")
-        for i, (name, mesh) in enumerate(meshes()):
+        print(f"{'mesh':<15} {'faces':>5} {'parse':>7} {'TriMesh':>7} {'enumerate':>10} "
+              f"{'first':>8} {'next 11':>8} {'builds':>13}  (ms; parse + TriMesh = "
+              "cold load_mesh; builds = _new_supports calls: enumerate + settles)")
+        for i, (name, built) in enumerate(meshes()):
+            mesh, parse_s, construct_s = cold_load(built)
             calls[0] = 0
             t0 = time.perf_counter()
             placements.enumerate_stable(mesh)
@@ -74,7 +114,8 @@ def main():
                 t0 = time.perf_counter()
                 placements.settle(mesh, initial)
                 settle_s.append(time.perf_counter() - t0)
-            print(f"{name:<15} {len(mesh.faces):>5} {1e3 * enumerate_s:>10.1f} "
+            print(f"{name:<15} {len(mesh.faces):>5} {1e3 * parse_s:>7.2f} "
+                  f"{1e3 * construct_s:>7.2f} {1e3 * enumerate_s:>10.1f} "
                   f"{1e3 * settle_s[0]:>8.2f} {1e3 * statistics.median(settle_s[1:]):>8.3f} "
                   f"{enumerate_calls:>9} + {calls[0]}")
     finally:

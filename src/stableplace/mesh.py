@@ -7,6 +7,7 @@ is preserved through every transform.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -316,15 +317,18 @@ class EdgeIndex:
 
 
 def load_mesh(path: str | Path) -> TriMesh:
-    """Parse an ASCII OBJ (``v``/``f`` records); polygonal faces are
-    fan-triangulated.  Volume and COM assume uniform density.
+    """Parse an OBJ text file (``v``/``f`` records), read as UTF-8 with or
+    without a byte-order mark; polygonal faces are fan-triangulated.
+    Volume and COM assume uniform density.
 
     A file that cannot be read or parsed raises MeshParseError, and a
     mesh with no surface raises DegenerateMesh; both messages name the
     path, as does the DegenerateHull its ``hull`` raises."""
     path = Path(path)
     try:
-        text = path.read_text()
+        # utf-8-sig drops a leading byte-order mark, which would otherwise
+        # glue onto the first record's head
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, ValueError) as exc:  # ValueError: undecodable text, NUL in path
         raise MeshParseError(f"cannot read mesh {path}: {exc}") from exc
     try:
@@ -335,12 +339,89 @@ def load_mesh(path: str | Path) -> TriMesh:
     return mesh
 
 
+# The characters of text made only of ``v`` and ``f`` records with
+# decimal numbers, one per line
+_PLAIN_CHARS = b"0123456789.eE+- \nvf"
+_VERTEX_ROW = re.compile(r"^v (.*)", re.MULTILINE)
+_FACE_ROW = re.compile(r"^f (.*)", re.MULTILINE)
+
+
 def _parse_obj(text: str) -> TriMesh:
     """Mesh of OBJ text.  Only lines whose first token is ``v`` or ``f``
     count.  A vertex is the first three numbers of its line; a face index
     is its token's text before any ``/``, 1-based, and an index i <= 0
     counts from the vertices read so far (their number plus i).  A face
     of k indices becomes the fan of k - 2 triangles from its first.
+
+    Plain text, only ``v x y z`` and ``f a b c`` records as ``save_obj``
+    writes them, takes one array pass per record kind
+    (``_plain_records``); every other text, and any plain text that pass
+    cannot read, takes the line parse (``_line_records``), which gives
+    the same result and names the first bad line."""
+    records = _plain_records(text)
+    if records is None:
+        records = _line_records(text)
+    return TriMesh(*records)
+
+
+def _plain_records(text: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """The vertices and 0-based faces of text made only of ``v x y z`` and
+    ``f a b c`` records, each kind read by one ``np.loadtxt`` call; None
+    for any other text.
+
+    The guard is exact: the pass returns arrays only where
+    ``_line_records`` reads the same records to the same bits.
+
+    - The text holds only ASCII digits, ``.eE+-``, spaces, newlines and
+      the letters ``v`` and ``f``.  So the newline is its only line break
+      and the space its only whitespace, and it holds no ``#``, ``/``,
+      tab, carriage return, ``_``, nan or inf.
+    - It has as many ``v`` (``f``) characters as lines that start with
+      ``"v "`` (``"f "``), so every such letter heads one of those lines.
+      Those lines are exactly the ones whose first token is ``v`` (``f``),
+      and every other line, which both parses skip, holds no record.
+    - ``np.loadtxt`` reads each kind's lines after the head as one table
+      of exactly three columns and a row per line.  It splits a row at
+      its spaces as ``str.split`` does, its float64 parser is the one
+      ``float()`` uses (without ``_`` separators), and its int64 parser
+      reads a subset of what ``int()`` reads, to the same value.
+    - Every coordinate is finite and every index is >= 1, so no index
+      counts from the vertices read so far, and the line parse would
+      reject no line."""
+    if not text.isascii() or text.encode("ascii").translate(None, _PLAIN_CHARS):
+        return None
+    v_rows, f_rows = _VERTEX_ROW.findall(text), _FACE_ROW.findall(text)
+    if not (
+        v_rows and f_rows
+        and text.count("v") == len(v_rows) and text.count("f") == len(f_rows)
+    ):
+        return None
+    vertices = _three_columns(v_rows, np.float64)
+    if vertices is None or not np.isfinite(vertices).all():
+        return None
+    index = _three_columns(f_rows, np.int64)
+    if index is None or not (index > 0).all():
+        return None
+    return vertices, index - 1
+
+
+def _three_columns(rows: list[str], dtype) -> np.ndarray | None:
+    """The (len(rows), 3) array of the rows' numbers, or None unless
+    ``np.loadtxt`` reads every row as exactly three of them.  loadtxt
+    skips a blank row, so one shows as a missing row; a blank first row
+    returns None at once, since loadtxt warns when every row is blank."""
+    if not rows[0].strip():
+        return None
+    try:
+        table = np.loadtxt(rows, dtype=dtype, ndmin=2, comments=None)
+    except ValueError:
+        return None
+    return table if table.shape == (len(rows), 3) else None
+
+
+def _line_records(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """The vertices and 0-based faces of any OBJ text, as ``_parse_obj``
+    reads it.
 
     Each line is split once, every coordinate and index converts in one
     pass, and the faces are gathered with array indexing.  An invalid
@@ -402,8 +483,7 @@ def _parse_obj(text: str) -> TriMesh:
     n_tri = n_index - 2
     first = np.repeat(np.cumsum(n_index) - n_index, n_tri)
     j = first + np.arange(n_tri.sum()) - np.repeat(np.cumsum(n_tri) - n_tri, n_tri) + 1
-    faces = np.column_stack([index[first], index[j], index[j + 1]])
-    return TriMesh(vertices, faces)
+    return vertices, np.column_stack([index[first], index[j], index[j + 1]])
 
 
 def _convert(conv, tokens: list[str]) -> tuple[list, tuple[int, ValueError] | None]:
@@ -441,9 +521,11 @@ def convex_hull(points: np.ndarray) -> TriMesh:
     except QhullError as exc:
         # qhull's first line says what is wrong; the rest dumps its options
         raise DegenerateHull(str(exc).strip().splitlines()[0]) from exc
-    used = np.unique(hull.simplices)
+    # the used points in input order, and each one's rank among them
+    used = np.zeros(len(points), dtype=bool)
+    used[hull.simplices] = True
     verts = points[used]
-    faces = np.searchsorted(used, hull.simplices)
+    faces = (np.cumsum(used) - 1)[hull.simplices]
     centroid = verts.mean(axis=0)
     # orient every triangle outward
     a, b, c = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]

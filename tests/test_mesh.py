@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
+from scipy.spatial import ConvexHull
 
 from conftest import (
     _reference_rotation_between,
@@ -13,6 +14,7 @@ from conftest import (
     sheared_wedge,
 )
 from stableplace import fixtures
+from stableplace import mesh as mesh_module
 from stableplace.placements import enumerate_stable
 from stableplace.rotations import body_up_axis
 from stableplace.mesh import (
@@ -23,6 +25,7 @@ from stableplace.mesh import (
     TriMesh,
     ZeroPlaneVector,
     _parse_obj,
+    _plain_records,
     apply_refinement_transform,
     convex_hull,
     load_mesh,
@@ -100,6 +103,26 @@ class TestLoadMesh:
         with pytest.raises(DegenerateMesh, match=f"mesh {path}: .*overflows"):
             load_mesh(path)
         assert not recwarn.list
+
+    @pytest.mark.parametrize("name", ["cube", "tetra_spare_vertex"])
+    def test_byte_order_mark_loads_the_same_mesh(self, tmp_path, cube, name):
+        plain = tmp_path / f"{name}.obj"
+        if name == "cube":
+            save_obj(cube, plain)
+        else:
+            # the unit corner tetrahedron (volume 1/6) and a spare last
+            # vertex; dropping the first vertex would shift the faces onto
+            # a tetrahedron of volume 1/3
+            plain.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nv -1 0 0\n"
+                             "f 1 3 2\nf 1 2 4\nf 1 4 3\nf 2 3 4\n")
+        marked = tmp_path / f"{name}_bom.obj"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        want, got = load_mesh(plain), load_mesh(marked)
+        assert np.array_equal(got.vertices, want.vertices)
+        assert np.array_equal(got.faces, want.faces)
+        assert got.volume == want.volume
+        if name != "cube":
+            assert got.volume == pytest.approx(1.0 / 6.0)
 
 
 def _reference_parse_obj(text):
@@ -196,6 +219,53 @@ def _valid_obj_lines(draw):
     return lines
 
 
+_PLAIN_COORD = st.sampled_from(["%r", "%.17g", "%.3e", "%.0f"])
+
+
+@st.composite
+def _plain_obj(draw):
+    """``save_obj``-style lines, ``v x y z`` of random doubles written in
+    one format and then triangles ``f a b c`` of 1-based indices, up to
+    a few thousand records; and the vertex count."""
+    n = draw(st.integers(4, 1200))
+    n_faces = draw(st.integers(1, 2400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fmt = draw(_PLAIN_COORD)
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    coords = (rng.standard_normal((n, 3)) * scale).tolist()
+    lines = ["v " + " ".join(fmt % x for x in row) for row in coords]
+    faces = rng.integers(1, n + 1, size=(n_faces, 3)).tolist()
+    lines += [f"f {a} {b} {c}" for a, b, c in faces]
+    return lines, n
+
+
+def _replace_last(token):
+    return lambda line, n: line.rsplit(" ", 1)[0] + " " + token
+
+
+# name -> near miss of a plain line (and the text's vertex count)
+_NEAR_MISSES = {
+    **{f"last={token}": _replace_last(token)
+       for token in ["1_0", "+2", "nan", "1e400", "+NaN", "infinity", "0", "-1", "-2",
+                     "1/1", "2//3", "1.5", "1e0", "9223372036854775808"]},
+    "comment": lambda line, n: "#" + line,
+    "trailing_comment": lambda line, n: line + " # note",
+    "tab": lambda line, n: line.replace(" ", "\t", 1),
+    "leading_space": lambda line, n: " " + line,
+    "double_space": lambda line, n: line.replace(" ", "  "),
+    "trailing_space": lambda line, n: line + " ",
+    "fourth_index": lambda line, n: line + f" {n}",  # a quad, or a v with 4 numbers
+    "fourth_number": lambda line, n: line + " 1.0",
+    "head_alone": lambda line, n: line.split(" ", 1)[0],
+    "one_short": lambda line, n: line.rsplit(" ", 1)[0],
+    "bom": lambda line, n: "\ufeff" + line,
+    "blank": lambda line, n: "",
+    "normal": lambda line, n: "vn 0 0 1",
+    "doubled_head": lambda line, n: "f " + line,
+    "letter_after": lambda line, n: line + "f",
+}
+
+
 def _outcome(parse, text):
     try:
         mesh = parse(text)
@@ -246,6 +316,77 @@ class TestParseObjFuzz:
             _parse_obj(text)
         with pytest.raises(MeshParseError, match="^could not convert string to float: 'x'"):
             _parse_obj(text.replace("v 0 0\n", ""))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_plain_obj(), st.data())
+    def test_plain_text_takes_the_array_pass(self, plain, data):
+        lines, n_vertices = plain
+        text = "".join(line + "\n" for line in lines)
+        assert _plain_records(text) is not None
+        self.check(lines, [])
+        # one line changed by a near miss: the same result or error as the
+        # line-by-line parser, by whichever path
+        at = data.draw(st.integers(0, len(lines) - 1))
+        mutate = data.draw(st.sampled_from(sorted(_NEAR_MISSES)))
+        mutated = list(lines)
+        mutated[at] = _NEAR_MISSES[mutate](lines[at], n_vertices)
+        self.check(mutated, [])
+        self.check(lines, ["\n"] * at + ["\r\n"])
+
+    @pytest.mark.parametrize("mutate", sorted(_NEAR_MISSES))
+    def test_near_miss_line(self, mutate, tmp_path):
+        mesh = ellipsoid(2)
+        save_obj(mesh, tmp_path / "ellipsoid.obj")
+        lines = (tmp_path / "ellipsoid.obj").read_text().splitlines()
+        n = len(mesh.vertices)
+        # the first and last vertex and face lines
+        for at in (0, n - 1, n, len(lines) - 1):
+            mutated = list(lines)
+            mutated[at] = _NEAR_MISSES[mutate](lines[at], n)
+            self.check(mutated, [])
+
+    @pytest.mark.parametrize("text", [
+        "v \nf 1 2 3\n",
+        "v  \nv 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n",
+        "v 0 0 0\nv 1 0 0\nv 0 1 0\nf  \n",
+        "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf \n",
+    ])
+    def test_blank_records_warn_nothing(self, text, recwarn):
+        self.check(text.splitlines(), [])
+        assert not recwarn.list
+
+    def test_dense_mesh_text_takes_the_array_pass(self, tmp_path, monkeypatch):
+        calls = []
+        convert = mesh_module._convert
+        monkeypatch.setattr(mesh_module, "_convert",
+                            lambda *args: calls.append(1) or convert(*args))
+        path = tmp_path / "ellipsoid.obj"
+        save_obj(ellipsoid(4), path)
+        text = path.read_text()
+        plain = _parse_obj(text)
+        assert not calls
+        want = _reference_parse_obj(text)
+        assert np.array_equal(plain.vertices, want.vertices)
+        assert np.array_equal(plain.faces, want.faces)
+        # the counter sees the line parse
+        _parse_obj("# a comment\n" + text)
+        assert calls
+
+    def test_array_pass_reads_random_doubles_as_float_does(self):
+        rng = np.random.default_rng(5)
+        bits = rng.integers(0, 2**64, size=30_000, dtype=np.uint64)
+        # every exponent, and 200 subnormals: their exponent bits cleared
+        bits[:200] &= np.uint64(0x800F_FFFF_FFFF_FFFF)
+        values = bits.view(np.float64)
+        values = values[np.isfinite(values)]
+        tokens = [fmt % x for fmt in ("%r", "%.17g", "%.3e") for x in values.tolist()]
+        tokens += ["0", "-0", "+1.5", ".5", "5.", "1e-400", "4.9e-324", "007"]
+        tokens += ["1"] * (-len(tokens) % 3)
+        rows = [" ".join(tokens[k:k + 3]) for k in range(0, len(tokens), 3)]
+        text = "".join(f"v {row}\n" for row in rows) + "f 1 2 3\n"
+        vertices, _ = _plain_records(text)
+        want = np.array([float(tok) for tok in tokens])
+        assert vertices.ravel().view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 class TestWatertight:
@@ -332,6 +473,21 @@ class TestConvexHull:
         pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
         with pytest.raises(DegenerateHull):
             convex_hull(pts)
+
+    @pytest.mark.parametrize("make", [lambda: ellipsoid(4), fixtures.l_prism])
+    def test_indices_match_unique_searchsorted(self, make):
+        # interior points among the hull's, so some points go unused
+        rng = np.random.default_rng(3)
+        pts = make().vertices
+        pts = np.vstack([0.5 * pts[rng.permutation(len(pts))], pts])[rng.permutation(2 * len(pts))]
+        simplices = ConvexHull(pts).simplices
+        used = np.unique(simplices)
+        hull = convex_hull(pts)
+        assert hull.vertices.tobytes() == pts[used].tobytes()
+        # the same triangles, up to the outward reorientation
+        want = np.searchsorted(used, simplices)
+        assert np.array_equal(np.sort(hull.faces, axis=1), np.sort(want, axis=1))
+        assert np.array_equal(hull.faces[:, 0], want[:, 0])
 
     def test_idempotent_volume(self):
         rng = np.random.default_rng(2)
