@@ -318,7 +318,8 @@ class EdgeIndex:
 
 def load_mesh(path: str | Path) -> TriMesh:
     """Parse an OBJ text file (``v``/``f`` records), read as UTF-8 with or
-    without a byte-order mark; polygonal faces are fan-triangulated.
+    without a byte-order mark, any other byte replaced by U+FFFD;
+    polygonal faces are fan-triangulated.
     Volume and COM assume uniform density.
 
     A file that cannot be read or parsed raises MeshParseError, and a
@@ -327,9 +328,11 @@ def load_mesh(path: str | Path) -> TriMesh:
     path = Path(path)
     try:
         # utf-8-sig drops a leading byte-order mark, which would otherwise
-        # glue onto the first record's head
-        text = path.read_text(encoding="utf-8-sig")
-    except (OSError, ValueError) as exc:  # ValueError: undecodable text, NUL in path
+        # glue onto the first record's head; a byte that is not UTF-8 reads
+        # as U+FFFD, harmless in a comment or name and a parse error in a
+        # number
+        text = path.read_text(encoding="utf-8-sig", errors="replace")
+    except (OSError, ValueError) as exc:  # ValueError: NUL in path
         raise MeshParseError(f"cannot read mesh {path}: {exc}") from exc
     try:
         mesh = _parse_obj(text)
@@ -342,6 +345,7 @@ def load_mesh(path: str | Path) -> TriMesh:
 # The characters of text made only of ``v`` and ``f`` records with
 # decimal numbers, one per line
 _PLAIN_CHARS = b"0123456789.eE+- \nvf"
+_INDEX_CHARS = b"0123456789 "
 _VERTEX_ROW = re.compile(r"^v (.*)", re.MULTILINE)
 _FACE_ROW = re.compile(r"^f (.*)", re.MULTILINE)
 
@@ -376,31 +380,46 @@ def _plain_records(text: str) -> tuple[np.ndarray, np.ndarray] | None:
       the letters ``v`` and ``f``.  So the newline is its only line break
       and the space its only whitespace, and it holds no ``#``, ``/``,
       tab, carriage return, ``_``, nan or inf.
+    - It holds three spaces per ``v`` or ``f`` letter, as three-number
+      records do, and at most six ``-`` per ``v`` letter, a sign and an
+      exponent sign per coordinate.  A polygon, a fourth number, a
+      doubled space or the negative indices of a closed mesh (about two
+      faces per vertex) fail these counts before any line is picked.
     - It has as many ``v`` (``f``) characters as lines that start with
       ``"v "`` (``"f "``), so every such letter heads one of those lines.
       Those lines are exactly the ones whose first token is ``v`` (``f``),
       and every other line, which both parses skip, holds no record.
+    - Face rows hold only digits and spaces.  A sign, point or exponent
+      goes to the line parse, so the result does not depend on whether a
+      numpy release's int64 ``loadtxt`` rejects ``1.5`` or truncates it.
     - ``np.loadtxt`` reads each kind's lines after the head as one table
       of exactly three columns and a row per line.  It splits a row at
       its spaces as ``str.split`` does, its float64 parser is the one
-      ``float()`` uses (without ``_`` separators), and its int64 parser
-      reads a subset of what ``int()`` reads, to the same value.
+      ``float()`` uses (without ``_`` separators), and it reads a run of
+      digits as ``int()`` does, or raises ValueError past int64.
     - Every coordinate is finite and every index is >= 1, so no index
       counts from the vertices read so far, and the line parse would
       reject no line."""
-    if not text.isascii() or text.encode("ascii").translate(None, _PLAIN_CHARS):
-        return None
-    v_rows, f_rows = _VERTEX_ROW.findall(text), _FACE_ROW.findall(text)
-    if not (
-        v_rows and f_rows
-        and text.count("v") == len(v_rows) and text.count("f") == len(f_rows)
+    if (
+        not text.isascii()
+        or text.encode("ascii").translate(None, _PLAIN_CHARS)
+        or text.count(" ") != 3 * (text.count("v") + text.count("f"))
+        or text.count("-") > 6 * text.count("v")
     ):
         return None
-    vertices = _three_columns(v_rows, np.float64)
-    if vertices is None or not np.isfinite(vertices).all():
+    f_rows = _FACE_ROW.findall(text)
+    if not f_rows or text.count("f") != len(f_rows):
+        return None
+    if " ".join(f_rows).encode("ascii").translate(None, _INDEX_CHARS):
         return None
     index = _three_columns(f_rows, np.int64)
     if index is None or not (index > 0).all():
+        return None
+    v_rows = _VERTEX_ROW.findall(text)
+    if not v_rows or text.count("v") != len(v_rows):
+        return None
+    vertices = _three_columns(v_rows, np.float64)
+    if vertices is None or not np.isfinite(vertices).all():
         return None
     return vertices, index - 1
 

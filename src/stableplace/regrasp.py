@@ -534,15 +534,9 @@ def build_manipulation_graph(
     f = feasibility_matrix(placements, grasps, g)
     fi = f.astype(np.int64)
     shared_counts = np.triu(fi @ fi.T, k=1)
-    i, j = np.nonzero(shared_counts)
-    # every edge's shared grasps in one pass, edge after edge, split by
-    # the edges' counts
-    shared = np.nonzero(f[i] & f[j])[1].tolist()
-    ends = np.cumsum(shared_counts[i, j]).tolist()
-    edges = {
-        edge: shared[start:end]
-        for edge, start, end in zip(zip(i.tolist(), j.tolist()), [0] + ends, ends)
-    }
+    edges: dict[tuple[int, int], list[int]] = {}
+    for i, j in np.argwhere(shared_counts > 0).tolist():
+        edges[(i, j)] = np.flatnonzero(f[i] & f[j]).tolist()
     return ManipulationGraph(nodes=placements, grasps=grasps, edges=edges)
 
 

@@ -124,6 +124,20 @@ class TestLoadMesh:
         if name != "cube":
             assert got.volume == pytest.approx(1.0 / 6.0)
 
+    def test_bytes_that_are_not_utf8_fail_only_in_numbers(self, tmp_path, cube):
+        plain = tmp_path / "cube.obj"
+        save_obj(cube, plain)
+        # a latin-1 byte in a comment and in an object name
+        named = tmp_path / "cube_latin1.obj"
+        named.write_bytes(b"# caf\xe9\no caf\xe9\n" + plain.read_bytes())
+        want, got = load_mesh(plain), load_mesh(named)
+        assert np.array_equal(got.vertices, want.vertices)
+        assert np.array_equal(got.faces, want.faces)
+        bad = tmp_path / "bad.obj"
+        bad.write_bytes(b"v 0 0 0\xe9\n" + plain.read_bytes())
+        with pytest.raises(MeshParseError, match="could not convert string to float: '0\ufffd'"):
+            load_mesh(bad)
+
 
 def _reference_parse_obj(text):
     """The line-by-line parser that ``_parse_obj`` replaced."""
@@ -354,6 +368,28 @@ class TestParseObjFuzz:
     def test_blank_records_warn_nothing(self, text, recwarn):
         self.check(text.splitlines(), [])
         assert not recwarn.list
+
+    @pytest.mark.parametrize("index", ["1.0", "1e0", "1E0", "+1", "-1"])
+    def test_face_index_with_sign_point_or_exponent_takes_the_line_parse(self, index):
+        # whatever a numpy release's int64 loadtxt makes of these
+        text = f"v 0 0 0\nv 1 0 0\nv 0 1 0\nf {index} 2 3\n"
+        assert _plain_records(text) is None
+        self.check(text.splitlines(), [])
+
+    def test_polygons_and_relative_indices_fail_before_any_line_is_picked(self, monkeypatch):
+        # the character counts turn these texts away without the row scans
+        class NoScan:
+            def findall(self, text):
+                raise AssertionError("a row scan ran")
+        monkeypatch.setattr(mesh_module, "_VERTEX_ROW", NoScan())
+        monkeypatch.setattr(mesh_module, "_FACE_ROW", NoScan())
+        mesh = ellipsoid(3)
+        n = len(mesh.vertices)
+        head = "".join(f"v {x!r} {y!r} {z!r}\n" for x, y, z in mesh.vertices.tolist())
+        quads = "".join(f"f {a + 1} {b + 1} {c + 1} {c + 1}\n" for a, b, c in mesh.faces.tolist())
+        relative = "".join(f"f {a - n} {b - n} {c - n}\n" for a, b, c in mesh.faces.tolist())
+        assert _plain_records(head + quads) is None
+        assert _plain_records(head + relative) is None
 
     def test_dense_mesh_text_takes_the_array_pass(self, tmp_path, monkeypatch):
         calls = []

@@ -565,26 +565,6 @@ class TestFeasibilityMatrix:
         assert feasibility_matrix(placements, [], WIDE).shape == (2, 0)
         assert build_manipulation_graph(placements, [], WIDE).edges == {}
 
-    @pytest.mark.parametrize("name", [*fixtures.standard_fixtures(), "ellipsoid_s3"])
-    def test_edge_lists_match_per_edge_reference(self, name):
-        # the regrasp benchmark's grippers: wide for the fixtures that fit
-        # only it, the default one for the tetrahedron and the ellipsoid
-        mesh = ellipsoid(3) if name == "ellipsoid_s3" else fixtures.standard_fixtures()[name]
-        g = GRIPPERS["default"] if name in ("tetrahedron", "ellipsoid_s3") else WIDE
-        placements = enumerate_stable(mesh)
-        for seed in range(4):
-            grasps = sample_antipodal_grasps(mesh, 25, g, seed=seed)
-            f = feasibility_matrix(placements, grasps, g)
-            want = {}
-            for i in range(len(placements)):
-                for j in range(i + 1, len(placements)):
-                    shared = np.flatnonzero(f[i] & f[j]).tolist()
-                    if shared:
-                        want[(i, j)] = shared
-            edges = build_manipulation_graph(placements, grasps, g).edges
-            assert list(edges.items()) == list(want.items())
-            assert all(type(k) is int for shared in edges.values() for k in shared)
-
 
 def reference_plan(graph, start, goal):
     """One breadth-first search per (start, goal) pair, stopping when it
