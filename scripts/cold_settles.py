@@ -15,10 +15,13 @@ and edge index).
 caches (its time includes the convex hull).  Then 12 random drops,
 seeded by ``[0, i]`` on the i-th mesh, settle one at a time with
 ``settle``, as the workload's timed calls do.  Per mesh the script
-prints the ``enumerate_stable`` milliseconds, the first settle's, the
-median of the next 11, and the number of ``_new_supports`` calls
-(support-polygon builds) made by the enumeration and by the 12
-settles.  Enumeration builds the supports of the placements' rest sets,
+prints the ``enumerate_stable`` milliseconds, the number of 2-D qhull
+calls the enumeration makes (``qhull``; facet orders and rest-set
+supports alike), the first settle's milliseconds, the median of the
+next 11, and the number of ``_new_supports`` calls (support-polygon
+builds) made by the enumeration and by the 12 settles.  A triangle takes
+its 2-D orders in closed form, so on these all-triangle hulls ``qhull``
+reads 0.  Enumeration builds the supports of the placements' rest sets,
 so a settle builds only the contact sets it meets that no placement
 rests on.  It checks nothing.
 """
@@ -30,7 +33,9 @@ import time
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial import ConvexHull
 
+from stableplace import mesh as mesh_module
 from stableplace import placements
 from stableplace.fixtures import icosphere
 from stableplace.mesh import TriMesh, load_mesh, save_obj
@@ -57,6 +62,16 @@ def counted(fn, calls: list[int]):
         return fn(*args, **kwargs)
 
     return wrapper
+
+
+def counted_2d_hull(calls: list[int]):
+    """``ConvexHull``, counting its calls on 2-D points in ``calls[0]``."""
+
+    def hull(points, *args, **kwargs):
+        calls[0] += np.shape(points)[-1] == 2
+        return ConvexHull(points, *args, **kwargs)
+
+    return hull
 
 
 def timed(fn, spent: list[float]):
@@ -93,19 +108,21 @@ def cold_load(mesh: TriMesh) -> tuple[TriMesh, float, float]:
 
 def main():
     new_supports = placements._new_supports
-    calls = [0]
+    calls, hulls = [0], [0]
     placements._new_supports = counted(new_supports, calls)
+    placements.ConvexHull = mesh_module.ConvexHull = counted_2d_hull(hulls)
     try:
         print(f"{'mesh':<15} {'faces':>5} {'parse':>7} {'TriMesh':>7} {'enumerate':>10} "
-              f"{'first':>8} {'next 11':>8} {'builds':>13}  (ms; parse + TriMesh = "
-              "cold load_mesh; builds = _new_supports calls: enumerate + settles)")
+              f"{'qhull':>5} {'first':>8} {'next 11':>8} {'builds':>13}  (ms; parse + "
+              "TriMesh = cold load_mesh; qhull = 2-D qhull calls in enumerate; "
+              "builds = _new_supports calls: enumerate + settles)")
         for i, (name, built) in enumerate(meshes()):
             mesh, parse_s, construct_s = cold_load(built)
-            calls[0] = 0
+            calls[0] = hulls[0] = 0
             t0 = time.perf_counter()
             placements.enumerate_stable(mesh)
             enumerate_s = time.perf_counter() - t0
-            enumerate_calls = calls[0]
+            enumerate_calls, enumerate_hulls = calls[0], hulls[0]
             rng = np.random.default_rng([0, i])
             calls[0] = 0
             settle_s = []
@@ -116,10 +133,12 @@ def main():
                 settle_s.append(time.perf_counter() - t0)
             print(f"{name:<15} {len(mesh.faces):>5} {1e3 * parse_s:>7.2f} "
                   f"{1e3 * construct_s:>7.2f} {1e3 * enumerate_s:>10.1f} "
+                  f"{enumerate_hulls:>5} "
                   f"{1e3 * settle_s[0]:>8.2f} {1e3 * statistics.median(settle_s[1:]):>8.3f} "
                   f"{enumerate_calls:>9} + {calls[0]}")
     finally:
         placements._new_supports = new_supports
+        placements.ConvexHull = mesh_module.ConvexHull = ConvexHull
 
 
 if __name__ == "__main__":

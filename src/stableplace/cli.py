@@ -341,6 +341,8 @@ def cmd_enumerate(mesh_path, margin_eps, score_threshold, output):
     """Enumerate stable placements of an OBJ mesh."""
     with _input("--margin-eps"):
         check_margin_eps(margin_eps)
+    if not 0.0 <= score_threshold <= 1.0:
+        raise InputError(f"--score-threshold must lie in [0, 1], got {score_threshold}")
     placements = _stable_placements(load_mesh(mesh_path), margin_eps, score_threshold)
     _write_text(output, _dump_json([p.to_json_dict() for p in placements]))
 
@@ -404,8 +406,9 @@ def cmd_cluster(dataset_path, object_id, bandwidth_deg, output):
         object_id = ids[0]
     elif object_id not in ids:
         raise InputError(f"object {object_id!r} not in dataset (has {ids})")
-    with _input("--bandwidth-deg"):
-        model = _cluster(records, object_id, bandwidth_deg)
+    if not 0.0 < bandwidth_deg * DEG < math.inf:  # in radians, a tiny value underflows
+        raise InputError(f"--bandwidth-deg must be finite and positive, got {bandwidth_deg}")
+    model = _cluster(records, object_id, bandwidth_deg)
     _write_text(output, _dump_json(model.to_json_dict()))
 
 

@@ -378,15 +378,13 @@ def _new_supports(mesh: TriMesh, contacts: list[np.ndarray]) -> list[Support]:
     onto their best-fit plane in the body frame (the SVD of the centred
     contacts), so neither depends on the pose that first asked.  Each set
     gets the bits of building it alone: the SVDs and projections are
-    stacked by set size (``_by_size``), and the inradii and the rest of
-    each polygon (its ring order, the turn to its lowest index, its end
-    vertices and tie keys) by polygon size.  A triangle takes qhull's
-    vertex order from ``_triangle_order``; qhull runs only for a triangle
-    too flat for that and for larger sets."""
+    stacked by set size (``_by_size``), and the rings (``_convex_rings``),
+    inradii and the rest of each polygon (the turn to its lowest index,
+    its end vertices and tie keys) by set and polygon size."""
     hv = mesh.hull.vertices
     size = np.array([len(contact) for contact in contacts])
     flip = np.zeros(len(contacts), dtype=bool)
-    rings: dict[int, list] = {}  # polygon size -> [(sets, hull-vertex rings, uv rings)]
+    rings = []  # (sets, hull-vertex rings, uv rings), one polygon size each
     for k, sel in _by_size(size):
         idx = np.stack([contacts[i] for i in sel.tolist()])
         pts = hv[idx]
@@ -398,25 +396,12 @@ def _new_supports(mesh: TriMesh, contacts: list[np.ndarray]) -> list[Support]:
         v0, v1 = vt[:, 0], vt[:, 1]
         up = v0[:, [1, 2, 0]] * v1[:, [2, 0, 1]] - v0[:, [2, 0, 1]] * v1[:, [1, 2, 0]]
         flip[sel] = np.vecdot(up, mesh.com - mean) < 0
-        hulled = range(len(sel))
-        if k == 3:
-            order, flat = _triangle_order(uv)
-            fit = np.flatnonzero(~flat)
-            rings.setdefault(3, []).append((
-                sel[fit], np.take_along_axis(idx[fit], order[fit], axis=1),
-                np.take_along_axis(uv[fit], order[fit, :, None], axis=1),
-            ))
-            hulled = np.flatnonzero(flat).tolist()
-        for j in hulled:
-            try:
-                ring = ConvexHull(uv[j]).vertices
-            except QhullError:
-                continue  # no polygon: a point or segment support
-            rings.setdefault(len(ring), []).append((sel[j:j + 1], idx[j, ring][None],
-                                                     uv[j, ring][None]))
-    supports: list = [None] * len(contacts)
-    for m, parts in rings.items():
-        sel, ring, uv = (np.concatenate(part) for part in zip(*parts))
+        for rows, order in _convex_rings(uv):
+            rings.append((sel[rows], np.take_along_axis(idx[rows], order, axis=1),
+                          np.take_along_axis(uv[rows], order[..., None], axis=1)))
+    supports: list = [None] * len(contacts)  # None: a point or segment support
+    for sel, ring, uv in rings:
+        m = ring.shape[1]
         inradii = _polygon_inradii(*_ring_edges(uv)).tolist()
         ring = np.where(flip[sel, None], ring[:, ::-1], ring)
         # start at the lowest index
@@ -437,12 +422,30 @@ def _by_size(size: np.ndarray):
         yield k, np.flatnonzero(size == k)
 
 
-def _edge_stacks(polygons: list[np.ndarray]):
-    """(indices into ``polygons``, a, b) per vertex count, the edges laid
-    out by ``_ring_edges``: no stack is padded to a larger polygon, so
-    memory grows with the total vertex count."""
-    for _, sel in _by_size(np.array([len(poly) for poly in polygons], dtype=int)):
-        yield (sel, *_ring_edges(np.stack([polygons[i] for i in sel.tolist()])))
+def _convex_rings(p: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The 2-D convex hulls of the point sets p (S, k, 2), as (rows,
+    orders) stacks, one per ring size m in ascending order: the rows of p
+    whose hull has m vertices, and for each row the (m,) vertex order
+    ``ConvexHull(p[row]).vertices``.  Rows that qhull rejects are left
+    out.
+
+    A triangle takes its order in closed form from ``_triangle_order``;
+    qhull runs, one row at a time, only for a triangle too flat for that
+    and for larger sets."""
+    rings: dict[int, list] = {}
+    hulled = range(len(p))
+    if p.shape[1] == 3:
+        order, flat = _triangle_order(p)
+        rings[3] = [(np.flatnonzero(~flat), order[~flat])]
+        hulled = np.flatnonzero(flat).tolist()
+    for i in hulled:
+        try:
+            ring = ConvexHull(p[i]).vertices
+        except QhullError:
+            continue
+        rings.setdefault(len(ring), []).append((np.array([i]), ring[None]))
+    stacks = [tuple(map(np.concatenate, zip(*parts))) for _, parts in sorted(rings.items())]
+    return [(rows, orders) for rows, orders in stacks if len(rows)]
 
 
 def _contact_margin(xy: np.ndarray, com_xy: np.ndarray, support: Support) -> np.ndarray:
@@ -500,12 +503,11 @@ def enumerate_stable(
     times the hull's largest coordinate.  The bound is never
     below the margin, and that slack absorbs the rounding between the two
     computations, which grows with the coordinates, so every dropped
-    facet would fail the exact check.  The surviving one-triangle facets
-    take one array pass (``_lone_placements``).  The merged facets of
-    ``_coplanar_groups``, and the triangles too flat for that pass, take
-    one polygon pass (``_facet_placements``).  The placements are merged
-    in facet order, and the output equals that of checking every facet
-    of ``merge_coplanar_facets``, bit for bit.
+    facet would fail the exact check.  The merged facets of
+    ``_coplanar_groups`` and the surviving one-triangle facets then take
+    one facet pass (``_facet_placements``).  The placements come in facet
+    order, and the output equals that of checking every facet of
+    ``merge_coplanar_facets``, bit for bit.
 
     The rest set of each placement, its facet's sorted hull-vertex
     indices, goes into the support memo ``mesh.supports``: the sets it
@@ -519,21 +521,22 @@ def enumerate_stable(
     hull = mesh.hull
     groups, lone = _coplanar_groups(hull, hull.face_normals(), angle_tol)
     slack = 1e-9 * float(np.abs(hull.vertices).max())
-    lone &= ~(mesh.edge_distances.min(axis=1) < margin_eps - slack)
-    found, flat = _lone_placements(mesh, np.flatnonzero(lone), margin_eps)
-    found += _facet_placements(mesh, groups + [[f] for f in flat], margin_eps)
-    found.sort(key=lambda seeded: seeded[0])
-    _contact_supports(mesh, [contact for _, _, contact in found])
-    return [placement for _, placement, _ in found]
+    lone = np.flatnonzero(lone & ~(mesh.edge_distances.min(axis=1) < margin_eps - slack))
+    size = np.concatenate([np.array([len(group) for group in groups], dtype=int),
+                           np.ones_like(lone)])
+    placements, rest_sets = _facet_placements(mesh, np.concatenate([*groups, lone]), size,
+                                              margin_eps)
+    _contact_supports(mesh, rest_sets)
+    return placements
 
 
 def _facet_placements(
-    mesh: TriMesh, groups: list[list[int]], margin_eps: float
-) -> list[tuple[int, Placement, tuple[int, ...]]]:
-    """(seed face, placement, rest set) for the facets of ``mesh.hull``
-    made of the face groups ``groups``, each seeded by its first face,
-    whose margin is at least margin_eps; the rest set is the facet's
-    sorted hull-vertex indices.
+    mesh: TriMesh, faces: np.ndarray, size: np.ndarray, margin_eps: float
+) -> tuple[list[Placement], list[tuple[int, ...]]]:
+    """The placements, in seed-face order, and their rest sets, for the
+    facets of ``mesh.hull`` whose margin is at least margin_eps.  Facet g
+    is made of the ``size[g]`` faces that come next in ``faces``, and is
+    seeded by the first; its rest set is its sorted hull-vertex indices.
 
     Each facet gets the bits of building it alone with ``mesh._facet``
     and checking it exactly: the area-weighted normal, the facet's
@@ -541,104 +544,58 @@ def _facet_placements(
     taking the normal down, and the margin and inradius of the 2-D hull
     of the posed vertices; a facet without that hull is dropped.  One
     array pass per stack does this arithmetic: the normals' sums are
-    stacked by face count, the vertex projections by vertex count, and
-    the margins and inradii by polygon size (``_by_size``), so no stack
-    is padded.  Only the two 2-D qhull orders and ``_chebyshev_radius``
-    run per facet."""
-    if not groups:
-        return []
+    stacked by face count, the in-plane projections by vertex count, and
+    the posed projections, margins and inradii by ring and polygon size
+    (``_by_size``), so no stack is padded.  Both 2-D orders come from
+    ``_convex_rings``: a triangle's in closed form, a larger polygon's
+    from qhull; a facet too flat for a hull in its plane takes
+    ``_convex_order_2d``'s fallback order.  Only qhull and
+    ``_chebyshev_radius`` run per facet."""
     hull = mesh.hull
     normals, areas = hull.face_normals_and_areas
-    size = np.array([len(group) for group in groups])
-    n = np.empty((len(groups), 3))
-    for _, sel in _by_size(size):
-        faces = np.array([groups[g] for g in sel.tolist()])
-        n[sel] = (areas[faces, None] * normals[faces]).sum(axis=1)
+    start = np.cumsum(size) - size
+    n = np.empty((len(size), 3))
+    for k, sel in _by_size(size):
+        group = faces[start[sel, None] + np.arange(k)]
+        n[sel] = (areas[group, None] * normals[group]).sum(axis=1)
     n /= np.sqrt(np.vecdot(n, n))[:, None]
     e1 = _any_perpendicular(n)
     e2 = np.cross(n, e1)
-    # each group's sorted vertex indices, np.unique of its faces
+    # each facet's sorted vertex indices, np.unique of its faces
     n_vertices = len(hull.vertices)
-    owner = np.repeat(np.arange(len(groups)), 3 * size)
-    corners = hull.faces[np.concatenate(groups)].ravel()
+    owner = np.repeat(np.arange(len(size)), 3 * size)
+    corners = hull.faces[faces].ravel()
     owner, vertex = np.divmod(np.unique(owner * n_vertices + corners), n_vertices)
-    count = np.bincount(owner, minlength=len(groups))
+    count = np.bincount(owner, minlength=len(size))
     first = np.cumsum(count) - count
-    rings: list = [None] * len(groups)  # vertex indices ordered around each facet
+    rings = []  # (facets, hull-vertex rings), one ring size each
     for k, sel in _by_size(count):
         vidx = vertex[first[sel, None] + np.arange(k)]
         pts = hull.vertices[vidx]
         uv = np.concatenate([pts @ e1[sel, :, None], pts @ e2[sel, :, None]], axis=2)
-        for g, v, p in zip(sel.tolist(), vidx, uv):
-            rings[g] = v[_convex_order_2d(p)]
+        rejected = np.ones(len(sel), dtype=bool)
+        for rows, order in _convex_rings(uv):
+            rejected[rows] = False
+            rings.append((sel[rows], np.take_along_axis(vidx[rows], order, axis=1)))
+        for j in np.flatnonzero(rejected).tolist():  # too flat for qhull
+            rings.append((sel[j:j + 1], vidx[j, _convex_order_2d(uv[j])][None]))
     rot = rotation_between(n, DOWN)
-    polygons: list = [None] * len(groups)  # posed 2-D hull per facet
-    for _, sel in _by_size(np.array([len(ring) for ring in rings])):
-        posed = hull.vertices[np.stack([rings[g] for g in sel.tolist()])]
-        xy = (posed @ rot[sel].transpose(0, 2, 1))[:, :, :2]
-        for g, p in zip(sel.tolist(), xy):
-            try:
-                polygons[g] = p[ConvexHull(p).vertices]
-            except QhullError:
-                pass  # no support polygon
-    kept = np.array([g for g, poly in enumerate(polygons) if poly is not None], dtype=int)
     com_xy = (rot @ mesh.com)[:, :2]
-    margin = np.full(len(groups), -np.inf)  # no polygon: never rests
-    inradii = np.zeros(len(groups))
-    for sel, a, b in _edge_stacks([polygons[g] for g in kept.tolist()]):
-        g = kept[sel]
-        margin[g] = _polygon_margins(com_xy[g], a, b)
-        rest = ~(margin[g] < margin_eps)
-        inradii[g[rest]] = _polygon_inradii(a[rest], b[rest])
+    margin = np.full(len(size), -np.inf)  # no polygon: never rests
+    inradii = np.zeros(len(size))
+    for sel, ring in rings:
+        xy = (hull.vertices[ring] @ rot[sel].transpose(0, 2, 1))[:, :, :2]
+        for rows, order in _convex_rings(xy):
+            g = sel[rows]
+            a, b = _ring_edges(np.take_along_axis(xy[rows], order[..., None], axis=1))
+            margin[g] = _polygon_margins(com_xy[g], a, b)
+            rest = ~(margin[g] < margin_eps)
+            inradii[g[rest]] = _polygon_inradii(a[rest], b[rest])
     rests = np.flatnonzero(~(margin < margin_eps))
+    rests = rests[np.argsort(faces[start[rests]])]
     placements = _resting(mesh, rot[rests], margin[rests].tolist(), inradii[rests].tolist())
     vertex, first, last = vertex.tolist(), first.tolist(), (first + count).tolist()
-    return [(groups[g][0], p, tuple(vertex[first[g]:last[g]]))
-            for g, p in zip(rests.tolist(), placements)]
-
-
-def _lone_placements(
-    mesh: TriMesh, faces: np.ndarray, margin_eps: float
-) -> tuple[list[tuple[int, Placement, tuple[int, ...]]], list[int]]:
-    """(face, placement, rest set) for the one-triangle facets of
-    ``mesh.hull`` among ``faces`` whose margin is at least margin_eps,
-    with the bits that ``_facet_placements`` would give, and the faces
-    too flat for this pass, which take that one instead.
-
-    One array pass over the triangles repeats that arithmetic: the
-    normal, the in-plane frame, the two 2-D vertex orders
-    (``_triangle_order`` in place of qhull), the rotation, the margin and
-    the inradius 2 * area / perimeter.  The vertex order fixes which
-    edges the inradius sums first.  A triangle is too flat when the order
-    rule flags it or when an edge is shorter than the 1e-15 that
-    ``polygon_inradius`` keeps."""
-    hull = mesh.hull
-    normals, areas = hull.face_normals_and_areas
-    wn = areas[faces, None] * normals[faces]
-    n = wn / np.sqrt(np.vecdot(wn, wn))[:, None]
-    corners = np.sort(hull.faces[faces], axis=1)
-    pts = hull.vertices[corners]
-    e1 = _any_perpendicular(n)
-    uv = np.concatenate([pts @ e1[:, :, None], pts @ np.cross(n, e1)[:, :, None]], axis=2)
-    order, flat = _triangle_order(uv)
-    rot = rotation_between(n, DOWN)
-    poly = np.take_along_axis(pts, order[:, :, None], axis=1)
-    xy = (poly @ rot.transpose(0, 2, 1))[:, :, :2]
-    order, flat_xy = _triangle_order(xy)
-    # the edges a -> b of signed_polygon_margin and polygon_inradius
-    a = np.take_along_axis(xy, order[:, :, None], axis=1)
-    b = a[:, [1, 2, 0]]
-    d = b - a
-    edge_n = np.stack([d[:, :, 1], -d[:, :, 0]], axis=2)
-    ln = np.sqrt(np.vecdot(edge_n, edge_n))
-    by_polygon = flat | flat_xy | (ln < 1e-15).any(axis=1)
-    margin = _polygon_margins((rot @ mesh.com)[:, :2], a, b)
-    rests = np.flatnonzero(~by_polygon & ~(margin < margin_eps))
-    d = d[rests]
-    inr = (d[:, 0, 0] * d[:, 1, 1] - d[:, 0, 1] * d[:, 1, 0]) / ln[rests].sum(axis=1)
-    placements = _resting(mesh, rot[rests], margin[rests].tolist(), inr.tolist())
-    found = zip(faces[rests].tolist(), placements, map(tuple, corners[rests].tolist()))
-    return list(found), faces[by_polygon].tolist()
+    return placements, [tuple(vertex[first[g]:last[g]]) for g in rests.tolist()]
 
 
 def _triangle_order(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

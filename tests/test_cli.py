@@ -63,6 +63,21 @@ class TestEnumerate:
         assert isinstance(result.exception, SystemExit)  # no traceback
         assert "--margin-eps" in result.stderr
 
+    @pytest.mark.parametrize("value, code", [
+        ("nan", 2), ("2", 2), ("-0.5", 2), ("inf", 2), ("0", 0), ("1", 0),
+    ])
+    def test_score_threshold_must_lie_in_unit_interval(self, runner, mesh_dir, value, code):
+        # nan and 2 printed [] and exited 0, where the pipeline config rejects them
+        result = runner.invoke(
+            main, ["enumerate", str(mesh_dir / "cube.obj"), "--score-threshold", value]
+        )
+        assert result.exit_code == code
+        if code:
+            assert isinstance(result.exception, SystemExit)  # no traceback
+            assert f"--score-threshold must lie in [0, 1], got {float(value)}" in result.stderr
+        else:
+            assert all(r["score"] >= float(value) for r in json.loads(result.output))
+
     def test_unwritable_output_exit_2(self, runner, mesh_dir, tmp_path):
         output = tmp_path / "missing" / "out.json"
         result = runner.invoke(main, ["enumerate", str(mesh_dir / "cube.obj"), "-o", str(output)])
@@ -241,10 +256,13 @@ class TestDatasetAndCluster:
         assert r.exit_code == 0
         model = json.loads(r.output)
         assert len(model["modes"]) == 6
-        for bandwidth in ["0", "-5", "nan", "inf"]:
+        for bandwidth in ["0", "-5", "nan", "inf", "1e-323"]:
             r = runner.invoke(main, ["cluster", str(ds), "--bandwidth-deg", bandwidth])
             assert r.exit_code == 2, bandwidth
             assert isinstance(r.exception, SystemExit), bandwidth  # no traceback
+            # the message used to give the bandwidth in radians
+            assert r.stderr == (f"error: --bandwidth-deg must be finite and positive, "
+                                f"got {float(bandwidth)}\n"), bandwidth
         # a window that holds not even its own seed used to crash
         r = runner.invoke(main, ["cluster", str(ds), "--bandwidth-deg", "1e-300"])
         assert r.exit_code == 0

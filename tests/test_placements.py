@@ -210,10 +210,11 @@ class TestEnumerateStable:
          "ellipsoid_s4", "flattened_ellipsoid"],
     )
     def test_facet_built_only_for_merged_groups(self, name):
-        """Only merged facets take the polygon pass, with two 2-D qhull
-        orders each: the facet-frame order and the posed xy order.  A
-        first enumeration builds the rest sets' supports, whose qhull
-        calls are not the polygon pass's, so the second is counted."""
+        """Every facet takes the one facet pass, but qhull runs only for
+        merged facets, two 2-D orders each: the facet-frame order and the
+        posed xy order; a triangle takes both in closed form.  A first
+        enumeration builds the rest sets' supports, whose qhull calls are
+        not the facet pass's, so the second is counted."""
         mesh = {
             "wedge": sheared_wedge,
             "prism32": lambda: ngon_prism(32),
@@ -259,8 +260,8 @@ class TestEnumerateStable:
         ids=["tetrahedron", "ellipsoid_s3", "flattened_ellipsoid"],
     )
     def test_polygon_path_for_every_triangle_gives_the_same_bytes(self, mesh, monkeypatch):
-        """Flagging every triangle as too flat for the array pass sends
-        it down the polygon path, which gives the same bytes."""
+        """Flagging every triangle as too flat for the closed-form order
+        sends it to qhull, which gives the same bytes."""
         reference = _reference_enumerate_stable(mesh, merge_coplanar_facets(mesh.hull), 0.0)
         order_rule = placements._triangle_order
 
@@ -272,7 +273,7 @@ class TestEnumerateStable:
         groups, _ = _coplanar_groups(mesh.hull, mesh.hull.face_normals(), 1e-4)
         with _counting_2d_hulls() as calls:
             _assert_matches_reference(mesh, reference, 0.0)
-        assert calls[0] > 2 * len(groups)  # triangles took the polygon pass
+        assert calls[0] > 2 * len(groups)  # triangles took qhull
 
     def test_triangle_order_is_qhulls(self):
         """The order rule gives ``ConvexHull(p).vertices`` for every
@@ -294,6 +295,37 @@ class TestEnumerateStable:
                 assert f
                 continue
             assert f or vertices.tolist() == o.tolist()
+
+    @pytest.mark.parametrize("k", [3, 4, 6])
+    def test_convex_rings_are_qhulls(self, k):
+        """Each row that qhull accepts gets ``ConvexHull(p[row]).vertices``,
+        in one stack per ring size, ascending, and the rows qhull rejects
+        are left out: ties in x, nearly collinear, collinear and repeated
+        points included."""
+        rng = np.random.default_rng(k)
+        p = rng.normal(size=(1500, k, 2)) * 10.0 ** rng.integers(-4, 9, (1500, 1, 1))
+        p[::3] = np.round(p[::3], 1)  # ties in x and y
+        p[1::5, 1, 0] = p[1::5, 0, 0]
+        # nearly collinear: the last point within 1e-18..1e-10 of a line
+        thin = p[2::7]
+        thin[:, -1] = (0.3 * thin[:, 0] + 0.7 * thin[:, 1]
+                       + thin[:, -1] * 10.0 ** rng.uniform(-18, -10, (len(thin), 1)))
+        line = p[3::11]  # collinear
+        line[:] = line[:, :1] + rng.random((len(line), k, 1)) * (line[:, 1:2] - line[:, :1])
+        p[4::13, 1:] = p[4::13, :1]  # one point repeated
+        p[5::17, -1] = p[5::17, 0]  # one vertex twice
+        want = {}
+        for i, row in enumerate(p):
+            with contextlib.suppress(QhullError):
+                want[i] = ConvexHull(row).vertices.tolist()
+        stacks = placements._convex_rings(p)
+        sizes = [order.shape[1] for _, order in stacks]
+        assert sizes == sorted(set(sizes))
+        got = {i: o for rows, order in stacks
+               for i, o in zip(rows.tolist(), order.tolist())}
+        assert sum(len(rows) for rows, _ in stacks) == len(got)
+        assert got == want
+        assert 0 < len(want) < len(p)
 
 
 def _scaled(mesh, factor):
@@ -1552,8 +1584,9 @@ class TestPolygonInradius:
                 poly = rng.normal(size=(3, 2)) * 10.0 ** rng.integers(-4, 6)
             polys.append(poly)
         batch = np.empty(len(polys))
-        for sel, a, b in placements._edge_stacks(polys):
-            batch[sel] = placements._polygon_inradii(a, b)
+        for _, sel in placements._by_size(np.array([len(poly) for poly in polys])):
+            stack = np.stack([polys[i] for i in sel.tolist()])
+            batch[sel] = placements._polygon_inradii(*placements._ring_edges(stack))
         for poly, got in zip(polys, batch):
             want = np.float64(_reference_polygon_inradius(poly)).tobytes()
             assert np.float64(polygon_inradius(poly)).tobytes() == want
