@@ -12,7 +12,11 @@ script prints that load's milliseconds, split into reading and parsing
 the text (``parse``) and the ``TriMesh`` construction (mass properties
 and edge index).
 ``enumerate_stable`` then starts on the loaded mesh from cold per-mesh
-caches (its time includes the convex hull).  Then 12 random drops,
+caches (its time includes the convex hull).  The ``hull`` column gives
+that hull's source, ``own`` when the mesh is its own convex hull and takes
+its own faces and ``qhull`` otherwise, and the milliseconds of the first
+``TriMesh.hull`` use, timed just before the enumeration and counted in
+its column.  Then 12 random drops,
 seeded by ``[0, i]`` on the i-th mesh, settle one at a time with
 ``settle``, as the workload's timed calls do.  Per mesh the script
 prints the ``enumerate_stable`` milliseconds, the number of 2-D qhull
@@ -107,21 +111,26 @@ def cold_load(mesh: TriMesh) -> tuple[TriMesh, float, float]:
 
 
 def main():
-    new_supports = placements._new_supports
-    calls, hulls = [0], [0]
+    new_supports, convex_hull = placements._new_supports, mesh_module.convex_hull
+    calls, hulls, hulls_3d = [0], [0], [0]
     placements._new_supports = counted(new_supports, calls)
     placements.ConvexHull = mesh_module.ConvexHull = counted_2d_hull(hulls)
+    mesh_module.convex_hull = counted(convex_hull, hulls_3d)
     try:
-        print(f"{'mesh':<15} {'faces':>5} {'parse':>7} {'TriMesh':>7} {'enumerate':>10} "
-              f"{'qhull':>5} {'first':>8} {'next 11':>8} {'builds':>13}  (ms; parse + "
-              "TriMesh = cold load_mesh; qhull = 2-D qhull calls in enumerate; "
+        print(f"{'mesh':<15} {'faces':>5} {'parse':>7} {'TriMesh':>7} {'hull':>11} "
+              f"{'enumerate':>10} {'qhull':>5} {'first':>8} {'next 11':>8} {'builds':>13}  "
+              "(ms; parse + TriMesh = cold load_mesh; hull = own faces or qhull, and its "
+              "part of enumerate; qhull = 2-D qhull calls in enumerate; "
               "builds = _new_supports calls: enumerate + settles)")
         for i, (name, built) in enumerate(meshes()):
             mesh, parse_s, construct_s = cold_load(built)
-            calls[0] = hulls[0] = 0
+            calls[0] = hulls[0] = hulls_3d[0] = 0
             t0 = time.perf_counter()
+            mesh.hull
+            hull_s = time.perf_counter() - t0
             placements.enumerate_stable(mesh)
             enumerate_s = time.perf_counter() - t0
+            source = "qhull" if hulls_3d[0] else "own"
             enumerate_calls, enumerate_hulls = calls[0], hulls[0]
             rng = np.random.default_rng([0, i])
             calls[0] = 0
@@ -132,12 +141,13 @@ def main():
                 placements.settle(mesh, initial)
                 settle_s.append(time.perf_counter() - t0)
             print(f"{name:<15} {len(mesh.faces):>5} {1e3 * parse_s:>7.2f} "
-                  f"{1e3 * construct_s:>7.2f} {1e3 * enumerate_s:>10.1f} "
+                  f"{1e3 * construct_s:>7.2f} {source:>5} {1e3 * hull_s:>5.1f} "
+                  f"{1e3 * enumerate_s:>10.1f} "
                   f"{enumerate_hulls:>5} "
                   f"{1e3 * settle_s[0]:>8.2f} {1e3 * statistics.median(settle_s[1:]):>8.3f} "
                   f"{enumerate_calls:>9} + {calls[0]}")
     finally:
-        placements._new_supports = new_supports
+        placements._new_supports, mesh_module.convex_hull = new_supports, convex_hull
         placements.ConvexHull = mesh_module.ConvexHull = ConvexHull
 
 

@@ -129,8 +129,14 @@ class TriMesh:
 
     @cached_property
     def hull(self) -> "TriMesh":
-        """Convex hull of the vertices, built on first use.  A degenerate
-        hull's error names ``source`` when it is set."""
+        """Convex hull of the vertices, built on first use, with the
+        canonical faces of ``convex_hull``.  A mesh that is already its own
+        hull (``_own_hull_faces``) takes its own faces, without qhull, to
+        the same bytes.  A degenerate hull's error names ``source`` when it
+        is set."""
+        faces = _own_hull_faces(self)
+        if faces is not None:
+            return TriMesh(self.vertices.copy(), faces)
         try:
             return convex_hull(self.vertices)
         except DegenerateHull as exc:
@@ -346,8 +352,11 @@ def load_mesh(path: str | Path) -> TriMesh:
 # decimal numbers, one per line
 _PLAIN_CHARS = b"0123456789.eE+- \nvf"
 _INDEX_CHARS = b"0123456789 "
-_VERTEX_ROW = re.compile(r"^v (.*)", re.MULTILINE)
-_FACE_ROW = re.compile(r"^f (.*)", re.MULTILINE)
+# record lines, matched in the text after a leading newline: a literal
+# head is found by a fast substring search, where ``^`` under MULTILINE
+# would try every position
+_VERTEX_ROW = re.compile(r"\nv (.*)")
+_FACE_ROW = re.compile(r"\nf (.*)")
 
 
 def _parse_obj(text: str) -> TriMesh:
@@ -407,7 +416,8 @@ def _plain_records(text: str) -> tuple[np.ndarray, np.ndarray] | None:
         or text.count("-") > 6 * text.count("v")
     ):
         return None
-    f_rows = _FACE_ROW.findall(text)
+    lines = "\n" + text  # the newline is the only line break, as checked
+    f_rows = _FACE_ROW.findall(lines)
     if not f_rows or text.count("f") != len(f_rows):
         return None
     if " ".join(f_rows).encode("ascii").translate(None, _INDEX_CHARS):
@@ -415,7 +425,7 @@ def _plain_records(text: str) -> tuple[np.ndarray, np.ndarray] | None:
     index = _three_columns(f_rows, np.int64)
     if index is None or not (index > 0).all():
         return None
-    v_rows = _VERTEX_ROW.findall(text)
+    v_rows = _VERTEX_ROW.findall(lines)
     if not v_rows or text.count("v") != len(v_rows):
         return None
     vertices = _three_columns(v_rows, np.float64)
@@ -527,10 +537,11 @@ def save_obj(mesh: TriMesh, path: str | Path) -> None:
 
 
 def convex_hull(points: np.ndarray) -> TriMesh:
-    """Convex hull as a TriMesh with outward-oriented triangles.
+    """Convex hull as a TriMesh with outward-oriented triangles in
+    canonical order (``_canonical_faces``), so that the hull depends only
+    on its set of triangles, not on the face order qhull emits.
 
-    Deterministic for a fixed input order; hull vertices keep the input
-    point order (ascending original index).
+    Hull vertices keep the input point order (ascending original index).
     """
     points = np.asarray(points, dtype=float)
     if len(points) < 4:
@@ -551,7 +562,97 @@ def convex_hull(points: np.ndarray) -> TriMesh:
     normals = np.cross(b - a, c - a)
     inward = np.einsum("ij,ij->i", normals, a - centroid) < 0
     faces[inward] = faces[inward][:, [0, 2, 1]]
-    return TriMesh(verts, faces)
+    return TriMesh(verts, _canonical_faces(faces))
+
+
+def _canonical_faces(faces: np.ndarray) -> np.ndarray:
+    """The rows of ``faces``, each turned, keeping its winding, to start at
+    its lowest index, in lexicographic order."""
+    rows = 3 * np.arange(len(faces))[:, None]
+    turned = faces.take(rows + (faces.argmin(axis=1)[:, None] + np.arange(3)) % 3)
+    return turned[np.lexsort(turned.T[::-1])]
+
+
+# How far below a face's plane the apex across each of its edges must lie
+# for a mesh to be its own hull, as a share of its largest coordinate
+# about the bounding box's middle: some six orders of magnitude above
+# qhull's roundoff, so qhull would merge none of the mesh's facets.
+_OWN_HULL_MARGIN = 1e-9
+
+
+def _own_hull_faces(mesh: TriMesh) -> np.ndarray | None:
+    """The faces of ``convex_hull(mesh.vertices)`` when ``mesh`` is already
+    its own convex hull, else None: its own faces, wound outward, in
+    canonical order.  One array pass over the faces and ``mesh.edges``.
+
+    The mesh is its own hull when
+    - its surface is closed and consistently oriented (the partner of
+      every edge runs the other way), uses every vertex and has
+      V - E + F = 2;
+    - every edge is strictly convex: the apex across it lies more than
+      ``_OWN_HULL_MARGIN`` times the largest coordinate below the face's
+      plane, or, for a mesh wound inward, above it for every edge;
+    - every vertex star is a single sheet: each face at the vertex has a
+      positive component along the axis from the mean of the vertex's
+      neighbours to the vertex (the other way for a mesh wound inward),
+      and the corner angles projected about that axis sum to 2 pi, which
+      rules out pinched vertices and stars wound twice.  That axis lies
+      inside every strictly convex cone, so no convex vertex fails for its
+      choice, as a skewed star can fail against its summed face normal.
+    Every vertex is then a strictly convex cone, so by van Heijenoort's
+    local-to-global theorem (Comm. Pure Appl. Math. 1952) the surface
+    bounds a convex polytope whose facets are exactly its triangles.
+    Coordinates are taken about the bounding box's middle, as in
+    ``TriMesh._compute_mass_properties``."""
+    edges, faces = mesh.edges, mesh.faces
+    n = len(mesh.vertices)
+    # closed, E = 3F / 2, so V - E + F = 2 reads 2 V = F + 4
+    if not edges.closed or 2 * n != len(faces) + 4:
+        return None
+    flat, partner = faces.ravel(), edges.partner.ravel()
+    nxt, prv = faces[:, [1, 2, 0]], faces[:, [2, 0, 1]]
+    if np.any(flat[partner] != nxt.ravel()):
+        return None
+    if not np.bincount(flat, minlength=n).all():
+        return None
+    # coordinate-major, (3, N), about the bounding box's middle
+    v = mesh.vertices.T.copy()
+    v -= 0.5 * v.min(axis=1, keepdims=True) + 0.5 * v.max(axis=1, keepdims=True)
+    # (3, F, 3): coordinate, face, corner; edge k runs from corner k to
+    # k + 1, and back k is edge k - 1
+    tri = v.take(faces, axis=1)
+    edge = v.take(nxt, axis=1) - tri
+    back = tri - v.take(prv, axis=1)
+    a, b = edge[:, :, 0], edge[:, :, 1]
+    normal = a[[1, 2, 0]] * b[[2, 0, 1]] - a[[2, 0, 1]] * b[[1, 2, 0]]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        unit = normal / np.sqrt((normal * normal).sum(axis=0))
+        # the apex across edge k: in the partner face, the vertex after the
+        # edge's two
+        apex = v.take(flat[partner - partner % 3 + (partner + 2) % 3].reshape(faces.shape), axis=1)
+        height = ((apex - tri) * unit[:, :, None]).sum(axis=0)
+        tol = _OWN_HULL_MARGIN * np.abs(v).max()
+        if (height < -tol).all():
+            outward, lean = faces, -1.0
+        elif (height > tol).all():
+            outward, lean = faces[:, [0, 2, 1]], 1.0
+        else:
+            return None
+        # the sum of the edges leaving a vertex, which reach each of its
+        # neighbours once, points from the vertex to its neighbours' mean
+        axis = lean * np.array([np.bincount(flat, weights=e.ravel(), minlength=n) for e in edge])
+        axis = (axis / np.sqrt((axis * axis).sum(axis=0))).take(faces, axis=1)
+    # the corner at vertex k spans u = edge k and w = -back k, and u x w is
+    # the face's normal at every corner; projected about the axis a, the
+    # corner's angle has sine a . (u x w) and cosine u . w - (a . u)(a . w)
+    sin = (axis * normal[:, :, None]).sum(axis=0)
+    if not (sin > 0.0).all():
+        return None
+    cos = (axis * edge).sum(axis=0) * (axis * back).sum(axis=0) - (edge * back).sum(axis=0)
+    total = np.bincount(flat, weights=np.arctan2(sin, cos).ravel(), minlength=n)
+    if not (np.abs(total - 2.0 * np.pi) < np.pi).all():
+        return None
+    return _canonical_faces(outward)
 
 
 @dataclass
@@ -571,7 +672,9 @@ def merge_coplanar_facets(hull: TriMesh, angle_tol: float = 1e-4) -> list[Facet]
     Faces are visited in index order; each unvisited face seeds a facet
     that grows over adjacent faces within ``angle_tol`` of the seed's
     normal (not of the face they are reached from), so a slowly curving
-    surface splits into several facets rather than one.  Faces are
+    surface splits into several facets rather than one.  The faces of a
+    hull from ``convex_hull`` or ``TriMesh.hull`` are in canonical order,
+    so the facets and their order depend only on the hull's triangles.  Faces are
     adjacent across the edges of ``hull.edges``.  Raises ValueError
     unless 0 <= ``angle_tol`` < pi/2 and the surface is closed, every edge
     shared by exactly two faces, as the surface of ``convex_hull`` is."""

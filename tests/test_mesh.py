@@ -520,10 +520,17 @@ class TestConvexHull:
         used = np.unique(simplices)
         hull = convex_hull(pts)
         assert hull.vertices.tobytes() == pts[used].tobytes()
-        # the same triangles, up to the outward reorientation
-        want = np.searchsorted(used, simplices)
-        assert np.array_equal(np.sort(hull.faces, axis=1), np.sort(want, axis=1))
-        assert np.array_equal(hull.faces[:, 0], want[:, 0])
+        # qhull's triangles, up to winding and order
+        want = np.sort(np.searchsorted(used, simplices), axis=1)
+        got = np.sort(hull.faces, axis=1)
+        assert np.array_equal(got[np.lexsort(got.T[::-1])], want[np.lexsort(want.T[::-1])])
+        # canonical: each row starts at its lowest index, rows ascend
+        # lexicographically, and every triangle faces outward
+        f = hull.faces
+        assert np.array_equal(f[:, 0], f.min(axis=1))
+        assert np.array_equal(np.lexsort(f.T[::-1]), np.arange(len(f)))
+        anchors = hull.vertices[f[:, 0]] - hull.vertices.mean(axis=0)
+        assert (np.einsum("ij,ij->i", hull.face_normals(), anchors) > 0).all()
 
     def test_idempotent_volume(self):
         rng = np.random.default_rng(2)
@@ -531,6 +538,168 @@ class TestConvexHull:
         h1 = convex_hull(pts)
         h2 = convex_hull(h1.vertices)
         assert h1.volume == pytest.approx(h2.volume, abs=1e-12)
+
+
+# meshes that are their own convex hull
+_OWN_HULLS = {
+    "ellipsoid(2)": lambda: ellipsoid(2),
+    "ellipsoid(3)": lambda: ellipsoid(3),
+    "ellipsoid(4)": lambda: ellipsoid(4),
+    "icosphere(0.05, 4)": lambda: fixtures.icosphere(0.05, 4),
+    "tetrahedron": fixtures.regular_tetrahedron,
+}
+
+
+def _hull_bytes(hull):
+    return (hull.vertices.tobytes(), hull.faces.tobytes(), hull.com.tobytes(),
+            np.float64(hull.volume).tobytes())
+
+
+def _assert_own_hull(mesh, own):
+    """``mesh.hull`` is built from its own faces exactly when ``own``, and
+    has the bytes of the qhull path either way."""
+    assert (mesh_module._own_hull_faces(mesh) is not None) == own
+    assert _hull_bytes(mesh.hull) == _hull_bytes(convex_hull(mesh.vertices))
+
+
+def _relabelled(mesh, rng, inward):
+    """``mesh`` with its face rows shuffled and each turned by a random
+    step, all wound inward when ``inward``."""
+    f = mesh.faces[rng.permutation(len(mesh.faces))]
+    f = np.take_along_axis(f, (rng.integers(0, 3, size=(len(f), 1)) + np.arange(3)) % 3, axis=1)
+    return TriMesh(mesh.vertices, f[:, [0, 2, 1]] if inward else f)
+
+
+def _placement_bytes(placements):
+    return [(p.rotation.tobytes(), p.translation.tobytes(), np.float64(p.stability_margin).tobytes(),
+             np.float64(p.score).tobytes()) for p in placements]
+
+
+def _tetra_pair(shift):
+    """Two regular tetrahedra, the second moved by ``shift``."""
+    t = fixtures.regular_tetrahedron()
+    return TriMesh(np.vstack([t.vertices, t.vertices + shift]), np.vstack([t.faces, t.faces + 4]))
+
+
+def _tetra_bowtie():
+    """A regular tetrahedron and its mirror image through its vertex 0,
+    which the two share."""
+    t = fixtures.regular_tetrahedron()
+    v = np.vstack([t.vertices, 2.0 * t.vertices[0] - t.vertices[1:]])
+    # the point mirror reverses the winding
+    second = np.where(t.faces == 0, 0, t.faces + 3)[:, [0, 2, 1]]
+    return TriMesh(v, np.vstack([t.faces, second]))
+
+
+def _creased_pyramid(depth):
+    """A pyramid over the unit square whose base is folded along its
+    diagonal 0-2 by lowering corner 2 by ``depth``: a convex crease."""
+    v = np.array([[0, 0, 0], [1, 0, 0], [1, 1, -depth], [0, 1, 0], [0.5, 0.5, 1]], dtype=float)
+    f = np.array([[0, 2, 1], [0, 3, 2], [0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]])
+    return TriMesh(v, f)
+
+
+def _star_bipyramid():
+    """Two apices over the pentagram through five points on a circle: every
+    edge convex and V - E + F = 2, but the star of each apex winds twice
+    around it."""
+    k = np.arange(5)
+    ring = np.column_stack([np.cos(0.4 * np.pi * k), np.sin(0.4 * np.pi * k), np.zeros(5)])
+    s = np.roll(2 * k % 5, -1), 2 * k % 5
+    top = np.column_stack([s[1], s[0], np.full(5, 5)])
+    bottom = np.column_stack([s[0], s[1], np.full(5, 6)])
+    return TriMesh(np.vstack([ring, [[0, 0, 1], [0, 0, -1]]]), np.vstack([top, bottom]))
+
+
+def _dented_icosphere():
+    sphere = fixtures.icosphere(0.05, 2)
+    v = sphere.vertices.copy()
+    v[0] *= 0.9
+    return TriMesh(v, sphere.faces)
+
+
+class TestOwnHull:
+    """``TriMesh.hull`` takes a mesh's own faces when they are its hull."""
+
+    @pytest.mark.parametrize("name", list(_OWN_HULLS))
+    def test_same_bytes_as_qhull(self, name):
+        _assert_own_hull(_OWN_HULLS[name](), True)
+
+    @pytest.mark.parametrize("name", list(_OWN_HULLS))
+    def test_relabelled_faces_keep_the_hull(self, name):
+        # the input faces' order reaches the placements only through the
+        # mesh's COM, whose sums run over the faces in order; so the hull is
+        # compared across relabellings, and the enumeration across the two
+        # hull paths
+        mesh = _OWN_HULLS[name]()
+        rng = np.random.default_rng(7)
+        for inward in (False, True):
+            other = _relabelled(mesh, rng, inward)
+            _assert_own_hull(other, True)
+            assert _hull_bytes(other.hull) == _hull_bytes(mesh.hull)
+            qhulled = TriMesh(other.vertices, other.faces)
+            qhulled.hull = convex_hull(other.vertices)
+            assert _placement_bytes(enumerate_stable(other)) == _placement_bytes(
+                enumerate_stable(qhulled)
+            )
+
+    @pytest.mark.parametrize("name", ["ellipsoid(2)", "ellipsoid(4)", "tetrahedron"])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e4])
+    @pytest.mark.parametrize("shift", [(0.0, 0.0, 0.0), (1e5, -1e5, 5e4), (-3e3, 2e2, 7e2)])
+    def test_shift_and_scale(self, name, scale, shift):
+        mesh = _OWN_HULLS[name]()
+        _assert_own_hull(TriMesh(mesh.vertices * scale + np.array(shift), mesh.faces), True)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(4, 120), st.booleans())
+    def test_random_convex_polytopes(self, seed, n, inward):
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=(n, 3))
+        pts /= np.linalg.norm(pts, axis=1)[:, None]
+        hull = convex_hull(pts * rng.uniform(0.1, 3.0, size=3))
+        # relabel the hull's vertices too
+        perm = rng.permutation(len(hull.vertices))
+        mesh = _relabelled(TriMesh(hull.vertices[perm], np.argsort(perm)[hull.faces]), rng, inward)
+        _assert_own_hull(mesh, True)
+
+    @pytest.mark.parametrize("make", [
+        fixtures.unit_cube, fixtures.tall_box, fixtures.l_prism, fixtures.t_prism,
+        _dented_icosphere,
+        lambda: _tetra_pair(np.array([3.0, 0.0, 0.0])),
+        _tetra_bowtie,
+        lambda: TriMesh(fixtures.regular_tetrahedron().vertices,
+                        fixtures.regular_tetrahedron().faces[1:]),
+        lambda: TriMesh(fixtures.regular_tetrahedron().vertices,
+                        fixtures.regular_tetrahedron().faces[[0, 1, 2]].tolist() + [[1, 2, 3]]),
+        lambda: TriMesh(np.vstack([fixtures.regular_tetrahedron().vertices, np.zeros((1, 3))]),
+                        fixtures.regular_tetrahedron().faces),
+        lambda: _creased_pyramid(1e-10),
+        _star_bipyramid,
+    ], ids=["cube", "tall_box", "l_prism", "t_prism", "dented_icosphere", "disjoint_tetrahedra",
+            "tetrahedra_sharing_a_vertex", "open", "one_flipped_face", "unused_vertex",
+            "face_pair_within_margin", "star_wound_twice"])
+    def test_declines(self, make):
+        _assert_own_hull(make(), False)
+
+    def test_crease_beyond_margin_taken(self):
+        _assert_own_hull(_creased_pyramid(1e-6), True)
+
+    def test_qhull_calls(self, monkeypatch):
+        calls = []
+
+        def counted(points, *args, **kwargs):
+            calls.append(len(points))
+            return ConvexHull(points, *args, **kwargs)
+
+        def refused(points, *args, **kwargs):
+            raise AssertionError("qhull called")
+
+        monkeypatch.setattr(mesh_module, "ConvexHull", refused)
+        for s in (2, 3, 4):
+            assert len(ellipsoid(s).hull.faces) == len(ellipsoid(s).faces)
+        monkeypatch.setattr(mesh_module, "ConvexHull", counted)
+        assert len(fixtures.unit_cube().hull.faces) == 12
+        assert calls == [8]
 
 
 class TestMergeCoplanarFacets:
