@@ -2,7 +2,8 @@
 """Time cold loads, enumerations and lone settles of dense meshes: the
 three squashed icospheres of the ``dense-meshes`` benchmark workload (320,
 1280 and 5120 faces) and the unscaled ``icosphere(0.05, 4)``, on which
-every hull triangle is a stable facet.
+every hull triangle is a stable facet; then of the five built-in
+fixtures, whose hulls have merged facets.
 
 Usage: python scripts/cold_settles.py
 
@@ -20,14 +21,15 @@ its column.  Then 12 random drops,
 seeded by ``[0, i]`` on the i-th mesh, settle one at a time with
 ``settle``, as the workload's timed calls do.  Per mesh the script
 prints the ``enumerate_stable`` milliseconds, the number of 2-D qhull
-calls the enumeration makes (``qhull``; facet orders and rest-set
-supports alike), the first settle's milliseconds, the median of the
-next 11, and the number of ``_new_supports`` calls (support-polygon
-builds) made by the enumeration and by the 12 settles.  A triangle takes
-its 2-D orders in closed form, so on these all-triangle hulls ``qhull``
-reads 0.  Enumeration builds the supports of the placements' rest sets,
-so a settle builds only the contact sets it meets that no placement
-rests on.  It checks nothing.
+calls the enumeration makes (``qhull``: one per support polygon it
+builds of four or more points), the first settle's milliseconds, the
+median of the next 11, and the number of ``_new_supports`` calls
+(support-polygon builds) made by the enumeration and by the 12 settles.
+A triangle takes its 2-D order in closed form, so on the all-triangle
+hulls ``qhull`` reads 0, and on a fixture it counts the merged facets
+(6 on the cube).  Enumeration builds the support of every facet it
+checks, so a settle builds only the contact sets it meets that are no
+checked facet's.  It checks nothing.
 """
 
 import functools
@@ -41,7 +43,7 @@ from scipy.spatial import ConvexHull
 
 from stableplace import mesh as mesh_module
 from stableplace import placements
-from stableplace.fixtures import icosphere
+from stableplace.fixtures import icosphere, standard_fixtures
 from stableplace.mesh import TriMesh, load_mesh, save_obj
 from stableplace.rotations import random_rotation
 
@@ -49,12 +51,13 @@ DROPS = 12
 
 
 def meshes():
-    """(name, mesh) of the four meshes, each built afresh."""
+    """(name, mesh) of the nine meshes, each built afresh."""
     for s in (2, 3, 4):
         sphere = icosphere(0.05, s)
         yield f"ellipsoid s={s}", TriMesh(sphere.vertices * np.array([1.0, 0.8, 0.6]),
                                           sphere.faces)
     yield "icosphere s=4", icosphere(0.05, 4)
+    yield from standard_fixtures().items()
 
 
 def counted(fn, calls: list[int]):

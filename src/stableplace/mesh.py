@@ -151,9 +151,9 @@ class TriMesh:
         ``placements.Support``: the support polygon as hull-vertex
         indices, its inradius and the edges that settle's margin and
         pivot read.  ``placements.enumerate_stable`` fills it with the rest
-        sets of its placements, and a settle that meets sets it lacks
-        builds them, each time in one pass
-        (``placements._contact_supports``)."""
+        set of every facet it checks, and reads each facet's polygon and
+        inradius from it; a settle that meets sets it lacks builds them,
+        each time in one pass (``placements._contact_supports``)."""
         return {}
 
     @cached_property

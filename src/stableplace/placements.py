@@ -19,14 +19,12 @@ from scipy.spatial import ConvexHull, QhullError
 from .mesh import (
     PivotTable,
     TriMesh,
-    _convex_order_2d,
     _coplanar_groups,
     _nearest_edge,
     plane_from_contacts,
     plane_vectors,
 )
 from .rotations import (
-    _any_perpendicular,
     check_rotation,
     quaternion_rotations,
     rotation_between,
@@ -495,7 +493,8 @@ def enumerate_stable(
 ) -> list[Placement]:
     """Candidate placements from merged convex-hull facets, keeping those
     whose COM projection lies at least margin_eps inside the facet's
-    support polygon.  score = margin / facet inradius, clamped to [0, 1].
+    support polygon.  score = margin / support inradius, clamped to
+    [0, 1].
 
     A vectorized pre-filter first drops every one-triangle facet whose
     margin bound (``PivotTable.bound``, the least of the triangle's
@@ -507,15 +506,16 @@ def enumerate_stable(
     ``_coplanar_groups`` and the surviving one-triangle facets then take
     one facet pass (``_facet_placements``).  The placements come in facet
     order, and the output equals that of checking every facet of
-    ``merge_coplanar_facets``, bit for bit.
+    ``merge_coplanar_facets`` against its rest set's ``Support``, bit for
+    bit.
 
-    The rest set of each placement, its facet's sorted hull-vertex
-    indices, goes into the support memo ``mesh.supports``: the sets it
-    lacks are built in one pass (``_contact_supports``), so the settles
-    that come to rest on a placement find its support built, and the
-    memo travels with the mesh to each pool worker of
-    ``generate_dataset``.  Raises ValueError unless 0 <= ``angle_tol`` <
-    pi/2 and ``margin_eps`` is finite and >= 0.
+    The rest set of each checked facet, its sorted hull-vertex indices,
+    goes into the support memo ``mesh.supports``: the sets it lacks are
+    built in one pass (``_contact_supports``), so the settles that come
+    to rest on a placement find its support built, and the memo travels
+    with the mesh to each pool worker of ``generate_dataset``.  Raises
+    ValueError unless 0 <= ``angle_tol`` < pi/2 and ``margin_eps`` is
+    finite and >= 0.
     """
     check_margin_eps(margin_eps)
     hull = mesh.hull
@@ -524,33 +524,25 @@ def enumerate_stable(
     lone = np.flatnonzero(lone & ~(mesh.edge_distances.min(axis=1) < margin_eps - slack))
     size = np.concatenate([np.array([len(group) for group in groups], dtype=int),
                            np.ones_like(lone)])
-    placements, rest_sets = _facet_placements(mesh, np.concatenate([*groups, lone]), size,
-                                              margin_eps)
-    _contact_supports(mesh, rest_sets)
-    return placements
+    return _facet_placements(mesh, np.concatenate([*groups, lone]), size, margin_eps)
 
 
 def _facet_placements(
     mesh: TriMesh, faces: np.ndarray, size: np.ndarray, margin_eps: float
-) -> tuple[list[Placement], list[tuple[int, ...]]]:
-    """The placements, in seed-face order, and their rest sets, for the
-    facets of ``mesh.hull`` whose margin is at least margin_eps.  Facet g
-    is made of the ``size[g]`` faces that come next in ``faces``, and is
-    seeded by the first; its rest set is its sorted hull-vertex indices.
+) -> list[Placement]:
+    """The placements, in seed-face order, on the facets of ``mesh.hull``
+    whose margin is at least margin_eps.  Facet g is made of the
+    ``size[g]`` faces that come next in ``faces``, and is seeded by the
+    first; its rest set is its sorted hull-vertex indices.
 
-    Each facet gets the bits of building it alone with ``mesh._facet``
-    and checking it exactly: the area-weighted normal, the facet's
-    vertices ordered by a 2-D hull in the in-plane frame, the rotation
-    taking the normal down, and the margin and inradius of the 2-D hull
-    of the posed vertices; a facet without that hull is dropped.  One
-    array pass per stack does this arithmetic: the normals' sums are
-    stacked by face count, the in-plane projections by vertex count, and
-    the posed projections, margins and inradii by ring and polygon size
-    (``_by_size``), so no stack is padded.  Both 2-D orders come from
-    ``_convex_rings``: a triangle's in closed form, a larger polygon's
-    from qhull; a facet too flat for a hull in its plane takes
-    ``_convex_order_2d``'s fallback order.  Only qhull and
-    ``_chebyshev_radius`` run per facet."""
+    Each facet gets the bits of building it alone: the area-weighted
+    normal of ``mesh._facet`` and the rotation taking it down.  Its rest
+    set's ``Support`` comes from the memo (``_contact_supports``, which
+    builds the sets it lacks in one pass); the margin is that of the
+    posed support polygon, and the score divides it by the support's
+    inradius.  A facet without a polygon is dropped.  The normals' sums
+    are stacked by face count and the posed polygons and their margins
+    by polygon size (``_by_size``), so no stack is padded."""
     hull = mesh.hull
     normals, areas = hull.face_normals_and_areas
     start = np.cumsum(size) - size
@@ -559,43 +551,28 @@ def _facet_placements(
         group = faces[start[sel, None] + np.arange(k)]
         n[sel] = (areas[group, None] * normals[group]).sum(axis=1)
     n /= np.sqrt(np.vecdot(n, n))[:, None]
-    e1 = _any_perpendicular(n)
-    e2 = np.cross(n, e1)
     # each facet's sorted vertex indices, np.unique of its faces
     n_vertices = len(hull.vertices)
     owner = np.repeat(np.arange(len(size)), 3 * size)
     corners = hull.faces[faces].ravel()
     owner, vertex = np.divmod(np.unique(owner * n_vertices + corners), n_vertices)
-    count = np.bincount(owner, minlength=len(size))
-    first = np.cumsum(count) - count
-    rings = []  # (facets, hull-vertex rings), one ring size each
-    for k, sel in _by_size(count):
-        vidx = vertex[first[sel, None] + np.arange(k)]
-        pts = hull.vertices[vidx]
-        uv = np.concatenate([pts @ e1[sel, :, None], pts @ e2[sel, :, None]], axis=2)
-        rejected = np.ones(len(sel), dtype=bool)
-        for rows, order in _convex_rings(uv):
-            rejected[rows] = False
-            rings.append((sel[rows], np.take_along_axis(vidx[rows], order, axis=1)))
-        for j in np.flatnonzero(rejected).tolist():  # too flat for qhull
-            rings.append((sel[j:j + 1], vidx[j, _convex_order_2d(uv[j])][None]))
+    vertex, ends = vertex.tolist(), np.cumsum(np.bincount(owner, minlength=len(size))).tolist()
+    supports = _contact_supports(
+        mesh, [tuple(vertex[a:b]) for a, b in zip([0] + ends[:-1], ends)])
+    count = np.array([0 if support.polygon is None else len(support.polygon)
+                      for support in supports])
     rot = rotation_between(n, DOWN)
     com_xy = (rot @ mesh.com)[:, :2]
     margin = np.full(len(size), -np.inf)  # no polygon: never rests
-    inradii = np.zeros(len(size))
-    for sel, ring in rings:
-        xy = (hull.vertices[ring] @ rot[sel].transpose(0, 2, 1))[:, :, :2]
-        for rows, order in _convex_rings(xy):
-            g = sel[rows]
-            a, b = _ring_edges(np.take_along_axis(xy[rows], order[..., None], axis=1))
-            margin[g] = _polygon_margins(com_xy[g], a, b)
-            rest = ~(margin[g] < margin_eps)
-            inradii[g[rest]] = _polygon_inradii(a[rest], b[rest])
+    for k, sel in _by_size(count):
+        if k:
+            ring = np.stack([supports[g].polygon for g in sel.tolist()])
+            xy = (hull.vertices[ring] @ rot[sel].transpose(0, 2, 1))[:, :, :2]
+            margin[sel] = _polygon_margins(com_xy[sel], *_ring_edges(xy))
     rests = np.flatnonzero(~(margin < margin_eps))
     rests = rests[np.argsort(faces[start[rests]])]
-    placements = _resting(mesh, rot[rests], margin[rests].tolist(), inradii[rests].tolist())
-    vertex, first, last = vertex.tolist(), first.tolist(), (first + count).tolist()
-    return placements, [tuple(vertex[first[g]:last[g]]) for g in rests.tolist()]
+    return _resting(mesh, rot[rests], margin[rests].tolist(),
+                    [supports[g].inradius for g in rests.tolist()])
 
 
 def _triangle_order(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -720,7 +697,7 @@ def settle(
     pivot above.  It reads the support of the contact set, as hull-vertex
     indices, and its inradius from the mesh's memo (``_contact_supports``),
     and indexes the posed hull with it.  Each contact set is built once,
-    the rest sets of enumerated placements by ``enumerate_stable``.
+    the rest set of every facet ``enumerate_stable`` checks by it.
 
     The score of the stable Placement is its margin over the memo's
     inradius, clamped to [0, 1].  Returns the stable Placement; with

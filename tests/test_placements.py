@@ -160,14 +160,10 @@ class TestEnumerateStable:
         }.get(name, lambda: fixtures.standard_fixtures()[name])()
         facets = merge_coplanar_facets(mesh.hull)
         reference = _reference_enumerate_stable(mesh, facets, 0.0)
-        margins = [p.stability_margin for p in reference]
+        margins = [p.stability_margin for p, _ in reference]
         # a margin_eps equal to a facet's own margin keeps that facet
         for margin_eps in (0.0, 1e-6, 1e-4, 0.6, min(margins), max(margins)):
-            expected = [p for p in reference if p.stability_margin >= margin_eps]
-            got = enumerate_stable(mesh, margin_eps=margin_eps)
-            assert json.dumps([p.to_json_dict() for p in got]) == json.dumps(
-                [p.to_json_dict() for p in expected]
-            ), margin_eps
+            _assert_matches_reference(mesh, reference, margin_eps)
 
     def test_flattened_ellipsoid_interleaves_merged_and_lone_facets(self):
         """``flattened_ellipsoid`` needs the merge by seed: a merged
@@ -200,7 +196,7 @@ class TestEnumerateStable:
         except DegenerateHull:
             return
         reference = _reference_enumerate_stable(mesh, merge_coplanar_facets(mesh.hull), 0.0)
-        margins = [p.stability_margin for p in reference] or [0.0]
+        margins = [p.stability_margin for p, _ in reference] or [0.0]
         for margin_eps in (0.0, 1e-4 * scale, min(margins), max(margins)):
             _assert_matches_reference(mesh, reference, margin_eps)
 
@@ -211,10 +207,10 @@ class TestEnumerateStable:
     )
     def test_facet_built_only_for_merged_groups(self, name):
         """Every facet takes the one facet pass, but qhull runs only for
-        merged facets, two 2-D orders each: the facet-frame order and the
-        posed xy order; a triangle takes both in closed form.  A first
-        enumeration builds the rest sets' supports, whose qhull calls are
-        not the facet pass's, so the second is counted."""
+        merged facets, once each on a cold mesh: the 2-D order of the
+        rest set's support, which a triangle takes in closed form.  A
+        second enumeration finds every support in the memo and runs no
+        qhull."""
         mesh = {
             "wedge": sheared_wedge,
             "prism32": lambda: ngon_prism(32),
@@ -223,12 +219,14 @@ class TestEnumerateStable:
             "flattened_ellipsoid": flattened_ellipsoid,
         }.get(name, lambda: fixtures.standard_fixtures()[name])()
         groups, _ = _coplanar_groups(mesh.hull, mesh.hull.face_normals(), 1e-4)
-        enumerate_stable(mesh)
         with _counting_2d_hulls() as calls:
             enumerate_stable(mesh)
-        assert calls[0] == 2 * len(groups)
+        assert calls[0] == len(groups)
         if name.startswith("ellipsoid"):
             assert calls[0] == 0
+        with _counting_2d_hulls() as calls:
+            enumerate_stable(mesh)
+        assert calls[0] == 0
 
     def test_large_facets_beside_small_ones_stay_small(self):
         """A 1024-gon prism has two 1024-vertex caps beside 1024 quads.
@@ -261,7 +259,8 @@ class TestEnumerateStable:
     )
     def test_polygon_path_for_every_triangle_gives_the_same_bytes(self, mesh, monkeypatch):
         """Flagging every triangle as too flat for the closed-form order
-        sends it to qhull, which gives the same bytes."""
+        sends it to qhull, which gives the same bytes: on a cold mesh
+        every support that enumeration builds takes one qhull call."""
         reference = _reference_enumerate_stable(mesh, merge_coplanar_facets(mesh.hull), 0.0)
         order_rule = placements._triangle_order
 
@@ -273,7 +272,7 @@ class TestEnumerateStable:
         groups, _ = _coplanar_groups(mesh.hull, mesh.hull.face_normals(), 1e-4)
         with _counting_2d_hulls() as calls:
             _assert_matches_reference(mesh, reference, 0.0)
-        assert calls[0] > 2 * len(groups)  # triangles took qhull
+        assert calls[0] == len(mesh.supports) > len(groups)  # triangles took qhull
 
     def test_triangle_order_is_qhulls(self):
         """The order rule gives ``ConvexHull(p).vertices`` for every
@@ -333,17 +332,28 @@ def _scaled(mesh, factor):
 
 
 def _assert_matches_reference(mesh, reference, margin_eps):
-    expected = [p for p in reference if p.stability_margin >= margin_eps]
+    """``enumerate_stable`` gives the bytes of the reference placements
+    whose margin reaches margin_eps, and scores each against its rest
+    set's ``Support`` in the memo: margin / inradius clamped to [0, 1],
+    0 without a positive inradius."""
+    expected = [(p, rest) for p, rest in reference if p.stability_margin >= margin_eps]
     got = enumerate_stable(mesh, margin_eps=margin_eps)
     assert json.dumps([p.to_json_dict() for p in got]) == json.dumps(
-        [p.to_json_dict() for p in expected]
+        [p.to_json_dict() for p, _ in expected]
     ), margin_eps
+    for p, (_, rest) in zip(got, expected):
+        assert rest in mesh.supports, rest
+        inr = mesh.supports[rest].inradius
+        assert p.score == (np.clip(p.stability_margin / inr, 0.0, 1.0) if inr > 0 else 0.0), rest
 
 
 def _reference_enumerate_stable(mesh, facets, margin_eps):
-    """The exact stability check on every facet, in facet order."""
+    """The exact stability check on every facet, in facet order: the
+    placements and their rest sets, each scored against the inradius of
+    its rest set's frozen one-set support (``_reference_support``)."""
     out = []
-    for facet in facets:
+    for facet, rest in zip(facets, _facet_rest_sets(mesh.hull), strict=True):
+        assert set(facet.vertex_indices.tolist()) <= set(rest)
         rot = _reference_rotation_between(facet.normal, np.array([0.0, 0.0, -1.0]))
         poly_xy = (facet.polygon @ rot.T)[:, :2]
         try:
@@ -355,16 +365,25 @@ def _reference_enumerate_stable(mesh, facets, margin_eps):
         if margin < margin_eps:
             continue
         zmin = (mesh.vertices @ rot.T)[:, 2].min()
-        inr = polygon_inradius(poly_xy)
-        out.append(
+        inr = _reference_support(mesh, np.array(rest))[1]
+        out.append((
             Placement(
                 rotation=rot,
                 translation=np.array([-com[0], -com[1], -zmin]),
                 stability_margin=float(margin),
                 score=float(np.clip(margin / inr, 0.0, 1.0)) if inr > 0 else 0.0,
-            )
-        )
+            ),
+            rest,
+        ))
     return out
+
+
+def _facet_rest_sets(hull):
+    """The rest set of each facet of ``merge_coplanar_facets(hull)``, in
+    its order: the sorted hull-vertex indices of the facet's faces."""
+    groups, lone = _coplanar_groups(hull, hull.face_normals(), 1e-4)
+    groups += [[f] for f in np.flatnonzero(lone).tolist()]
+    return [tuple(np.unique(hull.faces[group]).tolist()) for group in sorted(groups)]
 
 
 class TestStabilityCheck:
