@@ -3,7 +3,9 @@
 and 4 squashed icospheres (320, 1280 and 5120 faces), with the default
 8 cm gripper and a 120 cm one, and report per mesh and gripper the grasps
 sampled, the share of ray-face pairs the ray cast's broad phase keeps for
-its narrow phase, and a sha256 of the grasps' bytes.
+its narrow phase, and a sha256 of the grasps' bytes.  The broad phase
+runs only on calls whose rays times faces exceed one block; a row where
+it never ran shows ``-`` for the share.
 
 Usage: python scripts/grasp_statistics.py
 
@@ -79,8 +81,9 @@ def main():
                 regrasp.sample_antipodal_grasps(mesh, n, spec, seed)
                 times.append(time.perf_counter() - t0)
             grasps = sum(len(gs) for gs in grasp_sets)
+            kept = f"{pairs[0] / pairs[1]:.4f}" if pairs[1] else "-"
             print(f"{name:<13} {len(mesh.faces):>5} {label:>7} {grasps:>6} "
-                  f"{pairs[0] / pairs[1]:>7.4f}  {grasps_sha256(grasp_sets)}")
+                  f"{kept:>7}  {grasps_sha256(grasp_sets)}")
             print(f"{name} {label}: {1e3 * statistics.median(times):.3f} ms per call",
                   file=sys.stderr)
 

@@ -13,7 +13,6 @@ from collections import deque
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 
@@ -287,16 +286,28 @@ def _ray_mesh_exits(
     hits near its origin: (R,) distances along the ray and face indices,
     face -1 where the ray hits nothing.
 
-    ``_broad_phase`` drops, in blocks of about ``_RAY_FACE_BLOCK``
-    ray-face pairs (at least one ray each), the pairs the test cannot
-    accept.  Consecutive blocks then share one ``_narrow_phase`` while
-    their rays times the most faces one of them keeps stay within that
-    budget.
+    When the rays times the faces fit one block of ``_RAY_FACE_BLOCK``
+    pairs, one ``_narrow_phase`` tests every pair.  Otherwise
+    ``_broad_phase`` drops, in blocks of about that many ray-face pairs
+    (at least one ray each), the pairs the test cannot accept.
+    Consecutive blocks then share one ``_narrow_phase`` while their rays
+    times the most faces one of them keeps stay within that budget.
+
+    The skip pays on small meshes, where the broad phase keeps 82-99.9%
+    of pairs.  A dense mesh with few rays loses by it: just under one
+    block, ``ellipsoid(2)`` with 12 rays and ``ellipsoid(3)`` with 3 keep
+    2.3% and 0.6% of pairs, and one call takes 0.7-0.9 ms skipping
+    against 0.26-0.34 ms culling (median of 400, 2-core Xeon).
     """
     n = len(origins)
+    f = len(mesh.faces)
+    if n * f <= _RAY_FACE_BLOCK:
+        return _narrow_phase(
+            mesh, origins, directions, [np.repeat(np.arange(n), f)], [np.tile(np.arange(f), n)]
+        )
     dist = np.zeros(n)
     face = np.full(n, -1)
-    step = max(1, _RAY_FACE_BLOCK // len(mesh.faces))
+    step = max(1, _RAY_FACE_BLOCK // f)
     lo, width, rays, faces = 0, 2, [], []
     for s, keep in zip(range(0, n, step), _broad_phase(mesh, origins, directions, step)):
         block_width = keep.sum(axis=1).max()
@@ -450,22 +461,25 @@ def sample_antipodal_grasps(
     )
 
 
-def _rotate(r: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """r[p] @ v[n] for every pair as (P, N, 3), in elementwise operations
-    only, so each entry is bitwise the same for any P and N."""
-    r = r[:, None]
-    v = v[:, None]
-    return r[..., 0] * v[..., 0] + r[..., 1] * v[..., 1] + r[..., 2] * v[..., 2]
+def _world(r: np.ndarray, v: np.ndarray) -> list[np.ndarray]:
+    """The three world coordinates of r[p] @ v[:, k] for every pair, as
+    (P, N) rows, from (P, 3, 3) rotations and coordinate-major (3, N)
+    vectors: coordinate i is r[p, i, 0] v[0] + r[p, i, 1] v[1] +
+    r[p, i, 2] v[2], in elementwise operations only, so each entry is
+    bitwise the same for any P and N."""
+    return [r[:, i, 0, None] * v[0] + r[:, i, 1, None] * v[1] + r[:, i, 2, None] * v[2]
+            for i in range(3)]
 
 
-def _norm(v: np.ndarray) -> np.ndarray:
-    """Length along the last axis, elementwise like ``_rotate``."""
-    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+def _norm(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Length of the vectors with coordinates x, y and z, elementwise."""
     return np.sqrt(x * x + y * y + z * z)
 
 
-# Finger-box corners: (axis sign, binormal sign, back along the approach).
-_CORNERS = np.array(list(product((-1.0, 1.0), (-1.0, 1.0), (0.0, 1.0)))).T
+# Finger-box corner offsets: the signs along the grasp axis and binormal,
+# and the steps back along the approach in finger lengths.
+_SIGNS = np.array([-1.0, 1.0])
+_BACKS = np.array([0.0, 1.0])
 
 
 def feasibility_matrix(
@@ -480,31 +494,39 @@ def feasibility_matrix(
     side grasps are allowed (no approach-direction constraint).  Grasps
     wider than max_width are infeasible everywhere, and so are grasps of
     zero width, whose axis is undefined.
+
+    Every pass is elementwise over contiguous (placements, grasps) rows:
+    one world coordinate at a time, then the 8 corner heights of one
+    contact's finger box at a time, so an entry's bits do not depend on
+    the other rows or columns.
     """
     gs = as_grasp_set(grasps)
+    n = len(gs)
     r = np.array([p.rotation for p in placements], dtype=float).reshape(-1, 3, 3)
-    t = np.array([p.translation for p in placements], dtype=float).reshape(-1, 1, 3)
-    a, b = gs.contact_a, gs.contact_b
-    approach = _rotate(r, gs.approach)
-    ca = _rotate(r, a) + t
-    cb = _rotate(r, b) + t
-    axis = cb - ca
+    t = np.array([p.translation for p in placements], dtype=float).reshape(-1, 3)
+    # one rotation pass over [contact_a | contact_b | approach] columns
+    world = _world(r, np.concatenate([gs.contact_a.T, gs.contact_b.T, gs.approach.T], axis=1))
+    contacts = [x[:, : 2 * n] + t[:, i, None] for i, x in enumerate(world)]
+    ca = [x[:, :n] for x in contacts]
+    cb = [x[:, n:] for x in contacts]
+    approach = [x[:, 2 * n :] for x in world]
+    axis = [y - x for x, y in zip(ca, cb)]
     # a zero-width axis turns to NaN, and NaN corners fail the clearance test
     with np.errstate(invalid="ignore", divide="ignore"):
-        axis /= _norm(axis)[..., None]
-    binorm_z = approach[..., 0] * axis[..., 1] - approach[..., 1] * axis[..., 0]
+        length = _norm(*axis)
+        axis = [x / length for x in axis]
+    binorm_z = approach[0] * axis[1] - approach[1] * axis[0]
+    # a finger box's 8 corners as a (2, 2, 2) grid over the axis sign, the
+    # binormal sign and the step back along the approach, in that order
     half = 0.5 * g.finger_thickness
-    s1, s2, back = _CORNERS
-    clear = np.ones(axis.shape[:2], dtype=bool)
-    for c in (ca, cb):
-        corner_z = (
-            c[..., 2, None]
-            + (s1 * half) * axis[..., 2, None]
-            + (s2 * half) * binorm_z[..., None]
-            - (back * g.finger_length) * approach[..., 2, None]
-        )
-        clear &= corner_z.min(axis=-1) >= g.plane_clearance
-    width = _norm(b - a)
+    side = (_SIGNS * half).reshape(2, 1, 1, 1, 1) * axis[2]
+    binormal = (_SIGNS * half).reshape(1, 2, 1, 1, 1) * binorm_z
+    back = (_BACKS * g.finger_length).reshape(1, 1, 2, 1, 1) * approach[2]
+    clear = np.ones(binorm_z.shape, dtype=bool)
+    for c_z in (ca[2], cb[2]):
+        corner_z = ((c_z + side) + binormal - back).reshape(8, *c_z.shape)
+        clear &= corner_z.min(axis=0) >= g.plane_clearance
+    width = _norm(*(gs.contact_b - gs.contact_a).T)
     return clear & (width <= g.max_width + 1e-12)
 
 
@@ -534,9 +556,15 @@ def build_manipulation_graph(
     f = feasibility_matrix(placements, grasps, g)
     fi = f.astype(np.int64)
     shared_counts = np.triu(fi @ fi.T, k=1)
+    # every edge's shared grasps from one pass over the edges' rows, split
+    # by their counts
+    i, j = np.nonzero(shared_counts)
+    shared = np.nonzero(f[i] & f[j])[1].tolist()
     edges: dict[tuple[int, int], list[int]] = {}
-    for i, j in np.argwhere(shared_counts > 0).tolist():
-        edges[(i, j)] = np.flatnonzero(f[i] & f[j]).tolist()
+    start = 0
+    for edge, end in zip(zip(i.tolist(), j.tolist()), np.cumsum(shared_counts[i, j]).tolist()):
+        edges[edge] = shared[start:end]
+        start = end
     return ManipulationGraph(nodes=placements, grasps=grasps, edges=edges)
 
 

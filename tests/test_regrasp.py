@@ -1,12 +1,16 @@
 import tracemalloc
 import warnings
 from collections import deque
+from itertools import product
 
 import numpy as np
 import pytest
 from conftest import drifting_arc, ellipsoid, flattened_ellipsoid, ngon_prism, sheared_wedge
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stableplace import fixtures, regrasp
+from stableplace.cli import GripperConfig
 from stableplace.placements import Placement, enumerate_stable
 from stableplace.mesh import TriMesh
 from stableplace.regrasp import (
@@ -22,7 +26,7 @@ from stableplace.regrasp import (
     sample_antipodal_grasps,
     shared_grasps,
 )
-from stableplace.rotations import rot_x
+from stableplace.rotations import random_rotation, rot_x
 
 WIDE = GripperSpec(max_width=1.2, finger_length=0.04, finger_thickness=0.01,
                    friction_angle=0.2, plane_clearance=0.005)
@@ -564,6 +568,177 @@ class TestFeasibilityMatrix:
         placements = [cube_placement(np.eye(3)), cube_placement(rot_x(np.pi))]
         assert feasibility_matrix(placements, [], WIDE).shape == (2, 0)
         assert build_manipulation_graph(placements, [], WIDE).edges == {}
+
+
+def frozen_feasibility_matrix(placements, grasps, g):
+    """The (placements, grasps, 3) and (placements, grasps, 8) broadcast
+    form of ``feasibility_matrix``, kept frozen: the new matrix must match
+    it byte for byte."""
+
+    def rotate(r, v):
+        r = r[:, None]
+        v = v[:, None]
+        return r[..., 0] * v[..., 0] + r[..., 1] * v[..., 1] + r[..., 2] * v[..., 2]
+
+    def norm(v):
+        x, y, z = v[..., 0], v[..., 1], v[..., 2]
+        return np.sqrt(x * x + y * y + z * z)
+
+    corners = np.array(list(product((-1.0, 1.0), (-1.0, 1.0), (0.0, 1.0)))).T
+    gs = regrasp.as_grasp_set(grasps)
+    r = np.array([p.rotation for p in placements], dtype=float).reshape(-1, 3, 3)
+    t = np.array([p.translation for p in placements], dtype=float).reshape(-1, 1, 3)
+    a, b = gs.contact_a, gs.contact_b
+    approach = rotate(r, gs.approach)
+    ca = rotate(r, a) + t
+    cb = rotate(r, b) + t
+    axis = cb - ca
+    with np.errstate(invalid="ignore", divide="ignore"):
+        axis /= norm(axis)[..., None]
+    binorm_z = approach[..., 0] * axis[..., 1] - approach[..., 1] * axis[..., 0]
+    half = 0.5 * g.finger_thickness
+    s1, s2, back = corners
+    clear = np.ones(axis.shape[:2], dtype=bool)
+    for c in (ca, cb):
+        corner_z = (
+            c[..., 2, None]
+            + (s1 * half) * axis[..., 2, None]
+            + (s2 * half) * binorm_z[..., None]
+            - (back * g.finger_length) * approach[..., 2, None]
+        )
+        clear &= corner_z.min(axis=-1) >= g.plane_clearance
+    width = norm(b - a)
+    return clear & (width <= g.max_width + 1e-12)
+
+
+def assert_matches_frozen(placements, grasps, g):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = feasibility_matrix(placements, grasps, g)
+    want = frozen_feasibility_matrix(placements, grasps, g)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    return got
+
+
+class TestFeasibilityAgainstFrozenBroadcast:
+    """The coordinate-major feasibility matrix against the broadcast form
+    it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["cube", "tall_box", "l_prism", "t_prism"])
+    def test_box_fixtures(self, name):
+        mesh = fixtures.standard_fixtures()[name]
+        placements = enumerate_stable(mesh)
+        for seed in range(1, 11):
+            for n in (25, 100):
+                f = assert_matches_frozen(
+                    placements, sample_antipodal_grasps(mesh, n, WIDE, seed), WIDE)
+                assert f.any() and not f.all()
+
+    def test_pipeline_cube_graph(self):
+        # the plan stage of the fixture pipeline: seed 7, 100 samples, the
+        # 120 cm gripper and the placements scoring at least 0.92
+        mesh = fixtures.unit_cube()
+        spec = GripperConfig(max_width_cm=120.0).to_spec()
+        placements = [p for p in enumerate_stable(mesh, margin_eps=1e-4) if p.score >= 0.92]
+        grasps = sample_antipodal_grasps(mesh, 100, spec, seed=7)
+        assert placements and len(grasps) == 800
+        assert_matches_frozen(placements, grasps, spec).any()
+
+    def test_zero_width_and_nan_grasps(self):
+        placements = [cube_placement(np.eye(3)), cube_placement(rot_x(np.pi / 2))]
+        point = np.array([0.1, 0.2, 0.3])
+        nan = np.array([np.nan, 0.0, 0.4])
+        grasps = [
+            side_grasp(0.4),
+            GraspConfig(contact_a=point, contact_b=point.copy(),
+                        approach=np.array([0.0, 1.0, 0.0])),
+            GraspConfig(contact_a=nan, contact_b=np.array([0.5, 0.0, 0.4]),
+                        approach=np.array([0.0, 1.0, 0.0])),
+            GraspConfig(contact_a=np.array([-0.5, 0.0, 0.4]), contact_b=nan,
+                        approach=np.array([0.0, 1.0, 0.0])),
+            GraspConfig(contact_a=np.array([-0.5, 0.0, 0.4]),
+                        contact_b=np.array([0.5, 0.0, 0.4]), approach=nan),
+            side_grasp(-0.4),
+        ]
+        f = assert_matches_frozen(placements, grasps, WIDE)
+        assert f[:, 0].any() and not f[:, 1:5].any()
+
+    @pytest.mark.parametrize("approach_x", [1.0, -1.0])
+    def test_corner_exactly_at_the_clearance(self, approach_x):
+        # axis along y and approach along +-x make binorm_z = +-1, so the
+        # lowest corners sit half a finger thickness below the contacts:
+        # at 2 half they touch a clearance of half exactly, and one ulp
+        # lower they fall below it
+        thickness = 0.01
+        half = 0.5 * thickness
+        g = GripperSpec(max_width=1.2, finger_thickness=thickness, plane_clearance=half)
+        grasps = [
+            GraspConfig(contact_a=np.array([0.0, -0.1, z]), contact_b=np.array([0.0, 0.1, z]),
+                        approach=np.array([approach_x, 0.0, 0.0]))
+            for z in (2 * half, np.nextafter(2 * half, 0.0))
+        ]
+        placement = Placement(rotation=np.eye(3), translation=np.zeros(3))
+        f = assert_matches_frozen([placement], grasps, g)
+        assert f.tolist() == [[True, False]]
+
+    def test_empty_placement_and_grasp_lists(self):
+        placements = [cube_placement(np.eye(3)), cube_placement(rot_x(np.pi))]
+        grasps = [side_grasp(0.4), side_grasp(-0.4)]
+        assert assert_matches_frozen([], grasps, WIDE).shape == (0, 2)
+        assert assert_matches_frozen(placements, [], WIDE).shape == (2, 0)
+        assert assert_matches_frozen([], [], WIDE).shape == (0, 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), placement_count=st.integers(1, 5),
+           grasp_count=st.integers(1, 40), scale=st.sampled_from([1e-3, 1.0, 1e3]))
+    def test_random_rotations_and_translations(self, seed, placement_count, grasp_count,
+                                               scale):
+        rng = np.random.default_rng(seed)
+        placements = [
+            Placement(rotation=random_rotation(rng), translation=scale * rng.normal(size=3))
+            for _ in range(placement_count)
+        ]
+        contact_a = scale * rng.normal(size=(grasp_count, 3))
+        approach = rng.normal(size=(grasp_count, 3))
+        approach /= np.linalg.norm(approach, axis=1)[:, None]
+        grasps = GraspSet(contact_a=contact_a,
+                          contact_b=contact_a + scale * rng.normal(size=(grasp_count, 3)),
+                          approach=approach)
+        g = GripperSpec(max_width=2.0 * scale, finger_length=0.04 * scale,
+                        finger_thickness=0.01 * scale, plane_clearance=0.005 * scale)
+        assert_matches_frozen(placements, grasps, g)
+
+
+class TestBroadPhaseSkip:
+    """The ray cast tests every ray-face pair in one narrow phase when
+    they fit one block, and culls them first when they do not."""
+
+    @pytest.mark.parametrize("name, block, n", [
+        # the default block holds exactly 1024 rays over the 4 faces
+        ("tetrahedron", None, 1024),
+        ("cube", 12 * 7, 7),
+        ("ellipsoid_s2", 320 * 3, 3),
+    ])
+    def test_broad_phase_runs_only_past_one_block(self, monkeypatch, name, block, n):
+        mesh = SAMPLER_MESHES[name]()
+        if block is not None:
+            monkeypatch.setattr(regrasp, "_RAY_FACE_BLOCK", block)
+        assert n * len(mesh.faces) == regrasp._RAY_FACE_BLOCK
+        broad = regrasp._broad_phase
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            return broad(*args)
+
+        monkeypatch.setattr(regrasp, "_broad_phase", counted)
+        for rays, runs in ((1, False), (n, False), (n + 1, True)):
+            calls.clear()
+            for seed in (0, 1):
+                got = sample_antipodal_grasps(mesh, rays, WIDE, seed)
+                assert grasp_bytes(got) == grasp_bytes(reference_sample(mesh, rays, WIDE, seed))
+            assert calls == ([rays, rays] if runs else [])
 
 
 def reference_plan(graph, start, goal):
