@@ -9,6 +9,7 @@ procedure; dynamic effects (bouncing, rolling) are out of scope.
 from __future__ import annotations
 
 import operator
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import groupby
@@ -337,7 +338,11 @@ class Support:
     margin and the pivot read the edges ``start`` -> ``end``: the
     polygon's edges, or without a polygon every pair of contacts
     (i < j).  ``pair`` holds the polygon edges' tie keys
-    (``_pair_keys``)."""
+    (``_pair_keys``).
+
+    A stack of supports of one shape (``_shape``) holds one row per drop
+    in every field: contacts, edges and tie keys (R, m), polygons (R, k)
+    and inradii (R,) (``_stack_supports``)."""
 
     contact: np.ndarray
     polygon: np.ndarray | None
@@ -354,6 +359,25 @@ class Support:
             return cls(contact, None, 0.0, contact[:-1], contact[1:])
         i, j = np.triu_indices(len(contact), 1)
         return cls(contact, None, 0.0, contact[i], contact[j])
+
+
+def _shape(support: Support) -> tuple[bool, int, int]:
+    """Whether ``support`` has a polygon, its edge count and its contact
+    count: supports of one shape stack (``_stack_supports``)."""
+    return support.polygon is not None, len(support.start), len(support.contact)
+
+
+def _stack_supports(supports: Sequence[Support], which: np.ndarray) -> Support:
+    """The stack of the ``supports``, all of one shape, whose row r is
+    that of ``supports[which[r]]``."""
+    def rows(field: str) -> np.ndarray | None:
+        if getattr(supports[0], field) is None:
+            return None
+        return np.array([getattr(s, field) for s in supports])[which]
+
+    return Support(rows("contact"), rows("polygon"),
+                   np.array([s.inradius for s in supports])[which],
+                   rows("start"), rows("end"), rows("pair"))
 
 
 def _contact_supports(mesh: TriMesh, contacts: list[tuple[int, ...]]) -> list[Support]:
@@ -446,20 +470,30 @@ def _convex_rings(p: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(rows, orders) for rows, orders in stacks if len(rows)]
 
 
+def _gather(xy: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The plane points xy (..., V, 2) at the hull-vertex indices of one
+    support's rows idx (m,), or of a stack's rows idx (R, m) for the
+    poses xy (R, V, 2), one row per pose: (..., m, 2)."""
+    if idx.ndim == 1:
+        return xy[..., idx, :]
+    return xy[np.arange(len(idx))[:, None], idx]
+
+
 def _contact_margin(xy: np.ndarray, com_xy: np.ndarray, support: Support) -> np.ndarray:
-    """COM-projection margins against ``support``, for the plane points
-    xy (..., V, 2), indexed by hull vertex, and the COM projections
-    com_xy (..., 2): the signed distance to the support polygon's
-    boundary, or minus the distance to the nearest contact segment or to
-    a lone contact.  Degenerate supports give margin <= 0."""
-    a, b = xy[..., support.start, :], xy[..., support.end, :]
+    """COM-projection margins against ``support``, one support or a stack
+    of one row per pose, for the plane points xy (..., V, 2), indexed by
+    hull vertex, and the COM projections com_xy (..., 2): the signed
+    distance to the support polygon's boundary, or minus the distance to
+    the nearest contact segment or to a lone contact.  Degenerate
+    supports give margin <= 0."""
+    a, b = _gather(xy, support.start), _gather(xy, support.end)
     if support.polygon is not None:
         return _polygon_margins(com_xy, a, b)
-    if len(support.start):
+    if support.start.shape[-1]:
         # segment support: the nearest of the segments between contact pairs
         return -_point_segment_distance(com_xy[..., None, :], a, b).min(axis=-1)
-    if len(support.contact):
-        lean = com_xy - xy[..., support.contact[0], :]
+    if support.contact.shape[-1]:
+        lean = com_xy - _gather(xy, support.contact[..., :1])[..., 0, :]
         return -np.sqrt(np.vecdot(lean, lean))
     return np.full(com_xy.shape[:-1], -np.inf)
 
@@ -606,15 +640,15 @@ def _pivot_axis(
     xy: np.ndarray, com_xy: np.ndarray, support: Support
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pivot lines (points a, unit horizontal directions u), each (..., 3),
-    for unstable resting poses on ``support`` with the plane points xy
-    (..., V, 2), indexed by hull vertex, and COM projections com_xy
-    (..., 2)."""
+    for unstable resting poses on ``support``, one support or a stack of
+    one row per pose, with the plane points xy (..., V, 2), indexed by
+    hull vertex, and COM projections com_xy (..., 2)."""
     if support.polygon is not None:
-        a2, b2 = xy[..., support.start, :], xy[..., support.end, :]
+        a2, b2 = _gather(xy, support.start), _gather(xy, support.end)
         e = _nearest_edges(com_xy, a2, b2, support.pair)
         return _line_axis(_take_rows(a2, e), _take_rows(b2, e))
-    pts = xy[..., support.contact, :]
-    if len(support.contact) >= 2:
+    pts = _gather(xy, support.contact)
+    if pts.shape[-2] >= 2:
         # segment support: pivot about the contact line, from the
         # contacts' mean to the contact furthest from it
         mid = pts.mean(axis=-2)
@@ -635,7 +669,7 @@ def _pivot_axis(
     u = np.zeros_like(a)
     a[..., :2] = a2
     u[..., 0], u[..., 1] = -d[..., 1], d[..., 0]
-    if len(support.contact) >= 2 and segment.any():
+    if pts.shape[-2] >= 2 and segment.any():
         with np.errstate(divide="ignore", invalid="ignore"):
             a_seg, u_seg = _line_axis(mid, far)
         segment = segment[..., None]
@@ -739,15 +773,17 @@ def settle_batch(
     The drops run in lockstep, in blocks of at most ``_SETTLE_BLOCK``
     drops times mesh vertices, so memory stays bounded for large meshes
     or drop counts.  Per iteration a block's active drops share one
-    stacked hull transform, lowering and contact mask, whose rows become
-    each drop's sorted contact set (``_contact_sets``).  Drops resting on
-    the same contact set form a group, which looks its ``Support`` up
-    once and gets its margins and pivot lines in one array pass; the
-    supports not yet in the memo are built together first
-    (``_contact_supports``).  A group on a walkable triangle walks the
-    rolling graph one drop at a time.  Then one stacked pass finds every pivoting drop's angle and turns it.
-    A block of one drop takes ``settle``'s loop, which does the same
-    arithmetic without the lockstep's bookkeeping."""
+    stacked hull transform, lowering and contact mask, whose rows are
+    grouped by sorted contact set (``_contact_groups``).  A group on a
+    walkable triangle walks the rolling graph one drop at a time.  Every
+    other group looks its ``Support`` up once; the supports not yet in
+    the memo are built together first (``_contact_supports``).  Groups
+    whose supports have one shape (``_shape``) stack their supports'
+    index rows, one row per drop (``_stack_supports``), and take one
+    margin pass and one pivot pass per shape, not one per contact set.
+    Then one stacked pass finds every pivoting drop's angle and turns
+    it.  A block of one drop takes ``settle``'s loop, which does the
+    same arithmetic without the lockstep's bookkeeping."""
     initials = np.asarray(initials, dtype=float).reshape(-1, 3, 3)
     outcomes, traces = [], []
     for block in _blocks(mesh, len(initials)):
@@ -785,13 +821,18 @@ def _blocks(mesh: TriMesh, n: int) -> list[slice]:
     return [slice(i, i + step) for i in range(0, n, step)]
 
 
-def _contact_sets(touch: np.ndarray) -> list[tuple[int, ...]]:
-    """Each row's sorted contact indices, as a tuple, for the (n, V)
-    contact mask ``touch``: one ``np.nonzero``, split per row."""
+def _contact_groups(touch: np.ndarray) -> dict[tuple[int, ...], list[int]]:
+    """The rows of the (n, V) contact mask ``touch`` by contact set: each
+    sorted set of contact indices, as a tuple, maps to the ascending rows
+    that hold it, in order of first appearance.  One ``np.nonzero``,
+    split per row."""
     _, cols = np.nonzero(touch)
     flat = cols.tolist()
     ends = np.cumsum(np.count_nonzero(touch, axis=1)).tolist()
-    return [tuple(flat[start:end]) for start, end in zip([0] + ends[:-1], ends)]
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for j, (start, end) in enumerate(zip([0] + ends[:-1], ends)):
+        groups.setdefault(tuple(flat[start:end]), []).append(j)
+    return groups
 
 
 def _settle_one(
@@ -849,33 +890,37 @@ def _settle_block(
         com[:, 2] -= zmin
         for i, h in zip(active.tolist(), com[:, 2].tolist()):
             traces[i].append(h)
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for j, contact in enumerate(_contact_sets(world[:, :, 2] <= CONTACT_TOL)):
-            groups.setdefault(contact, []).append(j)
-        walks = {contact: _walkable_row(mesh, contact) for contact in groups}
-        off_graph = [contact for contact, r in walks.items() if r is None]
-        supports = dict(zip(off_graph, _contact_supports(mesh, off_graph)))
+        groups = _contact_groups(world[:, :, 2] <= CONTACT_TOL)
         going = np.ones(len(active), dtype=bool)
-        stable: list[tuple[int, float, float]] = []  # (row, margin, inradius)
-        pivots = []  # (rows, world, com, a, u) per group
+        off_graph = []
         for contact, rows in groups.items():
-            r = walks[contact]
-            rows = np.array(rows)
-            if r is not None:
-                for j in rows.tolist():
-                    i = active[j]
-                    try:
-                        rots[i] = _walk(mesh.pivot_table, r, rots[i], traces[i], max_tips)
-                    except SettleDiverged as exc:
-                        outcomes[i], going[j] = exc, False
+            r = _walkable_row(mesh, contact)
+            if r is None:
+                off_graph.append(contact)
                 continue
-            support = supports[contact]
-            # a group holding every active drop takes the arrays without a copy
-            posed, at = (world, com) if len(rows) == len(active) else (world[rows], com[rows])
+            for j in rows:
+                i = active[j]
+                try:
+                    rots[i] = _walk(mesh.pivot_table, r, rots[i], traces[i], max_tips)
+                except SettleDiverged as exc:
+                    outcomes[i], going[j] = exc, False
+        shapes: dict[tuple[bool, int, int], list] = {}  # (support, rows) per shape
+        for contact, support in zip(off_graph, _contact_supports(mesh, off_graph)):
+            shapes.setdefault(_shape(support), []).append((support, groups[contact]))
+        stable: list[tuple[int, float, float]] = []  # (row, margin, inradius)
+        pivots = []  # (rows, world, com, a, u) per shape
+        for bucket in shapes.values():
+            sets, row_lists = zip(*bucket)
+            rows = np.concatenate(row_lists)
+            which = np.repeat(np.arange(len(sets)), [len(r) for r in row_lists])
+            support = _stack_supports(sets, which)
+            # one set holding every active drop takes the arrays without a copy
+            posed, at = ((world, com) if len(rows) == len(active) and len(bucket) == 1
+                         else (world[rows], com[rows]))
             margin = _contact_margin(posed[..., :2], at[..., :2], support)
             rests = margin >= margin_eps
-            stable += [(j, m, support.inradius)
-                       for j, m in zip(rows[rests].tolist(), margin[rests].tolist())]
+            stable += zip(rows[rests].tolist(), margin[rests].tolist(),
+                          support.inradius[rests].tolist())
             tips = ~rests
             for k in np.flatnonzero(tips).tolist():
                 i = active[rows[k]]
@@ -886,6 +931,7 @@ def _settle_block(
             going[rows[~tips]] = False
             if not tips.all():
                 rows, posed, at = rows[tips], posed[tips], at[tips]
+                support = _stack_supports(sets, which[tips])
             if len(rows):
                 pivots.append((rows, posed, at,
                                *_pivot_axis(posed[..., :2], at[..., :2], support)))
@@ -1016,10 +1062,13 @@ def settle_records(
     and 2k // 3 of the k-gon support polygon) and a paired unstable pose:
     the first random rotation about the world COM that leaves the rotated
     contacts' plane (``plane_from_contacts``) at least 1e-6 from the
-    origin, of at most ``_UNSTABLE_TRIES``.  Each block of
-    ``settle_batch`` drops takes one stacked pass for the resting pose,
-    contact triple and pivot, and one stacked pass per try over the drops
-    whose tries have all failed so far."""
+    origin, of at most ``_UNSTABLE_TRIES``.  Each block of drops settles
+    as in ``settle_batch``, one margin pass and one pivot pass per support
+    shape and iteration.  The settled drops are grouped by contact set,
+    each set's support is looked up once, and one gather takes every
+    drop's contact triple.  Then one stacked pass finds the resting pose
+    and pivot, and one stacked pass per try runs over the drops whose
+    tries have all failed so far."""
     records: list[PlacementRecord | None] = []
     initials = np.asarray(initials, dtype=float).reshape(-1, 3, 3)
     for block in _blocks(mesh, len(initials)):
@@ -1039,18 +1088,20 @@ def _block_records(
     rot = np.stack([outcomes[i].rotation for i in settled])
     shift = np.stack([outcomes[i].translation for i in settled])
     world = mesh.hull.vertices @ rot.transpose(0, 2, 1) + shift[:, None, :]
-    kept, triples = [], []
-    contacts = _contact_sets(world[:, :, 2] <= CONTACT_TOL)
-    for j, support in enumerate(_contact_supports(mesh, contacts)):
+    groups = _contact_groups(world[:, :, 2] <= CONTACT_TOL)
+    corners = np.zeros((len(settled), 3), dtype=int)  # polygon vertices 0, k // 3, 2k // 3
+    held = np.zeros(len(settled), dtype=bool)  # else the drop counts as diverged
+    for rows, support in zip(groups.values(), _contact_supports(mesh, list(groups))):
         poly = support.polygon
-        if poly is not None:  # else the drop counts as diverged
+        if poly is not None:
             k = len(poly)
-            kept.append(j)
-            triples.append(world[j, poly[[0, k // 3, (2 * k) // 3]]])
-    if not kept:
+            corners[rows] = poly[[0, k // 3, (2 * k) // 3]]
+            held[rows] = True
+    kept = np.flatnonzero(held)
+    if not len(kept):
         return records
-    drops = [settled[j] for j in kept]
-    triple = np.stack(triples)
+    drops = [settled[j] for j in kept.tolist()]
+    triple = world[kept[:, None], corners[kept]]
     rest = rot[kept]
     pivot = (rest @ mesh.com + shift[kept])[:, None, :]
     poses: list = [None] * len(kept)

@@ -502,6 +502,8 @@ def feasibility_matrix(
     """
     gs = as_grasp_set(grasps)
     n = len(gs)
+    if not n:
+        return np.zeros((len(placements), 0), dtype=bool)
     r = np.array([p.rotation for p in placements], dtype=float).reshape(-1, 3, 3)
     t = np.array([p.translation for p in placements], dtype=float).reshape(-1, 3)
     # one rotation pass over [contact_a | contact_b | approach] columns
@@ -549,10 +551,13 @@ def build_manipulation_graph(
     placements: list[Placement], grasps: GraspSet | Sequence[GraspConfig], g: GripperSpec
 ) -> ManipulationGraph:
     """Complete pairwise shared-grasp evaluation; edges carry the
-    ascending indices of their shared grasps."""
+    ascending indices of their shared grasps.  Without grasps the graph
+    has no edges."""
     if not placements:
         raise ValueError("need at least one placement")
     grasps = as_grasp_set(grasps)
+    if not len(grasps):
+        return ManipulationGraph(nodes=placements, grasps=grasps, edges={})
     f = feasibility_matrix(placements, grasps, g)
     fi = f.astype(np.int64)
     shared_counts = np.triu(fi @ fi.T, k=1)

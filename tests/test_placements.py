@@ -473,13 +473,21 @@ class TestSettle:
         """Every support polygon the seeded fixture dataset and the dense
         drops meet, posed as they met it, has the directed edges of a 2-D
         qhull of the world contacts, starts at its lowest index, and is
-        None exactly where that qhull fails."""
+        None exactly where that qhull fails.  A stack of supports is
+        unpacked row by row, each row against its own pose."""
         met = []
         margin = placements._contact_margin
 
         def recording(xy, com_xy, support):
-            for posed in xy.reshape(-1, *xy.shape[-2:]):  # one drop or a group
-                met.append((posed[support.contact], support.contact, support.polygon))
+            poses = xy.reshape(-1, *xy.shape[-2:])  # one drop, a group or a stack
+            if support.contact.ndim == 1:
+                rows = [(posed, support.contact, support.polygon) for posed in poses]
+            else:
+                polygons = ([None] * len(poses) if support.polygon is None
+                            else list(support.polygon))
+                rows = zip(poses, support.contact, polygons)
+            for posed, contact, poly in rows:
+                met.append((posed[contact], contact, poly))
             return margin(xy, com_xy, support)
 
         monkeypatch.setattr(placements, "_contact_margin", recording)
@@ -492,6 +500,8 @@ class TestSettle:
                 settle(mesh, random_rotation(rng))
         polygons = set()
         for xy, contact, poly in met:
+            # a 3-D array would crash qhull, not fail this test
+            assert xy.shape == (len(contact), 2) and contact.ndim == 1
             if len(contact) < 3:
                 assert poly is None
                 continue
@@ -1188,30 +1198,81 @@ class TestLockstep:
 
     def test_stacked_support_geometry_matches_one_drop_at_a_time(self):
         """Margins and pivot lines of a stack of poses equal those of each
-        pose alone, for polygon, segment, point and mixed stacks; a
-        segment whose contacts meet in the plane pivots as a point."""
+        pose alone, for polygon, segment, point and mixed stacks, on one
+        support or on a stack of supports of one shape that differ row by
+        row; a segment whose contacts meet in the plane pivots as a
+        point."""
         rng = np.random.default_rng(4)
-        square = np.array([0, 1, 2, 3])
-        supports = [
-            Support(square, square, 0.5, square, np.roll(square, -1),
-                    placements._pair_keys(square, np.roll(square, -1))),
-            Support.without_polygon(np.array([1, 3])),
-            Support.without_polygon(np.array([0, 2, 3])),
-            Support.without_polygon(np.array([2])),
+
+        def polygon(ring):
+            ring = np.array(ring)
+            end = np.roll(ring, -1)
+            return Support(ring, ring, 0.5, ring, end, placements._pair_keys(ring, end))
+
+        shapes = [
+            [polygon([0, 1, 2, 3]), polygon([0, 1, 4, 3])],
+            [Support.without_polygon(np.array(c)) for c in ([1, 3], [0, 2], [2, 4])],
+            [Support.without_polygon(np.array(c)) for c in ([0, 2, 3], [1, 2, 4])],
+            [Support.without_polygon(np.array([v])) for v in (2, 0, 4)],
         ]
         xy = rng.normal(size=(9, 5, 2))
         xy[:, :4] = [[0, 0], [1, 0], [1, 1], [0, 1]] + 0.1 * xy[:, :4]
+        xy[1::2, 4] = [1.2, 1.2] + 0.1 * xy[1::2, 4]  # a convex ring 0, 1, 4, 3
         xy[::3, 3] = xy[::3, 1]  # contacts 1 and 3 meet: no segment
         com = rng.normal(size=(9, 2))
-        for support in supports:
-            margin = _contact_margin(xy, com, support)
-            a, u = _pivot_axis(xy, com, support)
-            for i in range(len(xy)):
-                assert margin[i] == _contact_margin(xy[i], com[i], support)
-                a_i, u_i = _pivot_axis(xy[i], com[i], support)
-                assert a[i].tobytes() == a_i.tobytes() and u[i].tobytes() == u_i.tobytes()
-        a, u = _pivot_axis(xy, com, supports[1])
+        for supports in shapes:
+            assert len({placements._shape(support) for support in supports}) == 1
+            which = np.arange(len(xy)) % len(supports)
+            stacks = [(support, [support] * len(xy)) for support in supports]
+            stacks.append((placements._stack_supports(supports, which),
+                           [supports[w] for w in which.tolist()]))
+            for stack, alone in stacks:
+                margin = _contact_margin(xy, com, stack)
+                a, u = _pivot_axis(xy, com, stack)
+                for i, support in enumerate(alone):
+                    m_i = _contact_margin(xy[i], com[i], support)
+                    assert margin[i].tobytes() == np.float64(m_i).tobytes()
+                    a_i, u_i = _pivot_axis(xy[i], com[i], support)
+                    assert a[i].tobytes() == a_i.tobytes() and u[i].tobytes() == u_i.tobytes()
+        a, u = _pivot_axis(xy, com, shapes[1][0])
         assert np.all(a[::3, :2] == xy[::3, 1]) and np.all(u[1::3, :2] != 0)
+
+    def test_one_margin_pass_per_support_shape(self, monkeypatch):
+        """Each lockstep iteration of the T-prism's 100 seeded drops makes
+        one ``_contact_margin`` call per support shape it meets, not one
+        per contact set, and one ``_pivot_axis`` call at most."""
+        mesh = _table_mesh("t_prism")
+        initials, _ = _seeded_drops(100, 7)
+        lookup = placements._contact_supports
+        margin, pivot = placements._contact_margin, placements._pivot_axis
+        iterations = []  # (contact sets, margin shapes, pivot shapes) per iteration
+
+        def shape(support):
+            return (support.polygon is not None, support.start.shape[-1],
+                    support.contact.shape[-1])
+
+        def looking(mesh, contacts):  # once per iteration, for its off-graph sets
+            iterations.append((len(set(contacts)), [], []))
+            return lookup(mesh, contacts)
+
+        def measuring(xy, com_xy, support):
+            iterations[-1][1].append(shape(support))
+            return margin(xy, com_xy, support)
+
+        def pivoting(xy, com_xy, support):
+            iterations[-1][2].append(shape(support))
+            return pivot(xy, com_xy, support)
+
+        monkeypatch.setattr(placements, "_contact_supports", looking)
+        monkeypatch.setattr(placements, "_contact_margin", measuring)
+        monkeypatch.setattr(placements, "_pivot_axis", pivoting)
+        settle_batch(mesh, initials)
+        for _, margins, pivots in iterations:
+            assert len(set(margins)) == len(margins)
+            assert len(set(pivots)) == len(pivots) and set(pivots) <= set(margins)
+        calls = sum(len(margins) for _, margins, _ in iterations)
+        sets = sum(n for n, _, _ in iterations)
+        assert len(iterations) >= 3 and sets >= 30 and calls <= sets / 2
 
     def test_blocks_bound_memory(self, monkeypatch):
         """A large batch on a dense mesh runs in blocks: its peak traced

@@ -686,8 +686,17 @@ class TestFeasibilityAgainstFrozenBroadcast:
         placements = [cube_placement(np.eye(3)), cube_placement(rot_x(np.pi))]
         grasps = [side_grasp(0.4), side_grasp(-0.4)]
         assert assert_matches_frozen([], grasps, WIDE).shape == (0, 2)
-        assert assert_matches_frozen(placements, [], WIDE).shape == (2, 0)
-        assert assert_matches_frozen([], [], WIDE).shape == (0, 0)
+        for nodes in ([], placements):
+            for empty in ([], GraspSet(contact_a=[], contact_b=[], approach=[])):
+                # no grasps: an all-False (P, 0) matrix without a pass over them
+                f = assert_matches_frozen(nodes, empty, WIDE)
+                want = np.zeros((len(nodes), 0), dtype=bool)
+                assert f.shape == want.shape and f.dtype == want.dtype
+                assert f.tobytes() == want.tobytes()
+        graph = build_manipulation_graph(placements, [], WIDE)
+        assert graph.edges == {} and len(graph.grasps) == 0
+        with pytest.raises(NoPlanExists):
+            plan_regrasp(graph, 0, 1)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), placement_count=st.integers(1, 5),
