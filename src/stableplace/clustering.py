@@ -18,6 +18,9 @@ from .rotations import angle_between, check_rotation, rotation_between, z_quotie
 
 DEG = np.pi / 180.0
 Z_HAT = np.array([0.0, 0.0, 1.0])
+# MeanShift rounds at most, and the shift (radians) below which a mean stops.
+MAX_ITER = 200
+SHIFT_TOL = 1e-6
 
 
 @dataclass
@@ -46,26 +49,36 @@ class TypeModel:
                 check_rotation(np.array(m, dtype=float).reshape(3, 3))
                 for m in d["modes"]
             ],
-            bandwidth=float(d["bandwidth"]),
-            assign_threshold=float(d["assign_threshold"]),
+            bandwidth=_json_angle(d, "bandwidth", zero_ok=False),
+            assign_threshold=_json_angle(d, "assign_threshold", zero_ok=True),
         )
+
+
+def _json_angle(d: dict, name: str, zero_ok: bool) -> float:
+    """``d[name]`` as radians: a JSON number, not a bool, that is finite and
+    positive, or also 0 with ``zero_ok``; raises ValueError naming it."""
+    value = d[name]
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        angle = float(value)
+        if np.isfinite(angle) and (angle > 0 or (zero_ok and angle == 0)):
+            return angle
+    bound = ">= 0" if zero_ok else "> 0"
+    raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
 
 
 def mean_shift_orientations(
     rotations: list[np.ndarray],
     bandwidth: float = 15.0 * DEG,
-    assign_threshold: float | None = None,
-    max_iter: int = 200,
-    shift_tol: float = 1e-6,
 ) -> tuple[TypeModel, list[int]]:
     """Flat-kernel MeanShift over the body up-axes of ``rotations``.
 
     Every input seeds a mean; each round moves all still-moving means at
     once to the normalized sum of the up-axes within ``bandwidth`` of
-    them.  A mean stops once it shifts by less than ``shift_tol``, or
-    when its window is empty.  Converged means within one bandwidth of an
-    existing mode merge into it, numbering modes by first occurrence.
-    Returns the model and per-input labels.
+    them, for at most ``MAX_ITER`` rounds.  A mean stops once it shifts by
+    less than ``SHIFT_TOL``, or when its window is empty.  Converged means
+    within one bandwidth of an existing mode merge into it, numbering
+    modes by first occurrence.  Returns the model, whose assignment
+    threshold is the bandwidth, and per-input labels.
     """
     if len(rotations) == 0:
         raise ValueError("need at least one rotation")
@@ -75,7 +88,7 @@ def mean_shift_orientations(
 
     means = ups.copy()
     moving = np.arange(len(ups))
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         if not moving.size:
             break
         sums = (angle_between(means[moving, None], ups) <= bandwidth) @ ups
@@ -84,7 +97,7 @@ def mean_shift_orientations(
         moving, new = moving[live], sums[live] / norms[live, None]
         shift = angle_between(new, means[moving])
         means[moving] = new
-        moving = moving[shift >= shift_tol]
+        moving = moving[shift >= SHIFT_TOL]
 
     close = (angle_between(means[:, None], means) <= bandwidth).tolist()
     kept: list[int] = []
@@ -93,11 +106,7 @@ def mean_shift_orientations(
             kept.append(i)
     modes = rotation_between(means[kept], Z_HAT)
 
-    model = TypeModel(
-        modes=list(modes),
-        bandwidth=bandwidth,
-        assign_threshold=bandwidth if assign_threshold is None else assign_threshold,
-    )
+    model = TypeModel(modes=list(modes), bandwidth=bandwidth, assign_threshold=bandwidth)
     labels = np.argmin(angle_between(ups[:, None], modes[:, 2, :]), axis=1)
     return model, labels.tolist()
 

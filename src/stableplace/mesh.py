@@ -24,6 +24,10 @@ from .rotations import (
     rotation_from_axis_angle,
 )
 
+# Angle (radians) within which adjacent hull triangles merge into one
+# facet, for stable-placement enumeration.
+FACET_ANGLE_TOL = 1e-4
+
 
 class MeshParseError(ValueError):
     """OBJ file missing or unparseable."""
@@ -665,7 +669,7 @@ class Facet:
     area: float
 
 
-def merge_coplanar_facets(hull: TriMesh, angle_tol: float = 1e-4) -> list[Facet]:
+def merge_coplanar_facets(hull: TriMesh, angle_tol: float = FACET_ANGLE_TOL) -> list[Facet]:
     """Merge adjacent hull triangles whose normals deviate by less than
     ``angle_tol`` into convex polygonal facets.
 

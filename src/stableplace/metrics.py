@@ -116,7 +116,6 @@ def evaluate_run(
     gt_model: TypeModel,
     t: AccuracyThresholds = AccuracyThresholds(),
     object_id: str = "object",
-    initial_type: int | None = None,
     match_threshold: float = 15.0 * DEG,
     margin_eps: float = DEFAULT_MARGIN_EPS,
 ) -> ObjectEval:
@@ -124,8 +123,8 @@ def evaluate_run(
     drop once its margin reaches margin_eps, and score accuracy /
     diversity.
 
-    Diverged settles count as inaccurate.  ``initial_type`` defaults to
-    the ground-truth type nearest the first prediction; its matches are
+    Diverged settles count as inaccurate.  The initial type is the
+    ground-truth type nearest the first prediction; its matches are
     excluded from diversity per the m / (n - 1) rule.  A type counts as
     reached when an accurate settled pose is within ``match_threshold``
     of its mode.
@@ -144,9 +143,8 @@ def evaluate_run(
             stable_rotations.append(after.rotation)
     accuracy = hits / len(predictions)
 
-    if initial_type is None:
-        d = z_quotient_distances(predictions[0].rotation, np.stack(gt_model.modes))
-        initial_type = int(np.argmin(d))
+    d = z_quotient_distances(predictions[0].rotation, np.stack(gt_model.modes))
+    initial_type = int(np.argmin(d))
     diversity = diversity_score(
         stable_rotations, gt_model, initial_type, match_threshold
     )

@@ -8,7 +8,6 @@ procedure; dynamic effects (bouncing, rolling) are out of scope.
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -18,6 +17,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .mesh import (
+    FACET_ANGLE_TOL,
     PivotTable,
     TriMesh,
     _coplanar_groups,
@@ -34,13 +34,13 @@ from .rotations import (
 
 CONTACT_TOL = 1e-6
 DEFAULT_MARGIN_EPS = 1e-4
-# Tips a settle takes before it diverges, by default and in the dataset.
+# Tips a settle takes before it diverges.
 MAX_TIPS = 200
 DOWN = np.array([0.0, 0.0, -1.0])
 
 
 class SettleDiverged(RuntimeError):
-    """Tumbling did not reach a stable pose within max_tips."""
+    """Tumbling did not reach a stable pose within ``MAX_TIPS`` tips."""
 
 
 def check_margin_eps(margin_eps: float) -> None:
@@ -520,15 +520,11 @@ def stability_check(
     return bool(margin >= margin_eps), margin
 
 
-def enumerate_stable(
-    mesh: TriMesh,
-    margin_eps: float = DEFAULT_MARGIN_EPS,
-    angle_tol: float = 1e-4,
-) -> list[Placement]:
+def enumerate_stable(mesh: TriMesh, margin_eps: float = DEFAULT_MARGIN_EPS) -> list[Placement]:
     """Candidate placements from merged convex-hull facets, keeping those
     whose COM projection lies at least margin_eps inside the facet's
     support polygon.  score = margin / support inradius, clamped to
-    [0, 1].
+    [0, 1].  Facets merge hull triangles within ``FACET_ANGLE_TOL``.
 
     A vectorized pre-filter first drops every one-triangle facet whose
     margin bound (``PivotTable.bound``, the least of the triangle's
@@ -548,12 +544,11 @@ def enumerate_stable(
     built in one pass (``_contact_supports``), so the settles that come
     to rest on a placement find its support built, and the memo travels
     with the mesh to each pool worker of ``generate_dataset``.  Raises
-    ValueError unless 0 <= ``angle_tol`` < pi/2 and ``margin_eps`` is
-    finite and >= 0.
+    ValueError unless ``margin_eps`` is finite and >= 0.
     """
     check_margin_eps(margin_eps)
     hull = mesh.hull
-    groups, lone = _coplanar_groups(hull, hull.face_normals(), angle_tol)
+    groups, lone = _coplanar_groups(hull, hull.face_normals(), FACET_ANGLE_TOL)
     slack = 1e-9 * float(np.abs(hull.vertices).max())
     lone = np.flatnonzero(lone & ~(mesh.edge_distances.min(axis=1) < margin_eps - slack))
     size = np.concatenate([np.array([len(group) for group in groups], dtype=int),
@@ -697,7 +692,6 @@ def _line_axis(a2: np.ndarray, b2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def settle(
     mesh: TriMesh,
     initial: np.ndarray,
-    max_tips: int = MAX_TIPS,
     margin_eps: float = DEFAULT_MARGIN_EPS,
     return_trace: bool = False,
 ):
@@ -724,7 +718,7 @@ def settle(
     ``r = next[r]`` per tip, with the trace height ``height[r]``, for as
     long as the landed row is walkable too (COM beyond its pivot edge
     and every other vertex more than ``CONTACT_TOL`` above its plane, so
-    it alone would touch).  Walked tips count toward ``max_tips``.  When
+    it alone would touch).  Walked tips count toward ``MAX_TIPS``.  When
     the walk stops, the contacts are derived again from the posed hull.
     Point, segment and polygon supports, and one triangle whose COM lies
     inside it but within ``margin_eps`` of an edge, take the world-frame
@@ -736,18 +730,17 @@ def settle(
     The score of the stable Placement is its margin over the memo's
     inradius, clamped to [0, 1].  Returns the stable Placement; with
     return_trace=True also returns the list of COM heights after each
-    drop and tip.  Raises SettleDiverged past ``max_tips`` tips or when
-    no vertex can come down.  Past ``max_tips`` on a mesh where no hull
+    drop and tip.  Raises SettleDiverged past ``MAX_TIPS`` tips or when
+    no vertex can come down.  Past ``MAX_TIPS`` on a mesh where no hull
     facet's margin reaches margin_eps, the message says so and names the
     largest facet margin (``_explain_tips``).
     Many drops of one mesh settle faster together (``settle_batch``).
     """
     heights: list[float] = []
     try:
-        placement = _settle_one(mesh, np.array(initial, dtype=float), heights, max_tips,
-                                margin_eps)
+        placement = _settle_one(mesh, np.array(initial, dtype=float), heights, margin_eps)
     except SettleDiverged as exc:
-        raise _explain_tips(mesh, [exc], max_tips, margin_eps)[0] from None
+        raise _explain_tips(mesh, [exc], margin_eps)[0] from None
     return (placement, heights) if return_trace else placement
 
 
@@ -759,7 +752,6 @@ _SETTLE_BLOCK = 2**16
 def settle_batch(
     mesh: TriMesh,
     initials: np.ndarray,
-    max_tips: int = MAX_TIPS,
     margin_eps: float = DEFAULT_MARGIN_EPS,
     return_trace: bool = False,
 ):
@@ -768,7 +760,7 @@ def settle_batch(
     Placement or the SettleDiverged it met, which leaves the other drops
     alone.  With return_trace=True also returns each drop's list of COM
     heights.  Every outcome has the bits ``settle`` gives the drop alone,
-    and a drop past ``max_tips`` gets the message ``settle`` would raise.
+    and a drop past ``MAX_TIPS`` gets the message ``settle`` would raise.
 
     The drops run in lockstep, in blocks of at most ``_SETTLE_BLOCK``
     drops times mesh vertices, so memory stays bounded for large meshes
@@ -787,19 +779,19 @@ def settle_batch(
     initials = np.asarray(initials, dtype=float).reshape(-1, 3, 3)
     outcomes, traces = [], []
     for block in _blocks(mesh, len(initials)):
-        got, heights = _settle_block(mesh, initials[block], max_tips, margin_eps)
+        got, heights = _settle_block(mesh, initials[block], margin_eps)
         outcomes += got
         traces += heights
-    outcomes = _explain_tips(mesh, outcomes, max_tips, margin_eps)
+    outcomes = _explain_tips(mesh, outcomes, margin_eps)
     return (outcomes, traces) if return_trace else outcomes
 
 
-def _explain_tips(mesh: TriMesh, outcomes: list, max_tips: int, margin_eps: float) -> list:
-    """``outcomes``, in which every drop past ``max_tips`` gets a
+def _explain_tips(mesh: TriMesh, outcomes: list, margin_eps: float) -> list:
+    """``outcomes``, in which every drop past ``MAX_TIPS`` gets a
     SettleDiverged that names margin_eps and the largest hull facet
     margin when no facet's margin reaches margin_eps.  The facets are
-    enumerated only when some drop went past ``max_tips``."""
-    past = f"exceeded max_tips={max_tips}"
+    enumerated only when some drop went past ``MAX_TIPS``."""
+    past = f"exceeded max_tips={MAX_TIPS}"
     over = [isinstance(o, SettleDiverged) and str(o) == past for o in outcomes]
     if not any(over):
         return outcomes
@@ -836,7 +828,7 @@ def _contact_groups(touch: np.ndarray) -> dict[tuple[int, ...], list[int]]:
 
 
 def _settle_one(
-    mesh: TriMesh, rot: np.ndarray, heights: list[float], max_tips: int, margin_eps: float
+    mesh: TriMesh, rot: np.ndarray, heights: list[float], margin_eps: float
 ) -> Placement:
     """``settle`` from the rotation ``rot``, appending the trace to
     ``heights``; raises SettleDiverged."""
@@ -851,13 +843,13 @@ def _settle_one(
         contact = tuple(np.flatnonzero(world[:, 2] <= CONTACT_TOL).tolist())
         r = _walkable_row(mesh, contact)
         if r is not None:
-            rot = _walk(mesh.pivot_table, r, rot, heights, max_tips)
+            rot = _walk(mesh.pivot_table, r, rot, heights)
             continue
         [support] = _contact_supports(mesh, [contact])
         margin = float(_contact_margin(world[:, :2], com[:2], support))
         if margin >= margin_eps:
             return _resting(mesh, rot[None], [margin], [support.inradius])[0]
-        _check_tips(heights, max_tips)
+        _check_tips(heights)
         a, u = _pivot_axis(world[:, :2], com[:2], support)
         turn, stuck = _pivot_turns(world, com, a, u)
         if stuck:
@@ -866,14 +858,14 @@ def _settle_one(
 
 
 def _settle_block(
-    mesh: TriMesh, initials: np.ndarray, max_tips: int, margin_eps: float
+    mesh: TriMesh, initials: np.ndarray, margin_eps: float
 ) -> tuple[list, list[list[float]]]:
     """Outcomes and traces of the drops from ``initials`` (n, 3, 3), for
     ``settle_batch``."""
     traces: list[list[float]] = [[] for _ in initials]
     if len(initials) == 1:
         try:
-            outcome = _settle_one(mesh, initials[0].copy(), traces[0], max_tips, margin_eps)
+            outcome = _settle_one(mesh, initials[0].copy(), traces[0], margin_eps)
         except SettleDiverged as exc:
             outcome = exc
         return [outcome], traces
@@ -901,7 +893,7 @@ def _settle_block(
             for j in rows:
                 i = active[j]
                 try:
-                    rots[i] = _walk(mesh.pivot_table, r, rots[i], traces[i], max_tips)
+                    rots[i] = _walk(mesh.pivot_table, r, rots[i], traces[i])
                 except SettleDiverged as exc:
                     outcomes[i], going[j] = exc, False
         shapes: dict[tuple[bool, int, int], list] = {}  # (support, rows) per shape
@@ -925,7 +917,7 @@ def _settle_block(
             for k in np.flatnonzero(tips).tolist():
                 i = active[rows[k]]
                 try:
-                    _check_tips(traces[i], max_tips)
+                    _check_tips(traces[i])
                 except SettleDiverged as exc:
                     outcomes[i], tips[k] = exc, False
             going[rows[~tips]] = False
@@ -1008,15 +1000,13 @@ def _resting(
             for r, t, margin, sc in zip(rot, translation, margins, score.tolist())]
 
 
-def _walk(
-    table: PivotTable, r: int, rot: np.ndarray, heights: list[float], max_tips: int
-) -> np.ndarray:
+def _walk(table: PivotTable, r: int, rot: np.ndarray, heights: list[float]) -> np.ndarray:
     """Pose after rolling from the walkable row r, resting under ``rot``,
     along the rolling graph until it lands on a row that is not walkable.
     Appends the height of every landing but the last, which the caller
     derives from the posed hull."""
     while True:
-        _check_tips(heights, max_tips)
+        _check_tips(heights)
         rot = rot @ table.turn[r]
         r = table.next[r]
         if not table.walkable(r, CONTACT_TOL):
@@ -1024,10 +1014,10 @@ def _walk(
         heights.append(float(table.height[r]))
 
 
-def _check_tips(heights: list[float], max_tips: int) -> None:
-    """Raise SettleDiverged when the trace already holds max_tips tips."""
-    if len(heights) > max_tips:
-        raise SettleDiverged(f"exceeded max_tips={max_tips}")
+def _check_tips(heights: list[float]) -> None:
+    """Raise SettleDiverged when the trace already holds ``MAX_TIPS`` tips."""
+    if len(heights) > MAX_TIPS:
+        raise SettleDiverged(f"exceeded max_tips={MAX_TIPS}")
 
 
 # --- dataset generation -------------------------------------------------------------
@@ -1072,7 +1062,7 @@ def settle_records(
     records: list[PlacementRecord | None] = []
     initials = np.asarray(initials, dtype=float).reshape(-1, 3, 3)
     for block in _blocks(mesh, len(initials)):
-        outcomes, _ = _settle_block(mesh, initials[block], MAX_TIPS, margin_eps)
+        outcomes, _ = _settle_block(mesh, initials[block], margin_eps)
         records += _block_records(object_id, mesh, outcomes, rngs[block])
     return records
 
@@ -1219,29 +1209,8 @@ def _drop_records(
 
 
 def _drop_generators(seed: int, obj_idx: int, drops: list[int]) -> list[np.random.Generator]:
-    """``np.random.default_rng([seed, obj_idx, drop])`` for each drop, the
-    same streams: ``SeedSequence`` coerces that list to the little-endian
-    uint32 words of each int in turn, and here the words of seed and
-    obj_idx are found once, not per drop."""
-    prefix = _uint32_words(seed) + _uint32_words(obj_idx)
-    return [
-        np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-            np.array(prefix + _uint32_words(drop_idx), dtype=np.uint32)
-        )))
-        for drop_idx in drops
-    ]
-
-
-def _uint32_words(x: int) -> list[int]:
-    """The little-endian 32-bit words of a non-negative int, one word 0
-    for 0, as ``SeedSequence`` coerces it."""
-    x = operator.index(x)
-    if x < 0:
-        raise ValueError("expected non-negative integer")
-    words = [x & 0xFFFFFFFF]
-    while x := x >> 32:
-        words.append(x & 0xFFFFFFFF)
-    return words
+    """``np.random.default_rng([seed, obj_idx, drop])`` for each drop."""
+    return [np.random.default_rng([seed, obj_idx, drop_idx]) for drop_idx in drops]
 
 
 def generate_one_drop(

@@ -396,15 +396,23 @@ class TestEvaluate:
         ([{"rotation": IDENTITY, "translation": [0.0, 0.5]}], None),
         (None, {"bandwidth": 0.26, "assign_threshold": 0.26, "modes": 3}),
         (None, {"bandwidth": 0.26, "assign_threshold": 0.26, "modes": []}),
+        # angles mean_shift_orientations would reject, which evaluate took
+        *[(None, {"bandwidth": 0.26, "assign_threshold": 0.26, name: value})
+          for name, values in [("bandwidth", [-1, 0, float("nan"), float("inf"), True]),
+                               ("assign_threshold", [-1, float("nan"), float("inf"), True])]
+          for value in values],
     ])
     def test_malformed_inputs_exit_2(self, runner, mesh_dir, tmp_path, predictions, model):
         # each ended in a TypeError, IndexError or ValueError traceback
         predictions = predictions or [{"rotation": IDENTITY, "translation": [0, 0, 0.5]}]
-        model = model or {"bandwidth": 0.26, "assign_threshold": 0.26,
-                          "modes": [IDENTITY, [1, 0, 0, 0, 0, -1, 0, 1, 0]]}
+        model = {"bandwidth": 0.26, "assign_threshold": 0.26,
+                 "modes": [IDENTITY, [1, 0, 0, 0, 0, -1, 0, 1, 0]], **(model or {})}
         r = _evaluate(mesh_dir, tmp_path, json.dumps(predictions), json.dumps(model))
         assert r.exit_code == 2
         assert isinstance(r.exception, SystemExit)  # no traceback
+        for name in ("bandwidth", "assign_threshold"):
+            if model[name] != 0.26:
+                assert f"{name} must be a finite number" in r.stderr
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -600,10 +608,9 @@ class TestPipeline:
         evaluated = []
         settle_batch = placements.settle_batch
 
-        def recording(mesh, initials, max_tips=placements.MAX_TIPS,
-                      margin_eps=placements.DEFAULT_MARGIN_EPS):
+        def recording(mesh, initials, margin_eps=placements.DEFAULT_MARGIN_EPS):
             evaluated.append(margin_eps)
-            return settle_batch(mesh, initials, max_tips, margin_eps)
+            return settle_batch(mesh, initials, margin_eps)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(metrics, "settle_batch", recording)

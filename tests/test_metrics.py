@@ -150,22 +150,23 @@ class TestEvaluateRun:
 
     def test_one_batch_and_diverged_settle_counts_inaccurate(self, cube, monkeypatch):
         """All predictions settle in one batch; a diverged one is counted
-        inaccurate and reaches no type."""
+        inaccurate and reaches no type.  The initial type is the first
+        prediction's, type 0."""
         preds = enumerate_stable(cube)
         model, _ = mean_shift_orientations([p.rotation for p in preds])
         batches = []
 
-        def first_diverges(mesh, rotations, margin_eps):
+        def last_diverges(mesh, rotations, margin_eps):
             batches.append(len(rotations))
-            return [SettleDiverged("no pivot target vertex"),
-                    *settle_batch(mesh, rotations[1:], margin_eps=margin_eps)]
+            return [*settle_batch(mesh, rotations[:-1], margin_eps=margin_eps),
+                    SettleDiverged("no pivot target vertex")]
 
-        monkeypatch.setattr(metrics, "settle_batch", first_diverges)
-        row = evaluate_run(preds, cube, model, initial_type=1)
+        monkeypatch.setattr(metrics, "settle_batch", last_diverges)
+        row = evaluate_run(preds, cube, model)
         assert batches == [6]
         assert row.accuracy == 5 / 6
         assert row.n_stable == 5
-        assert row.diversity == 4 / 5  # type 0 is reached by no settled pose
+        assert row.diversity == 4 / 5  # type 5 is reached by no settled pose
 
     def test_empty_predictions_rejected(self, cube):
         model = five_mode_model()

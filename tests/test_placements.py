@@ -72,11 +72,6 @@ from stableplace.rotations import (
 
 
 class TestEnumerateStable:
-    @pytest.mark.parametrize("angle_tol", [-1.0, np.pi / 2, 3.0])
-    def test_angle_tol_outside_quarter_turn_rejected(self, tetra, angle_tol):
-        with pytest.raises(ValueError, match="angle_tol"):
-            enumerate_stable(tetra, angle_tol=angle_tol)
-
     @pytest.mark.parametrize("margin_eps", [np.nan, np.inf, -1e-3])
     def test_margin_eps_not_finite_or_negative_rejected(self, margin_eps):
         # a NaN margin_eps kept the wedge's two unstable facets (margin -1)
@@ -619,8 +614,8 @@ class TestDenseMeshSettle:
                     types[i, int(walk), k] = np.argmin(np.linalg.norm(ups - up, axis=1))
         assert np.all(types == types[:, :1, :1])
 
-    def test_max_tips_counts_walked_tips(self):
-        """A drop whose trace has N tips diverges at max_tips < N and
+    def test_max_tips_counts_walked_tips(self, monkeypatch):
+        """A drop whose trace has N tips diverges at MAX_TIPS < N and
         settles to the same placement at N."""
         mesh = ellipsoid(3)
         rng = np.random.default_rng(5)
@@ -632,15 +627,18 @@ class TestDenseMeshSettle:
             n = len(trace) - 1
             if walks[0] == 0:
                 continue
-            for max_tips in range(n):
-                with pytest.raises(SettleDiverged):
-                    settle(mesh, initial, max_tips=max_tips)
-            again = settle(mesh, initial, max_tips=n)
+            with monkeypatch.context() as patch:
+                for max_tips in range(n):
+                    patch.setattr(placements, "MAX_TIPS", max_tips)
+                    with pytest.raises(SettleDiverged):
+                        settle(mesh, initial)
+                patch.setattr(placements, "MAX_TIPS", n)
+                again = settle(mesh, initial)
             assert again.rotation.tobytes() == p.rotation.tobytes()
             checked += 1
         assert checked >= 5
 
-    def test_divergence_names_margin_eps_no_facet_reaches(self):
+    def test_divergence_names_margin_eps_no_facet_reaches(self, monkeypatch):
         """On the unit cube scaled by 1e-4, whose largest facet margin is
         5e-5, every drop tips until max_tips; settle and settle_batch then
         say that no facet reaches margin_eps, with one enumeration per
@@ -658,8 +656,10 @@ class TestDenseMeshSettle:
             assert str(err.value) == want
             assert [str(o) for o in settle_batch(tiny, initials)] == [want] * 3
             assert calls[0] == 2
-            with pytest.raises(SettleDiverged, match=r"^exceeded max_tips=1$"):
-                settle(cube, initials[0], max_tips=1)
+            with monkeypatch.context() as patch:
+                patch.setattr(placements, "MAX_TIPS", 1)
+                with pytest.raises(SettleDiverged, match=r"^exceeded max_tips=1$"):
+                    settle(cube, initials[0])
             assert calls[0] == 3
             settle_batch(cube, initials)
             settle(tiny, initials[0], margin_eps=1e-5)
@@ -856,7 +856,7 @@ class TestPivotTable:
         for r in beyond:
             heights = []
             rot = rotation_between(normals[r], np.array([0.0, 0.0, -1.0]))
-            landed = _walk(table, r, rot, heights, 200)
+            landed = _walk(table, r, rot, heights)
             assert heights == []  # one tip, then the world path takes over
             assert landed @ normals[table.next[r]] == pytest.approx([0, 0, -1], abs=1e-12)
         assert len(beyond) > 0 or name == "cube"
@@ -1119,7 +1119,7 @@ class TestLockstep:
                 got += settle_records(name, mesh, initials[k:k + size], rngs[k:k + size])
             assert [_record_bytes(rec) for rec in got] == want
 
-    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("seed", [1, 7, 2**32, 2**64 + 3])
     def test_fixture_dataset_matches_per_drop_reference(self, seed):
         meshes = list(fixtures.standard_fixtures().items())
         want = [_reference_one_drop(object_id, mesh, seed, i, d)
@@ -1135,7 +1135,7 @@ class TestLockstep:
 
     @pytest.mark.parametrize("name, max_tips", [("cube", 1), ("t_prism", 1),
                                                  ("ellipsoid_s3", 16)])
-    def test_diverged_drop_leaves_the_others_alone(self, name, max_tips):
+    def test_diverged_drop_leaves_the_others_alone(self, name, max_tips, monkeypatch):
         """Drops that need more than max_tips tips diverge on their own,
         at a world-frame tip (every fixture drop from a random pose takes
         two) or on a walk, and every other drop, such as one starting at
@@ -1147,7 +1147,8 @@ class TestLockstep:
         want = [_reference_outcome(mesh, r, max_tips=max_tips) for r in initials]
         diverged = sum(isinstance(w, SettleDiverged) for w in want)
         assert 0 < diverged < len(want)
-        got, traces = settle_batch(mesh, initials, max_tips=max_tips, return_trace=True)
+        monkeypatch.setattr(placements, "MAX_TIPS", max_tips)
+        got, traces = settle_batch(mesh, initials, return_trace=True)
         for g, t, w in zip(got, traces, want):
             _assert_same_outcome(g, t, w)
 
