@@ -7,6 +7,7 @@ is preserved through every transform.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -454,84 +455,43 @@ def _three_columns(rows: list[str], dtype) -> np.ndarray | None:
 
 def _line_records(text: str) -> tuple[np.ndarray, np.ndarray]:
     """The vertices and 0-based faces of any OBJ text, as ``_parse_obj``
-    reads it.
-
-    Each line is split once, every coordinate and index converts in one
-    pass, and the faces are gathered with array indexing.  An invalid
-    file raises the error of its first bad line, as a line-by-line read
-    would; an index outside int64 is out of range."""
-    parts = list(map(str.split, text.splitlines()))
-    heads = [p[0] if p else "" for p in parts]
-    vline = np.array([i for i, h in enumerate(heads) if h == "v"], dtype=int)
-    fline = np.array([i for i, h in enumerate(heads) if h == "f"], dtype=int)
-    vparts = [parts[i] for i in vline]
-    fparts = [parts[i] for i in fline]
-    n_coords = np.array([len(p) - 1 for p in vparts], dtype=int)
-    n_index = np.array([len(p) - 1 for p in fparts], dtype=int)
-
-    coords, bad_coord = _convert(
-        float, list(chain.from_iterable(p[1:4] for p in vparts))
-    )
-    tokens = list(chain.from_iterable(p[1:] for p in fparts))
-    if "/" in "".join(tokens):
-        tokens = [tok.split("/")[0] for tok in tokens]
-    index, bad_index = _convert(int, tokens)
-
-    # (line, rank within the line, message) of each kind's first error
-    errors = []
-    coord_end = np.cumsum(np.minimum(n_coords, 3))
-    if bad_coord is not None:
-        k, exc = bad_coord
-        errors.append((vline[np.searchsorted(coord_end, k, "right")], 0, str(exc)))
-    if bad_index is not None:
-        k, exc = bad_index
-        line = fline[np.searchsorted(np.cumsum(n_index), k, "right")]
-        errors.append((line, 0, str(exc)))
-    for lines, short, what in (
-        (vline, n_coords < 3, "vertex with < 3 coordinates"),
-        (fline, n_index < 3, "face with < 3 vertices"),
-    ):
-        if short.any():
-            line = lines[np.argmax(short)]
-            errors.append((line, 1, f"line {line + 1}: {what}"))
-    # rows of the vertices whose coordinates all converted
-    full = (n_coords >= 3) & (coord_end <= len(coords))
-    vertices = np.array(coords, dtype=float)[coord_end[full, None] - np.arange(3, 0, -1)]
-    finite = np.isfinite(vertices).all(axis=1)
-    if not finite.all():
-        line = vline[full][np.argmin(finite)]
-        errors.append((line, 2, f"line {line + 1}: non-finite vertex coordinate"))
-    if errors:
-        raise MeshParseError(min(errors)[2])
-    if not len(vline) or not len(fline):
+    reads it, one line at a time.  An invalid file raises the error of
+    its first bad line; an index outside int64 is out of range."""
+    vertices, index, n_index = [], [], []
+    try:
+        for line_no, parts in enumerate(map(str.split, text.splitlines()), 1):
+            head = parts[0] if parts else ""
+            if head == "v":
+                xyz = list(map(float, parts[1:4]))
+                if len(xyz) < 3:
+                    raise MeshParseError(f"line {line_no}: vertex with < 3 coordinates")
+                if not all(map(math.isfinite, xyz)):
+                    raise MeshParseError(f"line {line_no}: non-finite vertex coordinate")
+                vertices.append(xyz)
+            elif head == "f":
+                face = [int(tok.partition("/")[0]) for tok in parts[1:]]
+                if len(face) < 3:
+                    raise MeshParseError(f"line {line_no}: face with < 3 vertices")
+                read = len(vertices)
+                index += [i - 1 if i > 0 else read + i for i in face]
+                n_index.append(len(face))
+    except MeshParseError:
+        raise
+    except ValueError as exc:
+        raise MeshParseError(str(exc)) from None
+    if not vertices or not n_index:
         raise MeshParseError("no geometry found")
 
     try:
-        index = np.fromiter(index, dtype=np.int64, count=len(index))
+        index = np.array(index, dtype=np.int64)
     except OverflowError:
         raise MeshParseError("face index out of range") from None
-    read = np.repeat(np.searchsorted(vline, fline), n_index)
-    index = np.where(index > 0, index - 1, read + index)
     # fan triangles (first, j, j + 1) of each face
+    n_index = np.array(n_index)
     n_tri = n_index - 2
     first = np.repeat(np.cumsum(n_index) - n_index, n_tri)
     j = first + np.arange(n_tri.sum()) - np.repeat(np.cumsum(n_tri) - n_tri, n_tri) + 1
-    return vertices, np.column_stack([index[first], index[j], index[j + 1]])
-
-
-def _convert(conv, tokens: list[str]) -> tuple[list, tuple[int, ValueError] | None]:
-    """``conv`` of each token, up to the first it rejects, and that token's
-    position and error (None when all convert)."""
-    try:
-        return list(map(conv, tokens)), None
-    except ValueError:
-        values = []
-        for tok in tokens:
-            try:
-                values.append(conv(tok))
-            except ValueError as exc:
-                return values, (len(values), exc)
-        raise
+    return np.array(vertices), np.column_stack([index[first], index[j], index[j + 1]])
 
 
 def save_obj(mesh: TriMesh, path: str | Path) -> None:

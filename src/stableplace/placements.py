@@ -8,6 +8,7 @@ procedure; dynamic effects (bouncing, rolling) are out of scope.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -71,18 +72,41 @@ class Placement:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Placement":
-        translation = np.array(d["translation"], dtype=float)
-        if translation.shape != (3,) or not np.isfinite(translation).all():
-            raise ValueError(f"translation must be 3 finite numbers, got {d['translation']}")
+        translation = _json_array(d, "translation", (3,))
+        type_id = d.get("type_id")
+        if type_id is not None and (isinstance(type_id, bool) or not isinstance(type_id, int)):
+            raise ValueError(f"type_id must be an integer or null, got {type_id!r}")
         return cls(
             rotation=check_rotation(
                 np.array(d["rotation"], dtype=float).reshape(3, 3)
             ),
             translation=translation,
-            stability_margin=float(d.get("stability_margin", 0.0)),
-            score=float(d.get("score", 0.0)),
-            type_id=d.get("type_id"),
+            stability_margin=_json_number(d, "stability_margin"),
+            score=_json_number(d, "score"),
+            type_id=type_id,
         )
+
+
+def _json_number(d: dict, name: str) -> float:
+    """``d[name]``, 0.0 when absent, as a float: a JSON number, not a bool,
+    that is finite; raises ValueError naming it."""
+    value = d.get(name, 0.0)
+    # an int past the largest float is not finite either, and no NaN is <=
+    if not isinstance(value, bool) and isinstance(value, (int, float)) and (
+        abs(value) <= sys.float_info.max
+    ):
+        return float(value)
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def _json_array(d: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """``d[name]`` as a float array of ``shape`` whose entries are all
+    finite; raises ValueError naming it."""
+    array = np.array(d[name], dtype=float)
+    if array.shape != shape or not np.isfinite(array).all():
+        size = " x ".join(map(str, shape))
+        raise ValueError(f"{name} must be {size} finite numbers, got {d[name]}")
+    return array
 
 
 @dataclass
@@ -116,7 +140,7 @@ class PlacementRecord:
         return cls(
             object_id=d["object_id"],
             placement=Placement.from_json_dict(d),
-            contact_points=np.array(d["contact_points"], dtype=float),
+            contact_points=_json_array(d, "contact_points", (3, 3)),
             unstable_rotation=(
                 check_rotation(
                     np.array(d["unstable_rotation"], dtype=float).reshape(3, 3)
@@ -124,7 +148,7 @@ class PlacementRecord:
                 if "unstable_rotation" in d
                 else None
             ),
-            v_gt=np.array(d["v_gt"], dtype=float) if "v_gt" in d else None,
+            v_gt=_json_array(d, "v_gt", (3,)) if "v_gt" in d else None,
         )
 
 

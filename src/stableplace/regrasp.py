@@ -476,18 +476,13 @@ def _norm(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.sqrt(x * x + y * y + z * z)
 
 
-# Finger-box corner offsets: the signs along the grasp axis and binormal,
-# and the steps back along the approach in finger lengths.
-_SIGNS = np.array([-1.0, 1.0])
-_BACKS = np.array([0.0, 1.0])
-
-
 def feasibility_matrix(
     placements: list[Placement], grasps: GraspSet | Sequence[GraspConfig], g: GripperSpec
 ) -> np.ndarray:
     """Boolean (placements x grasps) matrix: entry (i, k) is True when
     grasp k, moved to the world frame of placement i, keeps all 8 corners
-    of both finger boxes above the clearance plane z = plane_clearance.
+    of both finger boxes at or above the clearance plane z =
+    plane_clearance, tested at each box's lowest corner.
 
     Finger boxes extend finger_length backward along the approach and
     half a finger_thickness sideways along the grasp axis and binormal;
@@ -496,7 +491,7 @@ def feasibility_matrix(
     zero width, whose axis is undefined.
 
     Every pass is elementwise over contiguous (placements, grasps) rows:
-    one world coordinate at a time, then the 8 corner heights of one
+    one world coordinate at a time, then the lowest corner height of one
     contact's finger box at a time, so an entry's bits do not depend on
     the other rows or columns.
     """
@@ -518,16 +513,17 @@ def feasibility_matrix(
         length = _norm(*axis)
         axis = [x / length for x in axis]
     binorm_z = approach[0] * axis[1] - approach[1] * axis[0]
-    # a finger box's 8 corners as a (2, 2, 2) grid over the axis sign, the
-    # binormal sign and the step back along the approach, in that order
+    # a finger box's lowest corner: half a thickness down along the axis
+    # and the binormal, and a finger length back if the approach points
+    # up.  Rounding is monotone, so it is also the least of the 8 corner
+    # heights ((c_z +- side) +- binormal) - back as computed; a NaN fails
     half = 0.5 * g.finger_thickness
-    side = (_SIGNS * half).reshape(2, 1, 1, 1, 1) * axis[2]
-    binormal = (_SIGNS * half).reshape(1, 2, 1, 1, 1) * binorm_z
-    back = (_BACKS * g.finger_length).reshape(1, 1, 2, 1, 1) * approach[2]
+    side = half * np.abs(axis[2])
+    binormal = half * np.abs(binorm_z)
+    back = g.finger_length * np.maximum(approach[2], 0.0)
     clear = np.ones(binorm_z.shape, dtype=bool)
     for c_z in (ca[2], cb[2]):
-        corner_z = ((c_z + side) + binormal - back).reshape(8, *c_z.shape)
-        clear &= corner_z.min(axis=0) >= g.plane_clearance
+        clear &= ((c_z - side) - binormal) - back >= g.plane_clearance
     width = _norm(*(gs.contact_b - gs.contact_a).T)
     return clear & (width <= g.max_width + 1e-12)
 

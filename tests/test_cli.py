@@ -315,6 +315,32 @@ class TestDatasetAndCluster:
         assert r.exit_code == 2
         assert isinstance(r.exception, SystemExit)  # no traceback
 
+    @pytest.mark.parametrize("field, value", [
+        ("contact_points", [[0.0, 0.0, 0.0]]),
+        ("contact_points", [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, float("nan"), 0.0]]),
+        ("v_gt", [1.0, 2.0]),
+        ("v_gt", [float("nan")] * 3),
+        ("score", True),
+        ("stability_margin", float("nan")),
+    ])
+    def test_bad_record_field_exit_2(self, runner, mesh_dir, tmp_path, field, value):
+        # cluster took each of these rows
+        ds = tmp_path / "cube.jsonl"
+        r = runner.invoke(
+            main,
+            ["dataset", str(mesh_dir / "cube.obj"), "--drops", "5", "--seed", "1",
+             "--workers", "1", "-o", str(ds)],
+        )
+        assert r.exit_code == 0
+        rows = [json.loads(line) for line in ds.read_text().splitlines()]
+        assert all("v_gt" in row for row in rows)
+        rows[2][field] = value
+        ds.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        r = runner.invoke(main, ["cluster", str(ds)])
+        assert r.exit_code == 2
+        assert isinstance(r.exception, SystemExit)  # no traceback
+        assert f"{field} must be" in r.stderr
+
     @pytest.mark.parametrize("line", ["[1]", '"row"', "object_id"])
     def test_malformed_line_exit_2(self, runner, mesh_dir, tmp_path, line):
         # a row that is not a JSON object ended in a TypeError traceback
@@ -401,9 +427,17 @@ class TestEvaluate:
           for name, values in [("bandwidth", [-1, 0, float("nan"), float("inf"), True]),
                                ("assign_threshold", [-1, float("nan"), float("inf"), True])]
           for value in values],
+        # prediction fields that are not what the program writes, which
+        # evaluate took
+        *[([{"rotation": IDENTITY, "translation": [0, 0, 0.5], name: value}], None)
+          for name, values in [("score", [True, "0.5", float("inf")]),
+                               ("stability_margin", [float("nan"), True]),
+                               ("type_id", ["x", True, 1.5])]
+          for value in values],
     ])
     def test_malformed_inputs_exit_2(self, runner, mesh_dir, tmp_path, predictions, model):
-        # each ended in a TypeError, IndexError or ValueError traceback
+        # each ended in a TypeError, IndexError or ValueError traceback, or
+        # was accepted
         predictions = predictions or [{"rotation": IDENTITY, "translation": [0, 0, 0.5]}]
         model = {"bandwidth": 0.26, "assign_threshold": 0.26,
                  "modes": [IDENTITY, [1, 0, 0, 0, 0, -1, 0, 1, 0]], **(model or {})}
@@ -413,6 +447,10 @@ class TestEvaluate:
         for name in ("bandwidth", "assign_threshold"):
             if model[name] != 0.26:
                 assert f"{name} must be a finite number" in r.stderr
+        if isinstance(predictions, list) and isinstance(predictions[0], dict):
+            for name in ("score", "stability_margin", "type_id"):
+                if name in predictions[0]:
+                    assert f"{name} must be" in r.stderr
 
     @settings(max_examples=60, deadline=None)
     @given(

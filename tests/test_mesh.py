@@ -393,9 +393,9 @@ class TestParseObjFuzz:
 
     def test_dense_mesh_text_takes_the_array_pass(self, tmp_path, monkeypatch):
         calls = []
-        convert = mesh_module._convert
-        monkeypatch.setattr(mesh_module, "_convert",
-                            lambda *args: calls.append(1) or convert(*args))
+        line_records = mesh_module._line_records
+        monkeypatch.setattr(mesh_module, "_line_records",
+                            lambda text: calls.append(1) or line_records(text))
         path = tmp_path / "ellipsoid.obj"
         save_obj(ellipsoid(4), path)
         text = path.read_text()

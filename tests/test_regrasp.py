@@ -664,23 +664,37 @@ class TestFeasibilityAgainstFrozenBroadcast:
         f = assert_matches_frozen(placements, grasps, WIDE)
         assert f[:, 0].any() and not f[:, 1:5].any()
 
-    @pytest.mark.parametrize("approach_x", [1.0, -1.0])
+    @pytest.mark.parametrize("approach_x", [1.0, -1.0, 0.6])
     def test_corner_exactly_at_the_clearance(self, approach_x):
-        # axis along y and approach along +-x make binorm_z = +-1, so the
-        # lowest corners sit half a finger thickness below the contacts:
-        # at 2 half they touch a clearance of half exactly, and one ulp
-        # lower they fall below it
+        # axis along y and approach (approach_x, 0, approach_z) make
+        # binorm_z = approach_x, so the lowest corner sits half a finger
+        # thickness times |approach_x| below the contacts and, for the
+        # approach tilted upward, a finger length times approach_z further
+        # down, at the back of the box: at height z it touches the
+        # clearance exactly, and one ulp lower it falls below it
         thickness = 0.01
         half = 0.5 * thickness
-        g = GripperSpec(max_width=1.2, finger_thickness=thickness, plane_clearance=half)
+        approach_z = float(np.sqrt(1.0 - approach_x**2))
+        length = 0.04
+        z = 2 * half + length * approach_z
+        clearance = ((z - 0.0) - half * abs(approach_x)) - length * approach_z
+        g = GripperSpec(max_width=1.2, finger_length=length, finger_thickness=thickness,
+                        plane_clearance=clearance)
         grasps = [
-            GraspConfig(contact_a=np.array([0.0, -0.1, z]), contact_b=np.array([0.0, 0.1, z]),
-                        approach=np.array([approach_x, 0.0, 0.0]))
-            for z in (2 * half, np.nextafter(2 * half, 0.0))
+            GraspConfig(contact_a=np.array([0.0, -0.1, height]),
+                        contact_b=np.array([0.0, 0.1, height]),
+                        approach=np.array([approach_x, 0.0, approach_z]))
+            for height in (z, np.nextafter(z, 0.0))
         ]
         placement = Placement(rotation=np.eye(3), translation=np.zeros(3))
         f = assert_matches_frozen([placement], grasps, g)
         assert f.tolist() == [[True, False]]
+        if approach_z:
+            # approaching downward, the back corners rise above the contacts,
+            # and both heights clear the plane
+            down = [GraspConfig(contact_a=gr.contact_a, contact_b=gr.contact_b,
+                                approach=gr.approach * [1.0, 1.0, -1.0]) for gr in grasps]
+            assert assert_matches_frozen([placement], down, g).all()
 
     def test_empty_placement_and_grasp_lists(self):
         placements = [cube_placement(np.eye(3)), cube_placement(rot_x(np.pi))]

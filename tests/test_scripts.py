@@ -4,7 +4,9 @@ Every ``stableplace`` name a script imports, and every attribute it reads
 through one, must exist, and every keyword a script passes to a
 ``stableplace`` callable must be one of that callable's parameters.  So a
 renamed function or a removed parameter fails here, not only when
-someone next runs the script.
+someone next runs the script.  A script that imports a perfbench module
+reads only names that module defines, and turns off bytecode writing
+before the import, so that running it leaves perfbench/ as it was.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ from pathlib import Path
 
 import pytest
 
-SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+PERFBENCH = ROOT / "perfbench"
 
 
 def _problems(source: str) -> list[str]:
@@ -111,4 +115,67 @@ def test_missing_names_and_keywords_are_found():
         "line 2: no stableplace.placements.no_such_name",
         "line 3: settle takes no keyword 'max_tips'",
         "line 5: no placements.no_such_attribute",
+    ]
+
+
+def _perfbench_problems(source: str) -> list[str]:
+    """What the script ``source`` reads of a perfbench module, imported by
+    its bare name, that the module's file does not define at top level,
+    and each such import that comes before ``sys.dont_write_bytecode =
+    True``.  The modules are parsed, not imported."""
+    tree = ast.parse(source)
+    no_bytecode = min((node.lineno for node in ast.walk(tree)
+                       if isinstance(node, ast.Assign)
+                       and ast.unparse(node) == "sys.dont_write_bytecode = True"),
+                      default=None)
+    problems: list[str] = []
+    defined: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Import):
+            continue
+        for alias in node.names:
+            path = PERFBENCH / f"{alias.name}.py"
+            if not path.is_file():
+                continue
+            if no_bytecode is None or node.lineno < no_bytecode:
+                problems.append(f"line {node.lineno}: {alias.name} imported with bytecode on")
+            defined[alias.asname or alias.name] = _top_level_names(path.read_text())
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in defined and node.attr not in defined[node.value.id]):
+            problems.append(f"line {node.lineno}: no perfbench {node.value.id}.{node.attr}")
+    return problems
+
+
+def _top_level_names(source: str) -> set[str]:
+    """The names a module binds at top level."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=[p.name for p in SCRIPTS])
+def test_script_reads_perfbench_without_writing_to_it(script):
+    assert _perfbench_problems(script.read_text()) == []
+
+
+def test_perfbench_misuse_is_found():
+    source = (
+        "import sys\n"
+        "import workloads\n"
+        "sys.dont_write_bytecode = True\n"
+        "import hostspeed\n"
+        "workloads.WORKLOADS\n"
+        "hostspeed.NO_SUCH_NAME\n"
+    )
+    assert _perfbench_problems(source) == [
+        "line 2: workloads imported with bytecode on",
+        "line 6: no perfbench hostspeed.NO_SUCH_NAME",
     ]
