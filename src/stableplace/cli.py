@@ -42,6 +42,8 @@ from .placements import (
     Placement,
     PlacementRecord,
     SettleDiverged,
+    _json_number,
+    _json_rotation,
     check_margin_eps,
     enumerate_stable,
     generate_dataset,
@@ -56,7 +58,6 @@ from .regrasp import (
 )
 from .rotations import (
     FitFailed,
-    check_rotation,
     fit_geodesic_polynomial,
     random_rotation,
 )
@@ -87,13 +88,15 @@ def _input(source: str, errors=(ValueError,)):
 def _read_json(path: str, parse, lines: bool = False):
     """``parse`` of the JSON value in ``path``, or the list of ``parse`` of
     each non-blank line with ``lines``.  A file that cannot be read, or
-    whose JSON ``parse`` rejects, raises InputError."""
-    with _input(f"cannot read {path}", (OSError, ValueError, KeyError, TypeError,
-                                        OverflowError)):
+    whose JSON ``parse`` rejects or lacks a field of, raises InputError."""
+    with _input(f"cannot read {path}", (OSError, ValueError, TypeError, OverflowError)):
         text = Path(path).read_text()
-        if lines:
-            return [parse(json.loads(line)) for line in text.split("\n") if line.strip()]
-        return parse(json.loads(text))
+        try:
+            if lines:
+                return [parse(json.loads(line)) for line in text.split("\n") if line.strip()]
+            return parse(json.loads(text))
+        except KeyError as exc:
+            raise ValueError(f"missing field {exc}") from None
 
 
 def _mesh_stems(paths) -> list[str]:
@@ -108,7 +111,7 @@ def _mesh_stems(paths) -> list[str]:
 def _json_fields(cls, d, where: str) -> dict:
     """The values of JSON object ``d`` for the fields of dataclass ``cls``,
     each checked against the field's declared type: an int takes an int
-    but not a bool, a float an int or a finite float, a str a string,
+    but not a bool, a float a finite JSON number, a str a string,
     ``... | None`` also null, ``tuple[str, ...]`` a list of strings, and
     ``GripperConfig`` an object of its own fields.  Raises InputError."""
     if not isinstance(d, dict):
@@ -127,11 +130,9 @@ def _json_fields(cls, d, where: str) -> dict:
         is_int = isinstance(value, int) and not isinstance(value, bool)
         if kind == "GripperConfig":
             out[name] = GripperConfig(**_json_fields(GripperConfig, value, "gripper"))
-        elif kind == "float" and (is_int or isinstance(value, float)):
-            with _input(name, (OverflowError,)):
-                out[name] = float(value)
-            if not math.isfinite(out[name]):
-                raise InputError(f"{name} must be finite, got {value}")
+        elif kind == "float":
+            with _input(where):
+                out[name] = _json_number(value, name)
         elif kind == "tuple[str, ...]" and isinstance(value, list) and all(
             isinstance(s, str) for s in value
         ):
@@ -199,8 +200,6 @@ class RunConfig:
             (cfg.drops_per_object >= 1, "drops_per_object must be >= 1"),
             (cfg.bandwidth_deg > 0 and cfg.match_threshold_deg > 0,
              "bandwidth_deg and match_threshold_deg must be positive"),
-            (cfg.max_delta_d_deg > 0 and cfg.max_delta_h_cm > 0,
-             "accuracy thresholds must be positive"),
             (0.0 <= cfg.score_threshold <= 1.0, "score_threshold must lie in [0, 1]"),
             (cfg.grasp_samples >= 1, "grasp_samples must be >= 1"),
             (cfg.plan_object in (None, *stems),
@@ -214,6 +213,7 @@ class RunConfig:
         with _input("config"):
             check_margin_eps(cfg.margin_eps)
             cfg.gripper.to_spec()
+            cfg.thresholds()
         return cfg
 
     def thresholds(self) -> AccuracyThresholds:
@@ -362,10 +362,7 @@ def cmd_settle(mesh_path, seed, rotation, output):
         initial = random_rotation(np.random.default_rng(seed))
     else:
         with _input("--rotation"):
-            values = [float(x) for x in rotation.split(",")]
-            if len(values) != 9:
-                raise ValueError("needs exactly 9 values")
-            initial = check_rotation(np.reshape(values, (3, 3)))
+            initial = _json_rotation([float(x) for x in rotation.split(",")], "rotation")
     _write_text(output, _dump_json(settle(mesh, initial).to_json_dict()))
 
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rotations import angle_between, check_rotation, rotation_between, z_quotient_distances
+from .placements import _json_number, _json_rotation
+from .rotations import angle_between, rotation_between, z_quotient_distances
 
 DEG = np.pi / 180.0
 Z_HAT = np.array([0.0, 0.0, 1.0])
@@ -42,28 +43,18 @@ class TypeModel:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TypeModel":
-        if not d["modes"]:
-            raise ValueError("a type model needs at least one mode")
+        modes, bandwidth, threshold = d["modes"], d["bandwidth"], d["assign_threshold"]
+        if not (isinstance(modes, list) and modes):
+            raise ValueError(f"modes must be a non-empty list, got {modes!r}")
+        if not _json_number(bandwidth, "bandwidth") > 0:
+            raise ValueError(f"bandwidth must be a finite number > 0, got {bandwidth!r}")
+        if not _json_number(threshold, "assign_threshold") >= 0:
+            raise ValueError(f"assign_threshold must be a finite number >= 0, got {threshold!r}")
         return cls(
-            modes=[
-                check_rotation(np.array(m, dtype=float).reshape(3, 3))
-                for m in d["modes"]
-            ],
-            bandwidth=_json_angle(d, "bandwidth", zero_ok=False),
-            assign_threshold=_json_angle(d, "assign_threshold", zero_ok=True),
+            modes=[_json_rotation(m, "modes") for m in modes],
+            bandwidth=float(bandwidth),
+            assign_threshold=float(threshold),
         )
-
-
-def _json_angle(d: dict, name: str, zero_ok: bool) -> float:
-    """``d[name]`` as radians: a JSON number, not a bool, that is finite and
-    positive, or also 0 with ``zero_ok``; raises ValueError naming it."""
-    value = d[name]
-    if not isinstance(value, bool) and isinstance(value, (int, float)):
-        angle = float(value)
-        if np.isfinite(angle) and (angle > 0 or (zero_ok and angle == 0)):
-            return angle
-    bound = ">= 0" if zero_ok else "> 0"
-    raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
 
 
 def mean_shift_orientations(

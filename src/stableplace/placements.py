@@ -27,6 +27,7 @@ from .mesh import (
     plane_vectors,
 )
 from .rotations import (
+    InvalidRotation,
     check_rotation,
     quaternion_rotations,
     rotation_between,
@@ -72,41 +73,52 @@ class Placement:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Placement":
-        translation = _json_array(d, "translation", (3,))
+        translation = _json_array(d["translation"], "translation", (3,))
         type_id = d.get("type_id")
         if type_id is not None and (isinstance(type_id, bool) or not isinstance(type_id, int)):
             raise ValueError(f"type_id must be an integer or null, got {type_id!r}")
         return cls(
-            rotation=check_rotation(
-                np.array(d["rotation"], dtype=float).reshape(3, 3)
-            ),
+            rotation=_json_rotation(d["rotation"], "rotation"),
             translation=translation,
-            stability_margin=_json_number(d, "stability_margin"),
-            score=_json_number(d, "score"),
+            stability_margin=_json_number(d.get("stability_margin", 0.0), "stability_margin"),
+            score=_json_number(d.get("score", 0.0), "score"),
             type_id=type_id,
         )
 
 
-def _json_number(d: dict, name: str) -> float:
-    """``d[name]``, 0.0 when absent, as a float: a JSON number, not a bool,
-    that is finite; raises ValueError naming it."""
-    value = d.get(name, 0.0)
+def _finite_number(value) -> bool:
+    """Whether ``value`` is a JSON number, not a bool, that is finite."""
     # an int past the largest float is not finite either, and no NaN is <=
-    if not isinstance(value, bool) and isinstance(value, (int, float)) and (
-        abs(value) <= sys.float_info.max
-    ):
+    return (not isinstance(value, bool) and isinstance(value, (int, float))
+            and abs(value) <= sys.float_info.max)
+
+
+def _json_number(value, name: str) -> float:
+    """``value`` as a float: a finite JSON number, not a bool; raises
+    ValueError naming ``name``."""
+    if _finite_number(value):
         return float(value)
     raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
-def _json_array(d: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """``d[name]`` as a float array of ``shape`` whose entries are all
-    finite; raises ValueError naming it."""
-    array = np.array(d[name], dtype=float)
-    if array.shape != shape or not np.isfinite(array).all():
+def _json_array(value, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """``value`` as a float array: nested lists of exactly ``shape`` whose
+    entries are all finite JSON numbers, never a string or a bool; raises
+    ValueError naming ``name``."""
+    array = np.array(value, dtype=object)
+    if array.shape != shape or not all(map(_finite_number, array.flat)):
         size = " x ".join(map(str, shape))
-        raise ValueError(f"{name} must be {size} finite numbers, got {d[name]}")
-    return array
+        raise ValueError(f"{name} must be {size} finite numbers, got {value!r}")
+    return array.astype(float)
+
+
+def _json_rotation(value, name: str) -> np.ndarray:
+    """``value``, 9 row-major finite JSON numbers, as a checked rotation;
+    raises ValueError naming ``name``."""
+    try:
+        return check_rotation(_json_array(value, name, (9,)).reshape(3, 3))
+    except InvalidRotation as exc:
+        raise InvalidRotation(f"{name} {exc}") from None
 
 
 @dataclass
@@ -140,15 +152,13 @@ class PlacementRecord:
         return cls(
             object_id=d["object_id"],
             placement=Placement.from_json_dict(d),
-            contact_points=_json_array(d, "contact_points", (3, 3)),
+            contact_points=_json_array(d["contact_points"], "contact_points", (3, 3)),
             unstable_rotation=(
-                check_rotation(
-                    np.array(d["unstable_rotation"], dtype=float).reshape(3, 3)
-                )
+                _json_rotation(d["unstable_rotation"], "unstable_rotation")
                 if "unstable_rotation" in d
                 else None
             ),
-            v_gt=_json_array(d, "v_gt", (3,)) if "v_gt" in d else None,
+            v_gt=_json_array(d["v_gt"], "v_gt", (3,)) if "v_gt" in d else None,
         )
 
 

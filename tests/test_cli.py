@@ -314,6 +314,7 @@ class TestDatasetAndCluster:
         r = runner.invoke(main, ["cluster", str(ds)])
         assert r.exit_code == 2
         assert isinstance(r.exception, SystemExit)  # no traceback
+        assert f": {field} " in r.stderr
 
     @pytest.mark.parametrize("field, value", [
         ("contact_points", [[0.0, 0.0, 0.0]]),
@@ -322,6 +323,10 @@ class TestDatasetAndCluster:
         ("v_gt", [float("nan")] * 3),
         ("score", True),
         ("stability_margin", float("nan")),
+        # numeric strings and booleans in arrays, which cluster took
+        ("contact_points", [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, "1", 0.0]]),
+        ("v_gt", [0.0, 0.0, True]),
+        ("unstable_rotation", ["1", 0, 0, 0, 1, 0, 0, 0, 1]),
     ])
     def test_bad_record_field_exit_2(self, runner, mesh_dir, tmp_path, field, value):
         # cluster took each of these rows
@@ -359,6 +364,31 @@ class TestDatasetAndCluster:
         assert r.exit_code == 2
         assert isinstance(r.exception, SystemExit)  # no traceback
         assert str(ds) in r.stderr
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), JSON)
+    def test_record_fuzz_exit_0_or_2(self, tmp_path_factory, cube_rows, data, value):
+        rows = [dict(row) for row in cube_rows]
+        row = data.draw(st.sampled_from(rows))
+        row[data.draw(st.sampled_from(sorted(row)))] = value
+        ds = tmp_path_factory.getbasetemp() / "fuzz.jsonl"
+        ds.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        r = CliRunner().invoke(main, ["cluster", str(ds)])
+        assert r.exit_code in (0, 2), (row, r.output)
+        assert r.exception is None or isinstance(r.exception, SystemExit)
+
+
+@pytest.fixture(scope="module")
+def cube_rows(mesh_dir, tmp_path_factory):
+    """The rows of a five-drop cube dataset."""
+    ds = tmp_path_factory.mktemp("rows") / "cube.jsonl"
+    r = CliRunner().invoke(
+        main,
+        ["dataset", str(mesh_dir / "cube.obj"), "--drops", "5", "--seed", "1",
+         "--workers", "1", "-o", str(ds)],
+    )
+    assert r.exit_code == 0
+    return [json.loads(line) for line in ds.read_text().splitlines()]
 
 
 class TestEvaluate:
@@ -415,6 +445,7 @@ class TestEvaluate:
         )
         assert r.exit_code == 2
         assert isinstance(r.exception, SystemExit)  # no traceback
+        assert f": {'rotation' if target == 'prediction' else 'modes'} " in r.stderr
 
     @pytest.mark.parametrize("predictions, model", [
         ({"a": 1}, None),
@@ -434,23 +465,37 @@ class TestEvaluate:
                                ("stability_margin", [float("nan"), True]),
                                ("type_id", ["x", True, 1.5])]
           for value in values],
+        # a missing field, numeric strings and booleans in arrays, and an int
+        # beyond float range, which evaluate took or named no field for
+        ([{"rotation": IDENTITY}], None),
+        ([{"rotation": IDENTITY, "translation": ["0", "0", "0.5"]}], None),
+        ([{"rotation": [True, 0, 0, 0, 1, 0, 0, 0, 1], "translation": [0, 0, 0.5]}], None),
+        (None, {"modes": [IDENTITY, ["1", "0", "0", "0", "0", "-1", "0", "1", "0"]]}),
+        (None, {"bandwidth": 10**400}),
     ])
     def test_malformed_inputs_exit_2(self, runner, mesh_dir, tmp_path, predictions, model):
         # each ended in a TypeError, IndexError or ValueError traceback, or
         # was accepted
-        predictions = predictions or [{"rotation": IDENTITY, "translation": [0, 0, 0.5]}]
-        model = {"bandwidth": 0.26, "assign_threshold": 0.26,
-                 "modes": [IDENTITY, [1, 0, 0, 0, 0, -1, 0, 1, 0]], **(model or {})}
+        prediction = {"rotation": IDENTITY, "translation": [0, 0, 0.5]}
+        good_model = {"bandwidth": 0.26, "assign_threshold": 0.26,
+                      "modes": [IDENTITY, [1, 0, 0, 0, 0, -1, 0, 1, 0]]}
+        predictions = predictions or [prediction]
+        model = {**good_model, **(model or {})}
         r = _evaluate(mesh_dir, tmp_path, json.dumps(predictions), json.dumps(model))
         assert r.exit_code == 2
         assert isinstance(r.exception, SystemExit)  # no traceback
         for name in ("bandwidth", "assign_threshold"):
             if model[name] != 0.26:
                 assert f"{name} must be a finite number" in r.stderr
+        # the message names each field that differs from a well-formed file
+        changed = [name for name in good_model
+                   if json.dumps(model[name]) != json.dumps(good_model[name])]
         if isinstance(predictions, list) and isinstance(predictions[0], dict):
-            for name in ("score", "stability_margin", "type_id"):
-                if name in predictions[0]:
-                    assert f"{name} must be" in r.stderr
+            first = predictions[0]
+            changed += [name for name in {*prediction, *first}
+                        if json.dumps(first.get(name)) != json.dumps(prediction.get(name))]
+        for name in changed:
+            assert f"{name} must be" in r.stderr or f"missing field '{name}'" in r.stderr
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -782,6 +827,8 @@ class TestPipeline:
         ({"plan_goal": 0.5}, "plan_goal"),
         ({"margin_eps": -1.0}, "margin_eps"),
         ({"mesh_paths": ["a/cube.obj", "b/cube.obj"]}, "stems"),
+        # positive in centimeters but 0 in meters, which ended in a traceback
+        ({"max_delta_h_cm": 5e-324}, "thresholds must be finite and positive"),
     ])
     def test_config_type_exit_2(self, runner, mesh_dir, tmp_path, bad, key):
         cfg = self.write_config(tmp_path, mesh_dir, "run", **bad)
