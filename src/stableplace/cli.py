@@ -213,7 +213,11 @@ class RunConfig:
         with _input("config"):
             check_margin_eps(cfg.margin_eps)
             cfg.gripper.to_spec()
-            cfg.thresholds()
+        # AccuracyThresholds' rule, one key at a time so the message names it
+        with _input("config: max_delta_d_deg"):
+            AccuracyThresholds(max_delta_d=cfg.max_delta_d_deg)
+        with _input("config: max_delta_h_cm"):
+            AccuracyThresholds(max_delta_h=cfg.max_delta_h_cm * CM)
         return cfg
 
     def thresholds(self) -> AccuracyThresholds:

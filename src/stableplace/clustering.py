@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .placements import _json_number, _json_rotation
+from .placements import _json_number, _json_object, _json_rotation
 from .rotations import angle_between, rotation_between, z_quotient_distances
 
 DEG = np.pi / 180.0
@@ -43,6 +43,7 @@ class TypeModel:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TypeModel":
+        d = _json_object(d, "model")
         modes, bandwidth, threshold = d["modes"], d["bandwidth"], d["assign_threshold"]
         if not (isinstance(modes, list) and modes):
             raise ValueError(f"modes must be a non-empty list, got {modes!r}")

@@ -70,7 +70,8 @@ def chamfer_geodesic_loss(
     n, m = len(a), len(b)
     t = np.einsum("nij,mij->nm", a, b)  # traces of a[n] @ b[m].T
     f = c.factor(t)
-    d = (t - 3.0) * f
+    d = t - 3.0
+    d *= f
     # generated -> nearest ground truth, then ground truth -> nearest
     # generated; the derivative is needed at these realized minima only
     j_star = np.argmin(d, axis=1)
@@ -80,31 +81,33 @@ def chamfer_geodesic_loss(
         np.concatenate([j_star, np.arange(m)]),
     )
     t_min = t[mins]
-    slopes = f[mins] + (t_min - 3.0) * c.factor_derivative(t_min)
-    # a sequential sum in that order; np.sum would add pairwise
-    value = np.add.accumulate(np.concatenate([[0.0], d[mins]]))[-1]
-    grads = np.zeros_like(a)
-    grads += slopes[:n, None, None] * b[j_star]
+    slopes = t_min - 3.0
+    slopes *= c.factor_derivative(t_min)
+    slopes += f[mins]
+    # a sequential sum in that order; np.sum would add pairwise.  Started
+    # from the first term, it differs from a sum started from 0.0 only in
+    # the sign of a zero, which the final + 0.0 settles
+    d_min = d[mins]
+    value = float(np.add.accumulate(d_min, out=d_min)[-1]) + 0.0
+    # plus 0.0, so that a -0 product reads +0, as in a sum started from zeros
+    grads = b[j_star]
+    grads *= slopes[:n, None, None]
+    grads += 0.0
     # add.at applies repeated indices one after another, in order
     np.add.at(grads, i_star, slopes[n:, None, None] * b)
-    return float(value), grads
+    return value, grads
 
 
-def _smooth_l1(d: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise smooth L1 and its derivative (quadratic below beta)."""
-    ad = np.abs(d)
-    val = np.where(ad < beta, 0.5 * d * d / beta, ad - 0.5 * beta)
-    # d / beta inside the quadratic zone, sign(d) outside it (NaN stays NaN)
-    return val, np.clip(d / beta, -1.0, 1.0)
-
-
-def _subtract_row(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _subtract_row(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """x - y where one operand is an (M, 3) array and the other a (3,)
-    row, one column at a time: broadcasting the row would run M inner
-    loops of length 3, several times slower."""
-    out = np.empty_like(x if x.ndim == 2 else y)
-    for k in range(3):
-        np.subtract(x[..., k], y[..., k], out=out[:, k])
+    row.  Over the (3, M) transposes in C order, the call runs three inner
+    loops of length M; broadcasting the row itself would run M inner loops
+    of length 3, several times slower."""
+    if out is None:
+        out = np.empty_like(x if x.ndim == 2 else y)
+    xt = x.T if x.ndim == 2 else x[:, None]
+    yt = y.T if y.ndim == 2 else y[:, None]
+    np.subtract(xt, yt, out=out.T, order="C")
     return out
 
 
@@ -126,21 +129,35 @@ def refine_loss(
     p, v = f.points, f.displacements
     m = p.shape[0]
 
+    beta = w.smooth_l1_transition
     resid = _subtract_row(v_gt, p)
     resid -= v
-    sl1, sl1_grad = _smooth_l1(resid, w.smooth_l1_transition)
+    # smooth L1: quadratic below beta, linear above it (NaN stays NaN)
+    sl1 = np.abs(resid)
+    quad = sl1 < beta
+    sq = np.multiply(resid, 0.5)
+    sq *= resid
+    # a division by 1.0, the default, returns its input bit for bit
+    if beta != 1.0:
+        sq /= beta
+    np.subtract(sl1, 0.5 * beta, out=sl1)
+    np.copyto(sl1, sq, where=quad)
     field_term = float(sl1.sum()) / m
+    # its slope: resid / beta inside the quadratic zone, sign(resid) outside
+    sl1_grad = resid if beta == 1.0 else np.divide(resid, beta, out=resid)
+    np.clip(sl1_grad, -1.0, 1.0, out=sl1_grad)
 
     q = p + v
     # shift by the first row so identical targets give an exact zero
-    q0 = _subtract_row(q, q[0])
+    _subtract_row(q, q[0].copy(), out=q)
     # einsum sums row after row, as the mean does, at a fraction of its cost
-    dev = _subtract_row(q0, np.einsum("ij->j", q0) / m)
+    dev = _subtract_row(q, np.einsum("ij->j", q) / m, out=q)
     var_term = float((dev * dev).sum()) / m
 
     value = w.alpha * field_term + w.beta * var_term
     # d resid / d v = -1; the mean cancels inside the variance gradient
-    grads = -w.alpha / m * sl1_grad + w.beta / m * 2.0 * dev
+    grads = np.multiply(sl1_grad, -w.alpha / m, out=sl1_grad)
+    grads += np.multiply(dev, w.beta / m * 2.0, out=dev)
     return value, grads
 
 

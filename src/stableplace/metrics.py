@@ -31,8 +31,10 @@ class AccuracyThresholds:
     max_delta_h: float = 0.02  # meters
 
     def __post_init__(self):
-        if not (0 < self.max_delta_d < np.inf and 0 < self.max_delta_h < np.inf):
-            raise ValueError("thresholds must be finite and positive")
+        for name in ("max_delta_d", "max_delta_h"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:
+                raise ValueError(f"thresholds must be finite and positive, got {name}={value!r}")
 
 
 def placement_accuracy(

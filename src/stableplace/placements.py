@@ -73,6 +73,7 @@ class Placement:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Placement":
+        d = _json_object(d, "placement")
         translation = _json_array(d["translation"], "translation", (3,))
         type_id = d.get("type_id")
         if type_id is not None and (isinstance(type_id, bool) or not isinstance(type_id, int)):
@@ -91,6 +92,13 @@ def _finite_number(value) -> bool:
     # an int past the largest float is not finite either, and no NaN is <=
     return (not isinstance(value, bool) and isinstance(value, (int, float))
             and abs(value) <= sys.float_info.max)
+
+
+def _json_object(value, name: str) -> dict:
+    """``value`` if it is a JSON object; raises ValueError naming ``name``."""
+    if isinstance(value, dict):
+        return value
+    raise ValueError(f"{name} must be a JSON object, got {value!r}")
 
 
 def _json_number(value, name: str) -> float:
@@ -147,6 +155,7 @@ class PlacementRecord:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PlacementRecord":
+        d = _json_object(d, "record")
         if not isinstance(d["object_id"], str):
             raise ValueError(f"object_id must be a string, got {d['object_id']!r}")
         return cls(

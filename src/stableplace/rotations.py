@@ -211,9 +211,19 @@ class PolyCoeffs:
     ) -> tuple[float | np.ndarray, float | np.ndarray]:
         """(value(t), derivative(t)), evaluating the factor once."""
         t = _trace_arg(t)
-        f = _horner(self._factor, t)
+        if isinstance(t, np.ndarray):
+            f = _horner(self._factor, t)
+            s = t - 3.0
+            return s * f, f + s * _horner(self._factor_derivative, t)
+        # _horner's steps for the factor and its derivative in one loop; the
+        # factor's last coefficient, a0, has no partner in the derivative
+        f = fd = 0.0
+        for c, dc in zip(self._factor, self._factor_derivative):
+            f = f * t + c
+            fd = fd * t + dc
+        f = f * t + self._factor[-1]
         s = t - 3.0
-        return s * f, f + s * _horner(self._factor_derivative, t)
+        return s * f, f + s * fd
 
     def to_list(self) -> list[float]:
         return [float(c) for c in self.a]
@@ -233,8 +243,9 @@ def _horner(coeffs: tuple[float, ...], t: float | np.ndarray) -> float | np.ndar
     rounds the product and the sum separately, for a float and an array
     alike, so both give the same bits."""
     if isinstance(t, np.ndarray):
-        acc = np.zeros_like(t)
-        for c in coeffs:
+        acc = t * 0.0  # the first step's 0 * t, in one pass
+        acc += coeffs[0]
+        for c in coeffs[1:]:
             acc *= t
             acc += c
         return acc
@@ -275,7 +286,12 @@ def poly_geodesic_distance(
     """
     rg = np.asarray(rg, dtype=float)
     rt = np.asarray(rt, dtype=float)
-    t = float(np.sum(rg * rt))
+    if rg.shape != (3, 3) or rt.shape != (3, 3):
+        raise ValueError(f"rg and rt must have shape (3, 3), got {rg.shape} and {rt.shape}")
+    # np.sum(rg * rt) as Python floats: the products in the memory order
+    # np.sum reads, added in its pairwise order for nine values
+    p = np.multiply(rg, rt).ravel("K").tolist()
+    t = 0.0 + ((((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]))) + p[8])
     value, slope = c.value_and_derivative(t)
     return value, slope * rt
 

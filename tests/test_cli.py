@@ -364,6 +364,8 @@ class TestDatasetAndCluster:
         assert r.exit_code == 2
         assert isinstance(r.exception, SystemExit)  # no traceback
         assert str(ds) in r.stderr
+        if not line.startswith("{"):  # the message says what was expected
+            assert f"record must be a JSON object, got {json.loads(line)!r}" in r.stderr
 
     @settings(max_examples=60, deadline=None)
     @given(st.data(), JSON)
@@ -496,6 +498,25 @@ class TestEvaluate:
                         if json.dumps(first.get(name)) != json.dumps(prediction.get(name))]
         for name in changed:
             assert f"{name} must be" in r.stderr or f"missing field '{name}'" in r.stderr
+
+    @pytest.mark.parametrize("predictions, model, message", [
+        ([[1, 2]], None, "placement must be a JSON object, got [1, 2]"),
+        ([{"rotation": IDENTITY, "translation": [0, 0, 0.5]}, 3], None,
+         "placement must be a JSON object, got 3"),
+        (None, [1, 2], "model must be a JSON object, got [1, 2]"),
+        (None, "model", "model must be a JSON object, got 'model'"),
+    ])
+    def test_non_object_names_what_was_expected(self, mesh_dir, tmp_path, predictions,
+                                                model, message):
+        # Python's own message named neither the field nor an object
+        prediction = {"rotation": IDENTITY, "translation": [0, 0, 0.5]}
+        good_model = {"bandwidth": 0.26, "assign_threshold": 0.26,
+                      "modes": [IDENTITY, [1, 0, 0, 0, 0, -1, 0, 1, 0]]}
+        r = _evaluate(mesh_dir, tmp_path, json.dumps(predictions or [prediction]),
+                      json.dumps(model or good_model))
+        assert r.exit_code == 2
+        assert isinstance(r.exception, SystemExit)  # no traceback
+        assert message in r.stderr
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -835,6 +856,21 @@ class TestPipeline:
         r = runner.invoke(main, ["pipeline", str(cfg)])
         self.assert_clean_failure(r, 2, tmp_path / "run")
         assert key in r.stderr
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("max_delta_d_deg", 0, "config: max_delta_d_deg: thresholds must be finite and "
+                               "positive, got max_delta_d=0"),
+        ("max_delta_h_cm", 0, "config: max_delta_h_cm: thresholds must be finite and "
+                              "positive, got max_delta_h=0.0"),
+        ("max_delta_h_cm", 5e-324, "config: max_delta_h_cm: thresholds must be finite and "
+                                   "positive, got max_delta_h=0.0"),
+    ])
+    def test_threshold_at_fault_named(self, runner, mesh_dir, tmp_path, key, value, message):
+        # the message named neither threshold
+        cfg = self.write_config(tmp_path, mesh_dir, "run", **{key: value})
+        r = runner.invoke(main, ["pipeline", str(cfg)])
+        self.assert_clean_failure(r, 2, tmp_path / "run")
+        assert message in r.stderr
 
     @settings(max_examples=100, deadline=None)
     @given(st.fixed_dictionaries({}, optional={

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -272,6 +274,18 @@ def _repeated_sets(seed):
     return sg, st
 
 
+def _axis_aligned_rotations():
+    """The 24 rotations whose entries are all 0 or +-1."""
+    out = []
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product([1.0, -1.0], repeat=3):
+            r = np.zeros((3, 3))
+            r[range(3), perm] = signs
+            if np.linalg.det(r) > 0:
+                out.append(r)
+    return out
+
+
 class TestKernelsMatchReferenceBytes:
     @pytest.mark.parametrize("n,m", [(128, 128), (8, 8), (1, 1), (3, 17), (17, 3)])
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -331,6 +345,74 @@ class TestKernelsMatchReferenceBytes:
                poly.derivative(t)]
         assert [x.tobytes() for x in got] == [x.tobytes() for x in expected]
         assert all(x.shape == t.shape for x in got)
+
+    @pytest.mark.parametrize("entry", [-0.0, np.inf, -np.inf, np.nan])
+    def test_poly_geodesic_distance_special_entries(self, poly, entry):
+        # the trace is summed as Python floats in np.sum's order
+        for rg, rt in zip(random_rotations(43, 9), random_rotations(44, 9)):
+            for k in range(9):
+                rg = rg.copy()
+                rg.flat[k] = entry
+                for a, b in [(rg, rt), (rt, rg), (rg, rg)]:
+                    with np.errstate(all="ignore"):
+                        expected = _reference_poly_geodesic_distance(poly, a, b)
+                    assert _bytes(poly_geodesic_distance(poly, a, b)) == _bytes(expected)
+
+    def test_poly_geodesic_distance_signs_of_zero(self, poly):
+        # all nine products -0.0, all +0.0, and mixed, at t = +-0
+        for rg, rt in [(-np.zeros((3, 3)), np.ones((3, 3))), (np.zeros((3, 3)), -np.ones((3, 3))),
+                       (np.diag([-0.0, 0.0, -0.0]), np.eye(3))]:
+            assert _bytes(poly_geodesic_distance(poly, rg, rt)) == _bytes(
+                _reference_poly_geodesic_distance(poly, rg, rt))
+
+    def test_poly_geodesic_distance_at_trace_three(self, poly):
+        # every proper signed permutation against itself gives t = 3 exactly
+        for r in _axis_aligned_rotations():
+            assert float(np.sum(r * r)) == 3.0
+            assert _bytes(poly_geodesic_distance(poly, r, r)) == _bytes(
+                _reference_poly_geodesic_distance(poly, r, r))
+
+    def test_poly_geodesic_distance_memory_orders(self, poly):
+        # np.sum reads the product in memory order, which the kernel follows
+        for rg, rt in zip(random_rotations(45, 20), random_rotations(46, 20)):
+            rg = rg * 10.0 ** np.arange(-4, 5).reshape(3, 3)
+            for a, b in [(np.asfortranarray(rg), np.asfortranarray(rt)), (rg.T, rt.T),
+                         (rg[::-1, ::-1], rt[::-1, ::-1]), (np.asfortranarray(rg), rt)]:
+                assert _bytes(poly_geodesic_distance(poly, a, b)) == _bytes(
+                    _reference_poly_geodesic_distance(poly, a, b))
+
+    @pytest.mark.parametrize("t", [0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300])
+    def test_value_and_derivative_scalar_loop(self, poly, t):
+        # one loop runs both Horner steps for a float
+        t0 = np.asarray(t)
+        with np.errstate(all="ignore"):
+            f = _reference_polyval(poly.a, t0)
+            fd = _reference_polyval_deriv(poly.a, t0)
+            expected = [(t0 - 3.0) * f, f + (t0 - 3.0) * fd]
+        got = poly.value_and_derivative(t)
+        assert all(type(x) is float for x in got)
+        assert [np.float64(x).tobytes() for x in got] == [
+            np.float64(x).tobytes() for x in expected
+        ]
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_chamfer_128(self, poly, seed):
+        sg, st_ = random_rotations(500 + seed, 128), random_rotations(600 + seed, 128)
+        assert _bytes(chamfer_geodesic_loss(sg, st_, poly)) == _bytes(
+            _reference_chamfer(sg, st_, poly)
+        )
+
+    def test_chamfer_axis_aligned_rotations(self, poly):
+        # exact zeros in b times negative slopes give -0 products, which
+        # the reference turns into +0 by adding them to zeros
+        r = _axis_aligned_rotations()
+        rng = np.random.default_rng(320)
+        for k in range(20):
+            sg = [r[i] for i in rng.integers(0, 24, size=1 + k % 7)]
+            st_ = [r[i] for i in rng.integers(0, 24, size=1 + k % 5)]
+            got = chamfer_geodesic_loss(sg, st_, poly)
+            assert _bytes(got) == _bytes(_reference_chamfer(sg, st_, poly))
+            assert not np.signbit(got[1][got[1] == 0.0]).any()
 
     @pytest.mark.parametrize("m", [2048, 1, 7])
     @pytest.mark.parametrize("seed", [1, 2])

@@ -61,6 +61,17 @@ class TestPlacementAccuracy:
             with pytest.raises(ValueError):
                 AccuracyThresholds(max_delta_h=bad)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"max_delta_d": 0.0}, "got max_delta_d=0.0"),
+        ({"max_delta_d": np.inf}, "got max_delta_d=inf"),
+        ({"max_delta_h": -1.0}, "got max_delta_h=-1.0"),
+        ({"max_delta_h": np.nan}, "got max_delta_h=nan"),
+        ({"max_delta_d": 0.0, "max_delta_h": 0.0}, "got max_delta_d=0.0"),
+    ])
+    def test_invalid_threshold_named(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"finite and positive, {message}$"):
+            AccuracyThresholds(**kwargs)
+
 
 def five_mode_model():
     # five distinct up-axes: +z, +y, -z, -x, +x

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -212,6 +213,14 @@ class TestPolynomialSurrogate:
         # fit error at t = -1 dominates; frozen against the fit oracle
         v, _ = poly_geodesic_distance(poly, rot_z(np.pi), np.eye(3))
         assert v == pytest.approx(np.pi, abs=0.11)
+
+    @pytest.mark.parametrize("rg_shape, rt_shape", [
+        ((3, 3), (3,)), ((3,), (3, 3)), ((1, 3, 3), (3, 3)), ((9,), (9,)), ((3, 3), (3, 4)),
+    ])
+    def test_inputs_must_be_two_3x3(self, poly, rg_shape, rt_shape):
+        # an rt of shape (3,) broadcast, and its (3,) gradient came back
+        with pytest.raises(ValueError, match=re.escape(f"got {rg_shape} and {rt_shape}")):
+            poly_geodesic_distance(poly, np.ones(rg_shape), np.ones(rt_shape))
 
     def test_min_samples_enforced(self):
         with pytest.raises(ValueError):
