@@ -1,57 +1,62 @@
 #!/usr/bin/env python3
-"""Time the loss kernels in process, at the sizes of the benchmark's
+"""Time the loss kernels in process, on the inputs of the benchmark's
 ``learning-kernels`` workload.
 
 Usage: python scripts/kernel_timings.py [--repeat N] [--seed S]
 
-The kernels and their inputs, one workload round holding the call counts
-in brackets:
+The inputs are the first variant that the workload's ``setup`` builds
+from the seed, and the calls per round are the workload's ``ROUND``:
 
-- chamfer 128: ``chamfer_geodesic_loss`` on two sets of 128 rotations (1)
-- chamfer 8: ``chamfer_geodesic_loss`` on two sets of 8 rotations (8)
-- refine 2048: ``refine_loss`` on a field of 2,048 rows (8)
-- poly: ``poly_geodesic_distance`` on one pair of rotations (32)
-- value_and_derivative: ``PolyCoeffs.value_and_derivative`` at a float
-  trace, the scalar half of ``poly``
+- chamfer_128, chamfer_8: ``chamfer_geodesic_loss`` on two sets of 128
+  and of 8 rotations
+- refine_2048: ``refine_loss`` on a field of 2,048 rows
+- poly: ``poly_geodesic_distance`` on one pair of rotations
+- value_and_derivative: ``PolyCoeffs.value_and_derivative`` at that
+  pair's trace as a float, the scalar half of ``poly``; not in a round
 
 Each kernel is called in batches of ``--repeat`` calls, after one batch
 that is not counted.  The script prints each kernel's median microseconds
-per call over nine batches, and the round's total from the first four
-rows.  It checks nothing.
+per call over nine batches, and one round's total.  It checks nothing.
+
+perfbench is imported read-only: the script writes no bytecode.
 """
 
 import argparse
 import statistics
+import sys
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
-from stableplace import losses, rotations
+ROOT = Path(__file__).resolve().parent.parent
+sys.dont_write_bytecode = True  # leave no __pycache__ under perfbench/
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import workloads  # noqa: E402
+
+from stableplace import losses, rotations  # noqa: E402
 
 BATCHES = 9
 
 
-def kernels(seed: int) -> dict[str, tuple[int, object]]:
-    """Per kernel: its calls per round and a call of it on fixed inputs."""
-    rng = np.random.default_rng(seed)
-    c = rotations.fit_geodesic_polynomial()
-
-    def rots(n):
-        return [rotations.random_rotation(rng) for _ in range(n)]
-
-    sg128, st128, sg8, st8 = rots(128), rots(128), rots(8), rots(8)
-    field = losses.DisplacementField(
-        0.05 * rng.normal(size=(2048, 3)), 0.05 * rng.normal(size=(2048, 3))
-    )
-    v_gt = 0.1 * rng.normal(size=3)
-    rg, rt = rots(2)
+def kernels(seed: int) -> dict[str, object]:
+    """Per kernel: a call of it on the workload's first inputs."""
+    workload = workloads.LearningKernels()
+    with tempfile.TemporaryDirectory() as workdir:
+        workload.setup(seed, Path(workdir), 0)
+    c, v = workload.coeffs, workload.variants[0]
+    (sg128, st128), (sg8, st8) = v["chamfer_128"][0], v["chamfer_8"][0]
+    field, v_gt = v["refine_2048"][0]
+    rg, rt = v["poly"][0]
     t = float(np.sum(rg * rt))
     return {
-        "chamfer 128": (1, lambda: losses.chamfer_geodesic_loss(sg128, st128, c)),
-        "chamfer 8": (8, lambda: losses.chamfer_geodesic_loss(sg8, st8, c)),
-        "refine 2048": (8, lambda: losses.refine_loss(field, v_gt)),
-        "poly": (32, lambda: rotations.poly_geodesic_distance(c, rg, rt)),
-        "value_and_derivative": (0, lambda: c.value_and_derivative(t)),
+        "chamfer_128": lambda: losses.chamfer_geodesic_loss(sg128, st128, c),
+        "chamfer_8": lambda: losses.chamfer_geodesic_loss(sg8, st8, c),
+        "refine_2048": lambda: losses.refine_loss(field, v_gt),
+        "poly": lambda: rotations.poly_geodesic_distance(c, rg, rt),
+        "value_and_derivative": lambda: c.value_and_derivative(t),
     }
 
 
@@ -73,9 +78,9 @@ def main():
     args = parser.parse_args()
     round_us = 0.0
     print(f"median us per call over {BATCHES} batches of {args.repeat} calls")
-    for name, (per_round, fn) in kernels(args.seed).items():
+    for name, fn in kernels(args.seed).items():
         us = per_call_us(fn, args.repeat)
-        round_us += per_round * us
+        round_us += workloads.ROUND.get(name, 0) * us
         print(f"  {name:<21} {us:8.1f}")
     print(f"  {'round':<21} {round_us:8.1f}")
 

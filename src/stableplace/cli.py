@@ -213,11 +213,13 @@ class RunConfig:
         with _input("config"):
             check_margin_eps(cfg.margin_eps)
             cfg.gripper.to_spec()
-        # AccuracyThresholds' rule, one key at a time so the message names it
-        with _input("config: max_delta_d_deg"):
+        # AccuracyThresholds' rule, one key at a time so the message names the
+        # key and its value as written; once the angle passes, thresholds()
+        # can only fail on the height
+        with _input(f"config: max_delta_d_deg={cfg.max_delta_d_deg!r}"):
             AccuracyThresholds(max_delta_d=cfg.max_delta_d_deg)
-        with _input("config: max_delta_h_cm"):
-            AccuracyThresholds(max_delta_h=cfg.max_delta_h_cm * CM)
+        with _input(f"config: max_delta_h_cm={cfg.max_delta_h_cm!r}"):
+            cfg.thresholds()
         return cfg
 
     def thresholds(self) -> AccuracyThresholds:

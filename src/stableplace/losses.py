@@ -137,14 +137,12 @@ def refine_loss(
     quad = sl1 < beta
     sq = np.multiply(resid, 0.5)
     sq *= resid
-    # a division by 1.0, the default, returns its input bit for bit
-    if beta != 1.0:
-        sq /= beta
+    sq /= beta
     np.subtract(sl1, 0.5 * beta, out=sl1)
     np.copyto(sl1, sq, where=quad)
     field_term = float(sl1.sum()) / m
     # its slope: resid / beta inside the quadratic zone, sign(resid) outside
-    sl1_grad = resid if beta == 1.0 else np.divide(resid, beta, out=resid)
+    sl1_grad = np.divide(resid, beta, out=resid)
     np.clip(sl1_grad, -1.0, 1.0, out=sl1_grad)
 
     q = p + v

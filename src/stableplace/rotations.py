@@ -211,19 +211,9 @@ class PolyCoeffs:
     ) -> tuple[float | np.ndarray, float | np.ndarray]:
         """(value(t), derivative(t)), evaluating the factor once."""
         t = _trace_arg(t)
-        if isinstance(t, np.ndarray):
-            f = _horner(self._factor, t)
-            s = t - 3.0
-            return s * f, f + s * _horner(self._factor_derivative, t)
-        # _horner's steps for the factor and its derivative in one loop; the
-        # factor's last coefficient, a0, has no partner in the derivative
-        f = fd = 0.0
-        for c, dc in zip(self._factor, self._factor_derivative):
-            f = f * t + c
-            fd = fd * t + dc
-        f = f * t + self._factor[-1]
+        f = _horner(self._factor, t)
         s = t - 3.0
-        return s * f, f + s * fd
+        return s * f, f + s * _horner(self._factor_derivative, t)
 
     def to_list(self) -> list[float]:
         return [float(c) for c in self.a]

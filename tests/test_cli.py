@@ -858,12 +858,12 @@ class TestPipeline:
         assert key in r.stderr
 
     @pytest.mark.parametrize("key, value, message", [
-        ("max_delta_d_deg", 0, "config: max_delta_d_deg: thresholds must be finite and "
-                               "positive, got max_delta_d=0"),
-        ("max_delta_h_cm", 0, "config: max_delta_h_cm: thresholds must be finite and "
-                              "positive, got max_delta_h=0.0"),
-        ("max_delta_h_cm", 5e-324, "config: max_delta_h_cm: thresholds must be finite and "
-                                   "positive, got max_delta_h=0.0"),
+        ("max_delta_d_deg", 0.0, "config: max_delta_d_deg=0.0: thresholds must be finite"),
+        ("max_delta_d_deg", -1.0, "config: max_delta_d_deg=-1.0: thresholds must be finite"),
+        ("max_delta_h_cm", 0.0, "config: max_delta_h_cm=0.0: thresholds must be finite"),
+        ("max_delta_h_cm", -1.0, "config: max_delta_h_cm=-1.0: thresholds must be finite"),
+        # positive as written, 0 in meters
+        ("max_delta_h_cm", 5e-324, "config: max_delta_h_cm=5e-324: thresholds must be finite"),
     ])
     def test_threshold_at_fault_named(self, runner, mesh_dir, tmp_path, key, value, message):
         # the message named neither threshold
