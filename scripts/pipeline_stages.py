@@ -12,11 +12,14 @@ names the command calls, wrapped for the run:
 - enumerate: ``_stable_placements``
 - plan: ``_plan_json``
 - dataset: ``generate_dataset``
+  - seeding: ``placements._drop_generators``, the drops' seeded
+    generators, a part of dataset
 - dataset text: ``_dataset_text``
 - cluster: ``_cluster``
 - evaluate: ``evaluate_run``
 
-"other" is the rest of the call: config, mesh loading and file writes.
+"other" is the rest of the call: config, mesh loading and file writes;
+it does not count seeding again.
 The script prints each stage's median milliseconds over the runs, after
 one warm-up run that is not counted.  It checks nothing.
 """
@@ -33,7 +36,7 @@ from pathlib import Path
 
 from run_fixture_pipeline import write_config
 
-from stableplace import cli
+from stableplace import cli, placements
 
 STAGES = {
     "_stable_placements": "enumerate",
@@ -65,6 +68,8 @@ def run_once(config_path: Path) -> dict[str, float]:
     originals = {name: getattr(cli, name) for name in STAGES}
     for name, stage in STAGES.items():
         setattr(cli, name, timed(originals[name], totals, stage))
+    seeding = placements._drop_generators
+    placements._drop_generators = timed(seeding, totals, "seeding")
     try:
         t0 = time.perf_counter()
         with contextlib.redirect_stdout(io.StringIO()):
@@ -73,6 +78,7 @@ def run_once(config_path: Path) -> dict[str, float]:
     finally:
         for name, fn in originals.items():
             setattr(cli, name, fn)
+        placements._drop_generators = seeding
     totals["other"] = totals["total"] - sum(totals[stage] for stage in STAGES.values())
     return totals
 
@@ -88,6 +94,9 @@ def main():
     print(f"median ms over {args.repeat} runs")
     for stage in [*STAGES.values(), "other", "total"]:
         print(f"  {stage:<13} {1e3 * statistics.median(r[stage] for r in runs):8.1f}")
+        if stage == "dataset":  # seeding is a part of it
+            ms = 1e3 * statistics.median(r["seeding"] for r in runs)
+            print(f"    {'seeding':<11} {ms:8.1f}")
 
 
 if __name__ == "__main__":

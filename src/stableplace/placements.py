@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from itertools import groupby
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy.spatial import ConvexHull, QhullError
 
 from .mesh import (
@@ -1177,19 +1178,26 @@ def generate_dataset(
     each capped at ``MAX_TIPS`` tips and resting once its margin reaches
     margin_eps (``settle_records``).
 
-    Each drop derives its RNG stream from (seed, object index, drop
-    index), so record order and content are independent of ``workers``;
-    diverged settles are skipped and counted.  With one worker each
-    object's drops are settled as one ``settle_records`` batch in this
-    process.  Otherwise the jobs go to worker processes in chunks of
-    ``_CHUNK``, each split into one batch per object it spans, and the
-    pool starts no more workers than there are chunks.  Either way a
-    batch runs in blocks that bound its memory (``_SETTLE_BLOCK``).  Each
-    worker process receives the meshes once, so their cached hulls,
-    pivot tables and support memos persist across its chunks.
+    Each drop draws from NumPy's ``default_rng([seed, object index, drop
+    index])`` stream, so record order and content are independent of
+    ``workers``; diverged settles are skipped and counted.  A batch's
+    streams are seeded in one array pass that reproduces ``SeedSequence``
+    (``_drop_generators``), and a test pins each stream's state to
+    ``default_rng``'s, so a NumPy release that changed the hash fails
+    Tier-1 instead of moving the dataset's bytes.  ``seed`` must be a
+    Python or NumPy integer >= 0; it is checked before any drop settles.
+    With one worker each object's drops are settled as one
+    ``settle_records`` batch in this process.  Otherwise the jobs go to
+    worker processes in chunks of ``_CHUNK``, each split into one batch
+    per object it spans, and the pool starts no more workers than there
+    are chunks.  Either way a batch runs in blocks that bound its memory
+    (``_SETTLE_BLOCK``).  Each worker process receives the meshes once,
+    so their cached hulls, pivot tables and support memos persist across
+    its chunks.
     """
     if drops_per_object < 1:
         raise ValueError("drops_per_object must be >= 1")
+    seed = _seed_index(seed, "seed")
     jobs = [
         (obj_idx, drop_idx)
         for obj_idx in range(len(meshes))
@@ -1251,9 +1259,111 @@ def _drop_records(
     return settle_records(object_id, mesh, initials, rngs, margin_eps)
 
 
+def _seed_index(value, name: str) -> int:
+    """``value`` as an int: a Python or NumPy integer >= 0 (True counts
+    as 1), what ``np.random.default_rng`` takes as an integer seed."""
+    if not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be a non-negative integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value}")
+    return int(value)
+
+
 def _drop_generators(seed: int, obj_idx: int, drops: list[int]) -> list[np.random.Generator]:
-    """``np.random.default_rng([seed, obj_idx, drop])`` for each drop."""
-    return [np.random.default_rng([seed, obj_idx, drop_idx]) for drop_idx in drops]
+    """``np.random.default_rng([seed, obj_idx, drop])`` for each drop (a
+    Python int >= 0), the same streams bit for bit.  ``SeedSequence``
+    reads that list as the little-endian 32-bit words of each int in
+    turn (one word 0 for 0); the drops whose words are as many are hashed
+    together in one ``_seed_states`` pass, and each ``PCG64`` takes its
+    drop's precomputed state."""
+    ints = _seed_index(seed, "seed"), _seed_index(obj_idx, "obj_idx")
+    prefix = b"".join([x.to_bytes(4 * _word_count(x), "little") for x in ints])
+    if drops and min(drops) < 0:
+        raise ValueError(f"drop indices must be non-negative, got {min(drops)}")
+    counts = [_word_count(drop) for drop in drops]
+    rngs: list[np.random.Generator] = [None] * len(drops)
+    for count in set(counts):
+        rows = [i for i, c in enumerate(counts) if c == count]
+        entropy = b"".join([prefix + drops[i].to_bytes(4 * count, "little") for i in rows])
+        states = _seed_states(np.frombuffer(entropy, "<u4").reshape(len(rows), -1))
+        for i, state in zip(rows, states):
+            rngs[i] = np.random.Generator(np.random.PCG64(_SeedState(state)))
+    return rngs
+
+
+def _word_count(x: int) -> int:
+    """How many 32-bit words ``SeedSequence`` reads from an int >= 0: one
+    for 0."""
+    return (x.bit_length() + 31) // 32 or 1
+
+
+# numpy.random.SeedSequence's hash: a pool of 4 uint32 words, each entropy
+# word and pool word hashed with a running constant (A while mixing, B
+# while drawing the state), and pairs of words mixed with two multipliers.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_OTHER_WORDS = [[j for j in range(_POOL) if j != i] for i in range(_POOL)]
+
+
+def _seed_states(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` of each row of
+    the (n, L) uint32 entropy words: the seed state ``PCG64`` reads.  The
+    hash's constants depend only on L, so each step of ``SeedSequence``'s
+    loops runs once over a column of all n rows, the steps that read one
+    pool word into the others together."""
+    n, length = entropy.shape
+    a = _hash_constants(_INIT_A, _MULT_A, _POOL * max(length, _POOL))
+    pool = np.zeros((n, _POOL), dtype=np.uint32)
+    pool[:, :length] = entropy[:, :_POOL]
+    pool = _hashmix(pool, a, 0, _POOL)
+    k = _POOL
+    for src, dst in enumerate(_OTHER_WORDS):
+        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src, None], a, k, _POOL - 1))
+        k += _POOL - 1
+    for src in range(_POOL, length):  # entropy beyond the pool
+        pool = _mix(pool, _hashmix(entropy[:, src, None], a, k, _POOL))
+        k += _POOL
+    state = _hashmix(np.tile(pool, 2), _HASH_B, 0, 8)
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """The running hash constant before each of n hashes and after the
+    last: init·multⁱ mod 2³² for i = 0, ..., n."""
+    out = [init]
+    for _ in range(n):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, dtype=np.uint32)
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray, k: int, n: int) -> np.ndarray:
+    """Hashes k, ..., k + n - 1 of a running constant, one per column of
+    ``value`` broadcast to n columns."""
+    value = (value ^ consts[k:k + n]) * consts[k + 1:k + n + 1]
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = _MIX_L * x - _MIX_R * y
+    return out ^ (out >> 16)
+
+
+# The constants of the eight hashes that draw PCG64's 4 uint64 state words.
+_HASH_B = _hash_constants(_INIT_B, _MULT_B, 8)
+
+
+class _SeedState(ISeedSequence):
+    """Hands ``PCG64`` one drop's precomputed ``_seed_states`` row."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise NotImplementedError("only PCG64's seed state is precomputed")
+        return self.state
 
 
 def generate_one_drop(

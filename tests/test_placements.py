@@ -1,5 +1,6 @@
 import contextlib
 import json
+import re
 import tracemalloc
 from decimal import Decimal, localcontext
 from functools import cached_property
@@ -1001,22 +1002,68 @@ class TestGenerateDataset:
             ]
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 3,
-                                      120000000000000000000000000000])
+                                      120000000000000000000000000000, True, np.int64(7),
+                                      np.uint64(2**64 - 1), 2**96 + 5])
     def test_drop_generators_match_the_list_seeded_streams(self, seed):
-        drops = [0, 1, 9, 2**32 - 1, 2**32, 2**33 + 7]
+        """The one-pass seeding gives each drop ``default_rng``'s state,
+        for seeds of one to four 32-bit words and objects of one or two;
+        one call mixes one-, two- and three-word drops, so each entropy
+        length takes its own pass, and no drops give no generators."""
+        drops = [0, 1, 9, 2**32 - 1, 2**32, 2**33 + 7, 2**64 + 11, 5, 2**64]
         for obj_idx in (0, 2, 2**32 + 1):
             got = placements._drop_generators(seed, obj_idx, drops)
             assert len(got) == len(drops)
             for rng, drop in zip(got, drops):
                 want = np.random.default_rng([seed, obj_idx, drop])
+                assert rng.bit_generator.state == want.bit_generator.state
                 assert rng.normal(size=8).tobytes() == want.normal(size=8).tobytes()
                 assert rng.random(5).tobytes() == want.random(5).tobytes()
+            assert placements._drop_generators(seed, obj_idx, []) == []
 
     def test_negative_seed_rejected(self, cube):
         with pytest.raises(ValueError, match="non-negative"):
             placements._drop_generators(-1, 0, [0])
         with pytest.raises(ValueError, match="non-negative"):
             generate_dataset([("cube", cube)], 2, seed=-3)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("seed, error, shown", [
+        (-1, ValueError, "-1"),
+        (np.int64(-3), ValueError, "-3"),
+        (1.5, TypeError, "1.5"),
+        (np.float64(2.0), TypeError, "np.float64(2.0)"),
+        ("3", TypeError, "'3'"),
+        (None, TypeError, "None"),
+    ], ids=["negative", "negative-int64", "float", "float64", "string", "none"])
+    def test_bad_seed_named_before_any_drop_settles(self, cube, monkeypatch, workers,
+                                                     seed, error, shown):
+        message = re.escape(f"seed must be a non-negative integer, got {shown}")
+        settled, started = [], []
+        monkeypatch.setattr(placements, "settle_records",
+                            lambda *args, **kwargs: settled.append(args))
+        monkeypatch.setattr(placements, "ProcessPoolExecutor",
+                            lambda *args, **kwargs: started.append(args))
+        with pytest.raises(error, match=f"^{message}$"):
+            generate_dataset([("cube", cube)], 20, seed=seed, workers=workers)
+        with pytest.raises(error, match=f"^{message}$"):
+            generate_one_drop("cube", cube, seed, 0, 0)
+        with pytest.raises(error, match=f"^{message}$"):
+            placements._drop_generators(seed, 0, [0, 1])
+        assert settled == started == []
+
+    def test_bad_object_or_drop_index_rejected(self):
+        with pytest.raises(ValueError, match="^obj_idx must be a non-negative integer, got -2$"):
+            placements._drop_generators(0, -2, [0])
+        with pytest.raises(TypeError, match="^obj_idx must be a non-negative integer"):
+            placements._drop_generators(0, 1.0, [0])
+        with pytest.raises(ValueError, match="^drop indices must be non-negative, got -1$"):
+            placements._drop_generators(0, 0, [3, -1])
+
+    def test_integer_seeds_of_every_kind_give_the_same_dataset(self, cube):
+        want = generate_dataset([("cube", cube)], 6, seed=1).records
+        for seed in (True, np.int64(1), np.uint8(1)):
+            got = generate_dataset([("cube", cube)], 6, seed=seed).records
+            assert [r.to_json_dict() for r in got] == [r.to_json_dict() for r in want]
 
     def test_record_round_trip(self, cube):
         from stableplace.placements import PlacementRecord
