@@ -9,9 +9,11 @@ Usage: python scripts/cold_settles.py
 
 Each mesh is built afresh and written to a temporary OBJ file, which
 ``load_mesh`` reads back, as the workload's timed loads do; per mesh the
-script prints that load's milliseconds, split into reading and parsing
-the text (``parse``) and the ``TriMesh`` construction (mass properties
-and edge index).
+script prints that load's milliseconds in three parts, as the load runs
+them: reading and parsing the text (``parse``), the ``TriMesh``
+construction (``TriMesh``: the arrays and the face-index check), and the
+load's first read of the COM (``mass``: the one mass-property pass, with
+the edge index that its watertightness test builds).
 ``enumerate_stable`` then starts on the loaded mesh from cold per-mesh
 caches (its time includes the convex hull).  The ``hull`` column gives
 that hull's source, ``own`` when the mesh is its own convex hull and takes
@@ -95,22 +97,27 @@ def timed(fn, spent: list[float]):
     return wrapper
 
 
-def cold_load(mesh: TriMesh) -> tuple[TriMesh, float, float]:
+def cold_load(mesh: TriMesh) -> tuple[TriMesh, float, float, float]:
     """``mesh`` written to a temporary OBJ file and loaded back, with the
-    load's read-and-parse and ``TriMesh`` construction seconds."""
-    post_init = TriMesh.__post_init__
-    construct_s = [0.0]
+    load's read-and-parse, ``TriMesh`` construction and mass-pass
+    seconds."""
+    post_init, mass = TriMesh.__post_init__, vars(TriMesh)["_mass_properties"]
+    construct_s, mass_s = [0.0], [0.0]
+    timed_mass = functools.cached_property(timed(mass.func, mass_s))
+    timed_mass.__set_name__(TriMesh, "_mass_properties")
     with tempfile.TemporaryDirectory() as workdir:
         path = Path(workdir) / "mesh.obj"
         save_obj(mesh, path)
         TriMesh.__post_init__ = timed(post_init, construct_s)
+        TriMesh._mass_properties = timed_mass
         try:
             t0 = time.perf_counter()
             loaded = load_mesh(path)
             load_s = time.perf_counter() - t0
         finally:
             TriMesh.__post_init__ = post_init
-    return loaded, load_s - construct_s[0], construct_s[0]
+            TriMesh._mass_properties = mass
+    return loaded, load_s - construct_s[0] - mass_s[0], construct_s[0], mass_s[0]
 
 
 def main():
@@ -120,13 +127,13 @@ def main():
     placements.ConvexHull = mesh_module.ConvexHull = counted_2d_hull(hulls)
     mesh_module.convex_hull = counted(convex_hull, hulls_3d)
     try:
-        print(f"{'mesh':<15} {'faces':>5} {'parse':>7} {'TriMesh':>7} {'hull':>11} "
+        print(f"{'mesh':<15} {'faces':>5} {'parse':>7} {'TriMesh':>7} {'mass':>6} {'hull':>11} "
               f"{'enumerate':>10} {'qhull':>5} {'first':>8} {'next 11':>8} {'builds':>13}  "
-              "(ms; parse + TriMesh = cold load_mesh; hull = own faces or qhull, and its "
+              "(ms; parse + TriMesh + mass = cold load_mesh; hull = own faces or qhull, and its "
               "part of enumerate; qhull = 2-D qhull calls in enumerate; "
               "builds = _new_supports calls: enumerate + settles)")
         for i, (name, built) in enumerate(meshes()):
-            mesh, parse_s, construct_s = cold_load(built)
+            mesh, parse_s, construct_s, mass_s = cold_load(built)
             calls[0] = hulls[0] = hulls_3d[0] = 0
             t0 = time.perf_counter()
             mesh.hull
@@ -144,7 +151,7 @@ def main():
                 placements.settle(mesh, initial)
                 settle_s.append(time.perf_counter() - t0)
             print(f"{name:<15} {len(mesh.faces):>5} {1e3 * parse_s:>7.2f} "
-                  f"{1e3 * construct_s:>7.2f} {source:>5} {1e3 * hull_s:>5.1f} "
+                  f"{1e3 * construct_s:>7.2f} {1e3 * mass_s:>6.2f} {source:>5} {1e3 * hull_s:>5.1f} "
                   f"{1e3 * enumerate_s:>10.1f} "
                   f"{enumerate_hulls:>5} "
                   f"{1e3 * settle_s[0]:>8.2f} {1e3 * statistics.median(settle_s[1:]):>8.3f} "

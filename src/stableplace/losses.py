@@ -38,14 +38,16 @@ class RefineLossWeights:
 
 @dataclass
 class DisplacementField:
-    """Per-point displacement vectors toward an auxiliary-plane vector."""
+    """Per-point displacement vectors toward an auxiliary-plane vector,
+    stored as C-ordered float arrays, so the losses' sums, which run in
+    memory order, give the same bits for any memory order of the input."""
 
     points: np.ndarray  # (M, 3)
     displacements: np.ndarray  # (M, 3)
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float)
-        self.displacements = np.asarray(self.displacements, dtype=float)
+        self.points = np.asarray(self.points, dtype=float, order="C")
+        self.displacements = np.asarray(self.displacements, dtype=float, order="C")
         if self.points.ndim != 2 or self.points.shape[1] != 3:
             raise EmptyField(f"points must be (M, 3), got {self.points.shape}")
         if self.points.shape != self.displacements.shape:

@@ -54,23 +54,25 @@ class ZeroPlaneVector(ValueError):
 class TriMesh:
     """Triangle mesh with its uniform-density volume and COM.
 
-    Volume and COM are summed about the middle of the bounding box, so
-    a copy moved far from the coordinate origin keeps its COM.
+    ``com``, ``volume`` and ``centroid_fallback`` come from one pass
+    (``_mass_properties``), run when one of them is first read, not at
+    construction.  So a mesh with no surface area, or whose sums
+    overflow, raises DegenerateMesh at that first read; ``load_mesh``
+    makes it while loading.  Volume and COM are summed about the middle
+    of the bounding box, so a copy moved far from the coordinate origin
+    keeps its COM.
 
-    Treated as immutable after construction: its edge index (built with
-    it), its triangle edge vectors, face normals, areas, bounding spheres
-    and area CDF, its convex hull, the COM's distances to the hull's edge
-    lines and its pivot table are cached on first use, and the support
-    polygons of its resting contact sets in one memo (``supports``), so
-    changing ``vertices`` or ``faces`` in place leaves them stale.  The
-    cached arrays are read-only.
+    Treated as immutable after construction: its mass properties, its
+    edge index, its triangle edge vectors, face normals, areas, bounding
+    spheres and area CDF, its convex hull, the COM's distances to the
+    hull's edge lines and its pivot table are cached on first use, and
+    the support polygons of its resting contact sets in one memo
+    (``supports``), so changing ``vertices`` or ``faces`` in place leaves
+    them stale.  The cached arrays are read-only.
     """
 
     vertices: np.ndarray  # (N, 3)
     faces: np.ndarray  # (F, 3) int
-    com: np.ndarray = field(init=False)
-    volume: float = field(init=False)
-    centroid_fallback: bool = field(init=False, default=False)
     source: str | None = field(init=False, default=None)  # set by load_mesh
 
     def __post_init__(self):
@@ -80,9 +82,25 @@ class TriMesh:
             self.faces.min() < 0 or self.faces.max() >= len(self.vertices)
         ):
             raise MeshParseError("face index out of range")
-        self._compute_mass_properties()
 
-    def _compute_mass_properties(self):
+    @cached_property
+    def com(self) -> np.ndarray:
+        return self._mass_properties[0]
+
+    @cached_property
+    def volume(self) -> float:
+        return self._mass_properties[1]
+
+    @cached_property
+    def centroid_fallback(self) -> bool:
+        """Whether ``com`` is the area-weighted surface centroid, taken
+        for a surface that is open or encloses no volume."""
+        return self._mass_properties[2]
+
+    @cached_property
+    def _mass_properties(self) -> tuple[np.ndarray, float, bool]:
+        """(com, volume, centroid_fallback), built on first read of any of
+        them."""
         v = self.vertices
         f = self.faces
         # huge coordinates overflow to inf or nan: checked at the end
@@ -102,25 +120,21 @@ class TriMesh:
             # signed tetrahedra against the middle (divergence theorem)
             dets = np.einsum("ij,ij->i", a, np.cross(b, c))
             vol = dets.sum() / 6.0
-            if self._is_watertight() and abs(vol) > 1e-12:
+            fallback = not (self._is_watertight() and abs(vol) > 1e-12)
+            if not fallback:
                 centroids = (a + b + c) / 4.0  # tetra centroid, apex at the middle
                 com = (dets[:, None] * centroids).sum(axis=0) / (6.0 * vol)
-                if vol < 0:  # inward winding
-                    vol = -vol
-                self.volume = float(vol)
             else:
                 # open mesh: area-weighted surface centroid
-                self.centroid_fallback = True
-                self.volume = float(abs(vol))
                 tri_centroids = (a + b + c) / 3.0
                 com = (areas[:, None] * tri_centroids).sum(axis=0) / area
-            self.com = com + middle
-        if not (
-            np.isfinite(area) and np.isfinite(self.volume) and np.isfinite(self.com).all()
-        ):
+            volume = float(abs(vol))  # abs: inward winding
+            com = com + middle
+        if not (np.isfinite(area) and np.isfinite(volume) and np.isfinite(com).all()):
             raise DegenerateMesh(
                 "area, volume or centre of mass overflows: coordinates too large"
             )
+        return com, volume, fallback
 
     def _is_watertight(self) -> bool:
         """Every undirected edge is shared by exactly two faces."""
@@ -128,8 +142,9 @@ class TriMesh:
 
     @cached_property
     def edges(self) -> "EdgeIndex":
-        """The faces' edge keys and partners, built on first use (by the
-        watertightness test during construction)."""
+        """The faces' edge keys and partners, built on first use.  A hull
+        that ``hull`` takes from a mesh's own faces gets the mesh's, carried
+        through its turns and order."""
         return EdgeIndex.build(self.faces, len(self.vertices))
 
     @cached_property
@@ -137,11 +152,15 @@ class TriMesh:
         """Convex hull of the vertices, built on first use, with the
         canonical faces of ``convex_hull``.  A mesh that is already its own
         hull (``_own_hull_faces``) takes its own faces, without qhull, to
-        the same bytes.  A degenerate hull's error names ``source`` when it
-        is set."""
-        faces = _own_hull_faces(self)
-        if faces is not None:
-            return TriMesh(self.vertices.copy(), faces)
+        the same bytes, and its edge index comes from the mesh's, so no
+        second ``EdgeIndex.build`` sorts it; its mass properties, which no
+        caller reads on a hull, are left to a first read.  A degenerate
+        hull's error names ``source`` when it is set."""
+        own = _own_hull_faces(self)
+        if own is not None:
+            hull = TriMesh(self.vertices.copy(), own[0])
+            hull.edges = own[1]
+            return hull
         try:
             return convex_hull(self.vertices)
         except DegenerateHull as exc:
@@ -334,8 +353,10 @@ def load_mesh(path: str | Path) -> TriMesh:
     Volume and COM assume uniform density.
 
     A file that cannot be read or parsed raises MeshParseError, and a
-    mesh with no surface raises DegenerateMesh; both messages name the
-    path, as does the DegenerateHull its ``hull`` raises."""
+    mesh with no surface, or whose mass properties overflow, raises
+    DegenerateMesh; the load reads ``com`` to find out, so the mass
+    pass has run when it returns.  Both messages name the path, as does
+    the DegenerateHull its ``hull`` raises."""
     path = Path(path)
     try:
         # utf-8-sig drops a leading byte-order mark, which would otherwise
@@ -347,6 +368,7 @@ def load_mesh(path: str | Path) -> TriMesh:
         raise MeshParseError(f"cannot read mesh {path}: {exc}") from exc
     try:
         mesh = _parse_obj(text)
+        mesh.com  # the mass pass, which raises DegenerateMesh
     except (MeshParseError, DegenerateMesh) as exc:
         raise type(exc)(f"mesh {path}: {exc}") from exc
     mesh.source = str(path)
@@ -414,16 +436,14 @@ def _plain_records(text: str) -> tuple[np.ndarray, np.ndarray] | None:
     - Every coordinate is finite and every index is >= 1, so no index
       counts from the vertices read so far, and the line parse would
       reject no line."""
-    if (
-        not text.isascii()
-        or text.encode("ascii").translate(None, _PLAIN_CHARS)
-        or text.count(" ") != 3 * (text.count("v") + text.count("f"))
-        or text.count("-") > 6 * text.count("v")
-    ):
+    if not text.isascii() or text.encode("ascii").translate(None, _PLAIN_CHARS):
+        return None
+    n_v, n_f = text.count("v"), text.count("f")
+    if text.count(" ") != 3 * (n_v + n_f) or text.count("-") > 6 * n_v:
         return None
     lines = "\n" + text  # the newline is the only line break, as checked
     f_rows = _FACE_ROW.findall(lines)
-    if not f_rows or text.count("f") != len(f_rows):
+    if not f_rows or n_f != len(f_rows):
         return None
     if " ".join(f_rows).encode("ascii").translate(None, _INDEX_CHARS):
         return None
@@ -431,7 +451,7 @@ def _plain_records(text: str) -> tuple[np.ndarray, np.ndarray] | None:
     if index is None or not (index > 0).all():
         return None
     v_rows = _VERTEX_ROW.findall(lines)
-    if not v_rows or text.count("v") != len(v_rows):
+    if not v_rows or n_v != len(v_rows):
         return None
     vertices = _three_columns(v_rows, np.float64)
     if vertices is None or not np.isfinite(vertices).all():
@@ -526,15 +546,34 @@ def convex_hull(points: np.ndarray) -> TriMesh:
     normals = np.cross(b - a, c - a)
     inward = np.einsum("ij,ij->i", normals, a - centroid) < 0
     faces[inward] = faces[inward][:, [0, 2, 1]]
-    return TriMesh(verts, _canonical_faces(faces))
+    return TriMesh(verts, _canonical_faces(faces, len(verts))[0])
 
 
-def _canonical_faces(faces: np.ndarray) -> np.ndarray:
-    """The rows of ``faces``, each turned, keeping its winding, to start at
-    its lowest index, in lexicographic order."""
-    rows = 3 * np.arange(len(faces))[:, None]
-    turned = faces.take(rows + (faces.argmin(axis=1)[:, None] + np.arange(3)) % 3)
-    return turned[np.lexsort(turned.T[::-1])]
+def _canonical_faces(
+    faces: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of ``faces``, indices below ``n``, each turned, keeping its
+    winding, to start at its lowest index, in lexicographic order; with
+    each row's turn, the column its lowest index is in, and the order:
+    canonical row i is row ``order[i]`` read from column
+    ``turn[order[i]]`` on.
+
+    A turned row (t0, t1, t2) sorts by its first-edge key t0 * n + t1,
+    ties broken by t2, which is ``np.lexsort``'s order.  A closed,
+    consistently wound surface holds each directed edge in one row, so
+    it has no ties and takes one sort."""
+    a, b, c = faces.T
+    turn = faces.argmin(axis=1)
+    first, second = turn == 0, turn == 1
+    t0 = np.where(first, a, np.where(second, b, c))
+    t1 = np.where(first, b, np.where(second, c, a))
+    t2 = np.where(first, c, np.where(second, a, b))
+    key = t0.astype(np.int64) * n + t1
+    order = np.argsort(key)
+    ranked = key[order]
+    if (ranked[1:] == ranked[:-1]).any():
+        order = np.lexsort((t2, key))
+    return np.column_stack([t0[order], t1[order], t2[order]]), turn, order
 
 
 # How far below a face's plane the apex across each of its edges must lie
@@ -543,11 +582,16 @@ def _canonical_faces(faces: np.ndarray) -> np.ndarray:
 # qhull's roundoff, so qhull would merge none of the mesh's facets.
 _OWN_HULL_MARGIN = 1e-9
 
+# Row t: the columns a row turned by t reads, (t + k) % 3 for k = 0, 1, 2
+_TURNED = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
 
-def _own_hull_faces(mesh: TriMesh) -> np.ndarray | None:
-    """The faces of ``convex_hull(mesh.vertices)`` when ``mesh`` is already
-    its own convex hull, else None: its own faces, wound outward, in
-    canonical order.  One array pass over the faces and ``mesh.edges``.
+
+def _own_hull_faces(mesh: TriMesh) -> tuple[np.ndarray, EdgeIndex] | None:
+    """The faces of ``convex_hull(mesh.vertices)`` and their
+    ``EdgeIndex`` when ``mesh`` is already its own convex hull, else None:
+    its own faces, wound outward, in canonical order, and ``mesh.edges``
+    carried through those turns and that order.  One array pass over the
+    faces and ``mesh.edges``.
 
     The mesh is its own hull when
     - its surface is closed and consistently oriented (the partner of
@@ -567,34 +611,34 @@ def _own_hull_faces(mesh: TriMesh) -> np.ndarray | None:
     local-to-global theorem (Comm. Pure Appl. Math. 1952) the surface
     bounds a convex polytope whose facets are exactly its triangles.
     Coordinates are taken about the bounding box's middle, as in
-    ``TriMesh._compute_mass_properties``."""
+    ``TriMesh._mass_properties``."""
     edges, faces = mesh.edges, mesh.faces
     n = len(mesh.vertices)
     # closed, E = 3F / 2, so V - E + F = 2 reads 2 V = F + 4
     if not edges.closed or 2 * n != len(faces) + 4:
         return None
     flat, partner = faces.ravel(), edges.partner.ravel()
-    nxt, prv = faces[:, [1, 2, 0]], faces[:, [2, 0, 1]]
-    if np.any(flat[partner] != nxt.ravel()):
+    if np.any(flat[partner] != faces[:, [1, 2, 0]].ravel()):
         return None
     if not np.bincount(flat, minlength=n).all():
         return None
     # coordinate-major, (3, N), about the bounding box's middle
     v = mesh.vertices.T.copy()
     v -= 0.5 * v.min(axis=1, keepdims=True) + 0.5 * v.max(axis=1, keepdims=True)
-    # (3, F, 3): coordinate, face, corner; edge k runs from corner k to
-    # k + 1, and back k is edge k - 1
-    tri = v.take(faces, axis=1)
-    edge = v.take(nxt, axis=1) - tri
-    back = tri - v.take(prv, axis=1)
-    a, b = edge[:, :, 0], edge[:, :, 1]
-    normal = a[[1, 2, 0]] * b[[2, 0, 1]] - a[[2, 0, 1]] * b[[1, 2, 0]]
+    # (3, 3, F): coordinate, corner, face; edge k runs from corner k to
+    # k + 1, and back k, from corner k - 1 to k, is edge k - 1
+    corners = faces.T
+    tri = v.take(corners, axis=1)
+    edge = tri[:, [1, 2, 0]] - tri
+    back = edge[:, [2, 0, 1]]
+    (a0, a1, a2), (b0, b1, b2) = edge[:, 0], edge[:, 1]
+    normal = np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
     with np.errstate(divide="ignore", invalid="ignore"):
         unit = normal / np.sqrt((normal * normal).sum(axis=0))
         # the apex across edge k: in the partner face, the vertex after the
-        # edge's two
-        apex = v.take(flat[partner - partner % 3 + (partner + 2) % 3].reshape(faces.shape), axis=1)
-        height = ((apex - tri) * unit[:, :, None]).sum(axis=0)
+        # edge's two, which is the one before the partner edge's start
+        apex = v.take(faces[:, [2, 0, 1]].ravel()[partner].reshape(faces.shape).T, axis=1)
+        height = ((apex - tri) * unit[:, None]).sum(axis=0)
         tol = _OWN_HULL_MARGIN * np.abs(v).max()
         if (height < -tol).all():
             outward, lean = faces, -1.0
@@ -603,20 +647,29 @@ def _own_hull_faces(mesh: TriMesh) -> np.ndarray | None:
         else:
             return None
         # the sum of the edges leaving a vertex, which reach each of its
-        # neighbours once, points from the vertex to its neighbours' mean
-        axis = lean * np.array([np.bincount(flat, weights=e.ravel(), minlength=n) for e in edge])
-        axis = (axis / np.sqrt((axis * axis).sum(axis=0))).take(faces, axis=1)
+        # neighbours once, points from the vertex to its neighbours' mean;
+        # summed face by face, as ``flat`` runs
+        axis = lean * np.array([np.bincount(flat, weights=e.T.ravel(), minlength=n) for e in edge])
+        axis = (axis / np.sqrt((axis * axis).sum(axis=0))).take(corners, axis=1)
     # the corner at vertex k spans u = edge k and w = -back k, and u x w is
     # the face's normal at every corner; projected about the axis a, the
     # corner's angle has sine a . (u x w) and cosine u . w - (a . u)(a . w)
-    sin = (axis * normal[:, :, None]).sum(axis=0)
+    sin = (axis * normal[:, None]).sum(axis=0)
     if not (sin > 0.0).all():
         return None
     cos = (axis * edge).sum(axis=0) * (axis * back).sum(axis=0) - (edge * back).sum(axis=0)
-    total = np.bincount(flat, weights=np.arctan2(sin, cos).ravel(), minlength=n)
+    total = np.bincount(flat, weights=np.arctan2(sin, cos).T.ravel(), minlength=n)
     if not (np.abs(total - 2.0 * np.pi) < np.pi).all():
         return None
-    return _canonical_faces(outward)
+    hull_faces, turn, order = _canonical_faces(outward, n)
+    # hull edge k of row i is edge (turn + k) % 3 of row order[i] of
+    # ``outward``; rewound, edge j of a row (a, c, b) is edge 2 - j of
+    # (a, b, c)
+    column = _TURNED if lean < 0 else (2 - _TURNED) % 3
+    src = 3 * order[:, None] + column.take(turn[order], axis=0)
+    at = np.empty(src.size, dtype=src.dtype)
+    at[src.ravel()] = np.arange(src.size)
+    return hull_faces, EdgeIndex(edges.key.ravel()[src], at[partner[src]])
 
 
 @dataclass
@@ -672,19 +725,22 @@ def _coplanar_groups(
         raise ValueError("facets need a closed surface: some edge is not shared "
                          "by exactly two faces")
     n_faces = len(hull.faces)
-    # each face's neighbours across its edges, ordered as the neighbour
-    # lists of a scan over faces and their edges: by the first row that
-    # holds the edge
     partner = edges.partner
-    first = np.minimum(partner, np.arange(partner.size).reshape(partner.shape))
-    order = np.argsort(first, axis=1, kind="stable")
-    src = np.repeat(np.arange(n_faces), 3)
-    dst = np.take_along_axis(partner, order, axis=1).ravel() // 3
+    across = partner // 3
     # the small slack absorbs rounding in the normals' dot products
-    near = np.einsum("ij,ij->i", normals[src], normals[dst]) > (
+    near = np.einsum("ij,ij->i", normals.repeat(3, axis=0), normals[across.ravel()]) > (
         np.cos(2.0 * angle_tol) - 1e-12
     )
-    src, dst = src[near], dst[near]
+    near = near.reshape(partner.shape)
+    rows = np.flatnonzero(near.any(axis=1))
+    # each such face's near neighbours across its edges, ordered as the
+    # neighbour lists of a scan over faces and their edges: by the first
+    # row that holds the edge
+    first = np.minimum(partner[rows], 3 * rows[:, None] + np.arange(3))
+    order = np.argsort(first, axis=1, kind="stable")
+    kept = np.take_along_axis(near[rows], order, axis=1)
+    src = np.repeat(rows, kept.sum(axis=1))
+    dst = np.take_along_axis(across[rows], order, axis=1)[kept]
     adj: dict[int, list[int]] = {}
     for s, d in zip(src.tolist(), dst.tolist()):
         adj.setdefault(s, []).append(d)

@@ -273,14 +273,17 @@ def poly_geodesic_distance(
 
     With t = tr(rg @ rt.T) = sum_ij rg_ij rt_ij, dt/drg = rt, so the
     gradient is f'(t) * rt.  Differentiable everywhere, including t = 3.
+    The nine products are summed in C order, so inputs in any memory
+    order give the bits of their C-ordered copies.
     """
     rg = np.asarray(rg, dtype=float)
     rt = np.asarray(rt, dtype=float)
     if rg.shape != (3, 3) or rt.shape != (3, 3):
         raise ValueError(f"rg and rt must have shape (3, 3), got {rg.shape} and {rt.shape}")
-    # np.sum(rg * rt) as Python floats: the products in the memory order
-    # np.sum reads, added in its pairwise order for nine values
-    p = np.multiply(rg, rt).ravel("K").tolist()
+    # np.sum(rg * rt) of C-ordered inputs as Python floats: the products
+    # in C order, whatever the inputs' memory order, added in np.sum's
+    # pairwise order for nine values
+    p = np.multiply(rg, rt).ravel().tolist()
     t = 0.0 + ((((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]))) + p[8])
     value, slope = c.value_and_derivative(t)
     return value, slope * rt

@@ -128,6 +128,16 @@ class TestEnumerate:
         assert isinstance(result.exception, SystemExit)  # no traceback
         assert f"mesh {flat}: need at least 4 points" in result.stderr
 
+    def test_zero_area_mesh_exit_3(self, runner, tmp_path):
+        # the mass pass runs on first read, which load_mesh makes while
+        # loading, so the message names the file
+        line = tmp_path / "line.obj"
+        line.write_text("v 0 0 0\nv 1 0 0\nv 2 0 0\nf 1 2 3\n")
+        result = runner.invoke(main, ["enumerate", str(line)])
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert f"error: mesh {line}: mesh has zero surface area" in result.stderr
+
     def test_huge_coordinates_exit_3_one_line(self, tmp_path):
         # the mass properties overflowed with two numpy warnings on stderr;
         # a separate process shows the warnings pytest would capture

@@ -373,13 +373,27 @@ class TestKernelsMatchReferenceBytes:
                 _reference_poly_geodesic_distance(poly, r, r))
 
     def test_poly_geodesic_distance_memory_orders(self, poly):
-        # np.sum reads the product in memory order, which the kernel follows
+        # the kernel sums in C order whatever the memory order, so every
+        # layout gives the reference's bits on C-ordered copies
         for rg, rt in zip(random_rotations(45, 20), random_rotations(46, 20)):
             rg = rg * 10.0 ** np.arange(-4, 5).reshape(3, 3)
             for a, b in [(np.asfortranarray(rg), np.asfortranarray(rt)), (rg.T, rt.T),
                          (rg[::-1, ::-1], rt[::-1, ::-1]), (np.asfortranarray(rg), rt)]:
                 assert _bytes(poly_geodesic_distance(poly, a, b)) == _bytes(
-                    _reference_poly_geodesic_distance(poly, a, b))
+                    _reference_poly_geodesic_distance(
+                        poly, np.ascontiguousarray(a), np.ascontiguousarray(b)))
+
+    def test_poly_geodesic_distance_any_layout_gives_c_order_bits(self, poly):
+        rng = np.random.default_rng(47)
+        for _ in range(200):
+            rg, rt = rng.normal(size=(2, 3, 3)) * 10.0 ** rng.uniform(-4, 4, size=(2, 3, 3))
+            want = _bytes(poly_geodesic_distance(poly, rg, rt))
+            strided = np.zeros((2, 6, 6))
+            strided[:, ::2, ::2] = rg, rt
+            for a, b in [(np.asfortranarray(rg), np.asfortranarray(rt)),
+                         (strided[0, ::2, ::2], strided[1, ::2, ::2]),
+                         (rg.T.copy().T, rt)]:
+                assert _bytes(poly_geodesic_distance(poly, a, b)) == want
 
     @pytest.mark.parametrize("t", [0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300])
     def test_value_and_derivative_scalar(self, poly, t):
@@ -427,6 +441,24 @@ class TestKernelsMatchReferenceBytes:
         v_gt = 0.1 * rng.normal(size=3)
         for w in [RefineLossWeights(), RefineLossWeights(0.3, 1.7, 0.02)]:
             assert _bytes(refine_loss(f, v_gt, w)) == _bytes(_reference_refine(f, v_gt, w))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_refine_any_layout_gives_c_order_bits(self, seed):
+        rng = np.random.default_rng(330 + seed)
+        m = 2048
+        scale = 10 ** rng.uniform(-3, 3, size=(m, 1))
+        p = 0.05 * rng.normal(size=(m, 3)) * scale
+        v = 0.05 * rng.normal(size=(m, 3))
+        v_gt = 0.1 * rng.normal(size=3)
+        want = _bytes(refine_loss(DisplacementField(p, v), v_gt))
+        wide = np.zeros((2, 2 * m, 6))
+        wide[:, ::2, ::2] = p, v
+        for pts, disp in [(np.asfortranarray(p), np.asfortranarray(v)),
+                          (wide[0, ::2, ::2], wide[1, ::2, ::2]),
+                          (np.asfortranarray(p), v)]:
+            f = DisplacementField(pts, disp)
+            assert f.points.flags.c_contiguous and f.displacements.flags.c_contiguous
+            assert _bytes(refine_loss(f, v_gt)) == want
 
     def test_refine_residual_at_transition(self):
         # resid = (0 - 0) - v is exactly +-beta, -0.0 or 0.0

@@ -21,9 +21,11 @@ from stableplace.mesh import (
     CollinearContacts,
     DegenerateHull,
     DegenerateMesh,
+    EdgeIndex,
     MeshParseError,
     TriMesh,
     ZeroPlaneVector,
+    _canonical_faces,
     _parse_obj,
     _plain_records,
     apply_refinement_transform,
@@ -93,6 +95,20 @@ class TestLoadMesh:
         m = load_mesh(path)
         assert m.centroid_fallback
         assert np.allclose(m.com, [1.0, 1.0, 0.0])
+
+    def test_zero_area_mesh_degenerate(self, tmp_path):
+        path = tmp_path / "line.obj"
+        path.write_text("v 0 0 0\nv 1 0 0\nv 2 0 0\nf 1 2 3\n")
+        with pytest.raises(DegenerateMesh, match=f"^mesh {path}: mesh has zero surface area$"):
+            load_mesh(path)
+
+    def test_bare_mesh_raises_on_first_mass_read(self):
+        # construction runs no mass pass; the first read of any of the
+        # three mass properties does, and raises every time
+        line = TriMesh(np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0]]), np.array([[0, 1, 2]]))
+        for name in ("com", "volume", "centroid_fallback", "com"):
+            with pytest.raises(DegenerateMesh, match="zero surface area"):
+                getattr(line, name)
 
     def test_huge_coordinates_degenerate_without_warnings(self, tmp_path, recwarn):
         path = tmp_path / "huge.obj"
@@ -700,6 +716,93 @@ class TestOwnHull:
         monkeypatch.setattr(mesh_module, "ConvexHull", counted)
         assert len(fixtures.unit_cube().hull.faces) == 12
         assert calls == [8]
+
+
+class TestOwnHullEdgeIndex:
+    """The own-hull path carries the mesh's edge index to its hull."""
+
+    @staticmethod
+    def check(mesh):
+        hull = mesh.hull
+        assert "edges" in vars(hull)  # set with the hull, not built from its faces
+        built = EdgeIndex.build(hull.faces, len(hull.vertices))
+        for got, want in ((hull.edges.key, built.key), (hull.edges.partner, built.partner)):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", list(_OWN_HULLS))
+    def test_matches_a_build_from_the_hull_faces(self, name):
+        mesh = _OWN_HULLS[name]()
+        rng = np.random.default_rng(11)
+        for other in (mesh, _relabelled(mesh, rng, False), _relabelled(mesh, rng, True)):
+            assert mesh_module._own_hull_faces(other) is not None
+            self.check(other)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_convex_polytopes(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        pts = rng.normal(size=(int(rng.integers(4, 80)), 3))
+        hull = convex_hull(pts / np.linalg.norm(pts, axis=1)[:, None])
+        perm = rng.permutation(len(hull.vertices))
+        mesh = TriMesh(hull.vertices[perm], np.argsort(perm)[hull.faces])
+        self.check(_relabelled(mesh, rng, bool(seed % 2)))
+
+
+def _reference_canonical_faces(faces):
+    """Each row turned to start at its lowest index, as a computed-index
+    take, and the rows in ``np.lexsort`` order."""
+    rows = 3 * np.arange(len(faces))[:, None]
+    turned = faces.take(rows + (faces.argmin(axis=1)[:, None] + np.arange(3)) % 3)
+    return turned[np.lexsort(turned.T[::-1])]
+
+
+class TestCanonicalFaces:
+    @staticmethod
+    def check(faces, n):
+        got, turn, order = _canonical_faces(faces, n)
+        want = _reference_canonical_faces(faces)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+        # canonical row i is row order[i] read from column turn[order[i]] on
+        columns = (turn[order][:, None] + np.arange(3)) % 3
+        assert np.array_equal(got, np.take_along_axis(faces[order], columns, axis=1))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        self.check(rng.integers(0, n, size=(int(rng.integers(0, 300)), 3)), n)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_sharing_a_first_edge(self, seed):
+        # few distinct first edges, each row turned at random and some
+        # repeated whole, so the first-edge key ties often
+        rng = np.random.default_rng(40 + seed)
+        n = 9
+        first = rng.integers(0, 3, size=(200, 1)) + np.array([0, 3])
+        rows = np.column_stack([first, rng.integers(0, n, size=200)])
+        rows = np.vstack([rows, rows[:40]])
+        turns = (rng.integers(0, 3, size=(len(rows), 1)) + np.arange(3)) % 3
+        self.check(np.take_along_axis(rows, turns, axis=1), n)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_qhull_outputs(self, seed):
+        rng = np.random.default_rng(60 + seed)
+        pts = rng.normal(size=(int(rng.integers(4, 200)), 3))
+        simplices = ConvexHull(pts).simplices
+        self.check(simplices, len(pts))
+        self.check(simplices[:, [0, 2, 1]], len(pts))
+
+    def test_closed_wound_surface_takes_one_sort(self, monkeypatch):
+        faces = ellipsoid(3).faces
+
+        def refused(*args, **kwargs):
+            raise AssertionError("lexsort called")
+
+        monkeypatch.setattr(np, "lexsort", refused)
+        got = _canonical_faces(faces, faces.max() + 1)[0]
+        monkeypatch.undo()
+        assert got.tobytes() == _reference_canonical_faces(faces).tobytes()
 
 
 class TestMergeCoplanarFacets:

@@ -875,8 +875,9 @@ class TestPivotTable:
         assert "pivot_table" in vars(mesh)
 
     def test_edge_index_built_once_per_mesh(self, monkeypatch):
-        """Construction builds each TriMesh's edge index, and enumerate
-        and the first settle (its pivot table) reuse the hull's."""
+        """Enumerate and the first settle (its pivot table) build one edge
+        index, the mesh's: its hull, taken from the mesh's own faces,
+        carries the mesh's through its turns and order."""
         sphere = fixtures.icosphere(0.05, 2)
         built = []
         build = EdgeIndex.build
@@ -886,7 +887,28 @@ class TestPivotTable:
         enumerate_stable(mesh)
         settle(mesh, random_rotation(np.random.default_rng(3)))
         assert "pivot_table" in vars(mesh)
-        assert built == [len(mesh.vertices), len(mesh.hull.vertices)]
+        assert built == [len(mesh.vertices)]
+
+    def test_mass_pass_once_per_mesh_and_never_on_its_own_hull(self, monkeypatch):
+        """Enumerate and the first settle run the mass pass once, on the
+        mesh; its hull, taken from the mesh's own faces, runs none."""
+        passes = []
+        prop = vars(TriMesh)["_mass_properties"]
+
+        def counted(self):
+            passes.append(self)
+            return prop.func(self)
+
+        counted_prop = cached_property(counted)
+        counted_prop.__set_name__(TriMesh, "_mass_properties")
+        monkeypatch.setattr(TriMesh, "_mass_properties", counted_prop)
+        mesh = ellipsoid(2)
+        assert passes == []  # construction runs none
+        enumerate_stable(mesh)
+        settle(mesh, random_rotation(np.random.default_rng(3)))
+        assert "pivot_table" in vars(mesh)
+        assert mesh_module._own_hull_faces(mesh) is not None
+        assert len(passes) == 1 and passes[0] is mesh
 
     def test_hull_geometry_built_once_per_mesh(self, monkeypatch):
         """Enumerate and the first settle (its pivot table) share one
