@@ -50,7 +50,7 @@ class ZeroPlaneVector(ValueError):
     """Plane passes through the origin and has no vector representation."""
 
 
-@dataclass
+@dataclass(eq=False)
 class TriMesh:
     """Triangle mesh with its uniform-density volume and COM.
 
@@ -68,7 +68,9 @@ class TriMesh:
     hull's edge lines and its pivot table are cached on first use, and
     the support polygons of its resting contact sets in one memo
     (``supports``), so changing ``vertices`` or ``faces`` in place leaves
-    them stale.  The cached arrays are read-only.
+    them stale.  The cached arrays are read-only.  Two meshes are equal
+    only when they are the same object, as their arrays have no truth
+    value to compare.
     """
 
     vertices: np.ndarray  # (N, 3)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -818,12 +817,11 @@ def settle_batch(
     index rows, one row per drop (``_stack_supports``), and take one
     margin pass and one pivot pass per shape, not one per contact set.
     Then one stacked pass finds every pivoting drop's angle and turns
-    it.  A block of one drop takes ``settle``'s loop, which does the
-    same arithmetic without the lockstep's bookkeeping."""
+    it."""
     initials = np.asarray(initials, dtype=float).reshape(-1, 3, 3)
     outcomes, traces = [], []
     for block in _blocks(mesh, len(initials)):
-        got, heights = _settle_block(mesh, initials[block], margin_eps)
+        got, heights, _ = _settle_block(mesh, initials[block], margin_eps)
         outcomes += got
         traces += heights
     outcomes = _explain_tips(mesh, outcomes, margin_eps)
@@ -903,19 +901,15 @@ def _settle_one(
 
 def _settle_block(
     mesh: TriMesh, initials: np.ndarray, margin_eps: float
-) -> tuple[list, list[list[float]]]:
+) -> tuple[list, list[list[float]], list[Support | None]]:
     """Outcomes and traces of the drops from ``initials`` (n, 3, 3), for
-    ``settle_batch``."""
+    ``settle_batch``, and the ``Support`` each stable drop rested on (None
+    for a diverged drop), for ``settle_records``."""
     traces: list[list[float]] = [[] for _ in initials]
-    if len(initials) == 1:
-        try:
-            outcome = _settle_one(mesh, initials[0].copy(), traces[0], margin_eps)
-        except SettleDiverged as exc:
-            outcome = exc
-        return [outcome], traces
     hv, com_body = mesh.hull.vertices, mesh.com
     rots = initials.copy()
     outcomes: list = [None] * len(rots)
+    supports: list = [None] * len(rots)
     active = np.arange(len(rots))
     while len(active):
         rot = rots[active]
@@ -943,7 +937,7 @@ def _settle_block(
         shapes: dict[tuple[bool, int, int], list] = {}  # (support, rows) per shape
         for contact, support in zip(off_graph, _contact_supports(mesh, off_graph)):
             shapes.setdefault(_shape(support), []).append((support, groups[contact]))
-        stable: list[tuple[int, float, float]] = []  # (row, margin, inradius)
+        stable: list[tuple[int, float, float, Support]] = []  # (row, margin, inradius, support)
         pivots = []  # (rows, world, com, a, u) per shape
         for bucket in shapes.values():
             sets, row_lists = zip(*bucket)
@@ -956,7 +950,8 @@ def _settle_block(
             margin = _contact_margin(posed[..., :2], at[..., :2], support)
             rests = margin >= margin_eps
             stable += zip(rows[rests].tolist(), margin[rests].tolist(),
-                          support.inradius[rests].tolist())
+                          support.inradius[rests].tolist(),
+                          [sets[k] for k in which[rests].tolist()])
             tips = ~rests
             for k in np.flatnonzero(tips).tolist():
                 i = active[rows[k]]
@@ -972,9 +967,11 @@ def _settle_block(
                 pivots.append((rows, posed, at,
                                *_pivot_axis(posed[..., :2], at[..., :2], support)))
         if stable:
-            rows, margins, inradii = zip(*stable)
-            for j, placement in zip(rows, _resting(mesh, rot[list(rows)], margins, inradii)):
-                outcomes[active[j]] = placement
+            rows, margins, inradii, rested = zip(*stable)
+            for j, placement, support in zip(
+                rows, _resting(mesh, rot[list(rows)], margins, inradii), rested
+            ):
+                outcomes[active[j]], supports[active[j]] = placement, support
         if pivots:
             rows, posed, at, a, u = (
                 pivots[0] if len(pivots) == 1 else (np.concatenate(p) for p in zip(*pivots))
@@ -986,7 +983,7 @@ def _settle_block(
                 outcomes[active[j]] = SettleDiverged("no pivot target vertex")
             going[rows[stuck]] = False
         active = active[going]
-    return outcomes, traces
+    return outcomes, traces, supports
 
 
 def _walkable_row(mesh: TriMesh, contact: tuple[int, ...]) -> int | None:
@@ -1067,8 +1064,8 @@ def _check_tips(heights: list[float]) -> None:
 # --- dataset generation -------------------------------------------------------------
 
 
-# Drops per task sent to a worker process.
-_CHUNK = 16
+# generate_dataset starts at most one worker process per this many drops.
+_DROPS_PER_WORKER = 16
 # Random rotations tried per record for an unstable pose.
 _UNSTABLE_TRIES = 100
 
@@ -1098,49 +1095,40 @@ def settle_records(
     contacts' plane (``plane_from_contacts``) at least 1e-6 from the
     origin, of at most ``_UNSTABLE_TRIES``.  Each block of drops settles
     as in ``settle_batch``, one margin pass and one pivot pass per support
-    shape and iteration.  The settled drops are grouped by contact set,
-    each set's support is looked up once, and one gather takes every
-    drop's contact triple.  Then one stacked pass finds the resting pose
-    and pivot, and one stacked pass per try runs over the drops whose
-    tries have all failed so far."""
+    shape and iteration, and each stable drop keeps the ``Support`` the
+    lockstep found it resting on, so its polygon gives the corners with
+    no second contact pass.  One stacked pass poses the hulls under the
+    placements and one gather takes every drop's contact triple; then
+    one stacked pass per try runs over the drops whose tries have all
+    failed so far."""
     records: list[PlacementRecord | None] = []
     initials = np.asarray(initials, dtype=float).reshape(-1, 3, 3)
     for block in _blocks(mesh, len(initials)):
-        outcomes, _ = _settle_block(mesh, initials[block], margin_eps)
-        records += _block_records(object_id, mesh, outcomes, rngs[block])
+        outcomes, _, supports = _settle_block(mesh, initials[block], margin_eps)
+        records += _block_records(object_id, mesh, outcomes, supports, rngs[block])
     return records
 
 
 def _block_records(
-    object_id: str, mesh: TriMesh, outcomes: list, rngs: list[np.random.Generator]
+    object_id: str, mesh: TriMesh, outcomes: list, supports: list,
+    rngs: list[np.random.Generator],
 ) -> list[PlacementRecord | None]:
-    """``settle_records`` of one block, from its ``settle_batch`` outcomes."""
+    """``settle_records`` of one block, from its ``_settle_block``
+    outcomes and the supports its drops rested on."""
     records: list[PlacementRecord | None] = [None] * len(outcomes)
-    settled = [i for i, p in enumerate(outcomes) if isinstance(p, Placement)]
-    if not settled:
+    drops = [i for i, s in enumerate(supports) if s is not None and s.polygon is not None]
+    if not drops:
         return records
-    rot = np.stack([outcomes[i].rotation for i in settled])
-    shift = np.stack([outcomes[i].translation for i in settled])
-    world = mesh.hull.vertices @ rot.transpose(0, 2, 1) + shift[:, None, :]
-    groups = _contact_groups(world[:, :, 2] <= CONTACT_TOL)
-    corners = np.zeros((len(settled), 3), dtype=int)  # polygon vertices 0, k // 3, 2k // 3
-    held = np.zeros(len(settled), dtype=bool)  # else the drop counts as diverged
-    for rows, support in zip(groups.values(), _contact_supports(mesh, list(groups))):
-        poly = support.polygon
-        if poly is not None:
-            k = len(poly)
-            corners[rows] = poly[[0, k // 3, (2 * k) // 3]]
-            held[rows] = True
-    kept = np.flatnonzero(held)
-    if not len(kept):
-        return records
-    drops = [settled[j] for j in kept.tolist()]
-    triple = world[kept[:, None], corners[kept]]
-    rest = rot[kept]
-    pivot = (rest @ mesh.com + shift[kept])[:, None, :]
-    poses: list = [None] * len(kept)
-    planes: list = [None] * len(kept)
-    pending = np.arange(len(kept))
+    polygons = [supports[i].polygon for i in drops]
+    corners = np.array([poly[[0, len(poly) // 3, 2 * len(poly) // 3]] for poly in polygons])
+    rest = np.stack([outcomes[i].rotation for i in drops])
+    shift = np.stack([outcomes[i].translation for i in drops])
+    world = mesh.hull.vertices @ rest.transpose(0, 2, 1) + shift[:, None, :]
+    triple = world[np.arange(len(drops))[:, None], corners]
+    pivot = (rest @ mesh.com + shift)[:, None, :]
+    poses: list = [None] * len(drops)
+    planes: list = [None] * len(drops)
+    pending = np.arange(len(drops))
     for _ in range(_UNSTABLE_TRIES):
         if not len(pending):
             break
@@ -1187,13 +1175,13 @@ def generate_dataset(
     Tier-1 instead of moving the dataset's bytes.  ``seed`` must be a
     Python or NumPy integer >= 0; it is checked before any drop settles.
     With one worker each object's drops are settled as one
-    ``settle_records`` batch in this process.  Otherwise the jobs go to
-    worker processes in chunks of ``_CHUNK``, each split into one batch
-    per object it spans, and the pool starts no more workers than there
-    are chunks.  Either way a batch runs in blocks that bound its memory
-    (``_SETTLE_BLOCK``).  Each worker process receives the meshes once,
-    so their cached hulls, pivot tables and support memos persist across
-    its chunks.
+    ``settle_records`` batch in this process.  Otherwise the pool starts
+    at most one worker per ``_DROPS_PER_WORKER`` drops, and worker w gets
+    one task: the jobs ``jobs[w::workers]``, a round-robin share of every
+    object's drops, settled as one batch per object.  So a heavy mesh is
+    split across the workers, each worker receives the meshes once, and
+    the shares come back into job order.  Either way a batch runs in
+    blocks that bound its memory (``_SETTLE_BLOCK``).
     """
     if drops_per_object < 1:
         raise ValueError("drops_per_object must be >= 1")
@@ -1203,18 +1191,19 @@ def generate_dataset(
         for obj_idx in range(len(meshes))
         for drop_idx in range(drops_per_object)
     ]
-    chunks = [jobs[i:i + _CHUNK] for i in range(0, len(jobs), _CHUNK)]
-    workers = min(workers, len(chunks))
+    workers = min(workers, -(-len(jobs) // _DROPS_PER_WORKER))
     if workers <= 1:
         results = _run_drops(meshes, seed, margin_eps, jobs)
     else:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(meshes, seed, margin_eps),
-        ) as pool:
-            results = [rec for part in pool.map(_pool_drops, chunks, chunksize=1)
-                       for rec in part]
+        from concurrent.futures import ProcessPoolExecutor  # only a pool pays for the import
+
+        shares = [jobs[w::workers] for w in range(workers)]
+        results = [None] * len(jobs)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = pool.map(_run_drops, [meshes] * workers, [seed] * workers,
+                             [margin_eps] * workers, shares)
+            for w, part in enumerate(parts):
+                results[w::workers] = part
     records: list[PlacementRecord] = []
     diverged = {object_id: 0 for object_id, _ in meshes}
     for (obj_idx, _), rec in zip(jobs, results):
@@ -1234,19 +1223,6 @@ def _run_drops(meshes, seed: int, margin_eps: float, jobs: list[tuple[int, int]]
         drops = [drop_idx for _, drop_idx in run]
         results += _drop_records(object_id, mesh, seed, obj_idx, drops, margin_eps)
     return results
-
-
-# (meshes, seed, margin_eps) of the generate_dataset call a worker serves.
-_WORKER: tuple = ()
-
-
-def _init_worker(meshes, seed: int, margin_eps: float) -> None:
-    global _WORKER
-    _WORKER = (meshes, seed, margin_eps)
-
-
-def _pool_drops(jobs: list[tuple[int, int]]) -> list[PlacementRecord | None]:
-    return _run_drops(*_WORKER, jobs)
 
 
 def _drop_records(

@@ -946,3 +946,13 @@ def test_cli_import_leaves_out_scipy_optimize():
     )
     assert out.returncode == 0
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_out_multiprocessing():
+    # only a dataset run with more than one worker starts a process pool,
+    # so only it pays for importing one
+    out = _run_python(
+        "-c", "import sys, stableplace.cli; print('multiprocessing' in sys.modules)"
+    )
+    assert out.returncode == 0
+    assert out.stdout.strip() == "False"

@@ -489,6 +489,16 @@ class TestTranslation:
         assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) <= 1e-9
 
 
+class TestEquality:
+    def test_equality_is_identity(self):
+        m, other = fixtures.unit_cube(), fixtures.unit_cube()
+        assert (m == other) is False
+        assert m == m
+        assert m != m.hull
+        assert m in [other, m]
+        assert [other, m].index(m) == 1
+
+
 class TestCachedHull:
     def test_hull_built_once_and_matches(self):
         m = fixtures.l_prism()

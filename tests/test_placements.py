@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import json
 import re
@@ -984,23 +985,25 @@ class TestGenerateDataset:
             assert np.abs(v - rec.v_gt).max() < 1e-9
 
     def test_same_seed_byte_identical(self, cube, tetra):
-        meshes = [("cube", cube), ("tetra", tetra)]
-        a = generate_dataset(meshes, 20, seed=9)
-        b = generate_dataset(meshes, 20, seed=9)
-        c = generate_dataset(meshes, 20, seed=9, workers=2)
+        """Reruns and worker counts give the same bytes.  17 drops on each
+        of three objects allow four workers, so at 3 and 5 the round-robin
+        shares are uneven, and every share spans every object."""
+        meshes = [("cube", cube), ("tetra", tetra), ("ellipsoid", ellipsoid(2))]
+        a = generate_dataset(meshes, 17, seed=9)
         sa = [json.dumps(r.to_json_dict(), sort_keys=True) for r in a.records]
-        sb = [json.dumps(r.to_json_dict(), sort_keys=True) for r in b.records]
-        sc = [json.dumps(r.to_json_dict(), sort_keys=True) for r in c.records]
-        assert sa == sb == sc
-        assert a.diverged == c.diverged
+        assert len(sa) == 51 - sum(a.diverged.values())
+        for workers in (1, 2, 3, 5):
+            b = generate_dataset(meshes, 17, seed=9, workers=workers)
+            sb = [json.dumps(r.to_json_dict(), sort_keys=True) for r in b.records]
+            assert sa == sb, workers
+            assert a.diverged == b.diverged, workers
 
     def test_pool_starts_at_most_one_worker_per_chunk(self, cube, tetra, monkeypatch):
         started = []
 
         class Pool:  # records its size and runs the jobs in this process
-            def __init__(self, max_workers, initializer, initargs):
+            def __init__(self, max_workers):
                 started.append(max_workers)
-                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -1008,11 +1011,10 @@ class TestGenerateDataset:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs, chunksize):
-                return map(fn, jobs)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
-        monkeypatch.setattr(placements, "ProcessPoolExecutor", Pool)
-        monkeypatch.setattr(placements, "_WORKER", ())
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         meshes = [("cube", cube), ("tetra", tetra)]
         for drops, workers, pool in [(20, 64, [3]), (20, 2, [2]), (8, 64, []), (8, 1, [])]:
             started.clear()
@@ -1063,7 +1065,7 @@ class TestGenerateDataset:
         settled, started = [], []
         monkeypatch.setattr(placements, "settle_records",
                             lambda *args, **kwargs: settled.append(args))
-        monkeypatch.setattr(placements, "ProcessPoolExecutor",
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             lambda *args, **kwargs: started.append(args))
         with pytest.raises(error, match=f"^{message}$"):
             generate_dataset([("cube", cube)], 20, seed=seed, workers=workers)
