@@ -22,8 +22,11 @@ its own faces and ``qhull`` otherwise, and the milliseconds of the first
 its column.  Then 12 random drops,
 seeded by ``[0, i]`` on the i-th mesh, settle one at a time with
 ``settle``, as the workload's timed calls do.  Per mesh the script
-prints the ``enumerate_stable`` milliseconds, the number of 2-D qhull
-calls the enumeration makes (``qhull``: one per support polygon it
+prints the ``enumerate_stable`` milliseconds, the rows of the COM's
+edge-line table the enumeration computes out of the hull's faces
+(``bounded``: the one-triangle facets its cull leaves for the exact
+bound, or every face when it reads the full table), the number of 2-D
+qhull calls the enumeration makes (``qhull``: one per support polygon it
 builds of four or more points), the first settle's milliseconds, the
 median of the next 11, and the number of ``_new_supports`` calls
 (support-polygon builds) made by the enumeration and by the 12 settles.
@@ -69,6 +72,18 @@ def counted(fn, calls: list[int]):
     def wrapper(*args, **kwargs):
         calls[0] += 1
         return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def counted_rows(fn, rows: list[int]):
+    """fn, adding the rows of the arrays it returns to ``rows[0]``."""
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        rows[0] += len(out)
+        return out
 
     return wrapper
 
@@ -122,19 +137,24 @@ def cold_load(mesh: TriMesh) -> tuple[TriMesh, float, float, float]:
 
 def main():
     new_supports, convex_hull = placements._new_supports, mesh_module.convex_hull
-    calls, hulls, hulls_3d = [0], [0], [0]
+    distances = mesh_module._edge_line_distances
+    calls, hulls, hulls_3d, bounded = [0], [0], [0], [0]
     placements._new_supports = counted(new_supports, calls)
     placements.ConvexHull = mesh_module.ConvexHull = counted_2d_hull(hulls)
     mesh_module.convex_hull = counted(convex_hull, hulls_3d)
+    placements._edge_line_distances = mesh_module._edge_line_distances = counted_rows(
+        distances, bounded)
     try:
         print(f"{'mesh':<15} {'faces':>5} {'parse':>7} {'TriMesh':>7} {'mass':>6} {'hull':>11} "
-              f"{'enumerate':>10} {'qhull':>5} {'first':>8} {'next 11':>8} {'builds':>13}  "
+              f"{'enumerate':>10} {'bounded':>10} {'qhull':>5} {'first':>8} {'next 11':>8} "
+              f"{'builds':>13}  "
               "(ms; parse + TriMesh + mass = cold load_mesh; hull = own faces or qhull, and its "
-              "part of enumerate; qhull = 2-D qhull calls in enumerate; "
+              "part of enumerate; bounded = edge-line rows enumerate computes / hull faces; "
+              "qhull = 2-D qhull calls in enumerate; "
               "builds = _new_supports calls: enumerate + settles)")
         for i, (name, built) in enumerate(meshes()):
             mesh, parse_s, construct_s, mass_s = cold_load(built)
-            calls[0] = hulls[0] = hulls_3d[0] = 0
+            calls[0] = hulls[0] = hulls_3d[0] = bounded[0] = 0
             t0 = time.perf_counter()
             mesh.hull
             hull_s = time.perf_counter() - t0
@@ -142,6 +162,7 @@ def main():
             enumerate_s = time.perf_counter() - t0
             source = "qhull" if hulls_3d[0] else "own"
             enumerate_calls, enumerate_hulls = calls[0], hulls[0]
+            enumerate_rows = f"{bounded[0]}/{len(mesh.hull.faces)}"
             rng = np.random.default_rng([0, i])
             calls[0] = 0
             settle_s = []
@@ -152,12 +173,13 @@ def main():
                 settle_s.append(time.perf_counter() - t0)
             print(f"{name:<15} {len(mesh.faces):>5} {1e3 * parse_s:>7.2f} "
                   f"{1e3 * construct_s:>7.2f} {1e3 * mass_s:>6.2f} {source:>5} {1e3 * hull_s:>5.1f} "
-                  f"{1e3 * enumerate_s:>10.1f} "
+                  f"{1e3 * enumerate_s:>10.1f} {enumerate_rows:>10} "
                   f"{enumerate_hulls:>5} "
                   f"{1e3 * settle_s[0]:>8.2f} {1e3 * statistics.median(settle_s[1:]):>8.3f} "
                   f"{enumerate_calls:>9} + {calls[0]}")
     finally:
         placements._new_supports, mesh_module.convex_hull = new_supports, convex_hull
+        placements._edge_line_distances = mesh_module._edge_line_distances = distances
         placements.ConvexHull = mesh_module.ConvexHull = ConvexHull
 
 

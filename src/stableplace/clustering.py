@@ -91,16 +91,27 @@ def mean_shift_orientations(
         means[moving] = new
         moving = moving[shift >= SHIFT_TOL]
 
-    close = (angle_between(means[:, None], means) <= bandwidth).tolist()
-    kept: list[int] = []
-    for i, row in enumerate(close):
-        if not any(row[k] for k in kept):
-            kept.append(i)
-    modes = rotation_between(means[kept], Z_HAT)
+    modes = rotation_between(means[_mode_indices(means, bandwidth)], Z_HAT)
 
     model = TypeModel(modes=list(modes), bandwidth=bandwidth, assign_threshold=bandwidth)
     labels = np.argmin(angle_between(ups[:, None], modes[:, 2, :]), axis=1)
     return model, labels.tolist()
+
+
+def _mode_indices(means: np.ndarray, bandwidth: float) -> list[int]:
+    """Indices of the means (n, 3) that become modes: each mean in turn,
+    unless it is within ``bandwidth`` of an earlier mode.  The lowest open
+    mean is a mode and closes every mean within one bandwidth of it, with
+    one angle vector per mode, not an (n, n) matrix; closing it explicitly
+    stops a NaN mean, within no bandwidth of itself, from looping."""
+    kept: list[int] = []
+    open_ = np.ones(len(means), dtype=bool)
+    while open_.any():
+        i = int(open_.argmax())
+        kept.append(i)
+        open_[angle_between(means, means[i]) <= bandwidth] = False
+        open_[i] = False
+    return kept
 
 
 def assign_type(r: np.ndarray, model: TypeModel) -> int | None:

@@ -20,6 +20,7 @@ from scipy.spatial import ConvexHull, QhullError
 from .rotations import (
     _any_perpendicular,
     angle_between,
+    cross,
     rot_x,
     rotation_between,
     rotation_from_axis_angle,
@@ -114,13 +115,12 @@ class TriMesh:
             middle = 0.5 * v.min(axis=0) + 0.5 * v.max(axis=0) if len(v) else np.zeros(3)
             v = v - middle
             a, b, c = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
-            cross = np.cross(b - a, c - a)
-            areas = 0.5 * np.linalg.norm(cross, axis=1)
+            areas = 0.5 * np.linalg.norm(cross(b - a, c - a), axis=1)
             area = areas.sum()
             if area < 1e-12:
                 raise DegenerateMesh("mesh has zero surface area")
             # signed tetrahedra against the middle (divergence theorem)
-            dets = np.einsum("ij,ij->i", a, np.cross(b, c))
+            dets = np.einsum("ij,ij->i", a, cross(b, c))
             vol = dets.sum() / 6.0
             fallback = not (self._is_watertight() and abs(vol) > 1e-12)
             if not fallback:
@@ -191,8 +191,10 @@ class TriMesh:
 
     @cached_property
     def edge_distances(self) -> np.ndarray:
-        """``_edge_line_distances`` of the hull and the COM, built on first
-        use by ``placements.enumerate_stable`` or the pivot table."""
+        """``_edge_line_distances`` of the hull and the COM, every face,
+        built on first use: by the pivot table, or by an enumeration that
+        bounds every face (``placements.enumerate_stable`` bounds only the
+        faces its cull keeps, and reads this table once it is built)."""
         hull = self.hull
         return _read_only(_edge_line_distances(hull, hull.face_normals(), self.com))
 
@@ -238,7 +240,7 @@ class TriMesh:
         """Unit normals (zero for a zero-area face) and areas of the
         faces, from one cross product per face, built on first use."""
         _, e1, e2 = self.triangle_edges
-        n = np.cross(e1, e2)
+        n = cross(e1, e2)
         lens = np.linalg.norm(n, axis=1)
         areas = 0.5 * lens
         lens[lens == 0] = 1.0
@@ -545,7 +547,7 @@ def convex_hull(points: np.ndarray) -> TriMesh:
     centroid = verts.mean(axis=0)
     # orient every triangle outward
     a, b, c = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
-    normals = np.cross(b - a, c - a)
+    normals = cross(b - a, c - a)
     inward = np.einsum("ij,ij->i", normals, a - centroid) < 0
     faces[inward] = faces[inward][:, [0, 2, 1]]
     return TriMesh(verts, _canonical_faces(faces, len(verts))[0])
@@ -781,7 +783,7 @@ def _facet(hull: TriMesh, group: list[int]) -> Facet:
     pts = hull.vertices[vidx]
     # order around the polygon: 2D hull in the facet plane
     e1 = _any_perpendicular(n)
-    e2 = np.cross(n, e1)
+    e2 = cross(n, e1)
     uv = np.column_stack([pts @ e1, pts @ e2])
     order = _convex_order_2d(uv)
     return Facet(
@@ -810,14 +812,15 @@ def _convex_order_2d(uv: np.ndarray) -> np.ndarray:
 
 
 def _edge_line_distances(
-    hull: TriMesh, normals: np.ndarray, com: np.ndarray
+    hull: TriMesh, normals: np.ndarray, com: np.ndarray, rows=slice(None)
 ) -> np.ndarray:
-    """(F, 3) in-plane signed distances from ``com`` to the line of each
-    hull triangle's edge k (vertex k to k + 1), positive inward.
-    Degenerate triangles give NaN."""
-    tri = hull.vertices[hull.faces]  # (F, 3, 3)
+    """(R, 3) in-plane signed distances from ``com`` to the line of edge k
+    (vertex k to k + 1) of each hull triangle in ``rows`` (all of them by
+    default), positive inward; ``normals`` holds every face's.  A row has
+    the same bits in any selection.  Degenerate triangles give NaN."""
+    tri = hull.vertices[hull.faces[rows]]  # (R, 3, 3)
     edge = np.roll(tri, -1, axis=1) - tri
-    inward = np.cross(normals[:, None, :], edge)
+    inward = cross(normals[rows, None, :], edge)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.einsum("fkj,fkj->fk", inward, com - tri) / np.linalg.norm(
             inward, axis=2
@@ -1019,7 +1022,7 @@ def plane_vectors(
     span a plane (half the normal's length above 1e-10), and whether the
     plane is off the origin (distance at least 1e-12).  v is only
     meaningful where both hold."""
-    n = np.cross(p2 - p1, p3 - p1)
+    n = cross(p2 - p1, p3 - p1)
     area2 = np.sqrt(np.vecdot(n, n))
     with np.errstate(divide="ignore", invalid="ignore"):
         n = n / area2[..., None]

@@ -22,6 +22,7 @@ from .mesh import (
     PivotTable,
     TriMesh,
     _coplanar_groups,
+    _edge_line_distances,
     _nearest_edge,
     plane_from_contacts,
     plane_vectors,
@@ -29,6 +30,7 @@ from .mesh import (
 from .rotations import (
     InvalidRotation,
     check_rotation,
+    cross,
     quaternion_rotations,
     rotation_between,
     rotation_from_axis_angle,
@@ -456,11 +458,8 @@ def _new_supports(mesh: TriMesh, contacts: list[np.ndarray]) -> list[Support]:
         mean = pts.mean(axis=1)
         _, _, vt = np.linalg.svd(pts - mean[:, None])
         uv = (pts - mean[:, None]) @ vt[:, :2].transpose(0, 2, 1)  # best-fit plane coordinates
-        # qhull's order is counter-clockwise about vt[0] x vt[1], which
-        # takes np.cross's arithmetic
-        v0, v1 = vt[:, 0], vt[:, 1]
-        up = v0[:, [1, 2, 0]] * v1[:, [2, 0, 1]] - v0[:, [2, 0, 1]] * v1[:, [1, 2, 0]]
-        flip[sel] = np.vecdot(up, mesh.com - mean) < 0
+        # qhull's order is counter-clockwise about vt[0] x vt[1]
+        flip[sel] = np.vecdot(cross(vt[:, 0], vt[:, 1]), mesh.com - mean) < 0
         for rows, order in _convex_rings(uv):
             rings.append((sel[rows], np.take_along_axis(idx[rows], order, axis=1),
                           np.take_along_axis(uv[rows], order[..., None], axis=1)))
@@ -575,9 +574,15 @@ def enumerate_stable(mesh: TriMesh, margin_eps: float = DEFAULT_MARGIN_EPS) -> l
     times the hull's largest coordinate.  The bound is never
     below the margin, and that slack absorbs the rounding between the two
     computations, which grows with the coordinates, so every dropped
-    facet would fail the exact check.  The merged facets of
-    ``_coplanar_groups`` and the surviving one-triangle facets then take
-    one facet pass (``_facet_placements``).  The placements come in facet
+    facet would fail the exact check.  Where that leaves only positive
+    bounds (margin_eps above the slack), a cull (``_may_hold_com``) first
+    drops the triangles whose COM foot point cannot lie inside them, and
+    the bound is computed for the rest alone (``_edge_line_distances`` of
+    those rows, with the bits of the full table's).  When every face is
+    left, or the mesh's full table is built already, the pre-filter reads
+    that table.  The merged facets of ``_coplanar_groups`` and the
+    surviving one-triangle facets then take one facet pass
+    (``_facet_placements``).  The placements come in facet
     order, and the output equals that of checking every facet of
     ``merge_coplanar_facets`` against its rest set's ``Support``, bit for
     bit.
@@ -591,12 +596,42 @@ def enumerate_stable(mesh: TriMesh, margin_eps: float = DEFAULT_MARGIN_EPS) -> l
     """
     check_margin_eps(margin_eps)
     hull = mesh.hull
-    groups, lone = _coplanar_groups(hull, hull.face_normals(), FACET_ANGLE_TOL)
+    normals = hull.face_normals()
+    groups, lone = _coplanar_groups(hull, normals, FACET_ANGLE_TOL)
     slack = 1e-9 * float(np.abs(hull.vertices).max())
-    lone = np.flatnonzero(lone & ~(mesh.edge_distances.min(axis=1) < margin_eps - slack))
+    built = "edge_distances" in vars(mesh)
+    if margin_eps - slack > 0 and not built:
+        lone &= _may_hold_com(hull, mesh.com, slack)
+    lone = np.flatnonzero(lone)
+    if built or len(lone) == len(normals):
+        bound = mesh.edge_distances[lone]
+    else:
+        bound = _edge_line_distances(hull, normals, mesh.com, lone)
+    lone = lone[~(bound.min(axis=1) < margin_eps - slack)]
     size = np.concatenate([np.array([len(group) for group in groups], dtype=int),
                            np.ones_like(lone)])
     return _facet_placements(mesh, np.concatenate([*groups, lone]), size, margin_eps)
+
+
+def _may_hold_com(hull: TriMesh, com: np.ndarray, slack: float) -> np.ndarray:
+    """Per hull face, whether the foot point of ``com`` on the face's plane
+    may lie inside the triangle within ``slack``.
+
+    A point inside a triangle is no farther from its corner a than the
+    farther of its corners b and c, so a face is ruled out only when
+    |r|^2 - (r . n)^2 > (max(|e1|, |e2|) + slack)^2, r = com - a, n its
+    unit normal and e1, e2 its edges from a (``TriMesh.triangle_edges``),
+    by more than 1e-12 |r|^2, far above the rounding of the left side.
+    This holds for every unit n: the exact bound measures the same
+    distances in the plane normal to n.  A face of zero area, whose normal
+    is zero and exact bound NaN, and any NaN are kept."""
+    a, e1, e2 = hull.triangle_edges
+    normals, areas = hull.face_normals_and_areas
+    r = com - a
+    rn, rr = np.einsum("ij,ij->i", r, normals), np.einsum("ij,ij->i", r, r)
+    reach = np.sqrt(np.maximum(np.einsum("ij,ij->i", e1, e1), np.einsum("ij,ij->i", e2, e2)))
+    reach += slack
+    return ~(rr - rn * rn > reach * reach + 1e-12 * rr) | (areas == 0)
 
 
 def _facet_placements(

@@ -18,6 +18,7 @@ import numpy as np
 
 from .mesh import TriMesh
 from .placements import Placement
+from .rotations import cross
 
 
 class NoPlanExists(RuntimeError):
@@ -286,22 +287,24 @@ def _ray_mesh_exits(
     hits near its origin: (R,) distances along the ray and face indices,
     face -1 where the ray hits nothing.
 
-    When the rays times the faces fit one block of ``_RAY_FACE_BLOCK``
-    pairs, one ``_narrow_phase`` tests every pair.  Otherwise
-    ``_broad_phase`` drops, in blocks of about that many ray-face pairs
-    (at least one ray each), the pairs the test cannot accept.
-    Consecutive blocks then share one ``_narrow_phase`` while their rays
-    times the most faces one of them keeps stay within that budget.
+    On a small mesh (faces squared within one block of
+    ``_RAY_FACE_BLOCK`` pairs, so at most 64 faces), when the rays times
+    the faces fit one block, one ``_narrow_phase`` tests every pair.
+    Otherwise ``_broad_phase`` drops, in blocks of about that many
+    ray-face pairs (at least one ray each), the pairs the test cannot
+    accept.  Consecutive blocks then share one ``_narrow_phase`` while
+    their rays times the most faces one of them keeps stay within that
+    budget.
 
     The skip pays on small meshes, where the broad phase keeps 82-99.9%
-    of pairs.  A dense mesh with few rays loses by it: just under one
-    block, ``ellipsoid(2)`` with 12 rays and ``ellipsoid(3)`` with 3 keep
-    2.3% and 0.6% of pairs, and one call takes 0.7-0.9 ms skipping
+    of pairs.  A dense mesh with few rays would lose by it: just under
+    one block, ``ellipsoid(2)`` with 12 rays and ``ellipsoid(3)`` with 3
+    keep 2.3% and 0.6% of pairs, and one call took 0.7-0.9 ms skipping
     against 0.26-0.34 ms culling (median of 400, 2-core Xeon).
     """
     n = len(origins)
     f = len(mesh.faces)
-    if n * f <= _RAY_FACE_BLOCK:
+    if f * f <= _RAY_FACE_BLOCK and n * f <= _RAY_FACE_BLOCK:
         return _narrow_phase(
             mesh, origins, directions, [np.repeat(np.arange(n), f)], [np.tile(np.arange(f), n)]
         )
@@ -351,13 +354,13 @@ def _narrow_phase(
     o = origins[:, None]
     d = directions
     ka, ke1, ke2 = a[kept], e1[kept], e2[kept]
-    pvec = _cross(d[:, None], ke2)
+    pvec = cross(d[:, None], ke2)
     det = np.einsum("nij,nij->ni", ke1, pvec)
     ok = (np.arange(width) < counts[:, None]) & (np.abs(det) > 1e-12)
     inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
     tvec = o - ka
     u = np.einsum("nij,nij->ni", tvec, pvec) * inv
-    qvec = _cross(tvec, ke1)
+    qvec = cross(tvec, ke1)
     w = np.matmul(qvec, d[:, :, None])[..., 0] * inv
     t = np.einsum("nij,nij->ni", ke2, qvec) * inv
     hit = ok & (u >= -1e-9) & (w >= -1e-9) & (u + w <= 1 + 1e-9) & (t > 1e-9)
@@ -369,15 +372,6 @@ def _narrow_phase(
     dist[rows] = t[rows, far[rows]]
     face[rows] = kept[rows, far[rows]]
     return dist, face
-
-
-def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``np.cross`` of two stacks of 3-vectors, bit for bit: each
-    component is one elementwise product minus another, as there, without
-    that function's per-call overhead."""
-    x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
-    y0, y1, y2 = y[..., 0], y[..., 1], y[..., 2]
-    return np.stack([x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0], axis=-1)
 
 
 def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -395,9 +389,9 @@ def _perpendicular_bases(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Two unit vectors spanning the plane perpendicular to each unit row
     of ``axis``, right-handed with it."""
     ref = np.where((np.abs(axis[:, 2]) < 0.9)[:, None], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
-    e1 = _cross(axis, ref)
+    e1 = cross(axis, ref)
     e1 /= _lengths(e1)[:, None]
-    return e1, _cross(axis, e1)
+    return e1, cross(axis, e1)
 
 
 def sample_antipodal_grasps(

@@ -4,7 +4,8 @@ and the z-rotation quotient metric.
 
 This module is the one place rotations are built: the one Rodrigues
 formula (``rotation_from_axis_angle``) and the one minimal rotation onto a
-direction (``rotation_between``), each for one input or a stack.
+direction (``rotation_between``), each for one input or a stack.  It also
+holds the package's one cross product (``cross``).
 
 Rotations that differ only by a turn about the world z-axis share a body
 up-axis r.T @ z-hat (the third row of r), so the quotient metric is the
@@ -89,7 +90,7 @@ def rotation_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     c = np.vecdot(a, b)
     same, flip = c >= 1.0 - 1e-15, c <= -1.0 + 1e-15
     with np.errstate(divide="ignore", invalid="ignore"):
-        axis = np.cross(a, b)
+        axis = cross(a, b)
         axis /= np.sqrt(np.vecdot(axis, axis))[..., None]
     axis[same | flip] = _any_perpendicular(a[same | flip])
     angle = np.where(flip, np.pi, np.where(same, 0.0, np.arccos(np.clip(c, -1.0, 1.0))))
@@ -99,8 +100,22 @@ def rotation_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _any_perpendicular(n: np.ndarray) -> np.ndarray:
     """A unit vector perpendicular to each unit vector n (..., 3)."""
     ref = np.where((np.abs(n[..., 0]) < 0.9)[..., None], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
-    e = np.cross(n, ref)
+    e = cross(n, ref)
     return e / np.sqrt(np.vecdot(e, e))[..., None]
+
+
+def cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``np.cross`` of 3-vector arrays x (..., 3) and y (..., 3),
+    broadcast, bit for bit: each component is one elementwise product
+    minus another, as there, written straight into the output, without
+    that function's axis moves and per-call overhead."""
+    x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
+    y0, y1, y2 = y[..., 0], y[..., 1], y[..., 2]
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=np.result_type(x, y))
+    np.subtract(x1 * y2, x2 * y1, out=out[..., 0])
+    np.subtract(x2 * y0, x0 * y2, out=out[..., 1])
+    np.subtract(x0 * y1, x1 * y0, out=out[..., 2])
+    return out
 
 
 def angle_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -311,7 +326,7 @@ def rotation_from_sixd(s: np.ndarray) -> np.ndarray:
     if nb < 1e-12:
         raise DegenerateSixD("vectors are parallel or second vector is zero")
     c1 = b_perp / nb
-    c2 = np.cross(c0, c1)
+    c2 = cross(c0, c1)
     return np.column_stack([c0, c1, c2])
 
 

@@ -322,3 +322,20 @@ def _reference_one_drop(object_id, mesh, seed, obj_idx, drop_idx, max_tips=200):
         return _reference_settle_record(object_id, mesh, initial, rng, max_tips=max_tips)
     except SettleDiverged:
         return None
+
+
+def frozen_enumerate_stable(mesh, margin_eps=1e-4):
+    """``enumerate_stable`` as it was before its cull: the one-triangle
+    pre-filter reads every hull face's edge-line distances, then one facet
+    pass.  Builds the table itself, so the mesh's caches stay as they were."""
+    from stableplace.mesh import FACET_ANGLE_TOL, _coplanar_groups, _edge_line_distances
+    from stableplace.placements import _facet_placements
+
+    hull = mesh.hull
+    groups, lone = _coplanar_groups(hull, hull.face_normals(), FACET_ANGLE_TOL)
+    slack = 1e-9 * float(np.abs(hull.vertices).max())
+    bound = _edge_line_distances(hull, hull.face_normals(), mesh.com).min(axis=1)
+    lone = np.flatnonzero(lone & ~(bound < margin_eps - slack))
+    size = np.concatenate([np.array([len(group) for group in groups], dtype=int),
+                           np.ones_like(lone)])
+    return _facet_placements(mesh, np.concatenate([*groups, lone]), size, margin_eps)

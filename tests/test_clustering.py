@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from stableplace import fixtures
-from stableplace.clustering import TypeModel, assign_type, mean_shift_orientations
+from stableplace import clustering, fixtures
+from stableplace.clustering import TypeModel, _mode_indices, assign_type, mean_shift_orientations
 from stableplace.placements import enumerate_stable, generate_dataset
 from stableplace.rotations import (
+    angle_between,
     geodesic_distance,
     random_rotation,
     rot_x,
@@ -215,6 +216,63 @@ class TestMatchesReference:
         )
         for bandwidth_deg in (5.0, 10.0, 30.0):
             self.check(rots, np.deg2rad(bandwidth_deg))
+
+
+def frozen_mode_indices(means, bandwidth):
+    """The merge of converged means as it was: the (n, n) matrix of
+    ``angle_between(means[:, None], means) <= bandwidth``, then a scan
+    keeping each mean not close to an earlier kept one."""
+    close = (angle_between(means[:, None], means) <= bandwidth).tolist()
+    kept = []
+    for i, row in enumerate(close):
+        if not any(row[k] for k in kept):
+            kept.append(i)
+    return kept
+
+
+class TestModeMerge:
+    """``_mode_indices`` keeps the modes of the frozen matrix form."""
+
+    @staticmethod
+    def _means(rng, n):
+        centers = rng.normal(size=(4, 3))
+        means = centers[rng.integers(4, size=n)] + rng.normal(scale=0.2, size=(n, 3))
+        means /= np.linalg.norm(means, axis=1)[:, None]
+        means[rng.random(n) < 0.2] = means[0]  # exact repeats
+        return means
+
+    def test_random_means(self):
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 5, 40, 200):
+            means = self._means(rng, n)
+            for bandwidth in (1e-9, np.deg2rad(5.0), np.deg2rad(15.0), np.deg2rad(60.0), 4.0):
+                assert _mode_indices(means, bandwidth) == frozen_mode_indices(means, bandwidth)
+
+    def test_exact_ties_at_the_bandwidth(self):
+        """A bandwidth equal to an angle the merge computes, in either
+        argument order, merges exactly as the matrix form does."""
+        rng = np.random.default_rng(12)
+        for _ in range(30):
+            means = self._means(rng, 30)
+            j, k = rng.integers(30, size=2)
+            for bandwidth in (float(angle_between(means[j], means[k])),
+                              float(angle_between(means[k], means[j]))):
+                if bandwidth > 0:
+                    want = frozen_mode_indices(means, bandwidth)
+                    assert _mode_indices(means, bandwidth) == want
+
+    def test_nan_mean_is_its_own_mode(self):
+        means = np.array([[0.0, 0.0, 1.0], [np.nan, 0.0, 0.0], [0.0, 0.01, 1.0], [1.0, 0.0, 0.0]])
+        means /= np.linalg.norm(means, axis=1)[:, None]
+        assert _mode_indices(means, 0.1) == frozen_mode_indices(means, 0.1) == [0, 1, 3]
+
+    def test_fixture_models_match_the_matrix_form(self, fixture_datasets, monkeypatch):
+        got = {key: mean_shift_orientations(rots) for key, rots in fixture_datasets.items()}
+        monkeypatch.setattr(clustering, "_mode_indices", frozen_mode_indices)
+        for key, rots in fixture_datasets.items():
+            model, labels = mean_shift_orientations(rots)
+            assert labels == got[key][1]
+            assert np.stack(model.modes).tobytes() == np.stack(got[key][0].modes).tobytes()
 
 
 class TestAssignType:

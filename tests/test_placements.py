@@ -22,6 +22,7 @@ from conftest import (
     drifting_arc,
     ellipsoid,
     flattened_ellipsoid,
+    frozen_enumerate_stable,
     ngon_prism,
     sheared_wedge,
 )
@@ -383,6 +384,85 @@ def _facet_rest_sets(hull):
     return [tuple(np.unique(hull.faces[group]).tolist()) for group in sorted(groups)]
 
 
+def _cull_meshes():
+    """(name, mesh) of the meshes the enumeration cull is checked on."""
+    yield from fixtures.standard_fixtures().items()
+    for s in (1, 2, 3, 4):
+        yield f"ellipsoid_s{s}", ellipsoid(s)
+        yield f"icosphere_s{s}", fixtures.icosphere(0.05, s)
+    yield "flattened_ellipsoid", flattened_ellipsoid()
+    yield "sheared_wedge", sheared_wedge()
+    yield "ngon_prism", ngon_prism(32)
+    rng = np.random.default_rng(35)
+    for k in range(4):
+        points = rng.normal(size=(60, 3)) * rng.uniform(0.2, 1.0, 3) + rng.normal(size=3)
+        for scale in (1e-3, 1.0, 1e3):
+            yield f"random_{k}_x{scale:g}", convex_hull(points * scale)
+
+
+_CULL_MESHES = dict(_cull_meshes())
+
+
+class TestEnumerateCull:
+    """The one-triangle cull keeps every face that the full-table
+    pre-filter keeps, and enumeration gives the bits of that pre-filter."""
+
+    @staticmethod
+    def _margins(mesh):
+        slack = 1e-9 * float(np.abs(mesh.hull.vertices).max())
+        return slack, (0.0, slack / 2, 1e-4, 1e-2)
+
+    @pytest.mark.parametrize("name", _CULL_MESHES)
+    def test_bounded_rows_hold_every_kept_face(self, monkeypatch, name):
+        built = _CULL_MESHES[name]
+        hull = built.hull
+        _, lone = _coplanar_groups(hull, hull.face_normals(), 1e-4)
+        full = _edge_line_distances(hull, hull.face_normals(), built.com).min(axis=1)
+        slack, margins = self._margins(built)
+        bounded = _recording_edge_line_rows(monkeypatch)
+        for margin_eps in margins:
+            mesh = TriMesh(built.vertices.copy(), built.faces.copy())
+            bounded.clear()
+            enumerate_stable(mesh, margin_eps)
+            [rows] = bounded
+            kept = np.flatnonzero(lone & ~(full < margin_eps - slack))
+            assert np.isin(kept, rows).all(), margin_eps
+            if margin_eps - slack <= 0:
+                assert rows.tolist() == np.flatnonzero(lone).tolist()
+        if name.startswith("ellipsoid_s") and name != "ellipsoid_s1":
+            assert 0 < len(rows) < len(hull.faces) // 2
+
+    @pytest.mark.parametrize("name", _CULL_MESHES)
+    def test_matches_full_table_prefilter(self, name):
+        built = _CULL_MESHES[name]
+        for margin_eps in self._margins(built)[1]:
+            mesh = TriMesh(built.vertices.copy(), built.faces.copy())
+            frozen = TriMesh(built.vertices.copy(), built.faces.copy())
+            got = enumerate_stable(mesh, margin_eps)
+            want = frozen_enumerate_stable(frozen, margin_eps)
+            assert len(got) == len(want)
+            for p, q in zip(got, want):
+                assert p.rotation.tobytes() == q.rotation.tobytes()
+                assert p.translation.tobytes() == q.translation.tobytes()
+                assert (p.score, p.stability_margin) == (q.score, q.stability_margin)
+
+    def test_zero_area_face_is_kept(self):
+        """A zero-normal face, whose exact bound is NaN, survives the cull,
+        as the full-table pre-filter keeps it; a proper face as far from
+        the COM is culled."""
+        vertices = np.array([[10.0, 0.0, 0.0], [11.0, 0.0, 0.0], [10.0, 1.0, 0.0],
+                             [12.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        hull = TriMesh(vertices, np.array([[0, 1, 2], [0, 1, 3], [0, 2, 4]]))
+        com = np.zeros(3)
+        normals = hull.face_normals()
+        assert not normals[1].any()
+        with np.errstate(invalid="ignore"):
+            full = _edge_line_distances(hull, normals, com).min(axis=1)
+        assert np.isnan(full[1])
+        keep = placements._may_hold_com(hull, com, 1e-8)
+        assert keep.tolist() == [False, True, True]
+
+
 class TestStabilityCheck:
     def test_cube_flat(self, cube):
         p = Placement(rotation=np.eye(3), translation=np.array([0.0, 0.0, 0.5]))
@@ -705,6 +785,21 @@ def _counting_2d_hulls():
 _TABLE_MESHES = [*fixtures.standard_fixtures(), "ellipsoid_s2", "ellipsoid_s3"]
 
 
+def _recording_edge_line_rows(monkeypatch) -> list[np.ndarray]:
+    """Patch ``_edge_line_distances`` where enumerate and the mesh call it
+    to list the face indices of each call's rows."""
+    calls = []
+    distances = mesh_module._edge_line_distances
+
+    def recorded(hull, normals, com, rows=slice(None)):
+        calls.append(np.arange(len(normals))[rows])
+        return distances(hull, normals, com, rows)
+
+    for module in (mesh_module, placements):
+        monkeypatch.setattr(module, "_edge_line_distances", recorded)
+    return calls
+
+
 def _table_mesh(name):
     if name.startswith("ellipsoid_s"):
         return ellipsoid(int(name[-1]))
@@ -913,9 +1008,11 @@ class TestPivotTable:
 
     def test_hull_geometry_built_once_per_mesh(self, monkeypatch):
         """Enumerate and the first settle (its pivot table) share one
-        build of the hull's face normals and one of the COM's edge-line
-        distances."""
-        normal_builds, distance_builds = [], []
+        build of the hull's face normals.  The full table of the COM's
+        edge-line distances is built once, by the pivot table; enumerate's
+        own bound covers fewer rows than the hull has faces, and a later
+        enumeration reads the built table."""
+        normal_builds = []
         prop = vars(TriMesh)["face_normals_and_areas"]
 
         def counted(self):
@@ -925,20 +1022,40 @@ class TestPivotTable:
         counted_prop = cached_property(counted)
         counted_prop.__set_name__(TriMesh, "face_normals_and_areas")
         monkeypatch.setattr(TriMesh, "face_normals_and_areas", counted_prop)
-        distances = mesh_module._edge_line_distances
-
-        def counted_distances(*args):
-            distance_builds.append(args)
-            return distances(*args)
-
-        for module in (mesh_module, placements):
-            monkeypatch.setattr(module, "_edge_line_distances", counted_distances,
-                                raising=False)
+        calls = _recording_edge_line_rows(monkeypatch)
         mesh = ellipsoid(2)
+        faces = len(mesh.hull.faces)
         enumerate_stable(mesh)
+        assert "edge_distances" not in vars(mesh)
+        [enumerated] = map(len, calls)
+        assert 0 < enumerated < faces
         settle(mesh, random_rotation(np.random.default_rng(3)))
         assert "pivot_table" in vars(mesh)
-        assert normal_builds == [mesh.hull] and len(distance_builds) == 1
+        enumerate_stable(mesh)
+        enumerate_stable(mesh, 0.0)
+        assert normal_builds == [mesh.hull] and list(map(len, calls)) == [enumerated, faces]
+
+    @pytest.mark.parametrize("name", ["ellipsoid_s2", "tetrahedron", "t_prism"])
+    @pytest.mark.parametrize("order", [
+        ("enumerate", "settle", "enumerate_0"),
+        ("enumerate_0", "settle", "enumerate"),
+        ("settle", "enumerate", "enumerate_0"),
+        ("enumerate", "enumerate_0", "settle"),
+    ])
+    def test_full_edge_table_built_once_in_any_order(self, monkeypatch, name, order):
+        calls = _recording_edge_line_rows(monkeypatch)
+        mesh = _table_mesh(name)
+        mesh = TriMesh(mesh.vertices.copy(), mesh.faces.copy())
+        faces = len(mesh.hull.faces)
+        steps = {
+            "enumerate": lambda: enumerate_stable(mesh),
+            "enumerate_0": lambda: enumerate_stable(mesh, 0.0),
+            "settle": lambda: settle(mesh, random_rotation(np.random.default_rng(3))),
+        }
+        for step in order:
+            steps[step]()
+        assert [len(rows) for rows in calls].count(faces) == ("edge_distances" in vars(mesh))
+        assert "edge_distances" in vars(mesh) or name == "t_prism"
 
     def test_cached_hull_geometry_is_read_only(self):
         mesh = ellipsoid(2)

@@ -733,13 +733,29 @@ class TestFeasibilityAgainstFrozenBroadcast:
         assert_matches_frozen(placements, grasps, g)
 
 
+def _counting_broad_phase(monkeypatch) -> list[int]:
+    """Patch ``regrasp._broad_phase`` to list the ray count of each call."""
+    broad = regrasp._broad_phase
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return broad(*args)
+
+    monkeypatch.setattr(regrasp, "_broad_phase", counted)
+    return calls
+
+
 class TestBroadPhaseSkip:
-    """The ray cast tests every ray-face pair in one narrow phase when
-    they fit one block, and culls them first when they do not."""
+    """On a small mesh (faces squared within one block) the ray cast tests
+    every ray-face pair in one narrow phase when they fit one block, and
+    culls them first when they do not; a larger mesh always culls."""
 
     @pytest.mark.parametrize("name, block, n", [
         # the default block holds exactly 1024 rays over the 4 faces
         ("tetrahedron", None, 1024),
+        ("cube", 12 * 12, 12),
+        # 12 and 320 faces squared exceed these blocks: always culled
         ("cube", 12 * 7, 7),
         ("ellipsoid_s2", 320 * 3, 3),
     ])
@@ -748,20 +764,39 @@ class TestBroadPhaseSkip:
         if block is not None:
             monkeypatch.setattr(regrasp, "_RAY_FACE_BLOCK", block)
         assert n * len(mesh.faces) == regrasp._RAY_FACE_BLOCK
-        broad = regrasp._broad_phase
-        calls = []
-
-        def counted(*args):
-            calls.append(len(args[1]))
-            return broad(*args)
-
-        monkeypatch.setattr(regrasp, "_broad_phase", counted)
-        for rays, runs in ((1, False), (n, False), (n + 1, True)):
+        small = len(mesh.faces) ** 2 <= regrasp._RAY_FACE_BLOCK
+        assert small == (name != "ellipsoid_s2" and block != 12 * 7)
+        calls = _counting_broad_phase(monkeypatch)
+        for rays, runs in ((1, not small), (n, not small), (n + 1, True)):
             calls.clear()
             for seed in (0, 1):
                 got = sample_antipodal_grasps(mesh, rays, WIDE, seed)
                 assert grasp_bytes(got) == grasp_bytes(reference_sample(mesh, rays, WIDE, seed))
             assert calls == ([rays, rays] if runs else [])
+
+    @pytest.mark.parametrize("name, n", [("ellipsoid_s2", 12), ("ellipsoid_s3", 3)])
+    def test_dense_mesh_culls_within_one_block(self, monkeypatch, name, n):
+        """Few rays on a dense mesh fit one block, yet take the culling
+        path, with the bits of testing every pair."""
+        mesh = SAMPLER_MESHES[name]()
+        f = len(mesh.faces)
+        assert n * f <= regrasp._RAY_FACE_BLOCK < f * f
+        calls = _counting_broad_phase(monkeypatch)
+        normals = mesh.face_normals()
+        a, e1, e2 = mesh.triangle_edges
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            fi = rng.integers(f, size=n)
+            u, w = rng.random((2, n, 1)) / 2.0
+            origins = a[fi] + u * e1[fi] + w * e2[fi]
+            calls.clear()
+            dist, face = regrasp._ray_mesh_exits(mesh, origins, -normals[fi])
+            assert calls == [n]
+            every = regrasp._narrow_phase(mesh, origins, -normals[fi],
+                                          [np.repeat(np.arange(n), f)], [np.tile(np.arange(f), n)])
+            assert dist.tobytes() == every[0].tobytes()
+            assert face.tobytes() == every[1].tobytes()
+            assert (face >= 0).all()
 
 
 def reference_plan(graph, start, goal):

@@ -13,6 +13,7 @@ from stableplace.rotations import (
     PolyCoeffs,
     angle_between,
     check_rotation,
+    cross,
     fit_geodesic_polynomial,
     geodesic_distance,
     poly_geodesic_distance,
@@ -156,6 +157,43 @@ class TestStackedConstructors:
     def test_non_unit_row_rejected(self):
         with pytest.raises(InvalidAxis):
             rotation_from_axis_angle(np.array([Z, [1.0, 1.0, 0.0]]), 0.3)
+
+
+class TestCross:
+    """``cross`` has the bits of ``np.cross`` for one pair, stacks and
+    broadcast stacks, over scales 1e-5 to 1e5 and rows with signed zeros,
+    infinities and NaN."""
+
+    @staticmethod
+    def _rows(rng, shape):
+        v = rng.normal(size=shape) * 10.0 ** rng.uniform(-5, 5, shape[:-1] + (1,))
+        hit = rng.random(shape) < 0.05
+        v[hit] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], hit.sum())
+        return v
+
+    @pytest.mark.parametrize("x_shape, y_shape", [
+        ((3,), (3,)),
+        ((40, 3), (40, 3)),
+        ((40, 3), (3,)),
+        ((40, 1, 3), (40, 3, 3)),
+        ((7, 1, 3), (1, 5, 3)),
+        ((0, 3), (0, 3)),
+    ])
+    def test_matches_np_cross(self, x_shape, y_shape):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            x, y = self._rows(rng, x_shape), self._rows(rng, y_shape)
+            with np.errstate(invalid="ignore", over="ignore"):
+                want = np.cross(x, y)
+                got = cross(x, y)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_signed_zero_rows(self):
+        zeros = np.array([[0.0, -0.0, 0.0], [-0.0, -0.0, -0.0], [0.0, 0.0, 0.0],
+                          [1.0, -0.0, 0.0], [-1.0, 0.0, -0.0]])
+        x, y = zeros[:, None], zeros[None]
+        assert cross(x, y).tobytes() == np.cross(x, y).tobytes()
 
 
 class TestGeodesicDistance:
