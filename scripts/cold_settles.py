@@ -140,7 +140,7 @@ def main():
     distances = mesh_module._edge_line_distances
     calls, hulls, hulls_3d, bounded = [0], [0], [0], [0]
     placements._new_supports = counted(new_supports, calls)
-    placements.ConvexHull = mesh_module.ConvexHull = counted_2d_hull(hulls)
+    mesh_module.ConvexHull = counted_2d_hull(hulls)
     mesh_module.convex_hull = counted(convex_hull, hulls_3d)
     placements._edge_line_distances = mesh_module._edge_line_distances = counted_rows(
         distances, bounded)
@@ -180,7 +180,7 @@ def main():
     finally:
         placements._new_supports, mesh_module.convex_hull = new_supports, convex_hull
         placements._edge_line_distances = mesh_module._edge_line_distances = distances
-        placements.ConvexHull = mesh_module.ConvexHull = ConvexHull
+        mesh_module.ConvexHull = ConvexHull
 
 
 if __name__ == "__main__":

@@ -122,7 +122,7 @@ class TriMesh:
             # signed tetrahedra against the middle (divergence theorem)
             dets = np.einsum("ij,ij->i", a, cross(b, c))
             vol = dets.sum() / 6.0
-            fallback = not (self._is_watertight() and abs(vol) > 1e-12)
+            fallback = not (self.edges.closed and abs(vol) > 1e-12)
             if not fallback:
                 centroids = (a + b + c) / 4.0  # tetra centroid, apex at the middle
                 com = (dets[:, None] * centroids).sum(axis=0) / (6.0 * vol)
@@ -137,10 +137,6 @@ class TriMesh:
                 "area, volume or centre of mass overflows: coordinates too large"
             )
         return com, volume, fallback
-
-    def _is_watertight(self) -> bool:
-        """Every undirected edge is shared by exactly two faces."""
-        return self.edges.closed
 
     @cached_property
     def edges(self) -> "EdgeIndex":
@@ -320,9 +316,8 @@ class EdgeIndex:
     runs from vertex ``faces[f, k]`` to ``faces[f, (k + 1) % 3]``; its
     flat row is 3 * f + k.
 
-    - ``key[f, k]``: the undirected int64 key i * n + j of the edge, i < j
-      its vertex indices and n the vertex count, so keys order edges as
-      their sorted vertex pairs.
+    - ``key[f, k]``: the undirected key of the edge, ``_edge_keys`` with n
+      the vertex count, so keys order edges as their sorted vertex pairs.
     - ``partner[f, k]``: the flat row of the other edge with the same key,
       so ``partner // 3`` is the face across edge k.  None unless the
       surface is closed: every undirected edge shared by exactly two
@@ -337,8 +332,7 @@ class EdgeIndex:
 
     @classmethod
     def build(cls, faces: np.ndarray, n: int) -> "EdgeIndex":
-        ends = np.roll(faces, -1, axis=1)
-        key = np.minimum(faces, ends).astype(np.int64) * n + np.maximum(faces, ends)
+        key = _edge_keys(faces, np.roll(faces, -1, axis=1), n)
         order = np.argsort(key, axis=None)
         s = key.ravel()[order]
         # sorted, the keys of a closed surface come in equal, distinct pairs
@@ -348,6 +342,15 @@ class EdgeIndex:
         partner[order[0::2]] = order[1::2]
         partner[order[1::2]] = order[0::2]
         return cls(key, partner.reshape(key.shape))
+
+
+def _edge_keys(start: np.ndarray, end: np.ndarray, n: int) -> np.ndarray:
+    """The undirected int64 keys i * n + j of the edges start -> end, i < j
+    their vertex indices and n a bound on them, so keys order edges as
+    their sorted vertex pairs.  The one edge-key rule: ``EdgeIndex`` keys
+    a mesh's edges with it, and ``placements.Support.pair`` a support
+    polygon's, with n the hull's vertex count."""
+    return np.minimum(start, end).astype(np.int64) * n + np.maximum(start, end)
 
 
 def load_mesh(path: str | Path) -> TriMesh:
@@ -553,6 +556,58 @@ def convex_hull(points: np.ndarray) -> TriMesh:
     return TriMesh(verts, _canonical_faces(faces, len(verts))[0])
 
 
+def _convex_rings(p: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The 2-D convex hulls of the point sets p (S, k, 2), as (rows,
+    orders) stacks, one per ring size m in ascending order: the rows of p
+    whose hull has m vertices, and for each row the (m,) vertex order
+    ``ConvexHull(p[row]).vertices``.  Rows that qhull rejects are left
+    out.  The one 2-D hull routine: support polygons
+    (``placements._new_supports``) and facets (``_facet``) take their
+    rings from it.
+
+    A triangle takes its order in closed form from ``_triangle_order``;
+    qhull runs, one row at a time, only for a triangle too flat for that
+    and for larger sets."""
+    rings: dict[int, list] = {}
+    hulled = range(len(p))
+    if p.shape[1] == 3:
+        order, flat = _triangle_order(p)
+        rings[3] = [(np.flatnonzero(~flat), order[~flat])]
+        hulled = np.flatnonzero(flat).tolist()
+    for i in hulled:
+        try:
+            ring = ConvexHull(p[i]).vertices
+        except QhullError:
+            continue
+        rings.setdefault(len(ring), []).append((np.array([i]), ring[None]))
+    stacks = [tuple(map(np.concatenate, zip(*parts))) for _, parts in sorted(rings.items())]
+    return [(rows, orders) for rows, orders in stacks if len(rows)]
+
+
+def _triangle_order(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per 2-D triangle p (S, 3, 2), the counter-clockwise vertex order
+    that ``ConvexHull(p[i]).vertices`` gives, and whether the triangle is
+    too flat to trust it.
+
+    qhull lists the first points of least and of greatest x in
+    counter-clockwise order, then the third point.  It fails on a
+    triangle whose doubled area is below about 4e-15 times its width
+    times (width + largest coordinate); the flag is raised below 1e-12
+    times that, and for NaN."""
+    x = p[:, :, 0]
+    lo, hi = np.argmin(x, axis=1), np.argmax(x, axis=1)
+    mid = (3 - lo - hi) % 3
+    rows = np.arange(len(p))
+    d = p[rows, hi] - p[rows, lo]
+    e = p[rows, mid] - p[rows, lo]
+    det = d[:, 0] * e[:, 1] - d[:, 1] * e[:, 0]
+    first = np.where(det > 0, lo, hi)
+    order = np.stack([first, lo + hi - first, mid], axis=1)
+    width = (p.max(axis=1) - p.min(axis=1)).max(axis=1)
+    flat = ~(np.abs(det) > 1e-12 * width * (width + np.abs(p).max(axis=(1, 2))))
+    return order, flat
+
+
 def _canonical_faces(
     faces: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -562,17 +617,18 @@ def _canonical_faces(
     canonical row i is row ``order[i]`` read from column
     ``turn[order[i]]`` on.
 
-    A turned row (t0, t1, t2) sorts by its first-edge key t0 * n + t1,
-    ties broken by t2, which is ``np.lexsort``'s order.  A closed,
-    consistently wound surface holds each directed edge in one row, so
-    it has no ties and takes one sort."""
+    A turned row (t0, t1, t2) sorts by the key of its first edge,
+    t0 * n + t1 (``_edge_keys``, as t0 <= t1), ties broken by t2, which
+    is ``np.lexsort``'s order.  A closed, consistently wound surface
+    holds each directed edge in one row, so it has no ties and takes one
+    sort."""
     a, b, c = faces.T
     turn = faces.argmin(axis=1)
     first, second = turn == 0, turn == 1
     t0 = np.where(first, a, np.where(second, b, c))
     t1 = np.where(first, b, np.where(second, c, a))
     t2 = np.where(first, c, np.where(second, a, b))
-    key = t0.astype(np.int64) * n + t1
+    key = _edge_keys(t0, t1, n)
     order = np.argsort(key)
     ranked = key[order]
     if (ranked[1:] == ranked[:-1]).any():
@@ -732,10 +788,7 @@ def _coplanar_groups(
     partner = edges.partner
     across = partner // 3
     # the small slack absorbs rounding in the normals' dot products
-    near = np.einsum("ij,ij->i", normals.repeat(3, axis=0), normals[across.ravel()]) > (
-        np.cos(2.0 * angle_tol) - 1e-12
-    )
-    near = near.reshape(partner.shape)
+    near = np.einsum("ij,ikj->ik", normals, normals[across]) > np.cos(2.0 * angle_tol) - 1e-12
     rows = np.flatnonzero(near.any(axis=1))
     # each such face's near neighbours across its edges, ordered as the
     # neighbour lists of a scan over faces and their edges: by the first
@@ -774,38 +827,31 @@ def _coplanar_groups(
 
 def _facet(hull: TriMesh, group: list[int]) -> Facet:
     """Polygonal facet of a face group: area-weighted normal and the
-    group's vertices ordered around the polygon."""
+    group's vertices ordered around the polygon, by ``_convex_rings`` in
+    the facet plane."""
     normals, areas = hull.face_normals_and_areas
     w = areas[group]
     n = (w[:, None] * normals[group]).sum(axis=0)
     n /= np.linalg.norm(n)
     vidx = np.unique(hull.faces[group])
     pts = hull.vertices[vidx]
-    # order around the polygon: 2D hull in the facet plane
     e1 = _any_perpendicular(n)
     e2 = cross(n, e1)
     uv = np.column_stack([pts @ e1, pts @ e2])
-    order = _convex_order_2d(uv)
+    rings = _convex_rings(uv[None])
+    if rings:
+        order = rings[0][1][0]
+    else:
+        # nearly-degenerate facet, which qhull rejects: order along the
+        # dominant axis
+        d = uv - uv.mean(axis=0)
+        order = np.argsort(d @ d[np.argmax(np.linalg.norm(d, axis=1))])
     return Facet(
         vertex_indices=vidx[order],
         polygon=pts[order],
         normal=n,
         area=float(w.sum()),
     )
-
-
-def _convex_order_2d(uv: np.ndarray) -> np.ndarray:
-    """Counter-clockwise ordering of points forming a convex polygon."""
-    if len(uv) < 3:
-        return np.arange(len(uv))
-    try:
-        h = ConvexHull(uv)
-        return h.vertices
-    except QhullError:
-        # nearly-degenerate facet: order along the dominant axis
-        d = uv - uv.mean(axis=0)
-        axis = d[np.argmax(np.linalg.norm(d, axis=1))]
-        return np.argsort(d @ axis)
 
 
 # --- one-triangle supports ----------------------------------------------------
@@ -830,8 +876,8 @@ def _edge_line_distances(
 def _nearest_edge(dist: np.ndarray, beyond: np.ndarray, pair: np.ndarray) -> np.ndarray:
     """Index, along the last axis, of the edge nearest a point, from the
     point's distances to the edge segments, its signed distances beyond
-    the edge lines (positive outside) and the edges' keys of sorted
-    hull-vertex index pairs.
+    the edge lines (positive outside) and the edges' keys
+    (``_edge_keys``) of sorted hull-vertex index pairs.
 
     Edges within 1e-12 (relative) of the nearest distance tie; of those,
     the edges within 1e-12 (relative) of the largest distance beyond the

@@ -15,13 +15,14 @@ from itertools import groupby
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
-from scipy.spatial import ConvexHull, QhullError
 
 from .mesh import (
     FACET_ANGLE_TOL,
     PivotTable,
     TriMesh,
+    _convex_rings,
     _coplanar_groups,
+    _edge_keys,
     _edge_line_distances,
     _nearest_edge,
     plane_from_contacts,
@@ -223,22 +224,15 @@ def _polygon_margins(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _nearest_edges(p: np.ndarray, a: np.ndarray, b: np.ndarray, pair: np.ndarray) -> np.ndarray:
     """Index of the edge a[..., i] -> b[..., i] nearest to each point p
     (..., 2), for the CCW polygons with edges a -> b, each (..., k, 2),
-    whose tie keys are ``pair`` (``_pair_keys``).  Near-ties (1e-12
-    relative) go to the edge whose line p lies furthest beyond, and ties
-    in that to the edge with the lowest sorted pair of vertex indices
-    (``mesh._nearest_edge``)."""
+    whose tie keys are ``pair``, the edges' ``mesh._edge_keys``.
+    Near-ties (1e-12 relative) go to the edge whose line p lies furthest
+    beyond, and ties in that to the edge with the lowest sorted pair of
+    vertex indices (``mesh._nearest_edge``)."""
     d = b - a
     # signed distances beyond the edge lines; a zero-length edge has 0
     cross = d[..., 1] * (p[..., None, 0] - a[..., 0]) - d[..., 0] * (p[..., None, 1] - a[..., 1])
     beyond = cross / np.maximum(np.sqrt(np.vecdot(d, d)), np.finfo(float).tiny)
     return _nearest_edge(_point_segment_distance(p[..., None, :], a, b), beyond, pair)
-
-
-def _pair_keys(start: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """Keys of the sorted hull-vertex index pairs of the edges start -> end
-    (..., k), ordered as the pairs are, per row."""
-    return (np.minimum(start, end) * (start.max(axis=-1, keepdims=True) + 1)
-            + np.maximum(start, end))
 
 
 def polygon_inradius(poly: np.ndarray) -> float:
@@ -382,8 +376,8 @@ class Support:
     segment support; ``inradius`` is that polygon's, 0 without one.  The
     margin and the pivot read the edges ``start`` -> ``end``: the
     polygon's edges, or without a polygon every pair of contacts
-    (i < j).  ``pair`` holds the polygon edges' tie keys
-    (``_pair_keys``).
+    (i < j).  ``pair`` holds the polygon edges' tie keys, their
+    ``mesh._edge_keys`` with n the hull's vertex count.
 
     A stack of supports of one shape (``_shape``) holds one row per drop
     in every field: contacts, edges and tie keys (R, m), polygons (R, k)
@@ -447,7 +441,8 @@ def _new_supports(mesh: TriMesh, contacts: list[np.ndarray]) -> list[Support]:
     gets the bits of building it alone: the SVDs and projections are
     stacked by set size (``_by_size``), and the rings (``_convex_rings``),
     inradii and the rest of each polygon (the turn to its lowest index,
-    its end vertices and tie keys) by set and polygon size."""
+    its end vertices and tie keys, ``mesh._edge_keys``) by set and polygon
+    size."""
     hv = mesh.hull.vertices
     size = np.array([len(contact) for contact in contacts])
     flip = np.zeros(len(contacts), dtype=bool)
@@ -471,7 +466,8 @@ def _new_supports(mesh: TriMesh, contacts: list[np.ndarray]) -> list[Support]:
         # start at the lowest index
         poly = np.take_along_axis(ring, (np.arange(m) + ring.argmin(axis=1)[:, None]) % m, axis=1)
         end = poly[:, (np.arange(m) + 1) % m]
-        for i, p, e, pair, inr in zip(sel.tolist(), poly, end, _pair_keys(poly, end), inradii):
+        pairs = _edge_keys(poly, end, len(hv))
+        for i, p, e, pair, inr in zip(sel.tolist(), poly, end, pairs, inradii):
             supports[i] = Support(contacts[i], p, inr, p, e, pair)
     return [Support.without_polygon(contact) if support is None else support
             for contact, support in zip(contacts, supports)]
@@ -484,32 +480,6 @@ def _by_size(size: np.ndarray):
     in another shape."""
     for k in np.unique(size).tolist():
         yield k, np.flatnonzero(size == k)
-
-
-def _convex_rings(p: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The 2-D convex hulls of the point sets p (S, k, 2), as (rows,
-    orders) stacks, one per ring size m in ascending order: the rows of p
-    whose hull has m vertices, and for each row the (m,) vertex order
-    ``ConvexHull(p[row]).vertices``.  Rows that qhull rejects are left
-    out.
-
-    A triangle takes its order in closed form from ``_triangle_order``;
-    qhull runs, one row at a time, only for a triangle too flat for that
-    and for larger sets."""
-    rings: dict[int, list] = {}
-    hulled = range(len(p))
-    if p.shape[1] == 3:
-        order, flat = _triangle_order(p)
-        rings[3] = [(np.flatnonzero(~flat), order[~flat])]
-        hulled = np.flatnonzero(flat).tolist()
-    for i in hulled:
-        try:
-            ring = ConvexHull(p[i]).vertices
-        except QhullError:
-            continue
-        rings.setdefault(len(ring), []).append((np.array([i]), ring[None]))
-    stacks = [tuple(map(np.concatenate, zip(*parts))) for _, parts in sorted(rings.items())]
-    return [(rows, orders) for rows, orders in stacks if len(rows)]
 
 
 def _gather(xy: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -680,30 +650,6 @@ def _facet_placements(
     rests = rests[np.argsort(faces[start[rests]])]
     return _resting(mesh, rot[rests], margin[rests].tolist(),
                     [supports[g].inradius for g in rests.tolist()])
-
-
-def _triangle_order(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per 2-D triangle p (S, 3, 2), the counter-clockwise vertex order
-    that ``ConvexHull(p[i]).vertices`` gives, and whether the triangle is
-    too flat to trust it.
-
-    qhull lists the first points of least and of greatest x in
-    counter-clockwise order, then the third point.  It fails on a
-    triangle whose doubled area is below about 4e-15 times its width
-    times (width + largest coordinate); the flag is raised below 1e-12
-    times that, and for NaN."""
-    x = p[:, :, 0]
-    lo, hi = np.argmin(x, axis=1), np.argmax(x, axis=1)
-    mid = (3 - lo - hi) % 3
-    rows = np.arange(len(p))
-    d = p[rows, hi] - p[rows, lo]
-    e = p[rows, mid] - p[rows, lo]
-    det = d[:, 0] * e[:, 1] - d[:, 1] * e[:, 0]
-    first = np.where(det > 0, lo, hi)
-    order = np.stack([first, lo + hi - first, mid], axis=1)
-    width = (p.max(axis=1) - p.min(axis=1)).max(axis=1)
-    flat = ~(np.abs(det) > 1e-12 * width * (width + np.abs(p).max(axis=(1, 2))))
-    return order, flat
 
 
 # --- quasi-static settling -------------------------------------------------------

@@ -40,16 +40,17 @@ class FitFailed(RuntimeError):
     """Polynomial least-squares system was singular."""
 
 
-def check_rotation(m: np.ndarray, tol: float = ORTHO_TOL) -> np.ndarray:
-    """Validate that ``m`` is a rotation matrix and return it as float64."""
+def check_rotation(m: np.ndarray) -> np.ndarray:
+    """Validate that ``m`` is a rotation matrix, within ``ORTHO_TOL``, and
+    return it as float64."""
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         raise InvalidRotation(f"expected (3, 3) matrix, got {m.shape}")
     with np.errstate(over="ignore", invalid="ignore"):  # huge entries fail quietly
-        orthonormal = np.all(np.abs(m.T @ m - np.eye(3)) <= tol)
+        orthonormal = np.all(np.abs(m.T @ m - np.eye(3)) <= ORTHO_TOL)
     if not orthonormal:
         raise InvalidRotation("matrix is not orthonormal")
-    if abs(np.linalg.det(m) - 1.0) > tol:
+    if abs(np.linalg.det(m) - 1.0) > ORTHO_TOL:
         raise InvalidRotation("determinant is not +1")
     return m
 

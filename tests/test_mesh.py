@@ -444,18 +444,18 @@ class TestParseObjFuzz:
 class TestWatertight:
     def test_closed_meshes(self, cube, tetra):
         for m in (cube, tetra, *fixtures.standard_fixtures().values()):
-            assert m._is_watertight()
+            assert m.edges.closed
 
     def test_open_mesh(self):
         m = TriMesh(np.eye(3), np.array([[0, 1, 2]]))
-        assert not m._is_watertight()
+        assert not m.edges.closed
 
     def test_edge_shared_by_three_faces(self, tetra):
         # a repeated (reversed) face leaves every edge used at least twice,
         # but each edge of that face is shared by three faces
         faces = np.vstack([tetra.faces, tetra.faces[:1, ::-1]])
         m = TriMesh(tetra.vertices, faces)
-        assert not m._is_watertight()
+        assert not m.edges.closed
         assert m.centroid_fallback
 
 
@@ -922,7 +922,9 @@ def _facet_bytes(facets) -> list[bytes]:
 def _reference_merge_coplanar_facets(hull, angle_tol):
     """Facet merging as a plain loop: dict adjacency over shared edges and
     a search from every unvisited face over every face."""
-    from stableplace.mesh import Facet, _convex_order_2d
+    from scipy.spatial import QhullError
+
+    from stableplace.mesh import Facet
     from stableplace.rotations import _any_perpendicular
 
     normals = hull.face_normals()
@@ -961,7 +963,13 @@ def _reference_merge_coplanar_facets(hull, angle_tol):
         pts = hull.vertices[vidx]
         e1 = _any_perpendicular(n)
         e2 = np.cross(n, e1)
-        order = _convex_order_2d(np.column_stack([pts @ e1, pts @ e2]))
+        uv = np.column_stack([pts @ e1, pts @ e2])
+        try:
+            order = ConvexHull(uv).vertices
+        except QhullError:
+            # nearly-degenerate facet: order along the dominant axis
+            d = uv - uv.mean(axis=0)
+            order = np.argsort(d @ d[np.argmax(np.linalg.norm(d, axis=1))])
         facets.append(Facet(vidx[order], pts[order], n, float(w.sum())))
     return facets
 

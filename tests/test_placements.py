@@ -260,13 +260,13 @@ class TestEnumerateStable:
         sends it to qhull, which gives the same bytes: on a cold mesh
         every support that enumeration builds takes one qhull call."""
         reference = _reference_enumerate_stable(mesh, merge_coplanar_facets(mesh.hull), 0.0)
-        order_rule = placements._triangle_order
+        order_rule = mesh_module._triangle_order
 
         def all_flat(p):
             order, flat = order_rule(p)
             return order, np.ones_like(flat)
 
-        monkeypatch.setattr(placements, "_triangle_order", all_flat)
+        monkeypatch.setattr(mesh_module, "_triangle_order", all_flat)
         groups, _ = _coplanar_groups(mesh.hull, mesh.hull.face_normals(), 1e-4)
         with _counting_2d_hulls() as calls:
             _assert_matches_reference(mesh, reference, 0.0)
@@ -284,7 +284,7 @@ class TestEnumerateStable:
         thin = tri[2::7]
         thin[:, 2] = (0.3 * thin[:, 0] + 0.7 * thin[:, 1]
                       + thin[:, 2] * 10.0 ** rng.uniform(-18, -10, (len(thin), 1)))
-        order, flat = placements._triangle_order(tri)
+        order, flat = mesh_module._triangle_order(tri)
         for p, o, f in zip(tri, order, flat):
             try:
                 vertices = ConvexHull(p).vertices
@@ -315,7 +315,7 @@ class TestEnumerateStable:
         for i, row in enumerate(p):
             with contextlib.suppress(QhullError):
                 want[i] = ConvexHull(row).vertices.tolist()
-        stacks = placements._convex_rings(p)
+        stacks = mesh_module._convex_rings(p)
         sizes = [order.shape[1] for _, order in stacks]
         assert sizes == sorted(set(sizes))
         got = {i: o for rows, order in stacks
@@ -768,8 +768,8 @@ def _counting(module, name):
 
 @contextlib.contextmanager
 def _counting_2d_hulls():
-    """Count the 2-D qhull calls made inside the block, by ``placements``
-    and by ``mesh._convex_order_2d``, in the yielded one-element list."""
+    """Count the 2-D qhull calls made inside the block, all of them by
+    ``mesh._convex_rings``, in the yielded one-element list."""
     calls = [0]
 
     def counted(points, *args, **kwargs):
@@ -777,7 +777,6 @@ def _counting_2d_hulls():
         return ConvexHull(points, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(placements, "ConvexHull", counted)
         patch.setattr(mesh_module, "ConvexHull", counted)
         yield calls
 
@@ -1396,7 +1395,7 @@ class TestLockstep:
         def polygon(ring):
             ring = np.array(ring)
             end = np.roll(ring, -1)
-            return Support(ring, ring, 0.5, ring, end, placements._pair_keys(ring, end))
+            return Support(ring, ring, 0.5, ring, end, mesh_module._edge_keys(ring, end, 5))
 
         shapes = [
             [polygon([0, 1, 2, 3]), polygon([0, 1, 4, 3])],
@@ -1606,7 +1605,7 @@ def _assert_supports_match_reference(mesh, contacts):
         assert support.polygon.tolist() == poly.tolist()
         assert np.float64(support.inradius).tobytes() == np.float64(inr).tobytes()
         assert support.start.tolist() == poly.tolist() and support.end.tolist() == end.tolist()
-        pair = np.minimum(poly, end) * (int(poly.max()) + 1) + np.maximum(poly, end)
+        pair = np.minimum(poly, end) * len(mesh.hull.vertices) + np.maximum(poly, end)
         assert support.pair.tolist() == pair.tolist()
     return got
 
@@ -1741,7 +1740,7 @@ def _nearest_polygon_edge(p, poly, idx):
     with the tie keys of the vertex indices ``idx``, as ``_pivot_axis``
     calls it."""
     idx = np.asarray(idx, dtype=np.int64)
-    pair = placements._pair_keys(idx, np.roll(idx, -1))
+    pair = mesh_module._edge_keys(idx, np.roll(idx, -1), int(idx.max()) + 1)
     return int(placements._nearest_edges(p, poly, np.roll(poly, -1, axis=0), pair))
 
 
