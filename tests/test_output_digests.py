@@ -1,9 +1,12 @@
 """The package's output bytes, pinned.
 
 ``scripts/output_digests.py`` takes sha256 digests of the fixture
-pipeline's nine files at 1 and 2 workers, and of ``enumerate_stable``,
-``settle_batch`` and ``merge_coplanar_facets`` on the fixtures and three
-squashed icospheres.  Each must equal its copy in
+pipeline's nine files at 1 and 2 workers; of ``enumerate_stable``,
+``settle_batch``, lone ``settle`` calls, ``merge_coplanar_facets``,
+``sample_antipodal_grasps`` and ``sample_point_cloud`` on the fixtures
+and three squashed icospheres; and of ``enumerate_stable``,
+``settle_batch`` and lone ``settle`` calls on a round icosphere and a
+seeded random hull at three scales.  Each must equal its copy in
 ``tests/output_digests.json``, which also records the environment the
 copy was taken in.  A change that moves output bytes on purpose rewrites
 that file (``python scripts/output_digests.py --json``) and says which
