@@ -348,7 +348,7 @@ def _edge_keys(start: np.ndarray, end: np.ndarray, n: int) -> np.ndarray:
     """The undirected int64 keys i * n + j of the edges start -> end, i < j
     their vertex indices and n a bound on them, so keys order edges as
     their sorted vertex pairs.  The one edge-key rule: ``EdgeIndex`` keys
-    a mesh's edges with it, and ``placements.Support.pair`` a support
+    a mesh's edges with it, and ``placements._pivot_axis`` a support
     polygon's, with n the hull's vertex count."""
     return np.minimum(start, end).astype(np.int64) * n + np.maximum(start, end)
 
@@ -873,6 +873,17 @@ def _edge_line_distances(
         )
 
 
+def _point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distances from point p to the segments a[..., i] -> b[..., i]; a
+    segment of zero length measures to a."""
+    ab = b - a
+    denom = np.vecdot(ab, ab)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(denom == 0, 0.0, np.clip(np.vecdot(p - a, ab) / denom, 0.0, 1.0))
+    r = p - (a + t[..., None] * ab)
+    return np.sqrt(np.vecdot(r, r))
+
+
 def _nearest_edge(dist: np.ndarray, beyond: np.ndarray, pair: np.ndarray) -> np.ndarray:
     """Index, along the last axis, of the edge nearest a point, from the
     point's distances to the edge segments, its signed distances beyond
@@ -986,17 +997,8 @@ def _pivot_edge_index(
     that its (F, 3, 3) temporaries are freed before the rest of
     ``PivotTable.build`` runs."""
     tri = hull.vertices[hull.faces]
-    ab = np.roll(tri, -1, axis=1) - tri
     p = com - np.einsum("fj,fj->f", com - tri[:, 0], normals)[:, None] * normals
-    ap = p[:, None, :] - tri
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.clip(
-            np.einsum("fkj,fkj->fk", ap, ab) / np.einsum("fkj,fkj->fk", ab, ab),
-            0.0,
-            1.0,
-        )
-    r = ap - t[..., None] * ab
-    dist = np.sqrt(np.einsum("fkj,fkj->fk", r, r))
+    dist = _point_segment_distance(p[:, None, :], tri, np.roll(tri, -1, axis=1))
     return _nearest_edge(dist, -inward, hull.edges.key)
 
 
@@ -1031,19 +1033,31 @@ def _ring_clearance(hull: TriMesh, normals: np.ndarray) -> np.ndarray:
     return clear
 
 
+def _surface_points(
+    mesh: TriMesh, face_draw: np.ndarray, u: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Area-weighted uniform surface points from uniform doubles in
+    [0, 1), and the faces they lie on: ``face_draw`` picks each face by
+    area, as ``Generator.choice`` picks it from the same draw
+    (``TriMesh.area_cdf``), and the pair (u, w), reflected into the lower
+    triangle when u + w > 1, places the point on it.  The one surface
+    sampler."""
+    face = mesh.area_cdf.searchsorted(face_draw, side="right")
+    flip = u + w > 1.0
+    u = np.where(flip, 1.0 - u, u)[:, None]
+    w = np.where(flip, 1.0 - w, w)[:, None]
+    a, e1, e2 = mesh.triangle_edges
+    return a[face] + u * e1[face] + w * e2[face], face
+
+
 def sample_point_cloud(mesh: TriMesh, m: int, seed: int) -> np.ndarray:
-    """Area-weighted uniform surface samples, deterministic per seed."""
+    """m area-weighted uniform surface points (``_surface_points``),
+    deterministic per seed: the seeded generator draws the m face picks,
+    then the m values of u, then the m values of w."""
     if m < 1:
         raise ValueError("m must be >= 1")
     rng = np.random.default_rng(seed)
-    fi = mesh.area_cdf.searchsorted(rng.random(m), side="right")
-    u = rng.random(m)
-    v = rng.random(m)
-    flip = u + v > 1.0
-    u[flip] = 1.0 - u[flip]
-    v[flip] = 1.0 - v[flip]
-    a, e1, e2 = mesh.triangle_edges
-    return a[fi] + u[:, None] * e1[fi] + v[:, None] * e2[fi]
+    return _surface_points(mesh, *(rng.random(m) for _ in range(3)))[0]
 
 
 # --- auxiliary-plane geometry ----------------------------------------------

@@ -25,6 +25,7 @@ from .mesh import (
     _edge_keys,
     _edge_line_distances,
     _nearest_edge,
+    _point_segment_distance,
     plane_from_contacts,
     plane_vectors,
 )
@@ -182,16 +183,6 @@ def _ring_edges(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     xy (G, k, 2): edge i runs from vertex i to vertex i + 1, the last
     back to vertex 0."""
     return xy, xy[:, (np.arange(xy.shape[1]) + 1) % xy.shape[1]]
-
-
-def _point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distances from point p to the segments a[..., i] -> b[..., i]."""
-    ab = b - a
-    denom = np.vecdot(ab, ab)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(denom == 0, 0.0, np.clip(np.vecdot(p - a, ab) / denom, 0.0, 1.0))
-    r = p - (a + t[..., None] * ab)
-    return np.sqrt(np.vecdot(r, r))
 
 
 def signed_polygon_margin(p: np.ndarray, poly: np.ndarray) -> float:
@@ -374,49 +365,43 @@ class Support:
     the COM's side of the plane (from above when the set rests on
     z = 0) and starting at the lowest index, or None for a point or
     segment support; ``inradius`` is that polygon's, 0 without one.  The
-    margin and the pivot read the edges ``start`` -> ``end``: the
-    polygon's edges, or without a polygon every pair of contacts
-    (i < j).  ``pair`` holds the polygon edges' tie keys, their
-    ``mesh._edge_keys`` with n the hull's vertex count.
+    margin and the pivot read the edges of ``_support_edges``.
 
     A stack of supports of one shape (``_shape``) holds one row per drop
-    in every field: contacts, edges and tie keys (R, m), polygons (R, k)
-    and inradii (R,) (``_stack_supports``)."""
+    in every field: contacts (R, m), polygons (R, k) and inradii (R,)
+    (``_stack_supports``)."""
 
     contact: np.ndarray
-    polygon: np.ndarray | None
-    inradius: float
-    start: np.ndarray
-    end: np.ndarray
-    pair: np.ndarray | None = None
-
-    @classmethod
-    def without_polygon(cls, contact: np.ndarray) -> "Support":
-        """The point or segment support of ``contact``: every pair of
-        contacts is an edge."""
-        if len(contact) < 3:
-            return cls(contact, None, 0.0, contact[:-1], contact[1:])
-        i, j = np.triu_indices(len(contact), 1)
-        return cls(contact, None, 0.0, contact[i], contact[j])
+    polygon: np.ndarray | None = None
+    inradius: float = 0.0
 
 
-def _shape(support: Support) -> tuple[bool, int, int]:
-    """Whether ``support`` has a polygon, its edge count and its contact
-    count: supports of one shape stack (``_stack_supports``)."""
-    return support.polygon is not None, len(support.start), len(support.contact)
+def _support_edges(support: Support) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end hull-vertex indices of the edges of ``support``, one
+    support (m,) or a stack (R, m): the polygon's edges, each vertex to
+    its successor, or without a polygon every pair of contacts (i < j)."""
+    if support.polygon is not None:
+        return support.polygon, np.roll(support.polygon, -1, axis=-1)
+    contact = support.contact
+    if contact.shape[-1] < 3:
+        return contact[..., :-1], contact[..., 1:]
+    i, j = np.triu_indices(contact.shape[-1], 1)
+    return contact[..., i], contact[..., j]
+
+
+def _shape(support: Support) -> tuple[int, int]:
+    """The ring size of ``support``'s polygon, 0 without one, and its
+    contact count: supports of one shape stack (``_stack_supports``)."""
+    return 0 if support.polygon is None else len(support.polygon), len(support.contact)
 
 
 def _stack_supports(supports: Sequence[Support], which: np.ndarray) -> Support:
     """The stack of the ``supports``, all of one shape, whose row r is
     that of ``supports[which[r]]``."""
-    def rows(field: str) -> np.ndarray | None:
-        if getattr(supports[0], field) is None:
-            return None
-        return np.array([getattr(s, field) for s in supports])[which]
-
-    return Support(rows("contact"), rows("polygon"),
-                   np.array([s.inradius for s in supports])[which],
-                   rows("start"), rows("end"), rows("pair"))
+    polygon = None if supports[0].polygon is None else np.array([s.polygon for s in supports])
+    return Support(np.array([s.contact for s in supports])[which],
+                   None if polygon is None else polygon[which],
+                   np.array([s.inradius for s in supports])[which])
 
 
 def _contact_supports(mesh: TriMesh, contacts: list[tuple[int, ...]]) -> list[Support]:
@@ -428,8 +413,7 @@ def _contact_supports(mesh: TriMesh, contacts: list[tuple[int, ...]]) -> list[Su
     new = [c for c in dict.fromkeys(contacts) if len(c) >= 3 and c not in memo]
     if new:
         memo.update(zip(new, _new_supports(mesh, [np.array(c) for c in new])))
-    return [memo[c] if len(c) >= 3 else Support.without_polygon(np.array(c, dtype=int))
-            for c in contacts]
+    return [memo[c] if len(c) >= 3 else Support(np.array(c, dtype=int)) for c in contacts]
 
 
 def _new_supports(mesh: TriMesh, contacts: list[np.ndarray]) -> list[Support]:
@@ -440,9 +424,9 @@ def _new_supports(mesh: TriMesh, contacts: list[np.ndarray]) -> list[Support]:
     contacts), so neither depends on the pose that first asked.  Each set
     gets the bits of building it alone: the SVDs and projections are
     stacked by set size (``_by_size``), and the rings (``_convex_rings``),
-    inradii and the rest of each polygon (the turn to its lowest index,
-    its end vertices and tie keys, ``mesh._edge_keys``) by set and polygon
-    size."""
+    inradii and each polygon's turn to its lowest index by set and
+    polygon size.  A set whose contacts span no polygon gets a point or
+    segment ``Support``."""
     hv = mesh.hull.vertices
     size = np.array([len(contact) for contact in contacts])
     flip = np.zeros(len(contacts), dtype=bool)
@@ -465,11 +449,9 @@ def _new_supports(mesh: TriMesh, contacts: list[np.ndarray]) -> list[Support]:
         ring = np.where(flip[sel, None], ring[:, ::-1], ring)
         # start at the lowest index
         poly = np.take_along_axis(ring, (np.arange(m) + ring.argmin(axis=1)[:, None]) % m, axis=1)
-        end = poly[:, (np.arange(m) + 1) % m]
-        pairs = _edge_keys(poly, end, len(hv))
-        for i, p, e, pair, inr in zip(sel.tolist(), poly, end, pairs, inradii):
-            supports[i] = Support(contacts[i], p, inr, p, e, pair)
-    return [Support.without_polygon(contact) if support is None else support
+        for i, p, inr in zip(sel.tolist(), poly, inradii):
+            supports[i] = Support(contacts[i], p, inr)
+    return [Support(contact) if support is None else support
             for contact, support in zip(contacts, supports)]
 
 
@@ -498,10 +480,11 @@ def _contact_margin(xy: np.ndarray, com_xy: np.ndarray, support: Support) -> np.
     distance to the support polygon's boundary, or minus the distance to
     the nearest contact segment or to a lone contact.  Degenerate
     supports give margin <= 0."""
-    a, b = _gather(xy, support.start), _gather(xy, support.end)
+    start, end = _support_edges(support)
+    a, b = _gather(xy, start), _gather(xy, end)
     if support.polygon is not None:
         return _polygon_margins(com_xy, a, b)
-    if support.start.shape[-1]:
+    if start.shape[-1]:
         # segment support: the nearest of the segments between contact pairs
         return -_point_segment_distance(com_xy[..., None, :], a, b).min(axis=-1)
     if support.contact.shape[-1]:
@@ -539,21 +522,21 @@ def enumerate_stable(mesh: TriMesh, margin_eps: float = DEFAULT_MARGIN_EPS) -> l
     [0, 1].  Facets merge hull triangles within ``FACET_ANGLE_TOL``.
 
     A vectorized pre-filter first drops every one-triangle facet whose
-    margin bound (``PivotTable.bound``, the least of the triangle's
-    ``TriMesh.edge_distances``) is below margin_eps by more than 1e-9
-    times the hull's largest coordinate.  The bound is never
-    below the margin, and that slack absorbs the rounding between the two
-    computations, which grows with the coordinates, so every dropped
-    facet would fail the exact check.  Where that leaves only positive
-    bounds (margin_eps above the slack), a cull (``_may_hold_com``) first
-    drops the triangles whose COM foot point cannot lie inside them, and
-    the bound is computed for the rest alone (``_edge_line_distances`` of
-    those rows, with the bits of the full table's).  When every face is
-    left, or the mesh's full table is built already, the pre-filter reads
+    margin bound, the least of the COM's distances to the triangle's edge
+    lines, is below margin_eps by more than 1e-9 times the hull's largest
+    coordinate.  The bound is never below the margin, and that slack
+    absorbs the rounding between the two computations, which grows with
+    the coordinates, so every dropped facet would fail the exact check.
+    Where that leaves only positive bounds (margin_eps above the slack),
+    a cull (``_may_hold_com``) first drops the triangles whose COM foot
+    point cannot lie inside them, and the bound is computed for the rest
+    alone (``_edge_line_distances`` of those rows, with the bits of the
+    full table's).  When every face is left, or the mesh's full table
+    (``TriMesh.edge_distances``) is built already, the pre-filter reads
     that table.  The merged facets of ``_coplanar_groups`` and the
     surviving one-triangle facets then take one facet pass
-    (``_facet_placements``).  The placements come in facet
-    order, and the output equals that of checking every facet of
+    (``_facet_placements``).  The placements come in facet order, and
+    the output equals that of checking every facet of
     ``merge_coplanar_facets`` against its rest set's ``Support``, bit for
     bit.
 
@@ -663,8 +646,9 @@ def _pivot_axis(
     one row per pose, with the plane points xy (..., V, 2), indexed by
     hull vertex, and COM projections com_xy (..., 2)."""
     if support.polygon is not None:
-        a2, b2 = _gather(xy, support.start), _gather(xy, support.end)
-        e = _nearest_edges(com_xy, a2, b2, support.pair)
+        start, end = _support_edges(support)
+        a2, b2 = _gather(xy, start), _gather(xy, end)
+        e = _nearest_edges(com_xy, a2, b2, _edge_keys(start, end, xy.shape[-2]))
         return _line_axis(_take_rows(a2, e), _take_rows(b2, e))
     pts = _gather(xy, support.contact)
     if pts.shape[-2] >= 2:
@@ -746,10 +730,13 @@ def settle(
     the walk stops, the contacts are derived again from the posed hull.
     Point, segment and polygon supports, and one triangle whose COM lies
     inside it but within ``margin_eps`` of an edge, take the world-frame
-    pivot above.  It reads the support of the contact set, as hull-vertex
-    indices, and its inradius from the mesh's memo (``_contact_supports``),
-    and indexes the posed hull with it.  Each contact set is built once,
-    the rest set of every facet ``enumerate_stable`` checks by it.
+    pivot above, on the edges of the contact set's ``Support``
+    (``_support_edges``), as hull-vertex indices into the posed hull.  A
+    set of three or more contacts reads its support and inradius from the
+    mesh's memo (``_contact_supports``), so each is built once, the rest
+    set of every facet ``enumerate_stable`` checks by it.  One drop runs
+    this loop alone, a Python loop over one posed hull per tip; many
+    drops of one mesh settle faster together (``settle_batch``).
 
     The score of the stable Placement is its margin over the memo's
     inradius, clamped to [0, 1].  Returns the stable Placement; with
@@ -758,13 +745,36 @@ def settle(
     no vertex can come down.  Past ``MAX_TIPS`` on a mesh where no hull
     facet's margin reaches margin_eps, the message says so and names the
     largest facet margin (``_explain_tips``).
-    Many drops of one mesh settle faster together (``settle_batch``).
     """
     heights: list[float] = []
+    hv, com_body = mesh.hull.vertices, mesh.com
+    rot = np.array(initial, dtype=float)
     try:
-        placement = _settle_one(mesh, np.array(initial, dtype=float), heights, margin_eps)
+        while True:
+            world = hv @ rot.T
+            zmin = world[:, 2].min()
+            world[:, 2] -= zmin
+            com = rot @ com_body
+            com[2] -= zmin
+            heights.append(float(com[2]))
+            contact = tuple(np.flatnonzero(world[:, 2] <= CONTACT_TOL).tolist())
+            r = _walkable_row(mesh, contact)
+            if r is not None:
+                rot = _walk(mesh.pivot_table, r, rot, heights)
+                continue
+            [support] = _contact_supports(mesh, [contact])
+            margin = float(_contact_margin(world[:, :2], com[:2], support))
+            if margin >= margin_eps:
+                break
+            _check_tips(heights)
+            a, u = _pivot_axis(world[:, :2], com[:2], support)
+            turn, stuck = _pivot_turns(world, com, a, u)
+            if stuck:
+                raise SettleDiverged("no pivot target vertex")
+            rot = turn @ rot
     except SettleDiverged as exc:
         raise _explain_tips(mesh, [exc], margin_eps)[0] from None
+    placement = _resting(mesh, rot[None], [margin], [support.inradius])[0]
     return (placement, heights) if return_trace else placement
 
 
@@ -848,36 +858,6 @@ def _contact_groups(touch: np.ndarray) -> dict[tuple[int, ...], list[int]]:
     for j, (start, end) in enumerate(zip([0] + ends[:-1], ends)):
         groups.setdefault(tuple(flat[start:end]), []).append(j)
     return groups
-
-
-def _settle_one(
-    mesh: TriMesh, rot: np.ndarray, heights: list[float], margin_eps: float
-) -> Placement:
-    """``settle`` from the rotation ``rot``, appending the trace to
-    ``heights``; raises SettleDiverged."""
-    hv, com_body = mesh.hull.vertices, mesh.com
-    while True:
-        world = hv @ rot.T
-        zmin = world[:, 2].min()
-        world[:, 2] -= zmin
-        com = rot @ com_body
-        com[2] -= zmin
-        heights.append(float(com[2]))
-        contact = tuple(np.flatnonzero(world[:, 2] <= CONTACT_TOL).tolist())
-        r = _walkable_row(mesh, contact)
-        if r is not None:
-            rot = _walk(mesh.pivot_table, r, rot, heights)
-            continue
-        [support] = _contact_supports(mesh, [contact])
-        margin = float(_contact_margin(world[:, :2], com[:2], support))
-        if margin >= margin_eps:
-            return _resting(mesh, rot[None], [margin], [support.inradius])[0]
-        _check_tips(heights)
-        a, u = _pivot_axis(world[:, :2], com[:2], support)
-        turn, stuck = _pivot_turns(world, com, a, u)
-        if stuck:
-            raise SettleDiverged("no pivot target vertex")
-        rot = turn @ rot
 
 
 def _settle_block(

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .mesh import TriMesh
+from .mesh import TriMesh, _surface_points
 from .placements import Placement
 from .rotations import cross
 
@@ -374,23 +374,12 @@ def _narrow_phase(
     return dist, face
 
 
-def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of (M, 3) stacks, each bitwise ``np.dot`` of
-    its two rows."""
-    return np.matmul(x[:, None], y[:, :, None])[:, 0, 0]
-
-
-def _lengths(x: np.ndarray) -> np.ndarray:
-    """Row lengths, each bitwise ``np.linalg.norm`` of its row."""
-    return np.sqrt(_dots(x, x))
-
-
 def _perpendicular_bases(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Two unit vectors spanning the plane perpendicular to each unit row
     of ``axis``, right-handed with it."""
     ref = np.where((np.abs(axis[:, 2]) < 0.9)[:, None], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
     e1 = cross(axis, ref)
-    e1 /= _lengths(e1)[:, None]
+    e1 /= np.sqrt(np.vecdot(e1, e1))[:, None]
     return e1, cross(axis, e1)
 
 
@@ -417,13 +406,7 @@ def sample_antipodal_grasps(
     if approach_count < 1:
         raise ValueError("approach_count must be >= 1")
     draws = np.random.default_rng(seed).random((n, 3))
-    fi = mesh.area_cdf.searchsorted(draws[:, 0], side="right")
-    u, w = draws[:, 1], draws[:, 2]
-    flip = u + w > 1.0
-    u = np.where(flip, 1.0 - u, u)[:, None]
-    w = np.where(flip, 1.0 - w, w)[:, None]
-    a, e1, e2 = mesh.triangle_edges
-    p1 = a[fi] + u * e1[fi] + w * e2[fi]
+    p1, fi = _surface_points(mesh, *draws.T)
     normals = mesh.face_normals_and_areas[0]
     inward = -normals[fi]
     dist, fj = _ray_mesh_exits(mesh, p1, inward)
@@ -431,13 +414,13 @@ def sample_antipodal_grasps(
     p1, inward, fj = p1[hit], inward[hit], fj[hit]
     p2 = p1 + dist[hit][:, None] * inward
     d = p2 - p1
-    width = _lengths(d)
+    width = np.sqrt(np.vecdot(d, d))
     # closing direction at the second finger is the inward normal at the
     # first; antipodality keeps the contact normal inside the friction
     # cone.  Both tests reject only on a true comparison, so a NaN passes
     # them, as in the one-sample-at-a-time form
     keep = ~(width > g.max_width) & ~(
-        _dots(normals[fj], inward) < np.cos(g.friction_angle) - 1e-9
+        np.vecdot(normals[fj], inward) < np.cos(g.friction_angle) - 1e-9
     )
     p1, p2 = p1[keep], p2[keep]
     axis = d[keep] / width[keep][:, None]

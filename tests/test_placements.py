@@ -1,5 +1,6 @@
 import concurrent.futures
 import contextlib
+import itertools
 import json
 import re
 import tracemalloc
@@ -37,6 +38,7 @@ from stableplace.mesh import (
     TriMesh,
     _coplanar_groups,
     _edge_line_distances,
+    _point_segment_distance,
     convex_hull,
     merge_coplanar_facets,
     plane_from_contacts,
@@ -51,7 +53,7 @@ from stableplace.placements import (
     _contact_supports,
     _line_axis,
     _pivot_axis,
-    _point_segment_distance,
+    _support_edges,
     _walk,
     enumerate_stable,
     generate_dataset,
@@ -1394,14 +1396,13 @@ class TestLockstep:
 
         def polygon(ring):
             ring = np.array(ring)
-            end = np.roll(ring, -1)
-            return Support(ring, ring, 0.5, ring, end, mesh_module._edge_keys(ring, end, 5))
+            return Support(ring, ring, 0.5)
 
         shapes = [
             [polygon([0, 1, 2, 3]), polygon([0, 1, 4, 3])],
-            [Support.without_polygon(np.array(c)) for c in ([1, 3], [0, 2], [2, 4])],
-            [Support.without_polygon(np.array(c)) for c in ([0, 2, 3], [1, 2, 4])],
-            [Support.without_polygon(np.array([v])) for v in (2, 0, 4)],
+            [Support(np.array(c)) for c in ([1, 3], [0, 2], [2, 4])],
+            [Support(np.array(c)) for c in ([0, 2, 3], [1, 2, 4])],
+            [Support(np.array([v])) for v in (2, 0, 4)],
         ]
         xy = rng.normal(size=(9, 5, 2))
         xy[:, :4] = [[0, 0], [1, 0], [1, 1], [0, 1]] + 0.1 * xy[:, :4]
@@ -1436,7 +1437,7 @@ class TestLockstep:
         iterations = []  # (contact sets, margin shapes, pivot shapes) per iteration
 
         def shape(support):
-            return (support.polygon is not None, support.start.shape[-1],
+            return (0 if support.polygon is None else support.polygon.shape[-1],
                     support.contact.shape[-1])
 
         def looking(mesh, contacts):  # once per iteration, for its off-graph sets
@@ -1589,24 +1590,26 @@ class TestSupports:
 
 def _assert_supports_match_reference(mesh, contacts):
     """One ``_new_supports`` batch of ``contacts`` gives each set the
-    polygon, inradius bits and edges of ``_reference_support``."""
+    polygon, inradius bits and edges of ``_reference_support``, and the
+    pivot the tie keys of the polygon's edges."""
     got = placements._new_supports(mesh, contacts)
     assert len(got) == len(contacts)
+    n = len(mesh.hull.vertices)
     for contact, support in zip(contacts, got):
         poly, inr = _reference_support(mesh, contact)
         assert support.contact is contact
+        start, end = _support_edges(support)
         if poly is None:
-            alone = Support.without_polygon(contact)
             assert support.polygon is None and support.inradius == 0.0
-            assert support.start.tolist() == alone.start.tolist()
-            assert support.end.tolist() == alone.end.tolist()
+            pairs = list(itertools.combinations(contact.tolist(), 2))
+            assert list(zip(start.tolist(), end.tolist())) == pairs
             continue
-        end = np.roll(poly, -1)
+        roll = np.roll(poly, -1)
         assert support.polygon.tolist() == poly.tolist()
         assert np.float64(support.inradius).tobytes() == np.float64(inr).tobytes()
-        assert support.start.tolist() == poly.tolist() and support.end.tolist() == end.tolist()
-        pair = np.minimum(poly, end) * len(mesh.hull.vertices) + np.maximum(poly, end)
-        assert support.pair.tolist() == pair.tolist()
+        assert start.tolist() == poly.tolist() and end.tolist() == roll.tolist()
+        keys = np.minimum(poly, roll) * n + np.maximum(poly, roll)
+        assert mesh_module._edge_keys(start, end, n).tolist() == keys.tolist()
     return got
 
 
@@ -1942,5 +1945,5 @@ class TestEdgeArrays:
             t = np.sort(rng.uniform(-1.0, 1.0, int(rng.integers(2, 7))))
             xy = rng.normal(size=2) + np.outer(t, rng.normal(size=2))
             com = rng.normal(size=2)
-            margin = _contact_margin(xy, com, Support.without_polygon(np.arange(len(xy))))
+            margin = _contact_margin(xy, com, Support(np.arange(len(xy))))
             assert margin == _loop_segment_support_margin(com, xy)
