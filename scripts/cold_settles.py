@@ -46,6 +46,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import ConvexHull
 
+from grasp_statistics import squashed_icosphere
 from stableplace import mesh as mesh_module
 from stableplace import placements
 from stableplace.fixtures import icosphere, standard_fixtures
@@ -58,9 +59,7 @@ DROPS = 12
 def meshes():
     """(name, mesh) of the nine meshes, each built afresh."""
     for s in (2, 3, 4):
-        sphere = icosphere(0.05, s)
-        yield f"ellipsoid s={s}", TriMesh(sphere.vertices * np.array([1.0, 0.8, 0.6]),
-                                          sphere.faces)
+        yield f"ellipsoid s={s}", squashed_icosphere(s)
     yield "icosphere s=4", icosphere(0.05, 4)
     yield from standard_fixtures().items()
 

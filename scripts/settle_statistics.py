@@ -23,17 +23,11 @@ import time
 
 import numpy as np
 
+from grasp_statistics import squashed_icosphere
 from stableplace import placements
-from stableplace.fixtures import icosphere, standard_fixtures
-from stableplace.mesh import TriMesh
+from stableplace.fixtures import standard_fixtures
 from stableplace.placements import SettleDiverged, enumerate_stable, settle, settle_batch
 from stableplace.rotations import random_rotation, z_quotient_distances
-
-
-def squashed_icosphere(subdivisions: int) -> TriMesh:
-    """Icosphere of radius 0.05 squashed to (1, 0.8, 0.6)."""
-    sphere = icosphere(0.05, subdivisions)
-    return TriMesh(sphere.vertices * np.array([1.0, 0.8, 0.6]), sphere.faces)
 
 
 def count_rows(fn):

@@ -5,6 +5,9 @@
   2-D).
 - No module calls ``np.cross``: ``rotations.cross`` is the one cross
   product, with ``np.cross``'s bits.
+- Only ``mesh.py`` reads ``.area_cdf``: ``mesh._surface_points`` is the
+  one surface sampler, which both the point cloud and the grasp sampler
+  call.
 """
 
 from __future__ import annotations
@@ -51,6 +54,12 @@ def _numpy_cross(source: str) -> list[int]:
     return lines
 
 
+def _area_cdf_reads(source: str) -> list[int]:
+    """The lines of ``source`` that read an attribute named ``area_cdf``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == "area_cdf"]
+
+
 def test_modules_found():
     assert SRC / "mesh.py" in MODULES
 
@@ -65,6 +74,11 @@ def test_no_numpy_cross(module):
     assert _numpy_cross(module.read_text()) == []
 
 
+def test_only_mesh_reads_the_area_cdf():
+    readers = {path.name for path in MODULES if _area_cdf_reads(path.read_text())}
+    assert readers <= {"mesh.py"}
+
+
 def test_rule_breaches_are_found():
     source = (
         "import numpy as np\n"
@@ -75,6 +89,9 @@ def test_rule_breaches_are_found():
         "np.cross(a, b)\n"
         "own_cross(a, b)\n"
         "rotations.cross(a, b)\n"
+        "mesh.area_cdf.searchsorted(draws)\n"
+        "area_cdf = 1\n"
     )
     assert _scipy_imports(source) == [2, 3]
     assert sorted(_numpy_cross(source)) == [4, 6]
+    assert _area_cdf_reads(source) == [9]
