@@ -731,12 +731,11 @@ def settle(
     Point, segment and polygon supports, and one triangle whose COM lies
     inside it but within ``margin_eps`` of an edge, take the world-frame
     pivot above, on the edges of the contact set's ``Support``
-    (``_support_edges``), as hull-vertex indices into the posed hull.  A
-    set of three or more contacts reads its support and inradius from the
-    mesh's memo (``_contact_supports``), so each is built once, the rest
-    set of every facet ``enumerate_stable`` checks by it.  One drop runs
-    this loop alone, a Python loop over one posed hull per tip; many
-    drops of one mesh settle faster together (``settle_batch``).
+    (``_support_edges``).  A set of three or more contacts reads its
+    support from the mesh's memo (``_contact_supports``), so each is
+    built once, the rest set of every facet ``enumerate_stable`` checks
+    by it.  Many drops of one mesh settle faster together
+    (``settle_batch``).
 
     The score of the stable Placement is its margin over the memo's
     inradius, clamped to [0, 1].  Returns the stable Placement; with
